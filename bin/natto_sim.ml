@@ -88,10 +88,8 @@ let write_metrics_json ~file metered =
      Consumers should reject versions they do not know. *)
   output_string oc "{\"schema_version\":3,\"runs\":[";
   List.iteri
-    (fun ri (sys_name, seed, m) ->
+    (fun ri (sys_name, seed, (reg, breakdowns, bl)) ->
       if ri > 0 then output_string oc ",";
-      let reg = m.Harness.Experiment.m_registry in
-      let breakdowns = m.Harness.Experiment.m_breakdowns in
       Printf.fprintf oc "\n{\"system\":\"%s\",\"seed\":%d,\"interval_us\":%d,\n"
         (json_escape sys_name) seed (Metrics.Registry.interval reg);
       (* Per-window time series: one object per sampling window, samples keyed
@@ -159,7 +157,6 @@ let write_metrics_json ~file metered =
       (* Causal blame profile: who-blocked-whom over the same breakdowns.
          [blame_check.max_sum_mismatch_us] gates the exact-sum invariant —
          per txn, lock/queue blame charges sum to lock_wait + queue_wait. *)
-      let bl = m.Harness.Experiment.m_blame in
       output_string oc "\n\"blame\":{\"matrix_us\":{";
       List.iteri
         (fun row label ->
@@ -210,6 +207,17 @@ let write_metrics_json ~file metered =
 let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo ~variance
     ~loss ~partitions ~clients_per_dc ~drain ~batching ~partial_abort ~histograms ~trace_file
     ~metrics_file ~faults ~check =
+  (* Open the trace output first so a bad path fails before any simulation
+     runs, not after. *)
+  let trace_out =
+    Option.map
+      (fun file ->
+        try (file, open_out file)
+        with Sys_error e ->
+          Printf.eprintf "natto_sim: cannot write trace file: %s\n%!" e;
+          exit 1)
+      trace_file
+  in
   let gen = (List.assoc workload workload_names) ~zipf in
   let topo = List.assoc topo topo_names in
   let net_config =
@@ -243,70 +251,58 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
       Harness.Experiment.driver;
       Harness.Experiment.batching =
         (if batching then Some Rpc.Batcher.default_config else None);
+      Harness.Experiment.faults;
     }
   in
   let violations = ref 0 in
-  (* Collected (system, seed, metered) triples when --metrics is on. The
-     instrumented runs replace the plain ones — their results are
-     byte-for-byte identical (pure observation), so the CSV is unchanged. *)
-  let metered = ref [] in
   Printf.printf
     "system,workload,rate_tps,zipf,p95_high_ms,ci,p95_low_ms,ci,goodput_high,goodput_low,failed,aborts\n%!";
-  (* Every (system, seed) pair is an independent simulation: farm the whole
-     grid out to the Domain pool, then walk it back in the sequential order
-     for merging and printing, so --jobs N output is byte-for-byte that of
-     --jobs 1. *)
+  (* Every (system, seed) pair is an independent simulation, run exactly
+     once with every requested observation: farm the whole grid out to the
+     Domain pool, then walk it back in the sequential order for merging and
+     printing, so --jobs N output is byte-for-byte that of --jobs 1. The
+     first cell carries the --trace recording; observation is pure, so its
+     results equal an untraced run's. *)
   let cells =
-    List.concat_map
-      (fun name ->
-        let spec = List.assoc name system_names in
-        List.map (fun seed -> (name, spec, seed)) seeds)
-      systems
+    List.concat_map (fun name -> List.map (fun seed -> (name, seed)) seeds) systems
   in
-  let runs =
+  let outcomes =
     Harness.Pool.map_ordered_auto
-      (fun (_name, spec, seed) ->
-        match metrics_file with
-        | Some _ when not check ->
-            `Metered (Harness.Experiment.run_metrics ?faults setup spec ~gen ~seed)
-        | _ -> `Outcome (Harness.Experiment.run_outcome ?faults ~check setup spec ~gen ~seed))
-      cells
+      (fun (i, (name, seed)) ->
+        Harness.Experiment.run ~check
+          ~trace:(i = 0 && trace_out <> None)
+          ~metrics:(metrics_file <> None) setup (List.assoc name system_names) ~gen ~seed)
+      (List.mapi (fun i cell -> (i, cell)) cells)
   in
-  let by_cell = List.combine cells runs in
+  let by_cell = List.combine cells outcomes in
+  let outcomes_of name =
+    List.filter_map (fun ((cell_name, _), o) -> if cell_name = name then Some o else None) by_cell
+  in
   List.iter
     (fun name ->
       let spec = List.assoc name system_names in
       let results =
-        List.filter_map
-          (fun ((cell_name, _, seed), run) ->
-            if cell_name <> name then None
-            else
-              Some
-                (match run with
-                | `Metered m ->
-                    metered := (name, seed, m) :: !metered;
-                    m.Harness.Experiment.m_result
-                | `Outcome o when not check -> Harness.Experiment.merge_outcome o
-                | `Outcome o ->
-                    Harness.Experiment.merge_counters o;
-                    let history, report =
-                      match o.Harness.Experiment.o_check with
-                      | Some hr -> hr
-                      | None -> assert false
-                    in
-                    if Check.Checker.ok report then
-                      Printf.printf "# check: %s seed %d ok (%d txns, %d edges)\n%!"
-                        (Harness.Experiment.spec_name spec)
-                        seed report.Check.Checker.checked_txns report.Check.Checker.edges
-                    else begin
-                      violations := !violations + List.length report.Check.Checker.violations;
-                      Printf.printf "# check: %s seed %d FAILED\n%s%!"
-                        (Harness.Experiment.spec_name spec)
-                        seed
-                        (Check.Checker.render history report)
-                    end;
-                    o.Harness.Experiment.o_result))
-          by_cell
+        List.map
+          (fun o ->
+            (match o.Harness.Experiment.o_check with
+            | None -> ()
+            | Some (history, report) ->
+                if Check.Checker.ok report then
+                  Printf.printf "# check: %s seed %d ok (%d txns, %d edges)\n%!"
+                    (Harness.Experiment.spec_name spec)
+                    o.Harness.Experiment.o_seed report.Check.Checker.checked_txns
+                    report.Check.Checker.edges
+                else begin
+                  violations := !violations + List.length report.Check.Checker.violations;
+                  Printf.printf "# check: %s seed %d FAILED\n%s%!"
+                    (Harness.Experiment.spec_name spec)
+                    o.Harness.Experiment.o_seed
+                    (Check.Checker.render history report)
+                end);
+            (* A failed verdict was reported above; the exit status counts it. *)
+            try Harness.Experiment.merge o
+            with Check.Checker.Violation _ -> o.Harness.Experiment.o_result)
+          (outcomes_of name)
       in
       let s = Harness.Experiment.summarize results in
       Printf.printf "%s,%s,%.0f,%.2f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%d,%d\n%!"
@@ -352,51 +348,50 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
     Printf.printf "\nLatency distributions (committed transactions, both priorities):\n";
     List.iter
       (fun name ->
-        let spec = List.assoc name system_names in
         let merged =
           List.fold_left
-            (fun acc seed ->
-              let r = Harness.Experiment.run ?faults setup spec ~gen ~seed in
+            (fun acc o ->
+              let r = o.Harness.Experiment.o_result in
               let h =
                 Simstats.Histogram.of_array
                   (Array.append r.Workload.Driver.high_latencies_ms
                      r.Workload.Driver.low_latencies_ms)
               in
               Simstats.Histogram.merge acc h)
-            (Simstats.Histogram.create ()) seeds
+            (Simstats.Histogram.create ()) (outcomes_of name)
         in
-        Printf.printf "%-15s %s\n%!" (Harness.Experiment.spec_name spec)
+        Printf.printf "%-15s %s\n%!"
+          (Harness.Experiment.spec_name (List.assoc name system_names))
           (Simstats.Histogram.render merged))
       systems
   end;
-  (match trace_file with
-  | None -> ()
-  | Some file ->
-      (* One extra fully-traced run (first system, first seed) whose Chrome
-         trace JSON goes to [file]. *)
-      let name = List.hd systems in
-      let spec = List.assoc name system_names in
-      let seed = List.hd seeds in
-      let t =
-        try Harness.Experiment.run_traced ?faults setup spec ~gen ~seed ~file
-        with Sys_error e ->
-          Printf.eprintf "natto_sim: cannot write trace file: %s\n%!" e;
-          exit 1
-      in
-      Printf.printf "\n# trace: %s (%s, seed %d) — load at chrome://tracing\n" file
-        (Harness.Experiment.spec_name spec)
-        seed;
-      Printf.printf "# %d trace events; messages by kind:\n" (Trace.event_count t.Harness.Experiment.trace);
+  (match (trace_out, outcomes) with
+  | Some (file, oc), o :: _ ->
+      (* The first (system, seed) cell's Chrome trace JSON goes to [file]. *)
+      let trace = Option.get o.Harness.Experiment.o_trace in
+      let system = Harness.Experiment.spec_name o.Harness.Experiment.o_spec in
+      let seed = o.Harness.Experiment.o_seed in
+      Trace.write_chrome_trace trace
+        ~extra:[ ("system", system); ("seed", string_of_int seed) ]
+        oc;
+      close_out oc;
+      Printf.printf "\n# trace: %s (%s, seed %d) — load at chrome://tracing\n" file system seed;
+      Printf.printf "# %d trace events; messages by kind:\n" (Trace.event_count trace);
       List.iter
         (fun (kind, n) -> Printf.printf "#   %-20s %10d\n" kind n)
-        (Trace.kind_counts t.Harness.Experiment.trace);
+        (Trace.kind_counts trace);
       Printf.printf "#   %-20s %10d (network total: %d)\n%!" "sum"
-        (Trace.total_messages t.Harness.Experiment.trace)
-        t.Harness.Experiment.messages_sent);
+        (Trace.total_messages trace) o.Harness.Experiment.o_messages
+  | _ -> ());
   (match metrics_file with
   | None -> ()
   | Some file ->
-      let metered = List.rev !metered in
+      let metered =
+        List.filter_map
+          (fun ((name, seed), o) ->
+            Option.map (fun m -> (name, seed, m)) o.Harness.Experiment.o_metrics)
+          by_cell
+      in
       (try write_metrics_json ~file metered
        with Sys_error e ->
          Printf.eprintf "natto_sim: cannot write metrics file: %s\n%!" e;
@@ -404,26 +399,23 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
       (* Attribution tables on stdout, '#'-prefixed so the CSV block above
          stays byte-for-byte that of a run without --metrics. *)
       List.iter
-        (fun (sys_name, seed, m) ->
+        (fun (sys_name, seed, (_, breakdowns, blame)) ->
           let rows =
             List.filter_map
               (fun (label, bds) ->
                 Option.map (fun a -> (label, a)) (Metrics.Attribution.aggregate bds))
-              (attribution_classes m.Harness.Experiment.m_breakdowns)
+              (attribution_classes breakdowns)
           in
           let title = Printf.sprintf "%s, seed %d" sys_name seed in
           String.split_on_char '\n' (Metrics.Attribution.render ~title rows)
           |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line);
-          String.split_on_char '\n'
-            (Metrics.Blame.render ~title m.Harness.Experiment.m_blame)
+          String.split_on_char '\n' (Metrics.Blame.render ~title blame)
           |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line);
-          let mismatch = max_sum_mismatch m.Harness.Experiment.m_breakdowns in
+          let mismatch = max_sum_mismatch breakdowns in
           if mismatch > 0 then
             Printf.printf "# WARNING: %s: segment sums deviate from end-to-end by up to %d us\n"
               title mismatch;
-          let blame_mismatch =
-            Metrics.Blame.max_mismatch m.Harness.Experiment.m_breakdowns
-          in
+          let blame_mismatch = Metrics.Blame.max_mismatch breakdowns in
           if blame_mismatch > 0 then
             Printf.printf
               "# WARNING: %s: blame charges deviate from lock+queue segments by up to %d us\n"
@@ -433,7 +425,7 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
         (List.length metered)
         (Simcore.Sim_time.to_ms
            (match metered with
-           | (_, _, m) :: _ -> Metrics.Registry.interval m.Harness.Experiment.m_registry
+           | (_, _, (reg, _, _)) :: _ -> Metrics.Registry.interval reg
            | [] -> 0)));
   !violations
 
@@ -519,7 +511,7 @@ let histograms_arg =
 
 let trace_arg =
   let doc =
-    "Also run the first system/seed with full tracing and write Chrome trace-viewer JSON \
+    "Record the first system/seed with full tracing and write Chrome trace-viewer JSON \
      to $(docv) (open at chrome://tracing or ui.perfetto.dev)."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
@@ -531,7 +523,7 @@ let metrics_arg =
      network, lock and Raft instruments, latency histograms, and a per-priority \
      attribution table whose segments sum exactly to each transaction's end-to-end \
      latency. Instrumentation is pure observation — the CSV on stdout is byte-for-byte \
-     that of a run without this flag. Incompatible with --check."
+     that of a run without this flag."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~doc ~docv:"FILE")
 
@@ -625,8 +617,6 @@ let main systems workload rate zipf duration seeds high_fraction topo variance l
                 `Error (false, Printf.sprintf "unknown workload %S" workload)
               else if not (List.mem_assoc topo topo_names) then
                 `Error (false, Printf.sprintf "unknown topology %S" topo)
-              else if metrics_file <> None && check then
-                `Error (false, "--metrics cannot be combined with --check")
               else begin
                 let violations =
                   run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction

@@ -10,11 +10,15 @@ echo "== dune runtest =="
 dune runtest
 
 echo "== trace smoke run =="
+# The tracer sees every message: the per-kind sum must equal the network's
+# own count.
 trace_out="${TMPDIR:-/tmp}/natto_ci_trace.json"
+trace_csv="${TMPDIR:-/tmp}/natto_ci_trace.csv"
 dune exec bin/natto_sim.exe -- -s natto-ts -d 2 --seeds 1 -r 50 \
-  --trace "$trace_out" >/dev/null
+  --trace "$trace_out" >"$trace_csv"
 grep -q '"traceEvents"' "$trace_out"
-rm -f "$trace_out"
+grep -Eq '^#   sum +([0-9]+) \(network total: \1\)$' "$trace_csv"
+rm -f "$trace_out" "$trace_csv"
 
 echo "== fault-injection smoke run =="
 # Crash partition 0's leader at t=2s, restart it at t=6s; the run must
@@ -73,31 +77,19 @@ dune exec bin/natto_sim.exe -- -s quecc,quecc-prio -d 8 --seeds 1 -r 50 -z 0.95 
   --faults 'crash-leader:0@2s,cut:0-1@3s,heal@5s,restart@6s' --check >/dev/null
 rm -f "$q_j1" "$q_j4"
 
-echo "== existing-family goldens gate =="
-# Introducing the QueCC family must not move a byte of any existing
-# family's output: the eleven pre-QueCC systems reproduce their golden
-# CSV exactly. '#'-prefixed lines are commentary (the uniform wasted
-# comment has grown columns since the golden was cut), so the compare is
-# over data rows.
-fam_out="${TMPDIR:-/tmp}/natto_ci_families.csv"
-dune exec bin/natto_sim.exe -- \
-  -s 2pl,2pl-p,2pl-pow,tapir,carousel-basic,carousel-fast,natto-ts,natto-lecsf,natto-pa,natto-cp,natto-recsf \
-  -d 4 --drain 10 --seeds 1,2 -r 80 -z 0.95 --jobs 8 >"$fam_out"
-grep -v '^#' "$fam_out" | cmp - test/golden/families_pr7.csv
-rm -f "$fam_out"
-
 echo "== metrics smoke + determinism gate =="
-# --metrics must (a) leave the CSV byte-for-byte identical to an
-# uninstrumented run ('#'-prefixed lines are commentary, not CSV), and
-# (b) write JSON that parses, carries sampled windows, and whose
-# attribution segments sum exactly to each end-to-end latency.
+# --metrics (here together with --check) must (a) leave the CSV
+# byte-for-byte identical to an uninstrumented run ('#'-prefixed lines are
+# commentary, not CSV), and (b) write JSON that parses, carries sampled
+# windows, and whose attribution segments sum exactly to each end-to-end
+# latency.
 metrics_out="${TMPDIR:-/tmp}/natto_ci_metrics.json"
 csv_off="${TMPDIR:-/tmp}/natto_ci_metrics_off.csv"
 csv_on="${TMPDIR:-/tmp}/natto_ci_metrics_on.csv"
 dune exec bin/natto_sim.exe -- -s 2pl,natto-recsf -d 4 --seeds 1 -r 80 -z 0.95 \
   | grep -v '^#' >"$csv_off"
 dune exec bin/natto_sim.exe -- -s 2pl,natto-recsf -d 4 --seeds 1 -r 80 -z 0.95 \
-  --metrics "$metrics_out" | grep -v '^#' >"$csv_on"
+  --metrics "$metrics_out" --check | grep -v '^#' >"$csv_on"
 cmp "$csv_off" "$csv_on"
 python3 - "$metrics_out" <<'EOF'
 import json, sys

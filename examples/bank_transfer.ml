@@ -19,7 +19,11 @@ let run spec =
     }
   in
   let setup = { Harness.Experiment.default_setup with Harness.Experiment.driver } in
-  let s = Harness.Experiment.run_repeated setup spec ~gen ~seeds:[ 1 ] in
+  let s =
+    Harness.Experiment.run_outcomes setup spec ~gen ~seeds:[ 1 ]
+    |> List.map Harness.Experiment.merge
+    |> Harness.Experiment.summarize
+  in
   Printf.printf "%-15s sendPayment p95 = %6.0fms   other txns p95 = %6.0fms   aborts = %d\n%!"
     (Harness.Experiment.spec_name spec)
     s.Harness.Experiment.p95_high_ms s.Harness.Experiment.p95_low_ms

@@ -53,6 +53,7 @@ type setup = {
   net_config : Netsim.Network.config;
   driver : Workload.Driver.config;
   batching : Rpc.Batcher.config option;
+  faults : Faults.schedule option;
 }
 
 let default_setup =
@@ -63,6 +64,7 @@ let default_setup =
     net_config = Netsim.Network.default_config;
     driver = Workload.Driver.default_config;
     batching = None;
+    faults = None;
   }
 
 let instantiate spec cluster =
@@ -78,20 +80,15 @@ let needs_raft = function Tapir -> false | _ -> true
 let deterministic = function Quecc _ -> true | _ -> false
 let needs_proxies = function Natto _ -> true | _ -> false
 
-let build_cluster ?trace ?metrics setup spec ~seed =
-  Txnkit.Cluster.build ~topo:setup.topo ~n_partitions:setup.n_partitions
-    ~clients_per_dc:setup.clients_per_dc ~net_config:setup.net_config
-    ~with_raft:(needs_raft spec) ~with_proxies:(needs_proxies spec)
-    ?batching:setup.batching ?trace ?metrics ~seed ()
-
-(* Process-wide message accounting, opted into by the bench harness
-   (NATTO_TRACE_SUMMARY=1). Counters mode only: constant memory per run and
-   no effect on event ordering, so figure results are unchanged.
+(* Process-wide message accounting, opted into by --trace-summary. Every
+   merged run folds whichever trace it carried: counters-only by default
+   (constant memory, no effect on event ordering), or the full trace of a
+   traced or metered run, whose per-kind and per-link counts are the same.
 
    [counters_on] is written once at startup (before any domain spawns) and
    only read afterwards; the totals tables are only ever mutated on the
-   main domain, by [merge_outcome] — worker domains carry their counts in
-   the per-run [outcome] instead. *)
+   main domain, by [merge] — worker domains carry their counts in the
+   per-run [outcome] instead. *)
 let counters_on = ref false
 let set_trace_counters on = counters_on := on
 
@@ -129,131 +126,90 @@ type outcome = {
   o_seed : int;
   o_result : Workload.Driver.result;
   o_check : (Check.History.t * Check.Checker.report) option;
-  o_counters : Trace.t option;
   o_trace : Trace.t option;
+  o_metrics :
+    (Metrics.Registry.t * Metrics.Attribution.txn_breakdown list * Metrics.Blame.t) option;
   o_batch : Rpc.Batcher.stats option;
   o_events : int;  (* engine events processed; deterministic per (spec, seed) *)
+  o_messages : int;
 }
 
 (* The worker half of a run: everything here is per-run state (fresh
-   cluster, engine, RNG, recorder, counting trace), so this function is
+   cluster, engine, RNG, recorder, trace, registry), so this function is
    safe to call from any domain, never prints, never raises on a checker
    violation, and never touches the process-wide totals. The main domain
-   folds the returned observations in via [merge_outcome]. *)
-let run_outcome ?trace ?faults ?(check = false) setup spec ~gen ~seed =
-  let counting =
-    match trace with
-    | None when !counters_on ->
-        let t = Trace.create () in
-        Trace.enable ~events:false t;
-        Some t
-    | _ -> None
+   folds the returned observations in via [merge]. Recording, tracing and
+   metering are pure observation (no messages or RNG draws; the metrics
+   sampler's timer events only read state), so [o_result] is byte-for-byte
+   the same whichever of them are on. *)
+let run ?(check = false) ?trace:(traced = false) ?(metrics = false) setup spec ~gen ~seed =
+  let full = traced || metrics in
+  let trace =
+    if full || !counters_on then begin
+      let t = Trace.create () in
+      Trace.enable ~events:full t;
+      Some t
+    end
+    else None
   in
-  let trace = match trace with Some _ -> trace | None -> counting in
-  let cluster = build_cluster ?trace setup spec ~seed in
-  (* Recording is pure observation (no events, messages or RNG draws), so a
-     checked run produces byte-for-byte the results of an unchecked one. *)
+  let registry =
+    if metrics then begin
+      let r = Metrics.Registry.create () in
+      Metrics.Registry.enable r;
+      Some r
+    end
+    else None
+  in
+  let cluster =
+    Txnkit.Cluster.build ~topo:setup.topo ~n_partitions:setup.n_partitions
+      ~clients_per_dc:setup.clients_per_dc ~net_config:setup.net_config
+      ~with_raft:(needs_raft spec) ~with_proxies:(needs_proxies spec)
+      ?batching:setup.batching ?trace ?metrics:registry ~seed ()
+  in
   if check then Check.Recorder.enable cluster.Txnkit.Cluster.recorder;
   (* Installed before the driver starts so the first transaction already
      sees the failover machinery armed. *)
-  (match faults with Some schedule -> Faults.install cluster schedule | None -> ());
+  Option.iter (Faults.install cluster) setup.faults;
   let system = instantiate spec cluster in
   let result = Workload.Driver.run cluster system ~gen { setup.driver with Workload.Driver.seed } in
   let checked =
     if check then begin
       let history = Check.Recorder.history cluster.Txnkit.Cluster.recorder in
-      let report =
-        Check.Checker.check ~conservation:gen.Workload.Gen.increment_rmw history
-      in
-      Some (history, report)
+      Some (history, Check.Checker.check ~conservation:gen.Workload.Gen.increment_rmw history)
     end
     else None
+  in
+  let metered =
+    match (registry, trace) with
+    | Some registry, Some trace ->
+        let txns = Metrics.Registry.txn_records registry in
+        let breakdowns = Metrics.Attribution.analyze ~trace ~txns in
+        let blame = Metrics.Blame.analyze ~trace ~txns ~breakdowns () in
+        (* Outcomes outlive the run; keep only the counters unless the
+           caller asked for the trace itself. *)
+        if not traced then Trace.drop_events trace;
+        Some (registry, breakdowns, blame)
+    | _ -> None
   in
   {
     o_spec = spec;
     o_seed = seed;
     o_result = result;
     o_check = checked;
-    o_counters = counting;
     o_trace = trace;
+    o_metrics = metered;
     o_batch = Option.map Rpc.Batcher.stats cluster.Txnkit.Cluster.batcher;
     o_events = Simcore.Engine.events_processed cluster.Txnkit.Cluster.engine;
+    o_messages = Netsim.Network.messages_sent cluster.Txnkit.Cluster.net;
   }
 
-let merge_counters o = match o.o_counters with Some t -> accumulate t | None -> ()
-
-let merge_outcome o =
-  merge_counters o;
+let merge o =
+  Option.iter accumulate o.o_trace;
   (match o.o_check with
   | Some (history, report) ->
       Check.Checker.assert_ok ?trace:o.o_trace ~label:(spec_name o.o_spec) history report
   | None -> ());
   o.o_result
-
-let run ?trace ?faults ?check setup spec ~gen ~seed =
-  merge_outcome (run_outcome ?trace ?faults ?check setup spec ~gen ~seed)
-
-let run_checked ?trace ?faults setup spec ~gen ~seed =
-  let o = run_outcome ?trace ?faults ~check:true setup spec ~gen ~seed in
-  merge_counters o;
-  match o.o_check with
-  | Some (history, report) -> (o.o_result, history, report)
-  | None -> assert false
-
-type traced = {
-  result : Workload.Driver.result;
-  messages_sent : int;
-  trace : Trace.t;
-}
-
-let run_traced ?faults setup spec ~gen ~seed ~file =
-  (* Open the output first so a bad path fails before the simulation runs,
-     not after. *)
-  let oc = open_out file in
-  let trace = Trace.create () in
-  Trace.enable trace;
-  let cluster = build_cluster ~trace setup spec ~seed in
-  (match faults with Some schedule -> Faults.install cluster schedule | None -> ());
-  let system = instantiate spec cluster in
-  let result =
-    Workload.Driver.run cluster system ~gen { setup.driver with Workload.Driver.seed }
-  in
-  Trace.write_chrome_trace trace
-    ~extra:[ ("system", spec_name spec); ("seed", string_of_int seed) ]
-    oc;
-  close_out oc;
-  {
-    result;
-    messages_sent = Netsim.Network.messages_sent cluster.Txnkit.Cluster.net;
-    trace;
-  }
-
-type metered = {
-  m_result : Workload.Driver.result;
-  m_registry : Metrics.Registry.t;
-  m_breakdowns : Metrics.Attribution.txn_breakdown list;
-  m_blame : Metrics.Blame.t;
-}
-
-let run_metrics ?faults ?interval setup spec ~gen ~seed =
-  (* Full-event trace + enabled registry. Both are pure observation — no
-     events, messages or RNG draws — so [m_result] is byte-for-byte the
-     result of an uninstrumented run; natto_sim's --metrics mode relies on
-     this to emit unchanged figure CSVs. *)
-  let trace = Trace.create () in
-  Trace.enable trace;
-  let registry = Metrics.Registry.create () in
-  Metrics.Registry.enable ?interval registry;
-  let cluster = build_cluster ~trace ~metrics:registry setup spec ~seed in
-  (match faults with Some schedule -> Faults.install cluster schedule | None -> ());
-  let system = instantiate spec cluster in
-  let result =
-    Workload.Driver.run cluster system ~gen { setup.driver with Workload.Driver.seed }
-  in
-  let txns = Metrics.Registry.txn_records registry in
-  let breakdowns = Metrics.Attribution.analyze ~trace ~txns in
-  let blame = Metrics.Blame.analyze ~trace ~txns ~breakdowns () in
-  { m_result = result; m_registry = registry; m_breakdowns = breakdowns; m_blame = blame }
 
 type summary = {
   p95_high_ms : float;
@@ -325,10 +281,5 @@ let summarize results =
     commits = !commits;
   }
 
-let run_outcomes ?faults ?check ?(jobs = 1) setup spec ~gen ~seeds =
-  Pool.map_ordered ~jobs
-    (fun seed -> run_outcome ?faults ?check setup spec ~gen ~seed)
-    seeds
-
-let run_repeated ?faults ?check ?jobs setup spec ~gen ~seeds =
-  summarize (List.map merge_outcome (run_outcomes ?faults ?check ?jobs setup spec ~gen ~seeds))
+let run_outcomes ?check ?(jobs = 1) setup spec ~gen ~seeds =
+  Pool.map_ordered ~jobs (fun seed -> run ?check setup spec ~gen ~seed) seeds

@@ -37,10 +37,14 @@ type setup = {
       (** install an [Rpc.Batcher] + Raft group commit on every cluster the
           experiment builds; [None] (the default) is byte-identical to the
           pre-batching harness *)
+  faults : Faults.schedule option;
+      (** installed before the driver starts (see {!Faults.install});
+          [None] (the default) is byte-identical to the pre-fault harness *)
 }
 
 val default_setup : setup
-(** §5.1 defaults: azure5, 5 partitions, 2 clients per DC. *)
+(** §5.1 defaults: azure5, 5 partitions, 2 clients per DC, no batching, no
+    faults. *)
 
 type outcome = {
   o_spec : system_spec;
@@ -48,124 +52,77 @@ type outcome = {
   o_result : Workload.Driver.result;
   o_check : (Check.History.t * Check.Checker.report) option;
       (** present iff the run was checked; not yet asserted *)
-  o_counters : Trace.t option;
-      (** counters-only trace to fold into the process-wide totals *)
-  o_trace : Trace.t option;  (** whatever trace sink the run used *)
+  o_trace : Trace.t option;
+      (** a full-event trace if the run was traced; a counters-only trace
+          if it was metered or {!set_trace_counters} is on; else [None] *)
+  o_metrics :
+    (Metrics.Registry.t * Metrics.Attribution.txn_breakdown list * Metrics.Blame.t) option;
+      (** present iff the run was metered: the registry's sampled windows,
+          histograms and counters; one attribution breakdown per committed
+          transaction (segments sum exactly to its end-to-end latency); and
+          the causal blame profile over those breakdowns *)
   o_batch : Rpc.Batcher.stats option;
       (** batcher occupancy/flush statistics, present iff the setup batched *)
   o_events : int;
       (** engine events processed over the run; deterministic per
-          (spec, seed), so it doubles as a cheap determinism lock *)
+          (spec, seed), so it doubles as a cheap determinism lock (metering
+          adds one sampler event per window) *)
+  o_messages : int;  (** [Netsim.Network.messages_sent] over the run *)
 }
-(** Everything one run observed, as a value. [run_outcome] is the
-    domain-safe worker half of {!run}: it builds per-run state only, never
-    prints, never raises on a checker violation, and never touches the
-    process-wide totals, so the {!Pool} can execute it on any domain.
-    {!merge_outcome} is the main-domain half: it folds the counters into
-    the process totals and raises {!Check.Checker.Violation} if the run's
-    check failed. Merging outcomes in input order is what keeps parallel
-    harness output byte-for-byte identical to a sequential run. *)
 
-val run_outcome :
-  ?trace:Trace.t ->
-  ?faults:Faults.schedule ->
+val run :
   ?check:bool ->
+  ?trace:bool ->
+  ?metrics:bool ->
   setup ->
   system_spec ->
   gen:Workload.Gen.t ->
   seed:int ->
   outcome
+(** One run: fresh cluster, the setup's faults, one system, one workload
+    pass, observed as requested (all default [false]):
+    - [check] records the transaction history and verifies strict
+      serializability (plus increment conservation for
+      {!Workload.Gen.increment_rmw} workloads) after the drain;
+    - [trace] installs a full-event trace sink, e.g. for
+      {!Trace.write_chrome_trace};
+    - [metrics] installs a full-event trace and an enabled metrics registry
+      (100 ms windows) and computes the per-transaction latency attribution
+      and blame profile after the drain (the trace's events are then
+      dropped unless [trace] is also on).
 
-val merge_outcome : outcome -> Workload.Driver.result
-(** Fold [o_counters] into the aggregate totals, assert the check report
-    (if any), return the run's result. Main domain only. *)
+    Every observation is pure — no messages or RNG draws, and the metrics
+    sampler's timer events only read state — so [o_result] is byte-for-byte
+    the same whichever are on. [run] builds
+    per-run state only: it never prints, never raises on a checker
+    violation, and never touches the process-wide totals, so the {!Pool}
+    can execute it on any domain. *)
 
-val merge_counters : outcome -> unit
-(** The counters half of {!merge_outcome} alone, for callers that want the
-    check report un-asserted (the check figure, the CLI's [--check]). *)
+val merge : outcome -> Workload.Driver.result
+(** The main-domain half of a run: fold [o_trace]'s message counts into the
+    process totals, then raise {!Check.Checker.Violation} with a rendered
+    counterexample if the run's check failed; return the run's result.
+    Merging outcomes in input order is what keeps parallel harness output
+    byte-for-byte identical to a sequential run. *)
 
-val run :
-  ?trace:Trace.t ->
-  ?faults:Faults.schedule ->
+val run_outcomes :
   ?check:bool ->
+  ?jobs:int ->
   setup ->
   system_spec ->
   gen:Workload.Gen.t ->
-  seed:int ->
-  Workload.Driver.result
-(** One run: fresh cluster, one system, one workload pass. [trace] is
-    installed at cluster construction (see {!Txnkit.Cluster.build});
-    [faults] is installed before the driver starts (see {!Faults.install}).
-    Without [faults], results are byte-for-byte those of the pre-fault
-    harness.
-
-    [check] (default [false]) records the run's transaction history and
-    verifies strict serializability (plus increment conservation for
-    {!Workload.Gen.increment_rmw} workloads) after the drain, raising
-    {!Check.Checker.Violation} with a rendered counterexample on failure.
-    Recording observes — it adds no events, messages or randomness — so a
-    checked run's [result] is byte-for-byte that of an unchecked one. *)
-
-val run_checked :
-  ?trace:Trace.t ->
-  ?faults:Faults.schedule ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seed:int ->
-  Workload.Driver.result * Check.History.t * Check.Checker.report
-(** Like [run ~check:true] but returns the history and the checker report
-    instead of raising, for callers that want to render or count violations
-    themselves (the CLI's [--check]). *)
-
-type traced = {
-  result : Workload.Driver.result;
-  messages_sent : int;  (** [Netsim.Network.messages_sent] for the run *)
-  trace : Trace.t;
-}
-
-val run_traced :
-  ?faults:Faults.schedule ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seed:int ->
-  file:string ->
-  traced
-(** Like {!run} with a full-recording trace sink, writing Chrome
-    trace-viewer JSON to [file] (load it at chrome://tracing or
-    ui.perfetto.dev). *)
-
-type metered = {
-  m_result : Workload.Driver.result;
-  m_registry : Metrics.Registry.t;  (** sampled windows, histograms, counters *)
-  m_breakdowns : Metrics.Attribution.txn_breakdown list;
-      (** one per committed transaction; segments sum exactly to each
-          transaction's end-to-end latency *)
-  m_blame : Metrics.Blame.t;
-      (** causal blame profile over the same breakdowns: class×class
-          inversion matrix, hot keys, top blockers, tail exemplars *)
-}
-
-val run_metrics :
-  ?faults:Faults.schedule ->
-  ?interval:Simcore.Sim_time.t ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seed:int ->
-  metered
-(** Like {!run} with a full trace sink and an enabled metrics registry
-    ([interval] is the sampling window, default 100 ms), computing the
-    per-transaction latency attribution after the drain. Instrumentation is
-    pure observation, so [m_result] is byte-for-byte that of {!run}. *)
+  seeds:int list ->
+  outcome list
+(** One {!run} per seed, farmed out over [jobs] domains (default [1]) via
+    {!Pool.map_ordered}; outcomes come back in seed order and are not yet
+    merged. *)
 
 (** {2 Aggregate message accounting}
 
-    When enabled (the bench harness sets this from NATTO_TRACE_SUMMARY=1),
-    every {!run} counts its messages per kind and per DC link into
-    process-wide totals. Counters mode only — constant memory, and results
-    are byte-for-byte those of an untraced run. *)
+    When enabled (by [--trace-summary] on natto_sim and the bench harness),
+    every run carries at least a counters-only trace and {!merge} folds its
+    messages per kind and per DC link into process-wide totals. Results are
+    byte-for-byte those of an untraced run. *)
 
 val set_trace_counters : bool -> unit
 
@@ -201,30 +158,3 @@ val summarize : Workload.Driver.result list -> summary
 (** Aggregate per-seed results: percentile statistics are averaged across
     repetitions with 95% confidence intervals (§5.1's error bars); counts
     are summed. *)
-
-val run_outcomes :
-  ?faults:Faults.schedule ->
-  ?check:bool ->
-  ?jobs:int ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seeds:int list ->
-  outcome list
-(** One {!run_outcome} per seed, farmed out over [jobs] domains (default
-    [1]) via {!Pool.map_ordered}; outcomes come back in seed order and are
-    not yet merged. *)
-
-val run_repeated :
-  ?faults:Faults.schedule ->
-  ?check:bool ->
-  ?jobs:int ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seeds:int list ->
-  summary
-(** [summarize] over one {!run} per seed. With [jobs > 1] the seeds run in
-    parallel ({!run_outcomes}); outcomes are merged in seed order on the
-    calling domain, so the summary — and any process-wide accounting — is
-    identical to the sequential run's. *)

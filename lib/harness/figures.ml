@@ -86,6 +86,11 @@ let row figure x_label x system (s : Experiment.summary) =
    [--jobs 1] run. *)
 let map_cells cells f = Pool.map_ordered_auto f cells
 
+(* A metered cell's observations, after merging it like any other run. *)
+let merge_metered o =
+  ignore (Experiment.merge o);
+  Option.get o.Experiment.o_metrics
+
 let sweep ~figure ~x_label ~setup_of ~gen_of ~xs ~systems ~scale ~show =
   let cells = List.concat_map (fun x -> List.map (fun spec -> (x, spec)) systems) xs in
   let outcomes =
@@ -95,7 +100,7 @@ let sweep ~figure ~x_label ~setup_of ~gen_of ~xs ~systems ~scale ~show =
   in
   List.iter2
     (fun (x, spec) outs ->
-      let summary = Experiment.summarize (List.map Experiment.merge_outcome outs) in
+      let summary = Experiment.summarize (List.map Experiment.merge outs) in
       row figure x_label (show x) (Experiment.spec_name spec) summary)
     cells outcomes
 
@@ -216,7 +221,7 @@ let fig10 scale =
   List.iter2
     (fun (spec, rate) outs ->
       if rate = List.hd rates then baseline := nan;
-      let summary = Experiment.summarize (List.map Experiment.merge_outcome outs) in
+      let summary = Experiment.summarize (List.map Experiment.merge outs) in
       if Float.is_nan !baseline then baseline := summary.Experiment.p95_high_ms;
       let increase_pct =
         100. *. (summary.Experiment.p95_high_ms -. !baseline) /. !baseline
@@ -346,7 +351,7 @@ let fig14 scale =
                 Experiment.driver;
               }
             in
-            Experiment.run_outcome ~check:true setup spec ~gen ~seed:1)
+            Experiment.run ~check:true setup spec ~gen ~seed:1)
           rates)
   in
   List.iter2
@@ -354,7 +359,7 @@ let fig14 scale =
       let best =
         List.fold_left
           (fun best o ->
-            let r = Experiment.merge_outcome o in
+            let r = Experiment.merge o in
             let goodput =
               r.Workload.Driver.goodput_high_tps +. r.Workload.Driver.goodput_low_tps
             in
@@ -398,7 +403,7 @@ let ablation scale =
   in
   List.iter2
     (fun (label, _features) outs ->
-      let summary = Experiment.summarize (List.map Experiment.merge_outcome outs) in
+      let summary = Experiment.summarize (List.map Experiment.merge outs) in
       row "ablation" "variant" label label summary)
     variants outcomes
 
@@ -438,7 +443,7 @@ let failover scale =
       drain = Sim_time.seconds 60.;
     }
   in
-  let setup = { Experiment.default_setup with Experiment.driver } in
+  let setup = { Experiment.default_setup with Experiment.driver; faults = Some schedule } in
   let systems =
     [
       Experiment.Twopl Twopl.Plain;
@@ -452,12 +457,11 @@ let failover scale =
   in
   let outcomes =
     map_cells systems (fun spec ->
-        Experiment.run_outcomes ~faults:schedule ~check:true setup spec ~gen
-          ~seeds:(seeds scale))
+        Experiment.run_outcomes ~check:true setup spec ~gen ~seeds:(seeds scale))
   in
   List.iter2
     (fun spec outs ->
-      let results = List.map Experiment.merge_outcome outs in
+      let results = List.map Experiment.merge outs in
       (* Phases are bucketed by submission time, pooled across seeds. *)
       let entries =
         List.concat_map (fun r -> Array.to_list r.Workload.Driver.commit_log) results
@@ -548,31 +552,24 @@ let check_figure scale =
   in
   let outcomes =
     map_cells cells (fun ((_label, faults), spec) ->
-        Experiment.run_outcome ?faults ~check:true setup spec ~gen
+        Experiment.run ~check:true { setup with Experiment.faults } spec ~gen
           ~seed:(List.hd (seeds scale)))
   in
   List.iter2
     (fun ((label, _faults), spec) o ->
-      Experiment.merge_counters o;
-      let history, report =
-        match o.Experiment.o_check with Some hr -> hr | None -> assert false
-      in
+      let _, report = Option.get o.Experiment.o_check in
       let n_violations = List.length report.Check.Checker.violations in
-          Printf.printf "check,%s,%s,%d,%d,%d\n%!" label (Experiment.spec_name spec)
-            report.Check.Checker.checked_txns report.Check.Checker.edges n_violations;
-          collect ~figure:"check" ~x_label:"schedule" ~x:label
-            ~system:(Experiment.spec_name spec)
-            [
-              ("committed_txns", float_of_int report.Check.Checker.checked_txns);
-              ("graph_edges", float_of_int report.Check.Checker.edges);
-              ("violations", float_of_int n_violations);
-            ];
-          if n_violations > 0 then begin
-            print_string (Check.Checker.render history report);
-            failwith
-              (Printf.sprintf "check figure: %s under schedule %s violated serializability"
-                 (Experiment.spec_name spec) label)
-          end)
+      Printf.printf "check,%s,%s,%d,%d,%d\n%!" label (Experiment.spec_name spec)
+        report.Check.Checker.checked_txns report.Check.Checker.edges n_violations;
+      collect ~figure:"check" ~x_label:"schedule" ~x:label
+        ~system:(Experiment.spec_name spec)
+        [
+          ("committed_txns", float_of_int report.Check.Checker.checked_txns);
+          ("graph_edges", float_of_int report.Check.Checker.edges);
+          ("violations", float_of_int n_violations);
+        ];
+      (* After the verdict row: raises with the counterexample on a violation. *)
+      ignore (Experiment.merge o))
     cells outcomes
 
 (* ------------------------------------------------------------------ *)
@@ -605,16 +602,17 @@ let attribution scale =
   in
   let metered =
     map_cells systems (fun spec ->
-        Experiment.run_metrics setup spec ~gen ~seed:(List.hd (seeds scale)))
+        Experiment.run ~metrics:true setup spec ~gen ~seed:(List.hd (seeds scale)))
   in
   List.iter2
-    (fun spec m ->
+    (fun spec o ->
       let system = Experiment.spec_name spec in
+      let _, breakdowns, _ = merge_metered o in
       let classes =
         [
-          ("all", m.Experiment.m_breakdowns);
-          ("high", List.filter (fun b -> b.Metrics.Attribution.t_high) m.Experiment.m_breakdowns);
-          ("low", List.filter (fun b -> not b.Metrics.Attribution.t_high) m.Experiment.m_breakdowns);
+          ("all", breakdowns);
+          ("high", List.filter (fun b -> b.Metrics.Attribution.t_high) breakdowns);
+          ("low", List.filter (fun b -> not b.Metrics.Attribution.t_high) breakdowns);
         ]
       in
       let aggs =
@@ -733,15 +731,14 @@ let batchsweep scale =
         (* The history checker is O(committed txns); running it on the
            low-rate rungs proves batched histories stay serializable
            without dominating the sweep's cost (ci.sh gates the rest). *)
-        Experiment.run_outcome ~check:(rate <= 1000.) (setup_of ~batching ~rate) spec ~gen
-          ~seed:1)
+        Experiment.run ~check:(rate <= 1000.) (setup_of ~batching ~rate) spec ~gen ~seed:1)
   in
   let p95 a = if Array.length a = 0 then nan else Simstats.Percentile.p95 a in
   let curves = ref [] in
   (* mode -> (rate, goodput, p95) in ladder order *)
   List.iter2
     (fun ((mode, _batching), rate) o ->
-      let r = Experiment.merge_outcome o in
+      let r = Experiment.merge o in
       let goodput = r.Workload.Driver.goodput_high_tps +. r.Workload.Driver.goodput_low_tps in
       let p95_all =
         p95 (Array.append r.Workload.Driver.high_latencies_ms r.Workload.Driver.low_latencies_ms)
@@ -827,11 +824,12 @@ let batchsweep scale =
   let attr_rate = 400. *. float_of_int n_partitions in
   let metered =
     map_cells modes (fun (_mode, batching) ->
-        Experiment.run_metrics (setup_of ~batching ~rate:attr_rate) spec ~gen ~seed:1)
+        Experiment.run ~metrics:true (setup_of ~batching ~rate:attr_rate) spec ~gen ~seed:1)
   in
   List.iter2
-    (fun (mode, _) m ->
-      match Metrics.Attribution.aggregate m.Experiment.m_breakdowns with
+    (fun (mode, _) o ->
+      let _, breakdowns, _ = merge_metered o in
+      match Metrics.Attribution.aggregate breakdowns with
       | None -> ()
       | Some a ->
           let tot =
@@ -873,6 +871,7 @@ let simthroughput scale =
     let t0 = Unix.gettimeofday () in
     let outs = Experiment.run_outcomes ~jobs setup spec ~gen ~seeds in
     let wall = Unix.gettimeofday () -. t0 in
+    List.iter (fun o -> ignore (Experiment.merge o)) outs;
     let events = List.fold_left (fun acc o -> acc + o.Experiment.o_events) 0 outs in
     let eps = if wall > 0. then float_of_int events /. wall else 0. in
     Printf.printf "simthroughput,%s,%s,%s,%d,%.3f,%.0f\n%!" x_label x name events wall eps;
@@ -977,14 +976,14 @@ let tailblame scale =
   let cells = List.concat_map (fun th -> List.map (fun s -> (th, s)) systems) thetas in
   let metered =
     map_cells cells (fun (theta, spec) ->
-        Experiment.run_metrics setup spec
+        Experiment.run ~metrics:true setup spec
           ~gen:(Workload.Ycsbt.gen ~theta ())
           ~seed:(List.hd (seeds scale)))
   in
   let rows =
     List.map2
-      (fun (theta, spec) m ->
-        let b = m.Experiment.m_blame in
+      (fun (theta, spec) o ->
+        let _, _, b = merge_metered o in
         let system = Experiment.spec_name spec in
         let cell i j = b.Metrics.Blame.b_matrix.(i).(j) in
         let inv = Metrics.Blame.inversion_us b in
@@ -1012,7 +1011,7 @@ let tailblame scale =
             ("hot1_share", hot1);
             ("hot8_share", hot8);
           ];
-        (theta, system, inv, inv_per_high, hot1, m))
+        (theta, system, inv, inv_per_high, hot1, b))
       cells metered
   in
   (* Per-theta ranking, "#"-prefixed so CSV consumers skip it. The
@@ -1045,11 +1044,10 @@ let tailblame scale =
   (* Full blame report for the most contended point of the paper's
      headline systems, exemplar timelines included. *)
   List.iter
-    (fun (theta, system, _, _, _, m) ->
+    (fun (theta, system, _, _, _, b) ->
       if theta = 0.99 && (system = "2PL+2PC" || system = "Natto-RECSF") then
         String.split_on_char '\n'
-          (Metrics.Blame.render ~title:(Printf.sprintf "%s @ zipf %.2f" system theta)
-             m.Experiment.m_blame)
+          (Metrics.Blame.render ~title:(Printf.sprintf "%s @ zipf %.2f" system theta) b)
         |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line))
     rows;
   flush stdout
@@ -1120,7 +1118,7 @@ let retrysweep scale =
   in
   List.iter2
     (fun (theta, pa, spec) outs ->
-      let s = Experiment.summarize (List.map Experiment.merge_outcome outs) in
+      let s = Experiment.summarize (List.map Experiment.merge outs) in
       let system = Experiment.spec_name spec in
       Printf.printf "retrysweep,%.2f,%s,%s,%.1f,%.1f,%.1f,%.1f,%d,%d,%d,%d\n%!" theta
         (if pa then "on" else "off")
@@ -1148,12 +1146,13 @@ let retrysweep scale =
   let mcells = List.concat_map (fun spec -> List.map (fun pa -> (spec, pa)) modes) systems in
   let metered =
     map_cells mcells (fun (spec, pa) ->
-        Experiment.run_metrics (setup_of ~pa) spec
+        Experiment.run ~metrics:true (setup_of ~pa) spec
           ~gen:(Workload.Ycsbt.gen ~theta ())
           ~seed:(List.hd (seeds scale)))
   in
-  let wasted = List.map2 (fun (spec, pa) m ->
-      (spec, pa, Metrics.Attribution.wasted_work m.Experiment.m_breakdowns)) mcells metered
+  let wasted = List.map2 (fun (spec, pa) o ->
+      let _, breakdowns, _ = merge_metered o in
+      (spec, pa, Metrics.Attribution.wasted_work breakdowns)) mcells metered
   in
   Printf.printf
     "# retrysweep wasted @ zipf %.2f: aborted-attempt us split (exec unchanged; \

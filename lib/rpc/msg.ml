@@ -1,8 +1,7 @@
 (* Wire sizing follows the paper's data set: 64-byte keys and values
    (§5.1). Sizes are derived from key/value counts so the network byte
    accounting (loss experiments, Fig. 12) reflects each protocol's actual
-   data movement. This module is the single home of those constants; the
-   legacy [Txnkit.Wire] module delegates here. *)
+   data movement. This module is the single home of those constants. *)
 
 let key_bytes = 64
 let value_bytes = 64

@@ -73,6 +73,12 @@ let disable t = t.mode <- Off
 let enabled t = t.mode <> Off
 let recording t = t.mode = Full
 
+let drop_events t =
+  if t.mode = Full then t.mode <- Counters;
+  t.events <- [];
+  t.n_events <- 0;
+  t.txn_index <- None
+
 let bump tbl key n =
   match Hashtbl.find_opt tbl key with
   | Some r -> r := !r + n

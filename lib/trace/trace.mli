@@ -37,6 +37,10 @@ val enabled : t -> bool
 val recording : t -> bool
 (** Full mode only: per-event records are being buffered (or streamed). *)
 
+val drop_events : t -> unit
+(** Free the buffered per-event records and continue in counters mode; the
+    per-kind and per-link counters are kept. *)
+
 val stream_to : t -> out_channel -> unit
 (** Switch the sink to streaming output: the Chrome-trace prologue is
     written immediately and every subsequent full-mode event is rendered

@@ -235,10 +235,10 @@ let test_batched_run_checks () =
   in
   let gen = Workload.Ycsbt.gen () in
   let o =
-    Harness.Experiment.run_outcome ~check:true setup
+    Harness.Experiment.run ~check:true setup
       (Harness.Experiment.Natto Natto.Features.recsf) ~gen ~seed:3
   in
-  let r = Harness.Experiment.merge_outcome o in
+  let r = Harness.Experiment.merge o in
   Alcotest.(check bool) "commits happened" true
     (r.Workload.Driver.committed_low + r.Workload.Driver.committed_high > 0);
   (match o.Harness.Experiment.o_check with
@@ -276,7 +276,8 @@ let test_batched_run_deterministic () =
   in
   let gen = Workload.Ycsbt.gen () in
   let run () =
-    Harness.Experiment.run setup (Harness.Experiment.Carousel_basic) ~gen ~seed:7
+    Harness.Experiment.merge
+      (Harness.Experiment.run setup Harness.Experiment.Carousel_basic ~gen ~seed:7)
   in
   let r1 = run () and r2 = run () in
   Alcotest.(check int) "same commits" r1.Workload.Driver.committed_low

@@ -262,9 +262,12 @@ let families =
   ]
 
 let checked_clean ?faults spec () =
-  let _result, _history, report =
-    Harness.Experiment.run_checked ?faults contended_setup spec ~gen:hot_gen ~seed:11
+  let o =
+    Harness.Experiment.run ~check:true
+      { contended_setup with Harness.Experiment.faults }
+      spec ~gen:hot_gen ~seed:11
   in
+  let _history, report = Option.get o.Harness.Experiment.o_check in
   Alcotest.(check bool) "transactions recorded" true (report.Check.Checker.checked_txns > 0);
   Alcotest.(check int) "no violations" 0 (List.length report.Check.Checker.violations)
 

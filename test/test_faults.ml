@@ -124,19 +124,21 @@ let faulted_driver =
     drain = Sim_time.seconds 20.;
   }
 
-let faulted_setup =
-  { Harness.Experiment.default_setup with Harness.Experiment.driver = faulted_driver }
-
 let crash_restart_schedule =
   match Faults.parse "crash-leader:0@2s,restart@6s" with
   | Ok s -> s
   | Error e -> failwith e
 
+let faulted_setup =
+  {
+    Harness.Experiment.default_setup with
+    Harness.Experiment.driver = faulted_driver;
+    faults = Some crash_restart_schedule;
+  }
+
 let recovery_for spec () =
   let gen = Workload.Ycsbt.gen () in
-  let r =
-    Harness.Experiment.run ~faults:crash_restart_schedule faulted_setup spec ~gen ~seed:1
-  in
+  let r = Harness.Experiment.merge (Harness.Experiment.run faulted_setup spec ~gen ~seed:1) in
   Alcotest.(check int) "no hung transactions" 0 r.Workload.Driver.unfinished;
   let after_heal =
     Array.fold_left
@@ -148,9 +150,7 @@ let recovery_for spec () =
 let test_faulted_run_deterministic () =
   let gen = Workload.Ycsbt.gen () in
   let spec = Harness.Experiment.Natto Natto.Features.recsf in
-  let go () =
-    Harness.Experiment.run ~faults:crash_restart_schedule faulted_setup spec ~gen ~seed:5
-  in
+  let go () = Harness.Experiment.merge (Harness.Experiment.run faulted_setup spec ~gen ~seed:5) in
   let r1 = go () and r2 = go () in
   Alcotest.(check int) "same high commits" r1.Workload.Driver.committed_high
     r2.Workload.Driver.committed_high;
@@ -162,12 +162,14 @@ let test_faulted_run_deterministic () =
 let test_fault_events_traced () =
   let gen = Workload.Ycsbt.gen () in
   let file = Filename.temp_file "natto_faults" ".json" in
-  let t =
-    Harness.Experiment.run_traced ~faults:crash_restart_schedule faulted_setup
+  let o =
+    Harness.Experiment.run ~trace:true faulted_setup
       (Harness.Experiment.Natto Natto.Features.ts)
-      ~gen ~seed:1 ~file
+      ~gen ~seed:1
   in
-  ignore t;
+  let oc = open_out file in
+  Trace.write_chrome_trace (Option.get o.Harness.Experiment.o_trace) oc;
+  close_out oc;
   let ic = open_in file in
   let len = in_channel_length ic in
   let body = really_input_string ic len in

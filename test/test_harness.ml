@@ -12,6 +12,9 @@ let tiny_driver =
 
 let tiny_setup = { Harness.Experiment.default_setup with Harness.Experiment.driver = tiny_driver }
 
+let run ?check ?trace ?metrics spec ~gen ~seed =
+  Harness.Experiment.run ?check ?trace ?metrics tiny_setup spec ~gen ~seed
+
 let test_spec_names () =
   Alcotest.(check string) "carousel" "Carousel Basic"
     (Harness.Experiment.spec_name Harness.Experiment.Carousel_basic);
@@ -26,8 +29,8 @@ let test_spec_names () =
 
 let test_run_deterministic () =
   let gen = Workload.Ycsbt.gen () in
-  let r1 = Harness.Experiment.run tiny_setup Harness.Experiment.Carousel_basic ~gen ~seed:9 in
-  let r2 = Harness.Experiment.run tiny_setup Harness.Experiment.Carousel_basic ~gen ~seed:9 in
+  let r1 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~gen ~seed:9) in
+  let r2 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~gen ~seed:9) in
   Alcotest.(check int) "same commits" r1.Workload.Driver.committed_low
     r2.Workload.Driver.committed_low;
   Alcotest.(check (float 0.0001)) "same p95" (Workload.Driver.p95_low r1)
@@ -35,22 +38,62 @@ let test_run_deterministic () =
 
 let test_run_seeds_differ () =
   let gen = Workload.Ycsbt.gen () in
-  let r1 = Harness.Experiment.run tiny_setup Harness.Experiment.Carousel_basic ~gen ~seed:1 in
-  let r2 = Harness.Experiment.run tiny_setup Harness.Experiment.Carousel_basic ~gen ~seed:2 in
+  let r1 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~gen ~seed:1) in
+  let r2 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~gen ~seed:2) in
   Alcotest.(check bool) "different latencies" true
     (Workload.Driver.p95_low r1 <> Workload.Driver.p95_low r2)
 
 let test_run_repeated_summary () =
   let gen = Workload.Ycsbt.gen () in
   let s =
-    Harness.Experiment.run_repeated tiny_setup
+    Harness.Experiment.run_outcomes tiny_setup
       (Harness.Experiment.Natto Natto.Features.ts)
       ~gen ~seeds:[ 1; 2; 3 ]
+    |> List.map Harness.Experiment.merge
+    |> Harness.Experiment.summarize
   in
   Alcotest.(check bool) "p95 present" true (not (Float.is_nan s.Harness.Experiment.p95_high_ms));
   Alcotest.(check bool) "ci non-negative" true (s.Harness.Experiment.p95_high_ci >= 0.0);
   Alcotest.(check bool) "commits accumulated" true (s.Harness.Experiment.commits > 200);
   Alcotest.(check int) "nothing unfinished" 0 s.Harness.Experiment.unfinished
+
+(* One run with every observation on (check, full trace, metrics) must
+   report exactly what a plain run reports, and fold the same per-kind and
+   per-link message totals: observation is pure, and full and counters-only
+   traces count the same messages. *)
+let test_observed_run_identical () =
+  let gen = Workload.Ycsbt.gen ~theta:0.95 () in
+  let spec = Harness.Experiment.Natto Natto.Features.recsf in
+  let totals o =
+    Harness.Experiment.reset_trace_totals ();
+    let r = Harness.Experiment.merge o in
+    (r, Harness.Experiment.trace_totals (), Harness.Experiment.trace_link_totals ())
+  in
+  Harness.Experiment.set_trace_counters true;
+  let plain = run spec ~gen ~seed:4 in
+  let full = run ~check:true ~trace:true ~metrics:true spec ~gen ~seed:4 in
+  Harness.Experiment.set_trace_counters false;
+  Alcotest.(check bool) "plain run observes nothing" true
+    (plain.Harness.Experiment.o_check = None && plain.Harness.Experiment.o_metrics = None);
+  Alcotest.(check bool) "observed run carries check and metrics" true
+    (full.Harness.Experiment.o_check <> None && full.Harness.Experiment.o_metrics <> None);
+  Alcotest.(check bool) "observed run carries a full trace" true
+    (Option.fold ~none:false ~some:Trace.recording full.Harness.Experiment.o_trace);
+  (* The registry's sampler ticks are the only engine events metering adds. *)
+  let registry, _, _ = Option.get full.Harness.Experiment.o_metrics in
+  Alcotest.(check int) "same engine events, plus one per sampling window"
+    (plain.Harness.Experiment.o_events + List.length (Metrics.Registry.windows registry))
+    full.Harness.Experiment.o_events;
+  Alcotest.(check int) "same messages" plain.Harness.Experiment.o_messages
+    full.Harness.Experiment.o_messages;
+  let r_plain, kinds_plain, links_plain = totals plain in
+  let r_full, kinds_full, links_full = totals full in
+  Alcotest.(check bool) "same driver result" true (r_plain = r_full);
+  Alcotest.(check bool) "per-kind totals folded" true (kinds_plain <> []);
+  Alcotest.(check (list (triple string int int))) "same per-kind totals" kinds_plain kinds_full;
+  Alcotest.(check (list (pair (pair int int) int)))
+    "same per-link totals" links_plain links_full;
+  Harness.Experiment.reset_trace_totals ()
 
 let test_figures_dispatch () =
   Alcotest.(check bool) "unknown rejected" false
@@ -73,6 +116,7 @@ let () =
           Alcotest.test_case "deterministic per seed" `Slow test_run_deterministic;
           Alcotest.test_case "seeds differ" `Slow test_run_seeds_differ;
           Alcotest.test_case "repeated summary" `Slow test_run_repeated_summary;
+          Alcotest.test_case "observed run = plain run" `Slow test_observed_run_identical;
         ] );
       ( "figures",
         [

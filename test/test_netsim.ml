@@ -204,25 +204,25 @@ let test_trace_disabled_is_free () =
   Alcotest.(check int) "no counts" 0 (Trace.total_messages trace);
   Alcotest.(check int) "no events" 0 (Trace.event_count trace)
 
-(* The typed envelope must agree with the legacy Wire sizing it replaced. *)
+(* The typed envelope must agree with the sizing primitives it is built on. *)
 let test_envelope_sizes () =
   let open Rpc in
   Alcotest.(check int) "read_prepare"
-    (Txnkit.Wire.read_and_prepare_bytes ~reads:2 ~writes:3)
+    (Msg.read_and_prepare_bytes ~reads:2 ~writes:3)
     (Msg.read_prepare ~reads:2 ~writes:3 ()).Msg.bytes;
   Alcotest.(check int) "read_reply"
-    (Txnkit.Wire.read_reply_bytes ~reads:4)
+    (Msg.read_reply_bytes ~reads:4)
     (Msg.read_reply ~reads:4 ()).Msg.bytes;
   Alcotest.(check int) "commit_request"
-    (Txnkit.Wire.commit_request_bytes ~writes:5)
+    (Msg.commit_request_bytes ~writes:5)
     (Msg.commit_request ~writes:5 ()).Msg.bytes;
-  Alcotest.(check int) "vote" Txnkit.Wire.vote_bytes (Msg.vote ()).Msg.bytes;
+  Alcotest.(check int) "vote" Msg.vote_bytes (Msg.vote ()).Msg.bytes;
   Alcotest.(check int) "decision"
-    (Txnkit.Wire.decision_bytes ~writes:2)
+    (Msg.decision_bytes ~writes:2)
     (Msg.decision ~writes:2 ()).Msg.bytes;
-  Alcotest.(check int) "control" Txnkit.Wire.control_bytes
+  Alcotest.(check int) "control" Msg.control_bytes
     (Msg.control Msg.Commit_notify).Msg.bytes;
-  Alcotest.(check int) "abort decision = control size" Txnkit.Wire.control_bytes
+  Alcotest.(check int) "abort decision = control size" Msg.control_bytes
     (Msg.decision ~writes:0 ()).Msg.bytes;
   (* Envelope metadata rides along. *)
   let m = Msg.read_prepare ~txn:42 ~priority:1 ~reads:1 ~writes:1 () in

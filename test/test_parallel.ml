@@ -4,8 +4,8 @@
    - Pool.map_ordered preserves input order and propagates exceptions
      deterministically at any job count.
    - A small figure sweep run at --jobs 4 produces byte-identical CSV text
-     and identical collected points to --jobs 1; run_repeated over several
-     seeds produces the identical summary.
+     and identical collected points to --jobs 1; run_outcomes over several
+     seeds, merged and summarized, produces the identical summary.
    - QCheck: under random push/cancel/pop interleavings the event queue
      (whose heap now compacts away dead entries) pops exactly what a naive
      model pops, and its O(1) live counter always agrees with the model. *)
@@ -137,12 +137,12 @@ let test_run_repeated_jobs_identical () =
     }
   in
   let spec = Harness.Experiment.Natto Natto.Features.recsf in
-  let s1 =
-    Harness.Experiment.run_repeated ~check:true ~jobs:1 setup spec ~gen ~seeds:[ 1; 2 ]
+  let go jobs =
+    Harness.Experiment.run_outcomes ~check:true ~jobs setup spec ~gen ~seeds:[ 1; 2 ]
+    |> List.map Harness.Experiment.merge
+    |> Harness.Experiment.summarize
   in
-  let s4 =
-    Harness.Experiment.run_repeated ~check:true ~jobs:4 setup spec ~gen ~seeds:[ 1; 2 ]
-  in
+  let s1 = go 1 and s4 = go 4 in
   Alcotest.(check bool) "summaries identical" true (s1 = s4);
   Alcotest.(check bool) "ran transactions" true (s1.Harness.Experiment.commits > 0)
 

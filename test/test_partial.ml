@@ -228,9 +228,11 @@ let families =
 
 let test_e2e_pa_checked spec () =
   let gen = Workload.Ycsbt.gen ~theta:0.99 () in
-  (* run_repeated ~check:true raises on any checker violation. *)
+  (* Merging a checked run raises on any checker violation. *)
   let s =
-    Harness.Experiment.run_repeated ~check:true (quick_setup ~pa:true) spec ~gen ~seeds:[ 1 ]
+    Harness.Experiment.run_outcomes ~check:true (quick_setup ~pa:true) spec ~gen ~seeds:[ 1 ]
+    |> List.map Harness.Experiment.merge
+    |> Harness.Experiment.summarize
   in
   Alcotest.(check bool) "committed work" true (s.Harness.Experiment.commits > 0);
   Alcotest.(check bool)
@@ -243,8 +245,10 @@ let test_e2e_pa_checked spec () =
 let test_e2e_off_counters_zero () =
   let gen = Workload.Ycsbt.gen ~theta:0.99 () in
   let s =
-    Harness.Experiment.run_repeated ~check:true (quick_setup ~pa:false)
+    Harness.Experiment.run_outcomes ~check:true (quick_setup ~pa:false)
       (Harness.Experiment.Natto Natto.Features.recsf) ~gen ~seeds:[ 1 ]
+    |> List.map Harness.Experiment.merge
+    |> Harness.Experiment.summarize
   in
   Alcotest.(check int) "no partial restarts with the flag off" 0
     s.Harness.Experiment.partial_restarts;
@@ -253,8 +257,10 @@ let test_e2e_off_counters_zero () =
 let test_e2e_jobs_identical () =
   let gen = Workload.Ycsbt.gen ~theta:0.99 () in
   let go jobs =
-    Harness.Experiment.run_repeated ~check:true ~jobs (quick_setup ~pa:true)
+    Harness.Experiment.run_outcomes ~check:true ~jobs (quick_setup ~pa:true)
       (Harness.Experiment.Natto Natto.Features.recsf) ~gen ~seeds:[ 1; 2 ]
+    |> List.map Harness.Experiment.merge
+    |> Harness.Experiment.summarize
   in
   Alcotest.(check bool) "jobs 1 and 4 summaries identical" true (go 1 = go 4)
 

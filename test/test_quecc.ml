@@ -159,8 +159,10 @@ let quick_setup =
 let test_e2e_fault_free variant () =
   let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let s =
-    Harness.Experiment.run_repeated ~check:true quick_setup
+    Harness.Experiment.run_outcomes ~check:true quick_setup
       (Harness.Experiment.Quecc variant) ~gen ~seeds:[ 1; 2 ]
+    |> List.map Harness.Experiment.merge
+    |> Harness.Experiment.summarize
   in
   Alcotest.(check bool) "committed work" true (s.Harness.Experiment.commits > 0);
   Alcotest.(check int) "zero client-visible aborts" 0 s.Harness.Experiment.aborts;
@@ -170,8 +172,10 @@ let test_e2e_fault_free variant () =
 let test_e2e_jobs_identical () =
   let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let go jobs =
-    Harness.Experiment.run_repeated ~check:true ~jobs quick_setup
+    Harness.Experiment.run_outcomes ~check:true ~jobs quick_setup
       (Harness.Experiment.Quecc Quecc.Prio) ~gen ~seeds:[ 1; 2 ]
+    |> List.map Harness.Experiment.merge
+    |> Harness.Experiment.summarize
   in
   Alcotest.(check bool) "jobs 1 and 4 summaries identical" true (go 1 = go 4)
 
@@ -190,12 +194,17 @@ let faulted_driver =
 let test_e2e_crash_cut variant () =
   let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let setup =
-    { Harness.Experiment.default_setup with Harness.Experiment.driver = faulted_driver }
+    {
+      Harness.Experiment.default_setup with
+      Harness.Experiment.driver = faulted_driver;
+      faults = Some crash_cut_schedule;
+    }
   in
-  let r, _history, report =
-    Harness.Experiment.run_checked ~faults:crash_cut_schedule setup
-      (Harness.Experiment.Quecc variant) ~gen ~seed:1
+  let o =
+    Harness.Experiment.run ~check:true setup (Harness.Experiment.Quecc variant) ~gen ~seed:1
   in
+  let r = o.Harness.Experiment.o_result in
+  let _history, report = Option.get o.Harness.Experiment.o_check in
   Alcotest.(check bool) "history serializable" true (Check.Checker.ok report);
   Alcotest.(check int) "no hung transactions" 0 r.Workload.Driver.unfinished;
   let after_heal =

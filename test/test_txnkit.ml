@@ -134,11 +134,11 @@ let test_exec_read_values () =
 
 let test_wire_monotone () =
   Alcotest.(check bool) "more keys, more bytes" true
-    (Wire.read_and_prepare_bytes ~reads:6 ~writes:6 > Wire.read_and_prepare_bytes ~reads:1 ~writes:1);
+    (Rpc.Msg.read_and_prepare_bytes ~reads:6 ~writes:6 > Rpc.Msg.read_and_prepare_bytes ~reads:1 ~writes:1);
   Alcotest.(check bool) "reply carries values" true
-    (Wire.read_reply_bytes ~reads:3 > 3 * Wire.value_bytes);
+    (Rpc.Msg.read_reply_bytes ~reads:3 > 3 * Rpc.Msg.value_bytes);
   Alcotest.(check bool) "decision carries writes" true
-    (Wire.decision_bytes ~writes:4 > Wire.decision_bytes ~writes:0)
+    (Rpc.Msg.decision_bytes ~writes:4 > Rpc.Msg.decision_bytes ~writes:0)
 
 let () =
   Alcotest.run "txnkit"
