@@ -1,12 +1,17 @@
 type t = {
-  nodes : (int * Node.t) list;  (** network node id -> raft node *)
+  nodes : Node.t array;  (** the raft node at each of [member_ids] *)
   member_ids : int array;
   engine : Simcore.Engine.t;
   trace : Trace.t;  (** the network's sink, for "replication" lifecycle spans *)
 }
 
 let node t id =
-  try List.assoc id t.nodes with Not_found -> invalid_arg "Raft.Group.node: not a member"
+  let rec find i =
+    if i = Array.length t.member_ids then invalid_arg "Raft.Group.node: not a member"
+    else if t.member_ids.(i) = id then t.nodes.(i)
+    else find (i + 1)
+  in
+  find 0
 
 (* Raft traffic rides the same typed RPC layer as the transaction
    protocols, so traces attribute replication load per kind. *)
@@ -23,34 +28,41 @@ let envelope_of msg =
 let create ~engine ~net ~rng ?(config = Node.default_config) ?(group_commit = false)
     ~members ?initial_leader () =
   let nodes =
-    Array.to_list
-      (Array.map
-         (fun id ->
-           let n =
-             Node.create ~engine ~rng:(Simcore.Rng.split rng) ~config ~id ~peers:members
-           in
-           Node.set_group_commit n group_commit;
-           (id, n))
-         members)
+    Array.map
+      (fun id ->
+        let n = Node.create ~engine ~rng:(Simcore.Rng.split rng) ~config ~id ~peers:members in
+        Node.set_group_commit n group_commit;
+        n)
+      members
   in
   let t = { nodes; member_ids = members; engine; trace = Netsim.Network.trace net } in
-  List.iter
-    (fun (id, n) ->
+  Array.iteri
+    (fun i n ->
+      let id = members.(i) in
       Node.set_transport n (fun ~dst msg ->
           Rpc.send net ~src:id ~dst ~msg:(envelope_of msg) (fun () ->
               Node.receive (node t dst) msg)))
     nodes;
   (match initial_leader with
   | Some leader ->
-      List.iter (fun (id, n) -> if id <> leader then Node.start n) nodes;
+      Array.iteri (fun i n -> if members.(i) <> leader then Node.start n) nodes;
       Node.force_leader (node t leader)
-  | None -> List.iter (fun (_, n) -> Node.start n) nodes);
+  | None -> Array.iter Node.start nodes);
   t
 
 let members t = t.member_ids
 
-let leader_id t =
-  List.find_map (fun (id, n) -> if Node.role n = Leader && not (Node.is_stopped n) then Some id else None) t.nodes
+(* The live leader's position in [member_ids], or -1. *)
+let leader_slot t =
+  let rec find i =
+    if i = Array.length t.nodes then -1
+    else
+      let n = t.nodes.(i) in
+      if Node.role n = Leader && not (Node.is_stopped n) then i else find (i + 1)
+  in
+  find 0
+
+let leader_id t = match leader_slot t with -1 -> None | i -> Some t.member_ids.(i)
 
 let replicate t ?(background = false) ~size ?(tag = 0) ~on_committed () =
   (* A tagged, non-background replication sits on some transaction's commit
@@ -77,40 +89,35 @@ let replicate t ?(background = false) ~size ?(tag = 0) ~on_committed () =
      client library would; after ~30 s of no leader the entry is dropped
      (the group is considered failed). *)
   let rec attempt tries =
-    match leader_id t with
-    | Some id -> ignore (Node.replicate (node t id) ~size ~tag ~on_committed)
-    | None ->
+    match leader_slot t with
+    | -1 ->
         if tries < 150 then
           ignore
             (Simcore.Engine.schedule_after t.engine (Simcore.Sim_time.ms 200.) (fun () ->
                  attempt (tries + 1)))
+    | i -> ignore (Node.replicate t.nodes.(i) ~size ~tag ~on_committed)
   in
   attempt 0
 
 let commit_index t =
-  List.fold_left
-    (fun acc (_, n) -> if Node.is_stopped n then acc else max acc (Node.commit_index n))
+  Array.fold_left
+    (fun acc n -> if Node.is_stopped n then acc else max acc (Node.commit_index n))
     0 t.nodes
 
 let replication_lag t =
-  let live = List.filter (fun (_, n) -> not (Node.is_stopped n)) t.nodes in
-  match live with
-  | [] -> 0
-  | _ ->
-      let head =
-        List.fold_left (fun acc (_, n) -> max acc (Node.log_length n)) 0 live
-      in
-      List.fold_left (fun acc (_, n) -> acc + (head - Node.commit_index n)) 0 live
+  let live = List.filter (fun n -> not (Node.is_stopped n)) (Array.to_list t.nodes) in
+  let head = List.fold_left (fun acc n -> max acc (Node.log_length n)) 0 live in
+  List.fold_left (fun acc n -> acc + (head - Node.commit_index n)) 0 live
 
 let crash t id = Node.crash (node t id)
 let restart t id = Node.restart (node t id)
 
 let converged t =
-  let live = List.filter (fun (_, n) -> not (Node.is_stopped n)) t.nodes in
+  let live = List.filter (fun n -> not (Node.is_stopped n)) (Array.to_list t.nodes) in
   match live with
   | [] -> true
-  | (_, first) :: rest ->
+  | first :: rest ->
       let reference = Node.log_entries first and commit = Node.commit_index first in
       List.for_all
-        (fun (_, n) -> Node.log_entries n = reference && Node.commit_index n = commit)
+        (fun n -> Node.log_entries n = reference && Node.commit_index n = commit)
         rest

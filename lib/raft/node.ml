@@ -20,10 +20,14 @@ type t = {
   mutable term : int;
   mutable voted_for : int option;
   mutable role : role;
-  log : Types.entry Vec.t;
+  self_slot : int;  (** this node's position in [peers] *)
+  mutable log : Types.entry array;
+      (** entries [0, log_len) are the log; AppendEntries share this array,
+          so nothing writes below [log_len] and truncation replaces it *)
+  mutable log_len : int;
   mutable commit_index : int;
-  next_index : (int, int) Hashtbl.t;
-  match_index : (int, int) Hashtbl.t;
+  next_index : int array;  (** per peer slot, as [peers] *)
+  match_index : int array;
   callbacks : (int, unit -> unit) Hashtbl.t;
   mutable votes_granted : int list;
   mutable election_timer : Engine.handle option;
@@ -34,9 +38,15 @@ type t = {
   mutable group_commit : bool;
       (** leader coalesces log entries into one AppendEntries per
           replication round (one in flight per peer); off by default *)
-  inflight : (int, unit) Hashtbl.t;
-      (** group-commit mode: peers with an unacknowledged AppendEntries *)
+  inflight : bool array;
+      (** group-commit mode: peer slots with an unacknowledged AppendEntries *)
 }
+
+let no_entry = { Types.term = 0; index = 0; size = 0; tag = 0 }
+
+let slot_of peers id =
+  let rec find i = if peers.(i) = id then i else find (i + 1) in
+  find 0
 
 let create ~engine ~rng ~config ~id ~peers =
   {
@@ -49,10 +59,12 @@ let create ~engine ~rng ~config ~id ~peers =
     term = 0;
     voted_for = None;
     role = Follower;
-    log = Vec.create ();
+    self_slot = slot_of peers id;
+    log = Array.make 16 no_entry;
+    log_len = 0;
     commit_index = 0;
-    next_index = Hashtbl.create 7;
-    match_index = Hashtbl.create 7;
+    next_index = Array.make (Array.length peers) 1;
+    match_index = Array.make (Array.length peers) 0;
     callbacks = Hashtbl.create 64;
     votes_granted = [];
     election_timer = None;
@@ -61,7 +73,7 @@ let create ~engine ~rng ~config ~id ~peers =
     leader_hint = None;
     fired_up_to = 0;
     group_commit = false;
-    inflight = Hashtbl.create 7;
+    inflight = Array.make (Array.length peers) false;
   }
 
 let set_transport t send = t.send <- send
@@ -72,8 +84,25 @@ let set_group_commit t on = t.group_commit <- on
 let group_commit_max_entries = 256
 
 let majority t = (Array.length t.peers / 2) + 1
-let last_log_index t = Vec.length t.log
-let entry_term t i = if i = 0 then 0 else (Vec.get t.log (i - 1)).Types.term
+let last_log_index t = t.log_len
+let entry_term t i = if i = 0 then 0 else t.log.(i - 1).Types.term
+
+let push t e =
+  if t.log_len = Array.length t.log then begin
+    let grown = Array.make (2 * t.log_len) no_entry in
+    Array.blit t.log 0 grown 0 t.log_len;
+    t.log <- grown
+  end;
+  t.log.(t.log_len) <- e;
+  t.log_len <- t.log_len + 1
+
+(* Copy-on-truncate: AppendEntries already in flight may share the current
+   array, so the kept prefix moves to a fresh one and the old stays intact. *)
+let truncate t len =
+  let kept = Array.make (Array.length t.log) no_entry in
+  Array.blit t.log 0 kept 0 len;
+  t.log <- kept;
+  t.log_len <- len
 
 let cancel_timer = function Some h -> Engine.cancel h | None -> ()
 
@@ -115,14 +144,12 @@ and become_candidate t =
 and become_leader t =
   t.role <- Leader;
   t.leader_hint <- Some t.id;
-  Hashtbl.reset t.inflight;
+  Array.fill t.inflight 0 (Array.length t.inflight) false;
   cancel_timer t.election_timer;
   t.election_timer <- None;
-  Array.iter
-    (fun peer ->
-      Hashtbl.replace t.next_index peer (last_log_index t + 1);
-      Hashtbl.replace t.match_index peer (if peer = t.id then last_log_index t else 0))
-    t.peers;
+  Array.fill t.next_index 0 (Array.length t.next_index) (last_log_index t + 1);
+  Array.fill t.match_index 0 (Array.length t.match_index) 0;
+  t.match_index.(t.self_slot) <- last_log_index t;
   send_heartbeats t;
   arm_heartbeat t
 
@@ -141,35 +168,39 @@ and send_heartbeats t =
      append still unacknowledged after a full heartbeat interval is
      presumed lost, so the in-flight marks are dropped and the heartbeat
      itself (which carries the pending suffix) resends the batch. *)
-  if t.group_commit then Hashtbl.reset t.inflight;
-  Array.iter (fun peer -> if peer <> t.id then send_append t peer) t.peers
+  if t.group_commit then Array.fill t.inflight 0 (Array.length t.inflight) false;
+  for s = 0 to Array.length t.peers - 1 do
+    if s <> t.self_slot then send_append t s
+  done
 
-and send_append t peer =
-  let next = try Hashtbl.find t.next_index peer with Not_found -> last_log_index t + 1 in
-  let prev_index = next - 1 in
-  let limit = if t.group_commit then next + group_commit_max_entries - 1 else max_int in
-  let entries =
-    let rec collect i acc =
-      if i > last_log_index t || i > limit then List.rev acc
-      else collect (i + 1) (Vec.get t.log (i - 1) :: acc)
-    in
-    collect next []
+and send_append t s =
+  let prev_index = t.next_index.(s) - 1 in
+  let count =
+    let pending = last_log_index t - prev_index in
+    if t.group_commit then Stdlib.min pending group_commit_max_entries else pending
   in
-  t.send ~dst:peer
+  let payload_bytes = ref 0 in
+  for i = prev_index to prev_index + count - 1 do
+    payload_bytes := !payload_bytes + t.log.(i).Types.size
+  done;
+  t.send ~dst:t.peers.(s)
     (Types.Append_entries
        {
          term = t.term;
          leader = t.id;
          prev_index;
          prev_term = entry_term t prev_index;
-         entries;
+         entries = t.log;
+         offset = prev_index;
+         count;
+         payload_bytes = !payload_bytes;
          leader_commit = t.commit_index;
        });
   (* Pipelining (as in etcd/raft): advance next_index optimistically so the
      suffix is not resent on every subsequent append; a failure reply resets
      it via the hint. *)
-  if entries <> [] then Hashtbl.replace t.next_index peer (next + List.length entries);
-  if t.group_commit then Hashtbl.replace t.inflight peer ()
+  t.next_index.(s) <- prev_index + 1 + count;
+  if t.group_commit then t.inflight.(s) <- true
 
 (* --- state transitions --- *)
 
@@ -179,7 +210,7 @@ let become_follower t ~term =
   t.role <- Follower;
   t.voted_for <- None;
   t.votes_granted <- [];
-  Hashtbl.reset t.inflight;
+  Array.fill t.inflight 0 (Array.length t.inflight) false;
   if was_leader then begin
     cancel_timer t.heartbeat_timer;
     t.heartbeat_timer <- None
@@ -189,34 +220,40 @@ let become_follower t ~term =
 let fire_committed_callbacks t =
   let rec fire i =
     if i <= t.commit_index then begin
-      (match Hashtbl.find_opt t.callbacks i with
-      | Some cb ->
+      (match Hashtbl.find t.callbacks i with
+      | cb ->
           Hashtbl.remove t.callbacks i;
           cb ()
-      | None -> ());
+      | exception Not_found -> ());
       t.fired_up_to <- i;
       fire (i + 1)
     end
   in
   fire (t.fired_up_to + 1)
 
-let advance_commit t =
-  let n = last_log_index t in
-  let best = ref t.commit_index in
-  for candidate = t.commit_index + 1 to n do
-    if entry_term t candidate = t.term then begin
-      let acks =
-        Array.fold_left
-          (fun acc peer ->
-            let m = try Hashtbl.find t.match_index peer with Not_found -> 0 in
-            if m >= candidate then acc + 1 else acc)
-          0 t.peers
-      in
-      if acks >= majority t then best := candidate
+(* The highest index a majority of [match_index] holds: its majority-th
+   largest entry. *)
+let quorum_match t =
+  let m = t.match_index in
+  let best = ref 0 in
+  for i = 0 to Array.length m - 1 do
+    if m.(i) > !best then begin
+      let holders = ref 0 in
+      for j = 0 to Array.length m - 1 do
+        if m.(j) >= m.(i) then incr holders
+      done;
+      if !holders >= majority t then best := m.(i)
     end
   done;
-  if !best > t.commit_index then begin
-    t.commit_index <- !best;
+  !best
+
+(* Commits the highest current-term index a majority holds. Terms never
+   decrease along a log, so when the quorum index is from an older term no
+   index below it is from the current one. *)
+let advance_commit t =
+  let q = quorum_match t in
+  if q > t.commit_index && entry_term t q = t.term then begin
+    t.commit_index <- q;
     fire_committed_callbacks t
   end
 
@@ -248,7 +285,8 @@ let handle_vote t ~term ~from ~granted =
     if List.length t.votes_granted >= majority t then become_leader t
   end
 
-let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~leader_commit =
+let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~offset ~count
+    ~leader_commit =
   if term > t.term || (term = t.term && t.role = Candidate) then become_follower t ~term;
   if term < t.term then
     t.send ~dst:leader
@@ -271,21 +309,21 @@ let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~leade
            })
     end
     else begin
-      List.iter
-        (fun (e : Types.entry) ->
-          if e.index <= last_log_index t then begin
-            if entry_term t e.index <> e.term then begin
-              (* Conflict: truncate our log from this point and append. *)
-              Vec.truncate t.log (e.index - 1);
-              Vec.push t.log e
-            end
+      for k = offset to offset + count - 1 do
+        let e : Types.entry = entries.(k) in
+        if e.index <= last_log_index t then begin
+          if entry_term t e.index <> e.term then begin
+            (* Conflict: truncate our log from this point and append. *)
+            truncate t (e.index - 1);
+            push t e
           end
-          else begin
-            assert (e.index = last_log_index t + 1);
-            Vec.push t.log e
-          end)
-        entries;
-      let match_index = prev_index + List.length entries in
+        end
+        else begin
+          assert (e.index = last_log_index t + 1);
+          push t e
+        end
+      done;
+      let match_index = prev_index + count in
       if leader_commit > t.commit_index then begin
         t.commit_index <- Stdlib.min leader_commit (last_log_index t);
         fire_committed_callbacks t
@@ -299,25 +337,22 @@ let handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~leade
 let handle_append_reply t ~term ~from ~success ~match_index ~hint_index =
   if term > t.term then become_follower t ~term
   else if t.role = Leader && term = t.term then begin
+    let s = slot_of t.peers from in
     if success then begin
-      let prev = try Hashtbl.find t.match_index from with Not_found -> 0 in
-      if match_index > prev then Hashtbl.replace t.match_index from match_index;
-      Hashtbl.replace t.next_index from (Stdlib.max (match_index + 1) 1);
+      if match_index > t.match_index.(s) then t.match_index.(s) <- match_index;
+      t.next_index.(s) <- Stdlib.max (match_index + 1) 1;
       if t.group_commit then begin
         (* The acked round is done; everything that accumulated while it
            was in flight ships as the next round's single batch. *)
-        Hashtbl.remove t.inflight from;
-        let next =
-          try Hashtbl.find t.next_index from with Not_found -> last_log_index t + 1
-        in
-        if next <= last_log_index t then send_append t from
+        t.inflight.(s) <- false;
+        if t.next_index.(s) <= last_log_index t then send_append t s
       end;
       advance_commit t
     end
     else begin
-      Hashtbl.replace t.next_index from (Stdlib.max 1 hint_index);
-      if t.group_commit then Hashtbl.remove t.inflight from;
-      send_append t from
+      t.next_index.(s) <- Stdlib.max 1 hint_index;
+      if t.group_commit then t.inflight.(s) <- false;
+      send_append t s
     end
   end
 
@@ -327,8 +362,10 @@ let receive t msg =
     | Types.Request_vote { term; candidate; last_log_index; last_log_term } ->
         handle_request_vote t ~term ~candidate ~last_log_index ~last_log_term
     | Types.Vote { term; from; granted } -> handle_vote t ~term ~from ~granted
-    | Types.Append_entries { term; leader; prev_index; prev_term; entries; leader_commit } ->
-        handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~leader_commit
+    | Types.Append_entries
+        { term; leader; prev_index; prev_term; entries; offset; count; leader_commit; _ } ->
+        handle_append_entries t ~term ~leader ~prev_index ~prev_term ~entries ~offset ~count
+          ~leader_commit
     | Types.Append_reply { term; from; success; match_index; hint_index } ->
         handle_append_reply t ~term ~from ~success ~match_index ~hint_index
 
@@ -343,18 +380,16 @@ let force_leader t =
 let replicate t ~size ~tag ~on_committed =
   if t.role <> Leader then invalid_arg "Raft.Node.replicate: not the leader";
   let index = last_log_index t + 1 in
-  Vec.push t.log { Types.term = t.term; index; size; tag };
+  push t { Types.term = t.term; index; size; tag };
   Hashtbl.replace t.callbacks index on_committed;
-  Hashtbl.replace t.match_index t.id index;
+  t.match_index.(t.self_slot) <- index;
   (* Group commit keeps one AppendEntries in flight per peer; entries
      arriving while a round is outstanding accumulate and ride the next
      round together, so the per-entry replication cost is amortized and the
      batch grows exactly as fast as the network round trip allows. *)
-  Array.iter
-    (fun peer ->
-      if peer <> t.id && not (t.group_commit && Hashtbl.mem t.inflight peer) then
-        send_append t peer)
-    t.peers;
+  for s = 0 to Array.length t.peers - 1 do
+    if s <> t.self_slot && not (t.group_commit && t.inflight.(s)) then send_append t s
+  done;
   (* Single-node groups commit immediately. *)
   advance_commit t;
   index
@@ -371,7 +406,7 @@ let restart t =
   t.role <- Follower;
   t.votes_granted <- [];
   t.leader_hint <- None;
-  Hashtbl.reset t.inflight;
+  Array.fill t.inflight 0 (Array.length t.inflight) false;
   reset_election_timer t
 
 let id t = t.id
@@ -379,6 +414,6 @@ let role t = t.role
 let term t = t.term
 let commit_index t = t.commit_index
 let log_length t = last_log_index t
-let log_entries t = Vec.to_list t.log
+let log_entries t = List.init t.log_len (Array.get t.log)
 let leader_hint t = t.leader_hint
 let is_stopped t = t.stopped

@@ -18,7 +18,10 @@ type message =
       leader : int;
       prev_index : int;
       prev_term : int;
-      entries : entry list;
+      entries : entry array;
+      offset : int;
+      count : int;
+      payload_bytes : int;
       leader_commit : int;
     }
   | Append_reply of {
@@ -32,8 +35,7 @@ type message =
 let message_bytes = function
   | Request_vote _ -> 48
   | Vote _ -> 32
-  | Append_entries { entries; _ } ->
-      List.fold_left (fun acc e -> acc + e.size + 24) 48 entries
+  | Append_entries { count; payload_bytes; _ } -> 48 + payload_bytes + (24 * count)
   | Append_reply _ -> 40
 
 let pp_message fmt = function
@@ -41,9 +43,9 @@ let pp_message fmt = function
       Format.fprintf fmt "RequestVote(term=%d, cand=%d)" term candidate
   | Vote { term; from; granted } ->
       Format.fprintf fmt "Vote(term=%d, from=%d, granted=%b)" term from granted
-  | Append_entries { term; leader; prev_index; entries; leader_commit; _ } ->
+  | Append_entries { term; leader; prev_index; count; leader_commit; _ } ->
       Format.fprintf fmt "AppendEntries(term=%d, leader=%d, prev=%d, n=%d, commit=%d)" term
-        leader prev_index (List.length entries) leader_commit
+        leader prev_index count leader_commit
   | Append_reply { term; from; success; match_index; _ } ->
       Format.fprintf fmt "AppendReply(term=%d, from=%d, ok=%b, match=%d)" term from success
         match_index

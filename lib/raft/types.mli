@@ -26,7 +26,15 @@ type message =
       leader : int;
       prev_index : int;
       prev_term : int;
-      entries : entry list;
+      entries : entry array;
+          (** the sender's log array, shared rather than copied: the message
+              carries [entries.(offset) .. entries.(offset + count - 1)].
+              Senders never write below their log length and replace the
+              array when they truncate, so the slice cannot change in
+              flight. *)
+      offset : int;
+      count : int;
+      payload_bytes : int;  (** [size] summed over the carried entries *)
       leader_commit : int;
     }
   | Append_reply of {

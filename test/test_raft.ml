@@ -9,7 +9,7 @@ type fixture = {
 }
 
 (* Three replicas: leader in DC0 (VA), followers in DC1 (WA) and DC2 (PR). *)
-let make ?initial_leader ?(config = Raft.Node.default_config) () =
+let make ?initial_leader ?(config = Raft.Node.default_config) ?group_commit () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:21 in
   let topo = Topology.azure5 in
@@ -17,7 +17,8 @@ let make ?initial_leader ?(config = Raft.Node.default_config) () =
   let cpus = Array.init 3 (fun _ -> Cpu.create engine) in
   let net = Network.create ~engine ~rng ~topo ~node_dc ~cpus () in
   let group =
-    Raft.Group.create ~engine ~net ~rng ~config ~members:[| 0; 1; 2 |] ?initial_leader ()
+    Raft.Group.create ~engine ~net ~rng ~config ?group_commit ~members:[| 0; 1; 2 |]
+      ?initial_leader ()
   in
   { engine; group }
 
@@ -135,11 +136,11 @@ let test_replicate_on_follower_rejected () =
     (Invalid_argument "Raft.Node.replicate: not the leader") (fun () ->
       ignore (Raft.Node.replicate node1 ~size:1 ~tag:0 ~on_committed:(fun () -> ())))
 
-let test_log_matching_safety () =
+let test_log_matching_safety group_commit () =
   (* Random crashes/restarts of followers while the leader replicates; at
      quiescence all live logs must agree (Log Matching / State Machine
      Safety as observable in this model). *)
-  let f = make ~initial_leader:0 () in
+  let f = make ~initial_leader:0 ~group_commit () in
   let rng = Rng.create ~seed:77 in
   for i = 1 to 50 do
     ignore
@@ -167,12 +168,174 @@ let test_log_matching_safety () =
 let test_message_bytes () =
   let open Raft.Types in
   let e = { term = 1; index = 1; size = 100; tag = 0 } in
-  let ae =
+  let append count =
     Append_entries
-      { term = 1; leader = 0; prev_index = 0; prev_term = 0; entries = [ e; e ]; leader_commit = 0 }
+      {
+        term = 1;
+        leader = 0;
+        prev_index = 0;
+        prev_term = 0;
+        entries = [| e; e |];
+        offset = 0;
+        count;
+        payload_bytes = 100 * count;
+        leader_commit = 0;
+      }
   in
-  Alcotest.(check bool) "entries counted" true (message_bytes ae > 248);
+  Alcotest.(check int) "two 100-byte entries" 296 (message_bytes (append 2));
+  Alcotest.(check int) "heartbeat" 48 (message_bytes (append 0));
   Alcotest.(check int) "vote size" 32 (message_bytes (Vote { term = 1; from = 0; granted = true }))
+
+(* Bare nodes driven by hand: [send] replaces the network, and the engine
+   only runs when a test wants timers to fire. *)
+let bare_node ?(config = Raft.Node.default_config) ~n ~send id =
+  let engine = Engine.create () in
+  let node =
+    Raft.Node.create ~engine ~rng:(Rng.create ~seed:5) ~config ~id ~peers:(Array.init n Fun.id)
+  in
+  Raft.Node.set_transport node send;
+  (engine, node)
+
+let slice = function
+  | Raft.Types.Append_entries { entries; offset; count; _ } ->
+      Array.to_list (Array.sub entries offset count)
+  | _ -> []
+
+let append ~term ~leader ~prev_index ~prev_term ?(leader_commit = 0) entries =
+  Raft.Types.Append_entries
+    {
+      term;
+      leader;
+      prev_index;
+      prev_term;
+      entries;
+      offset = 0;
+      count = Array.length entries;
+      payload_bytes = Array.fold_left (fun acc (e : Raft.Types.entry) -> acc + e.size) 0 entries;
+      leader_commit;
+    }
+
+let reply ~term ~from ?(success = true) ?(match_index = 0) ?(hint_index = 0) () =
+  Raft.Types.Append_reply { term; from; success; match_index; hint_index }
+
+let test_copy_on_truncate () =
+  (* A leader's AppendEntries shares its log array. When that node is
+     deposed and truncates, the message already sent must still carry the
+     entries it was sent with. *)
+  let sent = ref [] in
+  let _, node = bare_node ~n:3 ~send:(fun ~dst:_ m -> sent := m :: !sent) 0 in
+  Raft.Node.force_leader node;
+  for tag = 1 to 2 do
+    ignore (Raft.Node.replicate node ~size:100 ~tag ~on_committed:ignore)
+  done;
+  (* A rejection rewinds peer 1 to index 1: the resend carries both. *)
+  Raft.Node.receive node (reply ~term:1 ~from:1 ~success:false ~hint_index:1 ());
+  let captured = List.hd !sent in
+  let tags m = List.map (fun (e : Raft.Types.entry) -> e.tag) (slice m) in
+  let terms m = List.map (fun (e : Raft.Types.entry) -> e.term) (slice m) in
+  let bytes = Raft.Types.message_bytes captured in
+  Alcotest.(check (list int)) "captured tags" [ 1; 2 ] (tags captured);
+  Alcotest.(check int) "captured bytes" 296 bytes;
+  let newer = { Raft.Types.term = 2; index = 1; size = 7; tag = 101 } in
+  Raft.Node.receive node (append ~term:2 ~leader:1 ~prev_index:0 ~prev_term:0 [| newer |]);
+  Alcotest.(check bool) "stepped down" true (Raft.Node.role node = Raft.Node.Follower);
+  Alcotest.(check (list int)) "log truncated and replaced" [ 101 ]
+    (List.map (fun (e : Raft.Types.entry) -> e.tag) (Raft.Node.log_entries node));
+  Alcotest.(check (list int)) "in-flight tags unchanged" [ 1; 2 ] (tags captured);
+  Alcotest.(check (list int)) "in-flight terms unchanged" [ 1; 1 ] (terms captured);
+  Alcotest.(check int) "in-flight bytes unchanged" bytes (Raft.Types.message_bytes captured)
+
+(* The commit rule against brute force: a leader of term 2 whose log starts
+   with [old] term-1 entries and goes on with [fresh] term-2 ones takes
+   success replies in any order (stale, duplicated, out of order). After
+   each, its commit index must be the highest term-2 index that a majority
+   holds, where a follower holds the highest index it has acknowledged. *)
+let prop_commit_rule =
+  QCheck.Test.make ~name:"commit index = highest current-term index a majority holds"
+    ~count:300
+    QCheck.(
+      quad (oneofl [ 1; 3; 5 ]) (0 -- 5) (0 -- 10)
+        (list_of_size Gen.(0 -- 30) (pair (0 -- 3) (0 -- 15))))
+    (fun (n, old, fresh, replies) ->
+      let config = { Raft.Node.default_config with election_timeout = Sim_time.seconds 1. } in
+      let engine, node = bare_node ~config ~n ~send:(fun ~dst:_ _ -> ()) 0 in
+      let entry index = { Raft.Types.term = 1; index; size = 1; tag = index } in
+      let old_entries = Array.init old (fun i -> entry (i + 1)) in
+      Raft.Node.receive node
+        (append ~term:1 ~leader:(n - 1) ~prev_index:0 ~prev_term:0 old_entries);
+      Raft.Node.start node;
+      (* The first election timeout falls in [1 s, 2 s): candidate of term 2. *)
+      Engine.run_until engine (Sim_time.us 1_999_999);
+      let majority = (n / 2) + 1 in
+      for from = 1 to majority - 1 do
+        Raft.Node.receive node (Raft.Types.Vote { term = 2; from; granted = true })
+      done;
+      assert (Raft.Node.role node = Raft.Node.Leader && Raft.Node.term node = 2);
+      for tag = 1 to fresh do
+        ignore (Raft.Node.replicate node ~size:1 ~tag ~on_committed:ignore)
+      done;
+      let len = old + fresh in
+      let held = Array.make n 0 in
+      held.(0) <- len;
+      let holders c = Array.fold_left (fun acc m -> if m >= c then acc + 1 else acc) 0 held in
+      let expected () =
+        let rec best c =
+          if c <= old then 0 else if holders c >= majority then c else best (c - 1)
+        in
+        best len
+      in
+      if n = 1 then Raft.Node.commit_index node = expected ()
+      else
+        List.for_all
+          (fun (from, m) ->
+            let from = 1 + (from mod (n - 1)) and m = Stdlib.min m len in
+            held.(from) <- Stdlib.max held.(from) m;
+            Raft.Node.receive node (reply ~term:2 ~from ~match_index:m ());
+            Raft.Node.commit_index node = expected ())
+          replies)
+
+(* The host cost of a Raft message must not grow with the entries it
+   carries or with how far commit lags. *)
+let test_allocation_guard () =
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let leader entries =
+    let last = ref None in
+    let _, node = bare_node ~n:3 ~send:(fun ~dst:_ m -> last := Some m) 0 in
+    Raft.Node.force_leader node;
+    for tag = 1 to entries do
+      ignore (Raft.Node.replicate node ~size:100 ~tag ~on_committed:ignore)
+    done;
+    (node, last)
+  in
+  (* One AppendEntries carrying 256 entries vs 1: a rejection from peer 1
+     rewinds it to index 1, or to index 256. *)
+  let resend hint =
+    let node, last = leader 256 in
+    let msg = reply ~term:1 ~from:1 ~success:false ~hint_index:hint () in
+    let w = words (fun () -> Raft.Node.receive node msg) in
+    (match !last with
+    | Some m -> Alcotest.(check int) "entries shipped" (257 - hint) (List.length (slice m))
+    | None -> Alcotest.fail "no append sent");
+    w
+  in
+  let w256 = resend 1 and w1 = resend 256 in
+  if Float.abs (w256 -. w1) > 4. then
+    Alcotest.failf "append of 256 entries allocates %.0f words, of 1 entry %.0f" w256 w1;
+  (* One success reply committing a lag of 256 entries vs 1. *)
+  let commit lag =
+    let node, _ = leader lag in
+    let msg = reply ~term:1 ~from:1 ~match_index:lag () in
+    let w = words (fun () -> Raft.Node.receive node msg) in
+    Alcotest.(check int) "committed" lag (Raft.Node.commit_index node);
+    w
+  in
+  let c256 = commit 256 and c1 = commit 1 in
+  if c256 > c1 then
+    Alcotest.failf "reply at lag 256 allocates %.0f words, at lag 1 %.0f" c256 c1
 
 let () =
   Alcotest.run "raft"
@@ -196,7 +359,17 @@ let () =
       ( "safety",
         [
           Alcotest.test_case "crashed follower catches up" `Quick test_crashed_follower_catches_up;
-          Alcotest.test_case "log matching under churn" `Quick test_log_matching_safety;
+          Alcotest.test_case "log matching under churn" `Quick (test_log_matching_safety false);
+          Alcotest.test_case "log matching under churn, group commit" `Quick
+            (test_log_matching_safety true);
+          Alcotest.test_case "in-flight append survives sender truncation" `Quick
+            test_copy_on_truncate;
+          QCheck_alcotest.to_alcotest prop_commit_rule;
         ] );
-      ("wire", [ Alcotest.test_case "message sizes" `Quick test_message_bytes ]);
+      ( "wire",
+        [
+          Alcotest.test_case "message sizes" `Quick test_message_bytes;
+          Alcotest.test_case "host allocation independent of entries and lag" `Quick
+            test_allocation_guard;
+        ] );
     ]
