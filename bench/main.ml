@@ -6,6 +6,9 @@
    structures. With arguments: any of the figure names (see
    Harness.Figures.names), "micro", or "all". *)
 
+(* Bechamel has a [Measure] module of its own. *)
+module Proxy = Measure.Proxy
+
 open Bechamel
 
 let micro_tests () =
@@ -31,6 +34,40 @@ let micro_tests () =
        done;
        let rec drain () = match Event_queue.pop q with Some _ -> drain () | None -> () in
        drain ())
+  in
+  let queue_steady =
+    (* Steady state at about the heap size of 10,000 open-loop clients:
+       each call pops the earliest of 20k live events and schedules one
+       more a pseudo-random distance past it. *)
+    Test.make ~name:"event_queue push+pop at 20k live"
+      (Staged.stage
+      @@
+      let q = Event_queue.create () in
+      let rng = Rng.create ~seed:3 in
+      for i = 1 to 20_000 do
+        ignore (Event_queue.push q ~time:(Rng.int rng 100_000) i)
+      done;
+      fun () ->
+        let time = Event_queue.next_time q in
+        let x = Event_queue.pop_first q in
+        ignore (Event_queue.push q ~time:(time + 1 + Rng.int rng 100_000) x))
+  in
+  let snapshot_unchanged =
+    (* A client cache fetch between two probe replies: five targets, 1 s
+       windows full of samples, nothing new since the last snapshot. *)
+    Test.make ~name:"proxy snapshot, unchanged windows"
+      (Staged.stage
+      @@
+      let engine = Engine.create () in
+      let rng = Rng.create ~seed:4 in
+      let node_dc = [| 0; 1; 2; 3; 4; 0 |] in
+      let cpus = Array.init 6 (fun _ -> Cpu.create engine) in
+      let net = Netsim.Network.create ~engine ~rng ~topo:Netsim.Topology.azure5 ~node_dc ~cpus () in
+      let clock = Netsim.Clock.create ~rng ~max_skew:(Sim_time.ms 1.) ~n_nodes:6 in
+      let proxy = Proxy.create ~engine ~net ~clock ~node:5 ~targets:[| 0; 1; 2; 3; 4 |] () in
+      Engine.run_until engine (Sim_time.seconds 2.);
+      Proxy.stop proxy;
+      fun () -> ignore (Proxy.snapshot proxy))
   in
   let zipf = Workload.Zipf.create ~n:1_000_000 ~theta:0.95 in
   let zipf_rng = Rng.create ~seed:1 in
@@ -76,7 +113,17 @@ let micro_tests () =
       (Staged.stage @@ fun () -> ignore (Rng.pareto rng ~mean:40.0 ~cv:0.3))
   in
   Test.make_grouped ~name:"core"
-    [ queue_churn; queue_cancel_churn; zipf_sample; occ_cycle; tsq_cycle; percentile; pareto ]
+    [
+      queue_churn;
+      queue_cancel_churn;
+      queue_steady;
+      snapshot_unchanged;
+      zipf_sample;
+      occ_cycle;
+      tsq_cycle;
+      percentile;
+      pareto;
+    ]
 
 (* Peak physical heap size under the watchdog pattern: a long-lived queue
    where nearly every pushed timer is cancelled well before its deadline.

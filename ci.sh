@@ -297,8 +297,11 @@ echo "== simulator throughput bench =="
 # Events/sec series (vs cluster size, vs --jobs) recorded into the repo-root
 # BENCH_results.json. Wall-clock fields are machine-dependent and ungated;
 # the events column is deterministic, so the gate asserts (a) the series
-# exist and (b) the jobs rows processed identical event counts — the pool
-# may only change wall time, never the simulation.
+# exist, (b) the jobs rows processed identical event counts — the pool
+# may only change wall time, never the simulation — and (c) the
+# 5-partition row processed exactly the event count EXPERIMENTS.md
+# records, so an engine change that reorders events fails here even when
+# every --jobs setting agrees.
 "$PWD/_build/default/bench/main.exe" simthroughput >/dev/null
 python3 - BENCH_results.json <<'EOF'
 import json, sys
@@ -311,6 +314,9 @@ assert len(jobs) >= 3, "missing jobs series"
 assert all(p["events"] > 0 and p["events_per_sec"] > 0 for p in series)
 assert len({p["events"] for p in jobs}) == 1, \
     "event count varies with --jobs: %r" % [(p["jobs"], p["events"]) for p in jobs]
+five = [p for p in parts if p["partitions"] == "5"]
+assert len(five) == 1 and five[0]["events"] == 424384, \
+    "5-partition event count moved: %r (expected 424384)" % five
 print("simthroughput ok: %d points, %.0f events/s at 5 partitions"
       % (len(series), parts[0]["events_per_sec"]))
 EOF

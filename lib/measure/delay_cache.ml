@@ -8,6 +8,7 @@ type t = {
   proxy : Proxy.t;
   refresh : Sim_time.t;
   cache : (int, float) Hashtbl.t;
+  mutable applied : (int * float) list;  (* the snapshot applied last *)
   mutable running : bool;
   mutable timer : Engine.handle option;
 }
@@ -19,8 +20,14 @@ let fetch t =
       let reply = Rpc.Msg.cache_reply ~entries:(List.length snapshot) () in
       Rpc.send_isolated t.net ~src:(Proxy.node t.proxy) ~dst:t.node ~msg:reply
         (fun () ->
-          if t.running then
-            List.iter (fun (target, est) -> Hashtbl.replace t.cache target est) snapshot))
+          (* [Proxy.snapshot] hands out the same list until an estimate
+             moves, so a reply physically equal to the last one applied
+             would rewrite every entry with its current value. A target
+             missing from a later snapshot keeps its old estimate. *)
+          if t.running && snapshot != t.applied then begin
+            List.iter (fun (target, est) -> Hashtbl.replace t.cache target est) snapshot;
+            t.applied <- snapshot
+          end))
 
 let rec tick t =
   if t.running then begin
@@ -37,6 +44,7 @@ let create ~engine ~net ~node ~proxy ?(refresh = Sim_time.ms 100.) () =
       proxy;
       refresh;
       cache = Hashtbl.create 16;
+      applied = [];
       running = true;
       timer = None;
     }

@@ -31,7 +31,9 @@ val estimate_us : t -> target:int -> float option
 (** Current p95 one-way delay (µs, skew included) to a target. *)
 
 val snapshot : t -> (int * float) list
-(** All targets with a current estimate. *)
+(** All targets with a current estimate, in [targets] order. Returns the
+    physically same list as the previous call unless a probe reply or an
+    expiring sample has changed some target's window since. *)
 
 val sample_count : t -> target:int -> int
 val stop : t -> unit

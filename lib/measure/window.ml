@@ -7,7 +7,13 @@ open Simcore
    [percentile] query boxes every element the polymorphic sort touches.
    Here [add] writes two array slots, pruning advances [head], and
    [percentile] blits the live samples into a reused scratch buffer for
-   an in-place quickselect. *)
+   an in-place quickselect.
+
+   Queries outnumber changes: a proxy snapshot asks every target's window
+   again whenever any one of them has changed. [version] moves whenever
+   the sample set does (an [add], or a prune that drops something), and
+   [percentile] answers a repeated query with the same version and [p]
+   from its cache without selecting or allocating. *)
 type t = {
   span : Sim_time.t;
   mutable times : Sim_time.t array;
@@ -15,6 +21,10 @@ type t = {
   mutable head : int;  (* index of the oldest sample *)
   mutable len : int;
   mutable scratch : float array;  (* percentile working space, reused *)
+  mutable version : int;
+  mutable cached_version : int;  (* [version] when [cached] was computed *)
+  mutable cached_p : float;
+  mutable cached : float option;
 }
 
 let initial_capacity = 16
@@ -27,15 +37,22 @@ let create ~span =
     head = 0;
     len = 0;
     scratch = [||];
+    version = 0;
+    cached_version = -1;
+    cached_p = nan;
+    cached = None;
   }
 
 let prune t ~now =
   let cutoff = Sim_time.sub now t.span in
   let mask = Array.length t.times - 1 in
-  while t.len > 0 && t.times.(t.head) < cutoff do
-    t.head <- (t.head + 1) land mask;
-    t.len <- t.len - 1
-  done
+  if t.len > 0 && t.times.(t.head) < cutoff then begin
+    t.version <- t.version + 1;
+    while t.len > 0 && t.times.(t.head) < cutoff do
+      t.head <- (t.head + 1) land mask;
+      t.len <- t.len - 1
+    done
+  end
 
 let grow t =
   let cap = Array.length t.times in
@@ -56,7 +73,8 @@ let add t ~now x =
   let i = (t.head + t.len) land (Array.length t.times - 1) in
   t.times.(i) <- now;
   t.vals.(i) <- x;
-  t.len <- t.len + 1
+  t.len <- t.len + 1;
+  t.version <- t.version + 1
 
 (* Copy the live samples (oldest first) into [dst], which must be large
    enough. *)
@@ -68,12 +86,22 @@ let blit_values t dst =
 
 let percentile t ~now ~p =
   prune t ~now;
-  if t.len = 0 then None
+  if t.version = t.cached_version && Float.equal p t.cached_p then t.cached
   else begin
-    if Array.length t.scratch < t.len then t.scratch <- Array.make (Array.length t.times) 0.0;
-    blit_values t t.scratch;
-    Some (Simstats.Percentile.select_in_place t.scratch ~len:t.len ~p)
+    if t.len = 0 then t.cached <- None
+    else begin
+      if Array.length t.scratch < t.len then t.scratch <- Array.make (Array.length t.times) 0.0;
+      blit_values t t.scratch;
+      t.cached <- Some (Simstats.Percentile.select_in_place t.scratch ~len:t.len ~p)
+    end;
+    t.cached_version <- t.version;
+    t.cached_p <- p;
+    t.cached
   end
+
+let version t ~now =
+  prune t ~now;
+  t.version
 
 let count t ~now =
   prune t ~now;

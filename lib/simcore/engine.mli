@@ -40,4 +40,4 @@ val events_processed : t -> int
 (** Total callbacks executed, for sanity checks and reporting. *)
 
 val pending : t -> int
-(** Live events currently scheduled (O(heap) — diagnostics only). *)
+(** Live events currently scheduled. O(1): reads the queue's live counter. *)

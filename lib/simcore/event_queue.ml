@@ -1,21 +1,31 @@
-type entry = {
-  time : Sim_time.t;
-  seq : int;
+(* A binary min-heap over flat int keys. Heap slot [i] is three adjacent
+   ints of [keys]: time, insertion sequence number, and the id of the
+   slab cell holding the slot's entry. Ordering reads two unboxed ints and
+   never dereferences a record, and sifting moves a hole rather than
+   swapping, so each level costs three int stores and no pointer store:
+   the write barrier only sees the one slab store per push and per pop.
+   An entry is the handle itself (payload plus the dead flag), and stays
+   in its slab cell from push until it leaves the heap. *)
+
+type 'a entry = {
   mutable dead : bool;
   live : int ref;  (* the owning queue's live-entry counter *)
+  payload : 'a;
 }
 
-type handle = entry
+type handle = H : 'a entry -> handle [@@unboxed]
 
 type 'a t = {
-  mutable entries : entry array;
-  mutable payloads : 'a array;
-      (* same length as [entries] once anything has been pushed; length 0
-         before that (we have no ['a] to fill it with) *)
-  mutable filler : 'a array;
-      (* one-element array holding the scrub value for freed payload
-         slots (the first payload ever pushed); empty before the first
-         push. Keeps the payload representation [option]-free. *)
+  mutable keys : int array;  (* [3 * capacity]: time, seq, slab id *)
+  mutable slab : 'a entry array;
+      (* [capacity] cells; length 0 before the first push (we have no ['a]
+         to fill it with) *)
+  mutable free : int array;
+      (* [capacity]; the first [capacity - size] hold the free slab ids *)
+  mutable filler : 'a entry array;
+      (* one-element array holding the entry written over freed slab cells
+         so they do not pin popped payloads: a dead entry carrying the
+         first payload ever pushed. Empty before the first push. *)
   mutable size : int;
   mutable next_seq : int;
   live : int ref;
@@ -27,56 +37,71 @@ let initial_capacity = 256
    compacting away; the lazy pop-time skip handles them. *)
 let compact_min = 64
 
-let dummy_entry = { time = 0; seq = -1; dead = true; live = ref 0 }
-
 let no_event = max_int
 
 let create () =
   {
-    entries = Array.make initial_capacity dummy_entry;
-    payloads = [||];
+    keys = Array.make (3 * initial_capacity) 0;
+    slab = [||];
+    free = Array.init initial_capacity (fun i -> initial_capacity - 1 - i);
     filler = [||];
     size = 0;
     next_seq = 0;
     live = ref 0;
   }
 
-let precedes a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Does the key (time, seq) order before slot [j]'s key? *)
+let key_precedes (keys : int array) (time : int) (seq : int) j =
+  let tj = keys.(3 * j) in
+  time < tj || (time = tj && seq < keys.((3 * j) + 1))
+
+let slot_precedes (keys : int array) i j = key_precedes keys keys.(3 * i) keys.((3 * i) + 1) j
+
+let set_slot (keys : int array) i time seq id =
+  keys.(3 * i) <- time;
+  keys.((3 * i) + 1) <- seq;
+  keys.((3 * i) + 2) <- id
+
+let capacity t = Array.length t.free
 
 let grow t =
-  let cap = Array.length t.entries in
-  let entries = Array.make (cap * 2) dummy_entry in
-  let payloads = Array.make (cap * 2) t.filler.(0) in
-  Array.blit t.entries 0 entries 0 t.size;
-  Array.blit t.payloads 0 payloads 0 t.size;
-  t.entries <- entries;
-  t.payloads <- payloads
+  let cap = capacity t in
+  let keys = Array.make (6 * cap) 0 in
+  let slab = Array.make (2 * cap) t.filler.(0) in
+  Array.blit t.keys 0 keys 0 (3 * t.size);
+  Array.blit t.slab 0 slab 0 cap;
+  t.keys <- keys;
+  t.slab <- slab;
+  (* Only called when full, so the new cells are the only free ones. *)
+  t.free <- Array.init (2 * cap) (fun i -> (2 * cap) - 1 - i)
 
-let swap t i j =
-  let e = t.entries.(i) in
-  t.entries.(i) <- t.entries.(j);
-  t.entries.(j) <- e;
-  let p = t.payloads.(i) in
-  t.payloads.(i) <- t.payloads.(j);
-  t.payloads.(j) <- p
+(* Return slab cell [id] to the free list; [t.size] already excludes its
+   heap slot. *)
+let release t id =
+  t.slab.(id) <- t.filler.(0);
+  t.free.(capacity t - t.size - 1) <- id
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if precedes t.entries.(i) t.entries.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
+(* Move the hole at [i] up until (time, seq) fits, then fill it. *)
+let rec sift_up keys i time seq id =
+  let parent = (i - 1) / 2 in
+  if i > 0 && key_precedes keys time seq parent then begin
+    set_slot keys i keys.(3 * parent) keys.((3 * parent) + 1) keys.((3 * parent) + 2);
+    sift_up keys parent time seq id
   end
+  else set_slot keys i time seq id
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && precedes t.entries.(l) t.entries.(!smallest) then smallest := l;
-  if r < t.size && precedes t.entries.(r) t.entries.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+(* Move the hole at [i] down, promoting the smaller child, until
+   (time, seq) fits among [0, size), then fill it. *)
+let rec sift_down keys size i time seq id =
+  let l = (2 * i) + 1 in
+  if l >= size then set_slot keys i time seq id
+  else begin
+    let c = if l + 1 < size && slot_precedes keys (l + 1) l then l + 1 else l in
+    if key_precedes keys time seq c then set_slot keys i time seq id
+    else begin
+      set_slot keys i keys.(3 * c) keys.((3 * c) + 1) keys.((3 * c) + 2);
+      sift_down keys size c time seq id
+    end
   end
 
 (* Drop every dead entry and re-heapify (Floyd's bottom-up build). Pop
@@ -84,24 +109,21 @@ let rec sift_down t i =
    distinct — so rebuilding the internal layout cannot change which event
    comes out next. *)
 let compact t =
-  let n = t.size in
+  let n = t.size and keys = t.keys in
   let j = ref 0 in
   for i = 0 to n - 1 do
-    if not t.entries.(i).dead then begin
-      if !j < i then begin
-        t.entries.(!j) <- t.entries.(i);
-        t.payloads.(!j) <- t.payloads.(i)
-      end;
+    let id = keys.((3 * i) + 2) in
+    if t.slab.(id).dead then begin
+      t.size <- t.size - 1;
+      release t id
+    end
+    else begin
+      if !j < i then set_slot keys !j keys.(3 * i) keys.((3 * i) + 1) id;
       incr j
     end
   done;
-  for i = !j to n - 1 do
-    t.entries.(i) <- dummy_entry;
-    t.payloads.(i) <- t.filler.(0)
-  done;
-  t.size <- !j;
   for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
+    sift_down keys t.size i keys.(3 * i) keys.((3 * i) + 1) keys.((3 * i) + 2)
   done
 
 let maybe_compact t =
@@ -116,40 +138,46 @@ let push t ~time payload =
      eligible (size >= compact_min) once this push crosses the
      threshold. *)
   maybe_compact t;
-  if t.size = Array.length t.entries then grow t;
-  if Array.length t.payloads = 0 then begin
-    t.filler <- [| payload |];
-    t.payloads <- Array.make (Array.length t.entries) payload
-  end;
-  let entry = { time; seq = t.next_seq; dead = false; live = t.live } in
-  t.next_seq <- t.next_seq + 1;
-  t.entries.(t.size) <- entry;
-  t.payloads.(t.size) <- payload;
+  let entry = { dead = false; live = t.live; payload } in
+  if Array.length t.slab = 0 then begin
+    let filler = { dead = true; live = t.live; payload } in
+    t.filler <- [| filler |];
+    t.slab <- Array.make initial_capacity filler
+  end
+  else if t.size = capacity t then grow t;
+  let id = t.free.(capacity t - t.size - 1) in
+  t.slab.(id) <- entry;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   t.size <- t.size + 1;
   incr t.live;
-  sift_up t (t.size - 1);
+  sift_up t.keys (t.size - 1) time seq id;
   maybe_compact t;
-  entry
+  H entry
 
-let cancel (h : handle) =
-  if not h.dead then begin
-    h.dead <- true;
-    decr h.live
+let cancel (H e) =
+  if not e.dead then begin
+    e.dead <- true;
+    decr e.live
   end
 
-(* Remove the root in place. The caller has already captured
-   [t.entries.(0)] / [t.payloads.(0)] if it needs them. Only called with
-   [t.size > 0], which implies the filler is set. *)
+let root t = t.slab.(t.keys.(2))
+
+(* Remove the root in place: the last slot's key sinks from the root's
+   hole, and the root's slab cell is freed. The caller has already
+   captured [root t] if it needs it. Only called with [t.size > 0], which
+   implies the filler is set. *)
 let delete_root t =
-  t.size <- t.size - 1;
-  t.entries.(0) <- t.entries.(t.size);
-  t.payloads.(0) <- t.payloads.(t.size);
-  t.entries.(t.size) <- dummy_entry;
-  t.payloads.(t.size) <- t.filler.(0);
-  if t.size > 0 then sift_down t 0
+  let keys = t.keys in
+  let id = keys.(2) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then
+    sift_down keys last 0 keys.(3 * last) keys.((3 * last) + 1) keys.((3 * last) + 2);
+  release t id
 
 let rec drop_dead_root t =
-  if t.size > 0 && t.entries.(0).dead then begin
+  if t.size > 0 && (root t).dead then begin
     delete_root t;
     drop_dead_root t
   end
@@ -160,16 +188,15 @@ let next_time t =
      the pop path both restore the bound. *)
   maybe_compact t;
   drop_dead_root t;
-  if t.size = 0 then no_event else t.entries.(0).time
+  if t.size = 0 then no_event else t.keys.(0)
 
 let pop_first t =
-  let entry = t.entries.(0) in
-  let payload = t.payloads.(0) in
+  let entry = root t in
   delete_root t;
   (* Marked dead so that a late [cancel] on this handle is harmless. *)
   entry.dead <- true;
   decr t.live;
-  payload
+  entry.payload
 
 let pop t =
   let time = next_time t in

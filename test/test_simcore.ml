@@ -184,6 +184,97 @@ let prop_queue_cancel_subset =
       | popped -> popped = List.sort compare !kept
       | exception Exit -> false)
 
+(* Differential test against a reference model: a set of live
+   (time, seq) keys, popped in order. Times come from a tiny range, so
+   most pops break a tie on insertion order. A cancel names one of the
+   last 64 pushes, so it often hits a live entry (driving the heap past
+   half dead, which compacts it once it holds [compact_min] = 64 slots)
+   and sometimes one already popped or cancelled (a no-op). *)
+type queue_op = Push of int | Cancel of int | Pop | Pop_first
+
+let show_queue_op = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Cancel k -> Printf.sprintf "cancel -%d" k
+  | Pop -> "pop"
+  | Pop_first -> "next_time+pop_first"
+
+module Key_set = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+let arb_queue_ops =
+  let open QCheck.Gen in
+  let ops =
+    (* Per-case weights: some cases grow the heap to thousands of entries,
+       some are cancel-heavy, some drain as fast as they push. *)
+    let* cancel_w = int_range 0 8 and* pop_w = int_range 1 5 in
+    list_size (int_range 0 4000)
+      (frequency
+         [
+           (6, map (fun t -> Push t) (int_bound 15));
+           (cancel_w, map (fun k -> Cancel k) (int_bound 63));
+           (pop_w, return Pop);
+           (pop_w, return Pop_first);
+         ])
+  in
+  QCheck.make ops ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
+    ~shrink:QCheck.Shrink.list
+
+let prop_queue_matches_model =
+  QCheck.Test.make ~name:"event_queue matches a sorted reference" ~count:150 arb_queue_ops
+    (fun ops ->
+      let q = Event_queue.create () in
+      let model = ref Key_set.empty in
+      let handles = Vec.create () and times = Vec.create () in
+      let popped = ref [] and expected = ref [] in
+      let model_pop () =
+        match Key_set.min_elt_opt !model with
+        | Some ((time, seq) as key) ->
+            model := Key_set.remove key !model;
+            expected := (time, seq) :: !expected
+        | None -> ()
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push time ->
+              let seq = Vec.length handles in
+              Vec.push handles (Event_queue.push q ~time seq);
+              Vec.push times time;
+              model := Key_set.add (time, seq) !model
+          | Cancel k ->
+              let n = Vec.length handles in
+              if n > 0 then begin
+                let seq = n - 1 - (k mod Stdlib.min n 64) in
+                Event_queue.cancel (Vec.get handles seq);
+                model := Key_set.remove (Vec.get times seq, seq) !model
+              end
+          | Pop ->
+              (match Event_queue.pop q with Some e -> popped := e :: !popped | None -> ());
+              model_pop ()
+          | Pop_first ->
+              let time = Event_queue.next_time q in
+              if time < Event_queue.no_event then popped := (time, Event_queue.pop_first q) :: !popped;
+              model_pop ());
+          if Event_queue.live_size q <> Key_set.cardinal !model then
+            QCheck.Test.fail_reportf "live_size %d, model %d after %s" (Event_queue.live_size q)
+              (Key_set.cardinal !model) (show_queue_op op))
+        ops;
+      let rec drain () =
+        match Event_queue.pop q with
+        | Some e ->
+            popped := e :: !popped;
+            drain ()
+        | None -> ()
+      in
+      drain ();
+      while not (Key_set.is_empty !model) do
+        model_pop ()
+      done;
+      List.rev !popped = List.rev !expected)
+
 (* ------------------------------------------------------------------ *)
 (* Vec *)
 
@@ -645,6 +736,7 @@ let () =
           Alcotest.test_case "next_time/pop_first" `Quick test_queue_next_time_pop_first;
           Alcotest.test_case "next_time skips dead" `Quick test_queue_next_time_skips_dead;
           QCheck_alcotest.to_alcotest prop_queue_next_time_matches_pop;
+          QCheck_alcotest.to_alcotest prop_queue_matches_model;
         ] );
       ( "int_table",
         [
