@@ -169,22 +169,6 @@ let run_micro () =
 
 (* --- machine-readable results ----------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Confidence intervals over one repetition are NaN; JSON has no NaN. *)
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
 let git_rev () =
   try
     let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
@@ -215,26 +199,26 @@ let write_results ~scale ~wall_s ~jobs file =
        \"figures\":{"
       (match scale with Quick -> "quick" | Full -> "full")
       (String.concat "," (List.map string_of_int (seeds scale)))
-      (json_escape (git_rev ()))
+      (Trace.json_escape (git_rev ()))
       wall_s jobs busy_s speedup;
     let figures = uniq (List.map (fun p -> p.pt_figure) points) in
     List.iteri
       (fun fi fig ->
         if fi > 0 then output_string oc ",";
         let fpoints = List.filter (fun p -> p.pt_figure = fig) points in
-        Printf.fprintf oc "\n\"%s\":{" (json_escape fig);
+        Printf.fprintf oc "\n\"%s\":{" (Trace.json_escape fig);
         List.iteri
           (fun si sys ->
             if si > 0 then output_string oc ",";
-            Printf.fprintf oc "\n  \"%s\":[" (json_escape sys);
+            Printf.fprintf oc "\n  \"%s\":[" (Trace.json_escape sys);
             List.iteri
               (fun pi p ->
                 if pi > 0 then output_string oc ",";
-                Printf.fprintf oc "\n    {\"%s\":\"%s\"" (json_escape p.pt_x_label)
-                  (json_escape p.pt_x);
+                Printf.fprintf oc "\n    {\"%s\":\"%s\"" (Trace.json_escape p.pt_x_label)
+                  (Trace.json_escape p.pt_x);
                 List.iter
                   (fun (k, v) ->
-                    Printf.fprintf oc ",\"%s\":%s" (json_escape k) (json_float v))
+                    Printf.fprintf oc ",\"%s\":%s" (Trace.json_escape k) (Trace.json_float v))
                   p.pt_fields;
                 output_string oc "}")
               (List.filter (fun p -> p.pt_system = sys) fpoints);
@@ -247,16 +231,6 @@ let write_results ~scale ~wall_s ~jobs file =
     Printf.printf "\n# wrote %s (%d figures, %d points)\n%!" file (List.length figures)
       (List.length points)
   end
-
-let print_trace_summary () =
-  Printf.printf "\n# Message traffic by kind (all runs)\n";
-  List.iter
-    (fun (kind, n, bytes) -> Printf.printf "%-20s %12d msgs %16d bytes\n%!" kind n bytes)
-    (Harness.Experiment.trace_totals ());
-  Printf.printf "\n# Message traffic by DC link\n";
-  List.iter
-    (fun ((src, dst), n) -> Printf.printf "dc%d -> dc%d %12d msgs\n%!" src dst n)
-    (Harness.Experiment.trace_link_totals ())
 
 let () =
   let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
@@ -310,7 +284,7 @@ let () =
             exit 1
           end)
         names);
-  if trace_summary then print_trace_summary ();
+  if trace_summary then Harness.Experiment.print_trace_totals ();
   let wall_s = Unix.gettimeofday () -. t0 in
   let jobs =
     match jobs_setting with Some n -> n | None -> Harness.Pool.jobs_for ~cells:max_int

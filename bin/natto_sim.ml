@@ -39,29 +39,6 @@ let workload_names : (string * (zipf:float -> Workload.Gen.t)) list =
 
 (* --- metrics JSON ------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let attribution_classes breakdowns =
-  [
-    ("all", breakdowns);
-    ("high", List.filter (fun b -> b.Metrics.Attribution.t_high) breakdowns);
-    ("low", List.filter (fun b -> not b.Metrics.Attribution.t_high) breakdowns);
-  ]
-
 (* Largest |segment sum - end-to-end| over the run, in µs. The attribution
    arithmetic is exact by construction, so anything non-zero is a bug; the
    value is serialized so CI can gate on it. *)
@@ -78,7 +55,7 @@ let write_metrics_json ~file metered =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then output_string oc ",";
-        Printf.fprintf oc "\"%s\":%s" (json_escape k) v)
+        Printf.fprintf oc "\"%s\":%s" (Trace.json_escape k) v)
       kvs
   in
   (* schema_version: bumped whenever the shape of this document changes.
@@ -91,7 +68,7 @@ let write_metrics_json ~file metered =
     (fun ri (sys_name, seed, (reg, breakdowns, bl)) ->
       if ri > 0 then output_string oc ",";
       Printf.fprintf oc "\n{\"system\":\"%s\",\"seed\":%d,\"interval_us\":%d,\n"
-        (json_escape sys_name) seed (Metrics.Registry.interval reg);
+        (Trace.json_escape sys_name) seed (Metrics.Registry.interval reg);
       (* Per-window time series: one object per sampling window, samples keyed
          by instrument name. *)
       output_string oc "\"windows\":[";
@@ -101,7 +78,7 @@ let write_metrics_json ~file metered =
           Printf.fprintf oc "\n  {\"start_us\":%d,\"end_us\":%d,\"samples\":{"
             w.Metrics.Registry.w_start w.Metrics.Registry.w_end;
           fields oc
-            (List.map (fun (k, v) -> (k, json_float v)) w.Metrics.Registry.samples);
+            (List.map (fun (k, v) -> (k, Trace.json_float v)) w.Metrics.Registry.samples);
           output_string oc "}}")
         (Metrics.Registry.windows reg);
       output_string oc "],\n\"histograms\":[";
@@ -110,38 +87,33 @@ let write_metrics_json ~file metered =
           if hi > 0 then output_string oc ",";
           let n = Metrics.Registry.hist_count h in
           let pct p =
-            if n = 0 then "null" else json_float (Metrics.Registry.hist_percentile h ~p)
+            if n = 0 then "null" else Trace.json_float (Metrics.Registry.hist_percentile h ~p)
           in
-          Printf.fprintf oc "\n  {\"name\":\"%s\",\"count\":%d," (json_escape hname) n;
+          Printf.fprintf oc "\n  {\"name\":\"%s\",\"count\":%d," (Trace.json_escape hname) n;
           fields oc [ ("p50_ms", pct 0.50); ("p95_ms", pct 0.95); ("p99_ms", pct 0.99) ];
           output_string oc "}")
         (Metrics.Registry.histograms reg);
       output_string oc "],\n\"attribution\":{";
-      let first = ref true in
-      List.iter
-        (fun (label, bds) ->
-          match Metrics.Attribution.aggregate bds with
-          | None -> ()
-          | Some a ->
-              if not !first then output_string oc ",";
-              first := false;
-              Printf.fprintf oc "\n  \"%s\":{" label;
-              fields oc
-                [
-                  ("n", string_of_int a.Metrics.Attribution.n);
-                  ("e2e_mean_ms", json_float a.Metrics.Attribution.e2e_mean_ms);
-                  ("e2e_p95_ms", json_float a.Metrics.Attribution.e2e_p95_ms);
-                  ("e2e_p99_ms", json_float a.Metrics.Attribution.e2e_p99_ms);
-                  ("residual_fraction", json_float (Metrics.Attribution.residual_fraction a));
-                ];
-              output_string oc ",\"mean_us\":{";
-              fields oc
-                (List.map (fun (k, v) -> (k, json_float v)) a.Metrics.Attribution.mean_us);
-              output_string oc "},\"tail99_us\":{";
-              fields oc
-                (List.map (fun (k, v) -> (k, json_float v)) a.Metrics.Attribution.tail99_us);
-              output_string oc "}}")
-        (attribution_classes breakdowns);
+      List.iteri
+        (fun i (label, a) ->
+          if i > 0 then output_string oc ",";
+          Printf.fprintf oc "\n  \"%s\":{" label;
+          fields oc
+            [
+              ("n", string_of_int a.Metrics.Attribution.n);
+              ("e2e_mean_ms", Trace.json_float a.Metrics.Attribution.e2e_mean_ms);
+              ("e2e_p95_ms", Trace.json_float a.Metrics.Attribution.e2e_p95_ms);
+              ("e2e_p99_ms", Trace.json_float a.Metrics.Attribution.e2e_p99_ms);
+              ("residual_fraction", Trace.json_float (Metrics.Attribution.residual_fraction a));
+            ];
+          output_string oc ",\"mean_us\":{";
+          fields oc
+            (List.map (fun (k, v) -> (k, Trace.json_float v)) a.Metrics.Attribution.mean_us);
+          output_string oc "},\"tail99_us\":{";
+          fields oc
+            (List.map (fun (k, v) -> (k, Trace.json_float v)) a.Metrics.Attribution.tail99_us);
+          output_string oc "}}")
+        (Metrics.Attribution.by_class breakdowns);
       Printf.fprintf oc "},\n\"attribution_check\":{\"txns\":%d,\"max_sum_mismatch_us\":%d},"
         (List.length breakdowns) (max_sum_mismatch breakdowns);
       (* Wasted-work view: aborted-attempt time split into the share covered
@@ -187,13 +159,13 @@ let write_metrics_json ~file metered =
           if i > 0 then output_string oc ",";
           Printf.fprintf oc
             "\n  {\"label\":\"%s\",\"class\":\"%s\",\"e2e_us\":%d,\"wait_us\":%d,\"timeline\":["
-            (json_escape ex.Metrics.Blame.ex_label)
+            (Trace.json_escape ex.Metrics.Blame.ex_label)
             (if ex.Metrics.Blame.ex_high then "high" else "low")
             ex.Metrics.Blame.ex_e2e_us ex.Metrics.Blame.ex_wait_us;
           List.iteri
             (fun li l ->
               if li > 0 then output_string oc ",";
-              Printf.fprintf oc "\"%s\"" (json_escape l))
+              Printf.fprintf oc "\"%s\"" (Trace.json_escape l))
             (ex.Metrics.Blame.ex_charges @ ex.Metrics.Blame.ex_timeline);
           output_string oc "]}")
         bl.Metrics.Blame.b_exemplars;
@@ -400,12 +372,7 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
          stays byte-for-byte that of a run without --metrics. *)
       List.iter
         (fun (sys_name, seed, (_, breakdowns, blame)) ->
-          let rows =
-            List.filter_map
-              (fun (label, bds) ->
-                Option.map (fun a -> (label, a)) (Metrics.Attribution.aggregate bds))
-              (attribution_classes breakdowns)
-          in
+          let rows = Metrics.Attribution.by_class breakdowns in
           let title = Printf.sprintf "%s, seed %d" sys_name seed in
           String.split_on_char '\n' (Metrics.Attribution.render ~title rows)
           |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line);
@@ -570,16 +537,6 @@ let figure_arg =
   in
   Arg.(value & opt (some string) None & info [ "figure" ] ~doc)
 
-let print_trace_totals () =
-  Printf.printf "\n# Message traffic by kind (all runs)\n";
-  List.iter
-    (fun (kind, n, bytes) -> Printf.printf "# %-20s %12d msgs %16d bytes\n%!" kind n bytes)
-    (Harness.Experiment.trace_totals ());
-  Printf.printf "# Message traffic by DC link\n";
-  List.iter
-    (fun ((src, dst), n) -> Printf.printf "# dc%d -> dc%d %12d msgs\n%!" src dst n)
-    (Harness.Experiment.trace_link_totals ())
-
 let main systems workload rate zipf duration seeds high_fraction topo variance loss partitions
     clients_per_dc drain batching partial_abort histograms trace_file metrics_file trace_summary
     faults_spec jobs check figure =
@@ -592,9 +549,11 @@ let main systems workload rate zipf duration seeds high_fraction topo variance l
   | _ -> (
   Harness.Pool.set_jobs jobs;
   match figure with
+  | Some _ when trace_file <> None || metrics_file <> None || histograms ->
+      `Error (false, "--trace, --metrics and --histograms do not apply to --figure")
   | Some name ->
       if Harness.Figures.run_by_name name (Harness.Figures.scale_of_env ()) then begin
-        if trace_summary then print_trace_totals ();
+        if trace_summary then Harness.Experiment.print_trace_totals ();
         `Ok ()
       end
       else `Error (false, Printf.sprintf "unknown figure %S" name)
@@ -623,7 +582,7 @@ let main systems workload rate zipf duration seeds high_fraction topo variance l
                     ~topo ~variance ~loss ~partitions ~clients_per_dc ~drain ~batching
                     ~partial_abort ~histograms ~trace_file ~metrics_file ~faults ~check
                 in
-                if trace_summary then print_trace_totals ();
+                if trace_summary then Harness.Experiment.print_trace_totals ();
                 if violations = 0 then `Ok ()
                 else
                   `Error

@@ -121,6 +121,16 @@ let trace_link_totals () =
   Hashtbl.fold (fun link n acc -> (link, n) :: acc) link_totals []
   |> List.sort compare
 
+let print_trace_totals () =
+  Printf.printf "\n# Message traffic by kind (all runs)\n";
+  List.iter
+    (fun (kind, n, bytes) -> Printf.printf "# %-20s %12d msgs %16d bytes\n%!" kind n bytes)
+    (trace_totals ());
+  Printf.printf "# Message traffic by DC link\n";
+  List.iter
+    (fun ((src, dst), n) -> Printf.printf "# dc%d -> dc%d %12d msgs\n%!" src dst n)
+    (trace_link_totals ())
+
 type outcome = {
   o_spec : system_spec;
   o_seed : int;

@@ -134,6 +134,10 @@ val trace_link_totals : unit -> ((int * int) * int) list
 
 val reset_trace_totals : unit -> unit
 
+val print_trace_totals : unit -> unit
+(** Prints the totals as ["#"]-prefixed tables, so CSV consumers skip
+    them. *)
+
 type summary = {
   p95_high_ms : float;
   p95_high_ci : float;

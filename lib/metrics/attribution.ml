@@ -392,6 +392,11 @@ let residual_fraction agg =
   if agg.e2e_mean_ms <= 0. then 0.
   else List.assoc "residual" agg.mean_us /. 1e3 /. agg.e2e_mean_ms
 
+let by_class bds =
+  List.filter_map
+    (fun (label, keep) -> Option.map (fun a -> (label, a)) (aggregate (List.filter keep bds)))
+    [ ("all", fun _ -> true); ("high", fun b -> b.t_high); ("low", fun b -> not b.t_high) ]
+
 let render ~title rows =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "attribution: %s\n" title;

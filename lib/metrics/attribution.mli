@@ -133,6 +133,11 @@ type agg = {
 val aggregate : txn_breakdown list -> agg option
 (** [None] on an empty list. *)
 
+val by_class : txn_breakdown list -> (string * agg) list
+(** Aggregates over all, high-priority and low-priority transactions,
+    labelled ["all"], ["high"], ["low"] in that order; a class with no
+    transactions is left out. *)
+
 val render : title:string -> (string * agg) list -> string
 (** A text table: one block per labelled class (all / high / low), with
     end-to-end stats and the mean and p99-tail breakdowns as percentages of

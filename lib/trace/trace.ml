@@ -108,6 +108,8 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+
 let write_msg_event oc first (m : msg_handle) =
   if not !first then output_string oc ",\n";
   first := false;

@@ -170,3 +170,12 @@ val write_chrome_trace : t -> ?extra:(string * string) list -> out_channel -> un
     async events on pid 1 keyed by transaction id, fault-injection events as
     instants on pid 2. [extra] adds entries to the top-level ["otherData"]
     object. *)
+
+(** {2 JSON helpers} shared by every JSON writer in the repository. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (quotes, backslashes and
+    control characters escaped). *)
+
+val json_float : float -> string
+(** [%.6g], or [null] for NaN and infinities, which JSON cannot carry. *)

@@ -96,12 +96,21 @@ let test_observed_run_identical () =
   Harness.Experiment.reset_trace_totals ()
 
 let test_figures_dispatch () =
-  Alcotest.(check bool) "unknown rejected" false
-    (Harness.Figures.run_by_name "nope" Harness.Figures.Quick);
-  Alcotest.(check bool) "names include every figure" true
-    (List.for_all
-       (fun n -> List.mem n Harness.Figures.names)
-       [ "table1"; "fig7ab"; "fig9"; "fig12"; "fig14"; "ablation" ])
+  let open Harness.Figures in
+  Alcotest.(check bool) "unknown rejected" false (run_by_name "nope" Quick);
+  Alcotest.(check int) "no duplicate names" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list string)) "names follow table order"
+    [
+      "table1"; "fig7ab"; "fig7cd"; "fig7ef"; "fig8a"; "fig8b"; "fig9"; "fig10"; "fig11";
+      "fig12"; "fig13"; "fig14"; "batchsweep"; "ablation"; "failover"; "attribution"; "check";
+      "queccsweep"; "tailblame"; "retrysweep"; "simthroughput";
+    ]
+    names;
+  Alcotest.(check int) "one spec per name" (List.length specs) (List.length names);
+  Alcotest.(check (list string)) "all runs every figure but simthroughput"
+    (List.filter (fun n -> n <> "simthroughput") names)
+    all_names
 
 let test_scale_env () =
   Alcotest.(check bool) "quick by default" true

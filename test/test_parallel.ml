@@ -83,10 +83,11 @@ let capture_stdout f =
   Sys.remove tmp;
   s
 
-let small_sweep () =
+let small_sweep ?accept () =
   let gen = Workload.Ycsbt.gen () in
-  Harness.Figures.sweep ~figure:"testfig" ~x_label:"rate_tps"
-    ~setup_of:(fun rate ->
+  Harness.Figures.sweep ?accept ~name:"testfig" ~caption:"two rates, two systems"
+    ~x_label:"rate_tps" ~show:string_of_float
+    ~setup:(fun _ rate ->
       {
         Harness.Experiment.default_setup with
         Harness.Experiment.driver =
@@ -98,11 +99,11 @@ let small_sweep () =
             cooldown = Sim_time.seconds 0.5;
           };
       })
-    ~gen_of:(fun _ -> gen)
+    ~gen:(fun _ -> gen)
     ~xs:[ 50.; 100. ]
     ~systems:[ Harness.Experiment.Twopl Twopl.Plain; Harness.Experiment.Tapir ]
-    ~scale:Harness.Figures.Quick
-    ~show:(fun r -> string_of_float r)
+    ()
+  |> Harness.Figures.run Harness.Figures.Quick
 
 let with_jobs n f =
   Harness.Pool.set_jobs (Some n);
@@ -120,6 +121,32 @@ let test_sweep_jobs_identical () =
   Alcotest.(check bool) "CSV non-empty" true (String.length csv1 > 0);
   Alcotest.(check int) "point count" (List.length points1) (List.length points4);
   Alcotest.(check bool) "collected points identical" true (points1 = points4)
+
+(* A headline check that fails raises, but only after the figure's rows
+   are out, and it sees exactly the points those rows collected. *)
+let test_failing_accept_raises_after_rows () =
+  Harness.Figures.reset_points ();
+  let seen = ref [] in
+  let raised = ref false in
+  let csv =
+    capture_stdout (fun () ->
+        try
+          small_sweep
+            ~accept:(fun pts ->
+              seen := pts;
+              failwith "testfig: headline rejected")
+            ()
+        with Failure msg -> raised := msg = "testfig: headline rejected")
+  in
+  let points = Harness.Figures.collected_points () in
+  Harness.Figures.reset_points ();
+  Alcotest.(check bool) "predicate raised" true !raised;
+  let rows =
+    List.filter (String.starts_with ~prefix:"testfig,") (String.split_on_char '\n' csv)
+  in
+  Alcotest.(check int) "every row printed before the raise" 4 (List.length rows);
+  Alcotest.(check bool) "predicate saw the figure's points" true (!seen = points);
+  Alcotest.(check int) "one point per row" 4 (List.length points)
 
 let test_run_repeated_jobs_identical () =
   let gen = Workload.Ycsbt.gen () in
@@ -309,6 +336,8 @@ let () =
           Alcotest.test_case "sweep --jobs 4 == --jobs 1" `Quick test_sweep_jobs_identical;
           Alcotest.test_case "run_repeated --jobs 4 == --jobs 1" `Quick
             test_run_repeated_jobs_identical;
+          Alcotest.test_case "failing headline check raises after rows" `Quick
+            test_failing_accept_raises_after_rows;
         ] );
       ( "event_queue",
         [
