@@ -30,7 +30,7 @@ let micro_tests () =
        let q = Event_queue.create () in
        for i = 1 to 100 do
          let h = Event_queue.push q ~time:(1000 + i) i in
-         if i mod 10 <> 0 then Event_queue.cancel h
+         if i mod 10 <> 0 then Event_queue.cancel q h
        done;
        let rec drain () = match Event_queue.pop q with Some _ -> drain () | None -> () in
        drain ())
@@ -51,6 +51,38 @@ let micro_tests () =
         let time = Event_queue.next_time q in
         let x = Event_queue.pop_first q in
         ignore (Event_queue.push q ~time:(time + 1 + Rng.int rng 100_000) x))
+  in
+  let queue_delay_mix live =
+    (* The simulator's delay mix: a 3 µs CPU step, an intra-DC hop of about
+       250 µs or a 10-100 ms WAN hop, one each in turn; every 8th call
+       also re-arms a 100-300 ms timer, cancelling the previous one. Each
+       call pops the earliest of [live] events and pushes one more. *)
+    let delay rng i =
+      match i mod 3 with
+      | 0 -> 3
+      | 1 -> 200 + Rng.int rng 100
+      | _ -> 10_000 + Rng.int rng 90_000
+    in
+    Test.make
+      ~name:(Printf.sprintf "event_queue push+pop, delay mix, %d live" live)
+      (Staged.stage
+      @@
+      let q = Event_queue.create () in
+      let rng = Rng.create ~seed:5 in
+      for i = 1 to live do
+        ignore (Event_queue.push q ~time:(delay rng i) i)
+      done;
+      let calls = ref 0 in
+      let timer = ref (Event_queue.push q ~time:100_000 0) in
+      fun () ->
+        incr calls;
+        let time = Event_queue.next_time q in
+        let x = Event_queue.pop_first q in
+        ignore (Event_queue.push q ~time:(time + delay rng !calls) x);
+        if !calls land 7 = 0 then begin
+          Event_queue.cancel q !timer;
+          timer := Event_queue.push q ~time:(time + 100_000 + Rng.int rng 200_000) 0
+        end)
   in
   let snapshot_unchanged =
     (* A client cache fetch between two probe replies: five targets, 1 s
@@ -117,6 +149,8 @@ let micro_tests () =
       queue_churn;
       queue_cancel_churn;
       queue_steady;
+      queue_delay_mix 250;
+      queue_delay_mix 20_000;
       snapshot_unchanged;
       zipf_sample;
       occ_cycle;
@@ -125,11 +159,10 @@ let micro_tests () =
       pareto;
     ]
 
-(* Peak physical heap size under the watchdog pattern: a long-lived queue
-   where nearly every pushed timer is cancelled well before its deadline.
-   Without compaction the dead entries sit in the heap until pop reaches
-   their (far-future) timestamps and the peak tracks the total number of
-   pushes; with compaction it stays within ~2x the live count. *)
+(* Peak node count under the watchdog pattern: a long-lived queue where
+   nearly every pushed timer is cancelled well before its deadline.
+   Cancelling frees a node at once, so the peak tracks the live count,
+   not the number of pushes. *)
 let cancel_heavy_report () =
   let open Simcore in
   let pushes = 100_000 in
@@ -140,13 +173,12 @@ let cancel_heavy_report () =
        guarded operation completed), and we also pop the occasional due
        event so the queue behaves like a live engine's. *)
     let h = Event_queue.push q ~time:(i + 1000) i in
-    if i mod 100 <> 0 then Event_queue.cancel h;
+    if i mod 100 <> 0 then Event_queue.cancel q h;
     if i mod 50 = 0 then ignore (Event_queue.pop q);
     if Event_queue.size q > !peak then peak := Event_queue.size q
   done;
   Printf.printf
-    "event_queue cancel-heavy: %d pushes (99%% cancelled), peak heap %d entries, %d live \
-     at end\n%!"
+    "event_queue cancel-heavy: %d pushes (99%% cancelled), peak %d nodes, %d live at end\n%!"
     pushes !peak (Event_queue.live_size q)
 
 let run_micro () =

@@ -798,7 +798,7 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
     match Tsq.min server.queue with
     | Some (ts, _, _) ->
         if server.wakeup_at <> Some ts then begin
-          (match server.wakeup with Some h -> Engine.cancel h | None -> ());
+          (match server.wakeup with Some h -> Engine.cancel engine h | None -> ());
           let at = Netsim.Clock.engine_time_of_local clock ~node:server.node ts in
           let at = Sim_time.max at (Sim_time.add (Engine.now engine) (Sim_time.us 1)) in
           server.wakeup_at <- Some ts;
@@ -810,7 +810,7 @@ let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
                    server_drain server))
         end
     | None ->
-        (match server.wakeup with Some h -> Engine.cancel h | None -> ());
+        (match server.wakeup with Some h -> Engine.cancel engine h | None -> ());
         server.wakeup <- None;
         server.wakeup_at <- None
 

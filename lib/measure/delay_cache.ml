@@ -58,5 +58,5 @@ let stop t =
   t.running <- false;
   (* Cancel the pending refresh too, or every stopped cache leaves a dead
      event sitting in the heap until its timer would have fired. *)
-  (match t.timer with Some h -> Engine.cancel h | None -> ());
+  (match t.timer with Some h -> Engine.cancel t.engine h | None -> ());
   t.timer <- None

@@ -104,7 +104,7 @@ let truncate t len =
   t.log <- kept;
   t.log_len <- len
 
-let cancel_timer = function Some h -> Engine.cancel h | None -> ()
+let cancel_timer t = function Some h -> Engine.cancel t.engine h | None -> ()
 
 let broadcast t msg =
   Array.iter (fun peer -> if peer <> t.id then t.send ~dst:peer msg) t.peers
@@ -112,7 +112,7 @@ let broadcast t msg =
 (* --- timers --- *)
 
 let rec reset_election_timer t =
-  cancel_timer t.election_timer;
+  cancel_timer t t.election_timer;
   let base = Sim_time.to_us t.config.election_timeout in
   let delay = Sim_time.us (base + Rng.int t.rng base) in
   t.election_timer <- Some (Engine.schedule_after t.engine delay (fun () -> on_election_timeout t))
@@ -145,7 +145,7 @@ and become_leader t =
   t.role <- Leader;
   t.leader_hint <- Some t.id;
   Array.fill t.inflight 0 (Array.length t.inflight) false;
-  cancel_timer t.election_timer;
+  cancel_timer t t.election_timer;
   t.election_timer <- None;
   Array.fill t.next_index 0 (Array.length t.next_index) (last_log_index t + 1);
   Array.fill t.match_index 0 (Array.length t.match_index) 0;
@@ -154,7 +154,7 @@ and become_leader t =
   arm_heartbeat t
 
 and arm_heartbeat t =
-  cancel_timer t.heartbeat_timer;
+  cancel_timer t t.heartbeat_timer;
   t.heartbeat_timer <-
     Some
       (Engine.schedule_after t.engine t.config.heartbeat_interval (fun () ->
@@ -212,7 +212,7 @@ let become_follower t ~term =
   t.votes_granted <- [];
   Array.fill t.inflight 0 (Array.length t.inflight) false;
   if was_leader then begin
-    cancel_timer t.heartbeat_timer;
+    cancel_timer t t.heartbeat_timer;
     t.heartbeat_timer <- None
   end;
   reset_election_timer t
@@ -396,8 +396,8 @@ let replicate t ~size ~tag ~on_committed =
 
 let crash t =
   t.stopped <- true;
-  cancel_timer t.election_timer;
-  cancel_timer t.heartbeat_timer;
+  cancel_timer t t.election_timer;
+  cancel_timer t t.heartbeat_timer;
   t.election_timer <- None;
   t.heartbeat_timer <- None
 

@@ -68,15 +68,15 @@ type t = {
   mutable f_cut : int;
 }
 
-let cancel_timer conn =
+let cancel_timer t conn =
   match conn.timer with
   | Some h ->
-      Engine.cancel h;
+      Engine.cancel t.engine h;
       conn.timer <- None
   | None -> ()
 
 let flush t conn ~reason =
-  cancel_timer conn;
+  cancel_timer t conn;
   match conn.q with
   | [] -> ()
   | rev ->

@@ -18,7 +18,7 @@ let schedule_at t time f =
 
 let schedule_after t delay f = schedule_at t (Sim_time.add t.clock delay) f
 
-let cancel = Event_queue.cancel
+let cancel t h = Event_queue.cancel t.queue h
 
 (* The event loop is the simulator's innermost loop; it goes through
    [next_time]/[pop_first] rather than [pop] so that dispatching an event

@@ -1,16 +1,16 @@
 (** The discrete-event simulation engine.
 
-    The engine owns a virtual clock and an event heap. Running the engine
+    The engine owns a virtual clock and an event queue. Running the engine
     repeatedly pops the earliest event and executes its callback with the
     clock set to the event's timestamp. Callbacks schedule further events;
-    the simulation ends when the heap drains or a horizon is reached.
+    the simulation ends when the queue drains or a horizon is reached.
 
     The clock is the {e true} global time of the simulated world. Per-node
     skewed clocks are layered on top by {!Netsim.Clock} (in the [netsim]
     library). *)
 
 type t
-type handle
+type handle [@@immediate]
 
 val create : unit -> t
 
@@ -24,13 +24,15 @@ val schedule_at : t -> Sim_time.t -> (unit -> unit) -> handle
 val schedule_after : t -> Sim_time.t -> (unit -> unit) -> handle
 (** [schedule_after t d f] is [schedule_at t (now t + d)]. *)
 
-val cancel : handle -> unit
+val cancel : t -> handle -> unit
+(** Cancels a pending callback. A no-op once it has run or been
+    cancelled. *)
 
 val step : t -> bool
 (** Executes the earliest pending event. Returns [false] if none remained. *)
 
 val run : t -> unit
-(** Runs until the event heap is empty. *)
+(** Runs until the event queue is empty. *)
 
 val run_until : t -> Sim_time.t -> unit
 (** Runs events with timestamps [<= horizon], then advances the clock to the

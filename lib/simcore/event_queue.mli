@@ -1,58 +1,59 @@
-(** A cancellable min-heap of timed events.
+(** A queue of timed events: a hierarchical timing wheel over integer µs.
 
-    Events with equal timestamps are delivered in insertion order, which
-    (together with {!Rng}) makes whole simulations deterministic.
-    Cancellation is O(1): the entry is marked dead and skipped on pop.
-    When dead entries outnumber live ones, the next push or pop compacts
-    the heap (dropping them and re-heapifying), so the physical size stays
-    within ~2x the live count at every queue-operation boundary even under
-    cancel-heavy timer churn. ({!cancel} is handle-only and cannot reach
-    the queue, so a burst of cancels with no intervening push/pop may
-    transiently exceed the bound — irrelevant in a simulation, where time
-    only advances by popping.) Pop order depends only on the
-    (time, insertion-sequence) total order, so compaction never changes
-    which event is delivered next. *)
+    Events pop in (time, insertion order): equal timestamps are delivered
+    in push order, which (together with {!Rng}) makes whole simulations
+    deterministic. Push, pop and cancel are O(1) for events within about
+    16.8 s of the last pop. Later ones wait in a list sorted by time until
+    the wheel reaches them; a push there scans back from the latest entry,
+    so it costs O(1) when such pushes come in time order and up to the
+    list's length otherwise. Cancelling removes the event at once, so
+    {!size} always equals {!live_size}.
+
+    Time is monotone: a push may not precede the last popped event (the
+    first pop is preceded by time 0). Peeking does not count as a pop. *)
 
 type 'a t
-type handle
+
+type handle [@@immediate]
+(** Names one pushed event. A handle whose event has popped or been
+    cancelled is stale and never matches a later event. Only valid with
+    the queue that issued it. *)
 
 val create : unit -> 'a t
 
 val push : 'a t -> time:Sim_time.t -> 'a -> handle
+(** Raises [Invalid_argument] if [time] is before the last popped event's
+    time (or negative). *)
 
-val cancel : handle -> unit
-(** Marks the entry dead. Cancelling twice, or after the event popped, is a
+val cancel : 'a t -> handle -> unit
+(** Removes the event. Cancelling twice, or after the event popped, is a
     no-op. *)
 
 val pop : 'a t -> (Sim_time.t * 'a) option
-(** Removes and returns the earliest live event, skipping dead ones.
-    Boxes the result; the engine hot path uses {!next_time} /
-    {!pop_first} instead. *)
+(** Removes and returns the earliest event. Boxes the result; the engine
+    hot path uses {!next_time} / {!pop_first} instead. *)
 
 val peek_time : 'a t -> Sim_time.t option
-(** Timestamp of the earliest live event. *)
+(** Timestamp of the earliest event. *)
 
 val no_event : Sim_time.t
 (** Sentinel returned by {!next_time} on an empty queue ([max_int]);
     beyond any schedulable time. *)
 
 val next_time : 'a t -> Sim_time.t
-(** Timestamp of the earliest live event without boxing, or {!no_event}
-    if there is none. Drops dead roots, so a subsequent {!pop_first} is
-    O(log n) with no further skipping. *)
+(** Timestamp of the earliest event without boxing, or {!no_event} if
+    there is none. Allocates nothing. *)
 
 val pop_first : 'a t -> 'a
-(** Removes and returns the earliest live event's payload without
-    allocating. Precondition: the immediately preceding queue operation
-    was a {!next_time} call that returned [< no_event]. *)
+(** Removes and returns the earliest event's payload without allocating.
+    Requires a non-empty queue. *)
 
 val live_size : 'a t -> int
-(** Number of live (non-cancelled) events. O(1): maintained incrementally
-    by push/cancel/pop. *)
+(** Number of pending events. O(1). *)
 
 val size : 'a t -> int
-(** Physical heap size, including not-yet-collected dead entries. Exposed
-    for the compaction micro-benchmark and tests. *)
+(** Number of nodes in use; equal to {!live_size}, since cancelling frees
+    a node at once. *)
 
 val is_empty : 'a t -> bool
-(** [true] iff there is no live event. *)
+(** [true] iff there is no pending event. *)

@@ -1,22 +1,33 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in an 8-byte buffer: a mutable
+   [int64] field would box a fresh Int64 on every draw. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
-let copy t = { state = t.state }
+let of_state state =
+  let t = Bytes.create 8 in
+  set64 t 0 state;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ~seed = of_state (mix64 (Int64.of_int seed))
+let copy = Bytes.copy
 
-let split t = { state = mix64 (bits64 t) }
+let[@inline] bits64 t =
+  let state = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 state;
+  mix64 state
 
-let float t =
+let split t = of_state (mix64 (bits64 t))
+
+let[@inline] float t =
   (* 53 significant bits, uniform in [0,1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)

@@ -283,12 +283,11 @@ let coordinator_group t ~client = t.groups.(t.coordinator_partition.(dc_of t cli
 
 let group t ~partition = t.groups.(partition)
 
+(* Client node ids are contiguous from [clients.(0)] (see [build]). *)
 let cache_for t ~client =
-  let rec find i =
-    if i >= Array.length t.clients then invalid_arg "Cluster.cache_for: not a client"
-    else if t.clients.(i) = client then t.caches.(i)
-    else find (i + 1)
-  in
-  find 0
+  let n = Array.length t.clients in
+  let i = if n = 0 then -1 else client - t.clients.(0) in
+  if i < 0 || i >= n then invalid_arg "Cluster.cache_for: not a client";
+  t.caches.(i)
 
 let proxy_for_dc t ~dc = t.proxies.(dc)

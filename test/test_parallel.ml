@@ -1,14 +1,14 @@
 (* The Domain pool, the parallel harness's determinism contract, and the
-   event queue's compaction.
+   event queue's bookkeeping.
 
    - Pool.map_ordered preserves input order and propagates exceptions
      deterministically at any job count.
    - A small figure sweep run at --jobs 4 produces byte-identical CSV text
      and identical collected points to --jobs 1; run_outcomes over several
      seeds, merged and summarized, produces the identical summary.
-   - QCheck: under random push/cancel/pop interleavings the event queue
-     (whose heap now compacts away dead entries) pops exactly what a naive
-     model pops, and its O(1) live counter always agrees with the model. *)
+   - QCheck: under random push/cancel/pop/peek interleavings the event
+     queue pops exactly what a naive model pops, and its O(1) live counter
+     and its node count always agree with the model. *)
 
 open Simcore
 
@@ -174,17 +174,21 @@ let test_run_repeated_jobs_identical () =
   Alcotest.(check bool) "ran transactions" true (s1.Harness.Experiment.commits > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Event-queue compaction: model-based QCheck *)
+(* Event-queue bookkeeping: model-based QCheck *)
 
-type op = Push of int | Cancel of int | Pop
+(* A push lands [delta] past the last popped time, as the queue requires;
+   a peek-push pushes between the last pop and the peeked time. *)
+type op = Push of int | Cancel of int | Pop | Peek_push of int
 
 let op_gen =
   QCheck.Gen.(
     frequency
       [
-        (5, map (fun t -> Push t) (int_bound 20));
+        (4, map (fun d -> Push d) (int_bound 20));
+        (1, map (fun d -> Push d) (oneof [ int_range 4_090 4_100; int_range (1 lsl 24) (1 lsl 25) ]));
         (4, map (fun i -> Cancel i) (int_bound 511));
         (2, return Pop);
+        (1, map (fun k -> Peek_push k) nat);
       ])
 
 let ops_arb =
@@ -193,9 +197,10 @@ let ops_arb =
       String.concat ";"
         (List.map
            (function
-             | Push t -> Printf.sprintf "push %d" t
+             | Push d -> Printf.sprintf "push +%d" d
              | Cancel i -> Printf.sprintf "cancel %d" i
-             | Pop -> "pop")
+             | Pop -> "pop"
+             | Peek_push k -> Printf.sprintf "peek+push %d" k)
            ops))
     QCheck.Gen.(list_size (int_range 0 400) op_gen)
 
@@ -203,7 +208,7 @@ let ops_arb =
    the minimum (time, seq) among the live ones. *)
 type mentry = { m_time : int; m_seq : int; mutable m_alive : bool }
 
-let model_pop entries =
+let model_min entries =
   let best = ref None in
   List.iter
     (fun e ->
@@ -212,7 +217,10 @@ let model_pop entries =
         | Some b when b.m_time < e.m_time || (b.m_time = e.m_time && b.m_seq < e.m_seq) -> ()
         | _ -> best := Some e)
     entries;
-  match !best with
+  !best
+
+let model_pop entries =
+  match model_min entries with
   | None -> None
   | Some e ->
       e.m_alive <- false;
@@ -224,19 +232,22 @@ let queue_vs_model ops =
   let model = ref [] in
   (* entries in push order *)
   let n_pushed = ref 0 in
+  let floor = ref 0 in
   let ok = ref true in
+  let push t =
+    let h = Event_queue.push q ~time:t !n_pushed in
+    handles := Array.append !handles [| h |];
+    model := !model @ [ { m_time = t; m_seq = !n_pushed; m_alive = true } ];
+    incr n_pushed
+  in
   List.iter
     (fun op ->
       (match op with
-      | Push t ->
-          let h = Event_queue.push q ~time:t !n_pushed in
-          handles := Array.append !handles [| h |];
-          model := !model @ [ { m_time = t; m_seq = !n_pushed; m_alive = true } ];
-          incr n_pushed
+      | Push d -> push (!floor + d)
       | Cancel i ->
           if !n_pushed > 0 then begin
             let i = i mod !n_pushed in
-            Event_queue.cancel !handles.(i);
+            Event_queue.cancel q !handles.(i);
             (List.nth !model i).m_alive <- false
           end
       | Pop ->
@@ -245,23 +256,33 @@ let queue_vs_model ops =
           let matches =
             match (got, want) with
             | None, None -> true
-            | Some (t, payload), Some (mt, mseq) -> t = mt && payload = mseq
+            | Some (t, payload), Some (mt, mseq) ->
+                floor := t;
+                t = mt && payload = mseq
             | _ -> false
           in
-          if not matches then ok := false);
+          if not matches then ok := false
+      | Peek_push k ->
+          let next = Event_queue.next_time q in
+          (match model_min !model with
+          | Some e -> if next <> e.m_time then ok := false
+          | None -> if next <> Event_queue.no_event then ok := false);
+          if next = Event_queue.no_event then push !floor
+          else push (!floor + (k mod (next - !floor + 1))));
       (* The incremental live counter must agree with the model after every
-         operation; the compaction bound on physical size holds at every
-         queue-operation boundary (cancel is handle-only and cannot
-         compact, so it is checked after push/pop, not after cancel). *)
+         operation, and so must the node count: cancelling frees a node at
+         once. So the size bound (within twice the live count once it holds
+         64) holds too. *)
       let live_model = List.length (List.filter (fun e -> e.m_alive) !model) in
       if Event_queue.live_size q <> live_model then ok := false;
-      (match op with
-      | Push _ | Pop ->
+      if Event_queue.size q <> Event_queue.live_size q then ok := false;
+      match op with
+      | Push _ | Pop | Peek_push _ ->
           if
             Event_queue.size q >= 64
             && Event_queue.size q > 2 * (Event_queue.live_size q + 1)
           then ok := false
-      | Cancel _ -> ()))
+      | Cancel _ -> ())
     ops;
   (* Drain: the full remaining pop sequences must agree. *)
   let rec drain () =
@@ -284,19 +305,20 @@ let compaction_qcheck =
 
 let test_compaction_bounds_heap () =
   (* Watchdog pattern: push many far-future timers, cancel 99% immediately.
-     Without compaction the physical heap grows to the number of pushes. *)
+     Cancelling frees each node at once, so the peak node count tracks the
+     live count, not the number of pushes. *)
   let q = Event_queue.create () in
   let peak = ref 0 in
   for i = 1 to 100_000 do
     let h = Event_queue.push q ~time:(i + 1_000_000) i in
-    if i mod 100 <> 0 then Event_queue.cancel h;
+    if i mod 100 <> 0 then Event_queue.cancel q h;
     if Event_queue.size q > !peak then peak := Event_queue.size q
   done;
   let live = Event_queue.live_size q in
   Alcotest.(check int) "live entries" 1000 live;
   if !peak > 4 * live then
-    Alcotest.failf "peak physical size %d not bounded by compaction (live %d)" !peak live;
-  (* Cancel semantics survive compaction: the 1000 survivors pop in order. *)
+    Alcotest.failf "peak physical size %d not bounded by the live count (live %d)" !peak live;
+  (* The 1000 survivors pop in order. *)
   let rec drain last n =
     match Event_queue.pop q with
     | None -> n
@@ -310,15 +332,15 @@ let test_live_size_o1_consistency () =
   let q = Event_queue.create () in
   let hs = Array.init 500 (fun i -> Event_queue.push q ~time:i i) in
   Alcotest.(check int) "all live" 500 (Event_queue.live_size q);
-  Array.iteri (fun i h -> if i mod 2 = 0 then Event_queue.cancel h) hs;
+  Array.iteri (fun i h -> if i mod 2 = 0 then Event_queue.cancel q h) hs;
   Alcotest.(check int) "half live" 250 (Event_queue.live_size q);
   (* Double-cancel is a no-op on the counter. *)
-  Event_queue.cancel hs.(0);
+  Event_queue.cancel q hs.(0);
   Alcotest.(check int) "double cancel" 250 (Event_queue.live_size q);
   ignore (Event_queue.pop q);
   Alcotest.(check int) "pop decrements" 249 (Event_queue.live_size q);
   (* Cancelling an already-popped handle is a no-op. *)
-  Event_queue.cancel hs.(1);
+  Event_queue.cancel q hs.(1);
   Alcotest.(check int) "cancel after pop" 249 (Event_queue.live_size q)
 
 let () =

@@ -131,10 +131,10 @@ let test_queue_cancel () =
   let q = Event_queue.create () in
   let h = Event_queue.push q ~time:10 "dead" in
   ignore (Event_queue.push q ~time:20 "alive");
-  Event_queue.cancel h;
+  Event_queue.cancel q h;
   Alcotest.(check (option (pair int string))) "skips" (Some (20, "alive")) (Event_queue.pop q);
   (* double cancel is harmless *)
-  Event_queue.cancel h
+  Event_queue.cancel q h
 
 let test_queue_peek_and_size () =
   let q = Event_queue.create () in
@@ -143,7 +143,7 @@ let test_queue_peek_and_size () =
   ignore (Event_queue.push q ~time:3 ());
   Alcotest.(check (option int)) "peek" (Some 3) (Event_queue.peek_time q);
   Alcotest.(check int) "live 2" 2 (Event_queue.live_size q);
-  Event_queue.cancel h;
+  Event_queue.cancel q h;
   Alcotest.(check int) "live 1" 1 (Event_queue.live_size q);
   ignore (Event_queue.pop q);
   Alcotest.(check bool) "empty again" true (Event_queue.is_empty q)
@@ -171,7 +171,7 @@ let prop_queue_cancel_subset =
       List.iter
         (fun (time, cancelled) ->
           let h = Event_queue.push q ~time (time, cancelled) in
-          if cancelled then Event_queue.cancel h else kept := time :: !kept)
+          if cancelled then Event_queue.cancel q h else kept := time :: !kept)
         spec;
       let rec drain acc =
         match Event_queue.pop q with
@@ -185,18 +185,30 @@ let prop_queue_cancel_subset =
       | exception Exit -> false)
 
 (* Differential test against a reference model: a set of live
-   (time, seq) keys, popped in order. Times come from a tiny range, so
-   most pops break a tie on insertion order. A cancel names one of the
-   last 64 pushes, so it often hits a live entry (driving the heap past
-   half dead, which compacts it once it holds [compact_min] = 64 slots)
-   and sometimes one already popped or cancelled (a no-op). *)
-type queue_op = Push of int | Cancel of int | Pop | Pop_first
+   (time, seq) keys, popped in order. A push lands a delta past the last
+   popped time (the queue's contract): mostly 0-15 µs, so most pops break
+   a tie on insertion order, and sometimes about one level-0 chunk
+   (4,096 µs), about the end of level 1 (2^24 µs) or beyond it, into the
+   overflow list. A cancel names one of the last 64 pushes, so it often
+   hits a live entry and sometimes one already popped or cancelled (a
+   no-op). A peek reads [next_time] without popping; a peek-push then
+   pushes between the last pop and the peeked time, as code does after
+   [Engine.run_until] stops short of its horizon. *)
+type queue_op =
+  | Push of int
+  | Cancel of int
+  | Pop
+  | Pop_first
+  | Peek
+  | Peek_push of int
 
 let show_queue_op = function
-  | Push t -> Printf.sprintf "push %d" t
+  | Push d -> Printf.sprintf "push +%d" d
   | Cancel k -> Printf.sprintf "cancel -%d" k
   | Pop -> "pop"
   | Pop_first -> "next_time+pop_first"
+  | Peek -> "next_time"
+  | Peek_push k -> Printf.sprintf "next_time+push below it (%d)" k
 
 module Key_set = Set.Make (struct
   type t = int * int
@@ -204,19 +216,32 @@ module Key_set = Set.Make (struct
   let compare = compare
 end)
 
+(* Push deltas past the last popped time, weighted towards ties. *)
+let gen_delta =
+  let open QCheck.Gen in
+  frequency
+    [
+      (12, int_bound 15);
+      (2, int_range 4_080 4_112);
+      (1, int_range ((1 lsl 24) - 16) ((1 lsl 24) + 16));
+      (1, int_range (1 lsl 24) (1 lsl 30));
+    ]
+
 let arb_queue_ops =
   let open QCheck.Gen in
   let ops =
-    (* Per-case weights: some cases grow the heap to thousands of entries,
-       some are cancel-heavy, some drain as fast as they push. *)
+    (* Per-case weights: some cases grow the queue to thousands of
+       entries, some are cancel-heavy, some drain as fast as they push. *)
     let* cancel_w = int_range 0 8 and* pop_w = int_range 1 5 in
     list_size (int_range 0 4000)
       (frequency
          [
-           (6, map (fun t -> Push t) (int_bound 15));
+           (6, map (fun d -> Push d) gen_delta);
            (cancel_w, map (fun k -> Cancel k) (int_bound 63));
            (pop_w, return Pop);
            (pop_w, return Pop_first);
+           (1, return Peek);
+           (1, map (fun k -> Peek_push k) nat);
          ])
   in
   QCheck.make ops ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
@@ -229,26 +254,35 @@ let prop_queue_matches_model =
       let model = ref Key_set.empty in
       let handles = Vec.create () and times = Vec.create () in
       let popped = ref [] and expected = ref [] in
+      let floor = ref 0 in
       let model_pop () =
         match Key_set.min_elt_opt !model with
         | Some ((time, seq) as key) ->
             model := Key_set.remove key !model;
+            floor := time;
             expected := (time, seq) :: !expected
         | None -> ()
+      in
+      let model_next () =
+        match Key_set.min_elt_opt !model with
+        | Some (time, _) -> time
+        | None -> Event_queue.no_event
+      in
+      let push time =
+        let seq = Vec.length handles in
+        Vec.push handles (Event_queue.push q ~time seq);
+        Vec.push times time;
+        model := Key_set.add (time, seq) !model
       in
       List.iter
         (fun op ->
           (match op with
-          | Push time ->
-              let seq = Vec.length handles in
-              Vec.push handles (Event_queue.push q ~time seq);
-              Vec.push times time;
-              model := Key_set.add (time, seq) !model
+          | Push d -> push (!floor + d)
           | Cancel k ->
               let n = Vec.length handles in
               if n > 0 then begin
                 let seq = n - 1 - (k mod Stdlib.min n 64) in
-                Event_queue.cancel (Vec.get handles seq);
+                Event_queue.cancel q (Vec.get handles seq);
                 model := Key_set.remove (Vec.get times seq, seq) !model
               end
           | Pop ->
@@ -257,10 +291,23 @@ let prop_queue_matches_model =
           | Pop_first ->
               let time = Event_queue.next_time q in
               if time < Event_queue.no_event then popped := (time, Event_queue.pop_first q) :: !popped;
-              model_pop ());
+              model_pop ()
+          | Peek ->
+              let time = Event_queue.next_time q in
+              if time <> model_next () then
+                QCheck.Test.fail_reportf "next_time %d, model %d" time (model_next ())
+          | Peek_push k ->
+              let time = Event_queue.next_time q in
+              if time <> model_next () then
+                QCheck.Test.fail_reportf "next_time %d, model %d" time (model_next ());
+              if time = Event_queue.no_event then push (!floor + (k mod 16))
+              else push (!floor + (k mod (time - !floor + 1))));
           if Event_queue.live_size q <> Key_set.cardinal !model then
             QCheck.Test.fail_reportf "live_size %d, model %d after %s" (Event_queue.live_size q)
-              (Key_set.cardinal !model) (show_queue_op op))
+              (Key_set.cardinal !model) (show_queue_op op);
+          if Event_queue.size q <> Event_queue.live_size q then
+            QCheck.Test.fail_reportf "size %d, live_size %d after %s" (Event_queue.size q)
+              (Event_queue.live_size q) (show_queue_op op))
         ops;
       let rec drain () =
         match Event_queue.pop q with
@@ -349,11 +396,32 @@ let test_engine_run_until () =
   Engine.run e;
   Alcotest.(check (list int)) "rest" [ 10; 20; 30 ] (List.rev !fired)
 
+let test_engine_run_until_then_schedule_earlier () =
+  (* [run_until] peeks the event past its horizon and stops; the caller may
+     then schedule events between the horizon and that event, which must
+     run first. Each pair of times tests one gap: within a level-0 chunk,
+     across chunks, and across the level-1 window. *)
+  List.iter
+    (fun (horizon, later, between) ->
+      let e = Engine.create () in
+      let fired = ref [] in
+      let at t = ignore (Engine.schedule_at e t (fun () -> fired := t :: !fired)) in
+      at 5;
+      at later;
+      Engine.run_until e horizon;
+      at between;
+      at horizon;
+      Engine.run e;
+      Alcotest.(check (list int))
+        (Printf.sprintf "horizon %d" horizon)
+        [ 5; horizon; between; later ] (List.rev !fired))
+    [ (100, 4_000, 2_000); (100, 50_000, 9_000); (100, 40_000_000, 30_000_000) ]
+
 let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
   let h = Engine.schedule_at e 10 (fun () -> fired := true) in
-  Engine.cancel h;
+  Engine.cancel e h;
   Engine.run e;
   Alcotest.(check bool) "not fired" false !fired
 
@@ -559,8 +627,8 @@ let test_network_stats () =
   Alcotest.(check bool) "bytes include header" true (Network.bytes_sent net > 200)
 
 (* The allocation-free engine-loop surface: [next_time] reports the
-   earliest live timestamp (dropping dead roots as a side effect) and
-   [pop_first] returns that payload directly. *)
+   earliest pending timestamp and [pop_first] returns that payload
+   directly. *)
 let test_queue_next_time_pop_first () =
   let q = Event_queue.create () in
   Alcotest.(check int) "empty is no_event" Event_queue.no_event (Event_queue.next_time q);
@@ -569,9 +637,8 @@ let test_queue_next_time_pop_first () =
   let _c = Event_queue.push q ~time:7 "c" in
   Alcotest.(check int) "earliest" 3 (Event_queue.next_time q);
   Alcotest.(check string) "pop earliest" "b" (Event_queue.pop_first q);
-  (* Cancelling the new root: next_time must skip the dead entry. *)
-  Event_queue.cancel b;
-  (* b already popped; cancel is a no-op on a dead handle *)
+  (* b already popped; cancel is a no-op on its stale handle *)
+  Event_queue.cancel q b;
   Alcotest.(check int) "next live" 5 (Event_queue.next_time q);
   Alcotest.(check string) "pop next" "a" (Event_queue.pop_first q);
   Alcotest.(check string) "pop last" "c" (Event_queue.pop_first q);
@@ -580,14 +647,82 @@ let test_queue_next_time_pop_first () =
 let test_queue_next_time_skips_dead () =
   let q = Event_queue.create () in
   let hs = Array.init 64 (fun i -> Event_queue.push q ~time:i (string_of_int i)) in
-  (* Kill everything but the last; next_time must burrow through the
-     dead prefix (and may compact) without losing the survivor. *)
+  (* Cancel everything but the last; next_time must find the survivor
+     past the emptied slots. *)
   for i = 0 to 62 do
-    Event_queue.cancel hs.(i)
+    Event_queue.cancel q hs.(i)
   done;
   Alcotest.(check int) "survivor time" 63 (Event_queue.next_time q);
   Alcotest.(check string) "survivor" "63" (Event_queue.pop_first q);
   Alcotest.(check int) "empty" Event_queue.no_event (Event_queue.next_time q)
+
+let test_queue_push_before_pop_raises () =
+  let q = Event_queue.create () in
+  ignore (Event_queue.push q ~time:100 "a");
+  ignore (Event_queue.push q ~time:200 "b");
+  ignore (Event_queue.pop q);
+  (* At the last popped time is fine; before it is not. *)
+  ignore (Event_queue.push q ~time:100 "c");
+  Alcotest.check_raises "before last pop"
+    (Invalid_argument "Event_queue.push: time 99 is before the last pop at 100") (fun () ->
+      ignore (Event_queue.push q ~time:99 "d"));
+  Alcotest.(check int) "nothing pushed" 2 (Event_queue.live_size q)
+
+let test_queue_stale_handle () =
+  let q = Event_queue.create () in
+  let h = Event_queue.push q ~time:10 "first" in
+  Alcotest.(check (option (pair int string))) "pop" (Some (10, "first")) (Event_queue.pop q);
+  (* The freed node is reused by the next push; the old handle must not
+     reach the new event, nor after a cancel and another reuse. *)
+  let h2 = Event_queue.push q ~time:20 "second" in
+  Event_queue.cancel q h;
+  Alcotest.(check int) "still live" 1 (Event_queue.live_size q);
+  Event_queue.cancel q h2;
+  ignore (Event_queue.push q ~time:30 "third");
+  Event_queue.cancel q h;
+  Event_queue.cancel q h2;
+  Alcotest.(check (option (pair int string))) "third pops" (Some (30, "third")) (Event_queue.pop q)
+
+let test_queue_cancel_in_slot () =
+  (* Five events of one exact time share one list; cancel its head, a
+     middle entry and its tail, then push more at that time. *)
+  let q = Event_queue.create () in
+  let hs = Array.init 5 (fun i -> Event_queue.push q ~time:42 i) in
+  Event_queue.cancel q hs.(0);
+  Event_queue.cancel q hs.(2);
+  Event_queue.cancel q hs.(4);
+  ignore (Event_queue.push q ~time:42 5);
+  Alcotest.(check int) "live" 3 (Event_queue.live_size q);
+  let order = List.init 3 (fun _ -> Option.get (Event_queue.pop q)) in
+  Alcotest.(check (list (pair int int))) "survivors in push order" [ (42, 1); (42, 3); (42, 5) ]
+    order;
+  Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
+
+let test_queue_steady_state_allocates_nothing () =
+  (* Engine-like churn once the node arrays have grown: each round pops
+     the earliest event, pushes two (a CPU step and a WAN-scale delay)
+     and cancels one of them. *)
+  let q = Event_queue.create () in
+  let payload () = () in
+  for i = 0 to 999 do
+    ignore (Event_queue.push q ~time:(i * 97) payload)
+  done;
+  let round i =
+    let time = Event_queue.next_time q in
+    let (_ : unit -> unit) = Event_queue.pop_first q in
+    ignore (Event_queue.push q ~time:(time + 3) payload);
+    let h = Event_queue.push q ~time:(time + 40_000 + (i land 1023)) payload in
+    Event_queue.cancel q h
+  in
+  for i = 1 to 5_000 do
+    round i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to 2_500 do
+    round i
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 10,000 ops" 0. words
 
 let prop_queue_next_time_matches_pop =
   (* Draining via next_time/pop_first must yield exactly the sequence the
@@ -602,8 +737,8 @@ let prop_queue_next_time_matches_pop =
           let h1 = Event_queue.push q1 ~time i in
           let h2 = Event_queue.push q2 ~time i in
           if cancel then begin
-            Event_queue.cancel h1;
-            Event_queue.cancel h2
+            Event_queue.cancel q1 h1;
+            Event_queue.cancel q2 h2
           end)
         ops;
       let drain1 = ref [] in
@@ -737,6 +872,12 @@ let () =
           Alcotest.test_case "next_time skips dead" `Quick test_queue_next_time_skips_dead;
           QCheck_alcotest.to_alcotest prop_queue_next_time_matches_pop;
           QCheck_alcotest.to_alcotest prop_queue_matches_model;
+          Alcotest.test_case "push before last pop raises" `Quick
+            test_queue_push_before_pop_raises;
+          Alcotest.test_case "stale handle after reuse" `Quick test_queue_stale_handle;
+          Alcotest.test_case "cancel head, middle, tail" `Quick test_queue_cancel_in_slot;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_queue_steady_state_allocates_nothing;
         ] );
       ( "int_table",
         [
@@ -756,6 +897,8 @@ let () =
           Alcotest.test_case "past rejected" `Quick test_engine_past_rejected;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
+          Alcotest.test_case "run_until then schedule earlier" `Quick
+            test_engine_run_until_then_schedule_earlier;
         ] );
       ( "cpu",
         [

@@ -81,6 +81,22 @@ let test_cluster_coordinator_local () =
         (Cluster.dc_of c coord))
     c.Cluster.clients
 
+let test_cluster_cache_for () =
+  let c = Cluster.build ~seed:1 ~clients_per_dc:3 () in
+  let clients = c.Cluster.clients in
+  let last = Array.length clients - 1 in
+  Alcotest.(check bool) "first client" true
+    (Cluster.cache_for c ~client:clients.(0) == c.Cluster.caches.(0));
+  Alcotest.(check bool) "last client" true
+    (Cluster.cache_for c ~client:clients.(last) == c.Cluster.caches.(last));
+  List.iter
+    (fun node ->
+      Alcotest.check_raises
+        (Printf.sprintf "node %d" node)
+        (Invalid_argument "Cluster.cache_for: not a client")
+        (fun () -> ignore (Cluster.cache_for c ~client:node)))
+    [ Cluster.leader c 0; clients.(last) + 1 ]
+
 let test_cluster_partition_of_key () =
   let c = Cluster.build ~seed:1 () in
   for key = 0 to 99 do
@@ -156,6 +172,7 @@ let () =
           Alcotest.test_case "coordinator co-located" `Quick test_cluster_coordinator_local;
           Alcotest.test_case "partition of key" `Quick test_cluster_partition_of_key;
           Alcotest.test_case "participants" `Quick test_participants;
+          Alcotest.test_case "cache_for indexes clients" `Quick test_cluster_cache_for;
         ] );
       ( "exec",
         [
