@@ -268,11 +268,8 @@ let () =
   let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
   let scale = Harness.Figures.scale_of_env () in
   (* --trace-summary appends per-kind / per-link message totals to the run;
-     counters-only tracing, so figure numbers are unchanged. The
-     NATTO_TRACE_SUMMARY=1 environment variable is the deprecated alias. *)
-  let trace_summary =
-    List.mem "--trace-summary" args || Sys.getenv_opt "NATTO_TRACE_SUMMARY" <> None
-  in
+     counters-only tracing, so figure numbers are unchanged. *)
+  let trace_summary = List.mem "--trace-summary" args in
   let args = List.filter (fun a -> a <> "--trace-summary") args in
   if trace_summary then Harness.Experiment.set_trace_counters true;
   (* --jobs N / --jobs=N caps the Domain pool for figure cells; the default

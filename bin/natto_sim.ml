@@ -37,145 +37,6 @@ let workload_names : (string * (zipf:float -> Workload.Gen.t)) list =
       fun ~zipf:_ -> Workload.Smallbank.gen ~prioritize_send_payment:true () );
   ]
 
-(* --- metrics JSON ------------------------------------------------------ *)
-
-(* Largest |segment sum - end-to-end| over the run, in µs. The attribution
-   arithmetic is exact by construction, so anything non-zero is a bug; the
-   value is serialized so CI can gate on it. *)
-let max_sum_mismatch breakdowns =
-  List.fold_left
-    (fun m b ->
-      max m
-        (abs (Metrics.Attribution.total b.Metrics.Attribution.t_seg - b.Metrics.Attribution.t_e2e_us)))
-    0 breakdowns
-
-let write_metrics_json ~file metered =
-  let oc = open_out file in
-  let fields oc kvs =
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then output_string oc ",";
-        Printf.fprintf oc "\"%s\":%s" (Trace.json_escape k) v)
-      kvs
-  in
-  (* schema_version: bumped whenever the shape of this document changes.
-     1 = PR 4 (windows/histograms/attribution), 2 = blame profiling (the
-     "blame" section per run, plus this very field), 3 = partial aborts (the
-     "wasted" section: exec/backoff split into reused and discarded µs).
-     Consumers should reject versions they do not know. *)
-  output_string oc "{\"schema_version\":3,\"runs\":[";
-  List.iteri
-    (fun ri (sys_name, seed, (reg, breakdowns, bl)) ->
-      if ri > 0 then output_string oc ",";
-      Printf.fprintf oc "\n{\"system\":\"%s\",\"seed\":%d,\"interval_us\":%d,\n"
-        (Trace.json_escape sys_name) seed (Metrics.Registry.interval reg);
-      (* Per-window time series: one object per sampling window, samples keyed
-         by instrument name. *)
-      output_string oc "\"windows\":[";
-      List.iteri
-        (fun wi w ->
-          if wi > 0 then output_string oc ",";
-          Printf.fprintf oc "\n  {\"start_us\":%d,\"end_us\":%d,\"samples\":{"
-            w.Metrics.Registry.w_start w.Metrics.Registry.w_end;
-          fields oc
-            (List.map (fun (k, v) -> (k, Trace.json_float v)) w.Metrics.Registry.samples);
-          output_string oc "}}")
-        (Metrics.Registry.windows reg);
-      output_string oc "],\n\"histograms\":[";
-      List.iteri
-        (fun hi (hname, h) ->
-          if hi > 0 then output_string oc ",";
-          let n = Metrics.Registry.hist_count h in
-          let pct p =
-            if n = 0 then "null" else Trace.json_float (Metrics.Registry.hist_percentile h ~p)
-          in
-          Printf.fprintf oc "\n  {\"name\":\"%s\",\"count\":%d," (Trace.json_escape hname) n;
-          fields oc [ ("p50_ms", pct 0.50); ("p95_ms", pct 0.95); ("p99_ms", pct 0.99) ];
-          output_string oc "}")
-        (Metrics.Registry.histograms reg);
-      output_string oc "],\n\"attribution\":{";
-      List.iteri
-        (fun i (label, a) ->
-          if i > 0 then output_string oc ",";
-          Printf.fprintf oc "\n  \"%s\":{" label;
-          fields oc
-            [
-              ("n", string_of_int a.Metrics.Attribution.n);
-              ("e2e_mean_ms", Trace.json_float a.Metrics.Attribution.e2e_mean_ms);
-              ("e2e_p95_ms", Trace.json_float a.Metrics.Attribution.e2e_p95_ms);
-              ("e2e_p99_ms", Trace.json_float a.Metrics.Attribution.e2e_p99_ms);
-              ("residual_fraction", Trace.json_float (Metrics.Attribution.residual_fraction a));
-            ];
-          output_string oc ",\"mean_us\":{";
-          fields oc
-            (List.map (fun (k, v) -> (k, Trace.json_float v)) a.Metrics.Attribution.mean_us);
-          output_string oc "},\"tail99_us\":{";
-          fields oc
-            (List.map (fun (k, v) -> (k, Trace.json_float v)) a.Metrics.Attribution.tail99_us);
-          output_string oc "}}")
-        (Metrics.Attribution.by_class breakdowns);
-      Printf.fprintf oc "},\n\"attribution_check\":{\"txns\":%d,\"max_sum_mismatch_us\":%d},"
-        (List.length breakdowns) (max_sum_mismatch breakdowns);
-      (* Wasted-work view: aborted-attempt time split into the share covered
-         by partial-abort prefix reuse and the share truly thrown away
-         (reused_us + discarded_us = backoff_us exactly). *)
-      let w = Metrics.Attribution.wasted_work breakdowns in
-      Printf.fprintf oc
-        "\n\
-         \"wasted\":{\"txns\":%d,\"exec_us\":%d,\"backoff_us\":%d,\"reused_us\":%d,\"discarded_us\":%d},"
-        w.Metrics.Attribution.wk_txns w.Metrics.Attribution.wk_exec_us
-        w.Metrics.Attribution.wk_backoff_us w.Metrics.Attribution.wk_reused_us
-        w.Metrics.Attribution.wk_discarded_us;
-      (* Causal blame profile: who-blocked-whom over the same breakdowns.
-         [blame_check.max_sum_mismatch_us] gates the exact-sum invariant —
-         per txn, lock/queue blame charges sum to lock_wait + queue_wait. *)
-      output_string oc "\n\"blame\":{\"matrix_us\":{";
-      List.iteri
-        (fun row label ->
-          if row > 0 then output_string oc ",";
-          Printf.fprintf oc "\"%s\":{\"high\":%d,\"low\":%d,\"none\":%d}" label
-            bl.Metrics.Blame.b_matrix.(row).(0)
-            bl.Metrics.Blame.b_matrix.(row).(1)
-            bl.Metrics.Blame.b_matrix.(row).(2))
-        [ "high"; "low" ];
-      Printf.fprintf oc "},\"wait_us\":%d,\"inversion_us\":%d,\"hot_keys\":["
-        bl.Metrics.Blame.b_wait_us bl.Metrics.Blame.b_inversion_us;
-      List.iteri
-        (fun i (k, us) ->
-          if i > 0 then output_string oc ",";
-          Printf.fprintf oc "{\"key\":%d,\"blocked_us\":%d}" k us)
-        bl.Metrics.Blame.b_hot_keys;
-      output_string oc "],\"top_blockers\":[";
-      List.iteri
-        (fun i (b, h, us) ->
-          if i > 0 then output_string oc ",";
-          Printf.fprintf oc "{\"txn\":%d,\"class\":\"%s\",\"blocked_us\":%d}" b
-            (if h then "high" else "low")
-            us)
-        bl.Metrics.Blame.b_blockers;
-      output_string oc "],\"exemplars\":[";
-      List.iteri
-        (fun i ex ->
-          if i > 0 then output_string oc ",";
-          Printf.fprintf oc
-            "\n  {\"label\":\"%s\",\"class\":\"%s\",\"e2e_us\":%d,\"wait_us\":%d,\"timeline\":["
-            (Trace.json_escape ex.Metrics.Blame.ex_label)
-            (if ex.Metrics.Blame.ex_high then "high" else "low")
-            ex.Metrics.Blame.ex_e2e_us ex.Metrics.Blame.ex_wait_us;
-          List.iteri
-            (fun li l ->
-              if li > 0 then output_string oc ",";
-              Printf.fprintf oc "\"%s\"" (Trace.json_escape l))
-            (ex.Metrics.Blame.ex_charges @ ex.Metrics.Blame.ex_timeline);
-          output_string oc "]}")
-        bl.Metrics.Blame.b_exemplars;
-      Printf.fprintf oc "],\"blame_check\":{\"txns\":%d,\"max_sum_mismatch_us\":%d}}}"
-        bl.Metrics.Blame.b_n
-        (Metrics.Blame.max_mismatch breakdowns))
-    metered;
-  output_string oc "\n]}\n";
-  close_out oc
-
 let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo ~variance
     ~loss ~partitions ~clients_per_dc ~drain ~batching ~partial_abort ~histograms ~trace_file
     ~metrics_file ~faults ~check =
@@ -364,7 +225,7 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
             Option.map (fun m -> (name, seed, m)) o.Harness.Experiment.o_metrics)
           by_cell
       in
-      (try write_metrics_json ~file metered
+      (try Metrics.Report.write_json ~file metered
        with Sys_error e ->
          Printf.eprintf "natto_sim: cannot write metrics file: %s\n%!" e;
          exit 1);
@@ -378,7 +239,7 @@ let run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
           |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line);
           String.split_on_char '\n' (Metrics.Blame.render ~title blame)
           |> List.iter (fun line -> if line <> "" then Printf.printf "# %s\n" line);
-          let mismatch = max_sum_mismatch breakdowns in
+          let mismatch = Metrics.Report.max_sum_mismatch breakdowns in
           if mismatch > 0 then
             Printf.printf "# WARNING: %s: segment sums deviate from end-to-end by up to %d us\n"
               title mismatch;
@@ -497,8 +358,7 @@ let metrics_arg =
 let trace_summary_arg =
   let doc =
     "Count every message per kind and per DC link (counters-only tracing; results are \
-     unchanged) and print the totals after the runs. Replaces the deprecated \
-     NATTO_TRACE_SUMMARY=1 environment variable, which is still honoured."
+     unchanged) and print the totals after the runs."
   in
   Arg.(value & flag & info [ "trace-summary" ] ~doc)
 
@@ -540,56 +400,72 @@ let figure_arg =
 let main systems workload rate zipf duration seeds high_fraction topo variance loss partitions
     clients_per_dc drain batching partial_abort histograms trace_file metrics_file trace_summary
     faults_spec jobs check figure =
-  (* NATTO_TRACE_SUMMARY=1 is the deprecated spelling of --trace-summary. *)
-  let trace_summary = trace_summary || Sys.getenv_opt "NATTO_TRACE_SUMMARY" <> None in
-  if trace_summary then Harness.Experiment.set_trace_counters true;
-  match jobs with
-  | Some n when n < 1 -> `Error (false, "--jobs must be >= 1")
-  | _ when clients_per_dc < 1 -> `Error (false, "--clients-per-dc must be >= 1")
-  | _ -> (
-  Harness.Pool.set_jobs jobs;
-  match figure with
-  | Some _ when trace_file <> None || metrics_file <> None || histograms ->
-      `Error (false, "--trace, --metrics and --histograms do not apply to --figure")
-  | Some name ->
-      if Harness.Figures.run_by_name name (Harness.Figures.scale_of_env ()) then begin
-        if trace_summary then Harness.Experiment.print_trace_totals ();
-        `Ok ()
-      end
-      else `Error (false, Printf.sprintf "unknown figure %S" name)
-  | None ->
-      let systems =
-        if systems = [ "all" ] then List.map fst system_names else systems
-      in
-      let faults =
-        match faults_spec with
-        | None -> Ok None
-        | Some spec -> Result.map Option.some (Faults.parse spec)
-      in
-      (match faults with
-      | Error e -> `Error (false, Printf.sprintf "bad --faults spec: %s" e)
-      | Ok faults ->
-          (match List.find_opt (fun s -> not (List.mem_assoc s system_names)) systems with
-          | Some bad -> `Error (false, Printf.sprintf "unknown system %S" bad)
-          | None ->
-              if not (List.mem_assoc workload workload_names) then
-                `Error (false, Printf.sprintf "unknown workload %S" workload)
-              else if not (List.mem_assoc topo topo_names) then
-                `Error (false, Printf.sprintf "unknown topology %S" topo)
-              else begin
-                let violations =
-                  run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction
-                    ~topo ~variance ~loss ~partitions ~clients_per_dc ~drain ~batching
-                    ~partial_abort ~histograms ~trace_file ~metrics_file ~faults ~check
-                in
-                if trace_summary then Harness.Experiment.print_trace_totals ();
-                if violations = 0 then `Ok ()
-                else
-                  `Error
-                    ( false,
-                      Printf.sprintf "%d serializability violation%s detected" violations
-                        (if violations = 1 then "" else "s") )
-              end)))
+  let systems = if systems = [ "all" ] then List.map fst system_names else systems in
+  let faults = Option.map Faults.parse faults_spec in
+  (* Every input is checked here, before any simulation runs. *)
+  let error =
+    if Option.fold ~none:false ~some:(fun n -> n < 1) jobs then Some "--jobs must be >= 1"
+    else if clients_per_dc < 1 then Some "--clients-per-dc must be >= 1"
+    else if partitions < 1 then Some "--partitions must be >= 1"
+    else if not (rate > 0.) then Some "--rate must be > 0"
+    else if seeds = [] then Some "--seeds must name at least one seed"
+    else if not (loss >= 0. && loss < 1.) then Some "--loss must be in [0, 1)"
+    else if not (high_fraction >= 0. && high_fraction <= 1.) then
+      Some "--high-fraction must be in [0, 1]"
+    else if figure <> None then
+      if trace_file <> None || metrics_file <> None || histograms then
+        Some "--trace, --metrics and --histograms do not apply to --figure"
+      else None
+    else
+      match List.find_opt (fun s -> not (List.mem_assoc s system_names)) systems with
+      | Some bad -> Some (Printf.sprintf "unknown system %S" bad)
+      | None when not (List.mem_assoc workload workload_names) ->
+          Some (Printf.sprintf "unknown workload %S" workload)
+      | None when not (List.mem_assoc topo topo_names) ->
+          Some (Printf.sprintf "unknown topology %S" topo)
+      | None -> (
+          match faults with
+          | None -> None
+          | Some (Error e) -> Some (Printf.sprintf "bad --faults spec: %s" e)
+          | Some (Ok schedule) -> (
+              (* Node, partition and DC ids against the layout every run
+                 builds; only the shape matters, so no Raft or proxies. *)
+              let cluster =
+                Txnkit.Cluster.build ~topo:(List.assoc topo topo_names) ~n_partitions:partitions
+                  ~clients_per_dc ~with_raft:false ~with_proxies:false ~seed:0 ()
+              in
+              try
+                Faults.validate cluster schedule;
+                None
+              with Invalid_argument e -> Some (Printf.sprintf "bad --faults spec: %s" e)))
+  in
+  match error with
+  | Some e -> `Error (false, e)
+  | None -> (
+      if trace_summary then Harness.Experiment.set_trace_counters true;
+      Harness.Pool.set_jobs jobs;
+      match figure with
+      | Some name ->
+          if Harness.Figures.run_by_name name (Harness.Figures.scale_of_env ()) then begin
+            if trace_summary then Harness.Experiment.print_trace_totals ();
+            `Ok ()
+          end
+          else `Error (false, Printf.sprintf "unknown figure %S" name)
+      | None ->
+          let violations =
+            run_one ~systems ~workload ~rate ~zipf ~duration ~seeds ~high_fraction ~topo
+              ~variance ~loss ~partitions ~clients_per_dc ~drain ~batching ~partial_abort
+              ~histograms ~trace_file ~metrics_file
+              ~faults:(Option.map Result.get_ok faults)
+              ~check
+          in
+          if trace_summary then Harness.Experiment.print_trace_totals ();
+          if violations = 0 then `Ok ()
+          else
+            `Error
+              ( false,
+                Printf.sprintf "%d serializability violation%s detected" violations
+                  (if violations = 1 then "" else "s") ))
 
 let cmd =
   let doc = "Simulate Natto and its baselines on a geo-distributed deployment" in

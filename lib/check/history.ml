@@ -15,8 +15,6 @@ type t = {
 
 let n_txns t = Array.length t.txns
 
-let writers_of t key = Option.value ~default:[||] (Hashtbl.find_opt t.key_writers key)
-
 let find t id = Array.find_opt (fun x -> x.id = id) t.txns
 
 let pp_txn fmt (x : txn) =

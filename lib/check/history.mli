@@ -42,8 +42,6 @@ type t = {
 }
 
 val n_txns : t -> int
-val writers_of : t -> int -> int array
-(** Version order of one key ([||] if never written). *)
 
 val find : t -> int -> txn option
 val pp_txn : Format.formatter -> txn -> unit

@@ -85,8 +85,6 @@ let aborted t ~txn =
     | Some p when not p.p_decided -> Hashtbl.remove t.pend txn
     | _ -> () (* decided server-side; the response was lost, keep the writes *)
 
-let recorded_txns t =
-  Hashtbl.fold (fun _ p n -> if p.p_decided || p.p_commit <> None then n + 1 else n) t.pend 0
 (* Which recorded transactions belong in the history?
 
    Client-acknowledged ones, always. A transaction that reached a commit

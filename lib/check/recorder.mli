@@ -63,5 +63,3 @@ val aborted : t -> txn:int -> unit
 val history : t -> History.t
 (** Assemble the recorded history: every transaction with a commit decision
     or a commit response. Call after the run has drained. *)
-
-val recorded_txns : t -> int

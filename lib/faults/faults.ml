@@ -127,7 +127,26 @@ let resolve_leader (cluster : Txnkit.Cluster.t) p =
     | Some id -> id
     | None -> cluster.Txnkit.Cluster.replicas.(p).(0)
 
+let validate (cluster : Txnkit.Cluster.t) (schedule : schedule) =
+  let in_range what id n =
+    if id < 0 || id >= n then
+      invalid_arg (Printf.sprintf "Faults: %s %d out of range (0..%d)" what id (n - 1))
+  in
+  let node n = in_range "node" n (Array.length cluster.Txnkit.Cluster.node_dc) in
+  let dc d = in_range "DC" d (Netsim.Topology.n_dcs cluster.Txnkit.Cluster.topo) in
+  List.iter
+    (fun { action; _ } ->
+      match action with
+      | Crash (Node n) | Restart n -> node n
+      | Crash (Leader_of p) -> in_range "partition" p cluster.Txnkit.Cluster.n_partitions
+      | Partition (a, b) | Heal (a, b) ->
+          dc a;
+          dc b
+      | Crash Random_leader | Restart_all | Heal_all -> ())
+    schedule
+
 let install (cluster : Txnkit.Cluster.t) (schedule : schedule) =
+  validate cluster schedule;
   let net = cluster.Txnkit.Cluster.net in
   let engine = cluster.Txnkit.Cluster.engine in
   let trace = Netsim.Network.trace net in

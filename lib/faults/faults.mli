@@ -44,13 +44,18 @@ val parse : string -> (schedule, string) result
 (** Parse a spec string; [Error] carries a human-readable message naming the
     offending token. *)
 
+val validate : Txnkit.Cluster.t -> schedule -> unit
+(** Raises [Invalid_argument] naming the first node, partition or DC id in
+    the schedule that the cluster does not have. *)
+
 val install : Txnkit.Cluster.t -> schedule -> unit
 (** Arm the cluster's fault machinery and schedule every event on its
     engine. Leader targets are resolved at fire time (so a second crash hits
     the {e new} leader); crashes take the Raft node down too, triggering a
     real election among the survivors. Each executed event is recorded via
     {!Trace.fault}. Crash/restart and cut/heal are idempotent: crashing a
-    dead node or cutting a cut link is a no-op. *)
+    dead node or cutting a cut link is a no-op. Calls {!validate} first, so
+    a bad id raises before anything is scheduled. *)
 
 val last_event_time : schedule -> Simcore.Sim_time.t
 (** Latest event time in the schedule ([Sim_time.zero] if empty) — used by

@@ -27,7 +27,6 @@ let jobs_for ~cells =
    speedup the bench harness records. *)
 let busy_us = Atomic.make 0
 
-let reset_stats () = Atomic.set busy_us 0
 let busy_seconds () = float_of_int (Atomic.get busy_us) /. 1e6
 
 (* Nested map_ordered calls (a figure cell whose job runs its seeds through

@@ -36,8 +36,6 @@ val jobs_for : cells:int -> int
 (** {2 Speedup accounting} *)
 
 val busy_seconds : unit -> float
-(** Cumulative wall-clock time spent inside job functions since the last
-    {!reset_stats}, summed across domains. [busy / wall] is the achieved
-    parallel speedup. *)
-
-val reset_stats : unit -> unit
+(** Cumulative wall-clock time spent inside job functions since process
+    start, summed across domains. [busy / wall] is the achieved parallel
+    speedup. *)

@@ -344,8 +344,6 @@ let wasted_work bds =
     { wk_txns = 0; wk_exec_us = 0; wk_backoff_us = 0; wk_reused_us = 0; wk_discarded_us = 0 }
     bds
 
-let wasted_us w = w.wk_discarded_us
-
 type agg = {
   n : int;
   e2e_mean_ms : float;

@@ -99,8 +99,8 @@ val blame_mismatch : txn_breakdown -> int
 
 val analyze : trace:Trace.t -> txns:Registry.txn_rec list -> txn_breakdown list
 (** One breakdown per finished transaction, in input order. The trace must
-    be the full-mode buffered sink the run recorded into (a streaming or
-    counters-only sink yields events for nothing, so every segment but
+    be the full-mode buffered sink the run recorded into (a counters-only
+    sink yields events for nothing, so every segment but
     backoff/residual is 0). *)
 
 type wasted = {
@@ -114,10 +114,6 @@ type wasted = {
     [wk_reused_us + wk_discarded_us = wk_backoff_us] exactly. *)
 
 val wasted_work : txn_breakdown list -> wasted
-
-val wasted_us : wasted -> int
-(** The headline wasted-µs figure — [wk_discarded_us]; the retrysweep
-    acceptance gate compares it between partial-abort on/off runs. *)
 
 type agg = {
   n : int;

@@ -75,7 +75,6 @@ type t = {
           window together) *)
   mutable next_prune : Sim_time.t;
       (** next sweep of the per-connection tables; see [prune] *)
-  mutable max_fifo : Sim_time.t;
   mutable messages : int;
   mutable bytes : int;
   mutable retrans : int;
@@ -124,7 +123,6 @@ let create ~engine ~rng ~topo ~node_dc ~cpus ?(config = default_config)
     fifo_last = Int_table.create ~capacity:4096 ();
     stall_until = Int_table.create ~capacity:4096 ();
     next_prune = Sim_time.seconds 1.;
-    max_fifo = Sim_time.zero;
     messages = 0;
     bytes = 0;
     retrans = 0;
@@ -151,7 +149,6 @@ let set_dc_cut t ~a ~b ~cut =
   t.dc_cut.(a).(b) <- cut;
   t.dc_cut.(b).(a) <- cut
 
-let dc_is_cut t ~a ~b = t.dc_cut.(a).(b)
 let dropped t = t.drops
 
 let sample_owd t ~src_dc ~dst_dc =
@@ -261,7 +258,6 @@ let deliver t ?(kind = "other") ?txn ?priority ~src ~dst ~bytes ~to_cpu f =
       let last = Int_table.find_default t.fifo_last conn Sim_time.zero in
       let ordered = if last >= arrival then Sim_time.add last (Sim_time.us 1) else arrival in
       Int_table.set t.fifo_last conn ordered;
-      if ordered > t.max_fifo then t.max_fifo <- ordered;
       ordered
     end
     else arrival
@@ -363,7 +359,6 @@ let send_batch t ~src ~dst ~cpu_cost msgs =
               if last >= arrival then Sim_time.add last (Sim_time.us 1) else arrival
             in
             Int_table.set t.fifo_last conn ordered;
-            if ordered > t.max_fifo then t.max_fifo <- ordered;
             ordered
           end
           else arrival
@@ -401,7 +396,6 @@ let bytes_sent t = t.bytes
 let mean_owd t ~src ~dst =
   Sim_time.ms (Topology.owd_ms t.topo t.node_dc.(src) t.node_dc.(dst))
 
-let max_fifo_last t = t.max_fifo
 let fifo_entries t = Int_table.length t.fifo_last
 let stall_entries t = Int_table.length t.stall_until
 let retransmissions t = t.retrans

@@ -84,8 +84,6 @@ val node_is_down : t -> int -> bool
 val set_dc_cut : t -> a:int -> b:int -> cut:bool -> unit
 (** Partition (or heal) the link between two datacenters, both directions. *)
 
-val dc_is_cut : t -> a:int -> b:int -> bool
-
 val dropped : t -> int
 (** Messages dropped by fault injection so far. *)
 
@@ -187,7 +185,6 @@ val mean_owd : t -> src:int -> dst:int -> Simcore.Sim_time.t
     estimates such as Natto's transaction-completion prediction. *)
 
 (* Diagnostics *)
-val max_fifo_last : t -> Simcore.Sim_time.t
 val max_link_busy : t -> Simcore.Sim_time.t
 
 val fifo_entries : t -> int

@@ -37,15 +37,3 @@ let message_bytes = function
   | Vote _ -> 32
   | Append_entries { count; payload_bytes; _ } -> 48 + payload_bytes + (24 * count)
   | Append_reply _ -> 40
-
-let pp_message fmt = function
-  | Request_vote { term; candidate; _ } ->
-      Format.fprintf fmt "RequestVote(term=%d, cand=%d)" term candidate
-  | Vote { term; from; granted } ->
-      Format.fprintf fmt "Vote(term=%d, from=%d, granted=%b)" term from granted
-  | Append_entries { term; leader; prev_index; count; leader_commit; _ } ->
-      Format.fprintf fmt "AppendEntries(term=%d, leader=%d, prev=%d, n=%d, commit=%d)" term
-        leader prev_index count leader_commit
-  | Append_reply { term; from; success; match_index; _ } ->
-      Format.fprintf fmt "AppendReply(term=%d, from=%d, ok=%b, match=%d)" term from success
-        match_index

@@ -47,5 +47,3 @@ type message =
 
 val message_bytes : message -> int
 (** Approximate wire size, fed to the network model. *)
-
-val pp_message : Format.formatter -> message -> unit

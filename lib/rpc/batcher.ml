@@ -20,13 +20,6 @@ let default_config =
 
 type flush_reason = Idle | Timer | Size_cap | Byte_cap | Cut_through
 
-let reason_name = function
-  | Idle -> "idle"
-  | Timer -> "timer"
-  | Size_cap -> "size"
-  | Byte_cap -> "bytes"
-  | Cut_through -> "cut"
-
 (* A queued message plus the time it arrived at the batcher, for hold-time
    accounting and the retroactive "batching" attribution span. *)
 type pending = { p_item : Net.batch_item; p_at : Sim_time.t }
@@ -201,9 +194,6 @@ let create ~net ?(config = default_config) () =
        (fun ~kind ~txn ~priority ~src ~dst ~bytes f ->
          enqueue t ~kind ~txn ~priority ~src ~dst ~bytes f));
   t
-
-let flush_all t =
-  Hashtbl.iter (fun _ conn -> flush t conn ~reason:Timer) t.conns
 
 let pending t = t.pending_msgs
 

@@ -38,17 +38,12 @@ val default_config : config
 
 type flush_reason = Idle | Timer | Size_cap | Byte_cap | Cut_through
 
-val reason_name : flush_reason -> string
-
 type t
 
 val create : net:Netsim.Network.t -> ?config:config -> unit -> t
 (** Create a batcher and install it as the network's batch sink. One per
     cluster, created with it — per-run state only, so [--jobs N] runs stay
     byte-identical. *)
-
-val flush_all : t -> unit
-(** Force every connection's queue out (end-of-run drain). *)
 
 val pending : t -> int
 (** Messages currently held across all connections (gauge). *)

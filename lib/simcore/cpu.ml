@@ -6,8 +6,6 @@ type t = {
   mutable completed : int;
 }
 
-type mark = { m_at : Sim_time.t; m_busy : Sim_time.t }
-
 let create engine =
   {
     engine;
@@ -29,7 +27,6 @@ let submit t ~cost f =
          t.completed <- t.completed + 1;
          f ()))
 
-let busy_until t = t.free_at
 let total_busy t = t.total_busy
 let jobs_processed t = t.jobs
 let pending_jobs t = t.jobs - t.completed
@@ -41,14 +38,6 @@ let pending_jobs t = t.jobs - t.completed
    submission — which any live query satisfies. *)
 let busy_elapsed t ~now =
   Sim_time.sub t.total_busy (Sim_time.max Sim_time.zero (Sim_time.sub t.free_at now))
-
-let mark t ~now = { m_at = now; m_busy = busy_elapsed t ~now }
-
-let utilization_since t m ~now =
-  let span = Sim_time.sub now m.m_at in
-  if span <= 0 then 0.0
-  else
-    float_of_int (Sim_time.sub (busy_elapsed t ~now) m.m_busy) /. float_of_int span
 
 let utilization t ~since ~now =
   let span = Sim_time.sub now since in

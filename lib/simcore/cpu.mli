@@ -16,9 +16,6 @@ val submit : t -> cost:Sim_time.t -> (unit -> unit) -> unit
     [max now (free time) + cost]. A zero-cost job on an idle CPU runs as a
     separate event at the current time. *)
 
-val busy_until : t -> Sim_time.t
-(** Time at which the station drains, given current work. *)
-
 val total_busy : t -> Sim_time.t
 (** Accumulated processing time, accrued at submission (includes work still
     queued). For elapsed-time accounting use {!busy_elapsed}. *)
@@ -32,20 +29,11 @@ val pending_jobs : t -> int
 
 val busy_elapsed : t -> now:Sim_time.t -> Sim_time.t
 (** Busy time actually elapsed by [now] — [total_busy] minus the backlog
-    [max 0 (busy_until - now)]. Exact for a work-conserving FIFO whenever
+    [max 0 (drain time - now)]. Exact for a work-conserving FIFO whenever
     [now] is at or after the last submission. *)
-
-type mark
-(** A sampled baseline for exact windowed utilization. *)
-
-val mark : t -> now:Sim_time.t -> mark
-
-val utilization_since : t -> mark -> now:Sim_time.t -> float
-(** Exact fraction of [\[mark, now\]] the station was busy: the delta of
-    {!busy_elapsed} over the window. *)
 
 val utilization : t -> since:Sim_time.t -> now:Sim_time.t -> float
 (** Fraction of [\[since, now\]] the station was busy, counting all busy
     time elapsed by [now] (exact only when the station was idle and
-    never-used at [since]; for arbitrary windows use {!mark} and
-    {!utilization_since}). *)
+    never-used at [since]; for arbitrary windows take the delta of
+    {!busy_elapsed}). *)

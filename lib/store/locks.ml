@@ -246,9 +246,6 @@ let holds t ~txn ~key =
   | None -> false
   | Some ks -> List.exists (fun (holder, _) -> holder = txn) ks.holders
 
-let held_count t ~txn =
-  match Hashtbl.find_opt t.txns txn with Some st -> List.length st.held | None -> 0
-
 let waiters_on t ~key =
   match Hashtbl.find_opt t.keys key with
   | None -> []

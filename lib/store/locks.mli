@@ -54,7 +54,6 @@ val release_all : t -> txn:int -> unit
 
 val holds : t -> txn:int -> key:int -> bool
 val is_waiting : t -> txn:int -> bool
-val held_count : t -> txn:int -> int
 val waiters_on : t -> key:int -> int list
 
 val blocker_of : t -> txn:int -> key:int -> exclusive:bool -> (int * bool) option

@@ -60,19 +60,6 @@ let conflicts_any t ~keys =
     keys;
   !acc
 
-(* The earliest conflicting key under the OCC rule, scanning the (sorted)
-   read slice first so partial-abort reports name the first invalidated
-   read; a write-only conflict reports the write key instead. *)
-let first_conflict_key t ~reads ~writes ~excluding =
-  let hit table key =
-    match Hashtbl.find_opt table key with
-    | None -> false
-    | Some txns -> List.exists (fun t' -> t' <> excluding) txns
-  in
-  match Array.find_opt (fun k -> hit t.writers k) reads with
-  | Some k -> Some k
-  | None -> Array.find_opt (fun k -> hit t.writers k || hit t.readers k) writes
-
 let principal_conflict_key t ~reads ~writes ~excluding =
   let conflicters table key acc =
     match Hashtbl.find_opt table key with

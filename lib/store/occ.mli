@@ -29,16 +29,10 @@ val conflicts_any : t -> keys:int array -> int list
 (** Prepared transactions whose footprint intersects [keys] at all
     (Natto's lock-availability rule). *)
 
-val first_conflict_key : t -> reads:int array -> writes:int array -> excluding:int -> int option
-(** The earliest conflicting key under the OCC rule: the first read key some
-    other prepared transaction writes, else the first write key in any other
-    prepared footprint. Feeds the partial-abort first-invalidated-read
-    report. *)
-
 val principal_conflict_key : t -> reads:int array -> writes:int array -> excluding:int -> int option
-(** Like {!first_conflict_key}, but reports the first key shared with the
-    {e principal} conflicter only — the smallest-id prepared transaction in
-    conflict (deterministic, and the likeliest to commit first). Min-combining
+(** The earliest key, under the OCC rule (a read key it writes, else a write
+    key in its footprint), shared with the {e principal} conflicter — the
+    smallest-id prepared transaction in conflict (deterministic, and the likeliest to commit first). Min-combining
     over every concurrent preparer pins the partial-abort prefix near zero
     under heavy contention even though most of those bystanders will abort
     and never invalidate anything; the principal's key is the better

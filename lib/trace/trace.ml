@@ -47,9 +47,6 @@ type t = {
   link_counts : (int * int, int ref) Hashtbl.t;
   mutable events : event list;  (** reversed; reversed back on output *)
   mutable n_events : int;
-  mutable stream : out_channel option;
-      (** streaming mode: full-mode events are written here at push time
-          instead of being buffered *)
   mutable txn_index : (int, span list ref) Hashtbl.t option;
       (** lazily built on the first {!txn_events} lookup: per-txn spans,
           most-recent-first (same convention as [events]); maintained
@@ -64,12 +61,10 @@ let create () =
     link_counts = Hashtbl.create 64;
     events = [];
     n_events = 0;
-    stream = None;
     txn_index = None;
   }
 
 let enable ?(events = true) t = t.mode <- (if events then Full else Counters)
-let disable t = t.mode <- Off
 let enabled t = t.mode <> Off
 let recording t = t.mode = Full
 
@@ -163,22 +158,6 @@ let write_event oc first = function
   | Span s -> write_span_event oc first s
   | Fault f -> write_fault_event oc first f
 
-(* Streaming prologue: the trace-events array opens immediately and every
-   pushed event is rendered straight to the channel, so a long full-mode run
-   stays at constant memory. [otherData] (whose counters only settle at the
-   end of the run) moves to the epilogue written by [write_chrome_trace]. *)
-let stream_to t oc =
-  t.stream <- Some oc;
-  output_string oc "{\"displayTimeUnit\":\"ms\",\n\"traceEvents\":[\n";
-  output_string oc
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"network\"}},\n";
-  output_string oc
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"transactions\"}},\n";
-  output_string oc
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"faults\"}}"
-
-let streaming t = t.stream <> None
-
 let index_span idx (s : span) =
   match Hashtbl.find_opt idx s.s_txn with
   | Some r -> r := s :: !r
@@ -186,13 +165,8 @@ let index_span idx (s : span) =
 
 let push t ev =
   t.n_events <- t.n_events + 1;
-  match t.stream with
-  | Some oc -> write_event oc (ref false) ev
-  | None ->
-      t.events <- ev :: t.events;
-      (match (t.txn_index, ev) with
-      | Some idx, Span s -> index_span idx s
-      | _ -> ())
+  t.events <- ev :: t.events;
+  match (t.txn_index, ev) with Some idx, Span s -> index_span idx s | _ -> ()
 
 let message t ~kind ?txn ?priority ~src ~dst ~src_dc ~dst_dc ~bytes ~enqueue ~depart
     ~deliver () =
@@ -220,9 +194,7 @@ let message t ~kind ?txn ?priority ~src ~dst ~src_dc ~dst_dc ~bytes ~enqueue ~de
           }
         in
         push t (Message m);
-        (* A streamed message is already rendered, so a later CPU-dequeue
-           time could not be added to it; return no handle. *)
-        if t.stream = None then Some m else None
+        Some m
       end
       else None
 
@@ -362,24 +334,15 @@ let write_other_data t ~extra oc =
     (other_data t extra)
 
 let write_chrome_trace t ?(extra = []) oc =
-  match t.stream with
-  | Some stream_oc ->
-      (* Streaming: the events already went out; close the array and append
-         the counters that only settled now. *)
-      assert (stream_oc == oc);
-      output_string oc "\n],\n\"otherData\":{";
-      write_other_data t ~extra oc;
-      output_string oc "}}\n"
-  | None ->
-      output_string oc "{\"displayTimeUnit\":\"ms\",\n\"otherData\":{";
-      write_other_data t ~extra oc;
-      output_string oc "},\n\"traceEvents\":[\n";
-      output_string oc
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"network\"}},\n";
-      output_string oc
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"transactions\"}},\n";
-      output_string oc
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"faults\"}}";
-      let first = ref false in
-      List.iter (write_event oc first) (List.rev t.events);
-      output_string oc "\n]}\n"
+  output_string oc "{\"displayTimeUnit\":\"ms\",\n\"otherData\":{";
+  write_other_data t ~extra oc;
+  output_string oc "},\n\"traceEvents\":[\n";
+  output_string oc
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"network\"}},\n";
+  output_string oc
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"transactions\"}},\n";
+  output_string oc
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"faults\"}}";
+  let first = ref false in
+  List.iter (write_event oc first) (List.rev t.events);
+  output_string oc "\n]}\n"

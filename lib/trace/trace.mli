@@ -29,31 +29,15 @@ val enable : ?events:bool -> t -> unit
 (** Turn the sink on. [~events:false] counts messages per kind and per DC
     link but records no per-event data. *)
 
-val disable : t -> unit
-
 val enabled : t -> bool
 (** Counters or full mode. *)
 
 val recording : t -> bool
-(** Full mode only: per-event records are being buffered (or streamed). *)
+(** Full mode only: per-event records are being buffered. *)
 
 val drop_events : t -> unit
 (** Free the buffered per-event records and continue in counters mode; the
     per-kind and per-link counters are kept. *)
-
-val stream_to : t -> out_channel -> unit
-(** Switch the sink to streaming output: the Chrome-trace prologue is
-    written immediately and every subsequent full-mode event is rendered
-    straight to [oc] instead of being buffered, so memory stays constant
-    regardless of run length. Call before any events are recorded, keep the
-    channel open for the whole run, and finish by calling
-    {!write_chrome_trace} on the {e same} channel — in streaming mode it
-    writes only the epilogue (closing the event array and appending
-    ["otherData"]). Streamed message events cannot receive a CPU-dequeue
-    time retroactively, so {!message} returns [None] and the [cpu_done_us]
-    arg is omitted; {!txn_events} and {!iter_events} see no events. *)
-
-val streaming : t -> bool
 
 (** {2 Emission — called by [Netsim.Network] and the protocol layers} *)
 
@@ -160,7 +144,7 @@ type event_view =
 
 val iter_events : t -> (event_view -> unit) -> unit
 (** Full buffered mode only: every recorded event in chronological push
-    order. Empty in counters or streaming mode. *)
+    order. Empty in counters mode. *)
 
 (** {2 Output} *)
 

@@ -62,6 +62,12 @@ type state = {
 }
 
 let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
+  (* Negated comparisons so NaN is rejected too. *)
+  if not (config.rate_tps > 0.) then
+    invalid_arg (Printf.sprintf "Driver.run: rate_tps %g is not positive" config.rate_tps);
+  if not (config.high_fraction >= 0. && config.high_fraction <= 1.) then
+    invalid_arg
+      (Printf.sprintf "Driver.run: high_fraction %g is outside [0, 1]" config.high_fraction);
   let engine = cluster.Cluster.engine in
   let trace = Netsim.Network.trace cluster.Cluster.net in
   let rng = Rng.create ~seed:(config.seed * 7919) in

@@ -63,7 +63,9 @@ type result = {
 
 val run : Txnkit.Cluster.t -> Txnkit.System.t -> gen:Gen.t -> config -> result
 (** Runs the workload on an already-built cluster, then drains. The
-    cluster's engine is advanced; a cluster should be used for one run. *)
+    cluster's engine is advanced; a cluster should be used for one run.
+    Raises [Invalid_argument] if [rate_tps] is not positive or
+    [high_fraction] is outside [\[0, 1\]]. *)
 
 val p95_high : result -> float
 (** 95th-percentile latency (ms) of committed high-priority transactions;

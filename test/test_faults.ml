@@ -109,6 +109,27 @@ let test_last_event_time () =
         (Sim_time.to_seconds (Faults.last_event_time []))
   | Error e -> Alcotest.fail e
 
+(* The default cluster has 30 nodes, 5 partitions and 5 DCs: ids past
+   either end are rejected at install, naming the id, before anything is
+   scheduled. *)
+let test_install_checks_ids () =
+  let cluster = Txnkit.Cluster.build ~seed:1 () in
+  let pending () = Engine.pending cluster.Txnkit.Cluster.engine in
+  let before = pending () in
+  let schedule spec = match Faults.parse spec with Ok s -> s | Error e -> failwith e in
+  let rejects spec msg =
+    Alcotest.check_raises spec (Invalid_argument msg) (fun () ->
+        Faults.install cluster (schedule spec))
+  in
+  rejects "crash:30@1s" "Faults: node 30 out of range (0..29)";
+  rejects "restart:99@1s" "Faults: node 99 out of range (0..29)";
+  rejects "crash-leader:5@1s" "Faults: partition 5 out of range (0..4)";
+  rejects "cut:0-5@1s" "Faults: DC 5 out of range (0..4)";
+  rejects "crash-leader:0@1s,heal:9-1@2s" "Faults: DC 9 out of range (0..4)";
+  Alcotest.(check int) "nothing scheduled" before (pending ());
+  Faults.install cluster (schedule "crash:29@1s,crash-leader:4@1s,cut:0-4@1s,heal:4-0@2s");
+  Alcotest.(check int) "valid schedule installed" (before + 4) (pending ())
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: crash partition 0's leader mid-run, restart it later; every
    protocol family must complete the run (no hung attempts) and keep
@@ -198,6 +219,7 @@ let () =
           Alcotest.test_case "valid specs" `Quick test_parse_valid;
           Alcotest.test_case "bad specs rejected" `Quick test_parse_errors;
           Alcotest.test_case "last event time" `Quick test_last_event_time;
+          Alcotest.test_case "install checks ids" `Quick test_install_checks_ids;
         ] );
       ( "recovery",
         [

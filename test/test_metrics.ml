@@ -625,6 +625,106 @@ let test_aggregate () =
       Alcotest.(check bool) "residual fraction tiny" true
         (Attribution.residual_fraction a < 0.01)
 
+(* --- the --metrics document over real runs ----------------------------- *)
+
+(* Well-formed JSON text: brackets balance outside strings and no comma is
+   followed by a closing bracket. *)
+let check_json_shape text =
+  let stack = ref [] and in_string = ref false and escaped = ref false and last = ref ' ' in
+  String.iter
+    (fun c ->
+      if !in_string then begin
+        if !escaped then escaped := false
+        else if c = '\\' then escaped := true
+        else if c = '"' then in_string := false
+      end
+      else begin
+        (match (c, !stack) with
+        | '"', _ -> in_string := true
+        | ('{' | '['), _ -> stack := c :: !stack
+        | ('}' | ']'), _ when !last = ',' -> Alcotest.fail "trailing comma"
+        | '}', '{' :: rest | ']', '[' :: rest -> stack := rest
+        | ('}' | ']'), _ -> Alcotest.failf "unbalanced %c" c
+        | _ -> ());
+        if c <> ' ' && c <> '\n' then last := c
+      end)
+    text;
+  Alcotest.(check bool) "strings closed" false !in_string;
+  Alcotest.(check int) "brackets balanced" 0 (List.length !stack)
+
+(* natto_sim's metrics smoke in-process: 2PL+2PC and Natto-RECSF on YCSB+T
+   at θ 0.95, 80 tps, 4 s, seed 1, checked and metered. The invariants hold
+   on the values, and the document written from them is well-formed. *)
+let test_metrics_smoke () =
+  let driver =
+    {
+      Workload.Driver.default_config with
+      Workload.Driver.rate_tps = 80.;
+      duration = Sim_time.seconds 4.;
+      warmup = Sim_time.seconds 1.;
+      cooldown = Sim_time.seconds 1.;
+    }
+  in
+  let setup = { Harness.Experiment.default_setup with Harness.Experiment.driver } in
+  let gen = Workload.Ycsbt.gen ~theta:0.95 () in
+  let runs =
+    List.map
+      (fun spec ->
+        let o = Harness.Experiment.run ~check:true ~metrics:true setup spec ~gen ~seed:1 in
+        let name = Harness.Experiment.spec_name spec in
+        let _, report = Option.get o.Harness.Experiment.o_check in
+        Alcotest.(check bool) (name ^ " checks clean") true (Check.Checker.ok report);
+        (name, 1, Option.get o.Harness.Experiment.o_metrics))
+      [ Harness.Experiment.Twopl Twopl.Plain; Harness.Experiment.Natto Natto.Features.recsf ]
+  in
+  List.iter
+    (fun (name, _, (reg, breakdowns, bl)) ->
+      let check_int what = Alcotest.(check int) (name ^ ": " ^ what) in
+      let check_true what = Alcotest.(check bool) (name ^ ": " ^ what) true in
+      (* Wasted work: reused + discarded partition backoff exactly, and with
+         partial aborts off nothing is reused. *)
+      let w = Attribution.wasted_work breakdowns in
+      check_int "wasted split partitions backoff" w.Attribution.wk_backoff_us
+        (w.Attribution.wk_reused_us + w.Attribution.wk_discarded_us);
+      check_int "nothing reused without partial aborts" 0 w.Attribution.wk_reused_us;
+      check_true "sampled windows" (List.length (Registry.windows reg) > 10);
+      check_int "segments sum to e2e" 0 (Report.max_sum_mismatch breakdowns);
+      let a = List.assoc "all" (Attribution.by_class breakdowns) in
+      let total = List.fold_left (fun acc (_, v) -> acc +. v) 0. a.Attribution.mean_us in
+      let e2e = a.Attribution.e2e_mean_ms *. 1000. in
+      check_true "segment means sum to e2e mean"
+        (Float.abs (total -. e2e) <= (1e-5 *. Float.max 1. e2e) +. 1.);
+      check_true "residual at most 1%" (List.assoc "residual" a.Attribution.mean_us <= 0.01 *. e2e);
+      (* Blame: per-txn charges sum to the wait segments, the matrix carries
+         the blamed wait, and the live counters were sampled. *)
+      check_int "blame charges sum to wait segments" 0 (Blame.max_mismatch breakdowns);
+      check_int "matrix sums to wait_us" bl.Blame.b_wait_us
+        (Array.fold_left (Array.fold_left ( + )) 0 bl.Blame.b_matrix);
+      check_int "inversion is the high<-low cell" bl.Blame.b_matrix.(0).(1)
+        bl.Blame.b_inversion_us;
+      let sampled =
+        List.concat_map (fun w -> List.map fst w.Registry.samples) (Registry.windows reg)
+      in
+      check_true "blame counters sampled"
+        (List.mem "blame.lock_wait_us" sampled && List.mem "inversion.lock_wait_us" sampled))
+    runs;
+  let file = Filename.temp_file "natto_metrics" ".json" in
+  Report.write_json ~file runs;
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  Alcotest.(check bool) "schema_version 3" true
+    (String.starts_with ~prefix:"{\"schema_version\":3,\"runs\":[" text);
+  let run_lines =
+    List.filter (String.starts_with ~prefix:"{\"system\":") (String.split_on_char '\n' text)
+  in
+  Alcotest.(check int) "one run per system" 2 (List.length run_lines);
+  List.iter
+    (fun (name, _, _) ->
+      Alcotest.(check bool) (name ^ " run") true
+        (List.exists (String.starts_with ~prefix:(Printf.sprintf "{\"system\":\"%s\"," name)) run_lines))
+    runs;
+  check_json_shape text
+
 let () =
   Alcotest.run "metrics"
     [
@@ -655,4 +755,7 @@ let () =
             test_blame_matrix;
           Alcotest.test_case "lazy per-txn trace index" `Quick test_trace_txn_index;
         ] );
+      ( "report",
+        [ Alcotest.test_case "metrics smoke: sums, blame and JSON shape" `Quick test_metrics_smoke ]
+      );
     ]

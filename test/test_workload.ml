@@ -240,6 +240,29 @@ let test_zipf_golden_streams () =
   done;
   Alcotest.(check int) "sample_distinct stream (seed 22)" (-1992622574198318456) !h
 
+(* A zero, negative or NaN arrival rate would draw infinite inter-arrival
+   gaps, and a priority probability outside [0, 1] is meaningless: the
+   driver refuses both before the run starts. *)
+let test_driver_rejects_bad_config () =
+  let run driver =
+    let setup = { Harness.Experiment.default_setup with Harness.Experiment.driver } in
+    ignore
+      (Harness.Experiment.run setup Harness.Experiment.Tapir ~gen:(Workload.Ycsbt.gen ())
+         ~seed:1)
+  in
+  let base = Workload.Driver.default_config in
+  let rejects what msg driver =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> run driver)
+  in
+  rejects "zero rate" "Driver.run: rate_tps 0 is not positive"
+    { base with Workload.Driver.rate_tps = 0. };
+  rejects "NaN rate" "Driver.run: rate_tps nan is not positive"
+    { base with Workload.Driver.rate_tps = Float.nan };
+  rejects "high fraction above 1" "Driver.run: high_fraction 2 is outside [0, 1]"
+    { base with Workload.Driver.high_fraction = 2. };
+  rejects "negative high fraction" "Driver.run: high_fraction -0.1 is outside [0, 1]"
+    { base with Workload.Driver.high_fraction = -0.1 }
+
 let () =
   Alcotest.run "workload"
     [
@@ -261,6 +284,8 @@ let () =
             test_smallbank_priority_override;
           Alcotest.test_case "default compute increments" `Quick
             test_default_compute_increments;
+          Alcotest.test_case "driver rejects bad rate and high fraction" `Quick
+            test_driver_rejects_bad_config;
         ] );
       ( "stats",
         [
