@@ -273,8 +273,8 @@ let () =
   let args = List.filter (fun a -> a <> "--trace-summary") args in
   if trace_summary then Harness.Experiment.set_trace_counters true;
   (* --jobs N / --jobs=N caps the Domain pool for figure cells; the default
-     is min(cores, cells) and NATTO_JOBS also overrides it. Results are
-     byte-for-byte identical at any setting. *)
+     is min(cores, cells). Results are byte-for-byte identical at any
+     setting. *)
   let jobs_raw, args =
     let rec scan acc = function
       | [] -> (None, List.rev acc)

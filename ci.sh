@@ -67,12 +67,15 @@ gate "input rejection"
 # any simulation runs rather than silently write nothing. Out-of-range
 # inputs are rejected too, instead of crashing or running away.
 must_fail --figure fig13 --metrics /dev/null
+must_fail --figure fig13 -s tapir --partial-abort --check -d 1
 must_fail -r 0
 must_fail -p 0
 must_fail --faults crash:999@1s
 must_fail --faults crash-leader:9@1s
 must_fail --faults cut:0-9@1s
 must_fail --seeds ''
+must_fail -s natto-ts,natto-ts
+must_fail --seeds 1,1
 must_fail --loss 1.0
 must_fail --high-fraction 2
 
@@ -142,6 +145,12 @@ for j in 1 4; do
 done
 cmp "$tmp/j1/out.csv" "$tmp/j4/out.csv"
 cmp "$tmp/j1/data.json" "$tmp/j4/data.json"
+# A figure cell is one natto_sim line: fig13's Natto-RECSF row must carry
+# the numbers of that line's run (test_harness: the line parses to the cell).
+grep '^fig13,deployment,hybrid,Natto-RECSF,' "$tmp/j1/out.csv" | cut -d, -f5- >"$tmp/fig_row"
+run -s natto-recsf -w retwis -r 1000 -t hybrid -d 6 --drain 25 --seeds 1 --check
+grep '^Natto-RECSF,' "$tmp/out" | cut -d, -f5- >"$tmp/cli_row"
+test -s "$tmp/fig_row" && cmp "$tmp/fig_row" "$tmp/cli_row"
 # The CLI's (system x seed) grid too, with the checker's per-seed verdict
 # lines and the trace-summary counters in the byte-compare.
 same_at_jobs -s 2pl,natto-recsf -d 4 --seeds 1,2 -r 80 -z 0.95 --check --trace-summary

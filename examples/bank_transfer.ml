@@ -7,8 +7,7 @@
    account activity. Compare Natto against Carousel (no prioritization) and
    the preemptive 2PL variant. *)
 
-let run spec =
-  let gen = Workload.Smallbank.gen ~prioritize_send_payment:true () in
+let run system =
   let driver =
     {
       Workload.Driver.default_config with
@@ -18,14 +17,17 @@ let run spec =
       cooldown = Simcore.Sim_time.seconds 3.;
     }
   in
-  let setup = { Harness.Experiment.default_setup with Harness.Experiment.driver } in
-  let s =
-    Harness.Experiment.run_outcomes setup spec ~gen ~seeds:[ 1 ]
-    |> List.map Harness.Experiment.merge
-    |> Harness.Experiment.summarize
+  let setup =
+    {
+      Harness.Experiment.default_setup with
+      Harness.Experiment.system;
+      workload = Harness.Experiment.Smallbank_priority;
+      driver;
+    }
   in
+  let s = Harness.Experiment.summarize [ Harness.Experiment.merge (Harness.Experiment.run setup) ] in
   Printf.printf "%-15s sendPayment p95 = %6.0fms   other txns p95 = %6.0fms   aborts = %d\n%!"
-    (Harness.Experiment.spec_name spec)
+    (Harness.Experiment.spec_name system)
     s.Harness.Experiment.p95_high_ms s.Harness.Experiment.p95_low_ms
     s.Harness.Experiment.aborts
 

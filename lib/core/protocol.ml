@@ -124,13 +124,11 @@ let conflicts_occ ~reads ~writes (other : srec) =
 
 let conflicts_any keys (other : srec) = overlap keys other.keys
 
-let make_with_stats (cluster : Cluster.t) ~(features : Features.t) =
+let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features : Features.t) =
   let engine = cluster.Cluster.engine in
   let net = cluster.Cluster.net in
   let clock = cluster.Cluster.clock in
   let stats = new_stats () in
-  (* Expensive per-prepare assertions, enabled by tests. *)
-  let check_invariants = Sys.getenv_opt "NATTO_CHECK_INVARIANTS" <> None in
   let send ~src ~dst ~msg f = Rpc.send net ~src ~dst ~msg f in
   let trace = Netsim.Network.trace net in
   (* Lifecycle instants land on the transactions track of the Chrome trace;

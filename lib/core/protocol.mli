@@ -51,4 +51,8 @@ type stats = {
   mutable promotions : int;
 }
 
-val make_with_stats : Txnkit.Cluster.t -> features:Features.t -> Txnkit.System.t * stats
+val make_with_stats :
+  ?check_invariants:bool -> Txnkit.Cluster.t -> features:Features.t -> Txnkit.System.t * stats
+(** [check_invariants] (default off) asserts the timestamp-order invariant
+    on every prepare — expensive, for tests: preparing ahead of a
+    conflicting earlier transaction raises. *)

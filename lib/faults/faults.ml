@@ -100,10 +100,23 @@ let parse spec =
               and time = String.sub item (i + 1) (String.length item - i - 1) in
               match (parse_action act, parse_time time) with
               | Ok action, Ok at -> go ({ at; action } :: acc) rest
-              | (Error _ as e), _ | _, (Error _ as e) ->
-                  (match e with Ok _ -> assert false | Error m -> Error m)))
+              | Error m, _ | _, Error m -> Error m))
     in
     go [] items
+
+let to_string schedule =
+  let action = function
+    | Crash (Node n) -> Printf.sprintf "crash:%d" n
+    | Crash (Leader_of p) -> Printf.sprintf "crash-leader:%d" p
+    | Crash Random_leader -> "crash-leader:rand"
+    | Restart n -> Printf.sprintf "restart:%d" n
+    | Restart_all -> "restart"
+    | Partition (a, b) -> Printf.sprintf "cut:%d-%d" a b
+    | Heal (a, b) -> Printf.sprintf "heal:%d-%d" a b
+    | Heal_all -> "heal"
+  in
+  List.map (fun e -> action e.action ^ "@" ^ Sim_time.to_seconds_string e.at ^ "s") schedule
+  |> String.concat ","
 
 (* ------------------------------------------------------------------ *)
 (* Installation. Targets naming a leader are resolved when the event fires,

@@ -44,6 +44,11 @@ val parse : string -> (schedule, string) result
 (** Parse a spec string; [Error] carries a human-readable message naming the
     offending token. *)
 
+val to_string : schedule -> string
+(** The spec string of a schedule, times in exact seconds:
+    [parse (to_string s) = Ok s] for any non-empty schedule [parse] can
+    produce. *)
+
 val validate : Txnkit.Cluster.t -> schedule -> unit
 (** Raises [Invalid_argument] naming the first node, partition or DC id in
     the schedule that the cluster does not have. *)

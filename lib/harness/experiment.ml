@@ -1,71 +1,27 @@
-type system_spec =
-  | Carousel_basic
-  | Carousel_fast
-  | Tapir
-  | Twopl of Twopl.variant
-  | Natto of Natto.Features.t
-  | Quecc of Quecc.variant
+include Spec
 
-let spec_name = function
-  | Carousel_basic -> "Carousel Basic"
-  | Carousel_fast -> "Carousel Fast"
-  | Tapir -> "TAPIR"
-  | Twopl v -> Twopl.name_of v
-  | Natto f -> Natto.Features.name f
-  | Quecc v -> Quecc.name v
+(* One generator per (workload, zipf) for the whole process: building one
+   over 1M keys costs 50-100 ms, and a figure's cells share a few.
+   Generators are immutable, so one value serves every run on every
+   domain. *)
+let gens : (workload * float, Workload.Gen.t) Hashtbl.t = Hashtbl.create 8
+let gens_lock = Mutex.create ()
 
-let all_natto_variants =
-  [
-    Natto Natto.Features.ts;
-    Natto Natto.Features.lecsf;
-    Natto Natto.Features.pa;
-    Natto Natto.Features.cp;
-    Natto Natto.Features.recsf;
-  ]
-
-let eleven_systems =
-  [
-    Twopl Twopl.Plain;
-    Twopl Twopl.Preempt;
-    Twopl Twopl.Preempt_on_wait;
-    Tapir;
-    Carousel_basic;
-    Carousel_fast;
-  ]
-  @ all_natto_variants
-
-let eight_systems =
-  [
-    Twopl Twopl.Plain;
-    Twopl Twopl.Preempt;
-    Twopl Twopl.Preempt_on_wait;
-    Tapir;
-    Carousel_basic;
-    Carousel_fast;
-    Natto Natto.Features.ts;
-    Natto Natto.Features.recsf;
-  ]
-
-type setup = {
-  topo : Netsim.Topology.t;
-  n_partitions : int;
-  clients_per_dc : int;
-  net_config : Netsim.Network.config;
-  driver : Workload.Driver.config;
-  batching : Rpc.Batcher.config option;
-  faults : Faults.schedule option;
-}
-
-let default_setup =
-  {
-    topo = Netsim.Topology.azure5;
-    n_partitions = 5;
-    clients_per_dc = 2;
-    net_config = Netsim.Network.default_config;
-    driver = Workload.Driver.default_config;
-    batching = None;
-    faults = None;
-  }
+let gen s =
+  Mutex.protect gens_lock (fun () ->
+      let key = (s.workload, s.zipf) in
+      match Hashtbl.find_opt gens key with
+      | Some g -> g
+      | None ->
+          let g =
+            match s.workload with
+            | Ycsbt -> Workload.Ycsbt.gen ~theta:s.zipf ()
+            | Retwis -> Workload.Retwis.gen ~theta:s.zipf ()
+            | Smallbank -> Workload.Smallbank.gen ()
+            | Smallbank_priority -> Workload.Smallbank.gen ~prioritize_send_payment:true ()
+          in
+          Hashtbl.add gens key g;
+          g)
 
 let instantiate spec cluster =
   match spec with
@@ -77,7 +33,6 @@ let instantiate spec cluster =
   | Quecc v -> Quecc.make cluster ~variant:v
 
 let needs_raft = function Tapir -> false | _ -> true
-let deterministic = function Quecc _ -> true | _ -> false
 let needs_proxies = function Natto _ -> true | _ -> false
 
 (* Process-wide message accounting, opted into by --trace-summary. Every
@@ -100,17 +55,16 @@ let reset_trace_totals () =
   Hashtbl.reset link_totals
 
 let accumulate trace =
+  let find tbl key zero = Option.value ~default:zero (Hashtbl.find_opt tbl key) in
   let bytes = Trace.kind_bytes trace in
   List.iter
     (fun (kind, n) ->
       let b = Option.value ~default:0 (List.assoc_opt kind bytes) in
-      let n0, b0 = Option.value ~default:(0, 0) (Hashtbl.find_opt totals kind) in
+      let n0, b0 = find totals kind (0, 0) in
       Hashtbl.replace totals kind (n0 + n, b0 + b))
     (Trace.kind_counts trace);
   List.iter
-    (fun (link, n) ->
-      Hashtbl.replace link_totals link
-        (n + Option.value ~default:0 (Hashtbl.find_opt link_totals link)))
+    (fun (link, n) -> Hashtbl.replace link_totals link (n + find link_totals link 0))
     (Trace.link_counts trace)
 
 let trace_totals () =
@@ -132,15 +86,14 @@ let print_trace_totals () =
     (trace_link_totals ())
 
 type outcome = {
-  o_spec : system_spec;
-  o_seed : int;
+  o_setup : setup;
   o_result : Workload.Driver.result;
   o_check : (Check.History.t * Check.Checker.report) option;
   o_trace : Trace.t option;
   o_metrics :
     (Metrics.Registry.t * Metrics.Attribution.txn_breakdown list * Metrics.Blame.t) option;
   o_batch : Rpc.Batcher.stats option;
-  o_events : int;  (* engine events processed; deterministic per (spec, seed) *)
+  o_events : int;  (* engine events processed; deterministic per setup *)
   o_messages : int;
 }
 
@@ -152,7 +105,8 @@ type outcome = {
    metering are pure observation (no messages or RNG draws; the metrics
    sampler's timer events only read state), so [o_result] is byte-for-byte
    the same whichever of them are on. *)
-let run ?(check = false) ?trace:(traced = false) ?(metrics = false) setup spec ~gen ~seed =
+let run ?(check = false) ?trace:(traced = false) ?(metrics = false) setup =
+  let spec = setup.system and seed = setup.driver.Workload.Driver.seed and gen = gen setup in
   let full = traced || metrics in
   let trace =
     if full || !counters_on then begin
@@ -181,7 +135,7 @@ let run ?(check = false) ?trace:(traced = false) ?(metrics = false) setup spec ~
      sees the failover machinery armed. *)
   Option.iter (Faults.install cluster) setup.faults;
   let system = instantiate spec cluster in
-  let result = Workload.Driver.run cluster system ~gen { setup.driver with Workload.Driver.seed } in
+  let result = Workload.Driver.run cluster system ~gen setup.driver in
   let checked =
     if check then begin
       let history = Check.Recorder.history cluster.Txnkit.Cluster.recorder in
@@ -202,8 +156,7 @@ let run ?(check = false) ?trace:(traced = false) ?(metrics = false) setup spec ~
     | _ -> None
   in
   {
-    o_spec = spec;
-    o_seed = seed;
+    o_setup = setup;
     o_result = result;
     o_check = checked;
     o_trace = trace;
@@ -217,7 +170,7 @@ let merge o =
   Option.iter accumulate o.o_trace;
   (match o.o_check with
   | Some (history, report) ->
-      Check.Checker.assert_ok ?trace:o.o_trace ~label:(spec_name o.o_spec) history report
+      Check.Checker.assert_ok ?trace:o.o_trace ~label:(spec_name o.o_setup.system) history report
   | None -> ());
   o.o_result
 
@@ -240,56 +193,31 @@ type summary = {
 
 let summarize results =
   (* Percentiles are kept per-seed (dropping NaN reps, e.g. a class with no
-     commits); every count and goodput accumulates in the same single pass
-     over [results]. *)
-  let finite f = Array.of_list (List.filter_map (fun r -> let x = f r in if Float.is_nan x then None else Some x) results) in
-  let p95s_high = finite Workload.Driver.p95_high in
-  let p95s_low = finite Workload.Driver.p95_low in
-  let ci a = if Array.length a = 0 then (nan, nan) else Simstats.Confidence.interval95 a in
-  let p95_high_ms, p95_high_ci = ci p95s_high in
-  let p95_low_ms, p95_low_ci = ci p95s_low in
-  let n = ref 0
-  and gp_high = ref 0.0
-  and gp_low = ref 0.0
-  and failed = ref 0
-  and unfinished = ref 0
-  and aborts = ref 0
-  and spec_aborts = ref 0
-  and partial_restarts = ref 0
-  and keys_reused = ref 0
-  and keys_validated = ref 0
-  and commits = ref 0 in
-  List.iter
-    (fun r ->
-      incr n;
-      gp_high := !gp_high +. r.Workload.Driver.goodput_high_tps;
-      gp_low := !gp_low +. r.Workload.Driver.goodput_low_tps;
-      failed := !failed + r.Workload.Driver.failed;
-      unfinished := !unfinished + r.Workload.Driver.unfinished;
-      aborts := !aborts + r.Workload.Driver.total_aborts;
-      spec_aborts := !spec_aborts + r.Workload.Driver.spec_aborts;
-      partial_restarts := !partial_restarts + r.Workload.Driver.partial_restarts;
-      keys_reused := !keys_reused + r.Workload.Driver.keys_reused;
-      keys_validated := !keys_validated + r.Workload.Driver.keys_validated;
-      commits := !commits + r.Workload.Driver.committed_high + r.Workload.Driver.committed_low)
-    results;
-  let reps = float_of_int (max 1 !n) in
-  {
-    p95_high_ms;
-    p95_high_ci;
-    p95_low_ms;
-    p95_low_ci;
-    goodput_high_tps = !gp_high /. reps;
-    goodput_low_tps = !gp_low /. reps;
-    failed = !failed;
-    unfinished = !unfinished;
-    aborts = !aborts;
-    spec_aborts = !spec_aborts;
-    partial_restarts = !partial_restarts;
-    keys_reused = !keys_reused;
-    keys_validated = !keys_validated;
-    commits = !commits;
-  }
-
-let run_outcomes ?check ?(jobs = 1) setup spec ~gen ~seeds =
-  Pool.map_ordered ~jobs (fun seed -> run ?check setup spec ~gen ~seed) seeds
+     commits) and averaged; goodputs are averaged and counts summed, in
+     [results] order. *)
+  let finite f = List.filter (fun x -> not (Float.is_nan x)) (List.map f results) in
+  let ci f =
+    match finite f with [] -> (nan, nan) | xs -> Simstats.Confidence.interval95 (Array.of_list xs)
+  in
+  let p95_high_ms, p95_high_ci = ci Workload.Driver.p95_high in
+  let p95_low_ms, p95_low_ci = ci Workload.Driver.p95_low in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let reps = float_of_int (max 1 (List.length results)) in
+  let mean f = List.fold_left (fun acc r -> acc +. f r) 0. results /. reps in
+  Workload.Driver.
+    {
+      p95_high_ms;
+      p95_high_ci;
+      p95_low_ms;
+      p95_low_ci;
+      goodput_high_tps = mean (fun r -> r.goodput_high_tps);
+      goodput_low_tps = mean (fun r -> r.goodput_low_tps);
+      failed = sum (fun r -> r.failed);
+      unfinished = sum (fun r -> r.unfinished);
+      aborts = sum (fun r -> r.total_aborts);
+      spec_aborts = sum (fun r -> r.spec_aborts);
+      partial_restarts = sum (fun r -> r.partial_restarts);
+      keys_reused = sum (fun r -> r.keys_reused);
+      keys_validated = sum (fun r -> r.keys_validated);
+      commits = sum (fun r -> r.committed_high + r.committed_low);
+    }

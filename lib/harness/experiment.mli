@@ -1,54 +1,14 @@
-(** Experiment runner: builds a fresh cluster per (system, seed) pair and
-    drives a workload through it, so runs never share simulator state. *)
+(** Experiment runner: builds a fresh cluster per run and drives the
+    setup's workload through it, so runs never share simulator state. *)
 
-type system_spec =
-  | Carousel_basic
-  | Carousel_fast
-  | Tapir
-  | Twopl of Twopl.variant
-  | Natto of Natto.Features.t
-  | Quecc of Quecc.variant
-
-val spec_name : system_spec -> string
-
-val deterministic : system_spec -> bool
-(** True for queue-oriented deterministic families (QueCC): zero
-    client-visible retries outside fault windows, speculation aborts
-    instead. *)
-
-val all_natto_variants : system_spec list
-(** TS, LECSF, PA, CP, RECSF — the paper's five evaluation points. *)
-
-val eleven_systems : system_spec list
-(** Every system in Fig. 7(a): the three 2PL variants, TAPIR, both
-    Carousels, and the five Natto variants. *)
-
-val eight_systems : system_spec list
-(** The Fig. 7(c) set: the 2PL variants, TAPIR, the Carousels, Natto-TS and
-    Natto-RECSF. *)
-
-type setup = {
-  topo : Netsim.Topology.t;
-  n_partitions : int;
-  clients_per_dc : int;
-  net_config : Netsim.Network.config;
-  driver : Workload.Driver.config;
-  batching : Rpc.Batcher.config option;
-      (** install an [Rpc.Batcher] + Raft group commit on every cluster the
-          experiment builds; [None] (the default) is byte-identical to the
-          pre-batching harness *)
-  faults : Faults.schedule option;
-      (** installed before the driver starts (see {!Faults.install});
-          [None] (the default) is byte-identical to the pre-fault harness *)
-}
-
-val default_setup : setup
-(** §5.1 defaults: azure5, 5 partitions, 2 clients per DC, no batching, no
-    faults. *)
+include module type of struct
+  include Spec
+end
+(** A run is one {!Spec.setup}; the types, the name tables and the line
+    grammar are {!Spec}'s. *)
 
 type outcome = {
-  o_spec : system_spec;
-  o_seed : int;
+  o_setup : setup;  (** the setup that ran; [o_setup.driver.seed] is its seed *)
   o_result : Workload.Driver.result;
   o_check : (Check.History.t * Check.Checker.report) option;
       (** present iff the run was checked; not yet asserted *)
@@ -65,22 +25,14 @@ type outcome = {
       (** batcher occupancy/flush statistics, present iff the setup batched *)
   o_events : int;
       (** engine events processed over the run; deterministic per
-          (spec, seed), so it doubles as a cheap determinism lock (metering
+          setup, so it doubles as a cheap determinism lock (metering
           adds one sampler event per window) *)
   o_messages : int;  (** [Netsim.Network.messages_sent] over the run *)
 }
 
-val run :
-  ?check:bool ->
-  ?trace:bool ->
-  ?metrics:bool ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seed:int ->
-  outcome
-(** One run: fresh cluster, the setup's faults, one system, one workload
-    pass, observed as requested (all default [false]):
+val run : ?check:bool -> ?trace:bool -> ?metrics:bool -> setup -> outcome
+(** One run: fresh cluster, the setup's faults, its system, one pass of its
+    workload at [setup.driver.seed], observed as requested (all default [false]):
     - [check] records the transaction history and verifies strict
       serializability (plus increment conservation for
       {!Workload.Gen.increment_rmw} workloads) after the drain;
@@ -104,18 +56,6 @@ val merge : outcome -> Workload.Driver.result
     counterexample if the run's check failed; return the run's result.
     Merging outcomes in input order is what keeps parallel harness output
     byte-for-byte identical to a sequential run. *)
-
-val run_outcomes :
-  ?check:bool ->
-  ?jobs:int ->
-  setup ->
-  system_spec ->
-  gen:Workload.Gen.t ->
-  seeds:int list ->
-  outcome list
-(** One {!run} per seed, farmed out over [jobs] domains (default [1]) via
-    {!Pool.map_ordered}; outcomes come back in seed order and are not yet
-    merged. *)
 
 (** {2 Aggregate message accounting}
 

@@ -135,33 +135,31 @@ type mode =
   | Timed of { jobs : int; seeds : int list }
       (** unchecked seed batch over [jobs] domains, wall-clocked *)
 
-type 'x cell = {
-  x : 'x;
-  spec : Experiment.system_spec;
-  setup : Experiment.setup;
-  gen : Workload.Gen.t;
-  mode : mode;
-}
-
+type 'x cell = { x : 'x; setup : Experiment.setup; mode : mode }
 type 'x ran = { cell : 'x cell; outs : Experiment.outcome list; wall_s : float }
 
+let driver_with f (s : Experiment.setup) = { s with Experiment.driver = f s.Experiment.driver }
+
+(* The setups a cell runs, in run order. *)
+let runs scale c =
+  let seeded seeds setup = List.map (fun seed -> Experiment.with_seed seed setup) seeds in
+  match c.mode with
+  | Seeds -> seeded (seeds scale) c.setup
+  | Once _ -> seeded [ List.hd (seeds scale) ] c.setup
+  | Ramp rates ->
+      List.concat_map
+        (fun rate_tps ->
+          seeded [ List.hd (seeds scale) ] (driver_with (fun d -> { d with rate_tps }) c.setup))
+        rates
+  | Timed { seeds; _ } -> seeded seeds c.setup
+
 let simulate scale c =
-  let once ~check ~metrics setup =
-    Experiment.run ~check ~metrics setup c.spec ~gen:c.gen ~seed:(List.hd (seeds scale))
-  in
   let t0 = Unix.gettimeofday () in
   let outs =
     match c.mode with
-    | Seeds ->
-        Experiment.run_outcomes ~check:true c.setup c.spec ~gen:c.gen ~seeds:(seeds scale)
-    | Once { check; metrics } -> [ once ~check ~metrics c.setup ]
-    | Ramp rates ->
-        List.map
-          (fun rate_tps ->
-            let driver = { c.setup.Experiment.driver with Workload.Driver.rate_tps } in
-            once ~check:true ~metrics:false { c.setup with Experiment.driver })
-          rates
-    | Timed { jobs; seeds } -> Experiment.run_outcomes ~jobs c.setup c.spec ~gen:c.gen ~seeds
+    | Seeds | Ramp _ -> List.map (Experiment.run ~check:true) (runs scale c)
+    | Once { check; metrics } -> List.map (Experiment.run ~check ~metrics) (runs scale c)
+    | Timed { jobs; _ } -> Pool.map_ordered ~jobs (fun s -> Experiment.run s) (runs scale c)
   in
   { cell = c; outs; wall_s = Unix.gettimeofday () -. t0 }
 
@@ -179,14 +177,11 @@ let grid scale cells =
   in
   List.map2 (fun c r -> match r with Some r -> r | None -> simulate scale c) cells pooled
 
-let product xs systems ~setup ~gen ~mode =
-  List.concat_map
-    (fun x ->
-      let gen = gen x in
-      List.map (fun spec -> { x; spec; setup = setup x; gen; mode }) systems)
-    xs
+let product xs systems ~setup ~mode =
+  let cell x system = { x; setup = { (setup x) with Experiment.system }; mode } in
+  List.concat_map (fun x -> List.map (cell x) systems) xs
 
-let system_of r = Experiment.spec_name r.cell.spec
+let system_of r = Experiment.spec_name r.cell.setup.Experiment.system
 let summary r = Experiment.summarize (List.map (fun o -> o.Experiment.o_result) r.outs)
 let metered r = Option.get (List.hd r.outs).Experiment.o_metrics
 
@@ -227,8 +222,13 @@ let run scale (Spec f) =
   let ran = grid scale (f.cells scale) in
   let pts = List.concat_map (emit f.name) (f.lines scale ran) in
   (* Merging after the rows are out: a checker violation raises with its
-     counterexample once the verdicts have been printed. *)
-  List.iter (fun r -> List.iter (fun o -> ignore (Experiment.merge o)) r.outs) ran;
+     counterexample and replay line once the verdicts have been printed. *)
+  let merge o =
+    try ignore (Experiment.merge o)
+    with Check.Checker.Violation msg ->
+      raise (Check.Checker.Violation (msg ^ "\nreplay: " ^ Experiment.replay o.Experiment.o_setup))
+  in
+  List.iter (fun r -> List.iter merge r.outs) ran;
   Option.iter (fun accept -> accept pts) f.accept
 
 let field name p = List.assoc name p.pt_fields
@@ -236,25 +236,15 @@ let field name p = List.assoc name p.pt_fields
 let reject figure fmt = Printf.ksprintf (fun s -> failwith (figure ^ ": " ^ s)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Systems named once *)
+(* Systems, by their natto_sim names *)
 
-let twopl_variants =
-  List.map (fun v -> Experiment.Twopl v) Twopl.[ Plain; Preempt; Preempt_on_wait ]
-let recsf = Experiment.Natto Natto.Features.recsf
-let twopl_and_recsf = twopl_variants @ [ recsf ]
+let named = Experiment.named
+let twopl_variants = named [ "2pl"; "2pl-p"; "2pl-pow" ]
+let twopl_and_recsf = twopl_variants @ named [ "natto-recsf" ]
 
 (* One system per protocol family. *)
 let families =
-  Experiment.
-    [
-      Twopl Twopl.Plain;
-      Tapir;
-      Carousel_basic;
-      Carousel_fast;
-      Natto Natto.Features.recsf;
-      Quecc Quecc.Fifo;
-      Quecc Quecc.Prio;
-    ]
+  named [ "2pl"; "tapir"; "carousel-basic"; "carousel-fast"; "natto-recsf"; "quecc"; "quecc-prio" ]
 
 (* ------------------------------------------------------------------ *)
 (* Latency grids: Figs. 7-13, the QueCC sweep and the ablations *)
@@ -278,21 +268,15 @@ let latency_spec ?accept ?(system = system_of) ~name ~caption ~x_label ~show cel
   spec ?accept ~name ~caption ~table:latency ~cells (fun _ ->
       rows ~system latency ~x_label ~x:show summary)
 
-let sweep ?accept ~name ~caption ~x_label ~show ~xs ~systems ~setup ~gen () =
+let sweep ?accept ~name ~caption ~x_label ~show ~xs ~systems ~setup () =
   latency_spec ?accept ~name ~caption ~x_label ~show (fun scale ->
-      product xs systems ~setup:(setup scale) ~gen ~mode:Seeds)
+      product xs systems ~setup:(setup scale) ~mode:Seeds)
 
-let at_rate rate scale _ =
-  { Experiment.default_setup with Experiment.driver = driver_config scale ~rate }
+let at_rate ?(workload = Experiment.Ycsbt) ?(zipf = 0.65) rate scale =
+  { Experiment.default_setup with Experiment.workload; zipf; driver = driver_config scale ~rate }
 
-let rate_sweep scale rate = at_rate rate scale ()
-
-let with_net net_config rate scale =
-  { Experiment.default_setup with Experiment.net_config; driver = driver_config scale ~rate }
-
-let ycsbt _ = Workload.Ycsbt.gen ()
-let ycsbt_at theta = Workload.Ycsbt.gen ~theta ()
-let retwis _ = Workload.Retwis.gen ()
+let rate_sweep ?workload scale rate = at_rate ?workload rate scale
+let zipf_sweep ?workload rate scale zipf = at_rate ?workload ~zipf rate scale
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 10: SmallBank with sendPayment as the high-priority class; each
@@ -314,12 +298,10 @@ let fig10 =
        the 100 txn/s baseline"
     ~table
     ~cells:(fun scale ->
-      let gen = Workload.Smallbank.gen ~prioritize_send_payment:true () in
       List.concat_map
-        (fun spec ->
-          List.map
-            (fun x -> { x; spec; setup = rate_sweep scale x; gen; mode = Seeds })
-            rates)
+        (fun system ->
+          product rates [ system ] ~mode:Seeds
+            ~setup:(rate_sweep ~workload:Experiment.Smallbank_priority scale))
         twopl_and_recsf)
     (fun _ ->
       let baseline = ref nan in
@@ -338,7 +320,9 @@ let fig10 =
 let local_cluster ~n_partitions driver =
   {
     Experiment.default_setup with
-    Experiment.topo = Netsim.Topology.local3;
+    Experiment.workload = Experiment.Retwis;
+    zipf = 0.0;
+    topo = Netsim.Topology.local3;
     n_partitions;
     net_config = { Netsim.Network.default_config with Netsim.Network.msg_cost = Sim_time.us 25 };
     driver;
@@ -360,14 +344,12 @@ let fig14 =
       let duration = match scale with Quick -> 3. | Full -> 10. in
       (* The ramp sets the rate of each run. *)
       let driver = driver_config ~duration ~drain:10. scale ~rate:0. in
-      let gen = Workload.Retwis.gen ~theta:0.0 () in
       List.concat_map
         (fun n ->
-          let ramp = Ramp (List.map (fun f -> f *. float_of_int n) factors) in
-          let setup = local_cluster ~n_partitions:n driver in
-          List.map
-            (fun spec -> { x = n; spec; setup; gen; mode = ramp })
-            (twopl_variants @ Experiment.[ Tapir; Carousel_basic; Carousel_fast ] @ [ recsf ]))
+          product [ n ]
+            (twopl_variants @ named [ "tapir"; "carousel-basic"; "carousel-fast"; "natto-recsf" ])
+            ~setup:(fun n -> local_cluster ~n_partitions:n driver)
+            ~mode:(Ramp (List.map (fun f -> f *. float_of_int n) factors)))
         partitions)
     (fun _ ->
       rows table ~x_label:"partitions" ~x:string_of_int (fun r ->
@@ -399,17 +381,15 @@ let failover =
     ~cells:(fun scale ->
       let dur = duration scale in
       let faults =
-        [
-          { Faults.at = Sim_time.seconds (dur /. 3.); action = Faults.Crash (Faults.Leader_of 0) };
-          { Faults.at = Sim_time.seconds (2. *. dur /. 3.); action = Faults.Restart_all };
-        ]
+        Printf.sprintf "crash-leader:0@%gs,restart@%gs" (dur /. 3.) (2. *. dur /. 3.)
+        |> Faults.parse |> Result.get_ok
       in
       (* TAPIR's symmetric OCC aborts make its post-outage retry backlog the
          slowest to clear; give every system the same generous drain so the
          unfinished column measures hangs, not an early cutoff. *)
       let driver = driver_config ~duration:dur ~warmup:1. ~drain:60. scale ~rate:100. in
-      let setup = { Experiment.default_setup with Experiment.driver; faults = Some faults } in
-      product [ () ] families ~setup:(fun () -> setup) ~gen:ycsbt ~mode:Seeds)
+      product [ () ] families ~mode:Seeds ~setup:(fun () ->
+          { Experiment.default_setup with Experiment.driver; faults = Some faults }))
     (fun scale ->
       let dur = duration scale in
       let crash_t = dur /. 3. and heal_t = 2. *. dur /. 3. in
@@ -468,20 +448,16 @@ let check_figure =
       let driver = driver_config ~duration:dur ~warmup:1. ~drain:60. scale ~rate:100. in
       (* Leader crash plus a DC cut: both kinds of fault the checker must
          see through (phantom commits, retried reads). *)
-      let at f action = { Faults.at = Sim_time.seconds (dur *. f); action } in
       let crash_cut =
-        [
-          at 0.25 (Faults.Crash (Faults.Leader_of 0));
-          at 0.375 (Faults.Partition (0, 1));
-          at 0.5 Faults.Heal_all;
-          at 0.625 Faults.Restart_all;
-        ]
+        Printf.sprintf "crash-leader:0@%gs,cut:0-1@%gs,heal@%gs,restart@%gs" (dur *. 0.25)
+          (dur *. 0.375) (dur *. 0.5) (dur *. 0.625)
+        |> Faults.parse |> Result.get_ok
       in
       product
         [ ("none", None); ("crash+cut", Some crash_cut) ]
         families
-        ~setup:(fun (_, faults) -> { Experiment.default_setup with Experiment.driver; faults })
-        ~gen:(fun _ -> ycsbt_at 0.95)
+        ~setup:(fun (_, faults) ->
+          { Experiment.default_setup with Experiment.zipf = 0.95; driver; faults })
         ~mode:(Once { check = true; metrics = false }))
     (fun _ ->
       rows table ~x_label:"schedule" ~x:fst (fun r ->
@@ -517,8 +493,8 @@ let attribution =
   spec ~name:"attribution" ~first:"attribution"
     ~caption:"commit-latency critical path, YCSB+T zipf 0.95 @100 txn/s per family" ~table
     ~cells:(fun scale ->
-      product [ () ] families ~setup:(at_rate 100. scale)
-        ~gen:(fun () -> ycsbt_at 0.95)
+      product [ () ] families
+        ~setup:(fun () -> at_rate ~zipf:0.95 100. scale)
         ~mode:(Once { check = false; metrics = true }))
     (fun _ ran ->
       List.concat_map
@@ -618,7 +594,6 @@ let batchsweep =
        uniform Retwis, 3 local DCs, 4 partitions"
     ~table
     ~cells:(fun scale ->
-      let gen = Workload.Retwis.gen ~theta:0.0 () in
       let duration = match scale with Quick -> 2. | Full -> 6. in
       (* Per-mode ladders: both modes share the low rungs; the unbatched
          ladder stops one rung past its collapse (deep-overload cells
@@ -643,8 +618,7 @@ let batchsweep =
       in
       let cell (name, batching) rate mode =
         let driver = driver_config ~duration ~drain:5. scale ~rate in
-        let setup = { (local_cluster ~n_partitions driver) with Experiment.batching } in
-        { x = (name, rate); spec = recsf; setup; gen; mode }
+        { x = (name, rate); setup = { (local_cluster ~n_partitions driver) with batching }; mode }
       in
       (* The history checker is O(committed txns); running it on the
          low-rate rungs proves batched histories stay serializable without
@@ -721,9 +695,8 @@ let simthroughput =
   spec ~name:"simthroughput"
     ~caption:"simulator events/sec (gated; wall-clock fields vary by machine)" ~table
     ~cells:(fun scale ->
-      let gen = Workload.Ycsbt.gen () in
       let driver = driver_config scale ~rate:100. in
-      let cell x_label n setup mode = { x = (x_label, n); spec = recsf; setup; gen; mode } in
+      let cell x_label n setup mode = { x = (x_label, n); setup; mode } in
       (* Series 1: events/sec as the cluster grows (more partitions means
          more replication groups, probe targets and messages per
          transaction). *)
@@ -812,19 +785,10 @@ let tailblame =
         driver_config ?duration:(quick scale 8.) ?warmup:(quick scale 2.) scale ~rate:20.
       in
       product thetas
-        Experiment.
-          [
-            Twopl Twopl.Plain;
-            Tapir;
-            Carousel_fast;
-            Natto Natto.Features.ts;
-            Natto Natto.Features.cp;
-            Natto Natto.Features.recsf;
-            Quecc Quecc.Fifo;
-            Quecc Quecc.Prio;
-          ]
-        ~setup:(fun _ -> { Experiment.default_setup with Experiment.driver })
-        ~gen:ycsbt_at
+        (named
+           [ "2pl"; "tapir"; "carousel-fast"; "natto-ts"; "natto-cp"; "natto-recsf"; "quecc";
+             "quecc-prio" ])
+        ~setup:(fun zipf -> { Experiment.default_setup with Experiment.zipf; driver })
         ~mode:(Once { check = false; metrics = true }))
     ~accept:(fun pts ->
       let inv =
@@ -905,7 +869,7 @@ let retrysweep =
       [
         key "zipf" (fun { v = (theta, _), _; _ } -> Printf.sprintf "%.2f" theta);
         key "pa" (fun { v = (_, pa), _; _ } -> if pa then "on" else "off");
-        key "system" (fun r -> r.system);
+        key "system" (fun (r : _ row) -> r.system);
         num "p95_high_ms" (s (fun s -> s.p95_high_ms));
         num "p95_low_ms" (s (fun s -> s.p95_low_ms));
         num "goodput_high_tps" (s (fun s -> s.goodput_high_tps));
@@ -929,15 +893,7 @@ let retrysweep =
         ]
   in
   let systems =
-    Experiment.
-      [
-        Twopl Twopl.Plain;
-        Tapir;
-        Carousel_basic;
-        Carousel_fast;
-        Natto Natto.Features.ts;
-        Natto Natto.Features.recsf;
-      ]
+    named [ "2pl"; "tapir"; "carousel-basic"; "carousel-fast"; "natto-ts"; "natto-recsf" ]
   in
   let theta = 0.99 in
   spec ~name:"retrysweep" ~first:"retrysweep"
@@ -949,12 +905,12 @@ let retrysweep =
       (* Quick mode is shorter than the latency figures (the sweep needs
          retries and their reuse counters, not tight percentiles) and trims
          the grid to the contention endpoints + the headline point. *)
-      let setup (_, partial_abort) =
+      let setup (zipf, partial_abort) =
         let driver =
           driver_config ?duration:(quick scale 6.) ?warmup:(quick scale 1.5) scale ~rate:100.
         in
         let driver = { driver with Workload.Driver.partial_abort } in
-        { Experiment.default_setup with Experiment.driver }
+        { Experiment.default_setup with Experiment.zipf; driver }
       in
       let modes th = [ (th, false); (th, true) ] in
       let thetas =
@@ -962,12 +918,11 @@ let retrysweep =
       in
       (* The checked sweep, then the metered pass: each family off, then on. *)
       List.concat_map
-        (fun th -> product (modes th) systems ~setup ~gen:(fun _ -> ycsbt_at th) ~mode:Seeds)
+        (fun th -> product (modes th) systems ~setup ~mode:Seeds)
         thetas
       @ List.concat_map
-          (fun spec ->
-            product (modes theta) [ spec ] ~setup ~gen:(fun _ -> ycsbt_at theta)
-              ~mode:(Once { check = false; metrics = true }))
+          (fun system ->
+            product (modes theta) [ system ] ~setup ~mode:(Once { check = false; metrics = true }))
           systems)
     ~accept:(fun pts ->
       let good =
@@ -1040,63 +995,49 @@ let specs =
         "YCSB+T (local cluster), 95P latency vs input rate; Fig 7(b)'s x-axis is the goodput \
          column"
       ~show:string_of_float ~x_label:"rate_tps" ~xs:[ 50.; 150.; 250.; 350. ]
-      ~systems:Experiment.eleven_systems ~setup:rate_sweep ~gen:ycsbt ();
+      ~systems:Experiment.eleven_systems ~setup:rate_sweep ();
     sweep ~name:"fig7cd" ~caption:"Retwis (Azure), 95P latency vs input rate"
       ~show:string_of_float ~x_label:"rate_tps" ~xs:[ 100.; 500.; 1000.; 1500. ]
-      ~systems:Experiment.eight_systems ~setup:rate_sweep ~gen:retwis ();
+      ~systems:Experiment.eight_systems ~setup:(rate_sweep ~workload:Experiment.Retwis) ();
     sweep ~name:"fig7ef" ~caption:"SmallBank (Azure), 95P latency vs input rate"
       ~show:string_of_float ~x_label:"rate_tps" ~xs:[ 500.; 1000.; 1500.; 2000. ]
-      ~systems:Experiment.eight_systems ~setup:rate_sweep
-      ~gen:(fun _ -> Workload.Smallbank.gen ())
-      ();
+      ~systems:Experiment.eight_systems ~setup:(rate_sweep ~workload:Experiment.Smallbank) ();
     sweep ~name:"fig8a" ~caption:"YCSB+T @50 txn/s, 95P high-priority latency vs Zipf coefficient"
       ~show:string_of_float ~x_label:"zipf" ~xs:[ 0.65; 0.75; 0.85; 0.95 ]
-      ~systems:Experiment.eleven_systems ~setup:(at_rate 50.) ~gen:ycsbt_at ();
+      ~systems:Experiment.eleven_systems ~setup:(zipf_sweep 50.) ();
     sweep ~name:"fig8b"
       ~caption:"Retwis @100 txn/s, 95P high-priority latency vs Zipf coefficient"
       ~show:string_of_float ~x_label:"zipf" ~xs:[ 0.65; 0.75; 0.85; 0.95 ]
-      ~systems:Experiment.eight_systems ~setup:(at_rate 100.)
-      ~gen:(fun theta -> Workload.Retwis.gen ~theta ())
-      ();
+      ~systems:Experiment.eight_systems ~setup:(zipf_sweep ~workload:Experiment.Retwis 100.) ();
     sweep ~name:"fig9"
       ~caption:"YCSB+T @350 txn/s, 95P high-priority latency vs high-priority percentage"
       ~show:string_of_float ~x_label:"high_pct" ~xs:[ 10.; 20.; 40.; 60.; 80.; 100. ]
       ~systems:twopl_and_recsf
       ~setup:(fun scale pct ->
-        let driver =
-          { (driver_config scale ~rate:350.) with Workload.Driver.high_fraction = pct /. 100. }
-        in
-        { Experiment.default_setup with Experiment.driver })
-      ~gen:ycsbt ();
+        driver_with (fun d -> { d with high_fraction = pct /. 100. }) (at_rate 350. scale))
+      ();
     fig10;
     sweep ~name:"fig11"
       ~caption:"YCSB+T @350 txn/s, 95P high-priority latency vs network delay variance"
       ~show:string_of_float ~x_label:"variance_pct" ~xs:[ 0.; 5.; 15.; 25.; 40. ]
       ~systems:Experiment.eight_systems
       ~setup:(fun scale pct ->
-        with_net
-          {
-            Netsim.Network.default_config with
-            Netsim.Network.cv_override = (if pct = 0. then None else Some (pct /. 100.));
-          }
-          350. scale)
-      ~gen:ycsbt ();
+        let cv_override = if pct = 0. then None else Some (pct /. 100.) in
+        let net_config = { Netsim.Network.default_config with cv_override } in
+        { (at_rate 350. scale) with net_config })
+      ();
     sweep ~name:"fig12" ~caption:"YCSB+T @100 txn/s, 95P high-priority latency vs packet loss"
       ~show:string_of_float ~x_label:"loss_pct" ~xs:[ 0.; 0.5; 1.0; 1.5; 2.0; 2.5; 3.0 ]
       ~systems:Experiment.eight_systems
       ~setup:(fun scale pct ->
-        let net = { Netsim.Network.default_config with Netsim.Network.loss = pct /. 100. } in
-        with_net net 100. scale)
-      ~gen:ycsbt ();
+        let net_config = { Netsim.Network.default_config with loss = pct /. 100. } in
+        { (at_rate 100. scale) with net_config })
+      ();
     sweep ~name:"fig13" ~caption:"Retwis @1000 txn/s on hybrid AWS+Azure, 95P high-priority latency"
       ~x_label:"deployment" ~show:Fun.id ~xs:[ "hybrid" ] ~systems:Experiment.eight_systems
       ~setup:(fun scale _ ->
-        {
-          Experiment.default_setup with
-          Experiment.topo = Netsim.Topology.hybrid_aws_azure;
-          driver = driver_config scale ~rate:1000.;
-        })
-      ~gen:retwis ();
+        { (at_rate ~workload:Retwis 1000. scale) with topo = Netsim.Topology.hybrid_aws_azure })
+      ();
     fig14;
     batchsweep;
     (* Design knobs the paper mentions but does not sweep; each variant is
@@ -1108,19 +1049,17 @@ let specs =
       ~x_label:"variant" ~show:Fun.id
       ~system:(fun r -> r.cell.x)
       (fun scale ->
-        let gen = ycsbt_at 0.75 in
         List.map
-          (fun (x, features) ->
-            let spec = Experiment.Natto features in
-            { x; spec; setup = at_rate 350. scale (); gen; mode = Seeds })
-          Natto.Features.
-            [
-              ("recsf-default", recsf);
-              ("recsf-no-completion-estimate", { recsf with pa_completion_estimate = false });
-              ("recsf-promote-after-2-aborts", { recsf with promote_after_aborts = Some 2 });
-              ("recsf-pad-0ms", { recsf with ts_pad = Sim_time.zero });
-              ("recsf-pad-10ms", { recsf with ts_pad = Sim_time.ms 10. });
-            ]);
+          (fun (x, name) ->
+            let system = List.assoc name Experiment.systems in
+            { x; setup = { (at_rate ~zipf:0.75 350. scale) with Experiment.system }; mode = Seeds })
+          [
+            ("recsf-default", "natto-recsf");
+            ("recsf-no-completion-estimate", "natto-recsf-no-completion-estimate");
+            ("recsf-promote-after-2-aborts", "natto-recsf-promote-after-2-aborts");
+            ("recsf-pad-0ms", "natto-recsf-pad-0ms");
+            ("recsf-pad-10ms", "natto-recsf-pad-10ms");
+          ]);
     failover;
     attribution;
     check_figure;
@@ -1128,16 +1067,8 @@ let specs =
       ~caption:
         "QueCC (FIFO / priority-ordered) vs Natto TS/CP/RECSF, YCSB+T @100 txn/s vs Zipf theta"
       ~x_label:"zipf" ~show:(Printf.sprintf "%.2f") ~xs:[ 0.8; 0.95; 0.99; 1.2 ]
-      ~systems:
-        Experiment.
-          [
-            Quecc Quecc.Fifo;
-            Quecc Quecc.Prio;
-            Natto Natto.Features.ts;
-            Natto Natto.Features.cp;
-            Natto Natto.Features.recsf;
-          ]
-      ~setup:(at_rate 100.) ~gen:ycsbt_at ();
+      ~systems:(named [ "quecc"; "quecc-prio"; "natto-ts"; "natto-cp"; "natto-recsf" ])
+      ~setup:(zipf_sweep 100.) ();
     tailblame;
     retrysweep;
     simthroughput;
@@ -1149,6 +1080,10 @@ let names = List.map name_of specs
 (* simthroughput's wall-clock fields vary by machine; it runs only when
    asked for by name. *)
 let all_names = List.filter (fun n -> n <> "simthroughput") names
+
+let setups scale name =
+  match List.find (fun s -> name_of s = name) specs with
+  | Spec f -> List.concat_map (runs scale) (f.cells scale)
 
 let run_by_name name scale =
   match List.find_opt (fun s -> name_of s = name) specs with

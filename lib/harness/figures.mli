@@ -2,13 +2,13 @@
     grid runner.
 
     A spec names a figure, its caption, its cells and its columns, plus an
-    optional headline check. A cell is an x value, a system, a setup, a
-    workload generator and a run mode. The runner farms every cell of a
-    figure out to the {!Pool}, then prints a heading, a CSV header and one
-    row per data point, in the sequential cell order, so output is
-    byte-for-byte independent of the pool's job count. One declared column
-    list per table yields the CSV header, each CSV row, and the point
-    collected for [BENCH_results.json].
+    optional headline check. A cell is an x value, a setup (the whole run)
+    and a run mode. The runner farms every cell of a figure out to the
+    {!Pool}, then prints a heading, a CSV header and one row per data point,
+    in the sequential cell order, so output is byte-for-byte independent of
+    the pool's job count. One declared column list per table yields the CSV
+    header, each CSV row, and the point collected for
+    [BENCH_results.json].
 
     Scale is controlled by {!scale}: [Quick] uses shortened runs and fewer
     repetitions (the simulator is deterministic, so percentiles stabilize
@@ -53,20 +53,21 @@ val sweep :
   xs:'x list ->
   systems:Experiment.system_spec list ->
   setup:(scale -> 'x -> Experiment.setup) ->
-  gen:('x -> Workload.Gen.t) ->
   unit ->
   spec
 (** The latency grid behind most figures: one cell per (x, system), each
     checked over the scale's seeds, one row of p95 latency, goodput and
-    abort columns per cell. [show] prints x.
+    abort columns per cell. [setup] gives the cell's setup but for its
+    system, which each of [systems] replaces. [show] prints x.
     [accept], if given, sees the figure's points after its rows are
     printed and raises to reject them. *)
 
 val run : scale -> spec -> unit
 (** Runs one figure: heading, header, rows (collecting their points), then
     the merge of every run in cell order (a checker violation raises here,
-    after the verdict rows), then the figure's headline check, which raises
-    [Failure] if the headline does not hold. *)
+    after the verdict rows, with the failing run's replay line), then the
+    figure's headline check, which raises [Failure] if the headline does
+    not hold. *)
 
 val specs : spec list
 (** Every figure of the evaluation, Table 1 first. *)
@@ -80,6 +81,11 @@ val all_names : string list
     name. *)
 
 val all : scale -> unit
+
+val setups : scale -> string -> Experiment.setup list
+(** Every setup the named figure runs at [scale], in run order, without
+    running any: each cell's seeds, ramp rates and so on spelled out.
+    Raises [Not_found] for an unknown name. *)
 
 val run_by_name : string -> scale -> bool
 (** Runs the named figure; [false] if no spec has that name. *)

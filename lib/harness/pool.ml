@@ -6,20 +6,8 @@
 let configured : int option ref = ref None
 let set_jobs n = configured := n
 
-let env_jobs () =
-  match Sys.getenv_opt "NATTO_JOBS" with
-  | None -> None
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
-
 let jobs_for ~cells =
-  let requested =
-    match !configured with
-    | Some n -> n
-    | None -> (
-        match env_jobs () with
-        | Some n -> n
-        | None -> Domain.recommended_domain_count ())
-  in
+  let requested = Option.value !configured ~default:(Domain.recommended_domain_count ()) in
   max 1 (min requested (max 1 cells))
 
 (* Cumulative wall time spent inside job functions, across every
@@ -29,31 +17,13 @@ let busy_us = Atomic.make 0
 
 let busy_seconds () = float_of_int (Atomic.get busy_us) /. 1e6
 
-(* Nested map_ordered calls (a figure cell whose job runs its seeds through
-   an inner jobs:1 pool) must not count the same wall time twice, so only
-   the outermost job frame on each domain accumulates. *)
-let in_job = Domain.DLS.new_key (fun () -> false)
-
+(* No job nests another pool, so each job frame's wall time counts once. *)
 let timed f x =
-  if Domain.DLS.get in_job then f x
-  else begin
-    Domain.DLS.set in_job true;
-    let t0 = Unix.gettimeofday () in
-    let finish () =
-      Domain.DLS.set in_job false;
-      ignore
-        (Atomic.fetch_and_add busy_us
-           (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
-    in
-    match f x with
-    | r ->
-        finish ();
-        r
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        finish ();
-        Printexc.raise_with_backtrace e bt
-  end
+  let t0 = Unix.gettimeofday () in
+  let finally () =
+    ignore (Atomic.fetch_and_add busy_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
+  in
+  Fun.protect ~finally (fun () -> f x)
 
 let map_ordered ~jobs f items =
   let n = List.length items in

@@ -8,7 +8,8 @@
     exactly the pre-pool code path.
 
     Jobs must be self-contained: they may not print, nor touch state
-    shared with other jobs. The experiment harness guarantees this by
+    shared with other jobs, nor call [map_ordered] (their wall time would
+    count twice in {!busy_seconds}). The experiment harness guarantees this by
     having each run build its own [Engine]/[Rng]/[Cluster] and return its
     observations as values, which the main domain merges in input order —
     that is what makes [--jobs N] output byte-for-byte identical to
@@ -29,8 +30,8 @@ val set_jobs : int option -> unit
 
 val jobs_for : cells:int -> int
 (** Resolved worker count for a batch of [cells] independent jobs:
-    the [set_jobs] override if any, else the [NATTO_JOBS] environment
-    variable, else [Domain.recommended_domain_count ()]; always within
+    the [set_jobs] override if any, else
+    [Domain.recommended_domain_count ()]; always within
     [1 .. max 1 cells]. *)
 
 (** {2 Speedup accounting} *)

@@ -24,6 +24,11 @@ val to_us : t -> int
 val to_ms : t -> float
 val to_seconds : t -> float
 
+val to_seconds_string : t -> string
+(** Exact decimal seconds of a non-negative time, with no trailing zeros:
+    ["2"], ["2.5"], ["0.000001"]. [seconds (float_of_string s)] reads it
+    back exactly. *)
+
 val add : t -> t -> t
 val sub : t -> t -> t
 val max : t -> t -> t

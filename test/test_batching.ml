@@ -233,11 +233,7 @@ let test_batched_run_checks () =
       Harness.Experiment.batching = Some Rpc.Batcher.default_config;
     }
   in
-  let gen = Workload.Ycsbt.gen () in
-  let o =
-    Harness.Experiment.run ~check:true setup
-      (Harness.Experiment.Natto Natto.Features.recsf) ~gen ~seed:3
-  in
+  let o = Harness.Experiment.run ~check:true (Harness.Experiment.with_seed 3 setup) in
   let r = Harness.Experiment.merge o in
   Alcotest.(check bool) "commits happened" true
     (r.Workload.Driver.committed_low + r.Workload.Driver.committed_high > 0);
@@ -274,11 +270,8 @@ let test_batched_run_deterministic () =
       Harness.Experiment.batching = Some Rpc.Batcher.default_config;
     }
   in
-  let gen = Workload.Ycsbt.gen () in
-  let run () =
-    Harness.Experiment.merge
-      (Harness.Experiment.run setup Harness.Experiment.Carousel_basic ~gen ~seed:7)
-  in
+  let setup = { setup with Harness.Experiment.system = Harness.Experiment.Carousel_basic } in
+  let run () = Harness.Experiment.merge (Harness.Experiment.run (Harness.Experiment.with_seed 7 setup)) in
   let r1 = run () and r2 = run () in
   Alcotest.(check int) "same commits" r1.Workload.Driver.committed_low
     r2.Workload.Driver.committed_low;

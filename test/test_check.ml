@@ -264,8 +264,8 @@ let families =
 let checked_clean ?faults spec () =
   let o =
     Harness.Experiment.run ~check:true
-      { contended_setup with Harness.Experiment.faults }
-      spec ~gen:hot_gen ~seed:11
+      (Harness.Experiment.with_seed 11
+         { contended_setup with Harness.Experiment.system = spec; zipf = 0.95; faults })
   in
   let _history, report = Option.get o.Harness.Experiment.o_check in
   Alcotest.(check bool) "transactions recorded" true (report.Check.Checker.checked_txns > 0);

@@ -158,8 +158,10 @@ let faulted_setup =
   }
 
 let recovery_for spec () =
-  let gen = Workload.Ycsbt.gen () in
-  let r = Harness.Experiment.merge (Harness.Experiment.run faulted_setup spec ~gen ~seed:1) in
+  let r =
+    Harness.Experiment.merge
+      (Harness.Experiment.run { faulted_setup with Harness.Experiment.system = spec })
+  in
   Alcotest.(check int) "no hung transactions" 0 r.Workload.Driver.unfinished;
   let after_heal =
     Array.fold_left
@@ -169,9 +171,9 @@ let recovery_for spec () =
   Alcotest.(check bool) "commits resume after the heal" true (after_heal > 0)
 
 let test_faulted_run_deterministic () =
-  let gen = Workload.Ycsbt.gen () in
-  let spec = Harness.Experiment.Natto Natto.Features.recsf in
-  let go () = Harness.Experiment.merge (Harness.Experiment.run faulted_setup spec ~gen ~seed:5) in
+  let go () =
+    Harness.Experiment.merge (Harness.Experiment.run (Harness.Experiment.with_seed 5 faulted_setup))
+  in
   let r1 = go () and r2 = go () in
   Alcotest.(check int) "same high commits" r1.Workload.Driver.committed_high
     r2.Workload.Driver.committed_high;
@@ -181,12 +183,10 @@ let test_faulted_run_deterministic () =
     (Workload.Driver.p95_high r2)
 
 let test_fault_events_traced () =
-  let gen = Workload.Ycsbt.gen () in
   let file = Filename.temp_file "natto_faults" ".json" in
   let o =
-    Harness.Experiment.run ~trace:true faulted_setup
-      (Harness.Experiment.Natto Natto.Features.ts)
-      ~gen ~seed:1
+    Harness.Experiment.run ~trace:true
+      { faulted_setup with Harness.Experiment.system = Harness.Experiment.Natto Natto.Features.ts }
   in
   let oc = open_out file in
   Trace.write_chrome_trace (Option.get o.Harness.Experiment.o_trace) oc;

@@ -12,8 +12,9 @@ let tiny_driver =
 
 let tiny_setup = { Harness.Experiment.default_setup with Harness.Experiment.driver = tiny_driver }
 
-let run ?check ?trace ?metrics spec ~gen ~seed =
-  Harness.Experiment.run ?check ?trace ?metrics tiny_setup spec ~gen ~seed
+let run ?check ?trace ?metrics ?(zipf = 0.65) system ~seed =
+  Harness.Experiment.run ?check ?trace ?metrics
+    (Harness.Experiment.with_seed seed { tiny_setup with Harness.Experiment.system; zipf })
 
 let test_spec_names () =
   Alcotest.(check string) "carousel" "Carousel Basic"
@@ -28,27 +29,22 @@ let test_spec_names () =
     (List.length Harness.Experiment.all_natto_variants)
 
 let test_run_deterministic () =
-  let gen = Workload.Ycsbt.gen () in
-  let r1 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~gen ~seed:9) in
-  let r2 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~gen ~seed:9) in
+  let r1 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~seed:9) in
+  let r2 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~seed:9) in
   Alcotest.(check int) "same commits" r1.Workload.Driver.committed_low
     r2.Workload.Driver.committed_low;
   Alcotest.(check (float 0.0001)) "same p95" (Workload.Driver.p95_low r1)
     (Workload.Driver.p95_low r2)
 
 let test_run_seeds_differ () =
-  let gen = Workload.Ycsbt.gen () in
-  let r1 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~gen ~seed:1) in
-  let r2 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~gen ~seed:2) in
+  let r1 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~seed:1) in
+  let r2 = Harness.Experiment.merge (run Harness.Experiment.Carousel_basic ~seed:2) in
   Alcotest.(check bool) "different latencies" true
     (Workload.Driver.p95_low r1 <> Workload.Driver.p95_low r2)
 
 let test_run_repeated_summary () =
-  let gen = Workload.Ycsbt.gen () in
   let s =
-    Harness.Experiment.run_outcomes tiny_setup
-      (Harness.Experiment.Natto Natto.Features.ts)
-      ~gen ~seeds:[ 1; 2; 3 ]
+    List.map (fun seed -> run (Harness.Experiment.Natto Natto.Features.ts) ~seed) [ 1; 2; 3 ]
     |> List.map Harness.Experiment.merge
     |> Harness.Experiment.summarize
   in
@@ -62,7 +58,6 @@ let test_run_repeated_summary () =
    per-link message totals: observation is pure, and full and counters-only
    traces count the same messages. *)
 let test_observed_run_identical () =
-  let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let spec = Harness.Experiment.Natto Natto.Features.recsf in
   let totals o =
     Harness.Experiment.reset_trace_totals ();
@@ -70,8 +65,8 @@ let test_observed_run_identical () =
     (r, Harness.Experiment.trace_totals (), Harness.Experiment.trace_link_totals ())
   in
   Harness.Experiment.set_trace_counters true;
-  let plain = run spec ~gen ~seed:4 in
-  let full = run ~check:true ~trace:true ~metrics:true spec ~gen ~seed:4 in
+  let plain = run ~zipf:0.95 spec ~seed:4 in
+  let full = run ~check:true ~trace:true ~metrics:true ~zipf:0.95 spec ~seed:4 in
   Harness.Experiment.set_trace_counters false;
   Alcotest.(check bool) "plain run observes nothing" true
     (plain.Harness.Experiment.o_check = None && plain.Harness.Experiment.o_metrics = None);
@@ -112,6 +107,150 @@ let test_figures_dispatch () =
     (List.filter (fun n -> n <> "simthroughput") names)
     all_names
 
+(* ------------------------------------------------------------------ *)
+(* The line: natto_sim's argument line as a setup's canonical string *)
+
+module Spec = Harness.Spec
+
+let of_string_exn line =
+  match Spec.of_string line with Ok cells -> cells | Error e -> Alcotest.failf "%s: %s" line e
+
+let round_trips s = Spec.of_string (Spec.to_string s) = Ok [ s ]
+
+(* Spellable setups: every field drawn from what the flags can express, every
+   time at microsecond grain, fault ids within the drawn cluster. *)
+let setup_gen =
+  let open QCheck.Gen in
+  let us = int_range 0 100_000_000 in
+  let* system = oneofl (List.map snd Spec.systems)
+  and* workload = oneofl Spec.[ Ycsbt; Retwis; Smallbank; Smallbank_priority ]
+  and* zipf = float_range 0. 1.5
+  and* topo = oneofl Netsim.Topology.[ azure5; hybrid_aws_azure; local3 ]
+  and* n_partitions = int_range 1 8
+  and* clients_per_dc = int_range 1 4
+  and* cv_override = opt (float_range 1e-6 1.)
+  and* loss = float_bound_exclusive 1.
+  and* msg_cost = int_range 0 100
+  and* batching = bool
+  and* rate_tps = float_range 1e-3 10_000.
+  and* high_fraction = float_bound_inclusive 1.
+  and* partial_abort = bool
+  and* duration = us
+  and* warmup = opt us
+  and* drain = us
+  and* seed = int_range 0 1000
+  and* events = list_size (int_range 0 4) (pair us (int_bound 6))
+  and* a = int_bound 99
+  and* shift = int_bound 99 in
+  (* Two distinct DCs of the drawn topology. *)
+  let n_dcs = Netsim.Topology.n_dcs topo in
+  let a = a mod n_dcs in
+  let b = (a + 1 + (shift mod (n_dcs - 1))) mod n_dcs in
+  let action k =
+    Faults.(
+      match k with
+      | 0 -> Crash (Leader_of (n_partitions - 1))
+      | 1 -> Crash Random_leader
+      | 2 -> Crash (Node 0)
+      | 3 -> Restart 0
+      | 4 -> Restart_all
+      | 5 -> Partition (a, b)
+      | _ -> if a < b then Heal (a, b) else Heal_all)
+  in
+  let warmup =
+    Option.value warmup
+      ~default:(Simcore.Sim_time.seconds (Simcore.Sim_time.to_seconds duration /. 4.))
+  in
+  return
+    {
+      Spec.system;
+      workload;
+      zipf;
+      topo;
+      n_partitions;
+      clients_per_dc;
+      net_config = { Netsim.Network.default_config with cv_override; loss; msg_cost };
+      driver =
+        {
+          Workload.Driver.default_config with
+          rate_tps;
+          high_fraction;
+          partial_abort;
+          duration;
+          warmup;
+          cooldown = warmup;
+          drain;
+          seed;
+        };
+      batching = (if batching then Some Rpc.Batcher.default_config else None);
+      faults =
+        (if events = [] then None
+         else Some (List.map (fun (at, k) -> { Faults.at; action = action k }) events));
+    }
+
+let test_round_trip =
+  QCheck.Test.make ~name:"of_string (to_string s) = Ok [s]" ~count:300
+    (QCheck.make ~print:Spec.to_string setup_gen)
+    round_trips
+
+let matrix_keys () =
+  In_channel.with_open_bin "golden/matrix.txt" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun l ->
+         if String.starts_with ~prefix:"## " l then Some (String.sub l 3 (String.length l - 3))
+         else None)
+
+let test_matrix_keys () =
+  let keys = matrix_keys () in
+  Alcotest.(check bool) "matrix has keys" true (keys <> []);
+  List.iter
+    (fun key ->
+      let cells = of_string_exn key in
+      Alcotest.(check bool) (key ^ ": cells") true (cells <> []);
+      List.iter (fun s -> Alcotest.(check bool) (Spec.to_string s) true (round_trips s)) cells)
+    keys
+
+(* Every run of every figure, at both scales, has a line (to_string raises
+   otherwise), without running any. *)
+let test_figures_spelled () =
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun name ->
+          let setups = Harness.Figures.setups scale name in
+          Alcotest.(check bool) (name ^ " runs") (name <> "table1") (setups <> []);
+          List.iter (fun s -> ignore (Spec.to_string s)) setups)
+        Harness.Figures.names)
+    Harness.Figures.[ Quick; Full ]
+
+(* ci.sh compares fig13's Natto-RECSF row with this line's run. *)
+let test_fig13_cell_line () =
+  let cell =
+    List.find
+      (fun s -> s.Spec.system = Spec.Natto Natto.Features.recsf)
+      (Harness.Figures.setups Harness.Figures.Quick "fig13")
+  in
+  let line = "-s natto-recsf -w retwis -r 1000 -t hybrid -d 6 --drain 25 --seeds 1 --check" in
+  Alcotest.(check bool) "parses to the figure cell" true (Spec.of_string line = Ok [ cell ]);
+  Alcotest.(check string) "replay line"
+    "natto_sim -s natto-recsf -w retwis -r 1000 -t hybrid -d 6 --drain 25 --seeds 1 --check"
+    (Spec.replay cell)
+
+let test_line_rejects () =
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (Result.is_error (Spec.of_string line)))
+    [ "-s natto-ts,natto-ts"; "--seeds 1,1"; "-r 0"; "-s nope"; "--faults crash:999@1s";
+      "--trace x" ];
+  Alcotest.check_raises "max_retries is not spellable"
+    (Invalid_argument
+       ("Spec.to_string: the grammar cannot spell this setup; nearest: "
+       ^ "-s natto-recsf -r 50 --seeds 1"))
+    (fun () ->
+      let d = Workload.Driver.default_config in
+      ignore
+        (Spec.to_string
+           { Spec.default_setup with Spec.driver = { d with Workload.Driver.max_retries = 20 } }))
+
 let test_scale_env () =
   Alcotest.(check bool) "quick by default" true
     (Harness.Figures.scale_of_env () = Harness.Figures.Quick)
@@ -131,5 +270,13 @@ let () =
         [
           Alcotest.test_case "dispatch" `Quick test_figures_dispatch;
           Alcotest.test_case "scale env" `Quick test_scale_env;
+          Alcotest.test_case "every run spelled" `Quick test_figures_spelled;
+          Alcotest.test_case "fig13 cell line" `Quick test_fig13_cell_line;
+        ] );
+      ( "spec",
+        [
+          QCheck_alcotest.to_alcotest test_round_trip;
+          Alcotest.test_case "golden matrix keys" `Quick test_matrix_keys;
+          Alcotest.test_case "rejects" `Quick test_line_rejects;
         ] );
     ]

@@ -666,11 +666,13 @@ let test_metrics_smoke () =
     }
   in
   let setup = { Harness.Experiment.default_setup with Harness.Experiment.driver } in
-  let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let runs =
     List.map
       (fun spec ->
-        let o = Harness.Experiment.run ~check:true ~metrics:true setup spec ~gen ~seed:1 in
+        let o =
+          Harness.Experiment.run ~check:true ~metrics:true
+            { setup with Harness.Experiment.system = spec; zipf = 0.95 }
+        in
         let name = Harness.Experiment.spec_name spec in
         let _, report = Option.get o.Harness.Experiment.o_check in
         Alcotest.(check bool) (name ^ " checks clean") true (Check.Checker.ok report);

@@ -19,9 +19,9 @@ let contended_config =
 (* A small key space makes conflicts frequent. *)
 let contended_gen () = Workload.Ycsbt.gen ~n_keys:60 ~theta:0.0 ~ops:2 ()
 
-let run_with ~features ~seed ?(config = contended_config) () =
+let run_with ?check_invariants ~features ~seed ?(config = contended_config) () =
   let cluster = build ~seed in
-  let system, stats = Natto.Protocol.make_with_stats cluster ~features in
+  let system, stats = Natto.Protocol.make_with_stats ?check_invariants cluster ~features in
   let r = Workload.Driver.run cluster system ~gen:(contended_gen ()) config in
   (r, stats)
 
@@ -179,23 +179,19 @@ let test_timestamp_order_invariant () =
   (* Run every variant under contention with the protocol's internal
      invariant checker on: preparing ahead of a conflicting earlier
      transaction raises. *)
-  Unix.putenv "NATTO_CHECK_INVARIANTS" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "NATTO_CHECK_INVARIANTS" "")
-    (fun () ->
-      List.iter
-        (fun features ->
-          let r, _ = run_with ~features ~seed:51 () in
-          Alcotest.(check int)
-            (Natto.Features.name features ^ " all resolved")
-            0 r.Workload.Driver.unfinished)
-        [
-          Natto.Features.ts;
-          Natto.Features.lecsf;
-          Natto.Features.pa;
-          Natto.Features.cp;
-          Natto.Features.recsf;
-        ])
+  List.iter
+    (fun features ->
+      let r, _ = run_with ~check_invariants:true ~features ~seed:51 () in
+      Alcotest.(check int)
+        (Natto.Features.name features ^ " all resolved")
+        0 r.Workload.Driver.unfinished)
+    [
+      Natto.Features.ts;
+      Natto.Features.lecsf;
+      Natto.Features.pa;
+      Natto.Features.cp;
+      Natto.Features.recsf;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end prioritization property *)

@@ -84,7 +84,6 @@ let capture_stdout f =
   s
 
 let small_sweep ?accept () =
-  let gen = Workload.Ycsbt.gen () in
   Harness.Figures.sweep ?accept ~name:"testfig" ~caption:"two rates, two systems"
     ~x_label:"rate_tps" ~show:string_of_float
     ~setup:(fun _ rate ->
@@ -99,7 +98,6 @@ let small_sweep ?accept () =
             cooldown = Sim_time.seconds 0.5;
           };
       })
-    ~gen:(fun _ -> gen)
     ~xs:[ 50.; 100. ]
     ~systems:[ Harness.Experiment.Twopl Twopl.Plain; Harness.Experiment.Tapir ]
     ()
@@ -149,7 +147,6 @@ let test_failing_accept_raises_after_rows () =
   Alcotest.(check int) "one point per row" 4 (List.length points)
 
 let test_run_repeated_jobs_identical () =
-  let gen = Workload.Ycsbt.gen () in
   let setup =
     {
       Harness.Experiment.default_setup with
@@ -163,9 +160,9 @@ let test_run_repeated_jobs_identical () =
         };
     }
   in
-  let spec = Harness.Experiment.Natto Natto.Features.recsf in
   let go jobs =
-    Harness.Experiment.run_outcomes ~check:true ~jobs setup spec ~gen ~seeds:[ 1; 2 ]
+    Harness.Pool.map_ordered ~jobs (Harness.Experiment.run ~check:true)
+      (List.map (fun seed -> Harness.Experiment.with_seed seed setup) [ 1; 2 ])
     |> List.map Harness.Experiment.merge
     |> Harness.Experiment.summarize
   in

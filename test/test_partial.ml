@@ -214,7 +214,7 @@ let quick_driver ~pa =
   }
 
 let quick_setup ~pa =
-  { Harness.Experiment.default_setup with Harness.Experiment.driver = quick_driver ~pa }
+  { Harness.Experiment.default_setup with Harness.Experiment.zipf = 0.99; driver = quick_driver ~pa }
 
 let families =
   [
@@ -226,11 +226,10 @@ let families =
     Harness.Experiment.Natto Natto.Features.recsf;
   ]
 
-let test_e2e_pa_checked spec () =
-  let gen = Workload.Ycsbt.gen ~theta:0.99 () in
+let test_e2e_pa_checked system () =
   (* Merging a checked run raises on any checker violation. *)
   let s =
-    Harness.Experiment.run_outcomes ~check:true (quick_setup ~pa:true) spec ~gen ~seeds:[ 1 ]
+    [ Harness.Experiment.run ~check:true { (quick_setup ~pa:true) with Harness.Experiment.system } ]
     |> List.map Harness.Experiment.merge
     |> Harness.Experiment.summarize
   in
@@ -243,10 +242,8 @@ let test_e2e_pa_checked spec () =
     (s.Harness.Experiment.keys_reused >= s.Harness.Experiment.partial_restarts)
 
 let test_e2e_off_counters_zero () =
-  let gen = Workload.Ycsbt.gen ~theta:0.99 () in
   let s =
-    Harness.Experiment.run_outcomes ~check:true (quick_setup ~pa:false)
-      (Harness.Experiment.Natto Natto.Features.recsf) ~gen ~seeds:[ 1 ]
+    [ Harness.Experiment.run ~check:true (quick_setup ~pa:false) ]
     |> List.map Harness.Experiment.merge
     |> Harness.Experiment.summarize
   in
@@ -255,10 +252,9 @@ let test_e2e_off_counters_zero () =
   Alcotest.(check int) "no keys reused with the flag off" 0 s.Harness.Experiment.keys_reused
 
 let test_e2e_jobs_identical () =
-  let gen = Workload.Ycsbt.gen ~theta:0.99 () in
   let go jobs =
-    Harness.Experiment.run_outcomes ~check:true ~jobs (quick_setup ~pa:true)
-      (Harness.Experiment.Natto Natto.Features.recsf) ~gen ~seeds:[ 1; 2 ]
+    Harness.Pool.map_ordered ~jobs (Harness.Experiment.run ~check:true)
+      (List.map (fun seed -> Harness.Experiment.with_seed seed (quick_setup ~pa:true)) [ 1; 2 ])
     |> List.map Harness.Experiment.merge
     |> Harness.Experiment.summarize
   in

@@ -154,13 +154,14 @@ let quick_driver =
   }
 
 let quick_setup =
-  { Harness.Experiment.default_setup with Harness.Experiment.driver = quick_driver }
+  { Harness.Experiment.default_setup with Harness.Experiment.zipf = 0.95; driver = quick_driver }
+
+let seeds_of setup = List.map (fun seed -> Harness.Experiment.with_seed seed setup) [ 1; 2 ]
 
 let test_e2e_fault_free variant () =
-  let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let s =
-    Harness.Experiment.run_outcomes ~check:true quick_setup
-      (Harness.Experiment.Quecc variant) ~gen ~seeds:[ 1; 2 ]
+    seeds_of { quick_setup with Harness.Experiment.system = Harness.Experiment.Quecc variant }
+    |> List.map (Harness.Experiment.run ~check:true)
     |> List.map Harness.Experiment.merge
     |> Harness.Experiment.summarize
   in
@@ -170,10 +171,9 @@ let test_e2e_fault_free variant () =
   Alcotest.(check int) "no hung transactions" 0 s.Harness.Experiment.unfinished
 
 let test_e2e_jobs_identical () =
-  let gen = Workload.Ycsbt.gen ~theta:0.95 () in
+  let setup = { quick_setup with Harness.Experiment.system = Harness.Experiment.Quecc Quecc.Prio } in
   let go jobs =
-    Harness.Experiment.run_outcomes ~check:true ~jobs quick_setup
-      (Harness.Experiment.Quecc Quecc.Prio) ~gen ~seeds:[ 1; 2 ]
+    Harness.Pool.map_ordered ~jobs (Harness.Experiment.run ~check:true) (seeds_of setup)
     |> List.map Harness.Experiment.merge
     |> Harness.Experiment.summarize
   in
@@ -192,17 +192,15 @@ let faulted_driver =
   }
 
 let test_e2e_crash_cut variant () =
-  let gen = Workload.Ycsbt.gen ~theta:0.95 () in
   let setup =
     {
-      Harness.Experiment.default_setup with
-      Harness.Experiment.driver = faulted_driver;
+      quick_setup with
+      Harness.Experiment.system = Harness.Experiment.Quecc variant;
+      driver = faulted_driver;
       faults = Some crash_cut_schedule;
     }
   in
-  let o =
-    Harness.Experiment.run ~check:true setup (Harness.Experiment.Quecc variant) ~gen ~seed:1
-  in
+  let o = Harness.Experiment.run ~check:true setup in
   let r = o.Harness.Experiment.o_result in
   let _history, report = Option.get o.Harness.Experiment.o_check in
   Alcotest.(check bool) "history serializable" true (Check.Checker.ok report);

@@ -245,10 +245,13 @@ let test_zipf_golden_streams () =
    driver refuses both before the run starts. *)
 let test_driver_rejects_bad_config () =
   let run driver =
-    let setup = { Harness.Experiment.default_setup with Harness.Experiment.driver } in
     ignore
-      (Harness.Experiment.run setup Harness.Experiment.Tapir ~gen:(Workload.Ycsbt.gen ())
-         ~seed:1)
+      (Harness.Experiment.run
+         {
+           Harness.Experiment.default_setup with
+           Harness.Experiment.system = Harness.Experiment.Tapir;
+           driver;
+         })
   in
   let base = Workload.Driver.default_config in
   let rejects what msg driver =
