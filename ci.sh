@@ -78,6 +78,18 @@ must_fail -s natto-ts,natto-ts
 must_fail --seeds 1,1
 must_fail --loss 1.0
 must_fail --high-fraction 2
+must_fail --zipf=-1
+must_fail --zipf=nan
+must_fail --duration=0
+must_fail --duration=-1
+must_fail --warmup=6 --duration=10
+must_fail --warmup=-1
+must_fail --drain=-1
+must_fail --variance=-1
+# --help renders without markup errors (they go to stderr).
+"$sim" --help=plain >"$tmp/out" 2>"$tmp/err"
+[ ! -s "$tmp/err" ] || { echo "$gate_name: --help wrote to stderr"; exit 1; }
+expect 'crash-leader:0@2s,restart@6s'
 
 gate "fault-injection smoke run"
 # Crash partition 0's leader at t=2s, restart it at t=6s; the run must

@@ -19,10 +19,10 @@ type coord = {
 
 type client_attempt = {
   txn : Txn.t;
-  plan : Txnkit.Exec.plan;
+  plan : Exec.plan;
   mutable pending : int;
   mutable failed : bool;
-  mutable replies : (int * int * int) list list;
+  mutable replies : Exec.reads list;
 }
 
 let make (cluster : Cluster.t) : System.t =
@@ -67,11 +67,7 @@ let make (cluster : Cluster.t) : System.t =
     Raft.Group.replicate cluster.Cluster.groups.(server.partition) ~background:true
       ~size:bytes ~tag:txn_id
       ~on_committed:(fun () ->
-        List.iter
-          (fun (key, data) ->
-            Store.Kv.put server.kv ~key ~data ~writer:txn_id;
-            Check.Recorder.applied recorder ~txn:txn_id ~key)
-          pairs;
+        Exec.apply cluster server.kv ~txn:txn_id pairs;
         Store.Occ.release server.occ ~txn:txn_id)
       ()
   in
@@ -89,7 +85,7 @@ let make (cluster : Cluster.t) : System.t =
     List.iter
       (fun p ->
         let server = servers.(p) in
-        let local = Txnkit.Exec.pairs_on_partition cluster ~partition:p pairs in
+        let local = Exec.pairs_on_partition cluster ~partition:p pairs in
         send ~src:me ~dst:server.node
           ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
           (fun () -> apply_commit server txn_id local))
@@ -115,27 +111,16 @@ let make (cluster : Cluster.t) : System.t =
   (* --- client side --- *)
   let submit (txn : Txn.t) ~on_done =
     let txn_id = txn.Txn.id in
-    let plan = Txnkit.Exec.plan_of cluster txn in
-    let n = List.length plan.Txnkit.Exec.participants in
+    let plan = Exec.plan_of cluster txn in
+    let n = List.length plan.Exec.participants in
     let attempt = { txn; plan; pending = n; failed = false; replies = [] } in
     let client = txn.Txn.client in
     (* Re-resolve the partition leaders per attempt, so retries after a
        leader crash land on the newly elected node. *)
-    Failover.refresh_leaders cluster ~participants:plan.Txnkit.Exec.participants
+    Failover.refresh_leaders cluster ~participants:plan.Exec.participants
       ~set:(fun p node -> servers.(p).node <- node);
     let coordinator = coord_node ~client in
-    let finished = ref false in
-    let trace = Netsim.Network.trace net in
-    let finish ~committed =
-      if not !finished then begin
-        finished := true;
-        if Trace.recording trace then
-          Trace.instant trace ~tid:client ~txn:txn_id
-            ~name:(if committed then "txn-commit" else "txn-abort")
-            ~at:(Simcore.Engine.now cluster.Cluster.engine) ();
-        on_done ~committed
-      end
-    in
+    let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
     (* Client-side commit notification: the coordinator replies over the
        network; latency to the client is the intra-DC hop. *)
     let notify_client_commit () =
@@ -179,7 +164,7 @@ let make (cluster : Cluster.t) : System.t =
           let server = servers.(p) in
           send ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
             (fun () -> abort_at_participant server txn_id))
-        plan.Txnkit.Exec.participants;
+        plan.Exec.participants;
       send ~src:client ~dst:coordinator
         ~msg:(Msg.control ~txn:txn_id Msg.Abort_notice)
         on_abort_notice;
@@ -188,15 +173,15 @@ let make (cluster : Cluster.t) : System.t =
     let round_one_complete () =
       if attempt.failed then abort_attempt ()
       else begin
-        let reads = Txnkit.Exec.assemble_reads txn attempt.replies in
-        let pairs = Txnkit.Exec.write_pairs txn reads in
+        let reads = Exec.assemble_reads txn attempt.replies in
+        let pairs = Exec.write_pairs txn reads in
         send ~src:client ~dst:coordinator
           ~msg:(Msg.commit_request ~txn:txn_id ~writes:(List.length pairs) ())
           (fun () -> on_commit_request pairs)
       end
     in
-    let on_read_reply ~ok values =
-      if not ok then attempt.failed <- true else attempt.replies <- values :: attempt.replies;
+    let on_read_reply ~ok reads =
+      if not ok then attempt.failed <- true else attempt.replies <- reads :: attempt.replies;
       attempt.pending <- attempt.pending - 1;
       if attempt.pending = 0 then round_one_complete ()
     in
@@ -204,66 +189,50 @@ let make (cluster : Cluster.t) : System.t =
     List.iter
       (fun p ->
         let server = servers.(p) in
-        let reads = plan.Txnkit.Exec.reads_of p and writes = plan.Txnkit.Exec.writes_of p in
+        let reads = plan.Exec.reads_of p and writes = plan.Exec.writes_of p in
         (* Partial-abort claims for this partition: validated-prefix keys ride
            on the request; version-confirmed ones are dropped from the reply. *)
-        let claims = Txnkit.Exec.claims_of txn reads in
+        let claims = Exec.claims txn reads in
         send ~src:client ~dst:server.node
           ~msg:
             (Msg.read_prepare ~txn:txn_id ~reads:(Array.length reads)
-               ~writes:(Array.length writes)
-               ~extra:(Txnkit.Exec.claim_extra_bytes claims) ())
+               ~writes:(Array.length writes) ~extra:(Exec.claim_bytes claims) ())
           (fun () ->
             (* The first conflicting key rides back on the abort notice so a
                partial-abort retry knows where its validated prefix broke. *)
-            let fail_key =
+            match
               Store.Occ.principal_conflict_key server.occ ~reads ~writes ~excluding:txn_id
-            in
-            if fail_key <> None then begin
-              (* The abort notice also salvages the still-valid local read
-                 prefix: this server never served the victim, so the retry's
-                 claims come from here. *)
-              let key = Option.value fail_key ~default:(-1) in
-              let salvage = Txnkit.Exec.salvage_reads server.kv txn ~reads ~fail_key:key in
-              send ~src:server.node ~dst:client
-                ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(List.length salvage) ())
-                (fun () ->
-                  Txnkit.Exec.note_reads txn salvage;
-                  (match fail_key with
-                  | Some key -> Txn.pa_note_fail txn ~attempt:txn_id ~key
-                  | None -> ());
-                  on_read_reply ~ok:false []);
-              send ~src:server.node ~dst:coordinator ~msg:(Msg.vote ~txn:txn_id ())
-                (fun () -> on_vote ~ok:false)
-            end
-            else begin
-              Store.Occ.prepare server.occ ~txn:txn_id ~reads ~writes;
-              if Check.Recorder.enabled recorder then
-                Check.Recorder.reads_from_kv recorder ~txn:txn_id server.kv reads;
-              let served =
-                Txnkit.Exec.serve_keys server.kv reads
-                  ~claims:(Txnkit.Exec.claim_versions claims)
-              in
-              let values = Txnkit.Exec.read_values server.kv served in
-              send ~src:server.node ~dst:client
-                ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Array.length served) ())
-                (fun () ->
-                  Txnkit.Exec.note_validated txn ~attempt:txn_id ~served:values ~claims;
-                  let values = Txnkit.Exec.merge_claims ~served:values ~claims in
-                  Txnkit.Exec.note_reads txn values;
-                  on_read_reply ~ok:true values);
-              (* Replicate the prepare record, then vote. *)
-              Raft.Group.replicate cluster.Cluster.groups.(p)
-                ~size:
-                  (Msg.prepare_record_bytes ~reads:(Array.length reads)
-                     ~writes:(Array.length writes))
-                ~tag:txn_id
-                ~on_committed:(fun () ->
-                  send ~src:server.node ~dst:coordinator ~msg:(Msg.vote ~txn:txn_id ())
-                    (fun () -> on_vote ~ok:true))
-                ()
-            end))
-      plan.Txnkit.Exec.participants;
+            with
+            | Some fail_key ->
+                (* The abort notice also salvages the still-valid local read
+                   prefix: this server never served the victim, so the retry's
+                   claims come from here. *)
+                let salvage = Exec.salvage server.kv txn ~reads ~upto:(`Before fail_key) in
+                send ~src:server.node ~dst:client
+                  ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(Exec.count salvage) ())
+                  (fun () ->
+                    Exec.absorb_abort txn ~attempt:txn_id ~fail_key salvage;
+                    on_read_reply ~ok:false Exec.no_reads);
+                send ~src:server.node ~dst:coordinator ~msg:(Msg.vote ~txn:txn_id ())
+                  (fun () -> on_vote ~ok:false)
+            | None ->
+                Store.Occ.prepare server.occ ~txn:txn_id ~reads ~writes;
+                let served = Exec.serve cluster server.kv ~txn:txn_id reads claims in
+                send ~src:server.node ~dst:client
+                  ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
+                  (fun () ->
+                    on_read_reply ~ok:true (Exec.absorb txn ~attempt:txn_id claims served));
+                (* Replicate the prepare record, then vote. *)
+                Raft.Group.replicate cluster.Cluster.groups.(p)
+                  ~size:
+                    (Msg.prepare_record_bytes ~reads:(Array.length reads)
+                       ~writes:(Array.length writes))
+                  ~tag:txn_id
+                  ~on_committed:(fun () ->
+                    send ~src:server.node ~dst:coordinator ~msg:(Msg.vote ~txn:txn_id ())
+                      (fun () -> on_vote ~ok:true))
+                  ()))
+      plan.Exec.participants;
     (* Failover watchdog: with a dead leader (or coordinator) in the path
        this attempt would otherwise hang forever. Armed only under fault
        injection. *)

@@ -13,7 +13,7 @@ type reply = {
   partition : int;
   from_leader : bool;
   ok : bool;
-  values : (int * int * int) list;  (** key, data, version *)
+  values : Exec.reads;
 }
 
 let make (cluster : Cluster.t) : System.t =
@@ -40,8 +40,8 @@ let make (cluster : Cluster.t) : System.t =
   let down_seen : (int, unit) Hashtbl.t = Hashtbl.create 7 in
   let submit (txn : Txn.t) ~on_done =
     let txn_id = txn.Txn.id in
-    let plan = Txnkit.Exec.plan_of cluster txn in
-    let participants = plan.Txnkit.Exec.participants in
+    let plan = Exec.plan_of cluster txn in
+    let participants = plan.Exec.participants in
     let client = txn.Txn.client in
     let failover = Cluster.failover_active cluster in
     let coordinator = Cluster.coordinator_for cluster ~client in
@@ -90,18 +90,7 @@ let make (cluster : Cluster.t) : System.t =
     in
     let pending = ref total_replies in
     let replies : reply list ref = ref [] in
-    let finished = ref false in
-    let trace = Netsim.Network.trace net in
-    let finish ~committed =
-      if not !finished then begin
-        finished := true;
-        if Trace.recording trace then
-          Trace.instant trace ~tid:client ~txn:txn_id
-            ~name:(if committed then "txn-commit" else "txn-abort")
-            ~at:(Simcore.Engine.now cluster.Cluster.engine) ();
-        on_done ~committed
-      end
-    in
+    let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
     let release_everywhere () =
       (* Straight from the client, so a retry's read-and-prepare (sent on
          the same connections, after these) finds the prepares released. *)
@@ -131,17 +120,13 @@ let make (cluster : Cluster.t) : System.t =
                   (fun () -> finish ~committed:true);
               List.iter
                 (fun p ->
-                  let local = Txnkit.Exec.pairs_on_partition cluster ~partition:p pairs in
+                  let local = Exec.pairs_on_partition cluster ~partition:p pairs in
                   Array.iter
                     (fun r ->
                       send ~src:coordinator ~dst:r.node
                         ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
                         (fun () ->
-                          List.iter
-                            (fun (key, data) ->
-                              Store.Kv.put r.kv ~key ~data ~writer:txn_id;
-                              Check.Recorder.applied recorder ~txn:txn_id ~key)
-                            local;
+                          Exec.apply cluster r.kv ~txn:txn_id local;
                           Store.Occ.release r.occ ~txn:txn_id))
                     replicas.(p))
                 participants
@@ -182,10 +167,10 @@ let make (cluster : Cluster.t) : System.t =
       end
       else begin
         let reads =
-          Txnkit.Exec.assemble_reads txn
+          Exec.assemble_reads txn
             (List.filter_map (fun r -> if r.from_leader then Some r.values else None) !replies)
         in
-        let pairs = Txnkit.Exec.write_pairs txn reads in
+        let pairs = Exec.write_pairs txn reads in
         (* The fast path needs the prepare durable at the FULL membership of
            every participant — a down replica forces the slow path. *)
         let unanimous =
@@ -209,8 +194,8 @@ let make (cluster : Cluster.t) : System.t =
               List.iter
                 (fun p ->
                   let leader = leader_replica p in
-                  let reads_p = plan.Txnkit.Exec.reads_of p
-                  and writes_p = plan.Txnkit.Exec.writes_of p in
+                  let reads_p = plan.Exec.reads_of p
+                  and writes_p = plan.Exec.writes_of p in
                   send ~src:coordinator ~dst:leader.node
                     ~msg:(Msg.control ~txn:txn_id Msg.Control)
                     (fun () ->
@@ -238,12 +223,12 @@ let make (cluster : Cluster.t) : System.t =
     in
     List.iter
       (fun p ->
-        let reads = plan.Txnkit.Exec.reads_of p and writes = plan.Txnkit.Exec.writes_of p in
+        let reads = plan.Exec.reads_of p and writes = plan.Exec.writes_of p in
         (* The same partial-abort claims go to every replica of the
            partition; each validates them against its own store, so a
            follower lagging on async write distribution simply serves the
            key fresh instead of honoring the claim. *)
-        let claims = Txnkit.Exec.claims_of txn reads in
+        let claims = Exec.claims txn reads in
         let leader_node = List.assoc p current_leader in
         Array.iter
           (fun r ->
@@ -253,56 +238,47 @@ let make (cluster : Cluster.t) : System.t =
                 ~msg:
                   (Msg.read_prepare ~txn:txn_id ~reads:(Array.length reads)
                      ~writes:(Array.length writes)
-                     ~extra:(Txnkit.Exec.claim_extra_bytes claims) ())
+                     ~extra:(Exec.claim_bytes claims) ())
                 (fun () ->
-                  let fail_key =
+                  match
                     Store.Occ.principal_conflict_key r.occ ~reads ~writes ~excluding:txn_id
-                  in
-                  if fail_key <> None then begin
-                    (* Only the leader's abort is authoritative — a
-                       follower's no merely forces the slow path — so only
-                       it shrinks the validated prefix, and only it
-                       salvages its read slice for the retry's claims (the
-                       full slice: this reply doubles as the vote, so the
-                       bytes are already on the wire path). *)
-                    let salvage =
-                      if from_leader then Txnkit.Exec.salvage_all r.kv txn ~reads
-                      else []
-                    in
-                    send ~src:r.node ~dst:client
-                      ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(List.length salvage) ())
-                      (fun () ->
-                        (if from_leader then begin
-                           Txnkit.Exec.note_reads txn salvage;
-                           match fail_key with
-                           | Some key -> Txn.pa_note_fail txn ~attempt:txn_id ~key
-                           | None -> ()
-                         end);
-                        on_reply { partition = p; from_leader; ok = false; values = [] })
-                  end
-                  else begin
-                    Store.Occ.prepare r.occ ~txn:txn_id ~reads ~writes;
-                    (* Only the leader's values feed the write computation;
-                       follower replies merely vote on the fast path. *)
-                    if from_leader && Check.Recorder.enabled recorder then
-                      Check.Recorder.reads_from_kv recorder ~txn:txn_id r.kv reads;
-                    let served =
-                      Txnkit.Exec.serve_keys r.kv reads
-                        ~claims:(Txnkit.Exec.claim_versions claims)
-                    in
-                    let values = Txnkit.Exec.read_values r.kv served in
-                    send ~src:r.node ~dst:client
-                      ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Array.length served) ())
-                      (fun () ->
-                        if from_leader then
-                          Txnkit.Exec.note_validated txn ~attempt:txn_id ~served:values
-                            ~claims;
-                        let values = Txnkit.Exec.merge_claims ~served:values ~claims in
-                        if from_leader then Txnkit.Exec.note_reads txn values;
-                        on_reply { partition = p; from_leader; ok = true; values })
-                  end))
+                  with
+                  | Some fail_key ->
+                      (* Only the leader's abort is authoritative — a
+                         follower's no merely forces the slow path — so only
+                         it shrinks the validated prefix, and only it
+                         salvages its read slice for the retry's claims (the
+                         full slice: this reply doubles as the vote, so the
+                         bytes are already on the wire path). *)
+                      let salvage =
+                        if from_leader then Exec.salvage r.kv txn ~reads ~upto:`All
+                        else Exec.no_reads
+                      in
+                      send ~src:r.node ~dst:client
+                        ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(Exec.count salvage) ())
+                        (fun () ->
+                          if from_leader then
+                            Exec.absorb_abort txn ~attempt:txn_id ~fail_key salvage;
+                          on_reply
+                            { partition = p; from_leader; ok = false; values = Exec.no_reads })
+                  | None ->
+                      Store.Occ.prepare r.occ ~txn:txn_id ~reads ~writes;
+                      (* Only the leader's values feed the write computation;
+                         follower replies merely vote on the fast path, so
+                         only the leader records, credits and caches. *)
+                      let served =
+                        Exec.serve ~record:from_leader cluster r.kv ~txn:txn_id reads claims
+                      in
+                      send ~src:r.node ~dst:client
+                        ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
+                        (fun () ->
+                          let values =
+                            if from_leader then Exec.absorb txn ~attempt:txn_id claims served
+                            else served
+                          in
+                          on_reply { partition = p; from_leader; ok = true; values })))
           replicas.(p))
-      plan.Txnkit.Exec.participants;
+      plan.Exec.participants;
     (* Failover watchdog: bound an attempt stalled on replies (or a 2PC
        round) that will never arrive because a node died mid-flight. *)
     Failover.arm_watchdog cluster ~finished ~on_timeout:(fun () ->

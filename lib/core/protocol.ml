@@ -45,13 +45,13 @@ type srec = {
   arrivals : (int * int) list;  (** leader node -> estimated arrival (client clock) *)
   participants : int list;
   coord_node : int;
-  claims : (int * int) list;
-      (** partial-abort claims for this partition: (key, version) pairs the
-          client asserts are still current; honored on the normal and
-          conditional serve paths, ignored by RECSF forwarding *)
-  deliver_read : source -> (int * int * int) list -> unit;
+  claims : Exec.claims;
+      (** partial-abort claims for this partition, the client's own value;
+          honored on the normal and conditional serve paths, ignored by
+          RECSF forwarding *)
+  deliver_read : source -> Exec.reads -> unit;
       (** runs at the requesting client on message delivery *)
-  deliver_abort : int -> (int * int * int) list -> unit;
+  deliver_abort : int -> Exec.reads -> unit;
       (** arguments: the first conflicting key ([-1] unknown), feeding the
           partial-abort validated-prefix report, and the salvaged still-valid
           local reads piggybacked on the abort notice *)
@@ -105,7 +105,7 @@ type cstate = {
   mutable gen_replicated : bool;
   mutable decided : bool;
   mutable committed : bool;
-  mutable recsf_waiters : (int * int array * ((int * int * int) list -> unit)) list;
+  mutable recsf_waiters : (int * int array * (Exec.reads -> unit)) list;
       (** requester client node, keys, requester-side delivery *)
 }
 
@@ -113,7 +113,7 @@ type cstate = {
 type slot = {
   expected : int;
   mutable src : source option;
-  mutable got : (int * int * int) list;
+  mutable got : Exec.reads;
 }
 
 let overlap a b = Array.exists (fun k -> Array.exists (fun k' -> k = k') b) a
@@ -201,12 +201,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
           end
         end
   in
-  (* History recording for the serializability checker: pure observation,
-     one branch per site when disabled (like [mark]). *)
   let recorder = cluster.Cluster.recorder in
-  let record_reads ~txn kv keys =
-    if Check.Recorder.enabled recorder then Check.Recorder.reads_from_kv recorder ~txn kv keys
-  in
   let servers =
     Array.init cluster.Cluster.n_partitions (fun p ->
         {
@@ -290,19 +285,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         | None -> ());
     (* Serve RECSF reads registered against this transaction: its commit is
        now fault-tolerant here, so forwarding the write data is safe. *)
-    List.iter
-      (fun (requester, keys, deliver) ->
-        (* Version -1: a forwarded value is speculative (the write is not
-           yet applied at the partition), so it must never seed the
-           partial-abort version cache — -1 can't match any store version. *)
-        let values =
-          Array.to_list keys
-          |> List.filter_map (fun key ->
-                 List.assoc_opt key c.gen_pairs |> Option.map (fun data -> (key, data, -1)))
-        in
-        send ~src:c.c_node ~dst:requester
-          ~msg:(Msg.recsf_reply ~txn:c.c_txn_id ~reads:(List.length values) ())
-          (fun () -> deliver values))
+    List.iter (fun (requester, keys, deliver) -> coord_forward c ~requester ~keys ~deliver)
       c.recsf_waiters;
     c.recsf_waiters <- [];
     List.iter
@@ -358,17 +341,14 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         ()
     end
 
+  and coord_forward c ~requester ~keys ~deliver =
+    let values = Exec.forwarded ~pairs:c.gen_pairs keys in
+    send ~src:c.c_node ~dst:requester
+      ~msg:(Msg.recsf_reply ~txn:c.c_txn_id ~reads:(Exec.count values) ())
+      (fun () -> deliver values)
+
   and coord_on_recsf_request c ~requester ~keys ~deliver =
-    if c.committed then begin
-      let values =
-        Array.to_list keys
-        |> List.filter_map (fun key ->
-               List.assoc_opt key c.gen_pairs |> Option.map (fun data -> (key, data, -1)))
-      in
-      send ~src:c.c_node ~dst:requester
-        ~msg:(Msg.recsf_reply ~txn:c.c_txn_id ~reads:(List.length values) ())
-        (fun () -> deliver values)
-    end
+    if c.committed then coord_forward c ~requester ~keys ~deliver
     else if not c.decided then
       c.recsf_waiters <- (requester, keys, deliver) :: c.recsf_waiters
     (* Aborted: drop; the requester's normal path supplies the reads. *)
@@ -403,9 +383,9 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
        this its retry would have nothing to claim. Bounded by the local
        fail index — this message gates the retry, so it stays small; the
        Release path carries the full slice off the critical path. *)
-    let salvage = Exec.salvage_reads server.kv r.txn ~reads:r.reads ~fail_key in
+    let salvage = Exec.salvage server.kv r.txn ~reads:r.reads ~upto:(`Before fail_key) in
     send ~src:server.node ~dst:r.txn.Txn.client
-      ~msg:(Msg.abort_notice ~txn:r.txn_id ~salvaged:(List.length salvage) ())
+      ~msg:(Msg.abort_notice ~txn:r.txn_id ~salvaged:(Exec.count salvage) ())
       (fun () -> r.deliver_abort fail_key salvage);
     server_send_vote server r V_abort
 
@@ -465,15 +445,10 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     Store.Occ.prepare server.occ ~txn:r.txn_id ~reads:r.reads ~writes:r.writes;
     r.state <- Prepared;
     mark ~tid:server.node ~txn:r.txn_id "txn-prepare";
-    record_reads ~txn:r.txn_id server.kv r.reads;
-    (* Honor partial-abort claims: version-confirmed keys drop out of the
-       reply payload. The history above still covers the full slice, so the
-       checker sees identical reads either way. *)
-    let served = Exec.serve_keys server.kv r.reads ~claims:r.claims in
-    let values = Exec.read_values server.kv served in
+    let served = Exec.serve cluster server.kv ~txn:r.txn_id r.reads r.claims in
     send ~src:server.node ~dst:r.txn.Txn.client
-      ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(Array.length served) ())
-      (fun () -> r.deliver_read S_normal values);
+      ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(Exec.count served) ())
+      (fun () -> r.deliver_read S_normal served);
     Raft.Group.replicate cluster.Cluster.groups.(server.partition)
       ~size:(Msg.prepare_record_bytes ~reads:(Array.length r.reads) ~writes:(Array.length r.writes))
       ~tag:r.txn_id
@@ -488,12 +463,10 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     r.cond_on <- Some blocker;
     let watchers = Option.value ~default:[] (Hashtbl.find_opt server.cond_watchers blocker) in
     Hashtbl.replace server.cond_watchers blocker (r.txn_id :: watchers);
-    record_reads ~txn:r.txn_id server.kv r.reads;
-    let served = Exec.serve_keys server.kv r.reads ~claims:r.claims in
-    let values = Exec.read_values server.kv served in
+    let served = Exec.serve cluster server.kv ~txn:r.txn_id r.reads r.claims in
     send ~src:server.node ~dst:r.txn.Txn.client
-      ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(Array.length served) ())
-      (fun () -> r.deliver_read (S_cond blocker) values);
+      ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(Exec.count served) ())
+      (fun () -> r.deliver_read (S_cond blocker) served);
     Raft.Group.replicate cluster.Cluster.groups.(server.partition)
       ~size:(Msg.prepare_record_bytes ~reads:(Array.length r.reads) ~writes:(Array.length r.writes))
       ~tag:r.txn_id
@@ -519,24 +492,17 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     r.fwd_keys <- fwd_keys;
     let blocker_id = blocker.txn_id in
     if Array.length local_keys > 0 || Array.length fwd_keys = 0 then begin
-      record_reads ~txn:r.txn_id server.kv local_keys;
-      let values = Exec.read_values server.kv local_keys in
+      let served = Exec.serve cluster server.kv ~txn:r.txn_id local_keys Exec.no_claims in
       send ~src:server.node ~dst:r.txn.Txn.client
-        ~msg:(Msg.recsf_reply ~txn:r.txn_id ~reads:(Array.length local_keys) ())
-        (fun () -> r.deliver_read (S_recsf blocker_id) values)
+        ~msg:(Msg.recsf_reply ~txn:r.txn_id ~reads:(Exec.count served) ())
+        (fun () -> r.deliver_read (S_recsf blocker_id) served)
     end;
     if Array.length fwd_keys > 0 then begin
       let requester = r.txn.Txn.client in
       let deliver values =
         (* A speculative read of the blocker's not-yet-applied write: the
-           observed writer is the blocker itself. Weak, so an authoritative
-           re-served read wins whatever order the replies land in. *)
-        if Check.Recorder.enabled recorder then
-          List.iter
-            (fun (key, _, _) ->
-              Check.Recorder.read ~weak:true recorder ~txn:r.txn_id ~key
-                ~writer:blocker_id)
-            values;
+           observed writer is the blocker itself. *)
+        Exec.record_forwarded cluster ~txn:r.txn_id ~writer:blocker_id values;
         r.deliver_read (S_recsf blocker_id) values
       in
       send ~src:server.node ~dst:blocker.coord_node
@@ -726,11 +692,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     | None -> ()
     | Some r ->
         let finish () =
-          List.iter
-            (fun (key, data) ->
-              Store.Kv.put server.kv ~key ~data ~writer:txn_id;
-              Check.Recorder.applied recorder ~txn:txn_id ~key)
-            pairs;
+          Exec.apply cluster server.kv ~txn:txn_id pairs;
           server_drop server r;
           server_notify_cond_watchers server ~blocker:txn_id ~aborted:false;
           server_rescan server;
@@ -770,13 +732,14 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
            record that WAS served may still have speculative holes — RECSF
            forwards carry version -1 and never seed the cache — so those
            keys are re-shipped from the committed store. *)
-        let salvage_keys = if unserved then r.reads else r.fwd_keys in
-        if r.txn.Txn.pa <> None && Array.length salvage_keys > 0 then begin
-          let salvage = Exec.salvage_all server.kv r.txn ~reads:salvage_keys in
+        let salvage =
+          Exec.salvage server.kv r.txn ~reads:(if unserved then r.reads else r.fwd_keys)
+            ~upto:`All
+        in
+        if Exec.count salvage > 0 then
           send ~src:server.node ~dst:r.txn.Txn.client
-            ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(List.length salvage) ())
-            (fun () -> Exec.note_reads r.txn salvage)
-        end);
+            ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(Exec.count salvage) ())
+            (fun () -> ignore (Exec.absorb r.txn ~attempt:txn_id Exec.no_claims salvage)));
     server_notify_cond_watchers server ~blocker:txn_id ~aborted:true;
     server_rescan server;
     server_drain server
@@ -938,19 +901,17 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     let leaders = List.map (fun p -> servers.(p).node) participants in
     let ts, arrivals = Estimate.timestamps cluster features ~client ~leaders in
     let coordinator = Cluster.coordinator_for cluster ~client in
-    (* Per-partition partial-abort claims, as (key, data, version) triples;
-       empty with the cache off or nothing validated. The (key, version)
-       projection rides to the server, the full triples fill in the values
-       the server omits from its reply. *)
+    (* Per-partition partial-abort claims; empty with the cache off or
+       nothing validated. *)
     let part_claims =
-      List.map (fun p -> (p, Exec.claims_of txn (plan.Exec.reads_of p))) participants
+      List.map (fun p -> (p, Exec.claims txn (plan.Exec.reads_of p))) participants
     in
-    let claims_for p = Option.value ~default:[] (List.assoc_opt p part_claims) in
+    let claims_for p = Option.value ~default:Exec.no_claims (List.assoc_opt p part_claims) in
     let slots : (int, slot) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun p ->
         Hashtbl.replace slots p
-          { expected = Array.length (plan.Exec.reads_of p); src = None; got = [] })
+          { expected = Array.length (plan.Exec.reads_of p); src = None; got = Exec.no_reads })
       participants;
     let finished = ref false in
     let sent_gen = ref 0 in
@@ -960,7 +921,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       match s.src with
       | None -> false
       | Some (S_normal | S_cond _) -> true
-      | Some (S_recsf _) -> List.length s.got >= s.expected
+      | Some (S_recsf _) -> Exec.count s.got >= s.expected
     in
     let send_commit_request () =
       let gen = !sent_gen + 1 in
@@ -983,52 +944,42 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         && List.for_all (fun p -> slot_complete (Hashtbl.find slots p)) participants
       then if !sent_gen = 0 || !must_resend then send_commit_request ()
     in
-    let deliver_read_for p src values =
+    let deliver_read_for p src served =
       if !finished then
         (* The attempt is already dead (the abort notice beat this reply),
-           but the triples are authoritative committed reads that crossed
+           but the entries are authoritative committed reads that crossed
            the wire anyway: fold them into the prefix cache like abort-time
            salvage. Without this, a partition whose serve raced the abort
            neither seeds the cache here nor salvages on Release (it is
            Prepared there, i.e. "already served"). *)
-        Exec.note_reads txn values
+        ignore (Exec.absorb txn ~attempt:txn_id Exec.no_claims served)
       else begin
         let s = Hashtbl.find slots p in
         (match (src, s.src) with
         | S_normal, prev ->
             (* Credit validated claims once per slot: the re-serve after a
-               failed condition honors the same claims again. *)
-            if prev = None then
-              Exec.note_validated txn ~attempt:txn_id ~served:values ~claims:(claims_for p);
-            let values = Exec.merge_claims ~served:values ~claims:(claims_for p) in
-            Exec.note_reads txn values;
+               failed condition honors the same claims again, so it credits
+               attempt -1, which is never live. *)
+            let attempt = if prev = None then txn_id else -1 in
             s.src <- Some S_normal;
-            s.got <- values;
+            s.got <- Exec.absorb txn ~attempt (claims_for p) served;
             (* A normal read arriving for a slot we used conditionally means
                the condition failed: re-execute (§3.3.2). *)
             (match (prev, List.assoc_opt p !used) with
             | Some (S_cond _), Some (S_cond _) when !sent_gen > 0 -> must_resend := true
             | _ -> ())
         | S_cond _, None ->
-            Exec.note_validated txn ~attempt:txn_id ~served:values ~claims:(claims_for p);
-            let values = Exec.merge_claims ~served:values ~claims:(claims_for p) in
-            Exec.note_reads txn values;
             s.src <- Some src;
-            s.got <- values
+            s.got <- Exec.absorb txn ~attempt:txn_id (claims_for p) served
         | S_recsf _, None ->
             (* RECSF serves its local slice in full (claims are not honored
-               on that path), so nothing to merge; forwarded triples carry
+               on that path), so nothing to merge; forwarded entries carry
                version -1 and never enter the cache. *)
-            Exec.note_reads txn values;
             s.src <- Some src;
-            s.got <- values
+            s.got <- Exec.absorb txn ~attempt:txn_id Exec.no_claims served
         | S_recsf b, Some (S_recsf b') when b = b' ->
-            Exec.note_reads txn values;
             (* Merge partial RECSF deliveries (local + forwarded). *)
-            List.iter
-              (fun ((k, _, _) as v) ->
-                if not (List.exists (fun (k', _, _) -> k' = k) s.got) then s.got <- v :: s.got)
-              values
+            s.got <- Exec.union s.got (Exec.absorb txn ~attempt:txn_id Exec.no_claims served)
         | _ -> ());
         maybe_send ()
       end
@@ -1042,8 +993,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     in
     let deliver_abort fail_key salvage =
       if not !finished then begin
-        Exec.note_reads txn salvage;
-        Txn.pa_note_fail txn ~attempt:txn_id ~key:fail_key;
+        Exec.absorb_abort txn ~attempt:txn_id ~fail_key salvage;
         (* Release everywhere straight from the client (per-connection FIFO
            puts these ahead of the retry), and tell the coordinator. *)
         List.iter
@@ -1068,7 +1018,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         let keys =
           Array.of_list (List.sort_uniq compare (Array.to_list reads @ Array.to_list writes))
         in
-        let claims = Exec.claim_versions (claims_for p) in
+        let claims = claims_for p in
         let r : srec =
           {
             txn;
@@ -1095,7 +1045,9 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
           ~msg:
             (Msg.read_prepare ~txn:txn_id
                ~priority:(match txn.Txn.priority with Txn.High -> 1 | Txn.Low -> 0)
-               ~extra:(12 * List.length participants + Exec.claim_extra_bytes (claims_for p))
+               ~extra:
+                 ((Msg.arrival_estimate_bytes * List.length participants)
+                 + Exec.claim_bytes claims)
                ~reads:(Array.length reads) ~writes:(Array.length writes) ())
           (fun () -> server_on_read_and_prepare server r))
       participants;
@@ -1105,7 +1057,8 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
        release path and let the driver retry against the re-resolved
        leaders. Armed only under fault injection — fault-free runs schedule
        nothing extra. *)
-    Failover.arm_watchdog cluster ~finished ~on_timeout:(fun () -> deliver_abort (-1) [])
+    Failover.arm_watchdog cluster ~finished ~on_timeout:(fun () ->
+        deliver_abort (-1) Exec.no_reads)
   in
   (System.make ~name:(Features.name features) ~submit, stats)
 

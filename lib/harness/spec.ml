@@ -173,8 +173,8 @@ let partial_abort_arg =
 
 let faults_arg =
   opt Arg.(some string) None [ "faults" ] ~docv:"SPEC"
-    "Fault schedule: comma-separated ACTION\\@TIME events, e.g. \
-     'crash-leader:0\\@2s,restart\\@6s'. Actions: crash:NODE, crash-leader:P|rand, \
+    "Fault schedule: comma-separated ACTION@TIME events, e.g. \
+     'crash-leader:0@2s,restart@6s'. Actions: crash:NODE, crash-leader:P|rand, \
      restart:NODE, restart (all crashed), cut:A-B, heal:A-B, heal (all cut). Times are \
      offsets from simulation start and accept 's'/'ms' suffixes."
 
@@ -183,6 +183,7 @@ let rec duplicate = function [] -> false | x :: rest -> List.mem x rest || dupli
 let cells systems workload rate zipf duration warmup seeds high_fraction topo variance loss
     msg_cost n_partitions clients_per_dc drain batching partial_abort faults =
   let systems = List.concat systems and faults = Option.map Faults.parse faults in
+  let warmup = Option.value warmup ~default:(duration /. 4.) in
   let error =
     if clients_per_dc < 1 then Some "--clients-per-dc must be >= 1"
     else if n_partitions < 1 then Some "--partitions must be >= 1"
@@ -194,6 +195,13 @@ let cells systems workload rate zipf duration warmup seeds high_fraction topo va
     else if not (high_fraction >= 0. && high_fraction <= 1.) then
       Some "--high-fraction must be in [0, 1]"
     else if msg_cost < 0 then Some "--msg-cost must be >= 0"
+    else if not (zipf >= 0.) then Some "--zipf must be >= 0"
+    else if not (duration > 0.) then Some "--duration must be > 0"
+    else if not (warmup >= 0.) then Some "--warmup must be >= 0"
+    else if not (2. *. warmup < duration) then
+      Some "--warmup must be under half of --duration (the measurement window is empty)"
+    else if not (Option.value drain ~default:0. >= 0.) then Some "--drain must be >= 0"
+    else if not (variance >= 0.) then Some "--variance must be >= 0"
     else
       match faults with
       | None -> None
@@ -213,7 +221,7 @@ let cells systems workload rate zipf duration warmup seeds high_fraction topo va
   match error with
   | Some e -> `Error (false, e)
   | None ->
-      let warmup = Sim_time.seconds (Option.value warmup ~default:(duration /. 4.)) in
+      let warmup = Sim_time.seconds warmup in
       let default = Workload.Driver.default_config in
       let base =
         {

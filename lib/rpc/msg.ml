@@ -16,6 +16,8 @@ let control_bytes = 24
 let probe_bytes = 32
 let cache_fetch_bytes = 24
 let cache_entry_bytes = 16
+let claim_bytes = 12
+let arrival_estimate_bytes = 12
 
 type kind =
   | Read_prepare

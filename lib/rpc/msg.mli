@@ -102,3 +102,11 @@ val control_bytes : int
 val probe_bytes : int
 val cache_fetch_bytes : int
 val cache_entry_bytes : int
+
+val claim_bytes : int
+(** One partial-abort claim piggybacked on a read-and-prepare: a (key,
+    version) pair. *)
+
+val arrival_estimate_bytes : int
+(** One per-participant arrival-time estimate piggybacked on Natto's
+    read-and-prepare. *)

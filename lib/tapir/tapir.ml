@@ -68,21 +68,10 @@ let make (cluster : Cluster.t) : System.t =
                 | None -> ())
             replicas.(p))
         participants;
-    let finished = ref false in
-    let trace = Netsim.Network.trace net in
-    let finish ~committed =
-      if not !finished then begin
-        finished := true;
-        if Trace.recording trace then
-          Trace.instant trace ~tid:client ~txn:txn_id
-            ~name:(if committed then "txn-commit" else "txn-abort")
-            ~at:(Simcore.Engine.now cluster.Cluster.engine) ();
-        on_done ~committed
-      end
-    in
+    let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
     (* ---- round 1: read from the nearest replica of each partition ---- *)
     let reads_pending = ref (List.length participants) in
-    let read_results : (int * (int * int * int) list) list ref = ref [] in
+    let read_results : (int * Exec.reads) list ref = ref [] in
     let round_two () =
       let per_partition = List.map snd !read_results in
       let reads = Exec.assemble_reads txn per_partition in
@@ -116,11 +105,7 @@ let make (cluster : Cluster.t) : System.t =
                 send ~src:client ~dst:r.node
                   ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
                   (fun () ->
-                    List.iter
-                      (fun (key, data) ->
-                        Store.Kv.put r.kv ~key ~data ~writer:txn_id;
-                        Check.Recorder.applied recorder ~txn:txn_id ~key)
-                      local;
+                    Exec.apply cluster r.kv ~txn:txn_id local;
                     Store.Occ.release r.occ ~txn:txn_id))
               replicas.(p))
           participants
@@ -186,9 +171,7 @@ let make (cluster : Cluster.t) : System.t =
       List.iter
         (fun p ->
           let reads_p = plan.Exec.reads_of p and writes_p = plan.Exec.writes_of p in
-          let read_versions =
-            List.assoc p !read_results |> List.map (fun (k, _, v) -> (k, v))
-          in
+          let reads = List.assoc p !read_results in
           Array.iter
             (fun r ->
               if counted r then
@@ -201,24 +184,20 @@ let make (cluster : Cluster.t) : System.t =
                        the footprint must not conflict with a prepared txn.
                        The first offending key rides back on the vote so a
                        partial-abort retry knows where its prefix broke. *)
-                    let stale_key =
-                      List.find_opt
-                        (fun (key, version) -> Store.Kv.version r.kv key <> version)
-                        read_versions
-                    in
                     let fail_key =
-                      match stale_key with
-                      | Some (key, _) -> Some key
+                      match Exec.first_stale r.kv reads with
                       | None ->
                           Store.Occ.principal_conflict_key r.occ ~reads:reads_p
                             ~writes:writes_p ~excluding:txn_id
+                      | stale -> stale
                     in
                     let ok = fail_key = None in
                     if ok then Store.Occ.prepare r.occ ~txn:txn_id ~reads:reads_p ~writes:writes_p;
                     send ~src:r.node ~dst:client ~msg:(Msg.vote ~txn:txn_id ()) (fun () ->
                         if not !finished then begin
                           (match fail_key with
-                          | Some key -> Txn.pa_note_fail txn ~attempt:txn_id ~key
+                          | Some fail_key ->
+                              Exec.absorb_abort txn ~attempt:txn_id ~fail_key Exec.no_reads
                           | None -> ());
                           votes := (p, ok) :: !votes;
                           decr pending;
@@ -234,26 +213,19 @@ let make (cluster : Cluster.t) : System.t =
         (* Partial-abort claims: keys from the validated prefix ride on the
            request as (key, value, version) and, when the replica confirms
            the version still matches, are dropped from the reply payload. *)
-        let claims = Exec.claims_of txn keys in
+        let claims = Exec.claims txn keys in
         send ~src:client ~dst:r.node
           ~msg:
             (Msg.read_prepare ~txn:txn_id ~reads:(Array.length keys) ~writes:0
-               ~extra:(Exec.claim_extra_bytes claims) ())
+               ~extra:(Exec.claim_bytes claims) ())
           (fun () ->
-            if Check.Recorder.enabled recorder then
-              Check.Recorder.reads_from_kv recorder ~txn:txn_id r.kv keys;
-            let served =
-              Exec.serve_keys r.kv keys ~claims:(Exec.claim_versions claims)
-            in
-            let values = Exec.read_values r.kv served in
+            let served = Exec.serve cluster r.kv ~txn:txn_id keys claims in
             send ~src:r.node ~dst:client
-              ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Array.length served) ())
+              ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
               (fun () ->
                 if not !finished then begin
-                  Exec.note_validated txn ~attempt:txn_id ~served:values ~claims;
-                  let values = Exec.merge_claims ~served:values ~claims in
-                  Exec.note_reads txn values;
-                  read_results := (p, values) :: !read_results;
+                  let reads = Exec.absorb txn ~attempt:txn_id claims served in
+                  read_results := (p, reads) :: !read_results;
                   decr reads_pending;
                   if !reads_pending = 0 then round_two ()
                 end)))

@@ -183,10 +183,9 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
         servers.(p).node <- node);
     let coordinator = Cluster.coordinator_for cluster ~client in
     let high = Txn.is_high txn in
-    let finished = ref false in
+    let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
     let abort_attempt () =
       if not !finished then begin
-        finished := true;
         List.iter
           (fun p ->
             let server = servers.(p) in
@@ -198,14 +197,11 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
           (fun () ->
             let c = coord_state ~txn_id ~client ~n_participants:n in
             c.decided <- true);
-        if Trace.recording trace then
-          Trace.instant trace ~tid:client ~txn:txn_id ~name:"txn-abort"
-            ~at:(Simcore.Engine.now engine) ();
-        on_done ~committed:false
+        finish ~committed:false
       end
     in
-    let deliver_abort key =
-      Txn.pa_note_fail txn ~attempt:txn_id ~key;
+    let deliver_abort fail_key =
+      Exec.absorb_abort txn ~attempt:txn_id ~fail_key Exec.no_reads;
       abort_attempt ()
     in
     (* ---- phase 3: coordinator decision ---- *)
@@ -222,14 +218,7 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
           ~on_committed:(fun () ->
             send ~src:coordinator ~dst:client
               ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
-              (fun () ->
-                if not !finished then begin
-                  finished := true;
-                  if Trace.recording trace then
-                    Trace.instant trace ~tid:client ~txn:txn_id ~name:"txn-commit"
-                      ~at:(Simcore.Engine.now engine) ();
-                  on_done ~committed:true
-                end);
+              (fun () -> finish ~committed:true);
             List.iter
               (fun p ->
                 let server = servers.(p) in
@@ -246,11 +235,7 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
                       ~tag:txn_id
                       ~on_committed:(fun () -> ())
                       ();
-                    List.iter
-                      (fun (key, data) ->
-                        Store.Kv.put server.kv ~key ~data ~writer:txn_id;
-                        Check.Recorder.applied recorder ~txn:txn_id ~key)
-                      local;
+                    Exec.apply cluster server.kv ~txn:txn_id local;
                     server_release server txn_id))
               participants)
           ()
@@ -314,7 +299,7 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
       List.filter (fun p -> Array.length (plan.Exec.reads_of p) > 0) participants
     in
     let reads_pending = ref (List.length read_partitions) in
-    let read_replies : (int * int * int) list list ref = ref [] in
+    let read_replies : Exec.reads list ref = ref [] in
     let phase_one_done () =
       let reads = Exec.assemble_reads txn !read_replies in
       let pairs = Exec.write_pairs txn reads in
@@ -332,15 +317,15 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
         (fun p ->
           let server = servers.(p) in
           let keys = plan.Exec.reads_of p in
-          (* Partial-abort claims for this partition's keys: (key, value,
-             version) triples the client believes are still current. They ride
-             on the request (12 bytes each) and, when the server confirms the
-             version, drop the key from the reply payload. *)
-          let claims = Exec.claims_of txn keys in
+          (* Partial-abort claims for this partition's keys: cached entries
+             the client believes are still current. They ride on the request
+             and, when the server confirms the version, drop the key from the
+             reply payload. *)
+          let claims = Exec.claims txn keys in
           send ~src:client ~dst:server.node
             ~msg:
               (Msg.read_prepare ~txn:txn_id ~reads:(Array.length keys) ~writes:0
-                 ~extra:(Exec.claim_extra_bytes claims) ())
+                 ~extra:(Exec.claim_bytes claims) ())
             (fun () ->
               if Hashtbl.mem server.tombstones txn_id then ()
               else begin
@@ -361,17 +346,9 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
                         if not r.gone then begin
                           incr granted;
                           if !granted = needed then begin
-                            if Check.Recorder.enabled recorder then
-                              Check.Recorder.reads_from_kv recorder ~txn:txn_id
-                                server.kv keys;
-                            (* Serve only unclaimed / stale-claimed keys; the
-                               history is recorded over the full slice either
-                               way, so the checker sees identical reads. *)
                             let served =
-                              Exec.serve_keys server.kv keys
-                                ~claims:(Exec.claim_versions claims)
+                              Exec.serve cluster server.kv ~txn:txn_id keys claims
                             in
-                            let values = Exec.read_values server.kv served in
                             (* Deliberately broken variant for checker tests:
                                give up the read locks as soon as the reads
                                are served, before the 2PC prepare — the
@@ -383,18 +360,12 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
                             if early_read_release then
                               Store.Locks.release_all server.locks ~txn:txn_id;
                             send ~src:server.node ~dst:client
-                              ~msg:
-                                (Msg.read_reply ~txn:txn_id
-                                   ~reads:(Array.length served) ())
+                              ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
                               (fun () ->
                                 if not !finished then begin
-                                  Exec.note_validated txn ~attempt:txn_id
-                                    ~served:values ~claims;
-                                  let values =
-                                    Exec.merge_claims ~served:values ~claims
-                                  in
-                                  Exec.note_reads txn values;
-                                  read_replies := values :: !read_replies;
+                                  read_replies :=
+                                    Exec.absorb txn ~attempt:txn_id claims served
+                                    :: !read_replies;
                                   decr reads_pending;
                                   if !reads_pending = 0 then phase_one_done ()
                                 end)

@@ -37,11 +37,14 @@ let plan_of cluster (txn : Txn.t) =
     writes_of = (fun p -> find pc.Txn.pc_writes p);
   }
 
-let read_values kv keys =
-  Array.to_list keys
-  |> List.map (fun key ->
-         let v = Store.Kv.get kv key in
-         (key, v.Store.Kv.data, v.Store.Kv.version))
+(* ---- reads ---- *)
+
+type reads = (int * int * int) list
+type claims = (int * int * int) list
+
+let no_reads = []
+let no_claims = []
+let count = List.length
 
 let assemble_reads (txn : Txn.t) per_partition =
   let table = Hashtbl.create 16 in
@@ -50,16 +53,19 @@ let assemble_reads (txn : Txn.t) per_partition =
     per_partition;
   Array.map (fun key -> Option.value ~default:0 (Hashtbl.find_opt table key)) txn.Txn.read_set
 
-let write_pairs (txn : Txn.t) read_values =
-  let values = txn.Txn.compute read_values in
-  Array.to_list (Array.mapi (fun i key -> (key, values.(i))) txn.Txn.write_set)
+let has_key key reads = List.exists (fun (k, _, _) -> k = key) reads
 
-let pairs_on_partition cluster ~partition pairs =
-  List.filter (fun (key, _) -> Cluster.partition_of_key cluster key = partition) pairs
+let union got more =
+  List.fold_left (fun got ((key, _, _) as e) -> if has_key key got then got else e :: got) got more
 
-(* ---- partial-abort claim plumbing (shared by every optimistic family) ---- *)
+let first_stale kv reads =
+  List.find_map
+    (fun (key, _, version) -> if Store.Kv.version kv key <> version then Some key else None)
+    reads
 
-let claims_of (txn : Txn.t) keys =
+(* ---- partial-abort claims ---- *)
+
+let claims (txn : Txn.t) keys =
   match txn.Txn.pa with
   | None -> []
   | Some pa ->
@@ -70,54 +76,102 @@ let claims_of (txn : Txn.t) keys =
                  Some (key, pa.Txn.values.(i), pa.Txn.versions.(i))
              | _ -> None)
 
-let claim_versions claims = List.map (fun (key, _, version) -> (key, version)) claims
+let claim_bytes claims = Rpc.Msg.claim_bytes * List.length claims
 
-let serve_keys kv keys ~claims =
-  if claims = [] then keys
-  else
-    Array.of_list
-      (List.filter
-         (fun key ->
-           match List.assoc_opt key claims with
-           | Some version -> Store.Kv.version kv key <> version
-           | None -> true)
-         (Array.to_list keys))
+(* ---- participant side ---- *)
 
-let merge_claims ~served ~claims =
-  if claims = [] then served
-  else
-    served
-    @ List.filter
-        (fun (key, _, _) -> not (List.exists (fun (k, _, _) -> k = key) served))
-        claims
+let read kv keys ~keep =
+  Array.fold_right
+    (fun key acc ->
+      if keep key then
+        let v = Store.Kv.get kv key in
+        (key, v.Store.Kv.data, v.Store.Kv.version) :: acc
+      else acc)
+    keys []
 
-let note_validated (txn : Txn.t) ~attempt ~served ~claims =
-  if claims <> [] then
-    Txn.pa_note_reused txn ~attempt
-      (List.length
-         (List.filter
-            (fun (key, _, _) -> not (List.exists (fun (k, _, _) -> k = key) served))
-            claims))
+(* A claim is honored (its value omitted) iff its version is still live. *)
+let rec honored kv key = function
+  | [] -> false
+  | (k, _, version) :: rest ->
+      if k = key then Store.Kv.version kv key = version else honored kv key rest
 
-let note_reads (txn : Txn.t) entries =
+let serve ?(record = true) (cluster : Cluster.t) kv ~txn keys claims =
+  let recorder = cluster.Cluster.recorder in
+  if record && Check.Recorder.enabled recorder then
+    Check.Recorder.reads_from_kv recorder ~txn kv keys;
+  match claims with
+  | [] -> read kv keys ~keep:(fun _ -> true)
+  | _ -> read kv keys ~keep:(fun key -> not (honored kv key claims))
+
+let salvage kv (txn : Txn.t) ~reads ~upto =
+  let bound =
+    match (txn.Txn.pa, upto) with
+    | None, _ -> 0
+    | Some _, `All -> max_int
+    | Some _, `Before fail_key when fail_key < 0 -> 0
+    | Some _, `Before fail_key -> ( match Txn.read_index txn fail_key with -1 -> max_int | i -> i)
+  in
+  if bound = 0 then [] else read kv reads ~keep:(fun key -> Txn.read_index txn key < bound)
+
+let forwarded ~pairs keys =
+  Array.to_list keys
+  |> List.filter_map (fun key ->
+         List.assoc_opt key pairs |> Option.map (fun data -> (key, data, -1)))
+
+let record_forwarded (cluster : Cluster.t) ~txn ~writer reads =
+  let recorder = cluster.Cluster.recorder in
+  if Check.Recorder.enabled recorder then
+    List.iter (fun (key, _, _) -> Check.Recorder.read ~weak:true recorder ~txn ~key ~writer) reads
+
+let apply (cluster : Cluster.t) kv ~txn pairs =
+  List.iter
+    (fun (key, data) ->
+      Store.Kv.put kv ~key ~data ~writer:txn;
+      Check.Recorder.applied cluster.Cluster.recorder ~txn ~key)
+    pairs
+
+(* ---- client side ---- *)
+
+let cache (txn : Txn.t) reads =
   if txn.Txn.pa <> None then
-    List.iter (fun (key, data, version) -> Txn.pa_note_read txn ~key ~data ~version) entries
+    List.iter (fun (key, data, version) -> Txn.pa_note_read txn ~key ~data ~version) reads
 
-let claim_extra_bytes claims = 12 * List.length claims
+let absorb txn ~attempt claims served =
+  let reads =
+    match claims with
+    | [] -> served
+    | _ ->
+        let validated = List.filter (fun (key, _, _) -> not (has_key key served)) claims in
+        Txn.pa_note_reused txn ~attempt (List.length validated);
+        served @ validated
+  in
+  cache txn reads;
+  reads
 
-let salvage_reads kv (txn : Txn.t) ~reads ~fail_key =
-  if txn.Txn.pa = None then []
-  else begin
-    let bound =
-      if fail_key < 0 then 0
-      else match Txn.read_index txn fail_key with -1 -> max_int | i -> i
-    in
-    if bound = 0 then []
-    else
-      read_values kv
-        (Array.of_list
-           (List.filter (fun k -> Txn.read_index txn k < bound) (Array.to_list reads)))
-  end
+let absorb_abort txn ~attempt ~fail_key salvage =
+  cache txn salvage;
+  Txn.pa_note_fail txn ~attempt ~key:fail_key
 
-let salvage_all kv (txn : Txn.t) ~reads =
-  if txn.Txn.pa = None then [] else read_values kv reads
+let finisher (cluster : Cluster.t) ~client ~txn ~on_done =
+  let finished = ref false in
+  let trace = Netsim.Network.trace cluster.Cluster.net in
+  let finish ~committed =
+    if not !finished then begin
+      finished := true;
+      if Trace.recording trace then
+        Trace.instant trace ~tid:client ~txn
+          ~name:(if committed then "txn-commit" else "txn-abort")
+          ~at:(Simcore.Engine.now cluster.Cluster.engine) ();
+      on_done ~committed
+    end
+  in
+  (finished, finish)
+
+(* ---- writes ---- *)
+
+let write_pairs (txn : Txn.t) read_values =
+  let values = txn.Txn.compute read_values in
+  Array.to_list (Array.mapi (fun i key -> (key, values.(i))) txn.Txn.write_set)
+
+let pairs_on_partition cluster ~partition pairs =
+  List.filter (fun (key, _) -> Cluster.partition_of_key cluster key = partition) pairs

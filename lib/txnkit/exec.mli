@@ -1,5 +1,12 @@
 (** Per-transaction execution plumbing shared by all protocols: partition
-    plans, read-result assembly, and write-value computation. *)
+    plans, the participant data path and write-value computation.
+
+    Every family runs the 2FI model (paper §2.1): reads are served at a
+    participant, the client computes the writes, the writes are applied at
+    commit. The families differ in how they order and vote, not in how a
+    read is served, so the read representation and the partial-abort claim
+    protocol live here alone: a family says {e what} to serve, absorb,
+    salvage or apply, and this module knows {e how}. *)
 
 type plan = {
   participants : int list;  (** partitions, sorted *)
@@ -9,80 +16,104 @@ type plan = {
 
 val plan_of : Cluster.t -> Txn.t -> plan
 
-val read_values : Store.Kv.t -> int array -> (int * int * int) list
-(** [(key, data, version)] for each key, from a replica's store. *)
+(** {2 Reads} *)
 
-val assemble_reads : Txn.t -> (int * int * int) list list -> int array
-(** Merges per-partition [(key, data, version)] lists into values aligned
-    with the transaction's read set. Missing keys read as 0. *)
+type reads
+(** Served (key, data, version) entries. *)
 
-val write_pairs : Txn.t -> int array -> (int * int) list
-(** [(key, value)] pairs from the transaction's write set and computed
-    write values. *)
+val no_reads : reads
 
-val pairs_on_partition : Cluster.t -> partition:int -> (int * int) list -> (int * int) list
+val count : reads -> int
+(** Entries carried: what sizes a read reply, abort notice or RECSF reply. *)
+
+val assemble_reads : Txn.t -> reads list -> int array
+(** Values aligned with the transaction's read set. Missing keys read as 0. *)
+
+val union : reads -> reads -> reads
+(** [union got more] adds the entries of [more] whose key [got] lacks. *)
+
+val first_stale : Store.Kv.t -> reads -> int option
+(** The first key whose store version moved since it was read. *)
 
 (** {2 Partial-abort claims}
 
-    With partial aborts on, a retry {e claims} the cached (key, version)
-    pairs of its validated read prefix instead of asking for the data again.
-    The server compares each claimed version against its live store: a match
-    omits the value from the reply (the payload shrinks — that is the real
-    saving), a mismatch serves the key fresh. Either way the server records
-    the {e full} read slice to the checker, so histories are identical with
-    the cache on or off. *)
+    With partial aborts on, a retry {e claims} the cached entries of its
+    validated read prefix instead of asking for the data again. The server
+    compares each claimed version against its live store: a match omits the
+    value from the reply (the payload shrinks — that is the real saving), a
+    mismatch serves the key fresh. Either way the server records the {e full}
+    read slice to the checker, so histories are identical with the cache on
+    or off. *)
 
-val claims_of : Txn.t -> int array -> (int * int * int) list
-(** [(key, data, version)] claimable from the validated prefix for a
-    partition's read slice; [[]] when partial aborts are off. *)
+type claims
+(** A partition's claimable prefix: the same value rides to the server and
+    stays with the client, which fills in the values the server omitted. *)
 
-val claim_versions : (int * int * int) list -> (int * int) list
-(** What actually crosses the wire: the (key, version) pairs. *)
+val no_claims : claims
 
-val serve_keys : Store.Kv.t -> int array -> claims:(int * int) list -> int array
-(** Server side: the keys that must be served fresh — unclaimed keys plus
-    claims whose version no longer matches the store. *)
+val claims : Txn.t -> int array -> claims
+(** Empty when partial aborts are off or nothing is validated. *)
 
-val merge_claims :
-  served:(int * int * int) list -> claims:(int * int * int) list -> (int * int * int) list
-(** Client side: fresh served values plus claimed entries the server
-    validated (and therefore omitted). Served values win on overlap. *)
-
-val note_validated :
-  Txn.t -> attempt:int -> served:(int * int * int) list -> claims:(int * int * int) list -> unit
-(** Client side, on a reply that honored claims: credits the claims the
-    server validated (their keys are absent from [served]) to the attempt's
-    reuse counter. The driver reports {e this} — values actually omitted
-    from replies — as [keys_reused], so over-claiming never inflates the
-    accounting. *)
-
-val note_reads : Txn.t -> (int * int * int) list -> unit
-(** Folds authoritatively served [(key, data, version)] entries into the
-    prefix cache (no-op when partial aborts are off; negative versions —
-    speculative forwards — are skipped). *)
-
-val claim_extra_bytes : (int * int * int) list -> int
+val claim_bytes : claims -> int
 (** Wire cost of piggybacking the claims on a read-and-prepare. *)
 
-val salvage_reads :
-  Store.Kv.t -> Txn.t -> reads:int array -> fail_key:int -> (int * int * int) list
-(** Abort-time salvage: the aborting server's current [(key, data, version)]
-    triples for the partition's read keys that lie strictly before
-    [fail_key] in the transaction's read order — exactly the slice a resumed
-    retry could claim. This is what lets a victim aborted {e before} being
-    served (Natto's priority aborts, Carousel's arrival conflicts) still
-    restart with a populated prefix. The bound keeps the abort notice — the
-    message gating the retry — small. Empty when partial aborts are off or
-    the conflict is unknown ([fail_key < 0]) or at read index 0; a
-    write-set-only [fail_key] salvages the whole local read slice. Entries
-    are read from the aborting leader's store and revalidated like any
-    other claim, so a racing later write is always repaired by a fresh
-    serve. *)
+(** {2 Participant side} *)
 
-val salvage_all : Store.Kv.t -> Txn.t -> reads:int array -> (int * int * int) list
-(** Unbounded salvage: the full local read slice, regardless of the fail
-    index. For paths where the extra bytes are off the retry's critical
-    path (Natto's Release processing) or the abort reply is the vote
-    itself (Carousel Fast's leader): a later attempt's claim limit can
-    exceed this one's, and a cached entry stays claimable until its
-    version moves. Empty when partial aborts are off. *)
+val serve : ?record:bool -> Cluster.t -> Store.Kv.t -> txn:int -> int array -> claims -> reads
+(** Serves attempt [txn]'s read slice: records all of it to the checker
+    (when recording; [~record:false] is for Carousel Fast's followers, whose
+    values never feed the write computation), then reads every key except
+    the claims whose version is still live. *)
+
+val salvage :
+  Store.Kv.t -> Txn.t -> reads:int array -> upto:[ `Before of int | `All ] -> reads
+(** Abort-time salvage of the victim's read keys, so a victim aborted
+    {e before} being served still restarts with a populated prefix. Empty
+    when partial aborts are off. [`Before fail_key] keeps the keys before
+    [fail_key] in read order — the slice a resumed retry could claim, which
+    keeps an abort notice gating the retry small (nothing for an unknown
+    conflict, [fail_key < 0]; everything for a write-set-only key). [`All]
+    ships the whole slice, for paths off the retry's critical path: a later
+    attempt's claim limit can exceed this one's. *)
+
+val forwarded : pairs:(int * int) list -> int array -> reads
+(** RECSF forwarding: the blocker's write values for those of the keys it
+    writes, at version -1 (speculative: never seeds the prefix cache). *)
+
+val record_forwarded : Cluster.t -> txn:int -> writer:int -> reads -> unit
+(** Records forwarded reads as weak observations of [writer]: an
+    authoritative re-served read wins whatever order the replies land in. *)
+
+val apply : Cluster.t -> Store.Kv.t -> txn:int -> (int * int) list -> unit
+(** Installs committed writes in a replica's store and reports each to the
+    checker. *)
+
+(** {2 Client side} *)
+
+val absorb : Txn.t -> attempt:int -> claims -> reads -> reads
+(** On a reply that honored [claims]: credits the claims the server
+    validated (absent from the reply) to [attempt] — the driver's
+    [keys_reused]; nothing unless [attempt] is live — merges them in (served
+    values win) and folds the result into the prefix cache. With [no_claims]
+    it only caches. *)
+
+val absorb_abort : Txn.t -> attempt:int -> fail_key:int -> reads -> unit
+(** On an abort notice: caches its salvage and reports [fail_key] as
+    [attempt]'s first invalidated key. *)
+
+val finisher :
+  Cluster.t ->
+  client:int ->
+  txn:int ->
+  on_done:(committed:bool -> unit) ->
+  bool ref * (committed:bool -> unit)
+(** [(finished, finish)] for one attempt: the first [finish] marks a
+    [txn-commit]/[txn-abort] instant on the client's trace track and calls
+    [on_done]; later calls do nothing. *)
+
+(** {2 Writes} *)
+
+val write_pairs : Txn.t -> int array -> (int * int) list
+(** [(key, value)] pairs from the write set and computed write values. *)
+
+val pairs_on_partition : Cluster.t -> partition:int -> (int * int) list -> (int * int) list

@@ -135,8 +135,8 @@ let setup_gen =
   and* rate_tps = float_range 1e-3 10_000.
   and* high_fraction = float_bound_inclusive 1.
   and* partial_abort = bool
-  and* duration = us
-  and* warmup = opt us
+  and* duration = int_range 1 100_000_000
+  and* warmup_half = opt us
   and* drain = us
   and* seed = int_range 0 1000
   and* events = list_size (int_range 0 4) (pair us (int_bound 6))
@@ -157,6 +157,8 @@ let setup_gen =
       | 5 -> Partition (a, b)
       | _ -> if a < b then Heal (a, b) else Heal_all)
   in
+  (* The measurement window between warm-up and cool-down is never empty. *)
+  let warmup = Option.map (fun w -> w mod ((duration + 1) / 2)) warmup_half in
   let warmup =
     Option.value warmup
       ~default:(Simcore.Sim_time.seconds (Simcore.Sim_time.to_seconds duration /. 4.))
@@ -240,7 +242,14 @@ let test_line_rejects () =
   List.iter
     (fun line -> Alcotest.(check bool) line true (Result.is_error (Spec.of_string line)))
     [ "-s natto-ts,natto-ts"; "--seeds 1,1"; "-r 0"; "-s nope"; "--faults crash:999@1s";
-      "--trace x" ];
+      "--trace x"; "--zipf=-1"; "--zipf=nan"; "--duration=0"; "--duration=-1";
+      "--warmup=6 --duration=10"; "--warmup=5 --duration=10"; "--warmup=-1"; "--drain=-1";
+      "--variance=-1" ];
+  (* The bounds themselves: an empty measurement window is rejected, the
+     shapes just inside are runs. *)
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (Result.is_ok (Spec.of_string line)))
+    [ "--zipf=0"; "--warmup=0"; "--warmup=4.999999 --duration=10"; "--drain=0" ];
   Alcotest.check_raises "max_retries is not spellable"
     (Invalid_argument
        ("Spec.to_string: the grammar cannot spell this setup; nearest: "

@@ -1,9 +1,10 @@
-(* Partial-abort tests (ISSUE 10): validated read-prefix semantics on
-   Txnkit.Txn, claim serving equivalence at the Exec level (a claimed
-   serve must reconstruct exactly what a full serve returns, for
-   arbitrary — even stale — caches, because the server revalidates every
-   claim), and end-to-end checked runs per optimistic family with the
-   flag on and off. *)
+(* Partial-abort tests: validated read-prefix semantics on Txnkit.Txn,
+   observed through the server and client halves of the claim protocol
+   (Exec.serve / Exec.absorb); claim serving equivalence (a claimed serve
+   must reconstruct exactly what a full serve returns, for arbitrary — even
+   stale — caches, because the server revalidates every claim, and the
+   checker must see the full slice either way); and end-to-end checked runs
+   per optimistic family with the flag on and off. *)
 
 open Simcore
 
@@ -23,6 +24,34 @@ let roll (txn : Txnkit.Txn.t) =
   txn.Txnkit.Txn.id <- next;
   n
 
+(* A Raft-less cluster: [Exec.serve] only needs its checker recorder. *)
+let cluster = lazy (Txnkit.Cluster.build ~seed:1 ~with_raft:false ~with_proxies:false ())
+
+(* A store holding each key at [version key] (1 by default), last written
+   with [data key] (200 + key by default: unlike the cache's 100 + key, so a
+   value read back shows whether it came from a claim or a fresh serve). *)
+let store ?(version = fun _ -> 1) ?(data = fun key -> 200 + key) keys =
+  let kv = Store.Kv.create () in
+  List.iter
+    (fun key ->
+      for _ = 1 to version key do
+        Store.Kv.put kv ~key ~data:(data key) ~writer:1
+      done)
+    keys;
+  kv
+
+(* One read round of the live attempt against [kv]: the client's claims
+   ride to the server, which serves the rest; the client absorbs the reply.
+   Returns (keys served fresh, claims credited, read values). *)
+let claim_round (txn : Txnkit.Txn.t) kv =
+  let open Txnkit in
+  let claims = Exec.claims txn txn.Txn.read_set in
+  let served = Exec.serve (Lazy.force cluster) kv ~txn:txn.Txn.id txn.Txn.read_set claims in
+  let reads = Exec.absorb txn ~attempt:txn.Txn.id claims served in
+  (Exec.count served, Txnkit.Txn.pa_reused txn, Exec.assemble_reads txn [ reads ])
+
+let round = Alcotest.(triple int int (array int))
+
 (* ------------------------------------------------------------------ *)
 (* Prefix semantics *)
 
@@ -34,9 +63,9 @@ let test_write_set_only_conflict () =
   fill_cache txn;
   Txnkit.Txn.pa_note_fail txn ~attempt:1 ~key:7;
   Alcotest.(check int) "full read prefix claimable" 3 (roll txn);
-  Alcotest.(check int)
-    "claims cover the read set" 3
-    (List.length (Txnkit.Exec.claims_of txn txn.Txnkit.Txn.read_set))
+  Alcotest.check round "claims cover the read set: nothing served, all credited"
+    (0, 3, [| 101; 103; 105 |])
+    (claim_round txn (store [ 1; 3; 5 ]))
 
 let test_conflict_at_index_zero () =
   let txn = mk_txn ~id:1 ~reads:[ 1; 3; 5 ] ~writes:[ 3 ] () in
@@ -44,9 +73,9 @@ let test_conflict_at_index_zero () =
   fill_cache txn;
   Txnkit.Txn.pa_note_fail txn ~attempt:1 ~key:1;
   Alcotest.(check int) "nothing claimable" 0 (roll txn);
-  Alcotest.(check (list (triple int int int)))
-    "no claims" []
-    (Txnkit.Exec.claims_of txn txn.Txnkit.Txn.read_set)
+  Alcotest.check round "no claims: everything served fresh"
+    (3, 0, [| 201; 203; 205 |])
+    (claim_round txn (store [ 1; 3; 5 ]))
 
 let test_first_invalidated_key_min_combines () =
   (* Reports arrive in any order; the smallest invalidated index wins. *)
@@ -57,11 +86,13 @@ let test_first_invalidated_key_min_combines () =
   Txnkit.Txn.pa_note_fail txn ~attempt:1 ~key:3;
   Txnkit.Txn.pa_note_fail txn ~attempt:1 ~key:5;
   Alcotest.(check int) "prefix ends at the first invalidated read" 1 (roll txn);
-  match Txnkit.Exec.claims_of txn txn.Txnkit.Txn.read_set with
-  | [ (key, _, version) ] ->
-      Alcotest.(check int) "claims the surviving prefix key" 1 key;
-      Alcotest.(check int) "at its cached version" 1 version
-  | l -> Alcotest.failf "expected exactly one claim, got %d" (List.length l)
+  Alcotest.check round "claims the surviving prefix key, at its cached version"
+    (2, 1, [| 101; 203; 205 |])
+    (claim_round txn (store [ 1; 3; 5 ]));
+  (* Credit is per attempt, so the first round's claim still counts. *)
+  Alcotest.check round "a moved version serves the claimed key fresh"
+    (3, 1, [| 201; 203; 205 |])
+    (claim_round txn (store ~version:(fun _ -> 2) [ 1; 3; 5 ]))
 
 let test_unknown_conflict_pins_zero () =
   let txn = mk_txn ~id:1 ~reads:[ 1; 3; 5 ] ~writes:[ 3 ] () in
@@ -86,10 +117,9 @@ let test_unpopulated_entries_not_claimed () =
   Txnkit.Txn.pa_note_fail txn ~attempt:1 ~key:5;
   (* Prefix allows indices 0 and 1, but only key 3 was ever cached. *)
   Alcotest.(check int) "only cached keys claimable" 1 (roll txn);
-  Alcotest.(check (list (triple int int int)))
-    "the cached key, at its cached version"
-    [ (3, 9, 4) ]
-    (Txnkit.Exec.claims_of txn txn.Txnkit.Txn.read_set)
+  Alcotest.check round "the cached key, at its cached version"
+    (2, 1, [| 201; 9; 205 |])
+    (claim_round txn (store ~version:(fun key -> if key = 3 then 4 else 1) [ 1; 3; 5 ]))
 
 let test_speculative_version_not_cached () =
   (* RECSF-forwarded values arrive with version -1: never claimable. *)
@@ -98,100 +128,139 @@ let test_speculative_version_not_cached () =
   Txnkit.Txn.pa_note_read txn ~key:1 ~data:7 ~version:(-1);
   Txnkit.Txn.pa_note_read txn ~key:3 ~data:8 ~version:2;
   Txnkit.Txn.pa_note_fail txn ~attempt:1 ~key:5;
-  Alcotest.(check (list (triple int int int)))
-    "only the authoritative read is claimable"
-    [ (3, 8, 2) ]
-    (roll txn |> ignore;
-     Txnkit.Exec.claims_of txn txn.Txnkit.Txn.read_set)
+  ignore (roll txn);
+  Alcotest.check round "only the authoritative read is claimable"
+    (1, 1, [| 201; 8 |])
+    (claim_round txn (store ~version:(fun key -> if key = 3 then 2 else 1) [ 1; 3 ]))
 
 let test_pa_off_claims_nothing () =
   let txn = mk_txn ~id:1 ~reads:[ 1; 3 ] ~writes:[ 2 ] () in
   Txnkit.Txn.pa_note_fail txn ~attempt:1 ~key:5;
   Txnkit.Txn.pa_note_read txn ~key:1 ~data:7 ~version:1;
-  Alcotest.(check (list (triple int int int)))
-    "partial aborts off: no claims" []
-    (Txnkit.Exec.claims_of txn txn.Txnkit.Txn.read_set)
+  Alcotest.(check int)
+    "partial aborts off: no claim bytes" 0
+    (Txnkit.Exec.claim_bytes (Txnkit.Exec.claims txn txn.Txnkit.Txn.read_set));
+  Alcotest.check round "partial aborts off: no claims" (2, 0, [| 201; 203 |])
+    (claim_round txn (store [ 1; 3 ]))
+
+(* Abort-time salvage, observed through the client's cache: which of the
+   victim's read keys a retry can then claim. *)
+let test_salvage_bounds () =
+  let kv = store [ 1; 3; 5 ] in
+  let salvaged ?(pa = true) upto =
+    let txn = mk_txn ~id:1 ~reads:[ 1; 3; 5 ] ~writes:[ 7 ] () in
+    if pa then Txnkit.Txn.enable_pa txn;
+    let salvage = Txnkit.Exec.salvage kv txn ~reads:txn.Txnkit.Txn.read_set ~upto in
+    (* The report the salvage rides on: a write-set-only conflict, so any
+       salvaged key is claimable and shows up as a served-nothing claim. *)
+    Txnkit.Exec.absorb_abort txn ~attempt:1 ~fail_key:7 salvage;
+    ignore (roll txn);
+    let served, _, _ = claim_round txn kv in
+    (Txnkit.Exec.count salvage, served)
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "unknown conflict salvages nothing" (0, 3) (salvaged (`Before (-1)));
+  Alcotest.check pair "index 0 salvages nothing" (0, 3) (salvaged (`Before 1));
+  Alcotest.check pair "keys before the fail key" (2, 1) (salvaged (`Before 5));
+  Alcotest.check pair "write-set-only key: the whole slice" (3, 0) (salvaged (`Before 7));
+  Alcotest.check pair "all: the whole slice" (3, 0) (salvaged `All);
+  Alcotest.check pair "partial aborts off: nothing" (0, 3) (salvaged ~pa:false `All)
 
 (* ------------------------------------------------------------------ *)
 (* Claimed serving ≡ full serving (QCheck): the server revalidates every
-   claimed version against its live store, so merging its reply with the
-   cache reconstructs exactly the values a full serve would return — for
-   any mix of valid, stale and bogus claims. *)
+   claimed version against its live store, so absorbing its reply
+   reconstructs exactly the entries a full serve returns — for any mix of
+   valid, stale and absent cache entries — while the checker records the
+   full slice either way. *)
 
 let serve_gen =
   QCheck.Gen.(
     let key = int_bound 11 in
     let keyset = map (List.sort_uniq compare) (list_size (int_range 1 6) key) in
     (* Per read key: how many writes precede the serve (version), and
-       whether the claim for it is fresh, stale, or absent. *)
+       whether the cached entry for it is fresh, stale, or absent. *)
     pair keyset (list_size (return 16) (pair (int_bound 3) (int_bound 2))))
 
 let arb_serve = QCheck.make ~print:(fun _ -> "<serve>") serve_gen
 
-let claimed_vs_full (keys, shape) =
-  let keys = Array.of_list keys in
-  let kv = Store.Kv.create () in
+(* A store shaped by the case, and a retry (attempt 2) whose whole read
+   set is validated, with each key's cache entry fresh (the live entry),
+   stale (bogus data one version back) or absent. Returns the store, the
+   retry and how many of its claims are valid. *)
+let serve_case (keys, shape) =
   let shape = Array.of_list shape in
   let plan k = shape.(k mod Array.length shape) in
-  Array.iter
+  let kv = Store.Kv.create () in
+  List.iter
     (fun key ->
       let writes, _ = plan key in
       for v = 1 to writes do
         Store.Kv.put kv ~key ~data:((key * 10) + v) ~writer:(1000 + v)
       done)
     keys;
-  let claims =
-    Array.to_list keys
-    |> List.filter_map (fun key ->
-           let _, kind = plan key in
-           let live = Store.Kv.get kv key in
-           match kind with
-           | 0 -> None (* unclaimed *)
-           | 1 -> Some (key, live.Store.Kv.data, live.Store.Kv.version) (* fresh *)
-           | _ -> Some (key, -9999, live.Store.Kv.version - 1) (* stale cache *))
+  let txn = mk_txn ~id:1 ~reads:keys ~writes:[] () in
+  Txnkit.Txn.enable_pa txn;
+  let valid = ref 0 in
+  List.iter
+    (fun key ->
+      let live = Store.Kv.get kv key in
+      match snd (plan key) with
+      | 0 -> ()
+      | 1 ->
+          incr valid;
+          Txnkit.Txn.pa_note_read txn ~key ~data:live.Store.Kv.data
+            ~version:live.Store.Kv.version
+      | _ -> Txnkit.Txn.pa_note_read txn ~key ~data:(-9999) ~version:(live.Store.Kv.version - 1))
+    keys;
+  (* A write-set-only report leaves the whole read prefix claimable. *)
+  Txnkit.Txn.pa_note_fail txn ~attempt:1 ~key:max_int;
+  ignore (roll txn);
+  (kv, txn, !valid)
+
+let claimed_vs_full case =
+  let open Txnkit in
+  let kv, txn, _ = serve_case case in
+  let keys = txn.Txn.read_set in
+  let recorder = Check.Recorder.create () in
+  Check.Recorder.enable recorder;
+  let c = { (Lazy.force cluster) with Cluster.recorder } in
+  let claims = Exec.claims txn keys in
+  let served = Exec.serve c kv ~txn:txn.Txn.id keys claims in
+  let merged = Exec.absorb txn ~attempt:txn.Txn.id claims served in
+  let full = Exec.serve (Lazy.force cluster) kv ~txn:0 keys Exec.no_claims in
+  Check.Recorder.committed recorder ~txn:txn.Txn.id ~at:Sim_time.zero;
+  let observed =
+    match Check.History.find (Check.Recorder.history recorder) txn.Txn.id with
+    | Some h ->
+        h.Check.History.reads
+        |> List.map (fun o -> (o.Check.History.r_key, o.Check.History.r_writer))
+        |> List.sort compare
+    | None -> []
   in
-  let served = Txnkit.Exec.serve_keys kv keys ~claims:(Txnkit.Exec.claim_versions claims) in
-  let merged =
-    Txnkit.Exec.merge_claims ~served:(Txnkit.Exec.read_values kv served) ~claims
-  in
-  let full = Txnkit.Exec.read_values kv keys in
-  let by_key l = List.sort compare l in
-  if by_key merged <> by_key full then
+  if Exec.count merged <> Exec.count full then
+    QCheck.Test.fail_reportf "claimed serve has %d entries, full serve %d" (Exec.count merged)
+      (Exec.count full)
+  else if Exec.assemble_reads txn [ merged ] <> Exec.assemble_reads txn [ full ] then
     QCheck.Test.fail_reportf "claimed serve disagrees with full serve"
+  else if Exec.first_stale kv merged <> None then
+    QCheck.Test.fail_reportf "claimed serve carries a version the store does not hold"
+  else if observed <> List.map (fun key -> (key, Store.Kv.writer kv key)) (Array.to_list keys)
+  then QCheck.Test.fail_reportf "the recorder did not see the full slice"
   else true
 
 let qcheck_claimed_serve =
   QCheck.Test.make ~count:500 ~name:"claimed serve = full serve" arb_serve claimed_vs_full
 
-(* Payload only ever shrinks, and only by the number of valid claims. *)
-let claimed_payload (keys, shape) =
-  let keys = Array.of_list keys in
-  let kv = Store.Kv.create () in
-  let shape = Array.of_list shape in
-  let plan k = shape.(k mod Array.length shape) in
-  Array.iter
-    (fun key ->
-      let writes, _ = plan key in
-      for v = 1 to writes do
-        Store.Kv.put kv ~key ~data:((key * 10) + v) ~writer:(1000 + v)
-      done)
-    keys;
-  let claims =
-    Array.to_list keys
-    |> List.filter_map (fun key ->
-           let _, kind = plan key in
-           let live = Store.Kv.get kv key in
-           match kind with
-           | 0 -> None
-           | 1 -> Some (key, live.Store.Kv.data, live.Store.Kv.version)
-           | _ -> Some (key, -9999, live.Store.Kv.version - 1))
-  in
-  let valid =
-    List.length
-      (List.filter (fun (k, _, v) -> Store.Kv.version kv k = v) claims)
-  in
-  let served = Txnkit.Exec.serve_keys kv keys ~claims:(Txnkit.Exec.claim_versions claims) in
-  Array.length served = Array.length keys - valid
+(* Payload only ever shrinks, and only by the number of valid claims —
+   exactly what the client credits. *)
+let claimed_payload case =
+  let open Txnkit in
+  let kv, txn, valid = serve_case case in
+  let keys = txn.Txn.read_set in
+  let claims = Exec.claims txn keys in
+  let served = Exec.serve (Lazy.force cluster) kv ~txn:txn.Txn.id keys claims in
+  ignore (Exec.absorb txn ~attempt:txn.Txn.id claims served);
+  Exec.count served = Array.length keys - valid && Txn.pa_reused txn = valid
 
 let qcheck_claimed_payload =
   QCheck.Test.make ~count:500 ~name:"valid claims shrink the reply exactly" arb_serve
@@ -281,6 +350,7 @@ let () =
             test_speculative_version_not_cached;
           Alcotest.test_case "claims empty with partial aborts off" `Quick
             test_pa_off_claims_nothing;
+          Alcotest.test_case "salvage is bounded by the fail key" `Quick test_salvage_bounds;
         ] );
       ( "serve",
         [

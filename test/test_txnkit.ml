@@ -120,15 +120,24 @@ let test_participants () =
 (* ------------------------------------------------------------------ *)
 (* Exec *)
 
+(* Reads are served from a store, as a participant would serve them. *)
+let served kv keys =
+  Exec.serve (Cluster.build ~seed:1 ~with_raft:false ~with_proxies:false ()) kv ~txn:1 keys
+    Exec.no_claims
+
 let test_exec_assemble () =
   let txn =
     Txn.make ~id:1 ~client:0 ~priority:Txn.Low ~read_set:[ 1; 2; 3 ] ~write_set:[]
       ~born:0 ~wound_ts:1 ()
   in
-  let reads = Exec.assemble_reads txn [ [ (2, 20, 1) ]; [ (1, 10, 4); (3, 30, 2) ] ] in
+  let p0 = Store.Kv.create () and p1 = Store.Kv.create () in
+  Store.Kv.put p0 ~key:2 ~data:20 ~writer:1;
+  Store.Kv.put p1 ~key:1 ~data:10 ~writer:1;
+  Store.Kv.put p1 ~key:3 ~data:30 ~writer:1;
+  let reads = Exec.assemble_reads txn [ served p0 [| 2 |]; served p1 [| 1; 3 |] ] in
   Alcotest.(check (array int)) "aligned" [| 10; 20; 30 |] reads;
   (* Missing keys read as zero. *)
-  let partial = Exec.assemble_reads txn [ [ (2, 20, 1) ] ] in
+  let partial = Exec.assemble_reads txn [ served p0 [| 2 |] ] in
   Alcotest.(check (array int)) "missing zero" [| 0; 20; 0 |] partial
 
 let test_exec_write_pairs () =
@@ -142,8 +151,56 @@ let test_exec_write_pairs () =
 let test_exec_read_values () =
   let kv = Store.Kv.create () in
   Store.Kv.put kv ~key:7 ~data:70 ~writer:1;
-  let values = Exec.read_values kv [| 7; 8 |] in
-  Alcotest.(check (list (triple int int int))) "values" [ (7, 70, 1); (8, 0, 0) ] values
+  let values = served kv [| 7; 8 |] in
+  let txn =
+    Txn.make ~id:1 ~client:0 ~priority:Txn.Low ~read_set:[ 7; 8 ] ~write_set:[] ~born:0
+      ~wound_ts:1 ()
+  in
+  Alcotest.(check int) "one entry per key" 2 (Exec.count values);
+  Alcotest.(check (array int)) "values" [| 70; 0 |] (Exec.assemble_reads txn [ values ]);
+  (* Each entry carries the version it was read at (7 at 1, unwritten 8 at
+     0): only a later write makes it stale. *)
+  Alcotest.(check (option int)) "read at the live versions" None (Exec.first_stale kv values);
+  Store.Kv.put kv ~key:8 ~data:80 ~writer:2;
+  Alcotest.(check (option int)) "a later write is stale" (Some 8) (Exec.first_stale kv values)
+
+let test_exec_forwarded () =
+  let txn =
+    Txn.make ~id:1 ~client:0 ~priority:Txn.Low ~read_set:[ 1; 2; 3 ] ~write_set:[]
+      ~born:0 ~wound_ts:1 ()
+  in
+  Txn.enable_pa txn;
+  let kv = Store.Kv.create () in
+  Store.Kv.put kv ~key:1 ~data:10 ~writer:1;
+  let local = served kv [| 1 |] in
+  (* The blocker writes keys 2 and 9; only 2 was asked for. *)
+  let fwd = Exec.forwarded ~pairs:[ (2, 20); (9, 90) ] [| 2; 3 |] in
+  Alcotest.(check int) "only written keys forward" 1 (Exec.count fwd);
+  let got = Exec.union local (Exec.absorb txn ~attempt:1 Exec.no_claims fwd) in
+  Alcotest.(check (array int))
+    "local + forwarded" [| 10; 20; 0 |]
+    (Exec.assemble_reads txn [ got ]);
+  let more = Exec.union got (served kv [| 1; 2; 3 |]) in
+  Alcotest.(check int) "union adds only missing keys" 3 (Exec.count more);
+  Alcotest.(check (array int)) "union keeps the first entry per key" [| 10; 20; 0 |]
+    (Exec.assemble_reads txn [ more ]);
+  (* Forwarded values are speculative: nothing a retry could claim. *)
+  Txn.pa_note_fail txn ~attempt:1 ~key:9;
+  Alcotest.(check int) "forwarded entries never cached" 0
+    (Txn.pa_prepare_retry txn ~next_attempt:2)
+
+let test_exec_finisher () =
+  let c = Cluster.build ~seed:1 ~with_raft:false ~with_proxies:false () in
+  let calls = ref [] in
+  let finished, finish =
+    Exec.finisher c ~client:c.Cluster.clients.(0) ~txn:1 ~on_done:(fun ~committed ->
+        calls := committed :: !calls)
+  in
+  Alcotest.(check bool) "not finished yet" false !finished;
+  finish ~committed:false;
+  finish ~committed:true;
+  Alcotest.(check bool) "finished" true !finished;
+  Alcotest.(check (list bool)) "on_done runs once, with the first outcome" [ false ] !calls
 
 (* ------------------------------------------------------------------ *)
 (* Wire *)
@@ -179,6 +236,8 @@ let () =
           Alcotest.test_case "assemble reads" `Quick test_exec_assemble;
           Alcotest.test_case "write pairs" `Quick test_exec_write_pairs;
           Alcotest.test_case "read values" `Quick test_exec_read_values;
+          Alcotest.test_case "forwarded and union" `Quick test_exec_forwarded;
+          Alcotest.test_case "finisher runs once" `Quick test_exec_finisher;
         ] );
       ("wire", [ Alcotest.test_case "monotone sizes" `Quick test_wire_monotone ]);
     ]
