@@ -139,6 +139,36 @@ let micro_tests () =
     Test.make ~name:"p95 over 10k samples"
       (Staged.stage @@ fun () -> ignore (Simstats.Percentile.p95 latencies))
   in
+  let check_plane =
+    (* The check plane end to end: record, assemble and check a serial
+       history of 30k read-modify-write transactions (up to four of 10k
+       keys each, every write installed on three replicas), as the
+       protocols' recorder calls would report it. *)
+    Test.make ~name:"record+history+check, 30k txns"
+      (Staged.stage @@ fun () ->
+       let r = Check.Recorder.create () in
+       Check.Recorder.enable r;
+       let writer = Array.make 10_000 0 and value = Array.make 10_000 0 in
+       let rng = Rng.create ~seed:6 in
+       for txn = 1 to 30_000 do
+         Check.Recorder.start r ~txn ~at:(1000 * txn);
+         let keys = List.sort_uniq compare (List.init 4 (fun _ -> Rng.int rng 10_000)) in
+         List.iter (fun key -> Check.Recorder.read r ~txn ~key ~writer:writer.(key)) keys;
+         let pairs = List.map (fun key -> (key, value.(key) + 1)) keys in
+         Check.Recorder.write_set r ~txn ~pairs;
+         for _ = 1 to 3 do
+           List.iter (fun key -> Check.Recorder.applied r ~txn ~key) keys
+         done;
+         List.iter
+           (fun (key, v) ->
+             writer.(key) <- txn;
+             value.(key) <- v)
+           pairs;
+         Check.Recorder.committed r ~txn ~at:((1000 * txn) + 500)
+       done;
+       if not (Check.Checker.ok (Check.Checker.check (Check.Recorder.history r))) then
+         failwith "check plane micro-benchmark: serial history flagged")
+  in
   let rng = Rng.create ~seed:2 in
   let pareto =
     Test.make ~name:"pareto delay sample"
@@ -155,6 +185,7 @@ let micro_tests () =
       zipf_sample;
       occ_cycle;
       tsq_cycle;
+      check_plane;
       percentile;
       pareto;
     ]

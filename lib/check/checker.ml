@@ -22,210 +22,212 @@ type report = {
    in response order. Real-time reachability t1 -> t2 iff
    response(t1) < invocation(t2) is exactly the paths
    t1 -> chain(slot of t1) -> ... -> chain(j) -> t2 with the last hop
-   added only when response at slot j precedes t2's invocation. *)
+   added only when response at slot j precedes t2's invocation.
+
+   The graph is a CSR: node [u]'s out-edges are [dst]/[lab] rows [off.(u)]
+   to [off.(u+1) - 1], newest first, so the cycle search below walks them
+   in the same order as an adjacency list built by consing. A label packs
+   the edge kind into its low two bits and the key above them. *)
+
+type graph = { n : int; off : int array; dst : int array; lab : int array }
+
+module Int_tbl = Hashtbl.Make (Int)
+
+let label kind key = (key lsl 2) lor kind
+
+let kind_of lab =
+  match lab land 3 with
+  | 0 -> Ww (lab asr 2)
+  | 1 -> Wr (lab asr 2)
+  | 2 -> Rw (lab asr 2)
+  | _ -> Rt
 
 let build (h : History.t) =
-  let n = Array.length h.txns in
-  let idx_of = Hashtbl.create (2 * n) in
-  Array.iteri (fun i t -> Hashtbl.replace idx_of t.id i) h.txns;
-  let responded =
-    Array.to_list h.txns
-    |> List.filter_map (fun t ->
-           match t.commit with Some c -> Some (c, t.id) | None -> None)
-    |> List.sort compare
-    |> Array.of_list
-  in
-  let m = Array.length responded in
-  let total = n + m in
-  let adj = Array.make total [] in
-  let n_edges = ref 0 in
-  let add_edge u v kind =
-    if u <> v then begin
-      adj.(u) <- (v, kind) :: adj.(u);
-      incr n_edges
-    end
-  in
+  let n = History.n_txns h in
+  let nk = Array.length h.order_key in
+  (* every writer of every version order, as a node (-1: not in the history) *)
+  let wnode = Array.map (History.index h) h.order_writer in
+  let slot_off, slot_pos = Csr.group n wnode in
+  let key_j = Int_tbl.create (2 * nk) in
+  Array.iteri (fun j key -> Int_tbl.replace key_j key j) h.order_key;
+  (* Each read, resolved once: [src] is the writer it observed (wr), [anti]
+     the writer of the next version (rw), -1 when absent. *)
+  let nr = Array.length h.read_key in
+  let src = Array.make nr (-1) and anti = Array.make nr (-1) in
   let dirty = ref [] in
-  (* ww: consecutive writers in each key's version order; also index each
-     order for O(1) successor lookup from reads. *)
-  let succ = Hashtbl.create 256 in
-  let first_writer = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun key order ->
-      if Array.length order > 0 then Hashtbl.replace first_writer key order.(0);
-      Array.iteri
-        (fun i w ->
-          if i + 1 < Array.length order then begin
-            Hashtbl.replace succ (key, w) order.(i + 1);
-            match (Hashtbl.find_opt idx_of w, Hashtbl.find_opt idx_of order.(i + 1)) with
-            | Some a, Some b -> add_edge a b (Ww key)
-            | _ -> ()
-          end)
-        order)
-    h.key_writers;
-  (* wr and rw from each read observation *)
-  Array.iteri
-    (fun ri t ->
-      List.iter
-        (fun r ->
-          let k = r.r_key and w = r.r_writer in
-          if w = 0 then begin
-            (* read the initial state: anti-dependency to the key's first
-               writer, if anyone wrote it *)
-            match Hashtbl.find_opt first_writer k with
-            | Some fw -> (
-                match Hashtbl.find_opt idx_of fw with
-                | Some wi -> add_edge ri wi (Rw k)
-                | None -> ())
-            | None -> ()
-          end
-          else
-            match Hashtbl.find_opt idx_of w with
-            | None -> dirty := Dirty_read { reader = t; key = k; writer = w } :: !dirty
-            | Some wi ->
-                add_edge wi ri (Wr k);
-                (match Hashtbl.find_opt succ (k, w) with
-                | Some nw -> (
-                    match Hashtbl.find_opt idx_of nw with
-                    | Some ni -> add_edge ri ni (Rw k)
-                    | None -> ())
-                | None -> ()))
-        t.reads)
-    h.txns;
-  (* real-time chain *)
-  Array.iteri
-    (fun i (_, id) ->
-      (match Hashtbl.find_opt idx_of id with
-      | Some ti -> add_edge ti (n + i) Rt
-      | None -> ());
-      if i + 1 < m then add_edge (n + i) (n + i + 1) Rt)
-    responded;
-  Array.iteri
-    (fun ti t ->
-      (* largest chain slot whose response strictly precedes t's invocation *)
+  for ri = 0 to n - 1 do
+    for r = h.read_off.(ri) to h.read_off.(ri + 1) - 1 do
+      let key = h.read_key.(r) and w = h.read_writer.(r) in
+      let wi = if w = 0 then -1 else History.index h w in
+      if w <> 0 && wi < 0 then
+        dirty := Dirty_read { reader = History.txn h ri; key; writer = w } :: !dirty;
+      src.(r) <- wi;
+      match Int_tbl.find_opt key_j key with
+      | None -> ()
+      | Some j ->
+          let a = h.order_off.(j) and b = h.order_off.(j + 1) in
+          if w = 0 then (if b > a then anti.(r) <- wnode.(a))
+          else if wi >= 0 then
+            (* the successor of [w]'s last position in [key]'s order *)
+            for s = slot_off.(wi) to slot_off.(wi + 1) - 1 do
+              let p = slot_pos.(s) in
+              if a <= p && p + 1 < b then anti.(r) <- wnode.(p + 1)
+            done
+    done
+  done;
+  let responded = Array.of_list (List.filter (fun i -> h.commits.(i) >= 0) (List.init n Fun.id)) in
+  (* by response, then by node (stable over ascending nodes) *)
+  Array.stable_sort (fun a b -> compare h.commits.(a) h.commits.(b)) responded;
+  let m = Array.length responded in
+  (* Every edge, in the order an adjacency list would have them consed:
+     ww, then wr/rw per read, then the real-time chain. *)
+  let each_edge emit =
+    let add u v kind key = if u <> v && u >= 0 && v >= 0 then emit u v (label kind key) in
+    for j = 0 to nk - 1 do
+      for p = h.order_off.(j) to h.order_off.(j + 1) - 2 do
+        add wnode.(p) wnode.(p + 1) 0 h.order_key.(j)
+      done
+    done;
+    for ri = 0 to n - 1 do
+      for r = h.read_off.(ri) to h.read_off.(ri + 1) - 1 do
+        add src.(r) ri 1 h.read_key.(r);
+        add ri anti.(r) 2 h.read_key.(r)
+      done
+    done;
+    for i = 0 to m - 1 do
+      add responded.(i) (n + i) 3 0;
+      if i + 1 < m then add (n + i) (n + i + 1) 3 0
+    done;
+    for ti = 0 to n - 1 do
+      (* largest chain slot whose response strictly precedes ti's invocation *)
       let lo = ref 0 and hi = ref m in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if fst responded.(mid) < t.start then lo := mid + 1 else hi := mid
+        if h.commits.(responded.(mid)) < h.starts.(ti) then lo := mid + 1 else hi := mid
       done;
-      if !lo > 0 then add_edge (n + (!lo - 1)) ti Rt)
-    h.txns;
-  (adj, n, !n_edges, !dirty)
+      if !lo > 0 then add (n + !lo - 1) ti 3 0
+    done
+  in
+  let total = n + m in
+  let off = Array.make (total + 1) 0 in
+  each_edge (fun u _ _ -> off.(u + 1) <- off.(u + 1) + 1);
+  for u = 0 to total - 1 do
+    off.(u + 1) <- off.(u + 1) + off.(u)
+  done;
+  let dst = Array.make off.(total) 0 and lab = Array.make off.(total) 0 in
+  let next = Array.sub off 1 total in
+  each_edge (fun u v l ->
+      let e = next.(u) - 1 in
+      next.(u) <- e;
+      dst.(e) <- v;
+      lab.(e) <- l);
+  ({ n; off; dst; lab }, wnode, !dirty)
 
 (* ------------------------------------------------------------------ *)
-(* Iterative Tarjan (histories reach 10^5 transactions; the real-time chain
-   alone would overflow the OCaml stack under recursive DFS). *)
+(* Iterative Tarjan over int arrays (histories reach 10^5 transactions;
+   the real-time chain alone would overflow the OCaml stack under
+   recursive DFS). Returns each node's component and the component count.
+   A visited node is on the stack until it gets a component. *)
 
-let tarjan adj =
-  let total = Array.length adj in
-  let index = Array.make total (-1) in
-  let lowlink = Array.make total 0 in
-  let on_stack = Array.make total false in
+let tarjan g =
+  let total = Array.length g.off - 1 in
+  let index = Array.make total (-1) and lowlink = Array.make total 0 in
   let comp = Array.make total (-1) in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let next_comp = ref 0 in
+  let stack = Array.make total 0 and sp = ref 0 in
+  (* the DFS call stack: a node and its next unexplored edge *)
+  let call_v = Array.make total 0 and call_e = Array.make total 0 and cp = ref 0 in
+  let next_index = ref 0 and next_comp = ref 0 in
   let visit v =
     index.(v) <- !next_index;
     lowlink.(v) <- !next_index;
     incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true
+    stack.(!sp) <- v;
+    incr sp;
+    call_v.(!cp) <- v;
+    call_e.(!cp) <- g.off.(v);
+    incr cp
   in
   for root = 0 to total - 1 do
     if index.(root) = -1 then begin
-      let call = Stack.create () in
       visit root;
-      Stack.push (root, ref adj.(root)) call;
-      while not (Stack.is_empty call) do
-        let v, rest = Stack.top call in
-        match !rest with
-        | (w, _) :: tl ->
-            rest := tl;
-            if index.(w) = -1 then begin
-              visit w;
-              Stack.push (w, ref adj.(w)) call
-            end
-            else if on_stack.(w) then lowlink.(v) <- Stdlib.min lowlink.(v) index.(w)
-        | [] ->
-            ignore (Stack.pop call);
-            if not (Stack.is_empty call) then begin
-              let u, _ = Stack.top call in
-              lowlink.(u) <- Stdlib.min lowlink.(u) lowlink.(v)
-            end;
-            if lowlink.(v) = index.(v) then begin
-              let rec pop () =
-                match !stack with
-                | w :: tl ->
-                    stack := tl;
-                    on_stack.(w) <- false;
-                    comp.(w) <- !next_comp;
-                    if w <> v then pop ()
-                | [] -> assert false
-              in
-              pop ();
-              incr next_comp
-            end
+      while !cp > 0 do
+        let v = call_v.(!cp - 1) and e = call_e.(!cp - 1) in
+        if e < g.off.(v + 1) then begin
+          call_e.(!cp - 1) <- e + 1;
+          let w = g.dst.(e) in
+          if index.(w) = -1 then visit w
+          else if comp.(w) < 0 then lowlink.(v) <- Int.min lowlink.(v) index.(w)
+        end
+        else begin
+          decr cp;
+          if !cp > 0 then begin
+            let u = call_v.(!cp - 1) in
+            lowlink.(u) <- Int.min lowlink.(u) lowlink.(v)
+          end;
+          if lowlink.(v) = index.(v) then begin
+            let w = ref (-1) in
+            while !w <> v do
+              decr sp;
+              w := stack.(!sp);
+              comp.(!w) <- !next_comp
+            done;
+            incr next_comp
+          end
+        end
       done
     end
   done;
-  comp
+  (comp, !next_comp)
 
 (* Shortest cycle through [u] inside its component (BFS over in-component
-   edges); returns [(node, kind-of-edge-leaving-node)] around the cycle. *)
-let extract_cycle adj comp u =
+   edges); returns [(node, label-of-edge-leaving-node)] around the cycle. *)
+let extract_cycle g comp u =
   let c = comp.(u) in
-  let pred = Hashtbl.create 32 in
-  let q = Queue.create () in
+  let pred = Int_tbl.create 32 and q = Queue.create () in
   let closed = ref None in
-  List.iter
-    (fun (w, k) ->
-      if comp.(w) = c && not (Hashtbl.mem pred w) then begin
-        Hashtbl.replace pred w (u, k);
-        Queue.push w q
-      end)
-    adj.(u);
+  let reach v e =
+    let w = g.dst.(e) in
+    if comp.(w) = c && not (Int_tbl.mem pred w) then begin
+      Int_tbl.replace pred w (v, g.lab.(e));
+      Queue.push w q
+    end
+  in
+  for e = g.off.(u) to g.off.(u + 1) - 1 do
+    reach u e
+  done;
   while !closed = None && not (Queue.is_empty q) do
     let v = Queue.pop q in
-    List.iter
-      (fun (w, k) ->
-        if !closed = None && comp.(w) = c then
-          if w = u then closed := Some (v, k)
-          else if not (Hashtbl.mem pred w) then begin
-            Hashtbl.replace pred w (v, k);
-            Queue.push w q
-          end)
-      adj.(v)
+    for e = g.off.(v) to g.off.(v + 1) - 1 do
+      if !closed = None then if g.dst.(e) = u then closed := Some (v, g.lab.(e)) else reach v e
+    done
   done;
   match !closed with
   | None -> []
-  | Some (last, k_last) ->
+  | Some (last, l) ->
       let rec back w acc =
-        let p, k = Hashtbl.find pred w in
-        let acc = (p, k) :: acc in
+        let p, l = Int_tbl.find pred w in
+        let acc = (p, l) :: acc in
         if p = u then acc else back p acc
       in
-      if last = u then [ (u, k_last) ] else back last [ (last, k_last) ]
+      back last [ (last, l) ]
 
-let cycles (h : History.t) adj n comp =
-  let total = Array.length adj in
+let cycles (h : History.t) g comp ncomp =
   (* smallest transaction node of each component, and its transaction count *)
-  let reps = Hashtbl.create 16 in
-  for v = total - 1 downto 0 do
-    if v < n then
-      let cnt = match Hashtbl.find_opt reps comp.(v) with Some (_, c) -> c | None -> 0 in
-      Hashtbl.replace reps comp.(v) (v, cnt + 1)
+  let rep = Array.make ncomp 0 and count = Array.make ncomp 0 in
+  for v = g.n - 1 downto 0 do
+    rep.(comp.(v)) <- v;
+    count.(comp.(v)) <- count.(comp.(v)) + 1
   done;
-  Hashtbl.fold
-    (fun _ (u, cnt) acc ->
-      if cnt < 2 then acc
-      else
-        let entries =
-          extract_cycle adj comp u
-          |> List.filter_map (fun (v, k) -> if v < n then Some (h.txns.(v), k) else None)
-        in
-        if entries = [] then acc else Cycle entries :: acc)
-    reps []
+  List.init ncomp Fun.id
+  |> List.filter_map (fun c ->
+         let entries =
+           if count.(c) < 2 then []
+           else
+             extract_cycle g comp rep.(c)
+             |> List.filter_map (fun (v, l) ->
+                    if v < g.n then Some (History.txn h v, kind_of l) else None)
+         in
+         if entries = [] then None else Some (Cycle entries))
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
@@ -234,43 +236,33 @@ let cycles (h : History.t) adj n comp =
    number of committed writers — unless some writer wrote the key blindly
    (a write-only transaction), in which case the key proves nothing. *)
 
-let conservation_violations (h : History.t) =
-  let by_id = Hashtbl.create (Array.length h.txns) in
-  Array.iter (fun t -> Hashtbl.replace by_id t.id t) h.txns;
-  let reads_key t key = List.exists (fun r -> r.r_key = key) t.reads in
-  Hashtbl.fold
-    (fun key order acc ->
-      let wn = Array.length order in
-      if wn = 0 then acc
-      else
-        let blind =
-          Array.exists
-            (fun w ->
-              match Hashtbl.find_opt by_id w with
-              | Some t -> not (reads_key t key)
-              | None -> true)
-            order
-        in
-        if blind then acc
-        else
-          match Hashtbl.find_opt by_id order.(wn - 1) with
-          | None -> acc
-          | Some t -> (
-              match List.assoc_opt key t.writes with
-              | Some v when v <> wn -> Conservation { key; expected = wn; actual = v } :: acc
-              | _ -> acc))
-    h.key_writers []
-  |> List.sort compare
+let conservation_violations (h : History.t) wnode =
+  let reads i key =
+    let rec from r = r < h.read_off.(i + 1) && (h.read_key.(r) = key || from (r + 1)) in
+    from h.read_off.(i)
+  in
+  let acc = ref [] in
+  Array.iteri
+    (fun j key ->
+      let a = h.order_off.(j) and b = h.order_off.(j + 1) in
+      let rec rmw p = p = b || (wnode.(p) >= 0 && reads wnode.(p) key && rmw (p + 1)) in
+      if b > a && rmw a then
+        match List.assoc_opt key h.writes.(wnode.(b - 1)) with
+        | Some v when v <> b - a ->
+            acc := Conservation { key; expected = b - a; actual = v } :: !acc
+        | _ -> ())
+    h.order_key;
+  List.sort compare !acc
 
 let check ?(conservation = true) (h : History.t) =
-  let adj, n, edges, dirty = build h in
-  let comp = tarjan adj in
+  let g, wnode, dirty = build h in
+  let comp, ncomp = tarjan g in
   let violations =
     List.sort compare dirty
-    @ cycles h adj n comp
-    @ (if conservation then conservation_violations h else [])
+    @ cycles h g comp ncomp
+    @ (if conservation then conservation_violations h wnode else [])
   in
-  { checked_txns = n; edges; violations }
+  { checked_txns = g.n; edges = Array.length g.dst; violations }
 
 let ok r = r.violations = []
 

@@ -1,89 +1,153 @@
 open Simcore
+module Int_tbl = Hashtbl.Make (Int)
 
-type pending = {
-  mutable p_start : Sim_time.t;
-  p_reads : (int, int) Hashtbl.t; (* key -> observed writer; replace on re-read *)
-  mutable p_writes : (int * int) list;
-  mutable p_decided : bool;
-  mutable p_commit : Sim_time.t option;
-}
-
+(* One slot per recorded attempt, as rows of the slot columns. An attempt's
+   reads are cells of the cell columns, chained from [first_read] in key
+   order. Aborting an undecided attempt frees its slot and cells for reuse:
+   a free slot's [first_read] links the next free slot, a free cell's
+   [cell_next] the next free cell. *)
 type t = {
   mutable on : bool;
-  pend : (int, pending) Hashtbl.t;
-  (* key -> install order of writers, most recent first. Populated by
-     {!applied} at the store's put sites: the slot marks when a write actually
-     reached a replica's table, not merely when its transaction decided, so a
-     decided write lost to a crash occupies no slot. *)
-  key_order : (int, int list ref) Hashtbl.t;
-  (* (txn, key) pairs already slotted — replicas of a partition each apply the
-     same write; only the first install takes the slot. *)
-  slotted : (int * int, unit) Hashtbl.t;
+  slot_of : int Int_tbl.t; (* txn id -> slot *)
+  mutable id : int array;
+  mutable start : int array;
+  mutable commit : int array; (* response time; -1 = none *)
+  mutable writes : (int * int) list option array; (* None = undecided *)
+  mutable first_read : int array; (* -1 = none *)
+  mutable n_slots : int;
+  mutable free_slot : int;
+  mutable cell_key : int array;
+  mutable cell_writer : int array;
+  mutable cell_next : int array;
+  mutable n_cells : int;
+  mutable free_cell : int;
+  (* The install log: one row per store put, replicas' replays included;
+     {!history} keeps each (txn, key)'s first row. *)
+  mutable log_txn : int array;
+  mutable log_key : int array;
+  mutable n_log : int;
 }
 
 let create () =
   {
     on = false;
-    pend = Hashtbl.create 64;
-    key_order = Hashtbl.create 64;
-    slotted = Hashtbl.create 256;
+    slot_of = Int_tbl.create 16;
+    id = [||]; start = [||]; commit = [||]; writes = [||]; first_read = [||];
+    n_slots = 0; free_slot = -1;
+    cell_key = [||]; cell_writer = [||]; cell_next = [||];
+    n_cells = 0; free_cell = -1;
+    log_txn = [||]; log_key = [||]; n_log = 0;
   }
+
 let enable t = t.on <- true
 let enabled t = t.on
 
-let pending t txn =
-  match Hashtbl.find_opt t.pend txn with
-  | Some p -> p
+(* [a] with room for index [n], doubled when full. *)
+let room a n fill =
+  if n < Array.length a then a
+  else
+    let b = Array.make (Int.max 16 (2 * n)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+let slot t txn =
+  match Int_tbl.find_opt t.slot_of txn with
+  | Some s -> s
   | None ->
-      let p =
-        {
-          p_start = Sim_time.zero;
-          p_reads = Hashtbl.create 4;
-          p_writes = [];
-          p_decided = false;
-          p_commit = None;
-        }
+      let s = t.free_slot in
+      let s =
+        if s >= 0 then (t.free_slot <- t.first_read.(s); s)
+        else begin
+          let s = t.n_slots in
+          t.id <- room t.id s 0;
+          t.start <- room t.start s 0;
+          t.commit <- room t.commit s 0;
+          t.writes <- room t.writes s None;
+          t.first_read <- room t.first_read s 0;
+          t.n_slots <- s + 1;
+          s
+        end
       in
-      Hashtbl.add t.pend txn p;
-      p
+      t.id.(s) <- txn;
+      t.start.(s) <- Sim_time.zero;
+      t.commit.(s) <- -1;
+      t.writes.(s) <- None;
+      t.first_read.(s) <- -1;
+      Int_tbl.add t.slot_of txn s;
+      s
 
-let start t ~txn ~at = if t.on then (pending t txn).p_start <- at
+let start t ~txn ~at = if t.on then t.start.(slot t txn) <- at
 
-let read ?(weak = false) t ~txn ~key ~writer =
-  if t.on then begin
-    let p = pending t txn in
-    if not (weak && Hashtbl.mem p.p_reads key) then Hashtbl.replace p.p_reads key writer
+(* Record [writer] for [key] in slot [s]; an existing cell for [key] is
+   replaced unless [weak]. *)
+let note t s ~weak key writer =
+  let prev = ref (-1) and c = ref t.first_read.(s) in
+  while !c >= 0 && t.cell_key.(!c) < key do
+    prev := !c;
+    c := t.cell_next.(!c)
+  done;
+  if !c >= 0 && t.cell_key.(!c) = key then (if not weak then t.cell_writer.(!c) <- writer)
+  else begin
+    let cell = t.free_cell in
+    let cell =
+      if cell >= 0 then (t.free_cell <- t.cell_next.(cell); cell)
+      else begin
+        let cell = t.n_cells in
+        t.cell_key <- room t.cell_key cell 0;
+        t.cell_writer <- room t.cell_writer cell 0;
+        t.cell_next <- room t.cell_next cell 0;
+        t.n_cells <- cell + 1;
+        cell
+      end
+    in
+    t.cell_key.(cell) <- key;
+    t.cell_writer.(cell) <- writer;
+    t.cell_next.(cell) <- !c;
+    if !prev < 0 then t.first_read.(s) <- cell else t.cell_next.(!prev) <- cell
   end
+
+let read ?(weak = false) t ~txn ~key ~writer = if t.on then note t (slot t txn) ~weak key writer
 
 let reads_from_kv t ~txn kv keys =
   if t.on then
-    let p = pending t txn in
-    Array.iter (fun key -> Hashtbl.replace p.p_reads key (Store.Kv.writer kv key)) keys
+    let s = slot t txn in
+    Array.iter (fun key -> note t s ~weak:false key (Store.Kv.writer kv key)) keys
 
 let write_set t ~txn ~pairs =
   if t.on then begin
-    let p = pending t txn in
-    if not p.p_decided then begin
-      p.p_decided <- true;
-      p.p_writes <- pairs
-    end
+    let s = slot t txn in
+    if t.writes.(s) = None then t.writes.(s) <- Some pairs
   end
 
 let applied t ~txn ~key =
-  if t.on && not (Hashtbl.mem t.slotted (txn, key)) then begin
-    Hashtbl.replace t.slotted (txn, key) ();
-    match Hashtbl.find_opt t.key_order key with
-    | Some order -> order := txn :: !order
-    | None -> Hashtbl.add t.key_order key (ref [ txn ])
+  if t.on then begin
+    t.log_txn <- room t.log_txn t.n_log 0;
+    t.log_key <- room t.log_key t.n_log 0;
+    t.log_txn.(t.n_log) <- txn;
+    t.log_key.(t.n_log) <- key;
+    t.n_log <- t.n_log + 1
   end
 
-let committed t ~txn ~at = if t.on then (pending t txn).p_commit <- Some at
+let committed t ~txn ~at = if t.on then t.commit.(slot t txn) <- at
 
 let aborted t ~txn =
   if t.on then
-    match Hashtbl.find_opt t.pend txn with
-    | Some p when not p.p_decided -> Hashtbl.remove t.pend txn
-    | _ -> () (* decided server-side; the response was lost, keep the writes *)
+    match Int_tbl.find_opt t.slot_of txn with
+    | Some s when t.writes.(s) = None ->
+        (* decided server-side means the response was lost: keep the writes *)
+        let c = ref t.first_read.(s) in
+        if !c >= 0 then begin
+          while t.cell_next.(!c) >= 0 do
+            c := t.cell_next.(!c)
+          done;
+          t.cell_next.(!c) <- t.free_cell;
+          t.free_cell <- t.first_read.(s)
+        end;
+        Int_tbl.remove t.slot_of txn;
+        t.commit.(s) <- -1;
+        t.first_read.(s) <- t.free_slot;
+        t.free_slot <- s
+    | _ -> ()
 
 (* Which recorded transactions belong in the history?
 
@@ -103,67 +167,102 @@ let aborted t ~txn =
    read its write on [k]. A late-replayed write nobody observed is
    unverifiable middle-version noise — no acknowledged read pins where it
    landed — and, carrying no client promise, it cannot justify failing the
-   run. Acknowledged transactions always keep their slots. *)
-let included_ids t =
-  let included = Hashtbl.create (Hashtbl.length t.pend) in
-  let queue = Queue.create () in
-  let include_ id p =
-    if not (Hashtbl.mem included id) then begin
-      Hashtbl.replace included id ();
-      Queue.add p queue
+   run. Acknowledged transactions always keep their slots.
+
+   [observed] holds, for each included in-doubt slot, the keys on which an
+   included transaction observed it. *)
+let history t : History.t =
+  let mask = Bytes.make t.n_slots '\000' in
+  let queue = Array.make t.n_slots 0 and tail = ref 0 in
+  let include_ s =
+    if Bytes.get mask s = '\000' then begin
+      Bytes.set mask s '\001';
+      queue.(!tail) <- s;
+      incr tail
     end
   in
-  Hashtbl.iter (fun id p -> if p.p_commit <> None then include_ id p) t.pend;
-  while not (Queue.is_empty queue) do
-    let p = Queue.pop queue in
-    Hashtbl.iter
-      (fun _key w ->
-        match Hashtbl.find_opt t.pend w with
-        | Some wp when wp.p_decided -> include_ w wp
-        | _ -> ())
-      p.p_reads
+  for s = 0 to t.n_slots - 1 do
+    if t.commit.(s) >= 0 then include_ s
   done;
-  included
-
-let history t : History.t =
-  let included = included_ids t in
-  let observed = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun id p ->
-      if Hashtbl.mem included id then
-        Hashtbl.iter (fun key w -> Hashtbl.replace observed (key, w) ()) p.p_reads)
-    t.pend;
-  let acknowledged id =
-    match Hashtbl.find_opt t.pend id with Some p -> p.p_commit <> None | None -> false
+  let observed = Array.make t.n_slots [] in
+  let head = ref 0 in
+  while !head < !tail do
+    let c = ref t.first_read.(queue.(!head)) in
+    incr head;
+    while !c >= 0 do
+      (match Int_tbl.find_opt t.slot_of t.cell_writer.(!c) with
+      | Some w when t.writes.(w) <> None ->
+          include_ w;
+          if t.commit.(w) < 0 then observed.(w) <- t.cell_key.(!c) :: observed.(w)
+      | _ -> ());
+      c := t.cell_next.(!c)
+    done
+  done;
+  let nodes = Array.sub queue 0 !tail in
+  Array.sort (fun a b -> compare t.id.(a) t.id.(b)) nodes;
+  let n = Array.length nodes in
+  let node_of_slot = Array.make t.n_slots (-1) in
+  Array.iteri (fun i s -> node_of_slot.(s) <- i) nodes;
+  let read_off = Array.make (n + 1) 0 in
+  let read_key = Array.make t.n_cells 0 and read_writer = Array.make t.n_cells 0 in
+  Array.iteri
+    (fun i s ->
+      let c = ref t.first_read.(s) and r = ref read_off.(i) in
+      while !c >= 0 do
+        read_key.(!r) <- t.cell_key.(!c);
+        read_writer.(!r) <- t.cell_writer.(!c);
+        incr r;
+        c := t.cell_next.(!c)
+      done;
+      read_off.(i + 1) <- !r)
+    nodes;
+  (* Version orders: the install log grouped by key (keys numbered by
+     first install), each key's installs in log order; [stamp] keeps a
+     writer's first. *)
+  let key_index = Int_tbl.create 64 and keys = ref [] in
+  let dense =
+    Array.init t.n_log (fun i ->
+        let key = t.log_key.(i) in
+        match Int_tbl.find_opt key_index key with
+        | Some k -> k
+        | None ->
+            keys := key :: !keys;
+            Int_tbl.add key_index key (Int_tbl.length key_index);
+            Int_tbl.length key_index - 1)
   in
-  let keep_slot key w =
-    Hashtbl.mem included w && (acknowledged w || Hashtbl.mem observed (key, w))
-  in
-  let txns =
-    Hashtbl.fold
-      (fun id p acc ->
-        if Hashtbl.mem included id then
-          {
-            History.id;
-            start = p.p_start;
-            commit = p.p_commit;
-            reads =
-              Hashtbl.fold
-                (fun r_key r_writer rs -> { History.r_key; r_writer } :: rs)
-                p.p_reads []
-              |> List.sort (fun a b -> compare a.History.r_key b.History.r_key);
-            writes = List.sort (fun (a, _) (b, _) -> compare a b) p.p_writes;
-          }
-          :: acc
-        else acc)
-      t.pend []
-    |> List.sort (fun a b -> compare a.History.id b.History.id)
-    |> Array.of_list
-  in
-  let key_writers = Hashtbl.create (Hashtbl.length t.key_order) in
-  Hashtbl.iter
-    (fun key order ->
-      let writers = List.filter (keep_slot key) (List.rev !order) in
-      if writers <> [] then Hashtbl.add key_writers key (Array.of_list writers))
-    t.key_order;
-  { History.txns; key_writers }
+  let key_value = Array.of_list (List.rev !keys) in
+  let nk = Array.length key_value in
+  let key_off, by_key = Csr.group nk dense in
+  let stamp = Array.make n (-1) and order_writer = Array.make t.n_log 0 and len = ref 0 in
+  let order_key = Array.make nk 0 and order_off = Array.make (nk + 1) 0 and nkeys = ref 0 in
+  for k = 0 to nk - 1 do
+    let key = key_value.(k) and from = !len in
+    for e = key_off.(k) to key_off.(k + 1) - 1 do
+      let txn = t.log_txn.(by_key.(e)) in
+      match Int_tbl.find_opt t.slot_of txn with
+      | Some s when node_of_slot.(s) >= 0 && stamp.(node_of_slot.(s)) <> k ->
+          stamp.(node_of_slot.(s)) <- k;
+          if t.commit.(s) >= 0 || List.mem key observed.(s) then begin
+            order_writer.(!len) <- txn;
+            incr len
+          end
+      | _ -> ()
+    done;
+    if !len > from then begin
+      order_key.(!nkeys) <- key;
+      incr nkeys;
+      order_off.(!nkeys) <- !len
+    end
+  done;
+  {
+    History.ids = Array.map (fun s -> t.id.(s)) nodes;
+    starts = Array.map (fun s -> t.start.(s)) nodes;
+    commits = Array.map (fun s -> t.commit.(s)) nodes;
+    read_off;
+    read_key = Array.sub read_key 0 read_off.(n);
+    read_writer = Array.sub read_writer 0 read_off.(n);
+    writes = Array.map (fun s -> Option.value t.writes.(s) ~default:[]) nodes;
+    order_key = Array.sub order_key 0 !nkeys;
+    order_off = Array.sub order_off 0 (!nkeys + 1);
+    order_writer = Array.sub order_writer 0 !len;
+  }

@@ -30,7 +30,8 @@
 type t
 
 val create : unit -> t
-(** Disabled; every emission call is a single branch until {!enable}. *)
+(** Disabled; every emission call is a single branch until {!enable}.
+    Allocates O(1): storage grows with what an enabled recorder records. *)
 
 val enable : t -> unit
 val enabled : t -> bool

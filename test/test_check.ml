@@ -18,10 +18,7 @@ let txn ?(reads = []) ?(writes = []) ~id ~start ~commit () =
     writes;
   }
 
-let history txns orders =
-  let key_writers = Hashtbl.create 8 in
-  List.iter (fun (k, ws) -> Hashtbl.add key_writers k (Array.of_list ws)) orders;
-  { Check.History.txns = Array.of_list txns; key_writers }
+let history = Check.History.of_txns
 
 let has_cycle report =
   List.exists (function Check.Checker.Cycle _ -> true | _ -> false)
@@ -147,7 +144,8 @@ let test_conservation_only () =
 
 (* A history built by executing transactions one at a time against a single
    sequential store is serializable by construction; giving them disjoint,
-   increasing real-time intervals in the same order makes it strictly so. *)
+   increasing real-time intervals in the same order makes it strictly so.
+   Returns the transactions and the per-key version orders. *)
 let build_serial specs =
   let writer = Hashtbl.create 8 and value = Hashtbl.create 8 in
   let orders = Hashtbl.create 8 in
@@ -184,9 +182,7 @@ let build_serial specs =
           ~reads:(List.rev !reads) ~writes:(List.rev !writes) ())
       specs
   in
-  let key_writers = Hashtbl.create 8 in
-  Hashtbl.iter (fun k o -> Hashtbl.add key_writers k (Array.of_list (List.rev !o))) orders;
-  { Check.History.txns = Array.of_list txns; key_writers }
+  (txns, Hashtbl.fold (fun k o acc -> (k, List.rev !o) :: acc) orders [])
 
 (* per transaction: candidate (key, is-rmw) accesses over a small hot space *)
 let specs_gen =
@@ -207,7 +203,9 @@ let specs_print specs =
 let prop_serial_histories_pass =
   QCheck.Test.make ~name:"serially-executed histories check clean" ~count:300
     (QCheck.make ~print:specs_print specs_gen)
-    (fun specs -> Check.Checker.ok (Check.Checker.check (build_serial specs)))
+    (fun specs ->
+      let txns, orders = build_serial specs in
+      Check.Checker.ok (Check.Checker.check (history txns orders)))
 
 (* Corrupting a serializable history by swapping two adjacent writers in a
    key's version order must always be caught: the real-time order pins the
@@ -220,13 +218,317 @@ let prop_swapped_version_order_caught =
     (fun (specs, at) ->
       (* every transaction increments key 0, so key 0 totally orders them *)
       let specs = List.map (fun keys -> (0, true) :: keys) specs in
-      let h = build_serial specs in
-      let order = Hashtbl.find h.Check.History.key_writers 0 in
+      let txns, orders = build_serial specs in
+      let order = Array.of_list (List.assoc 0 orders) in
       let i = at mod (Array.length order - 1) in
       let tmp = order.(i) in
       order.(i) <- order.(i + 1);
       order.(i + 1) <- tmp;
-      not (Check.Checker.ok (Check.Checker.check ~conservation:false h)))
+      let orders = (0, Array.to_list order) :: List.remove_assoc 0 orders in
+      not (Check.Checker.ok (Check.Checker.check ~conservation:false (history txns orders))))
+
+(* ------------------------------------------------------------------ *)
+(* Differential: the flat checker and recorder against the list-based
+   implementations they replaced (ref_checker.ml, ref_recorder.ml). *)
+
+(* One corruption of a serial history. Integer fields pick the key, the
+   transaction, the read or the write, modulo how many there are. *)
+type mutation =
+  | Swap of int * int  (** swap two adjacent writers in a key's version order *)
+  | Stale of int * int  (** a read observes the initial state instead *)
+  | Dirty of int * int  (** a read observes a writer outside the history *)
+  | Bump of int * int  (** a written value is off by one: breaks conservation *)
+  | Blind of int * int  (** a read is forgotten: its key's write becomes blind *)
+  | Rotate of int  (** a key's last writer moves to the front of its order *)
+  | Lost_response of int  (** [commit = None] *)
+  | Drop of int  (** the transaction leaves the history, its slots stay *)
+  | Overlap of int  (** invoked at time 0, concurrent with all before it *)
+  | Empty_order of int  (** a key with an empty version order *)
+
+let mutation_gen =
+  QCheck.Gen.(
+    let two f = map2 f small_nat small_nat in
+    oneof
+      [
+        two (fun a b -> Swap (a, b));
+        two (fun a b -> Stale (a, b));
+        two (fun a b -> Dirty (a, b));
+        two (fun a b -> Bump (a, b));
+        two (fun a b -> Blind (a, b));
+        map (fun a -> Rotate a) small_nat;
+        map (fun a -> Lost_response a) small_nat;
+        map (fun a -> Drop a) small_nat;
+        map (fun a -> Overlap a) small_nat;
+        map (fun a -> Empty_order a) small_nat;
+      ])
+
+let mutation_print = function
+  | Swap (a, b) -> Printf.sprintf "swap(%d,%d)" a b
+  | Stale (a, b) -> Printf.sprintf "stale(%d,%d)" a b
+  | Dirty (a, b) -> Printf.sprintf "dirty(%d,%d)" a b
+  | Bump (a, b) -> Printf.sprintf "bump(%d,%d)" a b
+  | Blind (a, b) -> Printf.sprintf "blind(%d,%d)" a b
+  | Rotate a -> Printf.sprintf "rotate(%d)" a
+  | Lost_response a -> Printf.sprintf "lost(%d)" a
+  | Drop a -> Printf.sprintf "drop(%d)" a
+  | Overlap a -> Printf.sprintf "overlap(%d)" a
+  | Empty_order a -> Printf.sprintf "empty(%d)" a
+
+let mutate (txns, orders) m =
+  let pick a l = a mod Int.max 1 (List.length l) in
+  let nth_txn a f = List.mapi (fun i t -> if i = pick a txns then f t else t) txns in
+  let set_read b w (t : Check.History.txn) =
+    match t.reads with
+    | [] -> t
+    | rs ->
+        let b = b mod List.length rs in
+        { t with reads = List.mapi (fun i r -> if i = b then { r with Check.History.r_writer = w } else r) rs }
+  in
+  match m with
+  | Swap (a, b) -> (
+      match List.nth_opt orders (pick a orders) with
+      | Some (k, ws) when List.length ws >= 2 ->
+          let o = Array.of_list ws in
+          let i = b mod (Array.length o - 1) in
+          let tmp = o.(i) in
+          o.(i) <- o.(i + 1);
+          o.(i + 1) <- tmp;
+          (txns, List.map (fun (k', ws') -> if k' = k then (k, Array.to_list o) else (k', ws')) orders)
+      | _ -> (txns, orders))
+  | Stale (a, b) -> (nth_txn a (set_read b 0), orders)
+  | Dirty (a, b) -> (nth_txn a (set_read b 999), orders)
+  | Bump (a, b) ->
+      ( nth_txn a (fun t ->
+            match t.writes with
+            | [] -> t
+            | ws ->
+                let b = b mod List.length ws in
+                { t with writes = List.mapi (fun i (k, v) -> if i = b then (k, v + 1) else (k, v)) ws }),
+        orders )
+  | Blind (a, b) ->
+      ( nth_txn a (fun t ->
+            { t with reads = List.filteri (fun i _ -> i <> pick b t.reads) t.reads }),
+        orders )
+  | Rotate a -> (
+      match List.nth_opt orders (pick a orders) with
+      | Some (k, (_ :: _ as ws)) ->
+          let ws = List.nth ws (List.length ws - 1) :: List.filteri (fun i _ -> i < List.length ws - 1) ws in
+          (txns, List.map (fun (k', ws') -> if k' = k then (k, ws) else (k', ws')) orders)
+      | _ -> (txns, orders))
+  | Lost_response a -> (nth_txn a (fun t -> { t with commit = None }), orders)
+  | Drop a -> (List.filteri (fun i _ -> i <> pick a txns) txns, orders)
+  | Overlap a -> (nth_txn a (fun t -> { t with start = Sim_time.zero }), orders)
+  | Empty_order a when a mod 2 = 0 && not (List.mem_assoc (100 + a) orders) ->
+      (txns, orders @ [ (100 + a, []) ])
+  | Empty_order a -> (
+      match orders with
+      | [] -> (txns, orders)
+      | _ ->
+          let k, _ = List.nth orders (pick a orders) in
+          (txns, List.map (fun (k', ws) -> if k' = k then (k, []) else (k', ws)) orders))
+
+(* The same history in both representations. The reference reads version
+   orders from a hash table and derives ww edges in its iteration order;
+   the flat history gets the orders in that order, so both build every
+   node's out-edges in the same order and pick the same shortest cycle. *)
+let both_histories txns orders =
+  let key_writers = Hashtbl.create 8 in
+  List.iter (fun (k, ws) -> Hashtbl.replace key_writers k (Array.of_list ws)) orders;
+  let orders = List.rev (Hashtbl.fold (fun k ws acc -> (k, Array.to_list ws) :: acc) key_writers []) in
+  let h = Check.History.of_txns txns orders in
+  (h, { Ref_checker.txns = Array.init (Check.History.n_txns h) (Check.History.txn h); key_writers })
+
+(* A history with no serial structure: each transaction writes and reads
+   random keys, observes a random writer (or the initial state, or an id
+   outside the history) and has a random response or none, and each key's
+   writers install in a random order. Such graphs are dense in equally
+   short cycles, so they exercise the cycle search's tie-breaking. *)
+let random_history_gen =
+  QCheck.Gen.(
+    let row =
+      quad
+        (list_size (int_range 0 3) (pair (int_bound 5) (int_bound 3)))
+        (list_size (int_range 0 3) (pair (int_bound 5) (int_bound 12)))
+        (int_bound 100) (opt (int_bound 100))
+    in
+    map2
+      (fun rows salt ->
+        let txns =
+          List.mapi
+            (fun i (writes, reads, start, commit) ->
+              txn ~id:(i + 1) ~start ~commit:(Option.map (( + ) start) commit) ~reads
+                ~writes:(List.sort_uniq (fun (a, _) (b, _) -> compare a b) writes)
+                ())
+            rows
+        in
+        let orders =
+          List.init 6 (fun key ->
+              ( key,
+                List.filter_map
+                  (fun (t : Check.History.txn) ->
+                    if List.mem_assoc key t.writes then Some t.id else None)
+                  txns
+                |> List.sort (fun a b -> compare (Hashtbl.hash (a, key, salt)) (Hashtbl.hash (b, key, salt)))
+              ))
+          |> List.filter (fun (_, ws) -> ws <> [])
+        in
+        (txns, orders))
+      (int_range 2 10 >>= fun n -> list_repeat n row)
+      small_nat)
+
+let history_print (txns, orders) =
+  String.concat "; " (List.map (Format.asprintf "%a" Check.History.pp_txn) txns)
+  ^ " orders "
+  ^ String.concat ";"
+      (List.map
+         (fun (k, ws) -> Printf.sprintf "k%d:[%s]" k (String.concat "," (List.map string_of_int ws)))
+         orders)
+
+let prop_checker_matches_reference =
+  QCheck.Test.make ~name:"flat checker = reference checker" ~count:1000
+    (QCheck.make
+       ~print:(fun (base, muts, shuffle) ->
+         Printf.sprintf "%s muts=[%s] shuffle=%d"
+           (match base with Either.Left specs -> specs_print specs | Right h -> history_print h)
+           (String.concat ";" (List.map mutation_print muts))
+           shuffle)
+       QCheck.Gen.(
+         triple
+           (oneof [ map Either.left specs_gen; map Either.right random_history_gen ])
+           (list_size (int_range 0 6) mutation_gen)
+           small_nat))
+    (fun (base, muts, shuffle) ->
+      let base = match base with Either.Left specs -> build_serial specs | Right h -> h in
+      let txns, orders = List.fold_left mutate base muts in
+      (* handed over unsorted; [of_txns] sorts by id *)
+      let txns =
+        List.sort
+          (fun (a : Check.History.txn) (b : Check.History.txn) ->
+            compare (Hashtbl.hash (a.id + shuffle)) (Hashtbl.hash (b.id + shuffle)))
+          txns
+      in
+      let h, reference = both_histories txns orders in
+      List.for_all
+        (fun conservation ->
+          let got = Check.Checker.check ~conservation h in
+          let want = Ref_checker.check ~conservation reference in
+          got = want
+          || QCheck.Test.fail_reportf "conservation=%b: flat\n%s\nreference\n%s" conservation
+               (Check.Checker.render h got) (Check.Checker.render h want))
+        [ true; false ])
+
+type call =
+  | Start of int * int
+  | Read of int * int * int * bool
+  | From_kv of int * int list
+  | Write_set of int * (int * int) list
+  | Applied of int * int
+  | Committed of int * int
+  | Aborted of int
+
+let call_gen =
+  QCheck.Gen.(
+    let id = int_range 1 6 and key = int_bound 4 in
+    frequency
+      [
+        (2, map2 (fun i at -> Start (i, at)) id small_nat);
+        (4, map3 (fun (i, k) w weak -> Read (i, k, w, weak)) (pair id key) (int_bound 7) bool);
+        (1, map2 (fun i ks -> From_kv (i, ks)) id (list_size (int_range 1 3) key));
+        (2, map2 (fun i ps -> Write_set (i, ps)) id (list_size (int_range 0 3) (pair key small_nat)));
+        (3, map2 (fun i k -> Applied (i, k)) id key);
+        (2, map2 (fun i at -> Committed (i, at)) id small_nat);
+        (2, map (fun i -> Aborted i) id);
+      ])
+
+let call_print = function
+  | Start (i, at) -> Printf.sprintf "start %d @%d" i at
+  | Read (i, k, w, weak) -> Printf.sprintf "read%s %d k%d<-w%d" (if weak then "~" else "") i k w
+  | From_kv (i, ks) -> Printf.sprintf "kv %d [%s]" i (String.concat "," (List.map string_of_int ks))
+  | Write_set (i, ps) ->
+      Printf.sprintf "write_set %d [%s]" i
+        (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "k%d:=%d" k v) ps))
+  | Applied (i, k) -> Printf.sprintf "applied %d k%d" i k
+  | Committed (i, at) -> Printf.sprintf "committed %d @%d" i at
+  | Aborted i -> Printf.sprintf "aborted %d" i
+
+let prop_recorder_matches_reference =
+  QCheck.Test.make ~name:"flat recorder = reference recorder" ~count:1000
+    (QCheck.make
+       ~print:(fun calls -> String.concat "; " (List.map call_print calls))
+       QCheck.Gen.(list_size (int_range 0 60) call_gen))
+    (fun calls ->
+      let kv = Store.Kv.create () in
+      for key = 0 to 4 do
+        Store.Kv.put kv ~key ~data:1 ~writer:(1 + (key mod 3))
+      done;
+      let flat = Check.Recorder.create () and reference = Ref_recorder.create () in
+      Check.Recorder.enable flat;
+      Ref_recorder.enable reference;
+      List.iter
+        (function
+          | Start (txn, at) ->
+              Check.Recorder.start flat ~txn ~at;
+              Ref_recorder.start reference ~txn ~at
+          | Read (txn, key, writer, weak) ->
+              Check.Recorder.read ~weak flat ~txn ~key ~writer;
+              Ref_recorder.read ~weak reference ~txn ~key ~writer
+          | From_kv (txn, keys) ->
+              Check.Recorder.reads_from_kv flat ~txn kv (Array.of_list keys);
+              Ref_recorder.reads_from_kv reference ~txn kv (Array.of_list keys)
+          | Write_set (txn, pairs) ->
+              Check.Recorder.write_set flat ~txn ~pairs;
+              Ref_recorder.write_set reference ~txn ~pairs
+          | Applied (txn, key) ->
+              Check.Recorder.applied flat ~txn ~key;
+              Ref_recorder.applied reference ~txn ~key
+          | Committed (txn, at) ->
+              Check.Recorder.committed flat ~txn ~at;
+              Ref_recorder.committed reference ~txn ~at
+          | Aborted txn ->
+              Check.Recorder.aborted flat ~txn;
+              Ref_recorder.aborted reference ~txn)
+        calls;
+      let h = Check.Recorder.history flat and want = Ref_recorder.history reference in
+      let orders =
+        List.init (Array.length h.order_key) (fun j ->
+            ( h.order_key.(j),
+              Array.sub h.order_writer h.order_off.(j) (h.order_off.(j + 1) - h.order_off.(j)) ))
+        |> List.sort compare
+      in
+      let want_orders = List.sort compare (List.of_seq (Hashtbl.to_seq want.key_writers)) in
+      let txns = Array.init (Check.History.n_txns h) (Check.History.txn h) in
+      if txns <> want.txns then
+        QCheck.Test.fail_reportf "transactions differ:\n%s\nreference:\n%s"
+          (String.concat "\n" (Array.to_list (Array.map (Format.asprintf "%a" Check.History.pp_txn) txns)))
+          (String.concat "\n"
+             (Array.to_list (Array.map (Format.asprintf "%a" Check.History.pp_txn) want.txns)))
+      else orders = want_orders || QCheck.Test.fail_reportf "version orders differ")
+
+(* An enabled recorder under abort churn (every attempt started, read and
+   aborted before any decision) reuses its storage instead of growing. *)
+let test_abort_churn_bounded () =
+  let r = Check.Recorder.create () in
+  Check.Recorder.enable r;
+  let attempt txn =
+    Check.Recorder.start r ~txn ~at:(Sim_time.us txn);
+    for k = 0 to 3 do
+      Check.Recorder.read r ~txn ~key:(txn + k) ~writer:0
+    done;
+    Check.Recorder.aborted r ~txn
+  in
+  for txn = 1 to 1_000 do
+    attempt txn
+  done;
+  let after_1k = Obj.reachable_words (Obj.repr r) in
+  for txn = 1_001 to 100_000 do
+    attempt txn
+  done;
+  let after_100k = Obj.reachable_words (Obj.repr r) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words after 100k attempts, %d after 1k" after_100k after_1k)
+    true
+    (after_100k <= 2 * after_1k);
+  Alcotest.(check int) "nothing recorded" 0 (Check.History.n_txns (Check.Recorder.history r))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: every protocol family, checked, at high contention — fault
@@ -325,7 +627,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_serial_histories_pass;
           QCheck_alcotest.to_alcotest prop_swapped_version_order_caught;
+          QCheck_alcotest.to_alcotest prop_checker_matches_reference;
+          QCheck_alcotest.to_alcotest prop_recorder_matches_reference;
         ] );
+      ( "recorder",
+        [ Alcotest.test_case "abort churn keeps storage bounded" `Quick test_abort_churn_bounded ] );
       ( "end-to-end",
         List.map
           (fun (name, spec) ->
