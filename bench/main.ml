@@ -1,10 +1,6 @@
-(* Benchmark entry point.
-
-   With no arguments: prints Table 1, regenerates every figure of the
-   paper's evaluation (quick scale; set NATTO_BENCH_FULL=1 for the paper's
-   60-second runs), then runs Bechamel micro-benchmarks of the core data
-   structures. With arguments: any of the figure names (see
-   Harness.Figures.names), "micro", or "all". *)
+(* Bechamel micro-benchmarks of the core data structures, then the event
+   queue's cancel-heavy report. The paper's figures are regenerated by
+   [natto_sim --figure]. *)
 
 (* Bechamel has a [Measure] module of its own. *)
 module Proxy = Measure.Proxy
@@ -212,7 +208,7 @@ let cancel_heavy_report () =
     "event_queue cancel-heavy: %d pushes (99%% cancelled), peak %d nodes, %d live at end\n%!"
     pushes !peak (Event_queue.live_size q)
 
-let run_micro () =
+let () =
   Printf.printf "\n# Micro-benchmarks (Bechamel, OLS estimate per call)\n%!";
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -229,127 +225,3 @@ let run_micro () =
   in
   List.iter (fun (name, ns) -> Printf.printf "%-40s %12.1f ns/call\n%!" name ns) rows;
   cancel_heavy_report ()
-
-(* --- machine-readable results ----------------------------------------- *)
-
-let git_rev () =
-  try
-    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if line = "" then "unknown" else line
-  with _ -> "unknown"
-
-(* Every data point the figure runners printed, as
-   figure id -> series -> point list, with run metadata. The CSV on stdout
-   stays the human-readable copy; this file is for plotting scripts and
-   regression diffs. *)
-let write_results ~scale ~wall_s ~jobs file =
-  let open Harness.Figures in
-  let points = collected_points () in
-  if points <> [] then begin
-    let oc = open_out file in
-    let uniq xs =
-      List.rev (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
-    in
-    (* busy / wall is the achieved parallel speedup: total time spent inside
-       simulation jobs over the elapsed wall clock. At --jobs 1 it is ~1. *)
-    let busy_s = Harness.Pool.busy_seconds () in
-    let speedup = if wall_s > 0. then busy_s /. wall_s else 1.0 in
-    Printf.fprintf oc
-      "{\"meta\":{\"scale\":\"%s\",\"seeds\":[%s],\"git_rev\":\"%s\",\"wall_time_s\":%.1f,\
-       \"jobs\":%d,\"busy_time_s\":%.1f,\"speedup\":%.2f},\n\
-       \"figures\":{"
-      (match scale with Quick -> "quick" | Full -> "full")
-      (String.concat "," (List.map string_of_int (seeds scale)))
-      (Trace.json_escape (git_rev ()))
-      wall_s jobs busy_s speedup;
-    let figures = uniq (List.map (fun p -> p.pt_figure) points) in
-    List.iteri
-      (fun fi fig ->
-        if fi > 0 then output_string oc ",";
-        let fpoints = List.filter (fun p -> p.pt_figure = fig) points in
-        Printf.fprintf oc "\n\"%s\":{" (Trace.json_escape fig);
-        List.iteri
-          (fun si sys ->
-            if si > 0 then output_string oc ",";
-            Printf.fprintf oc "\n  \"%s\":[" (Trace.json_escape sys);
-            List.iteri
-              (fun pi p ->
-                if pi > 0 then output_string oc ",";
-                Printf.fprintf oc "\n    {\"%s\":\"%s\"" (Trace.json_escape p.pt_x_label)
-                  (Trace.json_escape p.pt_x);
-                List.iter
-                  (fun (k, v) ->
-                    Printf.fprintf oc ",\"%s\":%s" (Trace.json_escape k) (Trace.json_float v))
-                  p.pt_fields;
-                output_string oc "}")
-              (List.filter (fun p -> p.pt_system = sys) fpoints);
-            output_string oc "]")
-          (uniq (List.map (fun p -> p.pt_system) fpoints));
-        output_string oc "}")
-      figures;
-    output_string oc "}}\n";
-    close_out oc;
-    Printf.printf "\n# wrote %s (%d figures, %d points)\n%!" file (List.length figures)
-      (List.length points)
-  end
-
-let () =
-  let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
-  let scale = Harness.Figures.scale_of_env () in
-  (* --trace-summary appends per-kind / per-link message totals to the run;
-     counters-only tracing, so figure numbers are unchanged. *)
-  let trace_summary = List.mem "--trace-summary" args in
-  let args = List.filter (fun a -> a <> "--trace-summary") args in
-  if trace_summary then Harness.Experiment.set_trace_counters true;
-  (* --jobs N / --jobs=N caps the Domain pool for figure cells; the default
-     is min(cores, cells). Results are byte-for-byte identical at any
-     setting. *)
-  let jobs_raw, args =
-    let rec scan acc = function
-      | [] -> (None, List.rev acc)
-      | "--jobs" :: n :: rest -> (Some n, List.rev_append acc rest)
-      | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-          (Some (String.sub arg 7 (String.length arg - 7)), List.rev_append acc rest)
-      | arg :: rest -> scan (arg :: acc) rest
-    in
-    scan [] args
-  in
-  let jobs_setting =
-    match jobs_raw with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Some n
-        | _ ->
-            Printf.eprintf "bench: --jobs expects a positive integer, got %S\n" s;
-            exit 1)
-  in
-  Harness.Pool.set_jobs jobs_setting;
-  let t0 = Unix.gettimeofday () in
-  let run_all () =
-    Harness.Figures.all scale;
-    run_micro ()
-  in
-  (match args with
-  | [] | [ "all" ] -> run_all ()
-  | names ->
-      List.iter
-        (fun name ->
-          if name = "micro" then run_micro ()
-          else if not (Harness.Figures.run_by_name name scale) then begin
-            Printf.eprintf "unknown target %S; available: %s micro all\n" name
-              (String.concat " " Harness.Figures.names);
-            exit 1
-          end)
-        names);
-  if trace_summary then Harness.Experiment.print_trace_totals ();
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let jobs =
-    match jobs_setting with Some n -> n | None -> Harness.Pool.jobs_for ~cells:max_int
-  in
-  write_results ~scale ~wall_s ~jobs "BENCH_results.json";
-  Printf.printf "\n# bench wall time: %.1fs (jobs=%d, busy %.1fs, speedup %.2fx)\n%!" wall_s
-    jobs (Harness.Pool.busy_seconds ())
-    (if wall_s > 0. then Harness.Pool.busy_seconds () /. wall_s else 1.0)

@@ -1,5 +1,5 @@
 (* Command-line interface over the simulator: run the (system x seed) cells
-   of one argument line (Harness.Spec's grammar), or regenerate a figure
+   of one argument line (Harness.Spec's grammar), or regenerate figures
    from the paper. This file holds the observation flags and the printing. *)
 
 module E = Harness.Experiment
@@ -154,6 +154,56 @@ let run_cells cells ~check ~histograms ~trace_file ~metrics_file =
     metrics_file;
   !violations
 
+let git_rev () =
+  try
+    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+    let line = Option.value (In_channel.input_line ic) ~default:"" in
+    ignore (Unix.close_process_in ic);
+    if line = "" then "unknown" else line
+  with _ -> "unknown"
+
+(* Every data point the figures printed, as figure id -> series -> point
+   list, with run metadata, to BENCH_results.json in the working directory.
+   The CSV on stdout stays the human-readable copy; this file is for
+   plotting scripts and regression diffs. *)
+let write_results ~scale ~t0 ~jobs points =
+  let open Harness.Figures in
+  let file = "BENCH_results.json" and wall_s = Unix.gettimeofday () -. t0 in
+  let jobs = match jobs with Some n -> n | None -> Harness.Pool.jobs_for ~cells:max_int in
+  let str = Trace.json_escape in
+  (* The distinct keys of [ps] in first-seen order, each with its points. *)
+  let group key ps =
+    List.fold_left (fun acc p -> if List.mem (key p) acc then acc else key p :: acc) [] ps
+    |> List.rev_map (fun k -> (k, List.filter (fun p -> key p = k) ps))
+  in
+  let join f xs = String.concat "," (List.map f xs) in
+  let field (k, v) = Printf.sprintf ",\"%s\":%s" (str k) (Trace.json_float v) in
+  let point p =
+    Printf.sprintf "\n    {\"%s\":\"%s\"%s}" (str p.pt_x_label) (str p.pt_x)
+      (String.concat "" (List.map field p.pt_fields))
+  in
+  let series (sys, ps) = Printf.sprintf "\n  \"%s\":[%s]" (str sys) (join point ps) in
+  let figure (fig, ps) =
+    Printf.sprintf "\n\"%s\":{%s}" (str fig) (join series (group (fun p -> p.pt_system) ps))
+  in
+  let figures = group (fun p -> p.pt_figure) points in
+  (* busy / wall is the achieved parallel speedup: total time spent inside
+     simulation jobs over the elapsed wall clock. At --jobs 1 it is ~1. *)
+  let busy_s = Harness.Pool.busy_seconds () in
+  let oc = open_out file in
+  Printf.fprintf oc
+    "{\"meta\":{\"scale\":\"%s\",\"seeds\":[%s],\"git_rev\":\"%s\",\"wall_time_s\":%.1f,\
+     \"jobs\":%d,\"busy_time_s\":%.1f,\"speedup\":%.2f},\n\"figures\":{%s}}\n"
+    (match scale with Quick -> "quick" | Full -> "full")
+    (join string_of_int (seeds scale))
+    (str (git_rev ()))
+    wall_s jobs busy_s
+    (if wall_s > 0. then busy_s /. wall_s else 1.0)
+    (join figure figures);
+  close_out oc;
+  Printf.printf "\n# wrote %s (%d figures, %d points)\n%!" file (List.length figures)
+    (List.length points)
+
 open Cmdliner
 
 let opt conv names ?docv doc = Arg.value (Arg.opt (Arg.some conv) None (Arg.info names ~doc ?docv))
@@ -189,20 +239,32 @@ let check_arg =
      counterexample cycle, and exit non-zero. Pure observation, like --metrics."
 
 let figure_arg =
-  opt Arg.string [ "figure" ]
+  let names = Harness.Figures.names in
+  let choices = ("all", Harness.Figures.all_names) :: List.map (fun n -> (n, [ n ])) names in
+  opt
+    Arg.(list (enum choices))
+    [ "figure" ] ~docv:"NAMES"
     (Printf.sprintf
-       "Regenerate a figure instead (%s). Figures fix their own run shape, so no run-shape \
-        flag applies."
-       (String.concat ", " Harness.Figures.names))
+       "Regenerate comma-separated figures instead, in order (any of: %s, or 'all' for every \
+        one but simthroughput), then write their data points to BENCH_results.json in the \
+        working directory. Figures fix their own run shape, so no run-shape flag applies."
+       (String.concat ", " names))
 
-let main cells histograms trace_file metrics_file trace_summary jobs check figure =
+let main cells histograms trace_file metrics_file trace_summary jobs check figures =
+  let figures = Option.map List.concat figures in
   let error =
     if Option.fold ~none:false ~some:(fun n -> n < 1) jobs then Some "--jobs must be >= 1"
-    else if figure = None then None
-    else if trace_file <> None || metrics_file <> None || histograms then
-      Some "--trace, --metrics and --histograms do not apply to --figure"
-    else if cells <> Harness.Spec.defaults then Some "run-shape flags do not apply to --figure"
-    else None
+    else
+      match figures with
+      | None -> None
+      | Some [] -> Some "--figure must name a figure"
+      | Some l when List.length (List.sort_uniq compare l) <> List.length l ->
+          Some "--figure names a figure twice"
+      | Some _ when trace_file <> None || metrics_file <> None || histograms ->
+          Some "--trace, --metrics and --histograms do not apply to --figure"
+      | Some _ when cells <> Harness.Spec.defaults ->
+          Some "run-shape flags do not apply to --figure"
+      | Some _ -> None
   in
   match error with
   | Some e -> `Error (false, e)
@@ -210,10 +272,12 @@ let main cells histograms trace_file metrics_file trace_summary jobs check figur
       if trace_summary then E.set_trace_counters true;
       Harness.Pool.set_jobs jobs;
       let totals () = if trace_summary then E.print_trace_totals () in
-      match figure with
-      | Some name ->
-          if Harness.Figures.run_by_name name (Harness.Figures.scale_of_env ()) then `Ok (totals ())
-          else `Error (false, Printf.sprintf "unknown figure %S" name)
+      match figures with
+      | Some names ->
+          let scale = Harness.Figures.scale_of_env () and t0 = Unix.gettimeofday () in
+          let points = List.concat_map (fun n -> Harness.Figures.(run scale (find n))) names in
+          totals ();
+          `Ok (if points <> [] then write_results ~scale ~t0 ~jobs points)
       | None -> (
           let violations = run_cells cells ~check ~histograms ~trace_file ~metrics_file in
           totals ();

@@ -5,7 +5,6 @@
 set -eu
 
 sim="$PWD/_build/default/bin/natto_sim.exe"
-bench="$PWD/_build/default/bench/main.exe"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -19,11 +18,16 @@ gate() {
 # run ARGS...: natto_sim ARGS, stdout kept in $tmp/out for expect.
 run() { "$sim" "$@" >"$tmp/out"; }
 # same_at_jobs ARGS...: run at --jobs 1 and --jobs 4; the outputs must be
-# byte-identical. The --jobs 1 output is kept for expect.
+# byte-identical, and so must the figure data of the BENCH_results.json a
+# figure run writes (all but its first line, whose meta holds wall times).
+# The --jobs 1 output is kept for expect.
 same_at_jobs() {
+  rm -f BENCH_results.json
   "$sim" "$@" --jobs 1 >"$tmp/out"
+  [ ! -e BENCH_results.json ] || tail -n +2 BENCH_results.json >"$tmp/data1"
   "$sim" "$@" --jobs 4 >"$tmp/out4"
   cmp "$tmp/out" "$tmp/out4"
+  [ ! -e BENCH_results.json ] || tail -n +2 BENCH_results.json | cmp - "$tmp/data1"
 }
 # expect PATTERN: some line of the last output matches (grep BRE).
 expect() {
@@ -55,6 +59,10 @@ gate "golden matrix"
 # re-runs the rows only when natto_sim or matrix.txt changed.
 dune build @golden
 
+# Every gate below runs in $tmp: a figure writes BENCH_results.json to its
+# working directory, and a green run must leave the repo root's copy alone.
+cd "$tmp"
+
 gate "trace smoke run"
 # The tracer sees every message: the per-kind sum must equal the network's
 # own count.
@@ -68,6 +76,10 @@ gate "input rejection"
 # inputs are rejected too, instead of crashing or running away.
 must_fail --figure fig13 --metrics /dev/null
 must_fail --figure fig13 -s tapir --partial-abort --check -d 1
+must_fail --figure nope
+must_fail --figure fig13,nope
+must_fail --figure fig13,fig13
+must_fail --figure ''
 must_fail -r 0
 must_fail -p 0
 must_fail --faults crash:999@1s
@@ -145,21 +157,13 @@ gate "tailblame figure gate"
 same_at_jobs --figure tailblame
 
 gate "parallel harness determinism gate"
-# The Domain pool must not change a single output byte: one full figure at
-# --jobs 1 and --jobs 4 must produce byte-identical CSV streams and
-# byte-identical BENCH_results.json figure data (only the meta line — wall
-# time, jobs, speedup — may differ).
-for j in 1 4; do
-  mkdir "$tmp/j$j"
-  (cd "$tmp/j$j" && "$bench" --jobs "$j" fig13 >raw.csv)
-  grep -v '^# bench wall time' "$tmp/j$j/raw.csv" >"$tmp/j$j/out.csv"
-  tail -n +2 "$tmp/j$j/BENCH_results.json" >"$tmp/j$j/data.json"
-done
-cmp "$tmp/j1/out.csv" "$tmp/j4/out.csv"
-cmp "$tmp/j1/data.json" "$tmp/j4/data.json"
+# The Domain pool must not change a single output byte: one full figure's
+# CSV and BENCH_results.json figure data at --jobs 1 and --jobs 4.
+same_at_jobs --figure fig13
+expect '^# wrote BENCH_results.json (1 figures, 8 points)$'
 # A figure cell is one natto_sim line: fig13's Natto-RECSF row must carry
 # the numbers of that line's run (test_harness: the line parses to the cell).
-grep '^fig13,deployment,hybrid,Natto-RECSF,' "$tmp/j1/out.csv" | cut -d, -f5- >"$tmp/fig_row"
+grep '^fig13,deployment,hybrid,Natto-RECSF,' "$tmp/out" | cut -d, -f5- >"$tmp/fig_row"
 run -s natto-recsf -w retwis -r 1000 -t hybrid -d 6 --drain 25 --seeds 1 --check
 grep '^Natto-RECSF,' "$tmp/out" | cut -d, -f5- >"$tmp/cli_row"
 test -s "$tmp/fig_row" && cmp "$tmp/fig_row" "$tmp/cli_row"
@@ -197,14 +201,13 @@ gate "retrysweep figure gate"
 same_at_jobs --figure retrysweep
 
 gate "simulator throughput bench"
-# Events/sec series (vs cluster size, vs --jobs) recorded into the repo-root
-# BENCH_results.json. Wall-clock fields are machine-dependent and ungated.
-# The figure checks that every row processed events and that the jobs rows
-# processed identical event counts (the pool may only change wall time,
-# never the simulation); the grep locks the 5-partition row to the event
-# count EXPERIMENTS.md records, so an engine change that reorders events
-# fails here even when every --jobs setting agrees.
-"$bench" simthroughput >"$tmp/out"
+# Events/sec series (vs cluster size, vs --jobs); wall-clock fields are
+# machine-dependent and ungated. The figure checks that every row processed
+# events and that the jobs rows processed identical event counts (the pool
+# may only change wall time, never the simulation); the grep locks the
+# 5-partition row to the event count EXPERIMENTS.md records, so an engine
+# change that reorders events fails here even if all --jobs rows agree.
+run --figure simthroughput
 expect '^simthroughput,partitions,5,Natto-RECSF,424384,'
 
 gate "full-population scale smoke"

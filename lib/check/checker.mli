@@ -54,11 +54,6 @@ val check : ?conservation:bool -> History.t -> report
 
 val ok : report -> bool
 
-val pp_violation : ?trace:Trace.t -> History.t -> Format.formatter -> violation -> unit
-(** Human-readable counterexample: the cycle edge by edge with keys and
-    writers, each involved transaction's record, and (when a full trace is
-    at hand) each one's lifecycle events. *)
-
 val render : ?trace:Trace.t -> History.t -> report -> string
 (** All violations rendered, or [""] when the report is clean. *)
 

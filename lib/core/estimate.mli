@@ -12,11 +12,6 @@
     everywhere, its furthest participant replicates its prepare and votes,
     and the coordinator's commit message travels back. *)
 
-val arrival_estimate_us :
-  Txnkit.Cluster.t -> client:int -> target:int -> float
-(** Cached p95 estimate from the client's proxy; falls back to 1.25x the
-    topological one-way delay (plus 5 ms) while the cache is cold. *)
-
 val timestamps :
   Txnkit.Cluster.t ->
   Features.t ->

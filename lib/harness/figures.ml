@@ -37,8 +37,8 @@ let driver_config ?duration ?warmup ?drain scale ~rate =
 let quick scale x = if scale = Quick then Some x else None
 
 (* ------------------------------------------------------------------ *)
-(* Output: every row goes to the CSV stream and, as a point, to
-   BENCH_results.json. *)
+(* Output: every row goes to the CSV stream and, as a point, to the
+   figure's result. *)
 
 type point = {
   pt_figure : string;
@@ -47,10 +47,6 @@ type point = {
   pt_system : string;
   pt_fields : (string * float) list;
 }
-
-let points : point list ref = ref []
-let reset_points () = points := []
-let collected_points () = List.rev !points
 
 (* A row: the point's key (x label, x, series) and the figure's payload. *)
 type 'v row = { x_label : string; x : string; system : string; v : 'v }
@@ -102,7 +98,7 @@ let note s = Text ("# " ^ s)
 let notes block =
   String.split_on_char '\n' block |> List.filter (fun l -> l <> "") |> List.map note
 
-(* Prints a line; a row's point is collected and returned. *)
+(* Prints a line; a row's point is returned. *)
 let emit figure = function
   | Text s ->
       print_endline s;
@@ -113,17 +109,15 @@ let emit figure = function
       match List.concat_map (fun c -> c.fields r) table with
       | [] -> []
       | pt_fields ->
-          let p =
+          [
             {
               pt_figure = figure;
               pt_x_label = r.x_label;
               pt_x = r.x;
               pt_system = r.system;
               pt_fields;
-            }
-          in
-          points := p :: !points;
-          [ p ])
+            };
+          ])
 
 (* ------------------------------------------------------------------ *)
 (* Cells and the one grid runner *)
@@ -229,7 +223,8 @@ let run scale (Spec f) =
       raise (Check.Checker.Violation (msg ^ "\nreplay: " ^ Experiment.replay o.Experiment.o_setup))
   in
   List.iter (fun r -> List.iter merge r.outs) ran;
-  Option.iter (fun accept -> accept pts) f.accept
+  Option.iter (fun accept -> accept pts) f.accept;
+  pts
 
 let field name p = List.assoc name p.pt_fields
 
@@ -981,7 +976,7 @@ let retrysweep =
         :: List.concat_map family (pairs metered_ran))
 
 (* ------------------------------------------------------------------ *)
-(* The table: every figure, in [all]'s order *)
+(* The table: every figure, in run order *)
 
 let specs =
   [
@@ -1080,16 +1075,5 @@ let names = List.map name_of specs
 (* simthroughput's wall-clock fields vary by machine; it runs only when
    asked for by name. *)
 let all_names = List.filter (fun n -> n <> "simthroughput") names
-
-let setups scale name =
-  match List.find (fun s -> name_of s = name) specs with
-  | Spec f -> List.concat_map (runs scale) (f.cells scale)
-
-let run_by_name name scale =
-  match List.find_opt (fun s -> name_of s = name) specs with
-  | Some s ->
-      run scale s;
-      true
-  | None -> false
-
-let all scale = List.iter (fun n -> ignore (run_by_name n scale)) all_names
+let find name = List.find (fun s -> name_of s = name) specs
+let setups scale name = match find name with Spec f -> List.concat_map (runs scale) (f.cells scale)

@@ -7,7 +7,7 @@
     {!Pool}, then prints a heading, a CSV header and one row per data point,
     in the sequential cell order, so output is byte-for-byte independent of
     the pool's job count. One declared column list per table yields the CSV
-    header, each CSV row, and the point collected for
+    header, each CSV row, and the point {!run} returns for
     [BENCH_results.json].
 
     Scale is controlled by {!scale}: [Quick] uses shortened runs and fewer
@@ -24,7 +24,7 @@ val seeds : scale -> int list
 
 (** {2 Machine-readable results}
 
-    Every printed data point is also collected in memory; the bench harness
+    {!run} returns every data point it printed; [natto_sim --figure]
     serializes them to [BENCH_results.json]. *)
 
 type point = {
@@ -34,11 +34,6 @@ type point = {
   pt_system : string;  (** series name *)
   pt_fields : (string * float) list;  (** named numeric columns *)
 }
-
-val collected_points : unit -> point list
-(** Points in emission order. *)
-
-val reset_points : unit -> unit
 
 (** {2 Figure specs} *)
 
@@ -62,12 +57,12 @@ val sweep :
     [accept], if given, sees the figure's points after its rows are
     printed and raises to reject them. *)
 
-val run : scale -> spec -> unit
-(** Runs one figure: heading, header, rows (collecting their points), then
-    the merge of every run in cell order (a checker violation raises here,
-    after the verdict rows, with the failing run's replay line), then the
-    figure's headline check, which raises [Failure] if the headline does
-    not hold. *)
+val run : scale -> spec -> point list
+(** Runs one figure: heading, header, rows, then the merge of every run in
+    cell order (a checker violation raises here, after the verdict rows,
+    with the failing run's replay line), then the figure's headline check,
+    which raises [Failure] if the headline does not hold. Returns the rows'
+    points, in print order. *)
 
 val specs : spec list
 (** Every figure of the evaluation, Table 1 first. *)
@@ -76,16 +71,15 @@ val names : string list
 (** The specs' names, in table order. *)
 
 val all_names : string list
-(** The figures {!all} runs: every name but [simthroughput], whose
-    wall-clock fields vary by machine, so it runs only when asked for by
-    name. *)
+(** The figures [natto_sim --figure all] runs: every name but
+    [simthroughput], whose wall-clock fields vary by machine, so it runs
+    only when asked for by name. *)
 
-val all : scale -> unit
+val find : string -> spec
+(** The spec of that name. Raises [Not_found] for an unknown name. *)
 
 val setups : scale -> string -> Experiment.setup list
 (** Every setup the named figure runs at [scale], in run order, without
     running any: each cell's seeds, ramp rates and so on spelled out.
     Raises [Not_found] for an unknown name. *)
 
-val run_by_name : string -> scale -> bool
-(** Runs the named figure; [false] if no spec has that name. *)

@@ -6,7 +6,6 @@ type t = {
   net : Network.t;
   node : int;
   proxy : Proxy.t;
-  refresh : Sim_time.t;
   cache : (int, float) Hashtbl.t;
   mutable applied : (int * float) list;  (* the snapshot applied last *)
   mutable running : bool;
@@ -32,17 +31,16 @@ let fetch t =
 let rec tick t =
   if t.running then begin
     fetch t;
-    t.timer <- Some (Engine.schedule_after t.engine t.refresh (fun () -> tick t))
+    t.timer <- Some (Engine.schedule_after t.engine (Sim_time.ms 100.) (fun () -> tick t))
   end
 
-let create ~engine ~net ~node ~proxy ?(refresh = Sim_time.ms 100.) () =
+let create ~engine ~net ~node ~proxy () =
   let t =
     {
       engine;
       net;
       node;
       proxy;
-      refresh;
       cache = Hashtbl.create 16;
       applied = [];
       running = true;

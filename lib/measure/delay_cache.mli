@@ -1,9 +1,9 @@
 (** Client-side cache of proxy delay estimates (paper §4).
 
     Clients do not probe; they fetch the local proxy's estimate table every
-    [refresh] (default 100 ms) over the intra-DC network and serve timestamp
-    computations from the cached copy, exactly as the Natto prototype's
-    client library does. *)
+    100 ms over the intra-DC network and serve timestamp computations from
+    the cached copy, exactly as the Natto prototype's client library
+    does. *)
 
 type t
 
@@ -12,7 +12,6 @@ val create :
   net:Netsim.Network.t ->
   node:int ->
   proxy:Proxy.t ->
-  ?refresh:Simcore.Sim_time.t ->
   unit ->
   t
 

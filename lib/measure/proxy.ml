@@ -7,7 +7,6 @@ type t = {
   clock : Clock.t;
   node : int;
   targets : int array;
-  interval : Sim_time.t;
   windows : Window.t array;  (* [windows.(i)] holds [targets.(i)]'s samples *)
   mutable snap_version : int;
       (* sum of [windows]' versions behind [snap]: versions only grow, so
@@ -35,11 +34,10 @@ let rec tick t =
     for i = 0 to Array.length t.targets - 1 do
       probe t i
     done;
-    ignore (Engine.schedule_after t.engine t.interval (fun () -> tick t))
+    ignore (Engine.schedule_after t.engine (Sim_time.ms 10.) (fun () -> tick t))
   end
 
-let create ~engine ~net ~clock ~node ~targets ?(interval = Sim_time.ms 10.)
-    ?(window = Sim_time.seconds 1.) () =
+let create ~engine ~net ~clock ~node ~targets ?(window = Sim_time.seconds 1.) () =
   let t =
     {
       engine;
@@ -47,7 +45,6 @@ let create ~engine ~net ~clock ~node ~targets ?(interval = Sim_time.ms 10.)
       clock;
       node;
       targets;
-      interval;
       windows = Array.map (fun _ -> Window.create ~span:window) targets;
       snap_version = -1;
       snap = [];

@@ -1,11 +1,11 @@
 (** The per-datacenter measurement proxy (paper §4).
 
-    The proxy probes the leader of every partition every [interval]
-    (default 10 ms). A probe records the proxy's local send clock time; the
-    target answers with its own local clock time; the difference is a
-    one-way-delay sample {e including clock skew} — exactly the quantity a
-    client must add to its own clock to name a future arrival time at the
-    target (Domino §2.2). Estimates are the 95th percentile over the last
+    The proxy probes the leader of every partition every 10 ms. A probe
+    records the proxy's local send clock time; the target answers with its
+    own local clock time; the difference is a one-way-delay sample
+    {e including clock skew} — exactly the quantity a client must add to
+    its own clock to name a future arrival time at the target (Domino
+    §2.2). Estimates are the 95th percentile over the last
     [window] (default 1 s) of samples.
 
     Probes bypass the destination CPU station ({!Netsim.Network.send_isolated}):
@@ -20,7 +20,6 @@ val create :
   clock:Netsim.Clock.t ->
   node:int ->
   targets:int array ->
-  ?interval:Simcore.Sim_time.t ->
   ?window:Simcore.Sim_time.t ->
   unit ->
   t

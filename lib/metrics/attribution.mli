@@ -90,12 +90,10 @@ type txn_breakdown = {
           identity) — so for every class the charge sum equals the segment. *)
 }
 
-val wait_charge_sum : txn_breakdown -> int
-(** Σ [ch_us] over the [Lock_wait] and [Queue_wait] charges. *)
-
 val blame_mismatch : txn_breakdown -> int
-(** [|wait_charge_sum - (lock_wait + queue_wait)|] — 0 by construction; the
-    CI metrics smoke gates on the maximum over a run being 0. *)
+(** |Σ [ch_us] over the [Lock_wait] and [Queue_wait] charges −
+    ([lock_wait] + [queue_wait])| — 0 by construction; the CI metrics smoke
+    gates on the maximum over a run being 0. *)
 
 val analyze : trace:Trace.t -> txns:Registry.txn_rec list -> txn_breakdown list
 (** One breakdown per finished transaction, in input order. The trace must

@@ -72,7 +72,8 @@ let pick_percentile sorted p =
       let idx = int_of_float (ceil (p *. float_of_int (n - 1))) in
       Some arr.(max 0 (min (n - 1) idx))
 
-let analyze ?(top_k = 8) ?(timeline_cap = 40) ~trace ~txns ~breakdowns () =
+let analyze ~trace ~txns ~breakdowns () =
+  let top_k = 8 and timeline_cap = 40 in
   let matrix = Array.make_matrix 2 3 0 in
   let keys : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
   let blockers : (int * bool, int ref) Hashtbl.t = Hashtbl.create 64 in

@@ -42,17 +42,15 @@ type t = {
 }
 
 val analyze :
-  ?top_k:int ->
-  ?timeline_cap:int ->
   trace:Trace.t ->
   txns:Registry.txn_rec list ->
   breakdowns:Attribution.txn_breakdown list ->
   unit ->
   t
 (** [txns] and [breakdowns] must be parallel lists, as produced by
-    {!Registry.txn_records} and {!Attribution.analyze} on them. [top_k]
-    (default 8) bounds the hot-key and blocker tables; [timeline_cap]
-    (default 40) bounds each exemplar timeline. Deterministic: all table
+    {!Registry.txn_records} and {!Attribution.analyze} on them. The hot-key
+    and blocker tables keep their top 8 rows, and each exemplar timeline
+    its first 40 events. Deterministic: all table
     orders are fully sorted and percentile exemplars are picked by
     nearest-rank on (e2e, arrival order). *)
 

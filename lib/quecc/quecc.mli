@@ -37,9 +37,6 @@ type variant = Fifo | Prio
 val name : variant -> string
 (** ["QueCC"] / ["QueCC-Prio"]. *)
 
-val default_epoch : Simcore.Sim_time.t
-(** Planner batching interval (10 ms). *)
-
 (** Deterministic batch ordering: a permutation of the batch, not a
     schedule. Exposed for the planner-determinism tests. *)
 module Plan : sig
@@ -92,6 +89,6 @@ module Chains : sig
       converge to exactly this, whatever order bases arrive in. *)
 end
 
-val make : ?epoch:Simcore.Sim_time.t -> Txnkit.Cluster.t -> variant:variant -> Txnkit.System.t
-(** Instantiate the family on a cluster (requires Raft groups). [epoch] is
-    the planner's batching interval, {!default_epoch} by default. *)
+val make : Txnkit.Cluster.t -> variant:variant -> Txnkit.System.t
+(** Instantiate the family on a cluster (requires Raft groups). The
+    planner closes an epoch every 10 ms. *)

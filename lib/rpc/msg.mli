@@ -89,7 +89,6 @@ val quecc_install_ack : ?txn:int -> unit -> t
     ([prepare_record_bytes], [write_record_bytes] are replicated records,
     not messages). *)
 
-val key_bytes : int
 val value_bytes : int
 val read_and_prepare_bytes : reads:int -> writes:int -> int
 val read_reply_bytes : reads:int -> int
@@ -99,9 +98,6 @@ val decision_bytes : writes:int -> int
 val prepare_record_bytes : reads:int -> writes:int -> int
 val write_record_bytes : writes:int -> int
 val control_bytes : int
-val probe_bytes : int
-val cache_fetch_bytes : int
-val cache_entry_bytes : int
 
 val claim_bytes : int
 (** One partial-abort claim piggybacked on a read-and-prepare: a (key,

@@ -33,9 +33,6 @@ val exponential : t -> mean:float -> float
 val normal : t -> mean:float -> stddev:float -> float
 (** Gaussian variate (Box-Muller). *)
 
-val pareto_raw : t -> scale:float -> shape:float -> float
-(** Classic Pareto: support [\[scale, infinity)], shape [> 0]. *)
-
 val pareto : t -> mean:float -> cv:float -> float
 (** Pareto variate with the given mean and coefficient of variation
     (stddev / mean). Requires [cv > 0]; the implied shape is

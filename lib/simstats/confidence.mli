@@ -1,10 +1,6 @@
 (** 95% confidence intervals across experiment repetitions (the paper's
     error bars, §5.1). *)
 
-val t_critical : df:int -> float
-(** Two-sided 95% Student-t critical value; falls back to the normal 1.96
-    for large degrees of freedom. *)
-
 val interval95 : float array -> float * float
 (** [(mean, half_width)] of the 95% CI over the given per-repetition
     values. A single repetition yields a zero-width interval. *)

@@ -60,7 +60,8 @@ let merge a b =
   t.underflow <- a.underflow + b.underflow;
   t
 
-let render ?(width = 40) ?(rows = 8) t =
+let render t =
+  let width = 40 and rows = 8 in
   if t.count = 0 then "(empty)"
   else begin
     (* Find the occupied range of buckets. *)

@@ -1,9 +1,9 @@
 (** Latency histograms and text rendering.
 
     Log-scaled buckets (1ms resolution at the bottom, ~5% relative width),
-    suitable for latency distributions spanning 10ms..100s. Used by the
-    bench harness to render distribution sketches next to the paper's
-    percentile numbers. *)
+    suitable for latency distributions spanning 10ms..100s. Used by
+    [natto_sim --histograms] to render distribution sketches next to the
+    paper's percentile numbers. *)
 
 type t
 
@@ -17,7 +17,7 @@ val percentile : t -> p:float -> float
 (** Approximate percentile from bucket midpoints; exact enough for
     rendering (buckets are ~5% wide). Raises on an empty histogram. *)
 
-val render : ?width:int -> ?rows:int -> t -> string
+val render : t -> string
 (** A small vertical-bar sketch of the distribution with a log-scaled
     x-axis, e.g. ["10ms [▂▅█▃  ] 2.3s"]. *)
 

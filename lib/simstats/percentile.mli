@@ -11,11 +11,6 @@ val select_in_place : float array -> len:int -> p:float -> float
     the same value as [percentile] on that prefix. Raises
     [Invalid_argument] when [len] is zero or exceeds the array. *)
 
-val nearest_rank_index : n:int -> p:float -> int
-(** Index of the nearest-rank percentile in a sorted array of [n]
-    samples — the rank convention shared by every percentile in the
-    repo. *)
-
 val p95 : float array -> float
 val p50 : float array -> float
 val mean : float array -> float

@@ -38,8 +38,7 @@ type coord = {
   mutable decided : bool;
 }
 
-let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = false)
-    (cluster : Cluster.t) ~variant : System.t =
+let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t =
   let net = cluster.Cluster.net in
   let engine = cluster.Cluster.engine in
   let trace = Netsim.Network.trace net in
@@ -148,7 +147,7 @@ let make ?(lock_timeout = Simcore.Sim_time.seconds 1.0) ?(early_read_release = f
         on_granted ());
     if not !granted then
       ignore
-        (Simcore.Engine.schedule_after engine lock_timeout (fun () ->
+        (Simcore.Engine.schedule_after engine (Simcore.Sim_time.seconds 1.0) (fun () ->
              if (not !granted) && not r.gone then abort_locally server ~key r.txn_id))
   in
   let coords : (int, coord) Hashtbl.t = Hashtbl.create 4096 in

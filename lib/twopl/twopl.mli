@@ -24,12 +24,11 @@ val name_of : variant -> string
 (** The paper's labels: "2PL+2PC", "2PL+2PC(P)", "2PL+2PC(POW)". *)
 
 val make :
-  ?lock_timeout:Simcore.Sim_time.t ->
   ?early_read_release:bool ->
   Txnkit.Cluster.t ->
   variant:variant ->
   Txnkit.System.t
-(** [lock_timeout] (default 1 s) bounds lock waits: wound-wait cannot break
+(** A 1 s lock timeout bounds lock waits: wound-wait cannot break
     cycles through prepared (pinned) participants, so — as in production
     systems — a wait that exceeds the timeout aborts the waiter, which
     retries with its original wound-wait timestamp.

@@ -101,12 +101,12 @@ let register_instruments ~(metrics : Metrics.Registry.t) ~engine ~net ~cpus ~rep
           proxies;
         if !n = 0 then 0. else !sum /. float_of_int !n)
 
-let build ?(topo = Topology.azure5) ?(n_partitions = 5) ?(replication = 3)
-    ?(clients_per_dc = 2) ?(net_config = Network.default_config)
-    ?(raft_config = Raft.Node.default_config) ?(max_clock_skew = Sim_time.ms 1.)
-    ?(with_raft = true) ?(with_proxies = true) ?batching ?trace ?metrics ~seed () =
+let build ?(topo = Topology.azure5) ?(n_partitions = 5) ?(clients_per_dc = 2)
+    ?(net_config = Network.default_config) ?(with_raft = true) ?(with_proxies = true) ?batching
+    ?trace ?metrics ~seed () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed in
+  let replication = 3 in
   let n_dcs = Topology.n_dcs topo in
   let n_servers = n_partitions * replication in
   let n_clients = n_dcs * clients_per_dc in
@@ -158,13 +158,12 @@ let build ?(topo = Topology.azure5) ?(n_partitions = 5) ?(replication = 3)
   let batcher =
     Option.map (fun config -> Rpc.Batcher.create ~net ~config ()) batching
   in
-  let clock = Clock.create ~rng:(Rng.split rng) ~max_skew:max_clock_skew ~n_nodes in
+  let clock = Clock.create ~rng:(Rng.split rng) ~max_skew:(Sim_time.ms 1.) ~n_nodes in
   let groups =
     if with_raft then
       Array.init n_partitions (fun p ->
-          Raft.Group.create ~engine ~net ~rng:(Rng.split rng) ~config:raft_config
-            ~group_commit:(Option.is_some batcher) ~members:replicas.(p)
-            ~initial_leader:replicas.(p).(0) ())
+          Raft.Group.create ~engine ~net ~rng:(Rng.split rng) ~group_commit:(Option.is_some batcher)
+            ~members:replicas.(p) ~initial_leader:replicas.(p).(0) ())
     else [||]
   in
   let leaders = Array.init n_partitions (fun p -> replicas.(p).(0)) in

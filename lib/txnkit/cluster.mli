@@ -44,11 +44,8 @@ type t = {
 val build :
   ?topo:Netsim.Topology.t ->
   ?n_partitions:int ->
-  ?replication:int ->
   ?clients_per_dc:int ->
   ?net_config:Netsim.Network.config ->
-  ?raft_config:Raft.Node.config ->
-  ?max_clock_skew:Simcore.Sim_time.t ->
   ?with_raft:bool ->
   ?with_proxies:bool ->
   ?batching:Rpc.Batcher.config ->
@@ -57,8 +54,8 @@ val build :
   seed:int ->
   unit ->
   t
-(** Defaults follow §5.1: [azure5] topology, 5 partitions, 3 replicas,
-    2 clients per DC, 1 ms max clock skew.
+(** Defaults follow §5.1: [azure5] topology, 5 partitions, 2 clients per
+    DC; every partition has 3 replicas and clocks skew by at most 1 ms.
 
     [trace] installs a tracing sink at network creation, so even the
     messages sent while the cluster is being built (Raft elections,

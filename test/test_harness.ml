@@ -92,7 +92,7 @@ let test_observed_run_identical () =
 
 let test_figures_dispatch () =
   let open Harness.Figures in
-  Alcotest.(check bool) "unknown rejected" false (run_by_name "nope" Quick);
+  Alcotest.check_raises "unknown rejected" Not_found (fun () -> ignore (find "nope"));
   Alcotest.(check int) "no duplicate names" (List.length names)
     (List.length (List.sort_uniq compare names));
   Alcotest.(check (list string)) "names follow table order"

@@ -63,7 +63,8 @@ let test_pool_empty_and_jobs_floor () =
 (* ------------------------------------------------------------------ *)
 (* Harness determinism: --jobs 4 output == --jobs 1 output *)
 
-(* Run [f] with stdout redirected to a temp file; return what it printed. *)
+(* Run [f] with stdout redirected to a temp file; return its result and
+   what it printed. *)
 let capture_stdout f =
   let tmp = Filename.temp_file "natto_test_sweep" ".csv" in
   let saved = Unix.dup Unix.stdout in
@@ -71,17 +72,19 @@ let capture_stdout f =
   flush stdout;
   Unix.dup2 out Unix.stdout;
   Unix.close out;
-  Fun.protect
-    ~finally:(fun () ->
-      flush stdout;
-      Unix.dup2 saved Unix.stdout;
-      Unix.close saved)
-    f;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+      f
+  in
   let ic = open_in_bin tmp in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Sys.remove tmp;
-  s
+  (v, s)
 
 let small_sweep ?accept () =
   Harness.Figures.sweep ?accept ~name:"testfig" ~caption:"two rates, two systems"
@@ -108,43 +111,44 @@ let with_jobs n f =
   Fun.protect ~finally:(fun () -> Harness.Pool.set_jobs None) f
 
 let test_sweep_jobs_identical () =
-  Harness.Figures.reset_points ();
-  let csv1 = with_jobs 1 (fun () -> capture_stdout small_sweep) in
-  let points1 = Harness.Figures.collected_points () in
-  Harness.Figures.reset_points ();
-  let csv4 = with_jobs 4 (fun () -> capture_stdout small_sweep) in
-  let points4 = Harness.Figures.collected_points () in
-  Harness.Figures.reset_points ();
+  let points1, csv1 = with_jobs 1 (fun () -> capture_stdout small_sweep) in
+  let points4, csv4 = with_jobs 4 (fun () -> capture_stdout small_sweep) in
   Alcotest.(check string) "CSV text byte-identical" csv1 csv4;
   Alcotest.(check bool) "CSV non-empty" true (String.length csv1 > 0);
   Alcotest.(check int) "point count" (List.length points1) (List.length points4);
-  Alcotest.(check bool) "collected points identical" true (points1 = points4)
+  Alcotest.(check bool) "returned points identical" true (points1 = points4)
 
 (* A headline check that fails raises, but only after the figure's rows
-   are out, and it sees exactly the points those rows collected. *)
+   are out, and it sees exactly the points those rows carry: the points
+   the same figure returns when its check passes. *)
 let test_failing_accept_raises_after_rows () =
-  Harness.Figures.reset_points ();
   let seen = ref [] in
   let raised = ref false in
-  let csv =
+  let (), csv =
     capture_stdout (fun () ->
         try
-          small_sweep
-            ~accept:(fun pts ->
-              seen := pts;
-              failwith "testfig: headline rejected")
-            ()
+          ignore
+            (small_sweep
+               ~accept:(fun pts ->
+                 seen := pts;
+                 failwith "testfig: headline rejected")
+               ())
         with Failure msg -> raised := msg = "testfig: headline rejected")
   in
-  let points = Harness.Figures.collected_points () in
-  Harness.Figures.reset_points ();
+  let points, csv_passing = capture_stdout small_sweep in
   Alcotest.(check bool) "predicate raised" true !raised;
   let rows =
     List.filter (String.starts_with ~prefix:"testfig,") (String.split_on_char '\n' csv)
   in
   Alcotest.(check int) "every row printed before the raise" 4 (List.length rows);
+  Alcotest.(check string) "the rows of the passing run" csv_passing csv;
   Alcotest.(check bool) "predicate saw the figure's points" true (!seen = points);
-  Alcotest.(check int) "one point per row" 4 (List.length points)
+  Alcotest.(check int) "one point per row" 4 (List.length points);
+  let key (p : Harness.Figures.point) =
+    String.concat "," [ p.pt_figure; p.pt_x_label; p.pt_x; p.pt_system ]
+  in
+  Alcotest.(check bool) "each point keys its row" true
+    (List.for_all2 (fun p row -> String.starts_with ~prefix:(key p ^ ",") row) points rows)
 
 let test_run_repeated_jobs_identical () =
   let setup =
