@@ -1,5 +1,6 @@
 open Txnkit
-module Msg = Rpc.Msg
+module Msg = Netsim.Msg
+module Net = Netsim.Network
 
 type server = {
   partition : int;
@@ -27,7 +28,6 @@ type client_attempt = {
 
 let make (cluster : Cluster.t) : System.t =
   let net = cluster.Cluster.net in
-  let send ~src ~dst ~msg f = Rpc.send net ~src ~dst ~msg f in
   let recorder = cluster.Cluster.recorder in
   let servers =
     Array.init cluster.Cluster.n_partitions (fun p ->
@@ -81,12 +81,14 @@ let make (cluster : Cluster.t) : System.t =
       Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
     let me = coord_node ~client:c.client in
     (* Notify the client, then distribute write data asynchronously. *)
-    send ~src:me ~dst:c.client ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify) (fun () -> ());
+    Net.send net ~src:me ~dst:c.client
+      ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
+      (fun () -> ());
     List.iter
       (fun p ->
         let server = servers.(p) in
         let local = Exec.pairs_on_partition cluster ~partition:p pairs in
-        send ~src:me ~dst:server.node
+        Net.send net ~src:me ~dst:server.node
           ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
           (fun () -> apply_commit server txn_id local))
       (Cluster.participants cluster txn)
@@ -97,8 +99,9 @@ let make (cluster : Cluster.t) : System.t =
     List.iter
       (fun p ->
         let server = servers.(p) in
-        send ~src:me ~dst:server.node ~msg:(Msg.decision ~txn:txn_id ~writes:0 ()) (fun () ->
-            abort_at_participant server txn_id))
+        Net.send net ~src:me ~dst:server.node
+          ~msg:(Msg.decision ~txn:txn_id ~writes:0 ())
+          (fun () -> abort_at_participant server txn_id))
       (Cluster.participants cluster txn)
   in
   let try_commit ~txn_id ~txn ~notify_client c =
@@ -124,7 +127,7 @@ let make (cluster : Cluster.t) : System.t =
     (* Client-side commit notification: the coordinator replies over the
        network; latency to the client is the intra-DC hop. *)
     let notify_client_commit () =
-      send ~src:coordinator ~dst:client ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
+      Net.send net ~src:coordinator ~dst:client ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
         (fun () -> finish ~committed:true)
     in
     let on_vote ~ok =
@@ -162,10 +165,10 @@ let make (cluster : Cluster.t) : System.t =
       List.iter
         (fun p ->
           let server = servers.(p) in
-          send ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
+          Net.send net ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
             (fun () -> abort_at_participant server txn_id))
         plan.Exec.participants;
-      send ~src:client ~dst:coordinator
+      Net.send net ~src:client ~dst:coordinator
         ~msg:(Msg.control ~txn:txn_id Msg.Abort_notice)
         on_abort_notice;
       finish ~committed:false
@@ -175,7 +178,7 @@ let make (cluster : Cluster.t) : System.t =
       else begin
         let reads = Exec.assemble_reads txn attempt.replies in
         let pairs = Exec.write_pairs txn reads in
-        send ~src:client ~dst:coordinator
+        Net.send net ~src:client ~dst:coordinator
           ~msg:(Msg.commit_request ~txn:txn_id ~writes:(List.length pairs) ())
           (fun () -> on_commit_request pairs)
       end
@@ -193,7 +196,7 @@ let make (cluster : Cluster.t) : System.t =
         (* Partial-abort claims for this partition: validated-prefix keys ride
            on the request; version-confirmed ones are dropped from the reply. *)
         let claims = Exec.claims txn reads in
-        send ~src:client ~dst:server.node
+        Net.send net ~src:client ~dst:server.node
           ~msg:
             (Msg.read_prepare ~txn:txn_id ~reads:(Array.length reads)
                ~writes:(Array.length writes) ~extra:(Exec.claim_bytes claims) ())
@@ -208,17 +211,17 @@ let make (cluster : Cluster.t) : System.t =
                    prefix: this server never served the victim, so the retry's
                    claims come from here. *)
                 let salvage = Exec.salvage server.kv txn ~reads ~upto:(`Before fail_key) in
-                send ~src:server.node ~dst:client
+                Net.send net ~src:server.node ~dst:client
                   ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(Exec.count salvage) ())
                   (fun () ->
                     Exec.absorb_abort txn ~attempt:txn_id ~fail_key salvage;
                     on_read_reply ~ok:false Exec.no_reads);
-                send ~src:server.node ~dst:coordinator ~msg:(Msg.vote ~txn:txn_id ())
+                Net.send net ~src:server.node ~dst:coordinator ~msg:(Msg.vote ~txn:txn_id ())
                   (fun () -> on_vote ~ok:false)
             | None ->
                 Store.Occ.prepare server.occ ~txn:txn_id ~reads ~writes;
                 let served = Exec.serve cluster server.kv ~txn:txn_id reads claims in
-                send ~src:server.node ~dst:client
+                Net.send net ~src:server.node ~dst:client
                   ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
                   (fun () ->
                     on_read_reply ~ok:true (Exec.absorb txn ~attempt:txn_id claims served));
@@ -229,7 +232,7 @@ let make (cluster : Cluster.t) : System.t =
                        ~writes:(Array.length writes))
                   ~tag:txn_id
                   ~on_committed:(fun () ->
-                    send ~src:server.node ~dst:coordinator ~msg:(Msg.vote ~txn:txn_id ())
+                    Net.send net ~src:server.node ~dst:coordinator ~msg:(Msg.vote ~txn:txn_id ())
                       (fun () -> on_vote ~ok:true))
                   ()))
       plan.Exec.participants;

@@ -1,5 +1,6 @@
 open Txnkit
-module Msg = Rpc.Msg
+module Msg = Netsim.Msg
+module Net = Netsim.Network
 
 type replica = {
   partition : int;
@@ -18,7 +19,6 @@ type reply = {
 
 let make (cluster : Cluster.t) : System.t =
   let net = cluster.Cluster.net in
-  let send ~src ~dst ~msg f = Rpc.send net ~src ~dst ~msg f in
   let recorder = cluster.Cluster.recorder in
   let replicas =
     Array.init cluster.Cluster.n_partitions (fun p ->
@@ -67,7 +67,7 @@ let make (cluster : Cluster.t) : System.t =
         (fun p ->
           Array.iter
             (fun r ->
-              if Netsim.Network.node_is_down net r.node then Hashtbl.replace down_seen r.node ()
+              if Net.node_is_down net r.node then Hashtbl.replace down_seen r.node ()
               else if Hashtbl.mem down_seen r.node then begin
                 Hashtbl.remove down_seen r.node;
                 let src = leader_replica p in
@@ -78,7 +78,7 @@ let make (cluster : Cluster.t) : System.t =
               end)
             replicas.(p))
         participants;
-    let counted r = (not failover) || not (Netsim.Network.node_is_down net r.node) in
+    let counted r = (not failover) || not (Net.node_is_down net r.node) in
     let full_membership =
       List.fold_left (fun acc p -> acc + Array.length replicas.(p)) 0 participants
     in
@@ -98,7 +98,7 @@ let make (cluster : Cluster.t) : System.t =
         (fun p ->
           Array.iter
             (fun r ->
-              send ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
+              Net.send net ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
                 (fun () -> Store.Occ.release r.occ ~txn:txn_id))
             replicas.(p))
         participants
@@ -106,7 +106,7 @@ let make (cluster : Cluster.t) : System.t =
     let commit_via_coordinator ~pairs ~already_committed ~after_durable =
       (* [after_durable] fires at the coordinator once the decision can be
          made; used by the slow path to wait for participant votes. *)
-      send ~src:client ~dst:coordinator
+      Net.send net ~src:client ~dst:coordinator
         ~msg:(Msg.commit_request ~txn:txn_id ~writes:(List.length pairs) ())
         (fun () ->
           let write_replicated = ref false and votes_ok = ref false in
@@ -115,7 +115,7 @@ let make (cluster : Cluster.t) : System.t =
               if Check.Recorder.enabled recorder then
                 Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
               if not already_committed then
-                send ~src:coordinator ~dst:client
+                Net.send net ~src:coordinator ~dst:client
                   ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
                   (fun () -> finish ~committed:true);
               List.iter
@@ -123,7 +123,7 @@ let make (cluster : Cluster.t) : System.t =
                   let local = Exec.pairs_on_partition cluster ~partition:p pairs in
                   Array.iter
                     (fun r ->
-                      send ~src:coordinator ~dst:r.node
+                      Net.send net ~src:coordinator ~dst:r.node
                         ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
                         (fun () ->
                           Exec.apply cluster r.kv ~txn:txn_id local;
@@ -196,7 +196,7 @@ let make (cluster : Cluster.t) : System.t =
                   let leader = leader_replica p in
                   let reads_p = plan.Exec.reads_of p
                   and writes_p = plan.Exec.writes_of p in
-                  send ~src:coordinator ~dst:leader.node
+                  Net.send net ~src:coordinator ~dst:leader.node
                     ~msg:(Msg.control ~txn:txn_id Msg.Control)
                     (fun () ->
                       Raft.Group.replicate cluster.Cluster.groups.(p)
@@ -205,7 +205,7 @@ let make (cluster : Cluster.t) : System.t =
                              ~writes:(Array.length writes_p))
                         ~tag:txn_id
                         ~on_committed:(fun () ->
-                          send ~src:leader.node ~dst:coordinator
+                          Net.send net ~src:leader.node ~dst:coordinator
                             ~msg:(Msg.vote ~txn:txn_id ())
                             (fun () ->
                               incr votes;
@@ -234,7 +234,7 @@ let make (cluster : Cluster.t) : System.t =
           (fun r ->
             if counted r then
               let from_leader = r.node = leader_node in
-              send ~src:client ~dst:r.node
+              Net.send net ~src:client ~dst:r.node
                 ~msg:
                   (Msg.read_prepare ~txn:txn_id ~reads:(Array.length reads)
                      ~writes:(Array.length writes)
@@ -254,7 +254,7 @@ let make (cluster : Cluster.t) : System.t =
                         if from_leader then Exec.salvage r.kv txn ~reads ~upto:`All
                         else Exec.no_reads
                       in
-                      send ~src:r.node ~dst:client
+                      Net.send net ~src:r.node ~dst:client
                         ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(Exec.count salvage) ())
                         (fun () ->
                           if from_leader then
@@ -269,7 +269,7 @@ let make (cluster : Cluster.t) : System.t =
                       let served =
                         Exec.serve ~record:from_leader cluster r.kv ~txn:txn_id reads claims
                       in
-                      send ~src:r.node ~dst:client
+                      Net.send net ~src:r.node ~dst:client
                         ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
                         (fun () ->
                           let values =

@@ -1,6 +1,7 @@
 open Simcore
 open Txnkit
-module Msg = Rpc.Msg
+module Msg = Netsim.Msg
+module Net = Netsim.Network
 
 type stats = {
   mutable priority_aborts : int;
@@ -129,24 +130,11 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
   let net = cluster.Cluster.net in
   let clock = cluster.Cluster.clock in
   let stats = new_stats () in
-  let send ~src ~dst ~msg f = Rpc.send net ~src ~dst ~msg f in
-  let trace = Netsim.Network.trace net in
+  let trace = Net.trace net in
   (* Lifecycle instants land on the transactions track of the Chrome trace;
      [Trace.recording] is false outside --trace runs, so this is one branch. *)
   let mark ~tid ~txn name =
     if Trace.recording trace then Trace.instant trace ~tid ~txn ~name ~at:(Engine.now engine) ()
-  in
-  (* Live blame counters (see the twopl analogue): total timestamp-queue
-     wait µs, and the share where a high-priority record sat in [Waiting]
-     behind a low-priority blocker — Natto's own priority inversion. Running
-     approximations (aborted attempts included), unlike the exact post-hoc
-     profiler. *)
-  let blame_wait_c, inversion_c =
-    let metrics = cluster.Cluster.metrics in
-    if Metrics.Registry.enabled metrics then
-      ( Some (Metrics.Registry.counter metrics "blame.lock_wait_us"),
-        Some (Metrics.Registry.counter metrics "inversion.lock_wait_us") )
-    else (None, None)
   in
   (* Natto's timestamp-queue residency is its analogue of lock waiting;
      emitted retroactively as an adjacent "lock-wait" begin/end pair when
@@ -170,10 +158,6 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
                 Trace.span_end trace ~txn:r.txn_id ~name:"lock-wait" ~at:e ?blame
               end
             in
-            (match blame_wait_c with
-            | Some c ->
-                Metrics.Registry.add c (Sim_time.to_us now - Sim_time.to_us t0)
-            | None -> ());
             match r.waiting_from with
             | Some tw when tw > t0 || r.wait_blame <> None ->
                 let tw = if tw > now then now else tw in
@@ -189,10 +173,6 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
                       }
                   | None -> { Trace.no_blame with bl_node = server.node }
                 in
-                (match (inversion_c, r.wait_blame) with
-                | Some c, Some (_, false, _) when r.txn.Txn.priority = Txn.High ->
-                    Metrics.Registry.add c (Sim_time.to_us now - Sim_time.to_us tw)
-                | _ -> ());
                 pair ~s:tw ~e:now ~blame ()
             | _ ->
                 pair ~s:t0 ~e:now
@@ -277,7 +257,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     mark ~tid:c.c_node ~txn:c.c_txn_id "txn-commit";
     if Check.Recorder.enabled recorder then
       Check.Recorder.write_set recorder ~txn:c.c_txn_id ~pairs:c.gen_pairs;
-    send ~src:c.c_node ~dst:c.c_client
+    Net.send net ~src:c.c_node ~dst:c.c_client
       ~msg:(Msg.control ~txn:c.c_txn_id Msg.Commit_notify)
       (fun () ->
         match Hashtbl.find_opt commit_hooks c.c_txn_id with
@@ -292,7 +272,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       (fun p ->
         let server = servers.(p) in
         let local = Exec.pairs_on_partition cluster ~partition:p c.gen_pairs in
-        send ~src:c.c_node ~dst:server.node
+        Net.send net ~src:c.c_node ~dst:server.node
           ~msg:(Msg.decision ~txn:c.c_txn_id ~writes:(List.length local) ())
           (fun () -> server_on_commit server c.c_txn_id local))
       c.c_participants
@@ -305,7 +285,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       List.iter
         (fun p ->
           let server = servers.(p) in
-          send ~src:c.c_node ~dst:server.node
+          Net.send net ~src:c.c_node ~dst:server.node
             ~msg:(Msg.decision ~txn:c.c_txn_id ~writes:0 ())
             (fun () -> server_on_abort server c.c_txn_id))
         c.c_participants
@@ -343,7 +323,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
 
   and coord_forward c ~requester ~keys ~deliver =
     let values = Exec.forwarded ~pairs:c.gen_pairs keys in
-    send ~src:c.c_node ~dst:requester
+    Net.send net ~src:c.c_node ~dst:requester
       ~msg:(Msg.recsf_reply ~txn:c.c_txn_id ~reads:(Exec.count values) ())
       (fun () -> deliver values)
 
@@ -357,7 +337,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
   and server_local_now server = Netsim.Clock.now clock engine ~node:server.node
 
   and server_send_vote server (r : srec) v =
-    send ~src:server.node ~dst:r.coord_node ~msg:(Msg.vote ~txn:r.txn_id ()) (fun () ->
+    Net.send net ~src:server.node ~dst:r.coord_node ~msg:(Msg.vote ~txn:r.txn_id ()) (fun () ->
         let c = cstate_for r.txn ~id:r.txn_id ~participants:r.participants in
         coord_on_vote c ~partition:server.partition v)
 
@@ -384,7 +364,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
        fail index — this message gates the retry, so it stays small; the
        Release path carries the full slice off the critical path. *)
     let salvage = Exec.salvage server.kv r.txn ~reads:r.reads ~upto:(`Before fail_key) in
-    send ~src:server.node ~dst:r.txn.Txn.client
+    Net.send net ~src:server.node ~dst:r.txn.Txn.client
       ~msg:(Msg.abort_notice ~txn:r.txn_id ~salvaged:(Exec.count salvage) ())
       (fun () -> r.deliver_abort fail_key salvage);
     server_send_vote server r V_abort
@@ -446,7 +426,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     r.state <- Prepared;
     mark ~tid:server.node ~txn:r.txn_id "txn-prepare";
     let served = Exec.serve cluster server.kv ~txn:r.txn_id r.reads r.claims in
-    send ~src:server.node ~dst:r.txn.Txn.client
+    Net.send net ~src:server.node ~dst:r.txn.Txn.client
       ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(Exec.count served) ())
       (fun () -> r.deliver_read S_normal served);
     Raft.Group.replicate cluster.Cluster.groups.(server.partition)
@@ -464,7 +444,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     let watchers = Option.value ~default:[] (Hashtbl.find_opt server.cond_watchers blocker) in
     Hashtbl.replace server.cond_watchers blocker (r.txn_id :: watchers);
     let served = Exec.serve cluster server.kv ~txn:r.txn_id r.reads r.claims in
-    send ~src:server.node ~dst:r.txn.Txn.client
+    Net.send net ~src:server.node ~dst:r.txn.Txn.client
       ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(Exec.count served) ())
       (fun () -> r.deliver_read (S_cond blocker) served);
     Raft.Group.replicate cluster.Cluster.groups.(server.partition)
@@ -493,7 +473,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     let blocker_id = blocker.txn_id in
     if Array.length local_keys > 0 || Array.length fwd_keys = 0 then begin
       let served = Exec.serve cluster server.kv ~txn:r.txn_id local_keys Exec.no_claims in
-      send ~src:server.node ~dst:r.txn.Txn.client
+      Net.send net ~src:server.node ~dst:r.txn.Txn.client
         ~msg:(Msg.recsf_reply ~txn:r.txn_id ~reads:(Exec.count served) ())
         (fun () -> r.deliver_read (S_recsf blocker_id) served)
     end;
@@ -505,7 +485,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         Exec.record_forwarded cluster ~txn:r.txn_id ~writer:blocker_id values;
         r.deliver_read (S_recsf blocker_id) values
       in
-      send ~src:server.node ~dst:blocker.coord_node
+      Net.send net ~src:server.node ~dst:blocker.coord_node
         ~msg:(Msg.recsf_request ~txn:r.txn_id ~keys:(Array.length fwd_keys) ())
         (fun () ->
           let c = cstate_for blocker.txn ~id:blocker.txn_id ~participants:blocker.participants in
@@ -579,7 +559,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
              smallest-(ts, id) conflicting record — prepared or waiting
              ahead of us — and the contended key is the first footprint key
              it overlaps on. Pure observation for the profiler. *)
-          (if (Trace.recording trace || blame_wait_c <> None) && r.waiting_from = None
+          (if Trace.recording trace && r.waiting_from = None
            then begin
              r.waiting_from <- Some (Engine.now engine);
              let principal =
@@ -679,7 +659,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
                   Store.Occ.release server.occ ~txn:watcher_id;
                   w.cond_on <- None
                 end;
-                send ~src:server.node ~dst:w.coord_node
+                Net.send net ~src:server.node ~dst:w.coord_node
                   ~msg:(Msg.control ~txn:w.txn_id Msg.Cond_resolution)
                   (fun () ->
                     let c = cstate_for w.txn ~id:w.txn_id ~participants:w.participants in
@@ -737,7 +717,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
             ~upto:`All
         in
         if Exec.count salvage > 0 then
-          send ~src:server.node ~dst:r.txn.Txn.client
+          Net.send net ~src:server.node ~dst:r.txn.Txn.client
             ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(Exec.count salvage) ())
             (fun () -> ignore (Exec.absorb r.txn ~attempt:txn_id Exec.no_claims salvage)));
     server_notify_cond_watchers server ~blocker:txn_id ~aborted:true;
@@ -932,7 +912,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       let reads = Exec.assemble_reads txn per_partition in
       let pairs = Exec.write_pairs txn reads in
       let sources = !used in
-      send ~src:client ~dst:coordinator
+      Net.send net ~src:client ~dst:coordinator
         ~msg:(Msg.commit_request ~txn:txn_id ~writes:(List.length pairs) ())
         (fun () ->
           let c = cstate_for txn ~id:txn_id ~participants in
@@ -999,10 +979,10 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         List.iter
           (fun p ->
             let server = servers.(p) in
-            send ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
+            Net.send net ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
               (fun () -> server_on_abort server txn_id))
           participants;
-        send ~src:client ~dst:coordinator
+        Net.send net ~src:client ~dst:coordinator
           ~msg:(Msg.control ~txn:txn_id Msg.Abort_notice)
           (fun () ->
             let c = cstate_for txn ~id:txn_id ~participants in
@@ -1041,7 +1021,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
             wait_blame = None;
           }
         in
-        send ~src:client ~dst:server.node
+        Net.send net ~src:client ~dst:server.node
           ~msg:
             (Msg.read_prepare ~txn:txn_id
                ~priority:(match txn.Txn.priority with Txn.High -> 1 | Txn.Low -> 0)

@@ -13,11 +13,11 @@ type t = {
 }
 
 let fetch t =
-  Rpc.send_isolated t.net ~src:t.node ~dst:(Proxy.node t.proxy) ~msg:(Rpc.Msg.cache_fetch ())
+  Network.send_isolated t.net ~src:t.node ~dst:(Proxy.node t.proxy) ~msg:(Msg.cache_fetch ())
     (fun () ->
       let snapshot = Proxy.snapshot t.proxy in
-      let reply = Rpc.Msg.cache_reply ~entries:(List.length snapshot) () in
-      Rpc.send_isolated t.net ~src:(Proxy.node t.proxy) ~dst:t.node ~msg:reply
+      let reply = Msg.cache_reply ~entries:(List.length snapshot) () in
+      Network.send_isolated t.net ~src:(Proxy.node t.proxy) ~dst:t.node ~msg:reply
         (fun () ->
           (* [Proxy.snapshot] hands out the same list until an estimate
              moves, so a reply physically equal to the last one applied

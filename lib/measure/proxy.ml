@@ -21,9 +21,9 @@ let probe t i =
   (* Request travels to the target, which stamps its local clock; the reply
      carries the stamp back. The sample is (target clock at arrival) -
      (proxy clock at send): one-way delay plus relative skew. *)
-  Rpc.send_isolated t.net ~src:t.node ~dst:target ~msg:(Rpc.Msg.probe ()) (fun () ->
+  Network.send_isolated t.net ~src:t.node ~dst:target ~msg:(Msg.probe ()) (fun () ->
       let stamp = Clock.now t.clock t.engine ~node:target in
-      Rpc.send_isolated t.net ~src:target ~dst:t.node ~msg:(Rpc.Msg.probe_reply ()) (fun () ->
+      Network.send_isolated t.net ~src:target ~dst:t.node ~msg:(Msg.probe_reply ()) (fun () ->
           if t.running then begin
             let sample = float_of_int (Sim_time.sub stamp sent_local) in
             Window.add t.windows.(i) ~now:(Engine.now t.engine) sample

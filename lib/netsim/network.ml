@@ -25,23 +25,7 @@ let default_config =
     pareto_threshold = 0.005;
   }
 
-type batch_item = {
-  bi_kind : string;
-  bi_txn : int option;
-  bi_priority : int option;
-  bi_bytes : int;
-  bi_f : unit -> unit;
-}
-
-type batch_sink =
-  kind:string ->
-  txn:int option ->
-  priority:int option ->
-  src:int ->
-  dst:int ->
-  bytes:int ->
-  (unit -> unit) ->
-  unit
+type batch_item = { bi_msg : Msg.t; bi_f : unit -> unit }
 
 type t = {
   engine : Engine.t;
@@ -51,10 +35,10 @@ type t = {
   cpus : Cpu.t array;
   config : config;
   trace : Trace.t;
-  mutable batch_sink : batch_sink option;
-      (** when set (by [Rpc.Batcher.install]), [Rpc.send] diverts through it
-          instead of calling {!send}; [None] keeps the unbatched path
-          byte-identical *)
+  mutable batcher : (src:int -> dst:int -> Msg.t -> (unit -> unit) -> unit) option;
+      (** when set (by [Rpc.Batcher.create]), {!send} diverts every message
+          between two distinct nodes through it; [None] keeps the unbatched
+          path byte-identical *)
   mutable envelopes : int;
   mutable batched_msgs : int;
   mutable faults_on : bool;
@@ -75,6 +59,9 @@ type t = {
           window together) *)
   mutable next_prune : Sim_time.t;
       (** next sweep of the per-connection tables; see [prune] *)
+  mutable depart : Sim_time.t;
+      (** departure time of the message [wire] last put on a link, read by
+          the caller's trace *)
   mutable messages : int;
   mutable bytes : int;
   mutable retrans : int;
@@ -110,7 +97,7 @@ let create ~engine ~rng ~topo ~node_dc ~cpus ?(config = default_config)
     cpus;
     config;
     trace;
-    batch_sink = None;
+    batcher = None;
     envelopes = 0;
     batched_msgs = 0;
     faults_on = false;
@@ -123,6 +110,7 @@ let create ~engine ~rng ~topo ~node_dc ~cpus ?(config = default_config)
     fifo_last = Int_table.create ~capacity:4096 ();
     stall_until = Int_table.create ~capacity:4096 ();
     next_prune = Sim_time.seconds 1.;
+    depart = Sim_time.zero;
     messages = 0;
     bytes = 0;
     retrans = 0;
@@ -218,79 +206,94 @@ let prune t ~now =
   Int_table.filter_values t.stall_until alive;
   t.next_prune <- Sim_time.add now prune_interval
 
-let deliver t ?(kind = "other") ?txn ?priority ~src ~dst ~bytes ~to_cpu f =
-  let src_dc = t.node_dc.(src) and dst_dc = t.node_dc.(dst) in
-  let bytes = bytes + t.config.header_bytes in
-  t.messages <- t.messages + 1;
-  t.bytes <- t.bytes + bytes;
-  if
-    t.faults_on
-    && (t.node_down.(src) || t.node_down.(dst) || t.dc_cut.(src_dc).(dst_dc))
-  then begin
-    (* A dead sender cannot transmit, a dead receiver cannot hear, and a
-       partitioned link delivers nothing: the message vanishes. Traced under
-       its own kind so per-kind counts still sum to [messages_sent]. *)
-    t.drops <- t.drops + 1;
-    if Trace.enabled t.trace then begin
-      let now = Engine.now t.engine in
-      ignore
-        (Trace.message t.trace ~kind:"dropped" ?txn ?priority ~src ~dst ~src_dc ~dst_dc
-           ~bytes ~enqueue:now ~depart:now ~deliver:now ())
-    end
-  end
+(* What [wire] returns for a message that fault injection drops. *)
+let no_arrival = -1
+
+(* The wire model, shared by single messages and batch envelopes: the
+   fault drop check, the table sweep, then the departure, propagation and
+   retransmission draws (in that order — it is part of every seed's
+   output) and, when [fifo], the per-connection ordering clamp. A dead
+   sender cannot transmit, a dead receiver cannot hear, and a partitioned
+   link delivers nothing: such a message gets [no_arrival]. Otherwise the
+   result is its arrival time, and [t.depart] holds its departure. *)
+let wire t ~src ~dst ~src_dc ~dst_dc ~bytes ~fifo =
+  if t.faults_on && (t.node_down.(src) || t.node_down.(dst) || t.dc_cut.(src_dc).(dst_dc))
+  then no_arrival
   else begin
-  let now = Engine.now t.engine in
-  if now >= t.next_prune then prune t ~now;
-  let conn = (src * t.n_nodes) + dst in
-  let depart, arrival =
-    if src = dst then (now, Sim_time.add now (Sim_time.us 20))
+    let now = Engine.now t.engine in
+    if now >= t.next_prune then prune t ~now;
+    if src = dst then begin
+      t.depart <- now;
+      Sim_time.add now (Sim_time.us 20)
+    end
     else begin
+      let conn = (src * t.n_nodes) + dst in
       let depart = transmission_depart t ~src_dc ~dst_dc ~bytes in
       let owd = sample_owd t ~src_dc ~dst_dc in
       let retrans = retrans_delay t ~conn ~src_dc ~dst_dc in
-      (depart, Sim_time.add depart (Sim_time.add owd retrans))
+      t.depart <- depart;
+      let arrival = Sim_time.add depart (Sim_time.add owd retrans) in
+      if not fifo then arrival
+      else begin
+        let last = Int_table.find_default t.fifo_last conn Sim_time.zero in
+        let ordered = if last >= arrival then Sim_time.add last (Sim_time.us 1) else arrival in
+        Int_table.set t.fifo_last conn ordered;
+        ordered
+      end
     end
-  in
+  end
+
+(* Trace one message that [wire] returned [arrival] for (call it only
+   with the trace enabled). A dropped message is traced under its own kind
+   ["dropped"], so per-kind counts still sum to [messages_sent]. *)
+let trace_message t msg ~src ~dst ~src_dc ~dst_dc ~bytes ~arrival =
+  let now = Engine.now t.engine in
+  let dropped = arrival = no_arrival in
+  Trace.message t.trace
+    ~kind:(if dropped then "dropped" else Msg.label msg)
+    ?txn:(Msg.txn msg) ?priority:(Msg.priority msg) ~src ~dst ~src_dc ~dst_dc ~bytes
+    ~enqueue:now
+    ~depart:(if dropped then now else t.depart)
+    ~deliver:(if dropped then now else arrival)
+    ()
+
+let deliver t ~src ~dst ~msg ~to_cpu f =
+  let src_dc = t.node_dc.(src) and dst_dc = t.node_dc.(dst) in
+  let bytes = Msg.bytes msg + t.config.header_bytes in
+  t.messages <- t.messages + 1;
+  t.bytes <- t.bytes + bytes;
   (* RPC transports (gRPC over TCP) deliver in order per connection; probes
      (to_cpu = false) model UDP and may reorder. *)
-  let arrival =
-    if to_cpu && src <> dst then begin
-      let last = Int_table.find_default t.fifo_last conn Sim_time.zero in
-      let ordered = if last >= arrival then Sim_time.add last (Sim_time.us 1) else arrival in
-      Int_table.set t.fifo_last conn ordered;
-      ordered
-    end
-    else arrival
+  let arrival = wire t ~src ~dst ~src_dc ~dst_dc ~bytes ~fifo:to_cpu in
+  let h =
+    if Trace.enabled t.trace then trace_message t msg ~src ~dst ~src_dc ~dst_dc ~bytes ~arrival
+    else None
   in
-  let f =
-    if not (Trace.enabled t.trace) then f
-    else
-      match
-        Trace.message t.trace ~kind ?txn ?priority ~src ~dst ~src_dc ~dst_dc ~bytes
-          ~enqueue:now ~depart ~deliver:arrival ()
-      with
+  if arrival = no_arrival then t.drops <- t.drops + 1
+  else begin
+    let f =
+      match h with
       | None -> f
       | Some h ->
           fun () ->
             Trace.set_dequeue h (Engine.now t.engine);
             f ()
-  in
-  ignore
-    (Engine.schedule_at t.engine arrival (fun () ->
-         if to_cpu then Cpu.submit t.cpus.(dst) ~cost:t.config.msg_cost f
-         else f ()))
+    in
+    ignore
+      (Engine.schedule_at t.engine arrival (fun () ->
+           if to_cpu then Cpu.submit t.cpus.(dst) ~cost:t.config.msg_cost f else f ()))
   end
 
-let send t ?kind ?txn ?priority ~src ~dst ~bytes f =
-  deliver t ?kind ?txn ?priority ~src ~dst ~bytes ~to_cpu:true f
+let send t ~src ~dst ~msg f =
+  match t.batcher with
+  | Some enqueue when src <> dst -> enqueue ~src ~dst msg f
+  | _ -> deliver t ~src ~dst ~msg ~to_cpu:true f
 
-let send_isolated t ?kind ?txn ?priority ~src ~dst ~bytes f =
-  deliver t ?kind ?txn ?priority ~src ~dst ~bytes ~to_cpu:false f
+let send_isolated t ~src ~dst ~msg f = deliver t ~src ~dst ~msg ~to_cpu:false f
 
 (* --- batch envelopes --- *)
 
-let set_batch_sink t sink = t.batch_sink <- sink
-let batch_sink t = t.batch_sink
+let set_batcher t enqueue = t.batcher <- Some enqueue
 
 (* Per-message framing inside an envelope (length prefix + kind tag); the
    header is paid once per envelope instead of once per message — that is
@@ -303,7 +306,8 @@ let batch_frame_bytes = 4
    (the batcher charges the first message full price and later ones a
    marginal cost). Every inner message is still traced individually, with
    the envelope's wire bytes distributed so per-kind counts and bytes keep
-   summing exactly to [messages_sent] / [bytes_sent]. *)
+   summing exactly to [messages_sent] / [bytes_sent]; a dropped envelope
+   vanishes whole. *)
 let send_batch t ~src ~dst ~cpu_cost msgs =
   match msgs with
   | [] -> ()
@@ -311,69 +315,29 @@ let send_batch t ~src ~dst ~cpu_cost msgs =
       let src_dc = t.node_dc.(src) and dst_dc = t.node_dc.(dst) in
       let n = List.length msgs in
       let payload =
-        List.fold_left (fun acc m -> acc + m.bi_bytes + batch_frame_bytes) 0 msgs
+        List.fold_left (fun acc m -> acc + Msg.bytes m.bi_msg + batch_frame_bytes) 0 msgs
       in
       let bytes = payload + t.config.header_bytes in
-      let msg_bytes i m =
-        m.bi_bytes + batch_frame_bytes + if i = 0 then t.config.header_bytes else 0
-      in
       t.messages <- t.messages + n;
       t.bytes <- t.bytes + bytes;
       t.envelopes <- t.envelopes + 1;
       t.batched_msgs <- t.batched_msgs + n;
-      if
-        t.faults_on
-        && (t.node_down.(src) || t.node_down.(dst) || t.dc_cut.(src_dc).(dst_dc))
-      then begin
-        (* The whole envelope vanishes together, like the single-message
-           path: traced per inner message under kind "dropped". *)
-        t.drops <- t.drops + n;
-        if Trace.enabled t.trace then begin
-          let now = Engine.now t.engine in
-          List.iteri
+      let arrival = wire t ~src ~dst ~src_dc ~dst_dc ~bytes ~fifo:true in
+      let handles =
+        if not (Trace.enabled t.trace) then []
+        else
+          List.mapi
             (fun i m ->
-              ignore
-                (Trace.message t.trace ~kind:"dropped" ?txn:m.bi_txn ?priority:m.bi_priority
-                   ~src ~dst ~src_dc ~dst_dc ~bytes:(msg_bytes i m) ~enqueue:now ~depart:now
-                   ~deliver:now ()))
+              let bytes =
+                Msg.bytes m.bi_msg + batch_frame_bytes
+                + if i = 0 then t.config.header_bytes else 0
+              in
+              trace_message t m.bi_msg ~src ~dst ~src_dc ~dst_dc ~bytes ~arrival)
             msgs
-        end
-      end
-      else begin
-        let now = Engine.now t.engine in
-        if now >= t.next_prune then prune t ~now;
-        let conn = (src * t.n_nodes) + dst in
-        let depart, arrival =
-          if src = dst then (now, Sim_time.add now (Sim_time.us 20))
-          else begin
-            let depart = transmission_depart t ~src_dc ~dst_dc ~bytes in
-            let owd = sample_owd t ~src_dc ~dst_dc in
-            let retrans = retrans_delay t ~conn ~src_dc ~dst_dc in
-            (depart, Sim_time.add depart (Sim_time.add owd retrans))
-          end
-        in
-        let arrival =
-          if src <> dst then begin
-            let last = Int_table.find_default t.fifo_last conn Sim_time.zero in
-            let ordered =
-              if last >= arrival then Sim_time.add last (Sim_time.us 1) else arrival
-            in
-            Int_table.set t.fifo_last conn ordered;
-            ordered
-          end
-          else arrival
-        in
-        let handles =
-          if not (Trace.enabled t.trace) then []
-          else
-            List.mapi
-              (fun i m ->
-                Trace.message t.trace ~kind:m.bi_kind ?txn:m.bi_txn ?priority:m.bi_priority
-                  ~src ~dst ~src_dc ~dst_dc ~bytes:(msg_bytes i m) ~enqueue:now ~depart
-                  ~deliver:arrival ())
-              msgs
-            |> List.filter_map Fun.id
-        in
+          |> List.filter_map Fun.id
+      in
+      if arrival = no_arrival then t.drops <- t.drops + n
+      else
         ignore
           (Engine.schedule_at t.engine arrival (fun () ->
                Cpu.submit t.cpus.(dst) ~cost:cpu_cost (fun () ->
@@ -383,7 +347,6 @@ let send_batch t ~src ~dst ~cpu_cost msgs =
                        let d = Engine.now t.engine in
                        List.iter (fun h -> Trace.set_dequeue h d) hs);
                    List.iter (fun m -> m.bi_f ()) msgs)))
-      end
 
 let envelopes_sent t = t.envelopes
 let batched_messages t = t.batched_msgs

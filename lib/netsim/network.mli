@@ -1,7 +1,7 @@
 (** The message-passing network.
 
-    Messages are delivered as callbacks: [send t ~src ~dst ~bytes f] samples
-    a one-way delay for the (src DC, dst DC) link, applies loss-induced
+    Messages are delivered as callbacks: [send t ~src ~dst ~msg f] sizes the
+    {!Msg.t} envelope, samples a one-way delay for the (src DC, dst DC) link, applies loss-induced
     retransmission delay and link-capacity queueing, and finally submits [f]
     to the destination node's CPU station (so a saturated receiver delays
     delivery further).
@@ -87,68 +87,36 @@ val set_dc_cut : t -> a:int -> b:int -> cut:bool -> unit
 val dropped : t -> int
 (** Messages dropped by fault injection so far. *)
 
-val send :
-  t ->
-  ?kind:string ->
-  ?txn:int ->
-  ?priority:int ->
-  src:int ->
-  dst:int ->
-  bytes:int ->
-  (unit -> unit) ->
-  unit
-(** Delivers [f] at the destination after network + CPU delays. Messages
-    between the same (src, dst) pair are NOT reordered relative to each
-    other when variance is low, but no global FIFO guarantee is given —
-    like TCP per-connection ordering, concurrent connections race.
+val send : t -> src:int -> dst:int -> msg:Msg.t -> (unit -> unit) -> unit
+(** Delivers [f] at the destination after network + CPU delays, carrying
+    [msg]'s wire size and tracing it under [msg]'s kind, transaction and
+    priority. Messages between the same (src, dst) pair are NOT reordered
+    relative to each other when variance is low, but no global FIFO
+    guarantee is given — like TCP per-connection ordering, concurrent
+    connections race. When a batcher is installed ({!set_batcher}), a
+    message between two distinct nodes goes to it instead and reaches the
+    wire inside an envelope ({!send_batch}). *)
 
-    [kind], [txn] and [priority] only feed the tracing sink (defaulting to
-    kind ["other"]); prefer the typed [Rpc.send] facade, which fills them
-    from a message envelope. *)
-
-val send_isolated :
-  t ->
-  ?kind:string ->
-  ?txn:int ->
-  ?priority:int ->
-  src:int ->
-  dst:int ->
-  bytes:int ->
-  (unit -> unit) ->
-  unit
-(** Like {!send} but bypasses the destination CPU station; used for
-    measurement probes, which in the real system are tiny UDP packets
-    answered in the kernel fast path. Loss and capacity still apply. *)
+val send_isolated : t -> src:int -> dst:int -> msg:Msg.t -> (unit -> unit) -> unit
+(** Like {!send} but bypasses the batcher and the destination CPU station;
+    used for measurement probes, which in the real system are tiny UDP
+    packets answered in the kernel fast path. Loss and capacity still
+    apply. *)
 
 (** {2 Batch envelopes}
 
     The transport half of pervasive batching: [Rpc.Batcher] (policy —
     when to flush, what rides together) coalesces messages per (src, dst)
     connection and hands each flush to {!send_batch} (mechanism — one
-    wire-level envelope). Nothing here runs unless a sink is installed, so
-    the unbatched path stays byte-identical. *)
+    wire-level envelope). Nothing here runs unless a batcher is installed,
+    so the unbatched path stays byte-identical. *)
 
-type batch_item = {
-  bi_kind : string;
-  bi_txn : int option;
-  bi_priority : int option;
-  bi_bytes : int;
-  bi_f : unit -> unit;
-}
+type batch_item = { bi_msg : Msg.t; bi_f : unit -> unit }
+(** One message of an envelope: its envelope and its delivery callback. *)
 
-type batch_sink =
-  kind:string ->
-  txn:int option ->
-  priority:int option ->
-  src:int ->
-  dst:int ->
-  bytes:int ->
-  (unit -> unit) ->
-  unit
-(** What [Rpc.send] calls instead of {!send} when batching is on. *)
-
-val set_batch_sink : t -> batch_sink option -> unit
-val batch_sink : t -> batch_sink option
+val set_batcher : t -> (src:int -> dst:int -> Msg.t -> (unit -> unit) -> unit) -> unit
+(** Divert every later {!send} between two distinct nodes to the given
+    enqueue function ([Rpc.Batcher.create] installs its own). *)
 
 val batch_frame_bytes : int
 (** Per-message framing overhead inside an envelope; the [header_bytes]
@@ -162,7 +130,9 @@ val send_batch :
     Callbacks run in list order at the destination. Each inner message is
     traced individually with the envelope's wire bytes distributed across
     them (header charged to the first), so per-kind counts and bytes still
-    sum exactly to {!messages_sent} / {!bytes_sent}. *)
+    sum exactly to {!messages_sent} / {!bytes_sent}. An envelope that
+    fault injection drops counts one drop, and one ["dropped"] trace
+    event, per inner message. *)
 
 val envelopes_sent : t -> int
 (** Batch envelopes delivered via {!send_batch} so far. *)

@@ -1,6 +1,7 @@
 open Simcore
 open Txnkit
-module Msg = Rpc.Msg
+module Msg = Netsim.Msg
+module Net = Netsim.Network
 module Registry = Metrics.Registry
 
 type variant = Fifo | Prio
@@ -211,7 +212,7 @@ type executor = {
 let make cluster ~variant =
   let engine = cluster.Cluster.engine in
   let net = cluster.Cluster.net in
-  let trace = Rpc.trace net in
+  let trace = Net.trace net in
   let recorder = cluster.Cluster.recorder in
   let metrics = cluster.Cluster.metrics in
   let n_parts = cluster.Cluster.n_partitions in
@@ -220,16 +221,6 @@ let make cluster ~variant =
   let epochs_n = ref 0 in
   let planned_n = ref 0 in
   let next_epoch = ref 0 in
-  (* Live blame counters (see the twopl analogue): planner-residency µs and
-     the share where a high txn's predecessor writer in the epoch's per-key
-     chains was low priority — the deterministic family's inversion. Running
-     approximations; the exact accounting is the post-hoc profiler. *)
-  let blame_wait_c, inversion_c =
-    if Registry.enabled metrics then
-      ( Some (Registry.counter metrics "blame.queue_wait_us"),
-        Some (Registry.counter metrics "inversion.queue_wait_us") )
-    else (None, None)
-  in
   let planners : (int, planner) Hashtbl.t = Hashtbl.create 4 in
   let executors =
     Array.init n_parts (fun p ->
@@ -279,7 +270,7 @@ let make cluster ~variant =
        (one planner round trip) is paid regardless of size, and the epoch
        queue — hence latency — would grow without bound. Bounding the depth
        makes batches grow exactly as fast as the executors drain them. *)
-    if Netsim.Network.node_is_down net pl.p_node then pl.p_buffer <- []
+    if Net.node_is_down net pl.p_node then pl.p_buffer <- []
     else if
       Option.is_none pl.p_closing
       && Hashtbl.length pl.p_active < max_inflight_epochs
@@ -344,7 +335,7 @@ let make cluster ~variant =
     Hashtbl.replace pl.p_active ep.e_id ep;
     incr epochs_n;
     planned_n := !planned_n + Array.length ep.e_txns;
-    (if Trace.recording trace || blame_wait_c <> None then begin
+    (if Trace.recording trace then begin
        let now = Engine.now engine in
        Array.iteri
          (fun s pt ->
@@ -365,29 +356,18 @@ let make cluster ~variant =
            in
            Array.iter consider pt.b_txn.Txn.read_set;
            Array.iter consider pt.b_txn.Txn.write_set;
-           let waited = Sim_time.to_us now - Sim_time.to_us pt.b_queued_at in
-           (match blame_wait_c with
-           | Some c when waited > 0 -> Registry.add c waited
-           | _ -> ());
-           (match (!best, inversion_c) with
-           | Some (bs, _, _), Some c
-             when waited > 0 && Txn.is_high pt.b_txn
-                  && not (Txn.is_high ep.e_txns.(bs).b_txn) ->
-               Registry.add c waited
-           | _ -> ());
-           if Trace.recording trace then
-             let blame =
-               match !best with
-               | Some (bs, ba, k) ->
-                   {
-                     Trace.bl_blocker = ba;
-                     bl_blocker_high = Txn.is_high ep.e_txns.(bs).b_txn;
-                     bl_key = k;
-                     bl_node = pl.p_node;
-                   }
-               | None -> { Trace.no_blame with bl_node = pl.p_node }
-             in
-             Trace.span_end trace ~txn:pt.b_attempt ~name:"queue-wait" ~at:now ~blame)
+           let blame =
+             match !best with
+             | Some (bs, ba, k) ->
+                 {
+                   Trace.bl_blocker = ba;
+                   bl_blocker_high = Txn.is_high ep.e_txns.(bs).b_txn;
+                   bl_key = k;
+                   bl_node = pl.p_node;
+                 }
+             | None -> { Trace.no_blame with bl_node = pl.p_node }
+           in
+           Trace.span_end trace ~txn:pt.b_attempt ~name:"queue-wait" ~at:now ~blame)
          ep.e_txns
      end);
     (* Per-partition slices, keys in first-appearance (sequence) order so
@@ -426,7 +406,7 @@ let make cluster ~variant =
         let pred = pl.p_last_touch.(p) in
         pl.p_last_touch.(p) <- ep.e_id;
         let dst = Failover.current_leader cluster ~partition:p ~static:(Cluster.leader cluster p) in
-        Rpc.send net ~src:pl.p_node ~dst ~msg:(Msg.quecc_plan ~keys ()) (fun () ->
+        Net.send net ~src:pl.p_node ~dst ~msg:(Msg.quecc_plan ~keys ()) (fun () ->
             exec_plan p ~node:dst ~ep_id:ep.e_id ~planner:pl.p_node ~pred ~read_keys ~chains)
       end
     done;
@@ -492,7 +472,7 @@ let make cluster ~variant =
             let dst =
               Failover.current_leader cluster ~partition:p ~static:(Cluster.leader cluster p)
             in
-            Rpc.send net ~src:pl.p_node ~dst
+            Net.send net ~src:pl.p_node ~dst
               ~msg:(Msg.quecc_install ~txn:pt.b_attempt ~writes:(List.length ppairs) ())
               (fun () -> exec_install p ~ep_id:ep.e_id ~seq ~pairs:ppairs))
           parts
@@ -511,7 +491,7 @@ let make cluster ~variant =
             end
         | _ -> ())
   and notify pl pt =
-    Rpc.send net ~src:pl.p_node ~dst:pt.b_client
+    Net.send net ~src:pl.p_node ~dst:pt.b_client
       ~msg:(Msg.control ~txn:pt.b_attempt Msg.Commit_notify)
       (fun () ->
         if not !(pt.b_finished) then begin
@@ -586,7 +566,7 @@ let make cluster ~variant =
                (k, v.Store.Kv.data, v.Store.Kv.writer))
              ep.v_read_keys)
       in
-      Rpc.send net ~src:exec.x_node ~dst:ep.v_planner
+      Net.send net ~src:exec.x_node ~dst:ep.v_planner
         ~msg:(Msg.quecc_read_reply ~reads:(Array.length ep.v_read_keys) ())
         (fun () -> handle_base ep.v_planner ep.v_epoch entries)
     end;
@@ -664,7 +644,7 @@ let make cluster ~variant =
                        ~size:(Msg.write_record_bytes ~writes:total)
                        ~on_committed:(fun () -> ())
                        ();
-                     Rpc.send net ~src:exec.x_node ~dst:ep.v_planner
+                     Net.send net ~src:exec.x_node ~dst:ep.v_planner
                        ~msg:(Msg.quecc_install_ack ~txn:attempt ())
                        (fun () -> handle_ack ep.v_planner ep.v_epoch seq)
                    end)
@@ -708,7 +688,7 @@ let make cluster ~variant =
         ~writes:(Array.length txn.Txn.write_set)
         ()
     in
-    Rpc.send net ~src:txn.Txn.client ~dst ~msg (fun () ->
+    Net.send net ~src:txn.Txn.client ~dst ~msg (fun () ->
         let pl = planner_at dst in
         pt.b_queued_at <- Engine.now engine;
         if Trace.recording trace then

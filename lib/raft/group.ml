@@ -13,17 +13,17 @@ let node t id =
   in
   find 0
 
-(* Raft traffic rides the same typed RPC layer as the transaction
+(* Raft traffic rides the same typed envelopes as the transaction
    protocols, so traces attribute replication load per kind. *)
 let envelope_of msg =
   let kind =
     match msg with
-    | Types.Request_vote _ -> Rpc.Msg.Raft_request_vote
-    | Types.Vote _ -> Rpc.Msg.Raft_vote
-    | Types.Append_entries _ -> Rpc.Msg.Raft_append
-    | Types.Append_reply _ -> Rpc.Msg.Raft_append_reply
+    | Types.Request_vote _ -> Netsim.Msg.Raft_request_vote
+    | Types.Vote _ -> Netsim.Msg.Raft_vote
+    | Types.Append_entries _ -> Netsim.Msg.Raft_append
+    | Types.Append_reply _ -> Netsim.Msg.Raft_append_reply
   in
-  Rpc.Msg.make kind ~bytes:(Types.message_bytes msg)
+  Netsim.Msg.make kind ~bytes:(Types.message_bytes msg)
 
 let create ~engine ~net ~rng ?(config = Node.default_config) ?(group_commit = false)
     ~members ?initial_leader () =
@@ -40,7 +40,7 @@ let create ~engine ~net ~rng ?(config = Node.default_config) ?(group_commit = fa
     (fun i n ->
       let id = members.(i) in
       Node.set_transport n (fun ~dst msg ->
-          Rpc.send net ~src:id ~dst ~msg:(envelope_of msg) (fun () ->
+          Netsim.Network.send net ~src:id ~dst ~msg:(envelope_of msg) (fun () ->
               Node.receive (node t dst) msg)))
     nodes;
   (match initial_leader with

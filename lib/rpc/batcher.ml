@@ -1,5 +1,6 @@
 open Simcore
 module Net = Netsim.Network
+module Msg = Netsim.Msg
 
 type config = {
   max_hold : Sim_time.t;
@@ -90,7 +91,7 @@ let flush t conn ~reason =
             t.hold_us <- t.hold_us + held_us;
             (* Retroactive span: the attribution engine charges the wait
                between enqueue and flush to the "batching" segment. *)
-            match p.p_item.Net.bi_txn with
+            match Msg.txn p.p_item.Net.bi_msg with
             | Some txn when recording ->
                 Trace.span_begin trace ~txn ~name:"batching" ~at:p.p_at;
                 (* Blame identity: the link's destination node — batching
@@ -136,35 +137,30 @@ let conn_of t ~src ~dst =
      destination CPU unoccupied — batching would only add latency), and
      arms the hold timer when the path is busy, growing the batch while
      the bottleneck works off its backlog (Little's-law adaptivity). *)
-let enqueue t ~kind ~txn ~priority ~src ~dst ~bytes f =
-  if src = dst then Net.send t.net ~kind ?txn ?priority ~src ~dst ~bytes f
-  else begin
-    let conn = conn_of t ~src ~dst in
-    let now = Engine.now t.engine in
-    let item = { Net.bi_kind = kind; bi_txn = txn; bi_priority = priority; bi_bytes = bytes; bi_f = f } in
-    let was_empty = conn.q_len = 0 in
-    conn.q <- { p_item = item; p_at = now } :: conn.q;
-    conn.q_len <- conn.q_len + 1;
-    conn.q_bytes <- conn.q_bytes + bytes + Net.batch_frame_bytes;
-    t.pending_msgs <- t.pending_msgs + 1;
-    let cut = match priority with Some p -> p >= t.cfg.cut_priority | None -> false in
-    if cut then flush t conn ~reason:Cut_through
-    else if conn.q_len >= t.cfg.max_msgs then flush t conn ~reason:Size_cap
-    else if conn.q_bytes >= t.cfg.max_bytes then flush t conn ~reason:Byte_cap
-    else if was_empty then begin
-      let src_dc = Net.dc_of t.net src and dst_dc = Net.dc_of t.net dst in
-      let path_idle =
-        Net.link_queue_us t.net ~src_dc ~dst_dc ~now = 0
-        && Net.cpu_depth t.net ~node:dst = 0
-      in
-      if path_idle then flush t conn ~reason:Idle
-      else
-        conn.timer <-
-          Some
-            (Engine.schedule_after t.engine t.cfg.max_hold (fun () ->
-                 conn.timer <- None;
-                 flush t conn ~reason:Timer))
-    end
+let enqueue t ~src ~dst msg f =
+  let conn = conn_of t ~src ~dst in
+  let now = Engine.now t.engine in
+  let was_empty = conn.q_len = 0 in
+  conn.q <- { p_item = { Net.bi_msg = msg; bi_f = f }; p_at = now } :: conn.q;
+  conn.q_len <- conn.q_len + 1;
+  conn.q_bytes <- conn.q_bytes + Msg.bytes msg + Net.batch_frame_bytes;
+  t.pending_msgs <- t.pending_msgs + 1;
+  let cut = match Msg.priority msg with Some p -> p >= t.cfg.cut_priority | None -> false in
+  if cut then flush t conn ~reason:Cut_through
+  else if conn.q_len >= t.cfg.max_msgs then flush t conn ~reason:Size_cap
+  else if conn.q_bytes >= t.cfg.max_bytes then flush t conn ~reason:Byte_cap
+  else if was_empty then begin
+    let src_dc = Net.dc_of t.net src and dst_dc = Net.dc_of t.net dst in
+    let path_idle =
+      Net.link_queue_us t.net ~src_dc ~dst_dc ~now = 0 && Net.cpu_depth t.net ~node:dst = 0
+    in
+    if path_idle then flush t conn ~reason:Idle
+    else
+      conn.timer <-
+        Some
+          (Engine.schedule_after t.engine t.cfg.max_hold (fun () ->
+               conn.timer <- None;
+               flush t conn ~reason:Timer))
   end
 
 let create ~net ?(config = default_config) () =
@@ -189,10 +185,7 @@ let create ~net ?(config = default_config) () =
       f_cut = 0;
     }
   in
-  Net.set_batch_sink net
-    (Some
-       (fun ~kind ~txn ~priority ~src ~dst ~bytes f ->
-         enqueue t ~kind ~txn ~priority ~src ~dst ~bytes f));
+  Net.set_batcher net (enqueue t);
   t
 
 let pending t = t.pending_msgs

@@ -1,10 +1,11 @@
-(** Per-connection batch coalescing behind the {!Rpc.send} facade.
+(** Per-connection batch coalescing behind [Netsim.Network.send].
 
-    Installing a batcher on a network diverts every [Rpc.send] into a
-    per-(src, dst) queue; flushes hand the queue to
+    Installing a batcher on a network diverts every [Netsim.Network.send]
+    between two distinct nodes into a per-(src, dst) queue of
+    [Netsim.Msg.t] envelopes; flushes hand the queue to
     [Netsim.Network.send_batch] as one wire envelope (one header, one
     transmission-queue occupancy, one propagation/loss draw, one CPU job).
-    All five protocol families inherit batching with zero call-site
+    All six protocol families inherit batching with zero call-site
     changes. [send_isolated] probes and same-node sends bypass it.
 
     Flush policy (adaptive, deterministic — it reads only simulator
@@ -41,7 +42,8 @@ type flush_reason = Idle | Timer | Size_cap | Byte_cap | Cut_through
 type t
 
 val create : net:Netsim.Network.t -> ?config:config -> unit -> t
-(** Create a batcher and install it as the network's batch sink. One per
+(** Create a batcher and install it on the network
+    ([Netsim.Network.set_batcher]). One per
     cluster, created with it — per-run state only, so [--jobs N] runs stay
     byte-identical. *)
 

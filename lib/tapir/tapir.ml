@@ -1,5 +1,6 @@
 open Txnkit
-module Msg = Rpc.Msg
+module Msg = Netsim.Msg
+module Net = Netsim.Network
 
 type replica = {
   node : int;
@@ -10,7 +11,6 @@ type replica = {
 let make (cluster : Cluster.t) : System.t =
   let net = cluster.Cluster.net in
   let topo = cluster.Cluster.topo in
-  let send ~src ~dst ~msg f = Rpc.send net ~src ~dst ~msg f in
   let recorder = cluster.Cluster.recorder in
   let replicas =
     Array.init cluster.Cluster.n_partitions (fun p ->
@@ -26,7 +26,7 @@ let make (cluster : Cluster.t) : System.t =
      replica serves again. We model that: a replica seen down is tainted —
      reads avoid it — until it is seen up again, at which point it adopts a
      fresh peer's store and sheds its stale prepares. *)
-  let live r = not (Netsim.Network.node_is_down net r.node) in
+  let live r = not (Net.node_is_down net r.node) in
   let tainted : (int, unit) Hashtbl.t = Hashtbl.create 7 in
   let fresh r = not (Hashtbl.mem tainted r.node) in
   let nearest_replica ~failover ~client p =
@@ -55,7 +55,7 @@ let make (cluster : Cluster.t) : System.t =
         (fun p ->
           Array.iter
             (fun r ->
-              if Netsim.Network.node_is_down net r.node then Hashtbl.replace tainted r.node ()
+              if Net.node_is_down net r.node then Hashtbl.replace tainted r.node ()
               else if Hashtbl.mem tainted r.node then
                 match
                   Array.to_list replicas.(p)
@@ -91,7 +91,7 @@ let make (cluster : Cluster.t) : System.t =
           (fun p ->
             Array.iter
               (fun r ->
-                send ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
+                Net.send net ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
                   (fun () -> Store.Occ.release r.occ ~txn:txn_id))
               replicas.(p))
           participants
@@ -102,7 +102,7 @@ let make (cluster : Cluster.t) : System.t =
             let local = Exec.pairs_on_partition cluster ~partition:p pairs in
             Array.iter
               (fun r ->
-                send ~src:client ~dst:r.node
+                Net.send net ~src:client ~dst:r.node
                   ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
                   (fun () ->
                     Exec.apply cluster r.kv ~txn:txn_id local;
@@ -144,10 +144,10 @@ let make (cluster : Cluster.t) : System.t =
             (fun p ->
               Array.iter
                 (fun r ->
-                  send ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Control)
+                  Net.send net ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Control)
                     (fun () ->
                       (* Replica records the decision durably. *)
-                      send ~src:r.node ~dst:client
+                      Net.send net ~src:r.node ~dst:client
                         ~msg:(Msg.control ~txn:txn_id Msg.Control)
                         (fun () ->
                           incr acks;
@@ -175,7 +175,7 @@ let make (cluster : Cluster.t) : System.t =
           Array.iter
             (fun r ->
               if counted r then
-                send ~src:client ~dst:r.node
+                Net.send net ~src:client ~dst:r.node
                   ~msg:
                     (Msg.read_prepare ~txn:txn_id ~reads:(Array.length reads_p)
                        ~writes:(Array.length writes_p) ())
@@ -193,7 +193,7 @@ let make (cluster : Cluster.t) : System.t =
                     in
                     let ok = fail_key = None in
                     if ok then Store.Occ.prepare r.occ ~txn:txn_id ~reads:reads_p ~writes:writes_p;
-                    send ~src:r.node ~dst:client ~msg:(Msg.vote ~txn:txn_id ()) (fun () ->
+                    Net.send net ~src:r.node ~dst:client ~msg:(Msg.vote ~txn:txn_id ()) (fun () ->
                         if not !finished then begin
                           (match fail_key with
                           | Some fail_key ->
@@ -214,13 +214,13 @@ let make (cluster : Cluster.t) : System.t =
            request as (key, value, version) and, when the replica confirms
            the version still matches, are dropped from the reply payload. *)
         let claims = Exec.claims txn keys in
-        send ~src:client ~dst:r.node
+        Net.send net ~src:client ~dst:r.node
           ~msg:
             (Msg.read_prepare ~txn:txn_id ~reads:(Array.length keys) ~writes:0
                ~extra:(Exec.claim_bytes claims) ())
           (fun () ->
             let served = Exec.serve cluster r.kv ~txn:txn_id keys claims in
-            send ~src:r.node ~dst:client
+            Net.send net ~src:r.node ~dst:client
               ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
               (fun () ->
                 if not !finished then begin
@@ -238,7 +238,7 @@ let make (cluster : Cluster.t) : System.t =
           (fun p ->
             Array.iter
               (fun r ->
-                send ~src:client ~dst:r.node
+                Net.send net ~src:client ~dst:r.node
                   ~msg:(Msg.control ~txn:txn_id Msg.Release)
                   (fun () -> Store.Occ.release r.occ ~txn:txn_id))
               replicas.(p))

@@ -1,5 +1,6 @@
 open Txnkit
-module Msg = Rpc.Msg
+module Msg = Netsim.Msg
+module Net = Netsim.Network
 
 type variant = Plain | Preempt | Preempt_on_wait
 
@@ -41,8 +42,7 @@ type coord = {
 let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t =
   let net = cluster.Cluster.net in
   let engine = cluster.Cluster.engine in
-  let trace = Netsim.Network.trace net in
-  let send ~src ~dst ~msg f = Rpc.send net ~src ~dst ~msg f in
+  let trace = Net.trace net in
   let recorder = cluster.Cluster.recorder in
   let abort_locally server ~key txn_id =
     match Hashtbl.find_opt server.live txn_id with
@@ -54,7 +54,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
         Store.Locks.release_all server.locks ~txn:txn_id;
         (* Tell the aborted transaction's client, naming the contended key
            so the retry can resume from the first invalidated read. *)
-        send ~src:server.node ~dst:r.txn.Txn.client
+        Net.send net ~src:server.node ~dst:r.txn.Txn.client
           ~msg:(Msg.control ~txn:r.txn_id Msg.Abort_notice)
           (fun () -> r.deliver_abort key)
   in
@@ -88,17 +88,6 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
            (Printf.sprintf "locks.p%d.preempts" s.partition)
            (fun () -> Store.Locks.preempts s.locks))
        servers);
-  (* Live blame counters: lock-wait µs (and the share where a high-priority
-     requester waited behind a low holder — priority inversion), accumulated
-     at grant time. Unlike the post-hoc profiler these include waits from
-     attempts that later abort, so they are a running approximation, not the
-     exact-sum accounting. *)
-  let blame_wait_c, inversion_c =
-    if Metrics.Registry.enabled metrics then
-      ( Some (Metrics.Registry.counter metrics "blame.lock_wait_us"),
-        Some (Metrics.Registry.counter metrics "inversion.lock_wait_us") )
-    else (None, None)
-  in
   (* Wound-wait cannot resolve cycles through prepared (pinned)
      transactions — one can be prepared at a server where it holds locks and
      waiting at another. Like production systems, waits carry a timeout; a
@@ -113,7 +102,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
        table, and stamped on the span's end event. *)
     let t0 = Simcore.Engine.now engine in
     let blocker =
-      if Trace.recording trace || blame_wait_c <> None then
+      if Trace.recording trace then
         Store.Locks.blocker_of server.locks ~txn:r.txn_id ~key ~exclusive
       else None
     in
@@ -122,12 +111,6 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
         granted := true;
         let now = Simcore.Engine.now engine in
         if now > t0 then begin
-          let waited = Simcore.Sim_time.to_us now - Simcore.Sim_time.to_us t0 in
-          let blocker_low = match blocker with Some (_, h) -> not h | None -> false in
-          (match blame_wait_c with Some c -> Metrics.Registry.add c waited | None -> ());
-          (match inversion_c with
-          | Some c when high && blocker_low -> Metrics.Registry.add c waited
-          | _ -> ());
           if Trace.recording trace then begin
             let blame =
               match blocker with
@@ -188,10 +171,10 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
         List.iter
           (fun p ->
             let server = servers.(p) in
-            send ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
+            Net.send net ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
               (fun () -> server_release server txn_id))
           participants;
-        send ~src:client ~dst:coordinator
+        Net.send net ~src:client ~dst:coordinator
           ~msg:(Msg.control ~txn:txn_id Msg.Abort_notice)
           (fun () ->
             let c = coord_state ~txn_id ~client ~n_participants:n in
@@ -215,14 +198,14 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
           ~size:(Msg.write_record_bytes ~writes:(List.length pairs))
           ~tag:txn_id
           ~on_committed:(fun () ->
-            send ~src:coordinator ~dst:client
+            Net.send net ~src:coordinator ~dst:client
               ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
               (fun () -> finish ~committed:true);
             List.iter
               (fun p ->
                 let server = servers.(p) in
                 let local = Exec.pairs_on_partition cluster ~partition:p pairs in
-                send ~src:coordinator ~dst:server.node
+                Net.send net ~src:coordinator ~dst:server.node
                   ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
                   (fun () ->
                     (* The decision is already durable at the coordinator;
@@ -248,7 +231,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
           let server = servers.(p) in
           let local = Exec.pairs_on_partition cluster ~partition:p pairs in
           let write_keys = List.map fst local in
-          send ~src:coordinator ~dst:server.node
+          Net.send net ~src:coordinator ~dst:server.node
             ~msg:
               (Msg.read_prepare ~txn:txn_id ~reads:0 ~writes:(List.length write_keys) ())
             (fun () ->
@@ -270,7 +253,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
                     ~size:(Msg.prepare_record_bytes ~reads:0 ~writes:needed)
                     ~tag:txn_id
                     ~on_committed:(fun () ->
-                      send ~src:server.node ~dst:coordinator
+                      Net.send net ~src:server.node ~dst:coordinator
                         ~msg:(Msg.vote ~txn:txn_id ())
                         (fun () ->
                           if not c.decided then begin
@@ -302,7 +285,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     let phase_one_done () =
       let reads = Exec.assemble_reads txn !read_replies in
       let pairs = Exec.write_pairs txn reads in
-      send ~src:client ~dst:coordinator
+      Net.send net ~src:client ~dst:coordinator
         ~msg:(Msg.commit_request ~txn:txn_id ~writes:(List.length pairs) ())
         (fun () -> start_prepare pairs)
     in
@@ -321,7 +304,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
              and, when the server confirms the version, drop the key from the
              reply payload. *)
           let claims = Exec.claims txn keys in
-          send ~src:client ~dst:server.node
+          Net.send net ~src:client ~dst:server.node
             ~msg:
               (Msg.read_prepare ~txn:txn_id ~reads:(Array.length keys) ~writes:0
                  ~extra:(Exec.claim_bytes claims) ())
@@ -358,7 +341,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
                                releases just those. *)
                             if early_read_release then
                               Store.Locks.release_all server.locks ~txn:txn_id;
-                            send ~src:server.node ~dst:client
+                            Net.send net ~src:server.node ~dst:client
                               ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
                               (fun () ->
                                 if not !finished then begin

@@ -76,7 +76,7 @@ let claims (txn : Txn.t) keys =
                  Some (key, pa.Txn.values.(i), pa.Txn.versions.(i))
              | _ -> None)
 
-let claim_bytes claims = Rpc.Msg.claim_bytes * List.length claims
+let claim_bytes claims = Netsim.Msg.claim_bytes * List.length claims
 
 (* ---- participant side ---- *)
 

@@ -17,6 +17,11 @@ let make_net ?(config = Network.default_config) ?trace () =
   let net = Network.create ~engine ~rng ~topo ~node_dc ~cpus ~config ?trace () in
   (engine, net)
 
+(* A 200 kB message that fills the VA->SG link for ~1.6 ms. Sent with
+   [send_isolated], which bypasses the batcher, it makes the path read busy
+   for the sends behind it. *)
+let fill = Msg.make Msg.Control ~bytes:200_000
+
 let flush_count stats name =
   try List.assoc name stats.Rpc.Batcher.s_flushes with Not_found -> 0
 
@@ -26,7 +31,7 @@ let test_idle_flush_immediate () =
   let arrival net engine batched =
     let batcher = if batched then Some (Rpc.Batcher.create ~net ()) else None in
     let at = ref (-1) in
-    Rpc.send net ~src:0 ~dst:8 ~msg:(Rpc.Msg.vote ~txn:1 ()) (fun () ->
+    Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:1 ()) (fun () ->
         at := Engine.now engine);
     Engine.run engine;
     (!at, Option.map Rpc.Batcher.stats batcher)
@@ -52,15 +57,15 @@ let test_busy_path_coalesces () =
   let order = ref [] in
   (* Big enough that its envelope is still serializing when the rest are
      enqueued at the same instant, so the path reads busy. *)
-  Network.send net ~src:0 ~dst:8 ~bytes:200_000 (fun () -> order := 0 :: !order);
+  Network.send_isolated net ~src:0 ~dst:8 ~msg:fill (fun () -> order := 0 :: !order);
   for i = 1 to 3 do
-    Rpc.send net ~src:0 ~dst:8 ~msg:(Rpc.Msg.vote ~txn:i ()) (fun () ->
+    Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:i ()) (fun () ->
         order := i :: !order)
   done;
   Engine.run engine;
   Alcotest.(check (list int)) "FIFO" [ 0; 1; 2; 3 ] (List.rev !order);
   let s = Rpc.Batcher.stats batcher in
-  (* The raw Network.send bypasses the batcher, so the burst's timer flush
+  (* The send_isolated fill bypasses the batcher, so the burst's timer flush
      is the only envelope. *)
   Alcotest.(check int) "one envelope" 1 s.Rpc.Batcher.s_envelopes;
   Alcotest.(check int) "timer flush" 1 (flush_count s "timer");
@@ -76,13 +81,13 @@ let test_cut_through () =
   let engine, net = make_net () in
   let batcher = Rpc.Batcher.create ~net () in
   let order = ref [] in
-  Network.send net ~src:0 ~dst:8 ~bytes:200_000 (fun () -> order := 0 :: !order);
+  Network.send_isolated net ~src:0 ~dst:8 ~msg:fill (fun () -> order := 0 :: !order);
   for i = 1 to 2 do
-    Rpc.send net ~src:0 ~dst:8 ~msg:(Rpc.Msg.vote ~txn:i ()) (fun () ->
+    Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:i ()) (fun () ->
         order := i :: !order)
   done;
-  Rpc.send net ~src:0 ~dst:8
-    ~msg:(Rpc.Msg.read_prepare ~txn:3 ~priority:1 ~reads:1 ~writes:1 ())
+  Network.send net ~src:0 ~dst:8
+    ~msg:(Msg.read_prepare ~txn:3 ~priority:1 ~reads:1 ~writes:1 ())
     (fun () -> order := 3 :: !order);
   Engine.run engine;
   Alcotest.(check (list int)) "FIFO with cut at tail" [ 0; 1; 2; 3 ] (List.rev !order);
@@ -98,9 +103,9 @@ let test_size_cap_flush () =
   let config = { Rpc.Batcher.default_config with Rpc.Batcher.max_msgs = 4 } in
   let batcher = Rpc.Batcher.create ~net ~config () in
   let delivered = ref 0 in
-  Network.send net ~src:0 ~dst:8 ~bytes:200_000 (fun () -> ());
+  Network.send_isolated net ~src:0 ~dst:8 ~msg:fill (fun () -> ());
   for i = 1 to 4 do
-    Rpc.send net ~src:0 ~dst:8 ~msg:(Rpc.Msg.vote ~txn:i ()) (fun () -> incr delivered)
+    Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:i ()) (fun () -> incr delivered)
   done;
   Engine.run engine;
   Alcotest.(check int) "all delivered" 4 !delivered;
@@ -116,9 +121,9 @@ let test_trace_counts_with_batching () =
   Trace.enable trace;
   let engine, net = make_net ~trace () in
   let batcher = Rpc.Batcher.create ~net () in
-  Network.send net ~src:0 ~dst:8 ~bytes:200_000 (fun () -> ());
+  Network.send_isolated net ~src:0 ~dst:8 ~msg:fill (fun () -> ());
   for i = 1 to 20 do
-    Rpc.send net ~src:0 ~dst:8 ~msg:(Rpc.Msg.vote ~txn:i ()) (fun () -> ())
+    Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:i ()) (fun () -> ())
   done;
   Engine.run engine;
   Alcotest.(check int) "per-kind sum = messages_sent" (Network.messages_sent net)
@@ -126,12 +131,46 @@ let test_trace_counts_with_batching () =
   Alcotest.(check int) "bytes accounted" (Network.bytes_sent net)
     (List.fold_left (fun acc (_, b) -> acc + b) 0 (Trace.kind_bytes trace));
   let s = Rpc.Batcher.stats batcher in
-  (* The raw Network.send above bypasses the batcher, so the network's
+  (* The send_isolated fill above bypasses the batcher, so the network's
      envelope counters agree exactly with the batcher's. *)
   Alcotest.(check int) "network envelope counter" s.Rpc.Batcher.s_envelopes
     (Network.envelopes_sent net);
   Alcotest.(check int) "network batched-message counter" s.Rpc.Batcher.s_messages
     (Network.batched_messages net)
+
+(* An envelope to a dead node, or across a cut DC link, vanishes whole:
+   each of its messages counts one drop and traces one "dropped" event, and
+   the per-kind sums still equal the network's totals. The fills go out
+   before the faults, so they arrive, and keep both paths busy so each
+   burst rides one timer-flushed envelope. *)
+let test_batched_drops () =
+  let trace = Trace.create () in
+  Trace.enable trace;
+  let engine, net = make_net ~trace () in
+  let batcher = Rpc.Batcher.create ~net () in
+  (* Node 9 shares node 8's DC (SG); node 3 shares node 2's (WA). *)
+  Network.send_isolated net ~src:0 ~dst:9 ~msg:fill ignore;
+  Network.send_isolated net ~src:0 ~dst:3 ~msg:fill ignore;
+  Network.set_node_down net ~node:8 ~down:true;
+  Network.set_dc_cut net ~a:0 ~b:1 ~cut:true;
+  let delivered = ref 0 in
+  for i = 1 to 3 do
+    Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:i ()) (fun () -> incr delivered);
+    Network.send net ~src:0 ~dst:2 ~msg:(Msg.vote ~txn:i ()) (fun () -> incr delivered)
+  done;
+  Engine.run engine;
+  let s = Rpc.Batcher.stats batcher in
+  Alcotest.(check int) "two envelopes of three" 2 s.Rpc.Batcher.s_occupancy.(3);
+  Alcotest.(check int) "nothing delivered" 0 !delivered;
+  Alcotest.(check int) "one drop per message" 6 (Network.dropped net);
+  Alcotest.(check (list (pair string int)))
+    "one dropped event per message"
+    [ ("control", 2); ("dropped", 6) ]
+    (Trace.kind_counts trace);
+  Alcotest.(check int) "per-kind sum = messages_sent" (Network.messages_sent net)
+    (Trace.total_messages trace);
+  Alcotest.(check int) "bytes accounted" (Network.bytes_sent net)
+    (List.fold_left (fun acc (_, b) -> acc + b) 0 (Trace.kind_bytes trace))
 
 (* The load-bearing invariant, checked under random schedules: a batched
    link delivers exactly the messages an unbatched link delivers, in the
@@ -154,9 +193,9 @@ let test_batched_order_matches_unbatched =
             let dst = dsts.(dst_ix) in
             ignore
               (Engine.schedule_at engine (Sim_time.us at) (fun () ->
-                   Rpc.send net ~src:0 ~dst
+                   Network.send net ~src:0 ~dst
                      ~msg:
-                       (Rpc.Msg.read_prepare ~txn:i ~priority:prio ~reads:1
+                       (Msg.read_prepare ~txn:i ~priority:prio ~reads:1
                           ~writes:(bytes mod 7) ())
                      (fun () ->
                        let cur =
@@ -288,6 +327,7 @@ let () =
           Alcotest.test_case "cut-through" `Quick test_cut_through;
           Alcotest.test_case "size cap" `Quick test_size_cap_flush;
           Alcotest.test_case "trace counts" `Quick test_trace_counts_with_batching;
+          Alcotest.test_case "batched drops" `Quick test_batched_drops;
           QCheck_alcotest.to_alcotest test_batched_order_matches_unbatched;
         ] );
       ( "group_commit",

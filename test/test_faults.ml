@@ -17,6 +17,9 @@ let make_net () =
   in
   (engine, net)
 
+(* A [Control] envelope with a [bytes]-byte payload. *)
+let sized bytes = Msg.make Msg.Control ~bytes
+
 (* ------------------------------------------------------------------ *)
 (* Network-level drops *)
 
@@ -24,7 +27,9 @@ let test_down_node_drops () =
   let engine, net = make_net () in
   Network.set_node_down net ~node:4 ~down:true;
   let got = ref [] in
-  let send ~src ~dst tag = Network.send net ~src ~dst ~bytes:100 (fun () -> got := tag :: !got) in
+  let send ~src ~dst tag =
+    Network.send net ~src ~dst ~msg:(sized 100) (fun () -> got := tag :: !got)
+  in
   send ~src:0 ~dst:4 "to-dead";
   send ~src:4 ~dst:0 "from-dead";
   send ~src:0 ~dst:2 "live";
@@ -37,9 +42,9 @@ let test_restart_redelivers () =
   let engine, net = make_net () in
   Network.set_node_down net ~node:4 ~down:true;
   let got = ref 0 in
-  Network.send net ~src:0 ~dst:4 ~bytes:100 (fun () -> incr got);
+  Network.send net ~src:0 ~dst:4 ~msg:(sized 100) (fun () -> incr got);
   Network.set_node_down net ~node:4 ~down:false;
-  Network.send net ~src:0 ~dst:4 ~bytes:100 (fun () -> incr got);
+  Network.send net ~src:0 ~dst:4 ~msg:(sized 100) (fun () -> incr got);
   Engine.run engine;
   Alcotest.(check int) "post-restart message delivers" 1 !got;
   Alcotest.(check int) "one drop" 1 (Network.dropped net)
@@ -49,7 +54,9 @@ let test_dc_cut_and_heal () =
   (* nodes 0,1 are DC 0; nodes 2,3 are DC 1; nodes 4,5 are DC 2 *)
   Network.set_dc_cut net ~a:0 ~b:1 ~cut:true;
   let got = ref [] in
-  let send ~src ~dst tag = Network.send net ~src ~dst ~bytes:100 (fun () -> got := tag :: !got) in
+  let send ~src ~dst tag =
+    Network.send net ~src ~dst ~msg:(sized 100) (fun () -> got := tag :: !got)
+  in
   send ~src:0 ~dst:2 "cut-link";
   send ~src:3 ~dst:1 "cut-link-reverse";
   send ~src:0 ~dst:4 "other-dc";

@@ -697,18 +697,13 @@ let test_metrics_smoke () =
       check_true "segment means sum to e2e mean"
         (Float.abs (total -. e2e) <= (1e-5 *. Float.max 1. e2e) +. 1.);
       check_true "residual at most 1%" (List.assoc "residual" a.Attribution.mean_us <= 0.01 *. e2e);
-      (* Blame: per-txn charges sum to the wait segments, the matrix carries
-         the blamed wait, and the live counters were sampled. *)
+      (* Blame: per-txn charges sum to the wait segments, and the matrix
+         carries the blamed wait. *)
       check_int "blame charges sum to wait segments" 0 (Blame.max_mismatch breakdowns);
       check_int "matrix sums to wait_us" bl.Blame.b_wait_us
         (Array.fold_left (Array.fold_left ( + )) 0 bl.Blame.b_matrix);
       check_int "inversion is the high<-low cell" bl.Blame.b_matrix.(0).(1)
-        bl.Blame.b_inversion_us;
-      let sampled =
-        List.concat_map (fun w -> List.map fst w.Registry.samples) (Registry.windows reg)
-      in
-      check_true "blame counters sampled"
-        (List.mem "blame.lock_wait_us" sampled && List.mem "inversion.lock_wait_us" sampled))
+        bl.Blame.b_inversion_us)
     runs;
   let file = Filename.temp_file "natto_metrics" ".json" in
   Report.write_json ~file runs;

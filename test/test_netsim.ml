@@ -1,6 +1,6 @@
 (* TCP-model and tracing tests for Netsim.Network: per-connection FIFO
    ordering, SACK-style single-stall-per-RTO loss recovery, Mathis capacity
-   reduction, per-connection table pruning, and the Rpc/Trace layer. *)
+   reduction, per-connection table pruning, and the Msg/Trace layer. *)
 
 open Simcore
 open Netsim
@@ -14,6 +14,9 @@ let make_net ?(config = Network.default_config) ?trace () =
   let cpus = Array.init 10 (fun _ -> Cpu.create engine) in
   let net = Network.create ~engine ~rng ~topo ~node_dc ~cpus ~config ?trace () in
   (engine, net)
+
+(* A [Control] envelope with a [bytes]-byte payload. *)
+let sized bytes = Msg.make Msg.Control ~bytes
 
 (* Whatever the delay samples, loss pattern, and FIFO clamping do, messages
    on one connection must be delivered in send order. *)
@@ -32,7 +35,7 @@ let test_fifo_monotone =
         (fun i (at, bytes) ->
           ignore
             (Engine.schedule_at engine (Sim_time.us at) (fun () ->
-                 Network.send net ~src:0 ~dst:8 ~bytes (fun () ->
+                 Network.send net ~src:0 ~dst:8 ~msg:(sized bytes) (fun () ->
                      order := i :: !order))))
         sends;
       Engine.run engine;
@@ -49,7 +52,7 @@ let test_single_stall_per_rto () =
   let delays_ms = ref [] in
   let probe () =
     let sent = Engine.now engine in
-    Network.send_isolated net ~src:0 ~dst:2 ~bytes:100 (fun () ->
+    Network.send_isolated net ~src:0 ~dst:2 ~msg:(sized 100) (fun () ->
         delays_ms := Sim_time.to_ms (Sim_time.sub (Engine.now engine) sent) :: !delays_ms)
   in
   for _ = 1 to 10 do
@@ -71,12 +74,12 @@ let test_mathis_capacity () =
   in
   let engine_l, net_l = make_net ~config:lossy () in
   for _ = 1 to 50 do
-    Network.send net_l ~src:0 ~dst:8 ~bytes:50_000 (fun () -> ())
+    Network.send net_l ~src:0 ~dst:8 ~msg:(sized 50_000) (fun () -> ())
   done;
   Engine.run engine_l;
   let engine_n, net_n = make_net () in
   for _ = 1 to 50 do
-    Network.send net_n ~src:0 ~dst:8 ~bytes:50_000 (fun () -> ())
+    Network.send net_n ~src:0 ~dst:8 ~msg:(sized 50_000) (fun () -> ())
   done;
   Engine.run engine_n;
   if Network.max_link_busy net_l <= Network.max_link_busy net_n then
@@ -92,7 +95,7 @@ let test_connection_tables_pruned () =
   let engine, net = make_net ~config () in
   for src = 0 to 9 do
     for dst = 0 to 9 do
-      if src <> dst then Network.send net ~src ~dst ~bytes:100 (fun () -> ())
+      if src <> dst then Network.send net ~src ~dst ~msg:(sized 100) (fun () -> ())
     done
   done;
   let mid_entries = ref 0 in
@@ -101,7 +104,7 @@ let test_connection_tables_pruned () =
          mid_entries := Network.fifo_entries net));
   ignore
     (Engine.schedule_at engine (Sim_time.seconds 5.) (fun () ->
-         Network.send net ~src:0 ~dst:8 ~bytes:100 (fun () -> ())));
+         Network.send net ~src:0 ~dst:8 ~msg:(sized 100) (fun () -> ())));
   Engine.run engine;
   Alcotest.(check int) "all pairs tracked while live" 90 !mid_entries;
   (* The t=5s send sweeps everything from t=0 (all delivered within ~1s)
@@ -118,19 +121,19 @@ let test_trace_counts_match_network () =
   Trace.enable trace;
   let engine, net = make_net ~trace () in
   for i = 1 to 20 do
-    Rpc.send net ~src:0 ~dst:8 ~msg:(Rpc.Msg.vote ~txn:i ()) (fun () -> ());
-    Rpc.send net ~src:8 ~dst:0
-      ~msg:(Rpc.Msg.read_reply ~txn:i ~reads:2 ())
+    Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:i ()) (fun () -> ());
+    Network.send net ~src:8 ~dst:0
+      ~msg:(Msg.read_reply ~txn:i ~reads:2 ())
       (fun () -> ());
-    Rpc.send_isolated net ~src:1 ~dst:3 ~msg:(Rpc.Msg.probe ()) (fun () -> ())
+    Network.send_isolated net ~src:1 ~dst:3 ~msg:(Msg.probe ()) (fun () -> ())
   done;
-  Network.send net ~src:2 ~dst:4 ~bytes:100 (fun () -> ());
+  Network.send net ~src:2 ~dst:4 ~msg:(sized 100) (fun () -> ());
   Engine.run engine;
   Alcotest.(check int) "per-kind sum = messages_sent" (Network.messages_sent net)
     (Trace.total_messages trace);
   Alcotest.(check (list (pair string int)))
     "kinds counted"
-    [ ("other", 1); ("probe", 20); ("read_reply", 20); ("vote", 20) ]
+    [ ("control", 1); ("probe", 20); ("read_reply", 20); ("vote", 20) ]
     (Trace.kind_counts trace);
   (* Wire bytes include the per-message header. *)
   Alcotest.(check int) "bytes accounted" (Network.bytes_sent net)
@@ -146,7 +149,7 @@ let test_trace_counters_mode () =
   Trace.enable ~events:false trace;
   let engine, net = make_net ~trace () in
   for _ = 1 to 5 do
-    Rpc.send net ~src:0 ~dst:2 ~msg:(Rpc.Msg.vote ()) (fun () -> ())
+    Network.send net ~src:0 ~dst:2 ~msg:(Msg.vote ()) (fun () -> ())
   done;
   Engine.run engine;
   Alcotest.(check bool) "enabled" true (Trace.enabled trace);
@@ -164,7 +167,7 @@ let test_chrome_trace_output () =
   Trace.enable trace;
   let engine, net = make_net ~trace () in
   Trace.span_begin trace ~txn:7 ~name:"attempt:low" ~at:Sim_time.zero;
-  Rpc.send net ~src:0 ~dst:8 ~msg:(Rpc.Msg.vote ~txn:7 ()) (fun () -> ());
+  Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:7 ()) (fun () -> ());
   Engine.run engine;
   Trace.instant trace ~tid:8 ~txn:7 ~name:"txn-prepare" ~at:(Engine.now engine) ();
   Trace.span_end trace ~txn:7 ~name:"attempt:low" ~at:(Engine.now engine);
@@ -196,7 +199,7 @@ let test_chrome_trace_output () =
 let test_trace_disabled_is_free () =
   let engine, net = make_net () in
   for _ = 1 to 100 do
-    Rpc.send net ~src:0 ~dst:2 ~msg:(Rpc.Msg.vote ()) (fun () -> ())
+    Network.send net ~src:0 ~dst:2 ~msg:(Msg.vote ()) (fun () -> ())
   done;
   Engine.run engine;
   let trace = Network.trace net in
@@ -206,28 +209,27 @@ let test_trace_disabled_is_free () =
 
 (* The typed envelope must agree with the sizing primitives it is built on. *)
 let test_envelope_sizes () =
-  let open Rpc in
   Alcotest.(check int) "read_prepare"
     (Msg.read_and_prepare_bytes ~reads:2 ~writes:3)
-    (Msg.read_prepare ~reads:2 ~writes:3 ()).Msg.bytes;
+    (Msg.bytes (Msg.read_prepare ~reads:2 ~writes:3 ()));
   Alcotest.(check int) "read_reply"
     (Msg.read_reply_bytes ~reads:4)
-    (Msg.read_reply ~reads:4 ()).Msg.bytes;
+    (Msg.bytes (Msg.read_reply ~reads:4 ()));
   Alcotest.(check int) "commit_request"
     (Msg.commit_request_bytes ~writes:5)
-    (Msg.commit_request ~writes:5 ()).Msg.bytes;
-  Alcotest.(check int) "vote" Msg.vote_bytes (Msg.vote ()).Msg.bytes;
+    (Msg.bytes (Msg.commit_request ~writes:5 ()));
+  Alcotest.(check int) "vote" Msg.vote_bytes (Msg.bytes (Msg.vote ()));
   Alcotest.(check int) "decision"
     (Msg.decision_bytes ~writes:2)
-    (Msg.decision ~writes:2 ()).Msg.bytes;
+    (Msg.bytes (Msg.decision ~writes:2 ()));
   Alcotest.(check int) "control" Msg.control_bytes
-    (Msg.control Msg.Commit_notify).Msg.bytes;
+    (Msg.bytes (Msg.control Msg.Commit_notify));
   Alcotest.(check int) "abort decision = control size" Msg.control_bytes
-    (Msg.decision ~writes:0 ()).Msg.bytes;
+    (Msg.bytes (Msg.decision ~writes:0 ()));
   (* Envelope metadata rides along. *)
   let m = Msg.read_prepare ~txn:42 ~priority:1 ~reads:1 ~writes:1 () in
-  Alcotest.(check (option int)) "txn" (Some 42) m.Msg.txn;
-  Alcotest.(check (option int)) "priority" (Some 1) m.Msg.priority
+  Alcotest.(check (option int)) "txn" (Some 42) (Msg.txn m);
+  Alcotest.(check (option int)) "priority" (Some 1) (Msg.priority m)
 
 let () =
   Alcotest.run "netsim"

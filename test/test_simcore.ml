@@ -512,11 +512,14 @@ let make_net ?(config = Network.default_config) () =
   let net = Network.create ~engine ~rng ~topo ~node_dc ~cpus ~config () in
   (engine, net)
 
+(* A [Control] envelope with a [bytes]-byte payload. *)
+let sized bytes = Msg.make Msg.Control ~bytes
+
 let test_network_delay_close_to_owd () =
   let engine, net = make_net () in
   (* VA node 0 -> SG node 8: owd = 107ms *)
   let arrival = ref 0 in
-  Network.send net ~src:0 ~dst:8 ~bytes:100 (fun () -> arrival := Engine.now engine);
+  Network.send net ~src:0 ~dst:8 ~msg:(sized 100) (fun () -> arrival := Engine.now engine);
   Engine.run engine;
   let ms = Sim_time.to_ms !arrival in
   if ms < 95. || ms > 125. then Alcotest.failf "VA->SG delay unexpected: %.2fms" ms
@@ -524,7 +527,7 @@ let test_network_delay_close_to_owd () =
 let test_network_same_node_fast () =
   let engine, net = make_net () in
   let arrival = ref 0 in
-  Network.send net ~src:0 ~dst:0 ~bytes:100 (fun () -> arrival := Engine.now engine);
+  Network.send net ~src:0 ~dst:0 ~msg:(sized 100) (fun () -> arrival := Engine.now engine);
   Engine.run engine;
   if Sim_time.to_ms !arrival > 1.0 then
     Alcotest.failf "same-node delay too large: %dus" !arrival
@@ -532,7 +535,7 @@ let test_network_same_node_fast () =
 let test_network_intra_dc_fast () =
   let engine, net = make_net () in
   let arrival = ref 0 in
-  Network.send net ~src:0 ~dst:1 ~bytes:100 (fun () -> arrival := Engine.now engine);
+  Network.send net ~src:0 ~dst:1 ~msg:(sized 100) (fun () -> arrival := Engine.now engine);
   Engine.run engine;
   let ms = Sim_time.to_ms !arrival in
   if ms > 2.0 then Alcotest.failf "intra-DC delay too large: %.2fms" ms
@@ -541,7 +544,7 @@ let test_network_loss_adds_rto () =
   let config = { Network.default_config with loss = 0.9 } in
   let engine, net = make_net ~config () in
   let arrival = ref 0 in
-  Network.send net ~src:0 ~dst:8 ~bytes:100 (fun () -> arrival := Engine.now engine);
+  Network.send net ~src:0 ~dst:8 ~msg:(sized 100) (fun () -> arrival := Engine.now engine);
   Engine.run engine;
   (* With 90% loss, at least one retransmission is nearly certain; each adds
      >= max(200ms, 2*RTT=428ms). *)
@@ -553,7 +556,8 @@ let test_network_cpu_queueing () =
   let engine, net = make_net ~config () in
   let arrivals = ref [] in
   for _ = 1 to 3 do
-    Network.send net ~src:0 ~dst:1 ~bytes:10 (fun () -> arrivals := Engine.now engine :: !arrivals)
+    Network.send net ~src:0 ~dst:1 ~msg:(sized 10) (fun () ->
+        arrivals := Engine.now engine :: !arrivals)
   done;
   Engine.run engine;
   (match List.rev !arrivals with
@@ -570,13 +574,14 @@ let test_network_capacity_under_loss () =
   let engine, net = make_net ~config () in
   let last = ref 0 in
   for _ = 1 to 50 do
-    Network.send net ~src:0 ~dst:8 ~bytes:50_000 (fun () -> last := Stdlib.max !last (Engine.now engine))
+    Network.send net ~src:0 ~dst:8 ~msg:(sized 50_000) (fun () ->
+        last := Stdlib.max !last (Engine.now engine))
   done;
   Engine.run engine;
   let no_loss_engine, no_loss_net = make_net () in
   let last_no_loss = ref 0 in
   for _ = 1 to 50 do
-    Network.send no_loss_net ~src:0 ~dst:8 ~bytes:50_000 (fun () ->
+    Network.send no_loss_net ~src:0 ~dst:8 ~msg:(sized 50_000) (fun () ->
         last_no_loss := Stdlib.max !last_no_loss (Engine.now no_loss_engine))
   done;
   Engine.run no_loss_engine;
@@ -596,7 +601,7 @@ let test_network_loss_stall_bounded () =
     ignore
       (Engine.schedule_at engine (Sim_time.us (i * 500)) (fun () ->
            (* 2000 msgs/s on one VA->WA connection. *)
-           Network.send net ~src:0 ~dst:2 ~bytes:200 (fun () ->
+           Network.send net ~src:0 ~dst:2 ~msg:(sized 200) (fun () ->
                incr count;
                last_arrival := Stdlib.max !last_arrival (Engine.now engine))))
   done;
@@ -613,15 +618,15 @@ let test_network_fifo_per_connection () =
   let engine, net = make_net () in
   let order = ref [] in
   for i = 1 to 20 do
-    Network.send net ~src:0 ~dst:8 ~bytes:100 (fun () -> order := i :: !order)
+    Network.send net ~src:0 ~dst:8 ~msg:(sized 100) (fun () -> order := i :: !order)
   done;
   Engine.run engine;
   Alcotest.(check (list int)) "in order" (List.init 20 (fun i -> i + 1)) (List.rev !order)
 
 let test_network_stats () =
   let engine, net = make_net () in
-  Network.send net ~src:0 ~dst:2 ~bytes:100 (fun () -> ());
-  Network.send net ~src:0 ~dst:2 ~bytes:100 (fun () -> ());
+  Network.send net ~src:0 ~dst:2 ~msg:(sized 100) (fun () -> ());
+  Network.send net ~src:0 ~dst:2 ~msg:(sized 100) (fun () -> ());
   Engine.run engine;
   Alcotest.(check int) "messages" 2 (Network.messages_sent net);
   Alcotest.(check bool) "bytes include header" true (Network.bytes_sent net > 200)

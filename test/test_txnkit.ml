@@ -207,11 +207,12 @@ let test_exec_finisher () =
 
 let test_wire_monotone () =
   Alcotest.(check bool) "more keys, more bytes" true
-    (Rpc.Msg.read_and_prepare_bytes ~reads:6 ~writes:6 > Rpc.Msg.read_and_prepare_bytes ~reads:1 ~writes:1);
+    (Netsim.Msg.read_and_prepare_bytes ~reads:6 ~writes:6
+    > Netsim.Msg.read_and_prepare_bytes ~reads:1 ~writes:1);
   Alcotest.(check bool) "reply carries values" true
-    (Rpc.Msg.read_reply_bytes ~reads:3 > 3 * Rpc.Msg.value_bytes);
+    (Netsim.Msg.read_reply_bytes ~reads:3 > 3 * Netsim.Msg.value_bytes);
   Alcotest.(check bool) "decision carries writes" true
-    (Rpc.Msg.decision_bytes ~writes:4 > Rpc.Msg.decision_bytes ~writes:0)
+    (Netsim.Msg.decision_bytes ~writes:4 > Netsim.Msg.decision_bytes ~writes:0)
 
 let () =
   Alcotest.run "txnkit"
