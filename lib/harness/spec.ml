@@ -272,7 +272,7 @@ let term =
 let of_string line =
   let words =
     String.split_on_char ' ' (String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) line)
-    |> List.filter (fun w -> w <> "" && w <> "--check")
+    |> List.filter (fun w -> w <> "" && w <> "--check" && w <> "--trace-summary")
   in
   let buf = Buffer.create 80 in
   let fmt = Format.formatter_of_buffer buf in

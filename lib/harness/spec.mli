@@ -82,8 +82,9 @@ val defaults : setup list
 (** The cells of an empty line. *)
 
 val of_string : string -> (setup list, string) result
-(** {!term} on a line split at whitespace (no shell, no quoting). A
-    [--check] token is dropped: it observes a run but does not change it.
+(** {!term} on a line split at whitespace (no shell, no quoting).
+    [--check] and [--trace-summary] tokens are dropped: they observe a run
+    but do not change it.
     [Error] carries the usage message. *)
 
 val to_string : setup -> string
