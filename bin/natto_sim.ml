@@ -6,13 +6,27 @@ module E = Harness.Experiment
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("natto_sim: " ^ s); exit 1) fmt
 
+(* --trace-summary: the runs' summed traffic ledgers, as '#'-prefixed tables
+   so CSV consumers skip them; most messages first, ties by kind. *)
+let print_traffic ledgers =
+  let total = List.fold_left Netsim.Network.add_ledgers Netsim.Network.no_traffic ledgers in
+  Printf.printf "\n# Message traffic by kind (all runs)\n";
+  Netsim.Network.by_kind total
+  |> List.sort (fun (k1, a, _) (k2, b, _) -> compare (b, k1) (a, k2))
+  |> List.iter (fun (kind, n, bytes) ->
+         Printf.printf "# %-20s %12d msgs %16d bytes\n%!" kind n bytes);
+  Printf.printf "# Message traffic by DC link\n";
+  List.iter
+    (fun ((src, dst), n) -> Printf.printf "# dc%d -> dc%d %12d msgs\n%!" src dst n)
+    (Netsim.Network.by_link total)
+
 (* Every (system, seed) cell is an independent simulation, run exactly once
    with every requested observation: farm the cells out to the Domain pool,
    then walk them back in order for merging and printing, so --jobs N
    output is byte-for-byte that of --jobs 1. The first cell carries the
    --trace recording; observation is pure, so its results equal an
    untraced run's. *)
-let run_cells cells ~check ~histograms ~trace_file ~metrics_file =
+let run_cells cells ~check ~histograms ~trace_file ~metrics_file ~trace_summary =
   (* Open the trace output first so a bad path fails before any simulation
      runs, not after. *)
   let trace_out =
@@ -120,7 +134,8 @@ let run_cells cells ~check ~histograms ~trace_file ~metrics_file =
       Printf.printf "# %d trace events; messages by kind:\n" (Trace.event_count trace);
       Trace.kind_counts trace |> List.iter (fun (k, n) -> Printf.printf "#   %-20s %10d\n" k n);
       Printf.printf "#   %-20s %10d (network total: %d)\n%!" "sum"
-        (Trace.total_messages trace) o.E.o_messages
+        (Trace.total_messages trace)
+        (fst (Netsim.Network.ledger_totals o.E.o_ledger))
   | _ -> ());
   Option.iter
     (fun file ->
@@ -152,6 +167,7 @@ let run_cells cells ~check ~histograms ~trace_file ~metrics_file =
       Printf.printf "# metrics: wrote %s (%d runs, %.0f ms windows)\n%!" file
         (List.length metered) (Simcore.Sim_time.to_ms window))
     metrics_file;
+  if trace_summary then print_traffic (List.map (fun o -> o.E.o_ledger) outcomes);
   !violations
 
 let git_rev () =
@@ -224,8 +240,7 @@ let metrics_arg =
 
 let trace_summary_arg =
   switch [ "trace-summary" ]
-    "Count every message per kind and per DC link (counters-only tracing; results are \
-     unchanged) and print the totals after the runs."
+    "Print every run's messages per kind and per DC link, summed, after the runs."
 
 let jobs_arg =
   opt Arg.int [ "j"; "jobs" ] ~docv:"N"
@@ -269,19 +284,16 @@ let main cells histograms trace_file metrics_file trace_summary jobs check figur
   match error with
   | Some e -> `Error (false, e)
   | None -> (
-      if trace_summary then E.set_trace_counters true;
       Harness.Pool.set_jobs jobs;
-      let totals () = if trace_summary then E.print_trace_totals () in
       match figures with
       | Some names ->
           let scale = Harness.Figures.scale_of_env () and t0 = Unix.gettimeofday () in
-          let points = List.concat_map (fun n -> Harness.Figures.(run scale (find n))) names in
-          totals ();
+          let ran = List.map (fun n -> Harness.Figures.(run scale (find n))) names in
+          if trace_summary then print_traffic (List.map snd ran);
+          let points = List.concat_map fst ran in
           `Ok (if points <> [] then write_results ~scale ~t0 ~jobs points)
       | None -> (
-          let violations = run_cells cells ~check ~histograms ~trace_file ~metrics_file in
-          totals ();
-          match violations with
+          match run_cells cells ~check ~histograms ~trace_file ~metrics_file ~trace_summary with
           | 0 -> `Ok ()
           | n ->
               `Error

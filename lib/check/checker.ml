@@ -300,7 +300,7 @@ let edge_explain a kind b =
 
 let pp_trace_events ?trace fmt txns =
   match trace with
-  | Some tr when Trace.recording tr ->
+  | Some tr when Trace.enabled tr ->
       List.iter
         (fun t ->
           match Trace.txn_events tr ~txn:t.id with

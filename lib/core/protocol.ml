@@ -132,9 +132,10 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
   let stats = new_stats () in
   let trace = Net.trace net in
   (* Lifecycle instants land on the transactions track of the Chrome trace;
-     [Trace.recording] is false outside --trace runs, so this is one branch. *)
+     [Trace.enabled] is false outside --trace and --metrics runs, so this is
+     one branch. *)
   let mark ~tid ~txn name =
-    if Trace.recording trace then Trace.instant trace ~tid ~txn ~name ~at:(Engine.now engine) ()
+    if Trace.enabled trace then Trace.instant trace ~tid ~txn ~name ~at:(Engine.now engine) ()
   in
   (* Natto's timestamp-queue residency is its analogue of lock waiting;
      emitted retroactively as an adjacent "lock-wait" begin/end pair when
@@ -149,7 +150,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     | None -> ()
     | Some t0 ->
         r.queued_at <- None;
-        if Trace.recording trace then begin
+        if Trace.enabled trace then begin
           let now = Engine.now engine in
           if now > t0 then begin
             let pair ?blame ~s ~e () =
@@ -559,7 +560,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
              smallest-(ts, id) conflicting record — prepared or waiting
              ahead of us — and the contended key is the first footprint key
              it overlaps on. Pure observation for the profiler. *)
-          (if Trace.recording trace && r.waiting_from = None
+          (if Trace.enabled trace && r.waiting_from = None
            then begin
              r.waiting_from <- Some (Engine.now engine);
              let principal =
@@ -846,7 +847,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
              store anyway, so optimism here costs at most a failed claim. *)
           server_abort_txn server r ~late:true ~fail_key:max_int
         else begin
-          if Trace.recording trace && r.queued_at = None then
+          if Trace.enabled trace && r.queued_at = None then
             r.queued_at <- Some (Engine.now engine);
           Tsq.add server.queue ~ts:r.ts ~id:r.txn_id r;
           server_drain server

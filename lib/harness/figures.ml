@@ -224,7 +224,8 @@ let run scale (Spec f) =
   in
   List.iter (fun r -> List.iter merge r.outs) ran;
   Option.iter (fun accept -> accept pts) f.accept;
-  pts
+  let traffic acc o = Netsim.Network.add_ledgers acc o.Experiment.o_ledger in
+  (pts, List.fold_left (fun acc r -> List.fold_left traffic acc r.outs) Netsim.Network.no_traffic ran)
 
 let field name p = List.assoc name p.pt_fields
 

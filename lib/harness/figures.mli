@@ -57,12 +57,12 @@ val sweep :
     [accept], if given, sees the figure's points after its rows are
     printed and raises to reject them. *)
 
-val run : scale -> spec -> point list
+val run : scale -> spec -> point list * Netsim.Network.ledger
 (** Runs one figure: heading, header, rows, then the merge of every run in
     cell order (a checker violation raises here, after the verdict rows,
     with the failing run's replay line), then the figure's headline check,
     which raises [Failure] if the headline does not hold. Returns the rows'
-    points, in print order. *)
+    points, in print order, and the sum of every run's traffic ledger. *)
 
 val specs : spec list
 (** Every figure of the evaluation, Table 1 first. *)

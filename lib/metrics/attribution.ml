@@ -141,37 +141,36 @@ let gather trace =
         Some at
     | _ -> None
   in
-  Trace.iter_events trace (fun ev ->
-      match ev with
-      | Trace.V_message { txn = Some txn; enqueue; deliver; dequeue; _ } ->
-          add_interval txn Wan (Sim_time.to_us enqueue) (Sim_time.to_us deliver);
-          (match dequeue with
-          | Some d ->
-              add_interval txn Cpu_queue (Sim_time.to_us deliver) (Sim_time.to_us d)
-          | None -> ())
-      | Trace.V_span
-          {
-            txn;
-            name = ("lock-wait" | "queue-wait" | "replication" | "batching") as name;
-            phase;
-            at;
-            blame;
-          } -> (
-          let cls =
-            match name with
-            | "lock-wait" -> Lock_wait
-            | "queue-wait" -> Queue_wait
-            | "replication" -> Replication
-            | _ -> Batching
-          in
-          match phase with
-          | `Begin -> push_begin (txn, name) (Sim_time.to_us at)
-          | `End -> (
-              match pop_begin (txn, name) with
-              | Some s -> add_interval ?blame txn cls s (Sim_time.to_us at)
-              | None -> ())
-          | `Instant -> ())
-      | _ -> ());
+  Trace.iter_events trace (function
+    | Trace.Message { m_txn = Some txn; m_enqueue; m_deliver; m_dequeue; _ } -> (
+        add_interval txn Wan (Sim_time.to_us m_enqueue) (Sim_time.to_us m_deliver);
+        match m_dequeue with
+        | Some d -> add_interval txn Cpu_queue (Sim_time.to_us m_deliver) (Sim_time.to_us d)
+        | None -> ())
+    | Trace.Span
+        {
+          s_txn = txn;
+          s_name = ("lock-wait" | "queue-wait" | "replication" | "batching") as name;
+          s_phase;
+          s_at;
+          s_blame = blame;
+          _;
+        } -> (
+        let cls =
+          match name with
+          | "lock-wait" -> Lock_wait
+          | "queue-wait" -> Queue_wait
+          | "replication" -> Replication
+          | _ -> Batching
+        in
+        match s_phase with
+        | Trace.Begin -> push_begin (txn, name) (Sim_time.to_us s_at)
+        | Trace.End -> (
+            match pop_begin (txn, name) with
+            | Some s -> add_interval ?blame txn cls s (Sim_time.to_us s_at)
+            | None -> ())
+        | Trace.Instant -> ())
+    | _ -> ());
   intervals
 
 (* Charge every microsecond of [lo, hi] to the highest-priority interval

@@ -152,19 +152,15 @@ let analyze ~trace ~txns ~breakdowns () =
     selected;
   let msg_lines = Array.make (List.length selected) [] in
   if Hashtbl.length attempt_owner > 0 then
-    Trace.iter_events trace (fun ev ->
-        match ev with
-        | Trace.V_message { txn = Some txn; kind; enqueue; deliver; _ } -> (
-            match Hashtbl.find_opt attempt_owner txn with
-            | Some i ->
-                let at = Sim_time.to_us enqueue in
-                let line =
-                  Printf.sprintf "msg %s (wire %dus)" kind
-                    (Sim_time.to_us deliver - at)
-                in
-                msg_lines.(i) <- (at, line) :: msg_lines.(i)
-            | None -> ())
-        | _ -> ());
+    Trace.iter_events trace (function
+      | Trace.Message { m_txn = Some txn; m_kind; m_enqueue; m_deliver; _ } -> (
+          match Hashtbl.find_opt attempt_owner txn with
+          | Some i ->
+              let at = Sim_time.to_us m_enqueue in
+              let line = Printf.sprintf "msg %s (wire %dus)" m_kind (Sim_time.to_us m_deliver - at) in
+              msg_lines.(i) <- (at, line) :: msg_lines.(i)
+          | None -> ())
+      | _ -> ());
   let exemplars =
     List.mapi
       (fun i (label, (tr : Registry.txn_rec), (bd : Attribution.txn_breakdown)) ->

@@ -48,34 +48,47 @@ type kind =
 
 type t = { kind : kind; txn : int option; priority : int option; bytes : int }
 
-let label m =
+(* Declaration order; [labels] follows it. *)
+let index m =
   match m.kind with
-  | Read_prepare -> "read_prepare"
-  | Read_reply -> "read_reply"
-  | Commit_request -> "commit_request"
-  | Vote -> "vote"
-  | Decision -> "decision"
-  | Commit_notify -> "commit_notify"
-  | Abort_notice -> "abort_notice"
-  | Release -> "release"
-  | Cond_resolution -> "cond_resolution"
-  | Control -> "control"
-  | Recsf_request -> "recsf_request"
-  | Recsf_reply -> "recsf_reply"
-  | Raft_request_vote -> "raft_request_vote"
-  | Raft_vote -> "raft_vote"
-  | Raft_append -> "raft_append"
-  | Raft_append_reply -> "raft_append_reply"
-  | Probe -> "probe"
-  | Probe_reply -> "probe_reply"
-  | Cache_fetch -> "cache_fetch"
-  | Cache_reply -> "cache_reply"
-  | Quecc_submit -> "quecc_submit"
-  | Quecc_plan -> "quecc_plan"
-  | Quecc_read_reply -> "quecc_read_reply"
-  | Quecc_install -> "quecc_install"
-  | Quecc_install_ack -> "quecc_install_ack"
+  | Read_prepare -> 0
+  | Read_reply -> 1
+  | Commit_request -> 2
+  | Vote -> 3
+  | Decision -> 4
+  | Commit_notify -> 5
+  | Abort_notice -> 6
+  | Release -> 7
+  | Cond_resolution -> 8
+  | Control -> 9
+  | Recsf_request -> 10
+  | Recsf_reply -> 11
+  | Raft_request_vote -> 12
+  | Raft_vote -> 13
+  | Raft_append -> 14
+  | Raft_append_reply -> 15
+  | Probe -> 16
+  | Probe_reply -> 17
+  | Cache_fetch -> 18
+  | Cache_reply -> 19
+  | Quecc_submit -> 20
+  | Quecc_plan -> 21
+  | Quecc_read_reply -> 22
+  | Quecc_install -> 23
+  | Quecc_install_ack -> 24
 
+let labels =
+  [|
+    "read_prepare"; "read_reply"; "commit_request"; "vote"; "decision"; "commit_notify";
+    "abort_notice"; "release"; "cond_resolution"; "control"; "recsf_request"; "recsf_reply";
+    "raft_request_vote"; "raft_vote"; "raft_append"; "raft_append_reply"; "probe";
+    "probe_reply"; "cache_fetch"; "cache_reply"; "quecc_submit"; "quecc_plan";
+    "quecc_read_reply"; "quecc_install"; "quecc_install_ack";
+  |]
+
+let n_kinds = Array.length labels
+let index_label i = labels.(i)
+let label m = labels.(index m)
 let txn m = m.txn
 let priority m = m.priority
 let bytes m = m.bytes

@@ -40,6 +40,15 @@ type t
 val label : t -> string
 (** The kind's stable snake_case name, used as the tracing key. *)
 
+val index : t -> int
+(** The kind's position in declaration order, in [0, n_kinds): the
+    network's traffic ledger keeps one counter per index. *)
+
+val n_kinds : int
+
+val index_label : int -> string
+(** [index_label (index m) = label m]. *)
+
 val txn : t -> int option
 (** Transaction attempt id, when the message has one. *)
 

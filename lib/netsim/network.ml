@@ -5,10 +5,6 @@ type config = {
   cv_override : float option;
   loss : float;
   rto_floor : Sim_time.t;
-  wan_bandwidth_mbps : float;
-  mathis_flows : float;
-  header_bytes : int;
-  pareto_threshold : float;
 }
 
 let default_config =
@@ -19,11 +15,12 @@ let default_config =
     cv_override = None;
     loss = 0.0;
     rto_floor = Sim_time.ms 200.;
-    wan_bandwidth_mbps = 1000.;
-    mathis_flows = 16.;
-    header_bytes = 96;
-    pareto_threshold = 0.005;
   }
+
+let wan_bandwidth_mbps = 1000.
+let mathis_flows = 16.
+let header_bytes = 96
+let pareto_threshold = 0.005
 
 type batch_item = { bi_msg : Msg.t; bi_f : unit -> unit }
 
@@ -64,6 +61,9 @@ type t = {
           the caller's trace *)
   mutable messages : int;
   mutable bytes : int;
+  kind_msgs : int array;  (** per {!Msg.index}, then [dropped_slot] *)
+  kind_bytes : int array;
+  link_msgs : int array array;  (** per directed DC pair *)
   mutable retrans : int;
       (** cross-DC messages that lost a packet and paid (or joined) a
           retransmission stall *)
@@ -74,12 +74,12 @@ let mathis_c = 1.22
 
 (* Effective capacity of a directed DC link in bytes per microsecond. *)
 let effective_rate config topo a b =
-  let base = config.wan_bandwidth_mbps *. 1e6 /. 8. /. 1e6 in
+  let base = wan_bandwidth_mbps *. 1e6 /. 8. /. 1e6 in
   if config.loss <= 0.0 || a = b then base
   else begin
     let rtt_s = Topology.rtt_ms topo a b /. 1e3 in
     let per_flow = mathis_c *. mss_bytes /. (rtt_s *. sqrt config.loss) in
-    let tcp = config.mathis_flows *. per_flow /. 1e6 in
+    let tcp = mathis_flows *. per_flow /. 1e6 in
     Float.min base tcp
   end
 
@@ -113,6 +113,9 @@ let create ~engine ~rng ~topo ~node_dc ~cpus ?(config = default_config)
     depart = Sim_time.zero;
     messages = 0;
     bytes = 0;
+    kind_msgs = Array.make (Msg.n_kinds + 1) 0;
+    kind_bytes = Array.make (Msg.n_kinds + 1) 0;
+    link_msgs = Array.make_matrix n n 0;
     retrans = 0;
   }
 
@@ -150,7 +153,7 @@ let sample_owd t ~src_dc ~dst_dc =
   in
   let sampled =
     if cv <= 0.0 then mean
-    else if cv <= t.config.pareto_threshold then
+    else if cv <= pareto_threshold then
       Rng.normal t.rng ~mean ~stddev:(mean *. cv)
     else Rng.pareto t.rng ~mean ~cv
   in
@@ -243,32 +246,41 @@ let wire t ~src ~dst ~src_dc ~dst_dc ~bytes ~fifo =
     end
   end
 
-(* Trace one message that [wire] returned [arrival] for (call it only
-   with the trace enabled). A dropped message is traced under its own kind
-   ["dropped"], so per-kind counts still sum to [messages_sent]. *)
-let trace_message t msg ~src ~dst ~src_dc ~dst_dc ~bytes ~arrival =
-  let now = Engine.now t.engine in
+(* The ledger's slot for messages fault injection dropped. *)
+let dropped_slot = Msg.n_kinds
+
+(* Account one message that [wire] returned [arrival] for: always in the
+   ledger, and in the trace when it is enabled (then the result is its
+   trace record). A dropped message counts under its own kind ["dropped"],
+   so per-kind counts still sum to [messages_sent]. *)
+let account t msg ~src ~dst ~src_dc ~dst_dc ~bytes ~arrival =
   let dropped = arrival = no_arrival in
-  Trace.message t.trace
-    ~kind:(if dropped then "dropped" else Msg.label msg)
-    ?txn:(Msg.txn msg) ?priority:(Msg.priority msg) ~src ~dst ~src_dc ~dst_dc ~bytes
-    ~enqueue:now
-    ~depart:(if dropped then now else t.depart)
-    ~deliver:(if dropped then now else arrival)
-    ()
+  let k = if dropped then dropped_slot else Msg.index msg in
+  t.kind_msgs.(k) <- t.kind_msgs.(k) + 1;
+  t.kind_bytes.(k) <- t.kind_bytes.(k) + bytes;
+  let row = t.link_msgs.(src_dc) in
+  row.(dst_dc) <- row.(dst_dc) + 1;
+  if not (Trace.enabled t.trace) then None
+  else begin
+    let now = Engine.now t.engine in
+    Trace.message t.trace
+      ~kind:(if dropped then "dropped" else Msg.label msg)
+      ?txn:(Msg.txn msg) ?priority:(Msg.priority msg) ~src ~dst ~src_dc ~dst_dc ~bytes
+      ~enqueue:now
+      ~depart:(if dropped then now else t.depart)
+      ~deliver:(if dropped then now else arrival)
+      ()
+  end
 
 let deliver t ~src ~dst ~msg ~to_cpu f =
   let src_dc = t.node_dc.(src) and dst_dc = t.node_dc.(dst) in
-  let bytes = Msg.bytes msg + t.config.header_bytes in
+  let bytes = Msg.bytes msg + header_bytes in
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + bytes;
   (* RPC transports (gRPC over TCP) deliver in order per connection; probes
      (to_cpu = false) model UDP and may reorder. *)
   let arrival = wire t ~src ~dst ~src_dc ~dst_dc ~bytes ~fifo:to_cpu in
-  let h =
-    if Trace.enabled t.trace then trace_message t msg ~src ~dst ~src_dc ~dst_dc ~bytes ~arrival
-    else None
-  in
+  let h = account t msg ~src ~dst ~src_dc ~dst_dc ~bytes ~arrival in
   if arrival = no_arrival then t.drops <- t.drops + 1
   else begin
     let f =
@@ -300,14 +312,28 @@ let set_batcher t enqueue = t.batcher <- Some enqueue
    the wire-level amortization batching buys. *)
 let batch_frame_bytes = 4
 
+(* Account an envelope's messages in order, its header charged to the
+   first; the result is their trace records, [] with tracing off (a loop
+   rather than a closure, so an untraced envelope allocates nothing). *)
+let rec account_batch t ~src ~dst ~src_dc ~dst_dc ~arrival ~header acc = function
+  | [] -> acc
+  | m :: rest ->
+      let bytes = Msg.bytes m.bi_msg + batch_frame_bytes + header in
+      let acc =
+        match account t m.bi_msg ~src ~dst ~src_dc ~dst_dc ~bytes ~arrival with
+        | Some h -> h :: acc
+        | None -> acc
+      in
+      account_batch t ~src ~dst ~src_dc ~dst_dc ~arrival ~header:0 acc rest
+
 (* One coalesced envelope on the (src, dst) connection: a single
    transmission-queue occupancy, one propagation sample, one loss draw and
    one CPU job for the whole batch, with [cpu_cost] supplied by the caller
    (the batcher charges the first message full price and later ones a
-   marginal cost). Every inner message is still traced individually, with
-   the envelope's wire bytes distributed so per-kind counts and bytes keep
-   summing exactly to [messages_sent] / [bytes_sent]; a dropped envelope
-   vanishes whole. *)
+   marginal cost). Every inner message is still accounted individually,
+   with the envelope's wire bytes distributed so per-kind counts and bytes
+   keep summing exactly to [messages_sent] / [bytes_sent]; a dropped
+   envelope vanishes whole. *)
 let send_batch t ~src ~dst ~cpu_cost msgs =
   match msgs with
   | [] -> ()
@@ -317,24 +343,14 @@ let send_batch t ~src ~dst ~cpu_cost msgs =
       let payload =
         List.fold_left (fun acc m -> acc + Msg.bytes m.bi_msg + batch_frame_bytes) 0 msgs
       in
-      let bytes = payload + t.config.header_bytes in
+      let bytes = payload + header_bytes in
       t.messages <- t.messages + n;
       t.bytes <- t.bytes + bytes;
       t.envelopes <- t.envelopes + 1;
       t.batched_msgs <- t.batched_msgs + n;
       let arrival = wire t ~src ~dst ~src_dc ~dst_dc ~bytes ~fifo:true in
       let handles =
-        if not (Trace.enabled t.trace) then []
-        else
-          List.mapi
-            (fun i m ->
-              let bytes =
-                Msg.bytes m.bi_msg + batch_frame_bytes
-                + if i = 0 then t.config.header_bytes else 0
-              in
-              trace_message t m.bi_msg ~src ~dst ~src_dc ~dst_dc ~bytes ~arrival)
-            msgs
-          |> List.filter_map Fun.id
+        account_batch t ~src ~dst ~src_dc ~dst_dc ~arrival ~header:header_bytes [] msgs
       in
       if arrival = no_arrival then t.drops <- t.drops + n
       else
@@ -355,6 +371,60 @@ let cpu_depth t ~node = Cpu.pending_jobs t.cpus.(node)
 
 let messages_sent t = t.messages
 let bytes_sent t = t.bytes
+
+(* --- traffic ledger --- *)
+
+type ledger = {
+  l_messages : int;
+  l_bytes : int;
+  l_kind_msgs : int array;
+  l_kind_bytes : int array;
+  l_links : int array array;
+}
+
+let ledger t =
+  {
+    l_messages = t.messages;
+    l_bytes = t.bytes;
+    l_kind_msgs = Array.copy t.kind_msgs;
+    l_kind_bytes = Array.copy t.kind_bytes;
+    l_links = Array.map Array.copy t.link_msgs;
+  }
+
+let no_traffic =
+  {
+    l_messages = 0;
+    l_bytes = 0;
+    l_kind_msgs = Array.make (Msg.n_kinds + 1) 0;
+    l_kind_bytes = Array.make (Msg.n_kinds + 1) 0;
+    l_links = [||];
+  }
+
+let add_ledgers a b =
+  let n = max (Array.length a.l_links) (Array.length b.l_links) in
+  (* Runs on smaller topologies count zero on the links they lack. *)
+  let link l i j = if max i j < Array.length l.l_links then l.l_links.(i).(j) else 0 in
+  {
+    l_messages = a.l_messages + b.l_messages;
+    l_bytes = a.l_bytes + b.l_bytes;
+    l_kind_msgs = Array.map2 ( + ) a.l_kind_msgs b.l_kind_msgs;
+    l_kind_bytes = Array.map2 ( + ) a.l_kind_bytes b.l_kind_bytes;
+    l_links = Array.init n (fun i -> Array.init n (fun j -> link a i j + link b i j));
+  }
+
+let ledger_totals l = (l.l_messages, l.l_bytes)
+
+let by_kind l =
+  List.init (Msg.n_kinds + 1) (fun k ->
+      let label = if k = dropped_slot then "dropped" else Msg.index_label k in
+      (label, l.l_kind_msgs.(k), l.l_kind_bytes.(k)))
+  |> List.filter (fun (_, n, _) -> n > 0)
+
+let by_link l =
+  let n = Array.length l.l_links in
+  List.init n Fun.id
+  |> List.concat_map (fun src -> List.init n (fun dst -> ((src, dst), l.l_links.(src).(dst))))
+  |> List.filter (fun (_, n) -> n > 0)
 
 let mean_owd t ~src ~dst =
   Sim_time.ms (Topology.owd_ms t.topo t.node_dc.(src) t.node_dc.(dst))

@@ -9,8 +9,8 @@
     The model, and what each piece reproduces from the paper:
 
     - {b Propagation}: one-way delay = RTT/2 from the topology, perturbed by
-      the link's variance coefficient. Variance below [pareto_threshold]
-      uses a truncated Gaussian (stable private WAN, §2.2); above it, a
+      the link's variance coefficient. Variance up to 0.005 uses a
+      truncated Gaussian (stable private WAN, §2.2); above it, a
       Pareto distribution with matching mean, as the paper's §5.5 emulation
       does.
     - {b Loss} (§5.5, Fig. 12): each cross-DC message independently loses
@@ -18,22 +18,20 @@
       transmission adds a TCP-like retransmission timeout
       [max rto_floor (2 * rtt)].
     - {b Capacity} (Fig. 12 saturation): each directed DC pair is a queueing
-      station whose rate is the smaller of the configured WAN bandwidth and
-      a Mathis-model TCP throughput [flows * MSS * 1.22 / (rtt * sqrt loss)]
-      when loss is non-zero. Systems that move more bytes (Carousel Basic
+      station whose rate is the smaller of a 1000 Mbit/s WAN link and a
+      Mathis-model TCP throughput [16 * MSS * 1.22 / (rtt * sqrt loss)] for
+      16 flows sharing the pair when loss is non-zero. Systems that move more bytes (Carousel Basic
       replicates transactional data twice) saturate at lower loss rates.
     - {b CPU} (Fig. 7c, Fig. 14): the receiving node's CPU processes each
-      message for [msg_cost]; overloaded leaders queue. *)
+      message for [msg_cost]; overloaded leaders queue.
+    - {b Framing}: every message pays a 96-byte header on top of its
+      {!Msg.bytes} payload (once per envelope when batched). *)
 
 type config = {
   msg_cost : Simcore.Sim_time.t;  (** CPU time to process one message *)
   cv_override : float option;  (** replaces every link's variance coefficient *)
   loss : float;  (** cross-DC packet loss probability, [0, 1) *)
   rto_floor : Simcore.Sim_time.t;  (** minimum TCP retransmission timeout *)
-  wan_bandwidth_mbps : float;  (** loss-free capacity per directed DC pair *)
-  mathis_flows : float;  (** concurrent TCP flows sharing a DC pair *)
-  header_bytes : int;  (** added to every message's payload size *)
-  pareto_threshold : float;  (** cv above which delays turn Pareto *)
 }
 
 val default_config : config
@@ -66,8 +64,8 @@ val trace : t -> Trace.t
     All state defaults to healthy and every check is a single flag read, so
     fault-free runs are bit-for-bit identical to a build without faults.
     Messages whose source or destination node is down, or whose DC pair is
-    partitioned, are silently dropped (counted, and traced under kind
-    ["dropped"]). *)
+    partitioned, are silently dropped (counted, in the ledger and the trace
+    under kind ["dropped"]). *)
 
 val set_faults_active : t -> bool -> unit
 (** Arm (or disarm) the fault machinery. [set_node_down] and [set_dc_cut]
@@ -119,7 +117,7 @@ val set_batcher : t -> (src:int -> dst:int -> Msg.t -> (unit -> unit) -> unit) -
     enqueue function ([Rpc.Batcher.create] installs its own). *)
 
 val batch_frame_bytes : int
-(** Per-message framing overhead inside an envelope; the [header_bytes]
+(** Per-message framing overhead inside an envelope; the 96-byte
     envelope header is paid once per flush instead of once per message. *)
 
 val send_batch :
@@ -128,11 +126,11 @@ val send_batch :
     transmission-queue occupancy, propagation sample, loss draw and CPU
     job ([cpu_cost], supplied by the batcher) for the whole batch.
     Callbacks run in list order at the destination. Each inner message is
-    traced individually with the envelope's wire bytes distributed across
-    them (header charged to the first), so per-kind counts and bytes still
-    sum exactly to {!messages_sent} / {!bytes_sent}. An envelope that
-    fault injection drops counts one drop, and one ["dropped"] trace
-    event, per inner message. *)
+    accounted (and traced) individually with the envelope's wire bytes
+    distributed across them (header charged to the first), so per-kind
+    counts and bytes still sum exactly to {!messages_sent} /
+    {!bytes_sent}. An envelope that fault injection drops counts one drop,
+    and one ["dropped"] message, per inner message. *)
 
 val envelopes_sent : t -> int
 (** Batch envelopes delivered via {!send_batch} so far. *)
@@ -149,6 +147,38 @@ val cpu_depth : t -> node:int -> int
 
 val messages_sent : t -> int
 val bytes_sent : t -> int
+
+(** {2 Traffic ledger}
+
+    The network counts every message it puts on the wire under its
+    {!Msg.label} (or ["dropped"] when fault injection drops it), with its
+    wire bytes, and under its directed (src DC, dst DC) link — whether or
+    not a trace is on, and without allocating. Per-kind counts and bytes sum
+    exactly to {!messages_sent} and {!bytes_sent}, batched envelopes and
+    dropped messages included. *)
+
+type ledger
+
+val ledger : t -> ledger
+(** A copy of the counts so far. *)
+
+val no_traffic : ledger
+(** The empty ledger, for folds with {!add_ledgers}. *)
+
+val add_ledgers : ledger -> ledger -> ledger
+(** The sum of two runs' ledgers; runs on different topologies sum too. *)
+
+val ledger_totals : ledger -> int * int
+(** {!messages_sent} and {!bytes_sent} when the ledger was taken (summed
+    over runs by {!add_ledgers}). *)
+
+val by_kind : ledger -> (string * int * int) list
+(** (kind, messages, wire bytes) for every kind that carried a message, in
+    {!Msg.index} order, ["dropped"] last. *)
+
+val by_link : ledger -> ((int * int) * int) list
+(** ((src DC, dst DC), messages) for every link that carried a message,
+    sorted by link. *)
 
 val mean_owd : t -> src:int -> dst:int -> Simcore.Sim_time.t
 (** The topological (no-noise) one-way delay, for protocol-internal

@@ -335,7 +335,7 @@ let make cluster ~variant =
     Hashtbl.replace pl.p_active ep.e_id ep;
     incr epochs_n;
     planned_n := !planned_n + Array.length ep.e_txns;
-    (if Trace.recording trace then begin
+    (if Trace.enabled trace then begin
        let now = Engine.now engine in
        Array.iteri
          (fun s pt ->
@@ -691,7 +691,7 @@ let make cluster ~variant =
     Net.send net ~src:txn.Txn.client ~dst ~msg (fun () ->
         let pl = planner_at dst in
         pt.b_queued_at <- Engine.now engine;
-        if Trace.recording trace then
+        if Trace.enabled trace then
           Trace.span_begin trace ~txn:attempt ~name:"queue-wait" ~at:(Engine.now engine);
         pl.p_buffer <- pt :: pl.p_buffer)
   in

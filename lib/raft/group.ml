@@ -69,7 +69,7 @@ let replicate t ?(background = false) ~size ?(tag = 0) ~on_committed () =
      critical path; bracket it with a "replication" span so the latency
      attribution engine can charge the wait to the right transaction. *)
   let on_committed =
-    if background || tag = 0 || not (Trace.recording t.trace) then on_committed
+    if background || tag = 0 || not (Trace.enabled t.trace) then on_committed
     else begin
       Trace.span_begin t.trace ~txn:tag ~name:"replication"
         ~at:(Simcore.Engine.now t.engine);

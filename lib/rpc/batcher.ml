@@ -82,7 +82,7 @@ let flush t conn ~reason =
       t.pending_msgs <- t.pending_msgs - n;
       let now = Engine.now t.engine in
       let trace = Net.trace t.net in
-      let recording = Trace.recording trace in
+      let recording = Trace.enabled trace in
       List.iter
         (fun p ->
           let held_us = Sim_time.to_us (Sim_time.sub now p.p_at) in

@@ -1,8 +1,6 @@
 open Simcore
 
-type mode = Off | Counters | Full
-
-type msg_handle = {
+type message = {
   m_kind : string;
   m_txn : int option;
   m_priority : int option;
@@ -37,14 +35,11 @@ type span = {
   s_blame : blame option;
 }
 
-type fault_ev = { f_name : string; f_at : Sim_time.t }
-type event = Message of msg_handle | Span of span | Fault of fault_ev
+type fault = { f_name : string; f_at : Sim_time.t }
+type event = Message of message | Span of span | Fault of fault
 
 type t = {
-  mutable mode : mode;
-  kind_counts : (string, int ref) Hashtbl.t;
-  kind_bytes : (string, int ref) Hashtbl.t;
-  link_counts : (int * int, int ref) Hashtbl.t;
+  mutable on : bool;
   mutable events : event list;  (** reversed; reversed back on output *)
   mutable n_events : int;
   mutable txn_index : (int, span list ref) Hashtbl.t option;
@@ -53,31 +48,9 @@ type t = {
           incrementally by subsequent pushes *)
 }
 
-let create () =
-  {
-    mode = Off;
-    kind_counts = Hashtbl.create 32;
-    kind_bytes = Hashtbl.create 32;
-    link_counts = Hashtbl.create 64;
-    events = [];
-    n_events = 0;
-    txn_index = None;
-  }
-
-let enable ?(events = true) t = t.mode <- (if events then Full else Counters)
-let enabled t = t.mode <> Off
-let recording t = t.mode = Full
-
-let drop_events t =
-  if t.mode = Full then t.mode <- Counters;
-  t.events <- [];
-  t.n_events <- 0;
-  t.txn_index <- None
-
-let bump tbl key n =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace tbl key (ref n)
+let create () = { on = false; events = []; n_events = 0; txn_index = None }
+let enable t = t.on <- true
+let enabled t = t.on
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace viewer (chrome://tracing, Perfetto) JSON.
@@ -105,7 +78,7 @@ let json_escape s =
 
 let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
-let write_msg_event oc first (m : msg_handle) =
+let write_msg_event oc first (m : message) =
   if not !first then output_string oc ",\n";
   first := false;
   Printf.fprintf oc
@@ -146,7 +119,7 @@ let write_span_event oc first (s : span) =
   | None -> ());
   output_string oc "}"
 
-let write_fault_event oc first (f : fault_ev) =
+let write_fault_event oc first (f : fault) =
   if not !first then output_string oc ",\n";
   first := false;
   Printf.fprintf oc
@@ -170,38 +143,32 @@ let push t ev =
 
 let message t ~kind ?txn ?priority ~src ~dst ~src_dc ~dst_dc ~bytes ~enqueue ~depart
     ~deliver () =
-  match t.mode with
-  | Off -> None
-  | Counters | Full ->
-      bump t.kind_counts kind 1;
-      bump t.kind_bytes kind bytes;
-      bump t.link_counts (src_dc, dst_dc) 1;
-      if t.mode = Full then begin
-        let m =
-          {
-            m_kind = kind;
-            m_txn = txn;
-            m_priority = priority;
-            m_src = src;
-            m_dst = dst;
-            m_src_dc = src_dc;
-            m_dst_dc = dst_dc;
-            m_bytes = bytes;
-            m_enqueue = enqueue;
-            m_depart = depart;
-            m_deliver = deliver;
-            m_dequeue = None;
-          }
-        in
-        push t (Message m);
-        Some m
-      end
-      else None
+  if not t.on then None
+  else begin
+    let m =
+      {
+        m_kind = kind;
+        m_txn = txn;
+        m_priority = priority;
+        m_src = src;
+        m_dst = dst;
+        m_src_dc = src_dc;
+        m_dst_dc = dst_dc;
+        m_bytes = bytes;
+        m_enqueue = enqueue;
+        m_depart = depart;
+        m_deliver = deliver;
+        m_dequeue = None;
+      }
+    in
+    push t (Message m);
+    Some m
+  end
 
 let set_dequeue m at = m.m_dequeue <- Some at
 
 let span ?blame t ~txn ~name ~phase ~tid ~at =
-  if t.mode = Full then
+  if t.on then
     push t
       (Span
          { s_txn = txn; s_name = name; s_phase = phase; s_tid = tid; s_at = at; s_blame = blame })
@@ -210,10 +177,10 @@ let span_begin t ~txn ~name ~at = span t ~txn ~name ~phase:Begin ~tid:0 ~at
 let span_end ?blame t ~txn ~name ~at = span ?blame t ~txn ~name ~phase:End ~tid:0 ~at
 let instant t ?(tid = 0) ~txn ~name ~at () = span t ~txn ~name ~phase:Instant ~tid ~at
 
-(* Fault events live on their own process track and deliberately bypass the
-   per-kind message counters, so the invariant "sum over kinds equals
-   messages_sent" keeps holding under fault injection. *)
-let fault t ~name ~at = if t.mode = Full then push t (Fault { f_name = name; f_at = at })
+(* Fault events live on their own process track and are not messages, so
+   the invariant "sum over kinds equals messages_sent" keeps holding under
+   fault injection. *)
+let fault t ~name ~at = if t.on then push t (Fault { f_name = name; f_at = at })
 
 let blame_suffix = function
   | None -> ""
@@ -259,64 +226,22 @@ let txn_events t ~txn =
          order. *)
       List.fold_left (fun acc s -> (span_label s, s.s_at) :: acc) [] !spans
 
-type event_view =
-  | V_message of {
-      kind : string;
-      txn : int option;
-      priority : int option;
-      enqueue : Sim_time.t;
-      depart : Sim_time.t;
-      deliver : Sim_time.t;
-      dequeue : Sim_time.t option;
-    }
-  | V_span of {
-      txn : int;
-      name : string;
-      phase : [ `Begin | `End | `Instant ];
-      at : Sim_time.t;
-      blame : blame option;
-    }
-  | V_fault of { name : string; at : Sim_time.t }
+let iter_events t f = List.iter f (List.rev t.events)
 
-let iter_events t f =
+let kind_counts t =
+  let counts = Hashtbl.create 32 in
   List.iter
-    (fun ev ->
-      f
-        (match ev with
-        | Message m ->
-            V_message
-              {
-                kind = m.m_kind;
-                txn = m.m_txn;
-                priority = m.m_priority;
-                enqueue = m.m_enqueue;
-                depart = m.m_depart;
-                deliver = m.m_deliver;
-                dequeue = m.m_dequeue;
-              }
-        | Span s ->
-            V_span
-              {
-                txn = s.s_txn;
-                name = s.s_name;
-                phase =
-                  (match s.s_phase with
-                  | Begin -> `Begin
-                  | End -> `End
-                  | Instant -> `Instant);
-                at = s.s_at;
-                blame = s.s_blame;
-              }
-        | Fault fe -> V_fault { name = fe.f_name; at = fe.f_at }))
-    (List.rev t.events)
+    (function
+      | Message m ->
+          Hashtbl.replace counts m.m_kind
+            (1 + Option.value ~default:0 (Hashtbl.find_opt counts m.m_kind))
+      | Span _ | Fault _ -> ())
+    t.events;
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] |> List.sort compare
 
-let sorted_counts tbl =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl [] |> List.sort compare
+let total_messages t =
+  List.fold_left (fun n -> function Message _ -> n + 1 | Span _ | Fault _ -> n) 0 t.events
 
-let kind_counts t = sorted_counts t.kind_counts
-let kind_bytes t = sorted_counts t.kind_bytes
-let link_counts t = sorted_counts t.link_counts
-let total_messages t = Hashtbl.fold (fun _ r acc -> acc + !r) t.kind_counts 0
 let event_count t = t.n_events
 
 let other_data t extra =
@@ -344,5 +269,5 @@ let write_chrome_trace t ?(extra = []) oc =
   output_string oc
     "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"faults\"}}";
   let first = ref false in
-  List.iter (write_event oc first) (List.rev t.events);
+  iter_events t (write_event oc first);
   output_string oc "\n]}\n"

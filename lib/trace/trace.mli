@@ -11,33 +11,70 @@
       priority abort, conditional prepare, commit/abort.
 
     A sink is created disabled and costs one branch per call site until
-    {!enable} flips it on. [enable ~events:false] turns on the aggregate
-    per-kind / per-link counters only (constant memory — safe for long
-    benchmark runs); full mode additionally buffers every event for
-    {!write_chrome_trace}. *)
+    {!enable} flips it on; an enabled sink buffers every event for
+    {!write_chrome_trace} and the metrics analyses. Aggregate message
+    counts do not need a sink: [Netsim.Network] keeps them in its traffic
+    ledger. *)
 
 type t
-
-type msg_handle
-(** An in-flight message event; lets the network record the CPU dequeue
-    time once the destination actually processes the message. *)
 
 val create : unit -> t
 (** A disabled sink. *)
 
-val enable : ?events:bool -> t -> unit
-(** Turn the sink on. [~events:false] counts messages per kind and per DC
-    link but records no per-event data. *)
+val enable : t -> unit
+(** Turn the sink on. *)
 
 val enabled : t -> bool
-(** Counters or full mode. *)
 
-val recording : t -> bool
-(** Full mode only: per-event records are being buffered. *)
+(** {2 Recorded events}
 
-val drop_events : t -> unit
-(** Free the buffered per-event records and continue in counters mode; the
-    per-kind and per-link counters are kept. *)
+    The stored records, read-only: {!iter_events} hands them out as they
+    were recorded. *)
+
+type message = private {
+  m_kind : string;
+  m_txn : int option;
+  m_priority : int option;
+  m_src : int;
+  m_dst : int;
+  m_src_dc : int;
+  m_dst_dc : int;
+  m_bytes : int;  (** wire bytes, header included *)
+  m_enqueue : Simcore.Sim_time.t;  (** the send call *)
+  m_depart : Simcore.Sim_time.t;  (** cleared the link transmission queue *)
+  m_deliver : Simcore.Sim_time.t;  (** arrived at the destination node *)
+  mutable m_dequeue : Simcore.Sim_time.t option;
+      (** the destination CPU finished processing it, when it went through
+          the CPU station; set by {!set_dequeue} *)
+}
+(** One network delivery. *)
+
+type span_phase = Begin | End | Instant
+
+type blame = {
+  bl_blocker : int;  (** blocker attempt id, [-1] when the wait has no blocking txn *)
+  bl_blocker_high : bool;  (** blocker priority class; meaningful iff [bl_blocker >= 0] *)
+  bl_key : int;  (** contended key, [-1] when the wait is not key-shaped *)
+  bl_node : int;  (** node (or link destination) where the wait happened, [-1] if n/a *)
+}
+(** Who a wait span waited {e on}. Attached to the [End] event of a
+    [lock-wait]/[queue-wait]/[replication]/[batching] span by the layer that
+    resolved the wait; consumed by [Metrics.Attribution]/[Metrics.Blame] and
+    rendered as Chrome-trace [args] ([key], [blocker], [blocker_class],
+    [node]) so Perfetto can filter on the contended key directly. *)
+
+type span = private {
+  s_txn : int;
+  s_name : string;
+  s_phase : span_phase;
+  s_tid : int;  (** the node, for instants; 0 otherwise *)
+  s_at : Simcore.Sim_time.t;
+  s_blame : blame option;
+}
+(** A transaction lifecycle event. *)
+
+type fault = private { f_name : string; f_at : Simcore.Sim_time.t }
+type event = Message of message | Span of span | Fault of fault
 
 (** {2 Emission — called by [Netsim.Network] and the protocol layers} *)
 
@@ -55,23 +92,11 @@ val message :
   depart:Simcore.Sim_time.t ->
   deliver:Simcore.Sim_time.t ->
   unit ->
-  msg_handle option
-(** Record one message. Returns a handle iff the sink is in full mode; the
+  message option
+(** Record one message. Returns its record iff the sink is enabled; the
     caller should then report the CPU dequeue time via {!set_dequeue}. *)
 
-val set_dequeue : msg_handle -> Simcore.Sim_time.t -> unit
-
-type blame = {
-  bl_blocker : int;  (** blocker attempt id, [-1] when the wait has no blocking txn *)
-  bl_blocker_high : bool;  (** blocker priority class; meaningful iff [bl_blocker >= 0] *)
-  bl_key : int;  (** contended key, [-1] when the wait is not key-shaped *)
-  bl_node : int;  (** node (or link destination) where the wait happened, [-1] if n/a *)
-}
-(** Who a wait span waited {e on}. Attached to the [End] event of a
-    [lock-wait]/[queue-wait]/[replication]/[batching] span by the layer that
-    resolved the wait; consumed by [Metrics.Attribution]/[Metrics.Blame] and
-    rendered as Chrome-trace [args] ([key], [blocker], [blocker_class],
-    [node]) so Perfetto can filter on the contended key directly. *)
+val set_dequeue : message -> Simcore.Sim_time.t -> unit
 
 val no_blame : blame
 (** All fields absent ([-1]); convenient base for [{ no_blame with ... }]. *)
@@ -86,29 +111,28 @@ val instant : t -> ?tid:int -> txn:int -> name:string -> at:Simcore.Sim_time.t -
     node where it happened. *)
 
 val fault : t -> name:string -> at:Simcore.Sim_time.t -> unit
-(** A fault-injection event (crash/restart/partition/heal). Full mode only;
-    rendered as an instant event on its own process track (pid 2). Does not
-    touch the per-kind message counters, so their sum still equals
+(** A fault-injection event (crash/restart/partition/heal), rendered as an
+    instant event on its own process track (pid 2). It is not a message,
+    so the per-kind message counts still sum to
     [Netsim.Network.messages_sent]. *)
 
-(** {2 Aggregates} *)
+(** {2 Reading the record} *)
+
+val iter_events : t -> (event -> unit) -> unit
+(** Every recorded event in chronological push order. *)
 
 val kind_counts : t -> (string * int) list
-(** Messages per kind, sorted by kind. The sum over kinds equals
-    [Netsim.Network.messages_sent] when the sink was installed at network
+(** Recorded messages per kind, sorted by kind. The sum over kinds equals
+    [Netsim.Network.messages_sent] when the sink was enabled at network
     creation. *)
 
-val kind_bytes : t -> (string * int) list
-(** Wire bytes (payload + header) per kind. *)
-
-val link_counts : t -> ((int * int) * int) list
-(** Messages per directed (src DC, dst DC) pair. *)
-
 val total_messages : t -> int
+(** Recorded messages. *)
+
 val event_count : t -> int
 
 val txn_events : t -> txn:int -> (string * Simcore.Sim_time.t) list
-(** Full mode only: one transaction's lifecycle events in chronological
+(** One transaction's lifecycle events in chronological
     order, span begins/ends tagged [":begin"]/[":end"] (wait ends additionally
     carry their blame, e.g. ["lock-wait:end key=7 blocked-by=42(low)"]). Used
     by the history checker to print what a transaction in a counterexample
@@ -116,35 +140,6 @@ val txn_events : t -> txn:int -> (string * Simcore.Sim_time.t) list
     Served from a per-txn index built lazily on the first lookup and
     maintained incrementally afterwards, so repeated lookups are O(own
     events), not O(all events). *)
-
-(** {2 Event iteration — consumed by [Metrics.Attribution]} *)
-
-type event_view =
-  | V_message of {
-      kind : string;
-      txn : int option;
-      priority : int option;
-      enqueue : Simcore.Sim_time.t;
-      depart : Simcore.Sim_time.t;
-      deliver : Simcore.Sim_time.t;
-      dequeue : Simcore.Sim_time.t option;
-    }
-      (** One network delivery: [enqueue] (send call) → [depart] (cleared
-          the link transmission queue) → [deliver] (arrived at the
-          destination node) → [dequeue] (destination CPU finished
-          processing it, when it went through the CPU station). *)
-  | V_span of {
-      txn : int;
-      name : string;
-      phase : [ `Begin | `End | `Instant ];
-      at : Simcore.Sim_time.t;
-      blame : blame option;
-    }
-  | V_fault of { name : string; at : Simcore.Sim_time.t }
-
-val iter_events : t -> (event_view -> unit) -> unit
-(** Full buffered mode only: every recorded event in chronological push
-    order. Empty in counters mode. *)
 
 (** {2 Output} *)
 

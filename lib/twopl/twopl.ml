@@ -102,7 +102,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
        table, and stamped on the span's end event. *)
     let t0 = Simcore.Engine.now engine in
     let blocker =
-      if Trace.recording trace then
+      if Trace.enabled trace then
         Store.Locks.blocker_of server.locks ~txn:r.txn_id ~key ~exclusive
       else None
     in
@@ -111,7 +111,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
         granted := true;
         let now = Simcore.Engine.now engine in
         if now > t0 then begin
-          if Trace.recording trace then begin
+          if Trace.enabled trace then begin
             let blame =
               match blocker with
               | Some (b, bh) ->

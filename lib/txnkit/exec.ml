@@ -158,7 +158,7 @@ let finisher (cluster : Cluster.t) ~client ~txn ~on_done =
   let finish ~committed =
     if not !finished then begin
       finished := true;
-      if Trace.recording trace then
+      if Trace.enabled trace then
         Trace.instant trace ~tid:client ~txn
           ~name:(if committed then "txn-commit" else "txn-abort")
           ~at:(Simcore.Engine.now cluster.Cluster.engine) ();

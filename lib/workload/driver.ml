@@ -157,7 +157,7 @@ let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
     let span_name =
       match txn.Txn.priority with Txn.High -> "attempt:high" | Txn.Low -> "attempt:low"
     in
-    if Trace.recording trace then
+    if Trace.enabled trace then
       Trace.span_begin trace ~txn:txn.Txn.id ~name:span_name ~at:(Engine.now engine);
     (* Real-time bounds for the history checker are the client-visible
        invocation and response instants of this attempt — the only interval
@@ -193,7 +193,7 @@ let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
             :: history
           else history
         in
-        if Trace.recording trace then begin
+        if Trace.enabled trace then begin
           Trace.span_end trace ~txn:txn.Txn.id ~name:span_name ~at:(Engine.now engine);
           (* Name the attempt's async track with its class and final outcome
              — "txn 42 [high, committed]" — so Perfetto search/filter works

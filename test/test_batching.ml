@@ -1,6 +1,6 @@
 (* Tests for the batch envelope layer (Rpc.Batcher + Network.send_batch)
    and Raft group commit: flush policy (idle / timer / size / cut-through),
-   per-connection FIFO preservation, trace accounting, message-count
+   per-connection FIFO preservation, ledger accounting, message-count
    amortization, and an end-to-end batched run under the serializability
    checker. *)
 
@@ -21,6 +21,14 @@ let make_net ?(config = Network.default_config) ?trace () =
    [send_isolated], which bypasses the batcher, it makes the path read busy
    for the sends behind it. *)
 let fill = Msg.make Msg.Control ~bytes:200_000
+
+(* Per-kind counts and bytes in the network's ledger sum to its totals. *)
+let check_ledger_sums net =
+  let kinds = Network.by_kind (Network.ledger net) in
+  Alcotest.(check int) "per-kind sum = messages_sent" (Network.messages_sent net)
+    (List.fold_left (fun acc (_, n, _) -> acc + n) 0 kinds);
+  Alcotest.(check int) "bytes accounted" (Network.bytes_sent net)
+    (List.fold_left (fun acc (_, _, b) -> acc + b) 0 kinds)
 
 let flush_count stats name =
   try List.assoc name stats.Rpc.Batcher.s_flushes with Not_found -> 0
@@ -113,23 +121,18 @@ let test_size_cap_flush () =
   Alcotest.(check int) "size flush" 1 (flush_count s "size");
   Alcotest.(check int) "full envelope occupancy" 1 s.Rpc.Batcher.s_occupancy.(4)
 
-(* The trace invariants survive batching: per-kind counts still sum to
+(* The ledger invariants survive batching: per-kind counts still sum to
    messages_sent, per-kind bytes to bytes_sent, and the envelope counters
    agree with the batcher's own stats. *)
-let test_trace_counts_with_batching () =
-  let trace = Trace.create () in
-  Trace.enable trace;
-  let engine, net = make_net ~trace () in
+let test_ledger_counts_with_batching () =
+  let engine, net = make_net () in
   let batcher = Rpc.Batcher.create ~net () in
   Network.send_isolated net ~src:0 ~dst:8 ~msg:fill (fun () -> ());
   for i = 1 to 20 do
     Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:i ()) (fun () -> ())
   done;
   Engine.run engine;
-  Alcotest.(check int) "per-kind sum = messages_sent" (Network.messages_sent net)
-    (Trace.total_messages trace);
-  Alcotest.(check int) "bytes accounted" (Network.bytes_sent net)
-    (List.fold_left (fun acc (_, b) -> acc + b) 0 (Trace.kind_bytes trace));
+  check_ledger_sums net;
   let s = Rpc.Batcher.stats batcher in
   (* The send_isolated fill above bypasses the batcher, so the network's
      envelope counters agree exactly with the batcher's. *)
@@ -139,14 +142,12 @@ let test_trace_counts_with_batching () =
     (Network.batched_messages net)
 
 (* An envelope to a dead node, or across a cut DC link, vanishes whole:
-   each of its messages counts one drop and traces one "dropped" event, and
-   the per-kind sums still equal the network's totals. The fills go out
-   before the faults, so they arrive, and keep both paths busy so each
-   burst rides one timer-flushed envelope. *)
+   each of its messages counts one drop and one "dropped" message in the
+   ledger, and the per-kind sums still equal the network's totals. The
+   fills go out before the faults, so they arrive, and keep both paths busy
+   so each burst rides one timer-flushed envelope. *)
 let test_batched_drops () =
-  let trace = Trace.create () in
-  Trace.enable trace;
-  let engine, net = make_net ~trace () in
+  let engine, net = make_net () in
   let batcher = Rpc.Batcher.create ~net () in
   (* Node 9 shares node 8's DC (SG); node 3 shares node 2's (WA). *)
   Network.send_isolated net ~src:0 ~dst:9 ~msg:fill ignore;
@@ -164,13 +165,10 @@ let test_batched_drops () =
   Alcotest.(check int) "nothing delivered" 0 !delivered;
   Alcotest.(check int) "one drop per message" 6 (Network.dropped net);
   Alcotest.(check (list (pair string int)))
-    "one dropped event per message"
+    "one dropped message per message"
     [ ("control", 2); ("dropped", 6) ]
-    (Trace.kind_counts trace);
-  Alcotest.(check int) "per-kind sum = messages_sent" (Network.messages_sent net)
-    (Trace.total_messages trace);
-  Alcotest.(check int) "bytes accounted" (Network.bytes_sent net)
-    (List.fold_left (fun acc (_, b) -> acc + b) 0 (Trace.kind_bytes trace))
+    (List.map (fun (k, n, _) -> (k, n)) (Network.by_kind (Network.ledger net)));
+  check_ledger_sums net
 
 (* The load-bearing invariant, checked under random schedules: a batched
    link delivers exactly the messages an unbatched link delivers, in the
@@ -326,7 +324,7 @@ let () =
           Alcotest.test_case "busy path coalesces" `Quick test_busy_path_coalesces;
           Alcotest.test_case "cut-through" `Quick test_cut_through;
           Alcotest.test_case "size cap" `Quick test_size_cap_flush;
-          Alcotest.test_case "trace counts" `Quick test_trace_counts_with_batching;
+          Alcotest.test_case "ledger counts" `Quick test_ledger_counts_with_batching;
           Alcotest.test_case "batched drops" `Quick test_batched_drops;
           QCheck_alcotest.to_alcotest test_batched_order_matches_unbatched;
         ] );

@@ -53,42 +53,74 @@ let test_run_repeated_summary () =
   Alcotest.(check bool) "commits accumulated" true (s.Harness.Experiment.commits > 200);
   Alcotest.(check int) "nothing unfinished" 0 s.Harness.Experiment.unfinished
 
+let kinds ledger = List.map (fun (k, n, _) -> (k, n)) (Netsim.Network.by_kind ledger)
+
 (* One run with every observation on (check, full trace, metrics) must
-   report exactly what a plain run reports, and fold the same per-kind and
-   per-link message totals: observation is pure, and full and counters-only
-   traces count the same messages. *)
+   report exactly what a plain run reports and carry the same traffic
+   ledger, whose per-kind counts the trace's own, folded from its recorded
+   events, equal: observation is pure, and the tracer sees every message. *)
 let test_observed_run_identical () =
   let spec = Harness.Experiment.Natto Natto.Features.recsf in
-  let totals o =
-    Harness.Experiment.reset_trace_totals ();
-    let r = Harness.Experiment.merge o in
-    (r, Harness.Experiment.trace_totals (), Harness.Experiment.trace_link_totals ())
-  in
-  Harness.Experiment.set_trace_counters true;
   let plain = run ~zipf:0.95 spec ~seed:4 in
   let full = run ~check:true ~trace:true ~metrics:true ~zipf:0.95 spec ~seed:4 in
-  Harness.Experiment.set_trace_counters false;
   Alcotest.(check bool) "plain run observes nothing" true
-    (plain.Harness.Experiment.o_check = None && plain.Harness.Experiment.o_metrics = None);
+    (plain.Harness.Experiment.o_check = None && plain.Harness.Experiment.o_metrics = None
+    && plain.Harness.Experiment.o_trace = None);
   Alcotest.(check bool) "observed run carries check and metrics" true
     (full.Harness.Experiment.o_check <> None && full.Harness.Experiment.o_metrics <> None);
-  Alcotest.(check bool) "observed run carries a full trace" true
-    (Option.fold ~none:false ~some:Trace.recording full.Harness.Experiment.o_trace);
+  let trace = Option.get full.Harness.Experiment.o_trace in
+  Alcotest.(check bool) "observed run carries a full trace" true (Trace.enabled trace);
   (* The registry's sampler ticks are the only engine events metering adds. *)
   let registry, _, _ = Option.get full.Harness.Experiment.o_metrics in
   Alcotest.(check int) "same engine events, plus one per sampling window"
     (plain.Harness.Experiment.o_events + List.length (Metrics.Registry.windows registry))
     full.Harness.Experiment.o_events;
-  Alcotest.(check int) "same messages" plain.Harness.Experiment.o_messages
-    full.Harness.Experiment.o_messages;
-  let r_plain, kinds_plain, links_plain = totals plain in
-  let r_full, kinds_full, links_full = totals full in
-  Alcotest.(check bool) "same driver result" true (r_plain = r_full);
-  Alcotest.(check bool) "per-kind totals folded" true (kinds_plain <> []);
-  Alcotest.(check (list (triple string int int))) "same per-kind totals" kinds_plain kinds_full;
+  let lp = plain.Harness.Experiment.o_ledger and lf = full.Harness.Experiment.o_ledger in
+  Alcotest.(check (pair int int)) "same totals" (Netsim.Network.ledger_totals lp)
+    (Netsim.Network.ledger_totals lf);
+  Alcotest.(check bool) "per-kind counts present" true (kinds lp <> []);
+  Alcotest.(check (list (triple string int int))) "same per-kind ledger"
+    (Netsim.Network.by_kind lp) (Netsim.Network.by_kind lf);
   Alcotest.(check (list (pair (pair int int) int)))
-    "same per-link totals" links_plain links_full;
-  Harness.Experiment.reset_trace_totals ()
+    "same per-link ledger" (Netsim.Network.by_link lp) (Netsim.Network.by_link lf);
+  Alcotest.(check (list (pair string int))) "trace's counts = ledger's"
+    (List.sort compare (kinds lf)) (Trace.kind_counts trace);
+  Alcotest.(check bool) "same driver result" true
+    (Harness.Experiment.merge plain = Harness.Experiment.merge full)
+
+(* Batched envelopes, retransmissions and a leader crash's drops all land in
+   the ledger: its per-kind sums equal the network's own totals, drops
+   included, and tracing the run changes none of it. *)
+let test_ledger_batched_lossy_crash () =
+  let setup =
+    match
+      Harness.Spec.of_string
+        "-s natto-recsf -d 4 --seeds 1 -r 50 --batching --loss 0.01 --faults \
+         crash-leader:0@1s,restart@3s"
+    with
+    | Ok [ s ] -> s
+    | _ -> Alcotest.fail "setup line"
+  in
+  let plain = Harness.Experiment.run setup and traced = Harness.Experiment.run ~trace:true setup in
+  let l = plain.Harness.Experiment.o_ledger and lt = traced.Harness.Experiment.o_ledger in
+  let by_kind = Netsim.Network.by_kind l in
+  let messages, bytes = Netsim.Network.ledger_totals l in
+  Alcotest.(check int) "per-kind sum = messages_sent" messages
+    (List.fold_left (fun acc (_, n, _) -> acc + n) 0 by_kind);
+  Alcotest.(check int) "per-kind bytes = bytes_sent" bytes
+    (List.fold_left (fun acc (_, _, b) -> acc + b) 0 by_kind);
+  Alcotest.(check int) "per-link sum = messages_sent" messages
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 (Netsim.Network.by_link l));
+  Alcotest.(check bool) "drops counted" true (List.mem_assoc "dropped" (kinds l));
+  Alcotest.(check (pair int int)) "same totals traced" (messages, bytes)
+    (Netsim.Network.ledger_totals lt);
+  Alcotest.(check (list (triple string int int))) "same per-kind ledger traced" by_kind
+    (Netsim.Network.by_kind lt);
+  Alcotest.(check (list (pair (pair int int) int)))
+    "same per-link ledger traced" (Netsim.Network.by_link l) (Netsim.Network.by_link lt);
+  Alcotest.(check (list (pair string int))) "trace's counts = ledger's"
+    (List.sort compare (kinds lt))
+    (Trace.kind_counts (Option.get traced.Harness.Experiment.o_trace))
 
 let test_figures_dispatch () =
   let open Harness.Figures in
@@ -274,6 +306,7 @@ let () =
           Alcotest.test_case "seeds differ" `Slow test_run_seeds_differ;
           Alcotest.test_case "repeated summary" `Slow test_run_repeated_summary;
           Alcotest.test_case "observed run = plain run" `Slow test_observed_run_identical;
+          Alcotest.test_case "ledger: batched, lossy, crash" `Slow test_ledger_batched_lossy_crash;
         ] );
       ( "figures",
         [

@@ -20,7 +20,7 @@ let test_windows () =
   Registry.cumulative reg "ext" (fun () -> !ext);
   let ctr = Registry.counter reg "ctr" in
   (* Gauge changes mid-window are invisible; only the boundary value is
-     sampled. Counters/cumulatives record per-window deltas. *)
+     sampled. Counter and cumulative instruments record per-window deltas. *)
   ignore (Engine.schedule_at engine (Sim_time.to_us (ms 4.)) (fun () -> depth := 7.0));
   ignore
     (Engine.schedule_at engine (Sim_time.to_us (ms 12.)) (fun () ->

@@ -1,6 +1,7 @@
 (* TCP-model and tracing tests for Netsim.Network: per-connection FIFO
    ordering, SACK-style single-stall-per-RTO loss recovery, Mathis capacity
-   reduction, per-connection table pruning, and the Msg/Trace layer. *)
+   reduction, per-connection table pruning, the traffic ledger, and the
+   Msg/Trace layer. *)
 
 open Simcore
 open Netsim
@@ -114,12 +115,10 @@ let test_connection_tables_pruned () =
   if Network.stall_entries net > 1 then
     Alcotest.failf "stall table not pruned: %d entries" (Network.stall_entries net)
 
-(* A sink installed at network creation sees every message: the per-kind
-   counts sum to exactly [messages_sent]. *)
-let test_trace_counts_match_network () =
-  let trace = Trace.create () in
-  Trace.enable trace;
-  let engine, net = make_net ~trace () in
+(* The ledger counts every message without a trace: per-kind counts and
+   bytes sum to exactly [messages_sent] / [bytes_sent]. *)
+let test_ledger_counts_match_network () =
+  let engine, net = make_net () in
   for i = 1 to 20 do
     Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:i ()) (fun () -> ());
     Network.send net ~src:8 ~dst:0
@@ -129,33 +128,41 @@ let test_trace_counts_match_network () =
   done;
   Network.send net ~src:2 ~dst:4 ~msg:(sized 100) (fun () -> ());
   Engine.run engine;
+  Alcotest.(check bool) "tracing off" false (Trace.enabled (Network.trace net));
+  let ledger = Network.ledger net in
+  let kinds = Network.by_kind ledger in
   Alcotest.(check int) "per-kind sum = messages_sent" (Network.messages_sent net)
-    (Trace.total_messages trace);
+    (List.fold_left (fun acc (_, n, _) -> acc + n) 0 kinds);
   Alcotest.(check (list (pair string int)))
     "kinds counted"
-    [ ("control", 1); ("probe", 20); ("read_reply", 20); ("vote", 20) ]
-    (Trace.kind_counts trace);
+    [ ("read_reply", 20); ("vote", 20); ("control", 1); ("probe", 20) ]
+    (List.map (fun (k, n, _) -> (k, n)) kinds);
   (* Wire bytes include the per-message header. *)
   Alcotest.(check int) "bytes accounted" (Network.bytes_sent net)
-    (List.fold_left (fun acc (_, b) -> acc + b) 0 (Trace.kind_bytes trace));
-  let va_to_sg =
-    Option.value ~default:0 (List.assoc_opt (0, 4) (Trace.link_counts trace))
-  in
+    (List.fold_left (fun acc (_, _, b) -> acc + b) 0 kinds);
+  Alcotest.(check (pair int int)) "totals" (Network.messages_sent net, Network.bytes_sent net)
+    (Network.ledger_totals ledger);
+  let va_to_sg = Option.value ~default:0 (List.assoc_opt (0, 4) (Network.by_link ledger)) in
   Alcotest.(check int) "VA->SG link count" 20 va_to_sg
 
-(* Counters mode records aggregates only — no per-event buffering. *)
-let test_trace_counters_mode () =
+(* A sink enabled at network creation sees every message: its own per-kind
+   counts, folded from the recorded events, equal the ledger's. *)
+let test_trace_sees_every_message () =
   let trace = Trace.create () in
-  Trace.enable ~events:false trace;
+  Trace.enable trace;
   let engine, net = make_net ~trace () in
   for _ = 1 to 5 do
     Network.send net ~src:0 ~dst:2 ~msg:(Msg.vote ()) (fun () -> ())
   done;
+  Network.send_isolated net ~src:1 ~dst:3 ~msg:(Msg.probe ()) (fun () -> ());
   Engine.run engine;
-  Alcotest.(check bool) "enabled" true (Trace.enabled trace);
-  Alcotest.(check bool) "not recording" false (Trace.recording trace);
-  Alcotest.(check int) "counts" 5 (Trace.total_messages trace);
-  Alcotest.(check int) "no events buffered" 0 (Trace.event_count trace)
+  Alcotest.(check int) "per-kind sum = messages_sent" (Network.messages_sent net)
+    (Trace.total_messages trace);
+  Alcotest.(check (list (pair string int)))
+    "kinds = ledger"
+    (List.sort compare (List.map (fun (k, n, _) -> (k, n)) (Network.by_kind (Network.ledger net))))
+    (Trace.kind_counts trace);
+  Alcotest.(check int) "one event per message" 6 (Trace.event_count trace)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -195,7 +202,8 @@ let test_chrome_trace_output () =
       "\"system\":\"test\"";
     ]
 
-(* A disabled sink must not leak memory or time: no counts, no events. *)
+(* A disabled sink must not leak memory or time: no counts, no events,
+   while the ledger still counts every message. *)
 let test_trace_disabled_is_free () =
   let engine, net = make_net () in
   for _ = 1 to 100 do
@@ -205,7 +213,10 @@ let test_trace_disabled_is_free () =
   let trace = Network.trace net in
   Alcotest.(check bool) "disabled" false (Trace.enabled trace);
   Alcotest.(check int) "no counts" 0 (Trace.total_messages trace);
-  Alcotest.(check int) "no events" 0 (Trace.event_count trace)
+  Alcotest.(check int) "no events" 0 (Trace.event_count trace);
+  Alcotest.(check (list (pair string int)))
+    "ledger counts" [ ("vote", 100) ]
+    (List.map (fun (k, n, _) -> (k, n)) (Network.by_kind (Network.ledger net)))
 
 (* The typed envelope must agree with the sizing primitives it is built on. *)
 let test_envelope_sizes () =
@@ -231,6 +242,19 @@ let test_envelope_sizes () =
   Alcotest.(check (option int)) "txn" (Some 42) (Msg.txn m);
   Alcotest.(check (option int)) "priority" (Some 1) (Msg.priority m)
 
+(* The ledger's per-kind slots: one distinct label per index, and a
+   message's index names its own label. *)
+let test_kind_index () =
+  let labels = List.init Msg.n_kinds Msg.index_label in
+  Alcotest.(check int) "distinct labels" Msg.n_kinds
+    (List.length (List.sort_uniq compare labels));
+  List.iter
+    (fun m -> Alcotest.(check string) (Msg.label m) (Msg.label m) (Msg.index_label (Msg.index m)))
+    [
+      Msg.vote (); Msg.probe (); Msg.read_reply ~reads:1 (); Msg.make Msg.Raft_append ~bytes:8;
+      Msg.quecc_install_ack ();
+    ]
+
 let () =
   Alcotest.run "netsim"
     [
@@ -243,10 +267,11 @@ let () =
         ] );
       ( "tracing",
         [
-          Alcotest.test_case "counts match network" `Quick test_trace_counts_match_network;
-          Alcotest.test_case "counters mode" `Quick test_trace_counters_mode;
+          Alcotest.test_case "counts match network" `Quick test_ledger_counts_match_network;
+          Alcotest.test_case "trace sees every message" `Quick test_trace_sees_every_message;
           Alcotest.test_case "chrome trace json" `Quick test_chrome_trace_output;
           Alcotest.test_case "disabled sink is free" `Quick test_trace_disabled_is_free;
           Alcotest.test_case "envelope sizes" `Quick test_envelope_sizes;
+          Alcotest.test_case "kind index" `Quick test_kind_index;
         ] );
     ]

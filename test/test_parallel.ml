@@ -111,12 +111,14 @@ let with_jobs n f =
   Fun.protect ~finally:(fun () -> Harness.Pool.set_jobs None) f
 
 let test_sweep_jobs_identical () =
-  let points1, csv1 = with_jobs 1 (fun () -> capture_stdout small_sweep) in
-  let points4, csv4 = with_jobs 4 (fun () -> capture_stdout small_sweep) in
+  let (points1, ledger1), csv1 = with_jobs 1 (fun () -> capture_stdout small_sweep) in
+  let (points4, ledger4), csv4 = with_jobs 4 (fun () -> capture_stdout small_sweep) in
   Alcotest.(check string) "CSV text byte-identical" csv1 csv4;
   Alcotest.(check bool) "CSV non-empty" true (String.length csv1 > 0);
   Alcotest.(check int) "point count" (List.length points1) (List.length points4);
-  Alcotest.(check bool) "returned points identical" true (points1 = points4)
+  Alcotest.(check bool) "returned points identical" true (points1 = points4);
+  Alcotest.(check bool) "returned traffic identical" true
+    (Netsim.Network.(by_kind ledger1 = by_kind ledger4 && by_link ledger1 = by_link ledger4))
 
 (* A headline check that fails raises, but only after the figure's rows
    are out, and it sees exactly the points those rows carry: the points
@@ -135,7 +137,7 @@ let test_failing_accept_raises_after_rows () =
                ())
         with Failure msg -> raised := msg = "testfig: headline rejected")
   in
-  let points, csv_passing = capture_stdout small_sweep in
+  let (points, _), csv_passing = capture_stdout small_sweep in
   Alcotest.(check bool) "predicate raised" true !raised;
   let rows =
     List.filter (String.starts_with ~prefix:"testfig,") (String.split_on_char '\n' csv)
