@@ -164,10 +164,11 @@ and arm_heartbeat t =
            end))
 
 and send_heartbeats t =
-  (* Group commit treats the heartbeat as its retransmission timer: any
-     append still unacknowledged after a full heartbeat interval is
-     presumed lost, so the in-flight marks are dropped and the heartbeat
-     itself (which carries the pending suffix) resends the batch. *)
+  (* Group commit: every heartbeat clears all in-flight marks, whatever
+     their age, and the append it sends carries only entries never sent to
+     that peer, since next_index advances at each send. A lost round is
+     not resent here; the follower rejects the next append's prev_index
+     and its failure reply rewinds next_index to its hint_index. *)
   if t.group_commit then Array.fill t.inflight 0 (Array.length t.inflight) false;
   for s = 0 to Array.length t.peers - 1 do
     if s <> t.self_slot then send_append t s
@@ -340,7 +341,10 @@ let handle_append_reply t ~term ~from ~success ~match_index ~hint_index =
     let s = slot_of t.peers from in
     if success then begin
       if match_index > t.match_index.(s) then t.match_index.(s) <- match_index;
-      t.next_index.(s) <- Stdlib.max (match_index + 1) 1;
+      (* Raise only (etcd's Progress.MaybeUpdate): a reply to an older
+         pipelined round must not rewind next_index below entries already
+         in flight, or the next append would resend them. *)
+      if match_index + 1 > t.next_index.(s) then t.next_index.(s) <- match_index + 1;
       if t.group_commit then begin
         (* The acked round is done; everything that accumulated while it
            was in flight ships as the next round's single batch. *)

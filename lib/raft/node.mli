@@ -43,9 +43,12 @@ val set_group_commit : t -> bool -> unit
     whole batch is acked (and committed) on one quorum of replies. Batch
     size adapts to load by construction: an idle group replicates each
     entry immediately, a busy one accumulates for exactly one network round
-    trip. Heartbeats double as the retransmission timer (they clear the
-    in-flight marks and resend the pending suffix). With it off, behavior
-    is bit-for-bit the pipelined per-entry protocol. *)
+    trip. Each heartbeat clears every in-flight mark, whatever its age, and
+    ships only entries never sent to that peer ([next_index] advances
+    optimistically at every send); a lost round comes back when the
+    follower's failure reply rewinds [next_index] to its [hint_index].
+    With it off, behavior is bit-for-bit the pipelined per-entry
+    protocol. *)
 
 val start : t -> unit
 (** Arms the election timer (normal cold start: an election will occur). *)

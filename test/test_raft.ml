@@ -245,6 +245,96 @@ let test_copy_on_truncate () =
   Alcotest.(check (list int)) "in-flight terms unchanged" [ 1; 1 ] (terms captured);
   Alcotest.(check int) "in-flight bytes unchanged" bytes (Raft.Types.message_bytes captured)
 
+(* A success reply to an older round must not rewind next_index. The leader
+   ships entries 1-3 to peer 1 (pipelined: one append each; group commit:
+   [1] at once, [2; 3] on the heartbeat, which clears the in-flight mark).
+   Then the reply to the first round arrives, and a fourth entry is
+   proposed: the next append to peer 1 starts at the pipelined tip and
+   carries only the new entry. *)
+let test_reply_keeps_pipelined_tip group_commit () =
+  let to_peer1 = ref [] in
+  let engine, node =
+    bare_node ~n:3 ~send:(fun ~dst m -> if dst = 1 then to_peer1 := m :: !to_peer1) 0
+  in
+  Raft.Node.set_group_commit node group_commit;
+  Raft.Node.force_leader node;
+  for tag = 1 to 3 do
+    ignore (Raft.Node.replicate node ~size:100 ~tag ~on_committed:ignore)
+  done;
+  Engine.run_until engine Raft.Node.default_config.heartbeat_interval;
+  let shipped = List.concat_map slice !to_peer1 in
+  Alcotest.(check (list int)) "entries 1-3 in flight once" [ 1; 2; 3 ]
+    (List.sort compare (List.map (fun (e : Raft.Types.entry) -> e.tag) shipped));
+  to_peer1 := [];
+  Raft.Node.receive node (reply ~term:1 ~from:1 ~match_index:1 ());
+  ignore (Raft.Node.replicate node ~size:100 ~tag:4 ~on_committed:ignore);
+  match List.rev !to_peer1 with
+  | (Raft.Types.Append_entries { prev_index; _ } as m) :: _ ->
+      Alcotest.(check int) "prev_index = pipelined tip" 3 prev_index;
+      Alcotest.(check (list int)) "only the new entry" [ 4 ]
+        (List.map (fun (e : Raft.Types.entry) -> e.tag) (slice m))
+  | _ -> Alcotest.fail "no append sent to peer 1"
+
+(* A fault-free three-node group over per-link FIFO links with random
+   delays below the election timeout, with proposals at random times: every
+   follower receives each log index exactly once (the [count]s of the
+   appends it receives sum to the log length) and all logs match at
+   quiescence. *)
+let prop_each_entry_shipped_once group_commit =
+  QCheck.Test.make ~count:100
+    ~name:
+      (Printf.sprintf "fault-free group ships each entry once per follower%s"
+         (if group_commit then ", group commit" else ""))
+    QCheck.(pair small_nat (list_of_size Gen.(1 -- 60) (0 -- 50_000)))
+    (fun (seed, gaps) ->
+      let engine = Engine.create () in
+      let rng = Rng.create ~seed in
+      let config = Raft.Node.default_config in
+      let nodes =
+        Array.init 3 (fun id ->
+            Raft.Node.create ~engine ~rng:(Rng.create ~seed:(seed + id)) ~config ~id
+              ~peers:[| 0; 1; 2 |])
+      in
+      let received = Array.make 3 0 in
+      (* Per-link FIFO: a message never lands before the previous one on
+         the same (src, dst) link. *)
+      let last_arrival = Array.make 9 0 in
+      Array.iter
+        (fun node ->
+          let src = Raft.Node.id node in
+          Raft.Node.set_transport node (fun ~dst m ->
+              let link = (src * 3) + dst in
+              let at =
+                Stdlib.max last_arrival.(link)
+                  (Engine.now engine + Sim_time.ms 1. + Rng.int rng (Sim_time.ms 400.))
+              in
+              last_arrival.(link) <- at;
+              ignore
+                (Engine.schedule_at engine at (fun () ->
+                     (match m with
+                     | Raft.Types.Append_entries { count; _ } ->
+                         received.(dst) <- received.(dst) + count
+                     | _ -> ());
+                     Raft.Node.receive nodes.(dst) m))))
+        nodes;
+      Array.iter (fun node -> Raft.Node.set_group_commit node group_commit) nodes;
+      Raft.Node.force_leader nodes.(0);
+      let at = ref 0 in
+      List.iteri
+        (fun tag gap ->
+          at := !at + gap;
+          ignore
+            (Engine.schedule_at engine (Sim_time.us !at) (fun () ->
+                 ignore (Raft.Node.replicate nodes.(0) ~size:10 ~tag ~on_committed:ignore))))
+        gaps;
+      Engine.run_until engine (Sim_time.us !at + Sim_time.seconds 5.);
+      let len = List.length gaps in
+      let log = Raft.Node.log_entries nodes.(0) in
+      Raft.Node.role nodes.(0) = Raft.Node.Leader
+      && List.length log = len
+      && received.(1) = len && received.(2) = len
+      && List.for_all (fun i -> Raft.Node.log_entries nodes.(i) = log) [ 1; 2 ])
+
 (* The commit rule against brute force: a leader of term 2 whose log starts
    with [old] term-1 entries and goes on with [fresh] term-2 ones takes
    success replies in any order (stale, duplicated, out of order). After
@@ -365,6 +455,12 @@ let () =
           Alcotest.test_case "in-flight append survives sender truncation" `Quick
             test_copy_on_truncate;
           QCheck_alcotest.to_alcotest prop_commit_rule;
+          Alcotest.test_case "success reply keeps the pipelined tip" `Quick
+            (test_reply_keeps_pipelined_tip false);
+          Alcotest.test_case "success reply keeps the pipelined tip, group commit" `Quick
+            (test_reply_keeps_pipelined_tip true);
+          QCheck_alcotest.to_alcotest (prop_each_entry_shipped_once false);
+          QCheck_alcotest.to_alcotest (prop_each_entry_shipped_once true);
         ] );
       ( "wire",
         [
