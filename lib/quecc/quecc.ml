@@ -179,6 +179,10 @@ type planner = {
   mutable p_closing : epoch option;  (* plan replication in flight *)
   p_active : (int, epoch) Hashtbl.t;  (* dispatched, not yet fully acked *)
   p_last_touch : int array;  (* partition -> last epoch sent a slice; 0 = none *)
+  mutable p_floor : int;
+      (* last dispatched epoch abandoned by the watchdog; 0 = none. Every
+         earlier epoch of this planner is finished too, since watchdogs fire
+         in dispatch order. *)
 }
 
 type echain = { c_writers : (int * int) array; mutable c_next : int }
@@ -205,7 +209,7 @@ type executor = {
   x_waiters : (int, int) Hashtbl.t;  (* predecessor id -> waiting epoch id *)
   x_stash : (int, (int * (int * int) list) list ref) Hashtbl.t;
       (* installs that beat their epoch's plan slice here *)
-  mutable x_max_done : int;  (* largest completed epoch id *)
+  mutable x_max_started : int;  (* largest epoch id activated here *)
   mutable x_depth : int;  (* unapplied queue entries, for the gauge *)
 }
 
@@ -232,7 +236,7 @@ let make cluster ~variant =
           x_done = Hashtbl.create 64;
           x_waiters = Hashtbl.create 8;
           x_stash = Hashtbl.create 4;
-          x_max_done = 0;
+          x_max_started = 0;
           x_depth = 0;
         })
   in
@@ -253,6 +257,7 @@ let make cluster ~variant =
             p_closing = None;
             p_active = Hashtbl.create 8;
             p_last_touch = Array.make n_parts 0;
+            p_floor = 0;
           }
         in
         Hashtbl.add planners node pl;
@@ -405,9 +410,11 @@ let make cluster ~variant =
         let keys = Array.length read_keys + List.length chains in
         let pred = pl.p_last_touch.(p) in
         pl.p_last_touch.(p) <- ep.e_id;
+        let floor = pl.p_floor in
         let dst = Failover.current_leader cluster ~partition:p ~static:(Cluster.leader cluster p) in
         Net.send net ~src:pl.p_node ~dst ~msg:(Msg.quecc_plan ~keys ()) (fun () ->
-            exec_plan p ~node:dst ~ep_id:ep.e_id ~planner:pl.p_node ~pred ~read_keys ~chains)
+            exec_plan p ~node:dst ~ep_id:ep.e_id ~planner:pl.p_node ~pred ~floor ~read_keys
+              ~chains)
       end
     done;
     (* Transactions with no reads are computable before any base arrives. *)
@@ -419,7 +426,8 @@ let make cluster ~variant =
              | Some e when e == ep ->
                  ep.e_dead <- true;
                  retire ep;
-                 Hashtbl.remove pl.p_active ep.e_id
+                 Hashtbl.remove pl.p_active ep.e_id;
+                 pl.p_floor <- ep.e_id
              | _ -> ()))
   and run_pass pl ep =
     ignore (Chains.pass ep.e_chains);
@@ -503,13 +511,31 @@ let make cluster ~variant =
       retire ep;
       Hashtbl.remove pl.p_active ep.e_id
     end
-  and exec_plan p ~node ~ep_id ~planner ~pred ~read_keys ~chains =
+  and exec_plan p ~node ~ep_id ~planner ~pred ~floor ~read_keys ~chains =
     let exec = executors.(p) in
     exec.x_node <- node;
-    (* A slice older than something already applied here belongs to a
-       superseded planner lineage that lost a failover race; applying it
-       would write stale values over newer epochs. *)
-    if ep_id > exec.x_max_done && not (Hashtbl.mem exec.x_epochs ep_id) then begin
+    (* The planner gave up on its epochs up to [floor] (their installs and
+       acks may be lost to a fault): a slice of its own still gated on one
+       of them stops waiting. *)
+    if floor > 0 then begin
+      let gated =
+        Hashtbl.fold
+          (fun pred next acc ->
+            match Hashtbl.find_opt exec.x_epochs next with
+            | Some e when e.v_planner = planner && pred <= floor -> pred :: acc
+            | _ -> acc)
+          exec.x_waiters []
+      in
+      List.iter (complete_id exec) (List.sort compare gated)
+    end;
+    (* One epoch runs here at a time, in increasing id order. A slice older
+       than an epoch already started here belongs to a superseded planner
+       lineage: serving it now would run two epochs on the same keys at
+       once. It is settled unserved, so a successor gated on it moves on. *)
+    if ep_id <= exec.x_max_started then begin
+      if not (Hashtbl.mem exec.x_done ep_id) then complete_id exec ep_id
+    end
+    else if not (Hashtbl.mem exec.x_epochs ep_id) then begin
       let ep =
         {
           v_epoch = ep_id;
@@ -536,11 +562,17 @@ let make cluster ~variant =
            Hashtbl.remove exec.x_stash ep_id;
            List.iter (fun (seq, pairs) -> record_install ep ~seq ~pairs) (List.rev !l)
        | None -> ());
-      if pred = 0 || Hashtbl.mem exec.x_done pred then activate exec ep
+      (* Nothing is left to wait for when the predecessor was given up by
+         the planner, or is older than the epoch started here and so can no
+         longer be served (see above). *)
+      if pred = 0 || pred <= floor || pred < exec.x_max_started || Hashtbl.mem exec.x_done pred
+      then
+        activate exec ep
       else Hashtbl.replace exec.x_waiters pred ep_id
     end
   and activate exec ep =
     ep.v_active <- true;
+    exec.x_max_started <- ep.v_epoch;
     (* A live planner chains every slice it sends this partition, so any
        older epoch still incomplete here is a leftover of a superseded
        planner whose installs will never finish arriving. Abandon it (its
@@ -582,7 +614,6 @@ let make cluster ~variant =
        wakes the successor slice gated on it, if one arrived already. *)
     Hashtbl.replace exec.x_done id ();
     Hashtbl.remove exec.x_stash id;
-    if id > exec.x_max_done then exec.x_max_done <- id;
     match Hashtbl.find_opt exec.x_waiters id with
     | Some next_id -> (
         Hashtbl.remove exec.x_waiters id;
@@ -595,24 +626,24 @@ let make cluster ~variant =
     List.iter (fun (k, v) -> Hashtbl.replace ep.v_values (k, seq) v) pairs
   and exec_install p ~ep_id ~seq ~pairs =
     let exec = executors.(p) in
-    if ep_id > exec.x_max_done && not (Hashtbl.mem exec.x_done ep_id) then
-      match Hashtbl.find_opt exec.x_epochs ep_id with
-      | Some ep ->
-          record_install ep ~seq ~pairs;
-          if ep.v_active then begin
-            List.iter (fun (k, _) -> drain_key exec ep k) pairs;
-            check_complete exec ep
-          end
-      | None ->
-          let l =
-            match Hashtbl.find_opt exec.x_stash ep_id with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.add exec.x_stash ep_id l;
-                l
-          in
-          l := (seq, pairs) :: !l
+    match Hashtbl.find_opt exec.x_epochs ep_id with
+    | Some ep ->
+        record_install ep ~seq ~pairs;
+        if ep.v_active then begin
+          List.iter (fun (k, _) -> drain_key exec ep k) pairs;
+          check_complete exec ep
+        end
+    | None when ep_id > exec.x_max_started && not (Hashtbl.mem exec.x_done ep_id) ->
+        let l =
+          match Hashtbl.find_opt exec.x_stash ep_id with
+          | Some l -> l
+          | None ->
+              let l = ref [] in
+              Hashtbl.add exec.x_stash ep_id l;
+              l
+        in
+        l := (seq, pairs) :: !l
+    | None -> ()
   and drain_key exec ep k =
     (* Apply a key's installs strictly in queue order, whatever order the
        install messages arrived in: version order equals the plan order. *)
