@@ -56,11 +56,12 @@ gate "golden matrix"
 # all thirteen checked through a leader crash plus DC cut, with partial
 # aborts off and on; and six families checked batched through that crash
 # plus cut, batched at 1% loss, and unbatched at 1% loss (the envelope
-# path and the retransmission draw); and the --trace-summary message
-# totals of a batched grid at 1% loss. A row whose run exits non-zero (a
-# checker violation) fails here and cannot be promoted. Regenerate with
-# `dune promote`. Dune re-runs the rows only when natto_sim or matrix.txt
-# changed.
+# path and the retransmission draw); the --trace-summary message totals
+# of a batched grid at 1% loss; and a metered (--metrics) Natto-RECSF
+# run's attribution and blame tables with their exemplar timelines. A row
+# whose run exits non-zero (a checker violation) fails here and cannot be
+# promoted. Regenerate with `dune promote`. Dune re-runs the rows only when
+# natto_sim or matrix.txt changed.
 dune build @golden
 
 # Every gate below runs in $tmp: a figure writes BENCH_results.json to its

@@ -242,7 +242,12 @@ let test_matrix_keys () =
       let cells = of_string_exn key in
       Alcotest.(check bool) (key ^ ": cells") true (cells <> []);
       List.iter (fun s -> Alcotest.(check bool) (Spec.to_string s) true (round_trips s)) cells)
-    keys
+    keys;
+  (* Both spellings of the metrics flag are observers, like --check. *)
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) line true (of_string_exn line = of_string_exn "-r 5 --seeds 2"))
+    [ "-r 5 --metrics m.json --seeds 2"; "-r 5 --metrics=m.json --seeds 2 --check" ]
 
 (* Every run of every figure, at both scales, has a line (to_string raises
    otherwise), without running any. *)
