@@ -1,12 +1,8 @@
 open Simcore
 
-type counter = { mutable c_total : int; mutable c_last : int }
-type hist = { mutable h : Simstats.Histogram.t }
-
 type instrument =
   | Gauge of (unit -> float)
   | Cumulative of { read : unit -> int; mutable last : int }
-  | Counter of counter
 
 type window = {
   w_start : Sim_time.t;
@@ -34,7 +30,6 @@ type t = {
   mutable on : bool;
   mutable interval : Sim_time.t;
   mutable instruments : (string * instrument) list;  (** reversed *)
-  mutable hists : (string * hist) list;  (** reversed *)
   mutable windows : window list;  (** reversed *)
   mutable last_sample : Sim_time.t;
   mutable txns : txn_rec list;  (** reversed *)
@@ -45,7 +40,6 @@ let create () =
     on = false;
     interval = Sim_time.ms 100.;
     instruments = [];
-    hists = [];
     windows = [];
     last_sample = Sim_time.zero;
     txns = [];
@@ -66,24 +60,6 @@ let gauge t name f = t.instruments <- (name, Gauge f) :: t.instruments
 let cumulative t name read =
   t.instruments <- (name, Cumulative { read; last = read () }) :: t.instruments
 
-let counter t name =
-  let c = { c_total = 0; c_last = 0 } in
-  t.instruments <- (name, Counter c) :: t.instruments;
-  c
-
-let add c n = c.c_total <- c.c_total + n
-let counter_total c = c.c_total
-
-let histogram t name =
-  let h = { h = Simstats.Histogram.create () } in
-  t.hists <- (name, h) :: t.hists;
-  h
-
-let observe h v = Simstats.Histogram.add h.h v
-let hist_count h = Simstats.Histogram.count h.h
-let hist_percentile h ~p = Simstats.Histogram.percentile h.h ~p
-let histograms t = List.rev t.hists
-
 let sample_instrument (name, ins) =
   match ins with
   | Gauge f -> (name, f ())
@@ -91,10 +67,6 @@ let sample_instrument (name, ins) =
       let v = c.read () in
       let d = v - c.last in
       c.last <- v;
-      (name, float_of_int d)
-  | Counter c ->
-      let d = c.c_total - c.c_last in
-      c.c_last <- c.c_total;
       (name, float_of_int d)
 
 let sample_now t ~now =
@@ -119,21 +91,6 @@ let run_sampler t ~engine ~until =
   end
 
 let windows t = List.rev t.windows
-
-let reset t ~now =
-  t.windows <- [];
-  t.txns <- [];
-  t.last_sample <- now;
-  List.iter
-    (fun (_, ins) ->
-      match ins with
-      | Gauge _ -> ()
-      | Cumulative c -> c.last <- c.read ()
-      | Counter c ->
-          c.c_total <- 0;
-          c.c_last <- 0)
-    t.instruments;
-  List.iter (fun (_, h) -> h.h <- Simstats.Histogram.create ()) t.hists
 
 let note_txn t rec_ = t.txns <- rec_ :: t.txns
 let txn_records t = List.rev t.txns

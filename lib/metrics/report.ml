@@ -35,18 +35,26 @@ let write_json ~file metered =
             (List.map (fun (k, v) -> (k, Trace.json_float v)) w.Registry.samples);
           output_string oc "}}")
         (Registry.windows reg);
+      (* Per-class latency sketches over the same committed, in-window
+         transactions the attribution table covers. *)
       output_string oc "],\n\"histograms\":[";
       List.iteri
-        (fun hi (hname, h) ->
+        (fun hi (hname, high) ->
           if hi > 0 then output_string oc ",";
-          let n = Registry.hist_count h in
+          let h = Simstats.Histogram.create () in
+          List.iter
+            (fun b ->
+              if b.Attribution.t_high = high then
+                Simstats.Histogram.add h (Simcore.Sim_time.to_ms b.Attribution.t_e2e_us))
+            breakdowns;
+          let n = Simstats.Histogram.count h in
           let pct p =
-            if n = 0 then "null" else Trace.json_float (Registry.hist_percentile h ~p)
+            if n = 0 then "null" else Trace.json_float (Simstats.Histogram.percentile h ~p)
           in
-          Printf.fprintf oc "\n  {\"name\":\"%s\",\"count\":%d," (Trace.json_escape hname) n;
+          Printf.fprintf oc "\n  {\"name\":\"%s\",\"count\":%d," hname n;
           fields oc [ ("p50_ms", pct 0.50); ("p95_ms", pct 0.95); ("p99_ms", pct 0.99) ];
           output_string oc "}")
-        (Registry.histograms reg);
+        [ ("latency.high_ms", true); ("latency.low_ms", false) ];
       output_string oc "],\n\"attribution\":{";
       List.iteri
         (fun i (label, a) ->

@@ -50,8 +50,6 @@ type t = {
   msg_cost_us : int;
   conns : (int * int, conn) Hashtbl.t;
   occupancy : int array;  (* index: envelope size, clamped to max_msgs *)
-  mutable envelopes : int;
-  mutable sent : int;
   mutable held : int;  (* messages that waited (flushed with hold > 0) *)
   mutable hold_us : int;
   mutable pending_msgs : int;
@@ -101,8 +99,6 @@ let flush t conn ~reason =
             | _ -> ()
           end)
         msgs;
-      t.envelopes <- t.envelopes + 1;
-      t.sent <- t.sent + n;
       t.occupancy.(min n t.cfg.max_msgs) <- t.occupancy.(min n t.cfg.max_msgs) + 1;
       (match reason with
       | Idle -> t.f_idle <- t.f_idle + 1
@@ -173,8 +169,6 @@ let create ~net ?(config = default_config) () =
       msg_cost_us = Sim_time.to_us (Net.config net).Net.msg_cost;
       conns = Hashtbl.create 256;
       occupancy = Array.make (config.max_msgs + 1) 0;
-      envelopes = 0;
-      sent = 0;
       held = 0;
       hold_us = 0;
       pending_msgs = 0;
@@ -192,8 +186,8 @@ let pending t = t.pending_msgs
 
 let stats t =
   {
-    s_envelopes = t.envelopes;
-    s_messages = t.sent;
+    s_envelopes = Net.envelopes_sent t.net;
+    s_messages = Net.batched_messages t.net;
     s_held = t.held;
     s_hold_us = t.hold_us;
     s_occupancy = Array.copy t.occupancy;

@@ -51,8 +51,8 @@ val pending : t -> int
 (** Messages currently held across all connections (gauge). *)
 
 type stats = {
-  s_envelopes : int;  (** flushes that reached the wire *)
-  s_messages : int;  (** messages that rode them *)
+  s_envelopes : int;  (** flushes that reached the wire ([Netsim.Network.envelopes_sent]) *)
+  s_messages : int;  (** messages that rode them ([Netsim.Network.batched_messages]) *)
   s_held : int;  (** messages that waited (nonzero hold) *)
   s_hold_us : int;  (** total microseconds messages spent held *)
   s_occupancy : int array;  (** envelope-size histogram, index clamped to [max_msgs] *)

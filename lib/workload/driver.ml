@@ -117,38 +117,28 @@ let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
   let recorder = cluster.Cluster.recorder in
   let metrics = cluster.Cluster.metrics in
   let m_on = Metrics.Registry.enabled metrics in
-  let c_commits = if m_on then Some (Metrics.Registry.counter metrics "txn.commits") else None in
-  let c_aborts = if m_on then Some (Metrics.Registry.counter metrics "txn.aborts") else None in
-  let c_partial =
-    if m_on then Some (Metrics.Registry.counter metrics "pa.partial_restarts") else None
-  in
-  let c_reused =
-    if m_on then Some (Metrics.Registry.counter metrics "pa.keys_reused") else None
-  in
-  let c_validated =
-    if m_on then Some (Metrics.Registry.counter metrics "pa.keys_validated") else None
-  in
-  let h_high = if m_on then Some (Metrics.Registry.histogram metrics "latency.high_ms") else None in
-  let h_low = if m_on then Some (Metrics.Registry.histogram metrics "latency.low_ms") else None in
-  let bump c = match c with Some c -> Metrics.Registry.add c 1 | None -> () in
-  let bump_n c n = match c with Some c -> Metrics.Registry.add c n | None -> () in
-  let observe h v = match h with Some h -> Metrics.Registry.observe h v | None -> () in
+  if m_on then
+    List.iter
+      (fun (name, read) -> Metrics.Registry.cumulative metrics name read)
+      [
+        ("txn.commits", fun () -> Vec.length st.log);
+        ("txn.aborts", fun () -> st.aborts);
+        ("pa.partial_restarts", fun () -> st.partial_restarts);
+        ("pa.keys_reused", fun () -> st.keys_reused);
+        ("pa.keys_validated", fun () -> st.keys_validated);
+      ];
   (* Attempt lineage per logical transaction: retries get fresh attempt ids,
      so the trace alone cannot reconnect them; the attribution engine needs
      the driver to record which attempts made up each transaction. *)
   let note_finished (txn : Txn.t) history =
-    if m_on && in_window txn.Txn.born then begin
-      let high = txn.Txn.priority = Txn.High in
-      observe (if high then h_high else h_low)
-        (Sim_time.to_ms (Sim_time.sub (Engine.now engine) txn.Txn.born));
+    if m_on && in_window txn.Txn.born then
       Metrics.Registry.note_txn metrics
         {
           Metrics.Registry.born = txn.Txn.born;
           finished = Engine.now engine;
-          high;
+          high = txn.Txn.priority = Txn.High;
           attempts = List.rev history;
         }
-    end
   in
   let rec attempt (txn : Txn.t) ~tries ~history ~reused =
     st.attempts <- st.attempts + 1;
@@ -176,10 +166,7 @@ let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
            reply. An attempt aborted before any serve keeps claimed > 0,
            validated = 0: it resumed, but nothing shipped. *)
         let validated = Txn.pa_reused txn in
-        if validated > 0 then begin
-          st.keys_validated <- st.keys_validated + validated;
-          bump_n c_validated validated
-        end;
+        if validated > 0 then st.keys_validated <- st.keys_validated + validated;
         let history =
           if m_on then
             {
@@ -211,7 +198,6 @@ let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
           else Check.Recorder.aborted recorder ~txn:txn.Txn.id;
         if committed then begin
           st.inflight <- st.inflight - 1;
-          bump c_commits;
           note_finished txn history;
           record_commit txn
         end
@@ -224,7 +210,6 @@ let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
               (Printf.sprintf "%s: deterministic system aborted attempt %d without faults"
                  system.System.name txn.Txn.id);
           st.aborts <- st.aborts + 1;
-          bump c_aborts;
           if tries + 1 >= config.max_retries then begin
             st.inflight <- st.inflight - 1;
             if in_window txn.Txn.born then st.failed <- st.failed + 1
@@ -242,9 +227,7 @@ let run (cluster : Cluster.t) (system : System.t) ~(gen : Gen.t) config =
             let claimed = Txn.pa_prepare_retry txn ~next_attempt:txn.Txn.id in
             if claimed > 0 then begin
               st.partial_restarts <- st.partial_restarts + 1;
-              st.keys_reused <- st.keys_reused + claimed;
-              bump c_partial;
-              bump_n c_reused claimed
+              st.keys_reused <- st.keys_reused + claimed
             end;
             attempt txn ~tries:(tries + 1) ~history ~reused:claimed
           end
