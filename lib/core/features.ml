@@ -4,7 +4,6 @@ type t = {
   pa_completion_estimate : bool;
   conditional_prepare : bool;
   recsf : bool;
-  promote_after_aborts : int option;
   ts_pad : Simcore.Sim_time.t;
 }
 
@@ -15,7 +14,6 @@ let ts =
     pa_completion_estimate = false;
     conditional_prepare = false;
     recsf = false;
-    promote_after_aborts = None;
     ts_pad = Simcore.Sim_time.ms 2.;
   }
 

@@ -12,10 +12,6 @@ type t = {
           (§3.3.1's refinement) *)
   conditional_prepare : bool;  (** optimistic prepare past a doomed lp txn (§3.3.2) *)
   recsf : bool;  (** remote ECSF: forward blocked reads to the blocker's coordinator (§3.4) *)
-  promote_after_aborts : int option;
-      (** starvation mitigation sketched in §3.3.1: promote a low-priority
-          transaction to high after this many priority aborts. [None]
-          disables promotion (the paper's default). *)
   ts_pad : Simcore.Sim_time.t;
       (** slack added to estimated arrival times, covering client-vs-proxy
           clock skew *)

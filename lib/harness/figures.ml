@@ -1041,7 +1041,7 @@ let specs =
     latency_spec ~name:"ablation"
       ~caption:
         "Natto design knobs @350 txn/s YCSB+T zipf 0.75: completion-estimate refinement, \
-         starvation promotion, timestamp pad"
+         timestamp pad"
       ~x_label:"variant" ~show:Fun.id
       ~system:(fun r -> r.cell.x)
       (fun scale ->
@@ -1052,7 +1052,6 @@ let specs =
           [
             ("recsf-default", "natto-recsf");
             ("recsf-no-completion-estimate", "natto-recsf-no-completion-estimate");
-            ("recsf-promote-after-2-aborts", "natto-recsf-promote-after-2-aborts");
             ("recsf-pad-0ms", "natto-recsf-pad-0ms");
             ("recsf-pad-10ms", "natto-recsf-pad-10ms");
           ]);

@@ -170,11 +170,6 @@ let test_late_aborts_under_variance () =
   Alcotest.(check int) "still live" 0 r.Workload.Driver.unfinished;
   Alcotest.(check bool) "still commits" true (r.Workload.Driver.committed_low > 100)
 
-let test_promotion_mitigates_starvation () =
-  let features = { Natto.Features.pa with Natto.Features.promote_after_aborts = Some 1 } in
-  let _, stats = run_with ~features ~seed:37 () in
-  Alcotest.(check bool) "promotions happen" true (stats.Natto.Protocol.promotions > 0)
-
 let test_timestamp_order_invariant () =
   (* Run every variant under contention with the protocol's internal
      invariant checker on: preparing ahead of a conflicting earlier
@@ -238,8 +233,6 @@ let () =
           Alcotest.test_case "conditional prepare fires" `Slow test_cp_fires_and_resolves;
           Alcotest.test_case "recsf fires" `Slow test_recsf_fires;
           Alcotest.test_case "late aborts under variance" `Slow test_late_aborts_under_variance;
-          Alcotest.test_case "promotion mitigates starvation" `Slow
-            test_promotion_mitigates_starvation;
           Alcotest.test_case "timestamp-order invariant holds" `Slow
             test_timestamp_order_invariant;
         ] );
