@@ -50,12 +50,7 @@ let make (cluster : Cluster.t) : System.t =
        attributed to whoever leads now, and dead replicas are excluded from
        the expected count (the fast path needs full membership anyway, so
        the attempt falls back to the slow path). *)
-    let current_leader =
-      List.map
-        (fun p ->
-          (p, Failover.current_leader cluster ~partition:p ~static:replicas.(p).(0).node))
-        participants
-    in
+    let current_leader = List.map (fun p -> (p, Cluster.leader_node cluster p)) participants in
     let leader_replica p =
       let ln = List.assoc p current_leader in
       match Array.to_list replicas.(p) |> List.find_opt (fun r -> r.node = ln) with

@@ -7,9 +7,6 @@ let refresh_leaders cluster ~participants ~set =
   if Cluster.failover_active cluster then
     List.iter (fun p -> set p (Cluster.leader_node cluster p)) participants
 
-let current_leader cluster ~partition ~static =
-  if Cluster.failover_active cluster then Cluster.leader_node cluster partition else static
-
 let arm_watchdog cluster ~finished ~on_timeout =
   if Cluster.failover_active cluster then
     ignore

@@ -17,9 +17,6 @@ val refresh_leaders :
 (** Under failover, call [set partition leader_node] for each participant
     with the current leader per {!Cluster.leader_node}; no-op otherwise. *)
 
-val current_leader : Cluster.t -> partition:int -> static:int -> int
-(** The partition's current leader under failover, [static] otherwise. *)
-
 val arm_watchdog : Cluster.t -> finished:bool ref -> on_timeout:(unit -> unit) -> unit
 (** Under failover, schedule [on_timeout] after {!attempt_timeout} unless
     [finished] has been set by then; no-op otherwise. *)
