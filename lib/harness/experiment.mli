@@ -15,8 +15,8 @@ type outcome = {
   o_trace : Trace.t option;  (** the run's full trace iff it was traced *)
   o_metrics :
     (Metrics.Registry.t * Metrics.Attribution.txn_breakdown list * Metrics.Blame.t) option;
-      (** present iff the run was metered: the registry's sampled windows,
-          histograms and counters; one attribution breakdown per committed
+      (** present iff the run was metered: the registry's sampled windows
+          and transaction records; one attribution breakdown per committed
           transaction (segments sum exactly to its end-to-end latency); and
           the causal blame profile over those breakdowns *)
   o_batch : Rpc.Batcher.stats option;
