@@ -58,7 +58,9 @@ gate "golden matrix"
 # plus cut, batched at 1% loss, and unbatched at 1% loss (the envelope
 # path and the retransmission draw); the --trace-summary message totals
 # of a batched grid at 1% loss; and a metered (--metrics) Natto-RECSF
-# run's attribution and blame tables with their exemplar timelines. A row
+# run's attribution and blame tables with their exemplar timelines; and
+# fig10's 2500 txn/s SmallBank-priority rung for Natto-CP and Natto-RECSF
+# (deep waiting queues, conditional prepare and RECSF under load). A row
 # whose run exits non-zero (a checker violation) fails here and cannot be
 # promoted. Regenerate with `dune promote`. Dune re-runs the rows only when
 # natto_sim or matrix.txt changed.
