@@ -35,8 +35,6 @@ let prepare t ~txn ~reads ~writes =
   Array.iter (fun k -> add_index t.readers k txn) reads;
   Array.iter (fun k -> add_index t.writers k txn) writes
 
-let is_prepared t ~txn = Hashtbl.mem t.by_txn txn
-
 let collect acc txns = List.fold_left (fun acc t -> if List.mem t acc then acc else t :: acc) acc txns
 
 let conflicts t ~reads ~writes =
@@ -48,16 +46,6 @@ let conflicts t ~reads ~writes =
       acc := collect !acc (lookup t.writers k);
       acc := collect !acc (lookup t.readers k))
     writes;
-  !acc
-
-let conflicts_any t ~keys =
-  let acc = ref [] in
-  let lookup table key = Option.value ~default:[] (Hashtbl.find_opt table key) in
-  Array.iter
-    (fun k ->
-      acc := collect !acc (lookup t.writers k);
-      acc := collect !acc (lookup t.readers k))
-    keys;
   !acc
 
 let principal_conflict_key t ~reads ~writes ~excluding =
@@ -85,11 +73,6 @@ let principal_conflict_key t ~reads ~writes ~excluding =
     match Array.find_opt (fun k -> hits t.writers k) reads with
     | Some k -> Some k
     | None -> Array.find_opt (fun k -> hits t.writers k || hits t.readers k) writes
-
-let footprint t ~txn =
-  Option.map (fun { reads; writes } -> (reads, writes)) (Hashtbl.find_opt t.by_txn txn)
-
-let prepared_count t = Hashtbl.length t.by_txn
 
 let reset t =
   Hashtbl.reset t.by_txn;

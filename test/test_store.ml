@@ -78,20 +78,14 @@ let test_occ_rw_conflict () =
   (* disjoint *)
   Alcotest.(check ids) "none" [] (Occ.conflicts occ ~reads:[| 9 |] ~writes:[| 8 |])
 
-let test_occ_any_rule () =
-  let occ = Occ.create () in
-  Occ.prepare occ ~txn:5 ~reads:[| 1 |] ~writes:[||];
-  (* Natto's lock rule: even read-read overlap counts. *)
-  Alcotest.(check ids) "any" [ 5 ] (Occ.conflicts_any occ ~keys:[| 1 |]);
-  Alcotest.(check ids) "none" [] (Occ.conflicts_any occ ~keys:[| 2 |])
-
 let test_occ_release () =
   let occ = Occ.create () in
   Occ.prepare occ ~txn:1 ~reads:[| 1 |] ~writes:[| 2 |];
-  Alcotest.(check bool) "prepared" true (Occ.is_prepared occ ~txn:1);
+  Alcotest.(check ids) "prepared" [ 1 ] (Occ.conflicts occ ~reads:[||] ~writes:[| 1 |]);
   Occ.release occ ~txn:1;
-  Alcotest.(check bool) "released" false (Occ.is_prepared occ ~txn:1);
   Alcotest.(check ids) "no conflicts" [] (Occ.conflicts occ ~reads:[| 1 |] ~writes:[| 2 |]);
+  Alcotest.(check (option int)) "no principal" None
+    (Occ.principal_conflict_key occ ~reads:[| 2 |] ~writes:[| 1 |] ~excluding:(-1));
   (* releasing twice is fine *)
   Occ.release occ ~txn:1
 
@@ -100,9 +94,11 @@ let test_occ_multiple () =
   Occ.prepare occ ~txn:1 ~reads:[||] ~writes:[| 7 |];
   Occ.prepare occ ~txn:2 ~reads:[||] ~writes:[| 7 |];
   Alcotest.(check ids) "both" [ 1; 2 ] (Occ.conflicts occ ~reads:[| 7 |] ~writes:[||]);
-  Alcotest.(check int) "count" 2 (Occ.prepared_count occ);
-  Alcotest.(check (option (pair (array int) (array int))))
-    "footprint" (Some ([||], [| 7 |])) (Occ.footprint occ ~txn:1)
+  (* Each footprint is its own: releasing one leaves the other's. *)
+  Occ.release occ ~txn:1;
+  Alcotest.(check ids) "one left" [ 2 ] (Occ.conflicts occ ~reads:[| 7 |] ~writes:[||]);
+  Alcotest.(check (option int)) "its key" (Some 7)
+    (Occ.principal_conflict_key occ ~reads:[| 7 |] ~writes:[||] ~excluding:(-1))
 
 let prop_occ_prepare_release_inverse =
   QCheck.Test.make ~name:"occ release restores no-conflict" ~count:200
@@ -112,7 +108,8 @@ let prop_occ_prepare_release_inverse =
       let reads = Array.of_list reads and writes = Array.of_list writes in
       Occ.prepare occ ~txn:1 ~reads ~writes;
       Occ.release occ ~txn:1;
-      Occ.conflicts occ ~reads ~writes = [] && Occ.prepared_count occ = 0)
+      Occ.conflicts occ ~reads ~writes = []
+      && Occ.principal_conflict_key occ ~reads ~writes ~excluding:(-1) = None)
 
 (* ------------------------------------------------------------------ *)
 (* Locks *)
@@ -399,7 +396,6 @@ let () =
       ( "occ",
         [
           Alcotest.test_case "rw conflict matrix" `Quick test_occ_rw_conflict;
-          Alcotest.test_case "any-overlap rule" `Quick test_occ_any_rule;
           Alcotest.test_case "release" `Quick test_occ_release;
           Alcotest.test_case "multiple prepared" `Quick test_occ_multiple;
           QCheck_alcotest.to_alcotest prop_occ_prepare_release_inverse;
