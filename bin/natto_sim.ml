@@ -150,7 +150,7 @@ let run_cells cells ~check ~histograms ~trace_file ~metrics_file ~trace_summary 
       (* Attribution tables on stdout, '#'-prefixed so the CSV block above
          stays byte-for-byte that of a run without --metrics. *)
       List.iter
-        (fun (sys_name, seed, (_, breakdowns, blame)) ->
+        (fun (sys_name, seed, { Metrics.Report.breakdowns; blame; _ }) ->
           let title = Printf.sprintf "%s, seed %d" sys_name seed in
           comment (Metrics.Attribution.render ~title (Metrics.Attribution.by_class breakdowns));
           comment (Metrics.Blame.render ~title blame);
@@ -162,7 +162,7 @@ let run_cells cells ~check ~histograms ~trace_file ~metrics_file ~trace_summary 
             "blame charges deviate from lock+queue segments")
         metered;
       let window =
-        match metered with (_, _, (r, _, _)) :: _ -> Metrics.Registry.interval r | [] -> 0
+        match metered with (_, _, m) :: _ -> m.Metrics.Report.interval | [] -> 0
       in
       Printf.printf "# metrics: wrote %s (%d runs, %.0f ms windows)\n%!" file
         (List.length metered) (Simcore.Sim_time.to_ms window))

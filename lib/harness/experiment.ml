@@ -40,8 +40,7 @@ type outcome = {
   o_result : Workload.Driver.result;
   o_check : (Check.History.t * Check.Checker.report) option;
   o_trace : Trace.t option;
-  o_metrics :
-    (Metrics.Registry.t * Metrics.Attribution.txn_breakdown list * Metrics.Blame.t) option;
+  o_metrics : Metrics.Report.run option;
   o_batch : Rpc.Batcher.stats option;
   o_events : int;  (* engine events processed; deterministic per setup *)
   o_ledger : Netsim.Network.ledger;
@@ -97,14 +96,21 @@ let run ?(check = false) ?trace:(traced = false) ?(metrics = false) setup =
         let txns = Metrics.Registry.txn_records registry in
         let breakdowns = Metrics.Attribution.analyze ~trace ~txns in
         let blame = Metrics.Blame.analyze ~trace ~txns ~breakdowns () in
-        Some (registry, breakdowns, blame)
+        Some
+          {
+            Metrics.Report.interval = Metrics.Registry.interval registry;
+            windows = Metrics.Registry.windows registry;
+            breakdowns;
+            blame;
+          }
     | _ -> None
   in
   {
     o_setup = setup;
     o_result = result;
     o_check = checked;
-    (* Outcomes outlive the run: a metered run's events go with it. *)
+    (* Outcomes outlive the run, so they keep numbers only: a metered
+       run's registry, cluster and events go with it. *)
     o_trace = (if traced then trace else None);
     o_metrics = metered;
     o_batch = Option.map Rpc.Batcher.stats cluster.Txnkit.Cluster.batcher;

@@ -13,12 +13,9 @@ type outcome = {
   o_check : (Check.History.t * Check.Checker.report) option;
       (** present iff the run was checked; not yet asserted *)
   o_trace : Trace.t option;  (** the run's full trace iff it was traced *)
-  o_metrics :
-    (Metrics.Registry.t * Metrics.Attribution.txn_breakdown list * Metrics.Blame.t) option;
-      (** present iff the run was metered: the registry's sampled windows
-          and transaction records; one attribution breakdown per committed
-          transaction (segments sum exactly to its end-to-end latency); and
-          the causal blame profile over those breakdowns *)
+  o_metrics : Metrics.Report.run option;
+      (** present iff the run was metered: the registry's sampled windows,
+          the attribution breakdowns and the blame profile, frozen *)
   o_batch : Rpc.Batcher.stats option;
       (** batcher occupancy/flush statistics, present iff the setup batched *)
   o_events : int;

@@ -496,7 +496,7 @@ let attribution =
       List.concat_map
         (fun r ->
           let system = system_of r in
-          let _, breakdowns, _ = metered r in
+          let breakdowns = (metered r).Metrics.Report.breakdowns in
           let aggs = Metrics.Attribution.by_class breakdowns in
           List.map (fun (x, v) -> Row (table, { x_label = "class"; x; system; v })) aggs
           @ notes (Metrics.Attribution.render ~title:system aggs))
@@ -661,7 +661,7 @@ let batchsweep =
         ]
       @ List.filter_map
           (fun r ->
-            let _, breakdowns, _ = metered r in
+            let breakdowns = (metered r).Metrics.Report.breakdowns in
             Option.map
               (fun v ->
                 let x = Printf.sprintf "%.0f" attr_rate in
@@ -806,7 +806,7 @@ let tailblame =
       let prio = List.assoc "QueCC-Prio" inv in
       if prio <> 0. then reject "tailblame" "QueCC-Prio shows inversion: %.0fus" prio)
     (fun _ ran ->
-      let blame r = match metered r with _, _, b -> b in
+      let blame r = (metered r).Metrics.Report.blame in
       let inv r = Metrics.Blame.inversion_us (blame r) in
       (* Per-theta ranking. The no-priority 2PL baseline anchors the
          inversion ratios. *)
@@ -935,7 +935,7 @@ let retrysweep =
         reject "retrysweep" "%d families at >=30%% discarded reduction, want 3" (List.length good))
     (fun _ ran ->
       let swept, metered_ran = List.partition (fun r -> r.cell.mode = Seeds) ran in
-      let wasted r = match metered r with _, bds, _ -> Metrics.Attribution.wasted_work bds in
+      let wasted r = Metrics.Attribution.wasted_work (metered r).Metrics.Report.breakdowns in
       let rec pairs = function off :: on :: rest -> (off, on) :: pairs rest | _ -> [] in
       let family (off_run, on_run) =
         let off = wasted off_run and on = wasted on_run and system = system_of off_run in

@@ -1,3 +1,10 @@
+type run = {
+  interval : Simcore.Sim_time.t;
+  windows : Registry.window list;
+  breakdowns : Attribution.txn_breakdown list;
+  blame : Blame.t;
+}
+
 let max_sum_mismatch breakdowns =
   List.fold_left
     (fun m b -> max m (abs (Attribution.total b.Attribution.t_seg - b.Attribution.t_e2e_us)))
@@ -19,10 +26,10 @@ let write_json ~file metered =
      Consumers should reject versions they do not know. *)
   output_string oc "{\"schema_version\":3,\"runs\":[";
   List.iteri
-    (fun ri (sys_name, seed, (reg, breakdowns, bl)) ->
+    (fun ri (sys_name, seed, { interval; windows; breakdowns; blame = bl }) ->
       if ri > 0 then output_string oc ",";
       Printf.fprintf oc "\n{\"system\":\"%s\",\"seed\":%d,\"interval_us\":%d,\n"
-        (Trace.json_escape sys_name) seed (Registry.interval reg);
+        (Trace.json_escape sys_name) seed interval;
       (* Per-window time series: one object per sampling window, samples keyed
          by instrument name. *)
       output_string oc "\"windows\":[";
@@ -34,7 +41,7 @@ let write_json ~file metered =
           fields oc
             (List.map (fun (k, v) -> (k, Trace.json_float v)) w.Registry.samples);
           output_string oc "}}")
-        (Registry.windows reg);
+        windows;
       (* Per-class latency sketches over the same committed, in-window
          transactions the attribution table covers. *)
       output_string oc "],\n\"histograms\":[";

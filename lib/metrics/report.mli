@@ -2,14 +2,23 @@
     sampled windows, latency histograms, per-class attribution table,
     wasted-work split and causal-blame profile. *)
 
+type run = {
+  interval : Simcore.Sim_time.t;  (** the registry's window length *)
+  windows : Registry.window list;  (** chronological *)
+  breakdowns : Attribution.txn_breakdown list;
+      (** one per committed transaction; segments sum exactly to its
+          end-to-end latency *)
+  blame : Blame.t;  (** the causal blame profile over [breakdowns] *)
+}
+(** A metered run's numbers, frozen when the run ends. It holds no closure
+    and nothing of the run's cluster or trace, so keeping it keeps only
+    these numbers alive. *)
+
 val max_sum_mismatch : Attribution.txn_breakdown list -> int
 (** Largest |segment sum − end-to-end latency| over a run, in µs. The
     attribution arithmetic is exact by construction, so anything non-zero
     is a bug. *)
 
-val write_json :
-  file:string ->
-  (string * int * (Registry.t * Attribution.txn_breakdown list * Blame.t)) list ->
-  unit
+val write_json : file:string -> (string * int * run) list -> unit
 (** Write the document for [(system name, seed, run)] triples, in order.
     Raises [Sys_error] when [file] cannot be opened. *)

@@ -654,7 +654,7 @@ let test_metrics_smoke () =
         let _, report = Option.get o.Harness.Experiment.o_check in
         Alcotest.(check bool) (name ^ " checks clean") true (Check.Checker.ok report);
         (* The driver's window series add up to its own run totals. *)
-        let ((reg, _, _) as metered) = Option.get o.Harness.Experiment.o_metrics in
+        let metered = Option.get o.Harness.Experiment.o_metrics in
         let r = o.Harness.Experiment.o_result in
         List.iter
           (fun (series, want) ->
@@ -663,7 +663,7 @@ let test_metrics_smoke () =
               (float_of_int want)
               (List.fold_left
                  (fun acc w -> acc +. List.assoc series w.Registry.samples)
-                 0. (Registry.windows reg)))
+                 0. metered.Report.windows))
           [
             ("txn.commits", Array.length r.Workload.Driver.commit_log);
             ("txn.aborts", r.Workload.Driver.total_aborts);
@@ -672,7 +672,7 @@ let test_metrics_smoke () =
       [ Harness.Experiment.Twopl Twopl.Plain; Harness.Experiment.Natto Natto.Features.recsf ]
   in
   List.iter
-    (fun (name, _, (reg, breakdowns, bl)) ->
+    (fun (name, _, { Report.windows; breakdowns; blame = bl; _ }) ->
       let check_int what = Alcotest.(check int) (name ^ ": " ^ what) in
       let check_true what = Alcotest.(check bool) (name ^ ": " ^ what) true in
       (* Wasted work: reused + discarded partition backoff exactly, and with
@@ -681,7 +681,7 @@ let test_metrics_smoke () =
       check_int "wasted split partitions backoff" w.Attribution.wk_backoff_us
         (w.Attribution.wk_reused_us + w.Attribution.wk_discarded_us);
       check_int "nothing reused without partial aborts" 0 w.Attribution.wk_reused_us;
-      check_true "sampled windows" (List.length (Registry.windows reg) > 10);
+      check_true "sampled windows" (List.length windows > 10);
       check_int "segments sum to e2e" 0 (Report.max_sum_mismatch breakdowns);
       let a = List.assoc "all" (Attribution.by_class breakdowns) in
       let total = List.fold_left (fun acc (_, v) -> acc +. v) 0. a.Attribution.mean_us in
@@ -721,7 +721,7 @@ let test_metrics_smoke () =
   Alcotest.(check (list (pair string int)))
     "histogram counts are the attribution n"
     (List.concat_map
-       (fun (_, _, (_, bds, _)) -> List.map (fun c -> (c, class_n bds c)) [ "high"; "low" ])
+       (fun (_, _, m) -> List.map (fun c -> (c, class_n m.Report.breakdowns c)) [ "high"; "low" ])
        runs)
     hist_counts;
   List.iter
