@@ -2,14 +2,6 @@ open Txnkit
 module Msg = Netsim.Msg
 module Net = Netsim.Network
 
-type replica = {
-  partition : int;
-  node : int;
-  is_leader : bool;
-  occ : Store.Occ.t;
-  kv : Store.Kv.t;
-}
-
 type reply = {
   partition : int;
   from_leader : bool;
@@ -20,19 +12,7 @@ type reply = {
 let make (cluster : Cluster.t) : System.t =
   let net = cluster.Cluster.net in
   let recorder = cluster.Cluster.recorder in
-  let replicas =
-    Array.init cluster.Cluster.n_partitions (fun p ->
-        Array.mapi
-          (fun i node ->
-            {
-              partition = p;
-              node;
-              is_leader = i = 0;
-              occ = Store.Occ.create ();
-              kv = Store.Kv.create ();
-            })
-          cluster.Cluster.replicas.(p))
-  in
+  let replicas = Fanout.create cluster in
   (* Replicas seen down; on rejoin they adopt the current leader's store
      (modeling the Raft log catch-up a returning group member gets) and
      discard prepares whose outcomes they missed while dead — otherwise the
@@ -53,7 +33,7 @@ let make (cluster : Cluster.t) : System.t =
     let current_leader = List.map (fun p -> (p, Cluster.leader_node cluster p)) participants in
     let leader_replica p =
       let ln = List.assoc p current_leader in
-      match Array.to_list replicas.(p) |> List.find_opt (fun r -> r.node = ln) with
+      match Array.to_list replicas.(p) |> List.find_opt (fun (r : Fanout.replica) -> r.node = ln) with
       | Some r -> r
       | None -> replicas.(p).(0)
     in
@@ -61,42 +41,26 @@ let make (cluster : Cluster.t) : System.t =
       List.iter
         (fun p ->
           Array.iter
-            (fun r ->
-              if Net.node_is_down net r.node then Hashtbl.replace down_seen r.node ()
+            (fun (r : Fanout.replica) ->
+              if not (Fanout.live cluster r) then Hashtbl.replace down_seen r.node ()
               else if Hashtbl.mem down_seen r.node then begin
                 Hashtbl.remove down_seen r.node;
                 let src = leader_replica p in
-                if src.node <> r.node then begin
-                  Store.Kv.sync_from r.kv ~src:src.kv;
-                  Store.Occ.reset r.occ
-                end
+                if src.node <> r.node then Fanout.resync r ~src
               end)
             replicas.(p))
         participants;
-    let counted r = (not failover) || not (Net.node_is_down net r.node) in
+    let counted r = (not failover) || Fanout.live cluster r in
     let full_membership =
       List.fold_left (fun acc p -> acc + Array.length replicas.(p)) 0 participants
     in
-    let total_replies =
-      List.fold_left
-        (fun acc p ->
-          acc + Array.fold_left (fun a r -> if counted r then a + 1 else a) 0 replicas.(p))
-        0 participants
-    in
-    let pending = ref total_replies in
+    let pending = ref (Fanout.live_count cluster ~failover replicas participants) in
     let replies : reply list ref = ref [] in
     let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
     let release_everywhere () =
       (* Straight from the client, so a retry's read-and-prepare (sent on
          the same connections, after these) finds the prepares released. *)
-      List.iter
-        (fun p ->
-          Array.iter
-            (fun r ->
-              Net.send net ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
-                (fun () -> Store.Occ.release r.occ ~txn:txn_id))
-            replicas.(p))
-        participants
+      Fanout.release cluster replicas ~src:client ~txn:txn_id participants
     in
     let commit_via_coordinator ~pairs ~already_committed ~after_durable =
       (* [after_durable] fires at the coordinator once the decision can be
@@ -113,18 +77,7 @@ let make (cluster : Cluster.t) : System.t =
                 Net.send net ~src:coordinator ~dst:client
                   ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
                   (fun () -> finish ~committed:true);
-              List.iter
-                (fun p ->
-                  let local = Exec.pairs_on_partition cluster ~partition:p pairs in
-                  Array.iter
-                    (fun r ->
-                      Net.send net ~src:coordinator ~dst:r.node
-                        ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
-                        (fun () ->
-                          Exec.apply cluster r.kv ~txn:txn_id local;
-                          Store.Occ.release r.occ ~txn:txn_id))
-                    replicas.(p))
-                participants
+              Fanout.commit cluster replicas ~src:coordinator ~txn:txn_id ~pairs participants
             end
           in
           Raft.Group.replicate
@@ -226,7 +179,7 @@ let make (cluster : Cluster.t) : System.t =
         let claims = Exec.claims txn reads in
         let leader_node = List.assoc p current_leader in
         Array.iter
-          (fun r ->
+          (fun (r : Fanout.replica) ->
             if counted r then
               let from_leader = r.node = leader_node in
               Net.send net ~src:client ~dst:r.node

@@ -2,22 +2,11 @@ open Txnkit
 module Msg = Netsim.Msg
 module Net = Netsim.Network
 
-type replica = {
-  node : int;
-  occ : Store.Occ.t;
-  kv : Store.Kv.t;
-}
-
 let make (cluster : Cluster.t) : System.t =
   let net = cluster.Cluster.net in
   let topo = cluster.Cluster.topo in
   let recorder = cluster.Cluster.recorder in
-  let replicas =
-    Array.init cluster.Cluster.n_partitions (fun p ->
-        Array.map
-          (fun node -> { node; occ = Store.Occ.create (); kv = Store.Kv.create () })
-          cluster.Cluster.replicas.(p))
-  in
+  let replicas = Fanout.create cluster in
   (* Skip replicas known dead when failover is active: TAPIR has no leader,
      so a client simply reads from (and counts votes over) the live set.
      A replica that was down rejoins with a stale store (decisions sent
@@ -26,14 +15,14 @@ let make (cluster : Cluster.t) : System.t =
      replica serves again. We model that: a replica seen down is tainted —
      reads avoid it — until it is seen up again, at which point it adopts a
      fresh peer's store and sheds its stale prepares. *)
-  let live r = not (Net.node_is_down net r.node) in
+  let live = Fanout.live cluster in
   let tainted : (int, unit) Hashtbl.t = Hashtbl.create 7 in
-  let fresh r = not (Hashtbl.mem tainted r.node) in
+  let fresh (r : Fanout.replica) = not (Hashtbl.mem tainted r.node) in
   let nearest_replica ~failover ~client p =
     let client_dc = Cluster.dc_of cluster client in
     let best = ref replicas.(p).(0) and best_rtt = ref infinity in
     Array.iter
-      (fun r ->
+      (fun (r : Fanout.replica) ->
         if (not failover) || (live r && fresh r) then begin
           let rtt = Netsim.Topology.rtt_ms topo client_dc (Cluster.dc_of cluster r.node) in
           if rtt < !best_rtt then begin
@@ -54,21 +43,21 @@ let make (cluster : Cluster.t) : System.t =
       List.iter
         (fun p ->
           Array.iter
-            (fun r ->
-              if Net.node_is_down net r.node then Hashtbl.replace tainted r.node ()
+            (fun (r : Fanout.replica) ->
+              if not (live r) then Hashtbl.replace tainted r.node ()
               else if Hashtbl.mem tainted r.node then
                 match
                   Array.to_list replicas.(p)
-                  |> List.find_opt (fun s -> s.node <> r.node && live s && fresh s)
+                  |> List.find_opt (fun (s : Fanout.replica) -> s.node <> r.node && live s && fresh s)
                 with
                 | Some src ->
                     Hashtbl.remove tainted r.node;
-                    Store.Kv.sync_from r.kv ~src:src.kv;
-                    Store.Occ.reset r.occ
+                    Fanout.resync r ~src
                 | None -> ())
             replicas.(p))
         participants;
     let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
+    let release () = Fanout.release cluster replicas ~src:client ~txn:txn_id participants in
     (* ---- round 1: read from the nearest replica of each partition ---- *)
     let reads_pending = ref (List.length participants) in
     let read_results : (int * Exec.reads) list ref = ref [] in
@@ -78,37 +67,10 @@ let make (cluster : Cluster.t) : System.t =
       let pairs = Exec.write_pairs txn reads in
       (* ---- round 2: timestamped prepare at every replica ---- *)
       let counted r = (not failover) || live r in
-      let expected =
-        List.fold_left
-          (fun acc p ->
-            acc + Array.fold_left (fun a r -> if counted r then a + 1 else a) 0 replicas.(p))
-          0 participants
-      in
       let votes : (int * bool) list ref = ref [] in
-      let pending = ref expected in
-      let release_everywhere () =
-        List.iter
-          (fun p ->
-            Array.iter
-              (fun r ->
-                Net.send net ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
-                  (fun () -> Store.Occ.release r.occ ~txn:txn_id))
-              replicas.(p))
-          participants
-      in
+      let pending = ref (Fanout.live_count cluster ~failover replicas participants) in
       let commit_everywhere () =
-        List.iter
-          (fun p ->
-            let local = Exec.pairs_on_partition cluster ~partition:p pairs in
-            Array.iter
-              (fun r ->
-                Net.send net ~src:client ~dst:r.node
-                  ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
-                  (fun () ->
-                    Exec.apply cluster r.kv ~txn:txn_id local;
-                    Store.Occ.release r.occ ~txn:txn_id))
-              replicas.(p))
-          participants
+        Fanout.commit cluster replicas ~src:client ~txn:txn_id ~pairs participants
       in
       let decide () =
         let partition_votes p = List.filter_map (fun (p', ok) -> if p' = p then Some ok else None) !votes in
@@ -143,7 +105,7 @@ let make (cluster : Cluster.t) : System.t =
           List.iter
             (fun p ->
               Array.iter
-                (fun r ->
+                (fun (r : Fanout.replica) ->
                   Net.send net ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Control)
                     (fun () ->
                       (* Replica records the decision durably. *)
@@ -160,7 +122,7 @@ let make (cluster : Cluster.t) : System.t =
                               commit_everywhere ()
                             end
                             else begin
-                              release_everywhere ();
+                              release ();
                               finish ~committed:false
                             end
                           end)))
@@ -173,7 +135,7 @@ let make (cluster : Cluster.t) : System.t =
           let reads_p = plan.Exec.reads_of p and writes_p = plan.Exec.writes_of p in
           let reads = List.assoc p !read_results in
           Array.iter
-            (fun r ->
+            (fun (r : Fanout.replica) ->
               if counted r then
                 Net.send net ~src:client ~dst:r.node
                   ~msg:
@@ -234,15 +196,7 @@ let make (cluster : Cluster.t) : System.t =
        votes outstanding forever; bound the attempt and let the driver
        retry against the live set. *)
     Failover.arm_watchdog cluster ~finished ~on_timeout:(fun () ->
-        List.iter
-          (fun p ->
-            Array.iter
-              (fun r ->
-                Net.send net ~src:client ~dst:r.node
-                  ~msg:(Msg.control ~txn:txn_id Msg.Release)
-                  (fun () -> Store.Occ.release r.occ ~txn:txn_id))
-              replicas.(p))
-          participants;
+        release ();
         finish ~committed:false)
   in
   System.make ~name:"TAPIR" ~submit
