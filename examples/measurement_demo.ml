@@ -18,7 +18,7 @@ let show ~label ~cv =
   in
   let cluster = Cluster.build ~net_config ~seed:4 () in
   Simcore.Engine.run_until cluster.Cluster.engine (Simcore.Sim_time.seconds 3.);
-  let proxy = Cluster.proxy_for_dc cluster ~dc:0 in
+  let proxy = cluster.Cluster.proxies.(0) in
   Printf.printf "\n%s — proxy in %s probing partition leaders:\n" label
     cluster.Cluster.topo.Netsim.Topology.dc_names.(0);
   Printf.printf "%-12s %14s %14s %10s\n" "leader DC" "true owd" "p95 estimate" "headroom";

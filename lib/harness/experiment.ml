@@ -98,7 +98,7 @@ let run ?(check = false) ?trace:(traced = false) ?(metrics = false) setup =
         let blame = Metrics.Blame.analyze ~trace ~txns ~breakdowns () in
         Some
           {
-            Metrics.Report.interval = Metrics.Registry.interval registry;
+            Metrics.Report.interval = Metrics.Registry.interval;
             windows = Metrics.Registry.windows registry;
             breakdowns;
             blame;

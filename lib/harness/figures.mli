@@ -64,11 +64,8 @@ val run : scale -> spec -> point list * Netsim.Network.ledger
     which raises [Failure] if the headline does not hold. Returns the rows'
     points, in print order, and the sum of every run's traffic ledger. *)
 
-val specs : spec list
-(** Every figure of the evaluation, Table 1 first. *)
-
 val names : string list
-(** The specs' names, in table order. *)
+(** Every figure of the evaluation, by name, Table 1 first. *)
 
 val all_names : string list
 (** The figures [natto_sim --figure all] runs: every name but

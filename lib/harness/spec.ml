@@ -232,7 +232,6 @@ let cells systems workload rate zipf duration warmup seeds high_fraction topo va
           clients_per_dc;
           net_config =
             {
-              Netsim.Network.default_config with
               Netsim.Network.cv_override = (if variance > 0. then Some variance else None);
               loss;
               msg_cost = Sim_time.us msg_cost;
@@ -332,8 +331,8 @@ let to_string s =
       @ flag "--faults" (Option.fold ~none:"" ~some:Faults.to_string) (fun s -> s.faults)
       @ [ "--seeds"; string_of_int d.seed ])
   in
-  (* Whatever the flags cannot express (a custom batcher, max_retries, a
-     cool-down unlike the warm-up, ...) shows up as a mismatch here. *)
+  (* Whatever the flags cannot express (max_retries, a cool-down unlike the
+     warm-up, ...) shows up as a mismatch here. *)
   if of_string line = Ok [ s ] then line
   else invalid_arg ("Spec.to_string: the grammar cannot spell this setup; nearest: " ^ line)
 

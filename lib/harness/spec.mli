@@ -91,9 +91,9 @@ val to_string : setup -> string
 (** One cell's canonical line: flags in a fixed order, each omitted when
     equal to its default, floats in their shortest round-trip form, times
     exact to the microsecond; [of_string (to_string s) = Ok [s]]. Raises
-    [Invalid_argument] for a setup the flags cannot express (a custom
-    batcher, [max_retries] other than 100, a cool-down unlike the warm-up,
-    an unlisted system or topology, ...). *)
+    [Invalid_argument] for a setup the flags cannot express ([max_retries]
+    other than 100, a cool-down unlike the warm-up, an unlisted system or
+    topology, ...). *)
 
 val replay : setup -> string
 (** ["natto_sim " ^ to_string s ^ " --check"], or a note if [s] has no

@@ -37,7 +37,7 @@ let rec tick t =
     ignore (Engine.schedule_after t.engine (Sim_time.ms 10.) (fun () -> tick t))
   end
 
-let create ~engine ~net ~clock ~node ~targets ?(window = Sim_time.seconds 1.) () =
+let create ~engine ~net ~clock ~node ~targets () =
   let t =
     {
       engine;
@@ -45,7 +45,7 @@ let create ~engine ~net ~clock ~node ~targets ?(window = Sim_time.seconds 1.) ()
       clock;
       node;
       targets;
-      windows = Array.map (fun _ -> Window.create ~span:window) targets;
+      windows = Array.map (fun _ -> Window.create ~span:(Sim_time.seconds 1.)) targets;
       snap_version = -1;
       snap = [];
       running = true;

@@ -5,8 +5,8 @@
     own local clock time; the difference is a one-way-delay sample
     {e including clock skew} — exactly the quantity a client must add to
     its own clock to name a future arrival time at the target (Domino
-    §2.2). Estimates are the 95th percentile over the last
-    [window] (default 1 s) of samples.
+    §2.2). Estimates are the 95th percentile over the last 1 s of
+    samples.
 
     Probes bypass the destination CPU station ({!Netsim.Network.send_isolated}):
     they model tiny UDP packets answered in the kernel, and must not melt
@@ -20,7 +20,6 @@ val create :
   clock:Netsim.Clock.t ->
   node:int ->
   targets:int array ->
-  ?window:Simcore.Sim_time.t ->
   unit ->
   t
 

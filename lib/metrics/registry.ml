@@ -28,32 +28,19 @@ type txn_rec = {
 
 type t = {
   mutable on : bool;
-  mutable interval : Sim_time.t;
   mutable instruments : (string * instrument) list;  (** reversed *)
   mutable windows : window list;  (** reversed *)
   mutable last_sample : Sim_time.t;
   mutable txns : txn_rec list;  (** reversed *)
 }
 
+let interval = Sim_time.ms 100.
+
 let create () =
-  {
-    on = false;
-    interval = Sim_time.ms 100.;
-    instruments = [];
-    windows = [];
-    last_sample = Sim_time.zero;
-    txns = [];
-  }
+  { on = false; instruments = []; windows = []; last_sample = Sim_time.zero; txns = [] }
 
-let enable ?interval t =
-  t.on <- true;
-  match interval with
-  | Some i when i > Sim_time.zero -> t.interval <- i
-  | Some _ -> invalid_arg "Registry.enable: interval must be positive"
-  | None -> ()
-
+let enable t = t.on <- true
 let enabled t = t.on
-let interval t = t.interval
 
 let gauge t name f = t.instruments <- (name, Gauge f) :: t.instruments
 
@@ -80,7 +67,7 @@ let run_sampler t ~engine ~until =
   if t.on then begin
     t.last_sample <- Engine.now engine;
     let rec tick prev =
-      let next = Sim_time.add prev t.interval in
+      let next = Sim_time.add prev interval in
       if next <= until then
         ignore
           (Engine.schedule_at engine next (fun () ->

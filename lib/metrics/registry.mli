@@ -25,13 +25,15 @@
 type t
 
 val create : unit -> t
-(** A disabled registry with the default 100 ms sampling interval. *)
+(** A disabled registry. *)
 
-val enable : ?interval:Simcore.Sim_time.t -> t -> unit
-(** Turn sampling on; [interval] (default 100 ms) is the window length. *)
+val enable : t -> unit
+(** Turn sampling on. *)
 
 val enabled : t -> bool
-val interval : t -> Simcore.Sim_time.t
+
+val interval : Simcore.Sim_time.t
+(** The window length: 100 ms of simulated time. *)
 
 (** {2 Instruments} *)
 

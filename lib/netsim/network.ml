@@ -4,7 +4,6 @@ type config = {
   msg_cost : Sim_time.t;
   cv_override : float option;
   loss : float;
-  rto_floor : Sim_time.t;
 }
 
 let default_config =
@@ -14,8 +13,10 @@ let default_config =
     msg_cost = Sim_time.us 3;
     cv_override = None;
     loss = 0.0;
-    rto_floor = Sim_time.ms 200.;
   }
+
+(* Minimum TCP retransmission timeout. *)
+let rto_floor = Sim_time.ms 200.
 
 let wan_bandwidth_mbps = 1000.
 let mathis_flows = 16.
@@ -171,7 +172,7 @@ let retrans_delay t ~conn ~src_dc ~dst_dc =
   else begin
     t.retrans <- t.retrans + 1;
     let rtt = Sim_time.ms (Topology.rtt_ms t.topo src_dc dst_dc) in
-    let rto = Sim_time.max t.config.rto_floor (Sim_time.add rtt rtt) in
+    let rto = Sim_time.max rto_floor (Sim_time.add rtt rtt) in
     let now = Engine.now t.engine in
     let until = Int_table.find_default t.stall_until conn Sim_time.zero in
     if until > now then Sim_time.zero (* repaired within the current stall *)

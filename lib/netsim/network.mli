@@ -16,7 +16,7 @@
     - {b Loss} (§5.5, Fig. 12): each cross-DC message independently loses
       its first [k] transmissions with probability [loss] each; every lost
       transmission adds a TCP-like retransmission timeout
-      [max rto_floor (2 * rtt)].
+      [max 200ms (2 * rtt)].
     - {b Capacity} (Fig. 12 saturation): each directed DC pair is a queueing
       station whose rate is the smaller of a 1000 Mbit/s WAN link and a
       Mathis-model TCP throughput [16 * MSS * 1.22 / (rtt * sqrt loss)] for
@@ -31,7 +31,6 @@ type config = {
   msg_cost : Simcore.Sim_time.t;  (** CPU time to process one message *)
   cv_override : float option;  (** replaces every link's variance coefficient *)
   loss : float;  (** cross-DC packet loss probability, [0, 1) *)
-  rto_floor : Simcore.Sim_time.t;  (** minimum TCP retransmission timeout *)
 }
 
 val default_config : config

@@ -25,12 +25,11 @@ let envelope_of msg =
   in
   Netsim.Msg.make kind ~bytes:(Types.message_bytes msg)
 
-let create ~engine ~net ~rng ?(config = Node.default_config) ?(group_commit = false)
-    ~members ?initial_leader () =
+let create ~engine ~net ~rng ?(group_commit = false) ~members ?initial_leader () =
   let nodes =
     Array.map
       (fun id ->
-        let n = Node.create ~engine ~rng:(Simcore.Rng.split rng) ~config ~id ~peers:members in
+        let n = Node.create ~engine ~rng:(Simcore.Rng.split rng) ~id ~peers:members in
         Node.set_group_commit n group_commit;
         n)
       members

@@ -2,20 +2,15 @@ open Simcore
 
 type role = Follower | Candidate | Leader
 
-type config = {
-  election_timeout : Sim_time.t;
-  heartbeat_interval : Sim_time.t;
-}
-
-let default_config =
-  { election_timeout = Sim_time.ms 1500.; heartbeat_interval = Sim_time.ms 150. }
+(* WAN-appropriate timing: election timeouts are uniform in [1.5 s, 3 s). *)
+let election_timeout = Sim_time.ms 1500.
+let heartbeat_interval = Sim_time.ms 150.
 
 type t = {
   id : int;
   peers : int array;
   engine : Engine.t;
   rng : Rng.t;
-  config : config;
   mutable send : dst:int -> Types.message -> unit;
   mutable term : int;
   mutable voted_for : int option;
@@ -48,13 +43,12 @@ let slot_of peers id =
   let rec find i = if peers.(i) = id then i else find (i + 1) in
   find 0
 
-let create ~engine ~rng ~config ~id ~peers =
+let create ~engine ~rng ~id ~peers =
   {
     id;
     peers;
     engine;
     rng;
-    config;
     send = (fun ~dst:_ _ -> invalid_arg "Raft.Node: transport not set");
     term = 0;
     voted_for = None;
@@ -113,7 +107,7 @@ let broadcast t msg =
 
 let rec reset_election_timer t =
   cancel_timer t t.election_timer;
-  let base = Sim_time.to_us t.config.election_timeout in
+  let base = Sim_time.to_us election_timeout in
   let delay = Sim_time.us (base + Rng.int t.rng base) in
   t.election_timer <- Some (Engine.schedule_after t.engine delay (fun () -> on_election_timeout t))
 
@@ -157,7 +151,7 @@ and arm_heartbeat t =
   cancel_timer t t.heartbeat_timer;
   t.heartbeat_timer <-
     Some
-      (Engine.schedule_after t.engine t.config.heartbeat_interval (fun () ->
+      (Engine.schedule_after t.engine heartbeat_interval (fun () ->
            if (not t.stopped) && t.role = Leader then begin
              send_heartbeats t;
              arm_heartbeat t

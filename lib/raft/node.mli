@@ -7,27 +7,19 @@
     persistent state (term, vote, log) and discards volatile state, modelling
     a process with durable storage.
 
+    Timing is fixed for a WAN: each election timeout is drawn uniformly
+    between 1.5 s and 3 s, and a leader sends heartbeats every 150 ms.
+
     Nodes are wired together by {!Group}, which provides the [send]
     transport over the simulated network. *)
 
 type role = Follower | Candidate | Leader
-
-type config = {
-  election_timeout : Simcore.Sim_time.t;
-      (** base timeout; actual timeouts are uniform in [\[base, 2*base\]] *)
-  heartbeat_interval : Simcore.Sim_time.t;
-}
-
-val default_config : config
-(** WAN-appropriate defaults: 1.5 s election timeout base, 150 ms
-    heartbeats. *)
 
 type t
 
 val create :
   engine:Simcore.Engine.t ->
   rng:Simcore.Rng.t ->
-  config:config ->
   id:int ->
   peers:int array ->
   t

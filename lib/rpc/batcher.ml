@@ -2,22 +2,14 @@ open Simcore
 module Net = Netsim.Network
 module Msg = Netsim.Msg
 
-type config = {
-  max_hold : Sim_time.t;
-  max_msgs : int;
-  max_bytes : int;
-  cut_priority : int;
-  marginal_cpu_pct : int;
-}
+type config = unit
 
-let default_config =
-  {
-    max_hold = Sim_time.us 800;
-    max_msgs = 64;
-    max_bytes = 48 * 1024;
-    cut_priority = 1;
-    marginal_cpu_pct = 10;
-  }
+let default_config = ()
+let max_hold = Sim_time.us 800
+let max_msgs = 64
+let max_bytes = 48 * 1024
+let cut_priority = 1
+let marginal_cpu_pct = 10
 
 type flush_reason = Idle | Timer | Size_cap | Byte_cap | Cut_through
 
@@ -46,7 +38,6 @@ type stats = {
 type t = {
   net : Net.t;
   engine : Engine.t;
-  cfg : config;
   msg_cost_us : int;
   conns : (int * int, conn) Hashtbl.t;
   occupancy : int array;  (* index: envelope size, clamped to max_msgs *)
@@ -99,7 +90,7 @@ let flush t conn ~reason =
             | _ -> ()
           end)
         msgs;
-      t.occupancy.(min n t.cfg.max_msgs) <- t.occupancy.(min n t.cfg.max_msgs) + 1;
+      t.occupancy.(min n max_msgs) <- t.occupancy.(min n max_msgs) + 1;
       (match reason with
       | Idle -> t.f_idle <- t.f_idle + 1
       | Timer -> t.f_timer <- t.f_timer + 1
@@ -110,7 +101,7 @@ let flush t conn ~reason =
          the marginal rate — the receive-side half of the amortization. *)
       let cpu_cost =
         Sim_time.us
-          (t.msg_cost_us + ((n - 1) * t.msg_cost_us * t.cfg.marginal_cpu_pct / 100))
+          (t.msg_cost_us + ((n - 1) * t.msg_cost_us * marginal_cpu_pct / 100))
       in
       Net.send_batch t.net ~src:conn.c_src ~dst:conn.c_dst ~cpu_cost
         (List.map (fun p -> p.p_item) msgs)
@@ -141,10 +132,10 @@ let enqueue t ~src ~dst msg f =
   conn.q_len <- conn.q_len + 1;
   conn.q_bytes <- conn.q_bytes + Msg.bytes msg + Net.batch_frame_bytes;
   t.pending_msgs <- t.pending_msgs + 1;
-  let cut = match Msg.priority msg with Some p -> p >= t.cfg.cut_priority | None -> false in
+  let cut = match Msg.priority msg with Some p -> p >= cut_priority | None -> false in
   if cut then flush t conn ~reason:Cut_through
-  else if conn.q_len >= t.cfg.max_msgs then flush t conn ~reason:Size_cap
-  else if conn.q_bytes >= t.cfg.max_bytes then flush t conn ~reason:Byte_cap
+  else if conn.q_len >= max_msgs then flush t conn ~reason:Size_cap
+  else if conn.q_bytes >= max_bytes then flush t conn ~reason:Byte_cap
   else if was_empty then begin
     let src_dc = Net.dc_of t.net src and dst_dc = Net.dc_of t.net dst in
     let path_idle =
@@ -154,21 +145,20 @@ let enqueue t ~src ~dst msg f =
     else
       conn.timer <-
         Some
-          (Engine.schedule_after t.engine t.cfg.max_hold (fun () ->
+          (Engine.schedule_after t.engine max_hold (fun () ->
                conn.timer <- None;
                flush t conn ~reason:Timer))
   end
 
-let create ~net ?(config = default_config) () =
+let create ~net () =
   let engine = Net.engine net in
   let t =
     {
       net;
       engine;
-      cfg = config;
       msg_cost_us = Sim_time.to_us (Net.config net).Net.msg_cost;
       conns = Hashtbl.create 256;
-      occupancy = Array.make (config.max_msgs + 1) 0;
+      occupancy = Array.make (max_msgs + 1) 0;
       held = 0;
       hold_us = 0;
       pending_msgs = 0;

@@ -14,34 +14,33 @@
       immediately when the link's transmission queue is empty and the
       destination CPU is unoccupied, so light load keeps unbatched
       latency;
-    - {b timer}: on a busy path the queue holds for [max_hold], growing
-      while the bottleneck drains — batch size tracks congestion as in
-      Little's law;
-    - {b size}/{b bytes}: full envelopes ([max_msgs], [max_bytes]) flush;
-    - {b cut}: a message with priority ≥ [cut_priority] (Natto's
-      high-priority class) cuts the batch boundary — the connection
+    - {b timer}: on a busy path the queue holds for at most 800 µs,
+      growing while the bottleneck drains — batch size tracks congestion
+      as in Little's law;
+    - {b size}/{b bytes}: full envelopes (64 messages, 48 KiB of payload)
+      flush;
+    - {b cut}: a message with priority ≥ 1 (Natto's high-priority class)
+      cuts the batch boundary — the connection
       flushes at once with the newcomer aboard, so prioritized
       transactions never wait out a hold timer. Per-connection FIFO order
       is preserved: the cut message rides the {e front} envelope on the
-      wire rather than jumping over earlier messages. *)
+      wire rather than jumping over earlier messages.
 
-type config = {
-  max_hold : Simcore.Sim_time.t;  (** max time a message waits in a batch *)
-  max_msgs : int;  (** envelope capacity in messages *)
-  max_bytes : int;  (** envelope capacity in payload bytes *)
-  cut_priority : int;  (** priority at or above which a send cuts the boundary *)
-  marginal_cpu_pct : int;
-      (** receive CPU cost of each message after the first, as a percent of
-          [msg_cost] — the amortized per-message processing cost *)
-}
+    On receipt, the envelope's first message costs the destination CPU the
+    network's full [msg_cost] and each further one 10% of it: the amortized
+    per-message processing cost. *)
+
+type config
 
 val default_config : config
+(** The one batching policy above; [Some default_config] turns batching
+    on where a run's setup asks for it. *)
 
 type flush_reason = Idle | Timer | Size_cap | Byte_cap | Cut_through
 
 type t
 
-val create : net:Netsim.Network.t -> ?config:config -> unit -> t
+val create : net:Netsim.Network.t -> unit -> t
 (** Create a batcher and install it on the network
     ([Netsim.Network.set_batcher]). One per
     cluster, created with it — per-run state only, so [--jobs N] runs stay
@@ -55,7 +54,7 @@ type stats = {
   s_messages : int;  (** messages that rode them ([Netsim.Network.batched_messages]) *)
   s_held : int;  (** messages that waited (nonzero hold) *)
   s_hold_us : int;  (** total microseconds messages spent held *)
-  s_occupancy : int array;  (** envelope-size histogram, index clamped to [max_msgs] *)
+  s_occupancy : int array;  (** envelope-size histogram, index clamped to 64 *)
   s_flushes : (string * int) list;  (** flush count per reason name *)
 }
 

@@ -155,9 +155,7 @@ let build ?(topo = Topology.azure5) ?(n_partitions = 5) ?(clients_per_dc = 2)
   in
   (* Installed before the Raft groups so even constructor-time traffic
      (elections, heartbeats) rides the batched transport. *)
-  let batcher =
-    Option.map (fun config -> Rpc.Batcher.create ~net ~config ()) batching
-  in
+  let batcher = Option.map (fun _ -> Rpc.Batcher.create ~net ()) batching in
   let clock = Clock.create ~rng:(Rng.split rng) ~max_skew:(Sim_time.ms 1.) ~n_nodes in
   let groups =
     if with_raft then
@@ -288,5 +286,3 @@ let cache_for t ~client =
   let i = if n = 0 then -1 else client - t.clients.(0) in
   if i < 0 || i >= n then invalid_arg "Cluster.cache_for: not a client";
   t.caches.(i)
-
-let proxy_for_dc t ~dc = t.proxies.(dc)

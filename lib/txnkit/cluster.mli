@@ -100,4 +100,3 @@ val coordinator_group : t -> client:int -> Raft.Group.t
 val group : t -> partition:int -> Raft.Group.t
 
 val cache_for : t -> client:int -> Measure.Delay_cache.t
-val proxy_for_dc : t -> dc:int -> Measure.Proxy.t

@@ -104,22 +104,22 @@ let test_cut_through () =
   Alcotest.(check int) "no timer fired" 0 (flush_count s "timer");
   Alcotest.(check int) "cut is instant: nothing held" 0 s.Rpc.Batcher.s_held
 
-(* A full envelope (max_msgs) flushes on its own, without waiting for the
-   timer. *)
+(* A full envelope (64 messages) flushes on its own, without waiting for
+   the timer. *)
 let test_size_cap_flush () =
   let engine, net = make_net () in
-  let config = { Rpc.Batcher.default_config with Rpc.Batcher.max_msgs = 4 } in
-  let batcher = Rpc.Batcher.create ~net ~config () in
+  let batcher = Rpc.Batcher.create ~net () in
   let delivered = ref 0 in
   Network.send_isolated net ~src:0 ~dst:8 ~msg:fill (fun () -> ());
-  for i = 1 to 4 do
+  for i = 1 to 64 do
     Network.send net ~src:0 ~dst:8 ~msg:(Msg.vote ~txn:i ()) (fun () -> incr delivered)
   done;
   Engine.run engine;
-  Alcotest.(check int) "all delivered" 4 !delivered;
+  Alcotest.(check int) "all delivered" 64 !delivered;
   let s = Rpc.Batcher.stats batcher in
   Alcotest.(check int) "size flush" 1 (flush_count s "size");
-  Alcotest.(check int) "full envelope occupancy" 1 s.Rpc.Batcher.s_occupancy.(4)
+  Alcotest.(check int) "no timer fired" 0 (flush_count s "timer");
+  Alcotest.(check int) "full envelope occupancy" 1 s.Rpc.Batcher.s_occupancy.(64)
 
 (* The ledger invariants survive batching: per-kind counts still sum to
    messages_sent, per-kind bytes to bytes_sent, and the network's envelope

@@ -171,7 +171,8 @@ let test_figures_dispatch () =
       "queccsweep"; "tailblame"; "retrysweep"; "simthroughput";
     ]
     names;
-  Alcotest.(check int) "one spec per name" (List.length specs) (List.length names);
+  (* Every name finds its spec. *)
+  List.iter (fun n -> ignore (find n)) names;
   Alcotest.(check (list string)) "all runs every figure but simthroughput"
     (List.filter (fun n -> n <> "simthroughput") names)
     all_names
@@ -240,7 +241,7 @@ let setup_gen =
       topo;
       n_partitions;
       clients_per_dc;
-      net_config = { Netsim.Network.default_config with cv_override; loss; msg_cost };
+      net_config = { Netsim.Network.cv_override; loss; msg_cost };
       driver =
         {
           Workload.Driver.default_config with

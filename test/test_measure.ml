@@ -176,21 +176,19 @@ let test_delay_cache_follows_proxy () =
 
 let test_snapshot_memoized () =
   let engine, net, clock = make_world () in
-  (* A 100 s window: nothing expires, so only probe replies move it. *)
-  let proxy =
-    Measure.Proxy.create ~engine ~net ~clock ~node:2 ~targets:[| 0; 1 |]
-      ~window:(Sim_time.seconds 100.) ()
-  in
-  Engine.run_until engine (Sim_time.seconds 1.);
+  (* Within the first second no sample is old enough to expire from the 1 s
+     window, so only probe replies move it. *)
+  let proxy = Measure.Proxy.create ~engine ~net ~clock ~node:2 ~targets:[| 0; 1 |] () in
+  Engine.run_until engine (Sim_time.ms 500.);
   let s1 = Measure.Proxy.snapshot proxy in
   Alcotest.(check int) "both targets" 2 (List.length s1);
   Alcotest.(check bool) "unchanged windows: same list" true (Measure.Proxy.snapshot proxy == s1);
-  Engine.run_until engine (Sim_time.ms 1020.);
+  Engine.run_until engine (Sim_time.ms 520.);
   let s2 = Measure.Proxy.snapshot proxy in
   Alcotest.(check bool) "after probe replies: new list" true (s2 != s1);
   Alcotest.(check bool) "then stable again" true (Measure.Proxy.snapshot proxy == s2);
   Measure.Proxy.stop proxy;
-  (* Default 1 s window, stopped proxy: only expiry moves it. *)
+  (* Stopped proxy: only expiry moves it. *)
   let engine, net, clock = make_world () in
   let proxy = Measure.Proxy.create ~engine ~net ~clock ~node:2 ~targets:[| 0; 1 |] () in
   Engine.run_until engine (Sim_time.seconds 2.);

@@ -13,28 +13,28 @@ let ms = Sim_time.ms
 let test_windows () =
   let engine = Engine.create () in
   let reg = Registry.create () in
-  Registry.enable ~interval:(ms 10.) reg;
+  Registry.enable reg;
   let depth = ref 0.0 in
   Registry.gauge reg "depth" (fun () -> !depth);
   let ext = ref 100 in
   Registry.cumulative reg "ext" (fun () -> !ext);
   let ctr = ref 0 in
   Registry.cumulative reg "ctr" (fun () -> !ctr);
-  (* Gauge changes mid-window are invisible; only the boundary value is
-     sampled. Cumulative instruments record per-window deltas, whether the
-     count starts at zero or not. *)
-  ignore (Engine.schedule_at engine (Sim_time.to_us (ms 4.)) (fun () -> depth := 7.0));
+  (* Windows are 100 ms long. Gauge changes mid-window are invisible; only
+     the boundary value is sampled. Cumulative instruments record
+     per-window deltas, whether the count starts at zero or not. *)
+  ignore (Engine.schedule_at engine (Sim_time.to_us (ms 40.)) (fun () -> depth := 7.0));
   ignore
-    (Engine.schedule_at engine (Sim_time.to_us (ms 12.)) (fun () ->
+    (Engine.schedule_at engine (Sim_time.to_us (ms 120.)) (fun () ->
          depth := 3.0;
          ext := 105;
          ctr := !ctr + 2));
   ignore
-    (Engine.schedule_at engine (Sim_time.to_us (ms 25.)) (fun () ->
+    (Engine.schedule_at engine (Sim_time.to_us (ms 250.)) (fun () ->
          ext := 106;
          incr ctr));
-  Registry.run_sampler reg ~engine ~until:(ms 30.);
-  Engine.run_until engine (ms 30.);
+  Registry.run_sampler reg ~engine ~until:(ms 300.);
+  Engine.run_until engine (ms 300.);
   let windows = Registry.windows reg in
   Alcotest.(check int) "three windows" 3 (List.length windows);
   let nth i = List.nth windows i in
@@ -52,7 +52,7 @@ let test_windows () =
     (fun i w ->
       Alcotest.(check int)
         (Printf.sprintf "w%d start" i)
-        (Sim_time.to_us (ms (float_of_int (10 * i))))
+        (Sim_time.to_us (ms (float_of_int (100 * i))))
         w.Registry.w_start)
     windows
 
@@ -72,26 +72,27 @@ let test_sampling_deterministic () =
     let engine = Engine.create () in
     let rng = Rng.create ~seed:9 in
     let reg = Registry.create () in
-    Registry.enable ~interval:(ms 5.) reg;
+    Registry.enable reg;
     let v = ref 0.0 in
     Registry.gauge reg "v" (fun () -> !v);
-    (* A jittered writer: the jitter comes from the sim's own seeded RNG, so
-       both runs see the same schedule. *)
+    (* A jittered writer over twenty 100 ms windows: the jitter comes from
+       the sim's own seeded RNG, so both runs see the same schedule. *)
     let rec bump t =
-      if Sim_time.compare t (ms 100.) < 0 then
+      if Sim_time.compare t (ms 2000.) < 0 then
         ignore
           (Engine.schedule_at engine t (fun () ->
                v := !v +. Rng.uniform rng ~lo:0. ~hi:1.;
-               bump (Sim_time.add t (Sim_time.us (1000 + Rng.int rng 3000)))))
+               bump (Sim_time.add t (Sim_time.us (20_000 + Rng.int rng 60_000)))))
     in
-    bump (ms 1.);
-    Registry.run_sampler reg ~engine ~until:(ms 100.);
-    Engine.run_until engine (ms 100.);
+    bump (ms 20.);
+    Registry.run_sampler reg ~engine ~until:(ms 2000.);
+    Engine.run_until engine (ms 2000.);
     List.map
       (fun w -> (w.Registry.w_start, w.Registry.w_end, w.Registry.samples))
       (Registry.windows reg)
   in
   let a = run () and b = run () in
+  Alcotest.(check int) "twenty windows" 20 (List.length a);
   Alcotest.(check int) "same window count" (List.length a) (List.length b);
   Alcotest.(check bool) "identical series" true (a = b)
 

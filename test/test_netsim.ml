@@ -70,9 +70,7 @@ let test_single_stall_per_rto () =
 (* Mathis: loss caps a WAN link's effective rate, so the same burst keeps
    the link busy longer than on a loss-free network. *)
 let test_mathis_capacity () =
-  let lossy =
-    { Network.default_config with loss = 0.02; rto_floor = Sim_time.zero }
-  in
+  let lossy = { Network.default_config with loss = 0.02 } in
   let engine_l, net_l = make_net ~config:lossy () in
   for _ = 1 to 50 do
     Network.send net_l ~src:0 ~dst:8 ~msg:(sized 50_000) (fun () -> ())

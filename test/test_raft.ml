@@ -9,7 +9,7 @@ type fixture = {
 }
 
 (* Three replicas: leader in DC0 (VA), followers in DC1 (WA) and DC2 (PR). *)
-let make ?initial_leader ?(config = Raft.Node.default_config) ?group_commit () =
+let make ?initial_leader ?group_commit () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:21 in
   let topo = Topology.azure5 in
@@ -17,7 +17,7 @@ let make ?initial_leader ?(config = Raft.Node.default_config) ?group_commit () =
   let cpus = Array.init 3 (fun _ -> Cpu.create engine) in
   let net = Network.create ~engine ~rng ~topo ~node_dc ~cpus () in
   let group =
-    Raft.Group.create ~engine ~net ~rng ~config ?group_commit ~members:[| 0; 1; 2 |]
+    Raft.Group.create ~engine ~net ~rng ?group_commit ~members:[| 0; 1; 2 |]
       ?initial_leader ()
   in
   { engine; group }
@@ -188,10 +188,10 @@ let test_message_bytes () =
 
 (* Bare nodes driven by hand: [send] replaces the network, and the engine
    only runs when a test wants timers to fire. *)
-let bare_node ?(config = Raft.Node.default_config) ~n ~send id =
+let bare_node ~n ~send id =
   let engine = Engine.create () in
   let node =
-    Raft.Node.create ~engine ~rng:(Rng.create ~seed:5) ~config ~id ~peers:(Array.init n Fun.id)
+    Raft.Node.create ~engine ~rng:(Rng.create ~seed:5) ~id ~peers:(Array.init n Fun.id)
   in
   Raft.Node.set_transport node send;
   (engine, node)
@@ -261,7 +261,8 @@ let test_reply_keeps_pipelined_tip group_commit () =
   for tag = 1 to 3 do
     ignore (Raft.Node.replicate node ~size:100 ~tag ~on_committed:ignore)
   done;
-  Engine.run_until engine Raft.Node.default_config.heartbeat_interval;
+  (* One 150 ms heartbeat interval. *)
+  Engine.run_until engine (Sim_time.ms 150.);
   let shipped = List.concat_map slice !to_peer1 in
   Alcotest.(check (list int)) "entries 1-3 in flight once" [ 1; 2; 3 ]
     (List.sort compare (List.map (fun (e : Raft.Types.entry) -> e.tag) shipped));
@@ -289,10 +290,9 @@ let prop_each_entry_shipped_once group_commit =
     (fun (seed, gaps) ->
       let engine = Engine.create () in
       let rng = Rng.create ~seed in
-      let config = Raft.Node.default_config in
       let nodes =
         Array.init 3 (fun id ->
-            Raft.Node.create ~engine ~rng:(Rng.create ~seed:(seed + id)) ~config ~id
+            Raft.Node.create ~engine ~rng:(Rng.create ~seed:(seed + id)) ~id
               ~peers:[| 0; 1; 2 |])
       in
       let received = Array.make 3 0 in
@@ -347,15 +347,15 @@ let prop_commit_rule =
       quad (oneofl [ 1; 3; 5 ]) (0 -- 5) (0 -- 10)
         (list_of_size Gen.(0 -- 30) (pair (0 -- 3) (0 -- 15))))
     (fun (n, old, fresh, replies) ->
-      let config = { Raft.Node.default_config with election_timeout = Sim_time.seconds 1. } in
-      let engine, node = bare_node ~config ~n ~send:(fun ~dst:_ _ -> ()) 0 in
+      let engine, node = bare_node ~n ~send:(fun ~dst:_ _ -> ()) 0 in
       let entry index = { Raft.Types.term = 1; index; size = 1; tag = index } in
       let old_entries = Array.init old (fun i -> entry (i + 1)) in
       Raft.Node.receive node
         (append ~term:1 ~leader:(n - 1) ~prev_index:0 ~prev_term:0 old_entries);
       Raft.Node.start node;
-      (* The first election timeout falls in [1 s, 2 s): candidate of term 2. *)
-      Engine.run_until engine (Sim_time.us 1_999_999);
+      (* The first election timeout falls in [1.5 s, 3 s) and the next one
+         at least 1.5 s later: candidate of term 2. *)
+      Engine.run_until engine (Sim_time.us 2_999_999);
       let majority = (n / 2) + 1 in
       for from = 1 to majority - 1 do
         Raft.Node.receive node (Raft.Types.Vote { term = 2; from; granted = true })

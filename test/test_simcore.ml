@@ -570,7 +570,7 @@ let test_network_cpu_queueing () =
 let test_network_capacity_under_loss () =
   (* With loss, the Mathis model limits the link rate; a big burst of large
      messages must be spread out by transmission queueing. *)
-  let config = { Network.default_config with loss = 0.02; rto_floor = Sim_time.zero } in
+  let config = { Network.default_config with loss = 0.02 } in
   let engine, net = make_net ~config () in
   let last = ref 0 in
   for _ = 1 to 50 do
