@@ -43,9 +43,8 @@ type t = {
   mutable events : event list;  (** reversed; reversed back on output *)
   mutable n_events : int;
   mutable txn_index : (int, span list ref) Hashtbl.t option;
-      (** lazily built on the first {!txn_events} lookup: per-txn spans,
-          most-recent-first (same convention as [events]); maintained
-          incrementally by subsequent pushes *)
+      (** built on a {!txn_events} lookup: per-txn spans, most-recent-first
+          (same convention as [events]); a push drops it *)
 }
 
 let create () = { on = false; events = []; n_events = 0; txn_index = None }
@@ -139,7 +138,7 @@ let index_span idx (s : span) =
 let push t ev =
   t.n_events <- t.n_events + 1;
   t.events <- ev :: t.events;
-  match (t.txn_index, ev) with Some idx, Span s -> index_span idx s | _ -> ()
+  if Option.is_some t.txn_index then t.txn_index <- None
 
 let message t ~kind ?txn ?priority ~src ~dst ~src_dc ~dst_dc ~bytes ~enqueue ~depart
     ~deliver () =
@@ -205,8 +204,8 @@ let span_label (s : span) =
 
 (* The checker (and the blame profiler's tail exemplars) look up transactions
    one at a time, so a full O(events) scan per lookup was quadratic over a
-   counterexample cycle. The index is built once, on the first lookup, by a
-   single pass over the buffer, then maintained incrementally by [push]. *)
+   counterexample cycle. Lookups come after the run, so the index is built
+   by a single pass over the buffer on the first lookup after a push. *)
 let txn_index t =
   match t.txn_index with
   | Some idx -> idx

@@ -137,9 +137,8 @@ val txn_events : t -> txn:int -> (string * Simcore.Sim_time.t) list
     carry their blame, e.g. ["lock-wait:end key=7 blocked-by=42(low)"]). Used
     by the history checker to print what a transaction in a counterexample
     cycle was doing and when, and by the blame profiler's tail exemplars.
-    Served from a per-txn index built lazily on the first lookup and
-    maintained incrementally afterwards, so repeated lookups are O(own
-    events), not O(all events). *)
+    Served from a per-txn index built on the first lookup after a push, so
+    repeated lookups are O(own events), not O(all events). *)
 
 (** {2 Output} *)
 

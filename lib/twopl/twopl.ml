@@ -186,6 +186,18 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
       Exec.absorb_abort txn ~attempt:txn_id ~fail_key Exec.no_reads;
       abort_attempt ()
     in
+    (* The attempt's record at a server, created on its first request there;
+       [None] once the server has aborted or released it. *)
+    let live_rec server =
+      if Hashtbl.mem server.tombstones txn_id then None
+      else
+        match Hashtbl.find_opt server.live txn_id with
+        | Some _ as r -> r
+        | None ->
+            let r = { txn; txn_id; deliver_abort; gone = false } in
+            Hashtbl.replace server.live txn_id r;
+            Some r
+    in
     (* ---- phase 3: coordinator decision ---- *)
     let coord_commit pairs =
       let c = coord_state ~txn_id ~client ~n_participants:n in
@@ -235,45 +247,37 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
             ~msg:
               (Msg.read_prepare ~txn:txn_id ~reads:0 ~writes:(List.length write_keys) ())
             (fun () ->
-              if Hashtbl.mem server.tombstones txn_id then ()
-              else begin
-                let r =
-                  match Hashtbl.find_opt server.live txn_id with
-                  | Some r -> r
-                  | None ->
-                      let r = { txn; txn_id; deliver_abort; gone = false } in
-                      Hashtbl.replace server.live txn_id r;
-                      r
-                in
-                let needed = List.length write_keys in
-                let granted = ref 0 in
-                let vote () =
-                  Store.Locks.pin server.locks ~txn:txn_id;
-                  Raft.Group.replicate cluster.Cluster.groups.(p)
-                    ~size:(Msg.prepare_record_bytes ~reads:0 ~writes:needed)
-                    ~tag:txn_id
-                    ~on_committed:(fun () ->
-                      Net.send net ~src:server.node ~dst:coordinator
-                        ~msg:(Msg.vote ~txn:txn_id ())
-                        (fun () ->
-                          if not c.decided then begin
-                            c.ok_votes <- c.ok_votes + 1;
-                            if c.ok_votes = n then coord_commit pairs
-                          end))
-                    ()
-                in
-                if needed = 0 then vote ()
-                else
-                  List.iter
-                    (fun key ->
-                      acquire_with_timeout server r ~high ~key ~exclusive:true
-                        ~on_granted:(fun () ->
-                          if not r.gone then begin
-                            incr granted;
-                            if !granted = needed then vote ()
-                          end))
-                    write_keys
-              end))
+              match live_rec server with
+              | None -> ()
+              | Some r ->
+                  let needed = List.length write_keys in
+                  let granted = ref 0 in
+                  let vote () =
+                    Store.Locks.pin server.locks ~txn:txn_id;
+                    Raft.Group.replicate cluster.Cluster.groups.(p)
+                      ~size:(Msg.prepare_record_bytes ~reads:0 ~writes:needed)
+                      ~tag:txn_id
+                      ~on_committed:(fun () ->
+                        Net.send net ~src:server.node ~dst:coordinator
+                          ~msg:(Msg.vote ~txn:txn_id ())
+                          (fun () ->
+                            if not c.decided then begin
+                              c.ok_votes <- c.ok_votes + 1;
+                              if c.ok_votes = n then coord_commit pairs
+                            end))
+                      ()
+                  in
+                  if needed = 0 then vote ()
+                  else
+                    List.iter
+                      (fun key ->
+                        acquire_with_timeout server r ~high ~key ~exclusive:true
+                          ~on_granted:(fun () ->
+                            if not r.gone then begin
+                              incr granted;
+                              if !granted = needed then vote ()
+                            end))
+                      write_keys))
         participants
     in
     (* ---- phase 1: read locks and reads at participant leaders ---- *)
@@ -309,52 +313,44 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
               (Msg.read_prepare ~txn:txn_id ~reads:(Array.length keys) ~writes:0
                  ~extra:(Exec.claim_bytes claims) ())
             (fun () ->
-              if Hashtbl.mem server.tombstones txn_id then ()
-              else begin
-                let r =
-                  match Hashtbl.find_opt server.live txn_id with
-                  | Some r -> r
-                  | None ->
-                      let r = { txn; txn_id; deliver_abort; gone = false } in
-                      Hashtbl.replace server.live txn_id r;
-                      r
-                in
-                let needed = Array.length keys in
-                let granted = ref 0 in
-                Array.iter
-                  (fun key ->
-                    acquire_with_timeout server r ~high ~key ~exclusive:false
-                      ~on_granted:(fun () ->
-                        if not r.gone then begin
-                          incr granted;
-                          if !granted = needed then begin
-                            let served =
-                              Exec.serve cluster server.kv ~txn:txn_id keys claims
-                            in
-                            (* Deliberately broken variant for checker tests:
-                               give up the read locks as soon as the reads
-                               are served, before the 2PC prepare — the
-                               classic two-phase violation that admits lost
-                               updates. *)
-                            (* At this point the transaction holds exactly
-                               its read locks here, so releasing everything
-                               releases just those. *)
-                            if early_read_release then
-                              Store.Locks.release_all server.locks ~txn:txn_id;
-                            Net.send net ~src:server.node ~dst:client
-                              ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
-                              (fun () ->
-                                if not !finished then begin
-                                  read_replies :=
-                                    Exec.absorb txn ~attempt:txn_id claims served
-                                    :: !read_replies;
-                                  decr reads_pending;
-                                  if !reads_pending = 0 then phase_one_done ()
-                                end)
-                          end
-                        end))
-                  keys
-              end))
+              match live_rec server with
+              | None -> ()
+              | Some r ->
+                  let needed = Array.length keys in
+                  let granted = ref 0 in
+                  Array.iter
+                    (fun key ->
+                      acquire_with_timeout server r ~high ~key ~exclusive:false
+                        ~on_granted:(fun () ->
+                          if not r.gone then begin
+                            incr granted;
+                            if !granted = needed then begin
+                              let served =
+                                Exec.serve cluster server.kv ~txn:txn_id keys claims
+                              in
+                              (* Deliberately broken variant for checker tests:
+                                 give up the read locks as soon as the reads
+                                 are served, before the 2PC prepare — the
+                                 classic two-phase violation that admits lost
+                                 updates. *)
+                              (* At this point the transaction holds exactly
+                                 its read locks here, so releasing everything
+                                 releases just those. *)
+                              if early_read_release then
+                                Store.Locks.release_all server.locks ~txn:txn_id;
+                              Net.send net ~src:server.node ~dst:client
+                                ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
+                                (fun () ->
+                                  if not !finished then begin
+                                    read_replies :=
+                                      Exec.absorb txn ~attempt:txn_id claims served
+                                      :: !read_replies;
+                                    decr reads_pending;
+                                    if !reads_pending = 0 then phase_one_done ()
+                                  end)
+                            end
+                          end))
+                    keys))
         read_partitions
   in
   System.make ~name:(name_of variant) ~submit

@@ -312,17 +312,28 @@ let test_timestamp_order_invariant () =
 
 let test_invariant_under_failover () =
   (* A leader change switches the server's clock, the likeliest way for an
-     earlier record to be left queued behind a waiter. The golden matrix's
-     crash-plus-cut schedule, with the invariant checker on. *)
-  let cluster = build ~seed:51 in
-  (match Faults.parse "crash-leader:0@2s,cut:0-1@3s,heal@5s,restart@6s" with
-  | Ok schedule -> Faults.install cluster schedule
-  | Error e -> Alcotest.fail e);
-  let system, _ =
-    Natto.Protocol.make_with_stats ~check_invariants:true cluster ~features:Natto.Features.recsf
+     earlier record to be left queued behind a waiter, so both runs keep the
+     invariant checker on. A leader crash alone leaves nothing unfinished.
+     The golden matrix's crash-plus-cut schedule leaves 8 transactions
+     unfinished: a prepared record whose Release and abort decision were
+     both lost to the cut is never removed, since Natto has no termination
+     step for it, and the high-priority attempts behind it on its key wait
+     out the drain. That run checks only that both classes still commit. *)
+  let run faults =
+    let cluster = build ~seed:51 in
+    (match Faults.parse faults with
+    | Ok schedule -> Faults.install cluster schedule
+    | Error e -> Alcotest.fail e);
+    let system, _ =
+      Natto.Protocol.make_with_stats ~check_invariants:true cluster
+        ~features:Natto.Features.recsf
+    in
+    Workload.Driver.run cluster system ~gen:(contended_gen ()) contended_config
   in
-  let r = Workload.Driver.run cluster system ~gen:(contended_gen ()) contended_config in
-  Alcotest.(check bool) "still commits" true
+  let r = run "crash-leader:0@2s,restart@6s" in
+  Alcotest.(check int) "crash only: all resolved" 0 r.Workload.Driver.unfinished;
+  let r = run "crash-leader:0@2s,cut:0-1@3s,heal@5s,restart@6s" in
+  Alcotest.(check bool) "crash and cut: still commits" true
     (r.Workload.Driver.committed_high > 0 && r.Workload.Driver.committed_low > 0)
 
 (* ------------------------------------------------------------------ *)
