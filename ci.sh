@@ -66,6 +66,12 @@ gate "golden matrix"
 # natto_sim or matrix.txt changed.
 dune build @golden
 
+gate "benchmark smoke"
+# perfbench/dune's smoke rule: every benchmark workload at 1/20 of its
+# length, in both trace modes, so a change that breaks the benchmark at run
+# time fails here. Dune re-runs it only when natto_bench changed.
+dune build @perfbench/smoke
+
 # Every gate below runs in $tmp: a figure writes BENCH_results.json to its
 # working directory, and a green run must leave the repo root's copy alone.
 cd "$tmp"
