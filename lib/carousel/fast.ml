@@ -33,7 +33,7 @@ let make (cluster : Cluster.t) : System.t =
     let current_leader = List.map (fun p -> (p, Cluster.leader_node cluster p)) participants in
     let leader_replica p =
       let ln = List.assoc p current_leader in
-      match Array.to_list replicas.(p) |> List.find_opt (fun (r : Fanout.replica) -> r.node = ln) with
+      match Array.to_list replicas.(p) |> List.find_opt (fun r -> r.Fanout.node = ln) with
       | Some r -> r
       | None -> replicas.(p).(0)
     in

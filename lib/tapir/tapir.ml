@@ -48,7 +48,7 @@ let make (cluster : Cluster.t) : System.t =
               else if Hashtbl.mem tainted r.node then
                 match
                   Array.to_list replicas.(p)
-                  |> List.find_opt (fun (s : Fanout.replica) -> s.node <> r.node && live s && fresh s)
+                  |> List.find_opt (fun s -> s.Fanout.node <> r.node && live s && fresh s)
                 with
                 | Some src ->
                     Hashtbl.remove tainted r.node;
