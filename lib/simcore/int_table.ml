@@ -93,3 +93,4 @@ let filter_values t keep =
     old_keys
 
 let length t = t.count
+let copy t = { t with keys = Array.copy t.keys; vals = Array.copy t.vals }

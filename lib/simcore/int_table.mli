@@ -29,3 +29,6 @@ val filter_values : t -> (int -> bool) -> unit
 
 val length : t -> int
 (** Number of bindings. *)
+
+val copy : t -> t
+(** An independent table with the same bindings. *)

@@ -1,100 +1,35 @@
+open Simcore
+
 type value = { data : int; version : int; writer : int }
 
-(* Open-addressing flat store: parallel [keys]/[vals] arrays with linear
-   probing over a power-of-two capacity at load factor <= 1/2. Reads are
-   the per-operation critical path — [get]/[version]/[writer] are a
-   single probe and never allocate (misses share one default record,
-   hits return the stored record). [put] is also a single probe; it
-   allocates only the new value record (values stay immutable because
-   the history checker may retain what [get] returned). Keys are
-   workload keys, always >= 0, so [min_int] marks a free slot. *)
-type t = {
-  mutable keys : int array;
-  mutable vals : value array;
-  mutable mask : int;  (* capacity - 1 *)
-  mutable shift : int;  (* 63 - log2 capacity: selects the hash's high bits *)
-  mutable count : int;
-}
+(* A key's slot in [vals], kept in an [Int_table] (workload keys are
+   always >= 0, as it requires). Reads are the per-operation critical
+   path: a miss returns the shared [default] record and a hit the stored
+   one, so neither allocates. [put] allocates only the new value record
+   (values stay immutable because the history checker may retain what
+   [get] returned). *)
+type t = { mutable slots : Int_table.t; mutable vals : value Vec.t }
 
-let empty_key = min_int
 let default = { data = 0; version = 0; writer = 0 }
-
-(* 2^63 / phi, truncated to OCaml's 63-bit native int (Fibonacci
-   hashing: striped per-partition key sequences scatter well). *)
-let fib_mult = 0x2E67E5A36E8D4B67
-
-let log2 cap =
-  let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
-  go cap 0
-
-let initial_capacity = 4096
-
-let create () =
-  {
-    keys = Array.make initial_capacity empty_key;
-    vals = Array.make initial_capacity default;
-    mask = initial_capacity - 1;
-    shift = 63 - log2 initial_capacity;
-    count = 0;
-  }
-
-(* Index of [key]'s slot, or of the free slot where it would go. *)
-let probe t key =
-  let i = ref ((key * fib_mult) lsr t.shift land t.mask) in
-  while
-    let k = t.keys.(!i) in
-    k <> key && k <> empty_key
-  do
-    i := (!i + 1) land t.mask
-  done;
-  !i
+let create () = { slots = Int_table.create ~capacity:4096 (); vals = Vec.create () }
+let slot t key = Int_table.find_default t.slots key (-1)
 
 let get t key =
-  let i = probe t key in
-  if t.keys.(i) = key then t.vals.(i) else default
-
-let rec insert t key v =
-  let i = probe t key in
-  if t.keys.(i) = key then t.vals.(i) <- v
-  else if 2 * (t.count + 1) > Array.length t.keys then begin
-    grow t;
-    insert t key v
-  end
-  else begin
-    t.keys.(i) <- key;
-    t.vals.(i) <- v;
-    t.count <- t.count + 1
-  end
-
-and grow t =
-  let old_keys = t.keys and old_vals = t.vals in
-  let cap = 2 * Array.length old_keys in
-  t.keys <- Array.make cap empty_key;
-  t.vals <- Array.make cap default;
-  t.mask <- cap - 1;
-  t.shift <- 63 - log2 cap;
-  t.count <- 0;
-  Array.iteri
-    (fun i k -> if k <> empty_key then insert t k old_vals.(i))
-    old_keys
+  let i = slot t key in
+  if i < 0 then default else Vec.get t.vals i
 
 let put t ~key ~data ~writer =
-  let i = probe t key in
-  if t.keys.(i) = key then
-    t.vals.(i) <- { data; version = t.vals.(i).version + 1; writer }
-  else begin
-    (* First write to this key: version 1. Reuse [insert] for the
-       load-factor check; its probe re-finds the same free slot. *)
-    insert t key { data; version = 1; writer }
+  let i = slot t key in
+  if i < 0 then begin
+    Int_table.set t.slots key (Vec.length t.vals);
+    Vec.push t.vals { data; version = 1; writer }
   end
+  else Vec.set t.vals i { data; version = (Vec.get t.vals i).version + 1; writer }
 
 let version t key = (get t key).version
 let writer t key = (get t key).writer
-let keys_written t = t.count
+let keys_written t = Vec.length t.vals
 
 let sync_from t ~src =
-  t.keys <- Array.copy src.keys;
-  t.vals <- Array.copy src.vals;
-  t.mask <- src.mask;
-  t.shift <- src.shift;
-  t.count <- src.count
+  t.slots <- Int_table.copy src.slots;
+  t.vals <- Vec.copy src.vals

@@ -38,6 +38,29 @@ let test_kv_grow_and_sync () =
   Alcotest.(check bool) "replica complete" true !ok;
   Alcotest.(check int) "replica miss is default" 0 (Kv.get replica 1).Kv.version
 
+(* [sync_from] copies: a later put to either store leaves the other as it
+   was, for an overwrite and for a first write alike. *)
+let test_kv_sync_copies () =
+  let src = Kv.create () and dst = Kv.create () in
+  Kv.put src ~key:1 ~data:10 ~writer:101;
+  Kv.sync_from dst ~src;
+  Kv.put src ~key:1 ~data:20 ~writer:102;
+  Kv.put src ~key:2 ~data:30 ~writer:103;
+  Kv.put dst ~key:3 ~data:40 ~writer:104;
+  Kv.put dst ~key:1 ~data:50 ~writer:105;
+  (* (data, version, writer) of keys 1, 2 and 3. *)
+  let seen kv =
+    List.map
+      (fun k ->
+        let v = Kv.get kv k in
+        (v.Kv.data, v.Kv.version, v.Kv.writer))
+      [ 1; 2; 3 ]
+  in
+  let values = Alcotest.(list (triple int int int)) in
+  Alcotest.check values "src" [ (20, 2, 102); (30, 1, 103); (0, 0, 0) ] (seen src);
+  Alcotest.check values "dst" [ (50, 2, 105); (0, 0, 0); (40, 1, 104) ] (seen dst);
+  Alcotest.(check (pair int int)) "keys written" (2, 2) (Kv.keys_written src, Kv.keys_written dst)
+
 let prop_kv_model =
   (* The flat store must agree with a Hashtbl-backed model on any put/get
      sequence: same data, same version counts, same written-key count. *)
@@ -391,6 +414,7 @@ let () =
           Alcotest.test_case "default" `Quick test_kv_default;
           Alcotest.test_case "put bumps version" `Quick test_kv_put_bumps_version;
           Alcotest.test_case "grow and sync" `Quick test_kv_grow_and_sync;
+          Alcotest.test_case "sync copies" `Quick test_kv_sync_copies;
           QCheck_alcotest.to_alcotest prop_kv_model;
         ] );
       ( "occ",
