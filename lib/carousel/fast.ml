@@ -71,8 +71,7 @@ let make (cluster : Cluster.t) : System.t =
           let write_replicated = ref false and votes_ok = ref false in
           let try_finish () =
             if !write_replicated && !votes_ok then begin
-              if Check.Recorder.enabled recorder then
-                Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+              Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
               if not already_committed then
                 Net.send net ~src:coordinator ~dst:client
                   ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
@@ -128,8 +127,7 @@ let make (cluster : Cluster.t) : System.t =
           (* Fast path: the prepare is durable at every replica of every
              participant, so the transaction commits in one WAN round trip
              (paper §5.2.1). Write data distribution is asynchronous. *)
-          if Check.Recorder.enabled recorder then
-            Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+          Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
           finish ~committed:true;
           commit_via_coordinator ~pairs ~already_committed:true ~after_durable:(fun k -> k ())
         end

@@ -193,8 +193,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     c.decided <- true;
     c.committed <- true;
     mark ~tid:c.c_node ~txn:c.c_txn_id "txn-commit";
-    if Check.Recorder.enabled recorder then
-      Check.Recorder.write_set recorder ~txn:c.c_txn_id ~pairs:c.gen_pairs;
+    Check.Recorder.write_set recorder ~txn:c.c_txn_id ~pairs:c.gen_pairs;
     Net.send net ~src:c.c_node ~dst:c.c_client
       ~msg:(Msg.control ~txn:c.c_txn_id Msg.Commit_notify)
       (fun () ->

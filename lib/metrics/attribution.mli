@@ -56,9 +56,6 @@ val total : segments -> int
 (** Interval classes, highest overlap priority first. *)
 type cls = Lock_wait | Queue_wait | Replication | Cpu_queue | Batching | Wan
 
-val rank : cls -> int
-(** Overlap priority, 0 (wins) … 5. *)
-
 val cls_name : cls -> string
 
 type charge = {

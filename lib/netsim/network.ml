@@ -121,7 +121,6 @@ let create ~engine ~rng ~topo ~node_dc ~cpus ?(config = default_config)
   }
 
 let engine t = t.engine
-let topology t = t.topo
 let dc_of t node = t.node_dc.(node)
 let trace t = t.trace
 

@@ -52,7 +52,6 @@ val create :
     measurement probes) is counted too. *)
 
 val engine : t -> Simcore.Engine.t
-val topology : t -> Topology.t
 val dc_of : t -> int -> int
 
 val trace : t -> Trace.t

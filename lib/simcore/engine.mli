@@ -28,9 +28,6 @@ val cancel : t -> handle -> unit
 (** Cancels a pending callback. A no-op once it has run or been
     cancelled. *)
 
-val step : t -> bool
-(** Executes the earliest pending event. Returns [false] if none remained. *)
-
 val run : t -> unit
 (** Runs until the event queue is empty. *)
 

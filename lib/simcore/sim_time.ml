@@ -16,7 +16,6 @@ let to_seconds_string t =
 let add = ( + )
 let sub = ( - )
 let max = Stdlib.max
-let min = Stdlib.min
 let compare = Int.compare
 
 let pp fmt t =

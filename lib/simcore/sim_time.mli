@@ -32,7 +32,6 @@ val to_seconds_string : t -> string
 val add : t -> t -> t
 val sub : t -> t -> t
 val max : t -> t -> t
-val min : t -> t -> t
 val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit

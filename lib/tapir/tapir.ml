@@ -88,8 +88,7 @@ let make (cluster : Cluster.t) : System.t =
         in
         if List.for_all unanimous participants then begin
           (* Fast path: consensus on prepare at every replica. *)
-          if Check.Recorder.enabled recorder then
-            Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+          Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
           finish ~committed:true;
           commit_everywhere ()
         end
@@ -116,8 +115,7 @@ let make (cluster : Cluster.t) : System.t =
                           if (not !finalized) && !acks >= acks_needed then begin
                             finalized := true;
                             if ok then begin
-                              if Check.Recorder.enabled recorder then
-                                Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+                              Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
                               finish ~committed:true;
                               commit_everywhere ()
                             end

@@ -203,8 +203,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
       let c = coord_state ~txn_id ~client ~n_participants:n in
       if not c.decided then begin
         c.decided <- true;
-        if Check.Recorder.enabled recorder then
-          Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
+        Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
         Raft.Group.replicate
           (Cluster.coordinator_group cluster ~client)
           ~size:(Msg.write_record_bytes ~writes:(List.length pairs))

@@ -278,8 +278,6 @@ let coordinator_for t ~client = leader_node t t.coordinator_partition.(dc_of t c
 
 let coordinator_group t ~client = t.groups.(t.coordinator_partition.(dc_of t client))
 
-let group t ~partition = t.groups.(partition)
-
 (* Client node ids are contiguous from [clients.(0)] (see [build]). *)
 let cache_for t ~client =
   let n = Array.length t.clients in

@@ -97,6 +97,4 @@ val coordinator_for : t -> client:int -> int
 val coordinator_group : t -> client:int -> Raft.Group.t
 (** The Raft group the coordinator uses to make its state fault-tolerant. *)
 
-val group : t -> partition:int -> Raft.Group.t
-
 val cache_for : t -> client:int -> Measure.Delay_cache.t

@@ -134,8 +134,3 @@ let all_keys t =
 let footprints_intersect a b =
   let kb = all_keys b in
   Array.exists (fun k -> Array.exists (fun k' -> k = k') kb) (all_keys a)
-
-let pp fmt t =
-  Format.fprintf fmt "txn#%d(%s, r=%d, w=%d)" t.id
-    (match t.priority with High -> "high" | Low -> "low")
-    (Array.length t.read_set) (Array.length t.write_set)

@@ -116,5 +116,3 @@ val all_keys : t -> int array
 
 val footprints_intersect : t -> t -> bool
 (** Any-overlap conflict test on union footprints (Natto's rule). *)
-
-val pp : Format.formatter -> t -> unit

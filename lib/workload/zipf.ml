@@ -112,6 +112,3 @@ let sample_distinct t rng k =
   go 0 0;
   (* Most-recent-first, as the list accumulator returned. *)
   List.init k (fun i -> chosen.(k - 1 - i))
-
-let n t = t.n
-let theta t = t.theta

@@ -19,6 +19,3 @@ val sample : t -> Simcore.Rng.t -> int
 
 val sample_distinct : t -> Simcore.Rng.t -> int -> int list
 (** [k] distinct keys (rejection sampling). Requires [k <= n]. *)
-
-val n : t -> int
-val theta : t -> float
