@@ -123,7 +123,8 @@ let emit figure = function
 (* Cells and the one grid runner *)
 
 type mode =
-  | Seeds  (** checked, one run per seed of the scale *)
+  | Seeds of { metrics : bool }
+      (** checked, one run per seed of the scale; [metrics] meters the first *)
   | Once of { check : bool; metrics : bool }  (** first seed only *)
   | Ramp of float list  (** checked first-seed run at each offered rate *)
   | Timed of { jobs : int; seeds : int list }
@@ -138,7 +139,7 @@ let driver_with f (s : Experiment.setup) = { s with Experiment.driver = f s.Expe
 let runs scale c =
   let seeded seeds setup = List.map (fun seed -> Experiment.with_seed seed setup) seeds in
   match c.mode with
-  | Seeds -> seeded (seeds scale) c.setup
+  | Seeds _ -> seeded (seeds scale) c.setup
   | Once _ -> seeded [ List.hd (seeds scale) ] c.setup
   | Ramp rates ->
       List.concat_map
@@ -151,7 +152,11 @@ let simulate scale c =
   let t0 = Unix.gettimeofday () in
   let outs =
     match c.mode with
-    | Seeds | Ramp _ -> List.map (Experiment.run ~check:true) (runs scale c)
+    | Seeds { metrics } ->
+        List.mapi
+          (fun i s -> Experiment.run ~check:true ~metrics:(metrics && i = 0) s)
+          (runs scale c)
+    | Ramp _ -> List.map (Experiment.run ~check:true) (runs scale c)
     | Once { check; metrics } -> List.map (Experiment.run ~check ~metrics) (runs scale c)
     | Timed { jobs; _ } -> Pool.map_ordered ~jobs (fun s -> Experiment.run s) (runs scale c)
   in
@@ -266,7 +271,7 @@ let latency_spec ?accept ?(system = system_of) ~name ~caption ~x_label ~show cel
 
 let sweep ?accept ~name ~caption ~x_label ~show ~xs ~systems ~setup () =
   latency_spec ?accept ~name ~caption ~x_label ~show (fun scale ->
-      product xs systems ~setup:(setup scale) ~mode:Seeds)
+      product xs systems ~setup:(setup scale) ~mode:(Seeds { metrics = false }))
 
 let at_rate ?(workload = Experiment.Ycsbt) ?(zipf = 0.65) rate scale =
   { Experiment.default_setup with Experiment.workload; zipf; driver = driver_config scale ~rate }
@@ -296,7 +301,7 @@ let fig10 =
     ~cells:(fun scale ->
       List.concat_map
         (fun system ->
-          product rates [ system ] ~mode:Seeds
+          product rates [ system ] ~mode:(Seeds { metrics = false })
             ~setup:(rate_sweep ~workload:Experiment.Smallbank_priority scale))
         twopl_and_recsf)
     (fun _ ->
@@ -384,7 +389,7 @@ let failover =
          slowest to clear; give every system the same generous drain so the
          unfinished column measures hangs, not an early cutoff. *)
       let driver = driver_config ~duration:dur ~warmup:1. ~drain:60. scale ~rate:100. in
-      product [ () ] families ~mode:Seeds ~setup:(fun () ->
+      product [ () ] families ~mode:(Seeds { metrics = false }) ~setup:(fun () ->
           { Experiment.default_setup with Experiment.driver; faults = Some faults }))
     (fun scale ->
       let dur = duration scale in
@@ -512,9 +517,9 @@ let attribution =
    goodput among rates whose overall p95 stays within 2x that mode's
    idle-load p95. Envelope occupancy and flush-reason counts show where
    the amortization comes from (idle flushes at light load, timer/size
-   flushes under pressure), and a metered pair of runs shows the batching
-   segment appearing in the latency attribution while cpu_queue
-   shrinks. *)
+   flushes under pressure), and each mode's metered mid-ladder rung shows
+   the batching segment appearing in the latency attribution while
+   cpu_queue shrinks. *)
 
 let batchsweep =
   let p95 a = if Array.length a = 0 then nan else Simstats.Percentile.p95 a in
@@ -618,24 +623,21 @@ let batchsweep =
       in
       (* The history checker is O(committed txns); running it on the
          low-rate rungs proves batched histories stay serializable without
-         dominating the sweep's cost. *)
+         dominating the sweep's cost. The rung at [attr_rate] is metered. *)
       List.concat_map
         (fun m ->
           List.map
-            (fun rate -> cell m rate (Once { check = rate <= 1000.; metrics = false }))
+            (fun rate -> cell m rate (Once { check = rate <= 1000.; metrics = rate = attr_rate }))
             (ladder (fst m)))
-        modes
-      @ List.map (fun m -> cell m attr_rate (Once { check = false; metrics = true })) modes)
+        modes)
     (fun _ ran ->
-      let attributed, rungs =
-        List.partition (fun r -> Option.is_some (List.hd r.outs).Experiment.o_metrics) ran
-      in
+      let attributed = List.filter (fun r -> snd r.cell.x = attr_rate) ran in
       (* Knee: highest goodput among ladder rungs whose p95 is still within
          2x the idle (lowest-rate) p95, "throughput you can have without
          giving up latency". *)
       let knee mode =
         let outs r = if fst r.cell.x = mode then Some (List.hd r.outs) else None in
-        match List.filter_map outs rungs with
+        match List.filter_map outs ran with
         | [] -> (nan, nan)
         | idle :: _ as outs ->
             let limit = 2. *. p95_all idle in
@@ -653,7 +655,7 @@ let batchsweep =
       rows ~system:mode table ~x_label:"rate_tps"
         ~x:(fun (_, rate) -> Printf.sprintf "%.0f" rate)
         (fun r -> List.hd r.outs)
-        rungs
+        ran
       @ [
           knee_row "unbatched" unbatched;
           knee_row "batched" batched;
@@ -851,12 +853,12 @@ let tailblame =
    runs the same checked grid twice, resume-from-prefix off and on, so the
    pa column isolates the mechanism: claimed reads shrink retry payloads
    (read_reply bytes scale with values actually shipped), which shortens
-   aborted attempts and frees link occupancy at the hot partitions. A
-   metered pass at the most contended point then splits each aborted
-   attempt's span into reused vs discarded µs (Attribution.wasted_work) and
-   notes the discarded-µs reduction the claims bought. The headline, which
-   the figure checks: at least three families, Natto-RECSF among them,
-   discard >=30% less. *)
+   aborted attempts and frees link occupancy at the hot partitions. At the
+   most contended point each cell's first run is also metered, which splits
+   each aborted attempt's span into reused vs discarded µs
+   (Attribution.wasted_work) and notes the discarded-µs reduction the
+   claims bought. The headline, which the figure checks: at least three
+   families, Natto-RECSF among them, discard >=30% less. *)
 
 let retrysweep =
   let s f (_, s) = f s in
@@ -912,14 +914,10 @@ let retrysweep =
       let thetas =
         match scale with Quick -> [ 0.8; 0.99; 1.2 ] | Full -> [ 0.8; 0.9; 0.99; 1.1; 1.2 ]
       in
-      (* The checked sweep, then the metered pass: each family off, then on. *)
+      (* The headline point's cells also meter their first seed's run. *)
       List.concat_map
-        (fun th -> product (modes th) systems ~setup ~mode:Seeds)
-        thetas
-      @ List.concat_map
-          (fun system ->
-            product (modes theta) [ system ] ~setup ~mode:(Once { check = false; metrics = true }))
-          systems)
+        (fun th -> product (modes th) systems ~setup ~mode:(Seeds { metrics = th = theta }))
+        thetas)
     ~accept:(fun pts ->
       let good =
         List.filter_map
@@ -934,9 +932,11 @@ let retrysweep =
       if List.length good < 3 then
         reject "retrysweep" "%d families at >=30%% discarded reduction, want 3" (List.length good))
     (fun _ ran ->
-      let swept, metered_ran = List.partition (fun r -> r.cell.mode = Seeds) ran in
+      let metered_off, metered_on =
+        List.filter (fun r -> fst r.cell.x = theta) ran
+        |> List.partition (fun r -> not (snd r.cell.x))
+      in
       let wasted r = Metrics.Attribution.wasted_work (metered r).Metrics.Report.breakdowns in
-      let rec pairs = function off :: on :: rest -> (off, on) :: pairs rest | _ -> [] in
       let family (off_run, on_run) =
         let off = wasted off_run and on = wasted on_run and system = system_of off_run in
         let cut =
@@ -968,13 +968,13 @@ let retrysweep =
       rows table ~x_label:"zipf"
         ~x:(fun (th, pa) -> Printf.sprintf "%.2f/%s" th (if pa then "on" else "off"))
         (fun r -> (r.cell.x, summary r))
-        swept
+        ran
       @ note
           (Printf.sprintf
              "retrysweep wasted @ zipf %.2f: aborted-attempt us split (exec unchanged; reused + \
               discarded = backoff)"
              theta)
-        :: List.concat_map family (pairs metered_ran))
+        :: List.concat_map family (List.combine metered_off metered_on))
 
 (* ------------------------------------------------------------------ *)
 (* The table: every figure, in run order *)
@@ -1048,7 +1048,8 @@ let specs =
         List.map
           (fun (x, name) ->
             let system = List.assoc name Experiment.systems in
-            { x; setup = { (at_rate ~zipf:0.75 350. scale) with Experiment.system }; mode = Seeds })
+            let setup = { (at_rate ~zipf:0.75 350. scale) with Experiment.system } in
+            { x; setup; mode = Seeds { metrics = false } })
           [
             ("recsf-default", "natto-recsf");
             ("recsf-no-completion-estimate", "natto-recsf-no-completion-estimate");
