@@ -212,11 +212,13 @@ for sys in 2PL+2PC TAPIR 'Carousel Basic' 'Carousel Fast' Natto-TS Natto-RECSF; 
 done
 
 gate "retrysweep figure gate"
-# The partial-abort figure must be byte-identical at any --jobs. The figure
-# checks its own headline and exits non-zero without it: in the metered
-# Zipf-0.99 pass at least three families, Natto-RECSF among them, discard
-# >=30% less aborted-attempt time with resume-from-prefix on.
-same_at_jobs --figure retrysweep
+# The partial-abort figure and its traffic tables must be byte-identical at
+# any --jobs. The figure checks its own headline and exits non-zero without
+# it: at Zipf 0.99, where each cell also meters its first run, at least
+# three families, Natto-RECSF among them, discard >=30% less aborted-attempt
+# time with resume-from-prefix on.
+same_at_jobs --figure retrysweep --trace-summary
+expect '^# Message traffic by kind'
 
 gate "simulator throughput bench"
 # Events/sec series (vs cluster size, vs --jobs); wall-clock fields are
