@@ -25,8 +25,6 @@ let new_stats () =
     late_aborts = 0;
   }
 
-type vote = V_ok | V_cond of int | V_abort
-
 type server = {
   partition : int;
   mutable node : int;
@@ -37,30 +35,8 @@ type server = {
   recs : (int, Srec.t) Hashtbl.t;
   table : Srec.table;  (** [recs] by key: the live records each key's conflicts are among *)
   cond_watchers : (int, int list) Hashtbl.t;  (** blocker id -> watcher txn ids *)
-  tombstones : (int, unit) Hashtbl.t;
-      (** aborted transaction ids whose release outran their own
-          read-and-prepare *)
   mutable wakeup : Simcore.Engine.handle option;
   mutable wakeup_at : int option;  (** local timestamp the wakeup is armed for *)
-}
-
-(* Coordinator-side 2PC state. *)
-type cstate = {
-  c_txn : Txn.t;
-  c_txn_id : int;  (** attempt id snapshot, like {!Srec.t}'s [txn_id] *)
-  c_client : int;
-  c_node : int;
-  c_participants : int list;
-  votes : (int, vote) Hashtbl.t;  (** partition -> latest vote *)
-  resolutions : (int, bool) Hashtbl.t;  (** blocker id -> did it abort? *)
-  mutable gen : int;
-  mutable gen_sources : (int * source) list;
-  mutable gen_pairs : (int * int) list;
-  mutable gen_replicated : bool;
-  mutable decided : bool;
-  mutable committed : bool;
-  mutable recsf_waiters : (int * int array * (Exec.reads -> unit)) list;
-      (** requester client node, keys, requester-side delivery *)
 }
 
 (* Client-side per-partition read slot. *)
@@ -132,7 +108,6 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
           recs = Hashtbl.create 256;
           table = Srec.table ();
           cond_watchers = Hashtbl.create 64;
-          tombstones = Hashtbl.create 256;
           wakeup = None;
           wakeup_at = None;
         })
@@ -147,33 +122,12 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
            (Printf.sprintf "natto.p%d.queue" server.partition)
            (fun () -> float_of_int (Tsq.size server.queue + Tsq.size server.waiting)))
        servers);
-  let cstates : (int, cstate) Hashtbl.t = Hashtbl.create 4096 in
-  let commit_hooks : (int, unit -> unit) Hashtbl.t = Hashtbl.create 4096 in
-
-  let cstate_for (txn : Txn.t) ~id ~participants =
-    match Hashtbl.find_opt cstates id with
-    | Some c -> c
-    | None ->
-        let c =
-          {
-            c_txn = txn;
-            c_txn_id = id;
-            c_client = txn.Txn.client;
-            c_node = Cluster.coordinator_for cluster ~client:txn.Txn.client;
-            c_participants = participants;
-            votes = Hashtbl.create 8;
-            resolutions = Hashtbl.create 4;
-            gen = 0;
-            gen_sources = [];
-            gen_pairs = [];
-            gen_replicated = false;
-            decided = false;
-            committed = false;
-            recsf_waiters = [];
-          }
-        in
-        Hashtbl.replace cstates id c;
-        c
+  (* The attempt's coordinator record, its node resolved at the first
+     coordinator-side use: under failover the coordinator may have moved
+     since submit. *)
+  let cstate_for (c : Srec.coord) =
+    if c.c_node < 0 then c.c_node <- Cluster.coordinator_for cluster ~client:c.c_client;
+    c
   in
 
   (* ---------------- coordinator ---------------- *)
@@ -196,23 +150,20 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     Check.Recorder.write_set recorder ~txn:c.c_txn_id ~pairs:c.gen_pairs;
     Net.send net ~src:c.c_node ~dst:c.c_client
       ~msg:(Msg.control ~txn:c.c_txn_id Msg.Commit_notify)
-      (fun () ->
-        match Hashtbl.find_opt commit_hooks c.c_txn_id with
-        | Some hook -> hook ()
-        | None -> ());
+      c.on_commit;
     (* Serve RECSF reads registered against this transaction: its commit is
        now fault-tolerant here, so forwarding the write data is safe. *)
     List.iter (fun (requester, keys, deliver) -> coord_forward c ~requester ~keys ~deliver)
       c.recsf_waiters;
     c.recsf_waiters <- [];
     List.iter
-      (fun p ->
+      (fun (p, _) ->
         let server = servers.(p) in
         let local = Exec.pairs_on_partition cluster ~partition:p c.gen_pairs in
         Net.send net ~src:c.c_node ~dst:server.node
           ~msg:(Msg.decision ~txn:c.c_txn_id ~writes:(List.length local) ())
           (fun () -> server_on_commit server c.c_txn_id local))
-      c.c_participants
+      c.parts
 
   and coord_decide_abort c =
     if not c.decided then begin
@@ -220,12 +171,12 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       c.recsf_waiters <- [];
       mark ~tid:c.c_node ~txn:c.c_txn_id "txn-abort";
       List.iter
-        (fun p ->
+        (fun (p, r) ->
           let server = servers.(p) in
           Net.send net ~src:c.c_node ~dst:server.node
             ~msg:(Msg.decision ~txn:c.c_txn_id ~writes:0 ())
-            (fun () -> server_on_abort server c.c_txn_id))
-        c.c_participants
+            (fun () -> server_on_abort server r))
+        c.parts
     end
 
   and coord_on_vote c ~partition v =
@@ -275,8 +226,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
 
   and server_send_vote server (r : Srec.t) v =
     Net.send net ~src:server.node ~dst:r.coord_node ~msg:(Msg.vote ~txn:r.txn_id ()) (fun () ->
-        let c = cstate_for r.txn ~id:r.txn_id ~participants:r.participants in
-        coord_on_vote c ~partition:server.partition v)
+        coord_on_vote (cstate_for r.coord) ~partition:server.partition v)
 
   and server_drop server (r : Srec.t) =
     end_queue_wait server r;
@@ -397,8 +347,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       Net.send net ~src:server.node ~dst:blocker.coord_node
         ~msg:(Msg.recsf_request ~txn:r.txn_id ~keys:(Array.length fwd_keys) ())
         (fun () ->
-          let c = cstate_for blocker.txn ~id:blocker.txn_id ~participants:blocker.participants in
-          coord_on_recsf_request c ~requester ~keys:fwd_keys ~deliver)
+          coord_on_recsf_request (cstate_for blocker.coord) ~requester ~keys:fwd_keys ~deliver)
     end
 
   (* Would [hp] cause a priority abort of [lp] on another shared
@@ -493,9 +442,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
                 end;
                 Net.send net ~src:server.node ~dst:w.coord_node
                   ~msg:(Msg.control ~txn:w.txn_id Msg.Cond_resolution)
-                  (fun () ->
-                    let c = cstate_for w.txn ~id:w.txn_id ~participants:w.participants in
-                    coord_on_resolution c ~blocker ~aborted)
+                  (fun () -> coord_on_resolution (cstate_for w.coord) ~blocker ~aborted)
             | Some _ | None -> ())
           watchers
 
@@ -523,31 +470,34 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
           ();
         if lecsf then finish ()
 
-  and server_on_abort server txn_id =
-    (match Hashtbl.find_opt server.recs txn_id with
-    | None -> Hashtbl.replace server.tombstones txn_id ()
-    | Some r ->
-        let unserved = r.state = Queued || r.state = Waiting in
-        server_drop server r;
-        (* A released victim that was never served here still holds
-           claimable reads: salvage the local slice back to the client.
-           This release raced the immediate retry's read-and-prepare, so
-           the salvage seeds the cache for the attempt after it — the long
-           abort chains that dominate wasted time converge on full-prefix
-           claims. The full local slice ships, not just today's prefix
-           bound: a later attempt's limit can exceed this one's, and the
-           cached entries stay claimable until their versions move. A
-           record that WAS served may still have speculative holes — RECSF
-           forwards carry version -1 and never seed the cache — so those
-           keys are re-shipped from the committed store. *)
-        let salvage =
-          Exec.salvage server.kv r.txn ~reads:(if unserved then r.reads else r.fwd_keys)
-            ~upto:`All
-        in
-        if Exec.count salvage > 0 then
-          Net.send net ~src:server.node ~dst:r.txn.Txn.client
-            ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(Exec.count salvage) ())
-            (fun () -> ignore (Exec.absorb r.txn ~attempt:txn_id Exec.no_claims salvage)));
+  and server_on_abort server (r : Srec.t) =
+    let txn_id = r.txn_id in
+    (* No live record: it is done, or its read-and-prepare is still in
+       flight (or lost), and marking it [Done] drops that on arrival. *)
+    if not (Hashtbl.mem server.recs txn_id) then r.state <- Done
+    else begin
+      let unserved = r.state = Queued || r.state = Waiting in
+      server_drop server r;
+      (* A released victim that was never served here still holds
+         claimable reads: salvage the local slice back to the client.
+         This release raced the immediate retry's read-and-prepare, so
+         the salvage seeds the cache for the attempt after it — the long
+         abort chains that dominate wasted time converge on full-prefix
+         claims. The full local slice ships, not just today's prefix
+         bound: a later attempt's limit can exceed this one's, and the
+         cached entries stay claimable until their versions move. A
+         record that WAS served may still have speculative holes — RECSF
+         forwards carry version -1 and never seed the cache — so those
+         keys are re-shipped from the committed store. *)
+      let salvage =
+        Exec.salvage server.kv r.txn ~reads:(if unserved then r.reads else r.fwd_keys)
+          ~upto:`All
+      in
+      if Exec.count salvage > 0 then
+        Net.send net ~src:server.node ~dst:r.txn.Txn.client
+          ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(Exec.count salvage) ())
+          (fun () -> ignore (Exec.absorb r.txn ~attempt:txn_id Exec.no_claims salvage))
+    end;
     server_notify_cond_watchers server ~blocker:txn_id ~aborted:true;
     server_rescan server;
     server_drain server
@@ -584,7 +534,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         server.wakeup_at <- None
 
   and server_on_read_and_prepare server (r : Srec.t) =
-    if Hashtbl.mem server.recs r.txn_id || Hashtbl.mem server.tombstones r.txn_id then ()
+    if r.state = Done then ()
     else begin
       Hashtbl.replace server.recs r.txn_id r;
       Srec.add server.table r;
@@ -682,6 +632,30 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
           { expected = Array.length (plan.Exec.reads_of p); src = None; got = Exec.no_reads })
       participants;
     let finished = ref false in
+    let finish ~committed =
+      if not !finished then begin
+        finished := true;
+        on_done ~committed
+      end
+    in
+    let c : Srec.coord =
+      {
+        c_txn_id = txn_id;
+        c_client = client;
+        c_node = -1;
+        parts = [];
+        on_commit = (fun () -> finish ~committed:true);
+        votes = Hashtbl.create 8;
+        resolutions = Hashtbl.create 4;
+        gen = 0;
+        gen_sources = [];
+        gen_pairs = [];
+        gen_replicated = false;
+        decided = false;
+        committed = false;
+        recsf_waiters = [];
+      }
+    in
     let sent_gen = ref 0 in
     let used : (int * source) list ref = ref [] in
     let must_resend = ref false in
@@ -702,9 +676,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       let sources = !used in
       Net.send net ~src:client ~dst:coordinator
         ~msg:(Msg.commit_request ~txn:txn_id ~writes:(List.length pairs) ())
-        (fun () ->
-          let c = cstate_for txn ~id:txn_id ~participants in
-          coord_on_commit_request c ~gen ~sources ~pairs)
+        (fun () -> coord_on_commit_request (cstate_for c) ~gen ~sources ~pairs)
     in
     let maybe_send () =
       if
@@ -752,73 +724,65 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         maybe_send ()
       end
     in
-    let finish ~committed =
-      if not !finished then begin
-        finished := true;
-        Hashtbl.remove commit_hooks txn_id;
-        on_done ~committed
-      end
-    in
     let deliver_abort fail_key salvage =
       if not !finished then begin
         Exec.absorb_abort txn ~attempt:txn_id ~fail_key salvage;
         (* Release everywhere straight from the client (per-connection FIFO
            puts these ahead of the retry), and tell the coordinator. *)
         List.iter
-          (fun p ->
+          (fun (p, r) ->
             let server = servers.(p) in
             Net.send net ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
-              (fun () -> server_on_abort server txn_id))
-          participants;
+              (fun () -> server_on_abort server r))
+          c.parts;
         Net.send net ~src:client ~dst:coordinator
           ~msg:(Msg.control ~txn:txn_id Msg.Abort_notice)
-          (fun () ->
-            let c = cstate_for txn ~id:txn_id ~participants in
-            coord_decide_abort c);
+          (fun () -> coord_decide_abort (cstate_for c));
         finish ~committed:false
       end
     in
-    Hashtbl.replace commit_hooks txn_id (fun () -> finish ~committed:true);
+    c.parts <-
+      List.map
+        (fun p ->
+          let reads = plan.Exec.reads_of p and writes = plan.Exec.writes_of p in
+          let keys =
+            Array.of_list (List.sort_uniq compare (Array.to_list reads @ Array.to_list writes))
+          in
+          ( p,
+            {
+              txn;
+              txn_id;
+              ts;
+              reads;
+              writes;
+              keys;
+              arrivals;
+              coord = c;
+              coord_node = coordinator;
+              claims = claims_for p;
+              deliver_read = deliver_read_for p;
+              deliver_abort;
+              state = Queued;
+              cond_on = None;
+              fwd_keys = [||];
+              queued_at = None;
+              waiting_from = None;
+              wait_blame = None;
+            } ))
+        participants;
     List.iter
-      (fun p ->
+      (fun (p, (r : Srec.t)) ->
         let server = servers.(p) in
-        let reads = plan.Exec.reads_of p and writes = plan.Exec.writes_of p in
-        let keys =
-          Array.of_list (List.sort_uniq compare (Array.to_list reads @ Array.to_list writes))
-        in
-        let claims = claims_for p in
-        let r : Srec.t =
-          {
-            txn;
-            txn_id;
-            ts;
-            reads;
-            writes;
-            keys;
-            arrivals;
-            participants;
-            coord_node = coordinator;
-            claims;
-            deliver_read = deliver_read_for p;
-            deliver_abort;
-            state = Queued;
-            cond_on = None;
-            fwd_keys = [||];
-            queued_at = None;
-            waiting_from = None;
-            wait_blame = None;
-          }
-        in
         Net.send net ~src:client ~dst:server.node
           ~msg:
             (Msg.read_prepare ~txn:txn_id
                ~priority:(match txn.Txn.priority with Txn.High -> 1 | Txn.Low -> 0)
                ~extra:
                  ((Msg.arrival_estimate_bytes * List.length participants)
-                 + Exec.claim_bytes claims)
-               ~reads:(Array.length reads) ~writes:(Array.length writes) ())
+                 + Exec.claim_bytes r.claims)
+               ~reads:(Array.length r.reads) ~writes:(Array.length r.writes) ())
           (fun () -> server_on_read_and_prepare server r))
-      participants;
+      c.parts;
     (* Failover watchdog: a crashed leader or coordinator silently swallows
        our messages, so an attempt can stall forever. Bound it: if nothing
        has finished after the timeout, abort the attempt through the normal

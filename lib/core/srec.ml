@@ -3,6 +3,7 @@ open Txnkit
 
 type source = S_normal | S_cond of int | S_recsf of int
 type state = Queued | Waiting | Prepared | Done
+type vote = V_ok | V_cond of int | V_abort
 
 type t = {
   txn : Txn.t;
@@ -12,7 +13,7 @@ type t = {
   writes : int array;
   keys : int array;
   arrivals : (int * int) list;
-  participants : int list;
+  coord : coord;
   coord_node : int;
   claims : Exec.claims;
   deliver_read : source -> Exec.reads -> unit;
@@ -23,6 +24,23 @@ type t = {
   mutable queued_at : Sim_time.t option;
   mutable waiting_from : Sim_time.t option;
   mutable wait_blame : (int * bool * int) option;
+}
+
+and coord = {
+  c_txn_id : int;
+  c_client : int;
+  mutable c_node : int;
+  mutable parts : (int * t) list;
+  on_commit : unit -> unit;
+  votes : (int, vote) Hashtbl.t;
+  resolutions : (int, bool) Hashtbl.t;
+  mutable gen : int;
+  mutable gen_sources : (int * source) list;
+  mutable gen_pairs : (int * int) list;
+  mutable gen_replicated : bool;
+  mutable decided : bool;
+  mutable committed : bool;
+  mutable recsf_waiters : (int * int array * (Exec.reads -> unit)) list;
 }
 
 let prepared r = r.state = Prepared || r.cond_on <> None

@@ -1,6 +1,11 @@
-(** A Natto server's record of one transaction attempt, and the per-key
-    table through which the server finds the records an attempt conflicts
-    with (§3.2–3.3).
+(** A Natto server's record of one transaction attempt, the attempt's
+    coordinator record, and the per-key table through which the server
+    finds the records an attempt conflicts with (§3.2–3.3).
+
+    An attempt's state lives with the attempt: [submit] allocates one
+    coordinator record and one record per participant, which point to each
+    other, and no table keyed by attempt id outlives them. They go when the
+    last in-flight message or live server entry that refers to them goes.
 
     Every conflict question is answered from the table, visiting only the
     records that share a key with the asking record. A question that asks
@@ -12,6 +17,7 @@ type source = S_normal | S_cond of int | S_recsf of int
 (** How the client obtained a partition's read results. *)
 
 type state = Queued | Waiting | Prepared | Done
+type vote = V_ok | V_cond of int | V_abort
 
 type t = {
   txn : Txnkit.Txn.t;
@@ -21,8 +27,8 @@ type t = {
   writes : int array;
   keys : int array;  (** union footprint on this partition *)
   arrivals : (int * int) list;  (** leader node -> estimated arrival (client clock) *)
-  participants : int list;
-  coord_node : int;
+  coord : coord;  (** the attempt's coordinator record *)
+  coord_node : int;  (** the coordinator as resolved at submit; servers send to it *)
   claims : Txnkit.Exec.claims;
       (** partial-abort claims for this partition, the client's own value;
           honored on the normal and conditional serve paths, ignored by
@@ -34,6 +40,9 @@ type t = {
           partial-abort validated-prefix report, and the salvaged still-valid
           local reads piggybacked on the abort notice *)
   mutable state : state;
+      (** [Done] once dropped, or once a Release or abort decision found no
+          live record here: a read-and-prepare that finds its record [Done]
+          arrived after its attempt ended and is dropped *)
   mutable cond_on : int option;  (** conditionally prepared on this blocker *)
   mutable fwd_keys : int array;
       (** read keys served by RECSF forwarding (version -1, never cached
@@ -49,6 +58,27 @@ type t = {
   mutable wait_blame : (int * bool * int) option;
       (** principal blocker at wait entry: (attempt id, is-high, contended
           key) — the smallest-(ts, id) prepared or earlier-waiting conflict *)
+}
+
+(** Coordinator-side 2PC state of one attempt. *)
+and coord = {
+  c_txn_id : int;
+  c_client : int;
+  mutable c_node : int;
+      (** [-1] until the first coordinator-side use resolves it: under
+          failover the coordinator may move after submit *)
+  mutable parts : (int * t) list;  (** partition -> the attempt's record there *)
+  on_commit : unit -> unit;  (** the client's commit callback *)
+  votes : (int, vote) Hashtbl.t;  (** partition -> latest vote *)
+  resolutions : (int, bool) Hashtbl.t;  (** blocker id -> did it abort? *)
+  mutable gen : int;
+  mutable gen_sources : (int * source) list;
+  mutable gen_pairs : (int * int) list;
+  mutable gen_replicated : bool;
+  mutable decided : bool;
+  mutable committed : bool;
+  mutable recsf_waiters : (int * int array * (Txnkit.Exec.reads -> unit)) list;
+      (** requester client node, keys, requester-side delivery *)
 }
 
 (** {2 The per-key table} *)

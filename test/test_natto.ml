@@ -70,6 +70,24 @@ type spec = { s_ts : int; s_high : bool; s_reads : int list; s_writes : int list
    3 prepared. *)
 
 let record ~id { s_ts; s_high; s_reads; s_writes; _ } : Natto.Srec.t =
+  let coord : Natto.Srec.coord =
+    {
+      c_txn_id = id;
+      c_client = 0;
+      c_node = 0;
+      parts = [];
+      on_commit = ignore;
+      votes = Hashtbl.create 1;
+      resolutions = Hashtbl.create 1;
+      gen = 0;
+      gen_sources = [];
+      gen_pairs = [];
+      gen_replicated = false;
+      decided = false;
+      committed = false;
+      recsf_waiters = [];
+    }
+  in
   let txn =
     Txn.make ~id ~client:0
       ~priority:(if s_high then Txn.High else Txn.Low)
@@ -83,7 +101,7 @@ let record ~id { s_ts; s_high; s_reads; s_writes; _ } : Natto.Srec.t =
     writes = txn.Txn.write_set;
     keys = Array.of_list (List.sort_uniq compare (s_reads @ s_writes));
     arrivals = [];
-    participants = [ 0 ];
+    coord;
     coord_node = 0;
     claims = Exec.no_claims;
     deliver_read = (fun _ _ -> ());
@@ -336,6 +354,28 @@ let test_invariant_under_failover () =
   Alcotest.(check bool) "crash and cut: still commits" true
     (r.Workload.Driver.committed_high > 0 && r.Workload.Driver.committed_low > 0)
 
+let test_finished_attempts_collected () =
+  (* An attempt's state lives with the attempt: once every transaction has
+     finished, the system it ran on, still reachable, refers to none of
+     their [Txn.t]s, so a major collection frees every one. *)
+  let gen = contended_gen () in
+  let made = ref [] in
+  let make ~rng ~id ~client ~born ~wound_ts ~priority =
+    let txn = gen.Workload.Gen.make ~rng ~id ~client ~born ~wound_ts ~priority in
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some txn);
+    made := w :: !made;
+    txn
+  in
+  let cluster = build ~seed:61 in
+  let system = Natto.Protocol.make cluster ~features:Natto.Features.recsf in
+  let r = Workload.Driver.run cluster system ~gen:{ gen with make } contended_config in
+  Alcotest.(check int) "all finished" 0 r.Workload.Driver.unfinished;
+  Gc.full_major ();
+  let kept = List.length (List.filter (fun w -> Weak.check w 0) !made) in
+  Alcotest.(check int) (Printf.sprintf "of %d Txn.t, kept" (List.length !made)) 0 kept;
+  ignore (Sys.opaque_identity (cluster, system))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end prioritization property *)
 
@@ -385,6 +425,8 @@ let () =
             test_timestamp_order_invariant;
           Alcotest.test_case "timestamp-order invariant under failover" `Slow
             test_invariant_under_failover;
+          Alcotest.test_case "finished attempts leave nothing behind" `Slow
+            test_finished_attempts_collected;
         ] );
       ( "prioritization",
         [
