@@ -291,9 +291,10 @@ let deliver t ~src ~dst ~msg ~to_cpu f =
             Trace.set_dequeue h (Engine.now t.engine);
             f ()
     in
+    (* An isolated message's handler is the event itself. *)
     ignore
-      (Engine.schedule_at t.engine arrival (fun () ->
-           if to_cpu then Cpu.submit t.cpus.(dst) ~cost:t.config.msg_cost f else f ()))
+      (Engine.schedule_at t.engine arrival
+         (if to_cpu then fun () -> Cpu.submit t.cpus.(dst) ~cost:t.config.msg_cost f else f))
   end
 
 let send t ~src ~dst ~msg f =

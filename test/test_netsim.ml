@@ -162,6 +162,21 @@ let test_trace_sees_every_message () =
     (Trace.kind_counts trace);
   Alcotest.(check int) "one event per message" 6 (Trace.event_count trace)
 
+(* An untraced isolated message schedules its handler itself: no closure
+   wraps it. The 10 words are the wire model's delay draws; a wrapper
+   closure would add 7. *)
+let test_isolated_send_alloc () =
+  let engine, net = make_net () in
+  let msg = Msg.probe () and f () = () in
+  let send () = Network.send_isolated net ~src:1 ~dst:3 ~msg f in
+  send ();
+  Engine.run engine;
+  let before = Gc.minor_words () in
+  send ();
+  let words = Gc.minor_words () -. before in
+  Engine.run engine;
+  if words > 10. then Alcotest.failf "one untraced send_isolated allocates %.0f words" words
+
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -269,6 +284,7 @@ let () =
           Alcotest.test_case "trace sees every message" `Quick test_trace_sees_every_message;
           Alcotest.test_case "chrome trace json" `Quick test_chrome_trace_output;
           Alcotest.test_case "disabled sink is free" `Quick test_trace_disabled_is_free;
+          Alcotest.test_case "isolated send allocation" `Quick test_isolated_send_alloc;
           Alcotest.test_case "envelope sizes" `Quick test_envelope_sizes;
           Alcotest.test_case "kind index" `Quick test_kind_index;
         ] );
