@@ -38,26 +38,7 @@ let make (cluster : Cluster.t) : System.t =
           kv = Store.Kv.create ();
         })
   in
-  let coords : (int, coord) Hashtbl.t = Hashtbl.create 4096 in
   let coord_node ~client = Cluster.coordinator_for cluster ~client in
-  let coord_state ~txn_id ~client ~n_participants =
-    match Hashtbl.find_opt coords txn_id with
-    | Some c -> c
-    | None ->
-        let c =
-          {
-            n_participants;
-            client;
-            ok_votes = 0;
-            decided = false;
-            writes_replicated = false;
-            commit_pairs = None;
-          }
-        in
-        Hashtbl.replace coords txn_id c;
-        c
-  in
-
   (* --- participant side --- *)
   let apply_commit server txn_id pairs =
     (* Write data becomes visible only after it is replicated to the
@@ -115,6 +96,16 @@ let make (cluster : Cluster.t) : System.t =
     let n = List.length plan.Exec.participants in
     let attempt = { txn; plan; pending = n; failed = false; replies = [] } in
     let client = txn.Txn.client in
+    let c =
+      {
+        n_participants = n;
+        client;
+        ok_votes = 0;
+        decided = false;
+        writes_replicated = false;
+        commit_pairs = None;
+      }
+    in
     (* Re-resolve the partition leaders per attempt, so retries after a
        leader crash land on the newly elected node. *)
     Failover.refresh_leaders cluster ~participants:plan.Exec.participants
@@ -128,7 +119,6 @@ let make (cluster : Cluster.t) : System.t =
         (fun () -> finish ~committed:true)
     in
     let on_vote ~ok =
-      let c = coord_state ~txn_id ~client ~n_participants:n in
       if not c.decided then
         if ok then begin
           c.ok_votes <- c.ok_votes + 1;
@@ -137,7 +127,6 @@ let make (cluster : Cluster.t) : System.t =
         else decide_abort ~txn_id ~txn c
     in
     let on_commit_request pairs =
-      let c = coord_state ~txn_id ~client ~n_participants:n in
       if not c.decided then begin
         c.commit_pairs <- Some pairs;
         Raft.Group.replicate
@@ -151,7 +140,6 @@ let make (cluster : Cluster.t) : System.t =
       end
     in
     let on_abort_notice () =
-      let c = coord_state ~txn_id ~client ~n_participants:n in
       if not c.decided then decide_abort ~txn_id ~txn c
     in
     let abort_attempt () =

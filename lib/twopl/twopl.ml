@@ -32,13 +32,6 @@ type server = {
   tombstones : (int, unit) Hashtbl.t;
 }
 
-type coord = {
-  client : int;
-  n_participants : int;
-  mutable ok_votes : int;
-  mutable decided : bool;
-}
-
 let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t =
   let net = cluster.Cluster.net in
   let engine = cluster.Cluster.engine in
@@ -133,15 +126,6 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
         (Simcore.Engine.schedule_after engine (Simcore.Sim_time.seconds 1.0) (fun () ->
              if (not !granted) && not r.gone then abort_locally server ~key r.txn_id))
   in
-  let coords : (int, coord) Hashtbl.t = Hashtbl.create 4096 in
-  let coord_state ~txn_id ~client ~n_participants =
-    match Hashtbl.find_opt coords txn_id with
-    | Some c -> c
-    | None ->
-        let c = { client; n_participants; ok_votes = 0; decided = false } in
-        Hashtbl.replace coords txn_id c;
-        c
-  in
   let server_release server txn_id =
     (* Tombstone unconditionally: attempt ids are never reused, and a late
        Prepare for a finished transaction must not re-acquire locks. *)
@@ -159,6 +143,8 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     let participants = plan.Exec.participants in
     let n = List.length participants in
     let client = txn.Txn.client in
+    (* The coordinator's 2PC state. *)
+    let decided = ref false and ok_votes = ref 0 in
     (* Re-resolve the partition leaders per attempt, so retries after a
        leader crash land on the newly elected node. *)
     Failover.refresh_leaders cluster ~participants ~set:(fun p node ->
@@ -176,9 +162,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
           participants;
         Net.send net ~src:client ~dst:coordinator
           ~msg:(Msg.control ~txn:txn_id Msg.Abort_notice)
-          (fun () ->
-            let c = coord_state ~txn_id ~client ~n_participants:n in
-            c.decided <- true);
+          (fun () -> decided := true);
         finish ~committed:false
       end
     in
@@ -200,9 +184,8 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     in
     (* ---- phase 3: coordinator decision ---- *)
     let coord_commit pairs =
-      let c = coord_state ~txn_id ~client ~n_participants:n in
-      if not c.decided then begin
-        c.decided <- true;
+      if not !decided then begin
+        decided := true;
         Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
         Raft.Group.replicate
           (Cluster.coordinator_group cluster ~client)
@@ -236,7 +219,6 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     in
     (* ---- phase 2: 2PC prepare driven by the coordinator ---- *)
     let start_prepare pairs =
-      let c = coord_state ~txn_id ~client ~n_participants:n in
       List.iter
         (fun p ->
           let server = servers.(p) in
@@ -260,9 +242,9 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
                         Net.send net ~src:server.node ~dst:coordinator
                           ~msg:(Msg.vote ~txn:txn_id ())
                           (fun () ->
-                            if not c.decided then begin
-                              c.ok_votes <- c.ok_votes + 1;
-                              if c.ok_votes = n then coord_commit pairs
+                            if not !decided then begin
+                              incr ok_votes;
+                              if !ok_votes = n then coord_commit pairs
                             end))
                       ()
                   in
