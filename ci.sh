@@ -1,31 +1,47 @@
 #!/bin/sh
 # Tier-1 gate: full build, full test suite, the golden matrix, then one
 # smoke, determinism or bound gate per block below. Run from the repo root;
-# exits non-zero at the first failing gate. Each gate prints its wall time.
+# exits non-zero at the first failing gate. Each gate prints its wall time
+# and the peak RSS of the largest natto_sim run it made, or for the golden
+# and smoke gates of the largest process dune ran (recorded, not gated).
 set -eu
 
-sim="$PWD/_build/default/bin/natto_sim.exe"
+exe="$PWD/_build/default/bin/natto_sim.exe"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# gate NAME: print the previous gate's wall seconds, then start NAME.
+# gate NAME: print the last gate's wall seconds and peak RSS; start NAME.
 gate_name="" gate_t0=0
 gate() {
-  [ -z "$gate_name" ] || echo "   ($gate_name: $(($(date +%s) - gate_t0))s)"
+  if [ -n "$gate_name" ]; then
+    kb=$(sort -n "$tmp/rss" | tail -n 1)
+    echo "   ($gate_name: $(($(date +%s) - gate_t0))s${kb:+, peak RSS $((kb / 1024)) MB})"
+  fi
+  : >"$tmp/rss"
   gate_name=$1 gate_t0=$(date +%s)
   echo "== $1 =="
 }
+# rss CMD...: run CMD under a python3 getrusage wrapper (there is no
+# /usr/bin/time); the peak RSS in kB of the largest process it ran, at
+# least the wrapper's own ~14 MB, goes to $tmp/rss. CMD's status is kept.
+rss() {
+  python3 -c 'import resource as r, subprocess as p, sys
+s = p.call(sys.argv[2:])
+print(r.getrusage(r.RUSAGE_CHILDREN).ru_maxrss, file=open(sys.argv[1], "a"))
+sys.exit(s)' "$tmp/rss" "$@"
+}
+sim() { rss "$exe" "$@"; }
 # run ARGS...: natto_sim ARGS, stdout kept in $tmp/out for expect.
-run() { "$sim" "$@" >"$tmp/out"; }
+run() { sim "$@" >"$tmp/out"; }
 # same_at_jobs ARGS...: run at --jobs 1 and --jobs 4; the outputs must be
 # byte-identical, and so must the figure data of the BENCH_results.json a
 # figure run writes (all but its first line, whose meta holds wall times).
 # The --jobs 1 output is kept for expect.
 same_at_jobs() {
   rm -f BENCH_results.json
-  "$sim" "$@" --jobs 1 >"$tmp/out"
+  sim "$@" --jobs 1 >"$tmp/out"
   [ ! -e BENCH_results.json ] || tail -n +2 BENCH_results.json >"$tmp/data1"
-  "$sim" "$@" --jobs 4 >"$tmp/out4"
+  sim "$@" --jobs 4 >"$tmp/out4"
   cmp "$tmp/out" "$tmp/out4"
   [ ! -e BENCH_results.json ] || tail -n +2 BENCH_results.json | cmp - "$tmp/data1"
 }
@@ -37,7 +53,7 @@ expect() {
 # with a message and before any simulation runs.
 must_fail() {
   status=0
-  "$sim" "$@" >/dev/null 2>&1 || status=$?
+  sim "$@" >/dev/null 2>&1 || status=$?
   [ "$status" -eq 124 ] || { echo "$gate_name: natto_sim $* exited $status"; exit 1; }
 }
 
@@ -64,13 +80,13 @@ gate "golden matrix"
 # whose run exits non-zero (a checker violation) fails here and cannot be
 # promoted. Regenerate with `dune promote`. Dune re-runs the rows only when
 # natto_sim or matrix.txt changed.
-dune build @golden
+rss dune build @golden
 
 gate "benchmark smoke"
 # perfbench/dune's smoke rule: every benchmark workload at 1/20 of its
 # length, in both trace modes, so a change that breaks the benchmark at run
 # time fails here. Dune re-runs it only when natto_bench changed.
-dune build @perfbench/smoke
+rss dune build @perfbench/smoke
 
 # Every gate below runs in $tmp: a figure writes BENCH_results.json to its
 # working directory, and a green run must leave the repo root's copy alone.
@@ -112,7 +128,7 @@ must_fail --warmup=-1
 must_fail --drain=-1
 must_fail --variance=-1
 # --help renders without markup errors (they go to stderr).
-"$sim" --help=plain >"$tmp/out" 2>"$tmp/err"
+sim --help=plain >"$tmp/out" 2>"$tmp/err"
 [ ! -s "$tmp/err" ] || { echo "$gate_name: --help wrote to stderr"; exit 1; }
 expect 'crash-leader:0@2s,restart@6s'
 
