@@ -32,18 +32,9 @@ type server = {
   kv : Store.Kv.t;
   queue : Srec.t Tsq.t;
   waiting : Srec.t Tsq.t;  (** high-priority, blocked *)
-  recs : (int, Srec.t) Hashtbl.t;
-  table : Srec.table;  (** [recs] by key: the live records each key's conflicts are among *)
-  cond_watchers : (int, int list) Hashtbl.t;  (** blocker id -> watcher txn ids *)
+  table : Srec.table;  (** the live records by key: each key's conflicts are among them *)
   mutable wakeup : Simcore.Engine.handle option;
   mutable wakeup_at : int option;  (** local timestamp the wakeup is armed for *)
-}
-
-(* Client-side per-partition read slot. *)
-type slot = {
-  expected : int;
-  mutable src : source option;
-  mutable got : Exec.reads;
 }
 
 let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features : Features.t) =
@@ -105,9 +96,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
           kv = Store.Kv.create ();
           queue = Tsq.create ();
           waiting = Tsq.create ();
-          recs = Hashtbl.create 256;
           table = Srec.table ();
-          cond_watchers = Hashtbl.create 64;
           wakeup = None;
           wakeup_at = None;
         })
@@ -133,11 +122,10 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
   (* ---------------- coordinator ---------------- *)
   let rec coord_try_commit c =
     if (not c.decided) && c.gen > 0 && c.gen_replicated then begin
-      let ready (p, src) =
-        match (Hashtbl.find_opt c.votes p, src) with
+      let ready ((r : Srec.t), src) =
+        match (r.vote, src) with
         | Some V_ok, (S_normal | S_recsf _) -> true
-        | Some (V_cond b), S_cond b' when b = b' ->
-            Hashtbl.find_opt c.resolutions b = Some true
+        | Some (V_cond b), S_cond b' when b = b' -> List.assoc_opt b c.resolutions = Some true
         | _ -> false
       in
       if List.for_all ready c.gen_sources then coord_decide_commit c
@@ -157,12 +145,12 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       c.recsf_waiters;
     c.recsf_waiters <- [];
     List.iter
-      (fun (p, _) ->
+      (fun (p, r) ->
         let server = servers.(p) in
         let local = Exec.pairs_on_partition cluster ~partition:p c.gen_pairs in
         Net.send net ~src:c.c_node ~dst:server.node
           ~msg:(Msg.decision ~txn:c.c_txn_id ~writes:(List.length local) ())
-          (fun () -> server_on_commit server c.c_txn_id local))
+          (fun () -> server_on_commit server r local))
       c.parts
 
   and coord_decide_abort c =
@@ -179,15 +167,15 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         c.parts
     end
 
-  and coord_on_vote c ~partition v =
+  and coord_on_vote c (r : Srec.t) v =
     if not c.decided then begin
-      Hashtbl.replace c.votes partition v;
+      r.vote <- Some v;
       match v with V_abort -> coord_decide_abort c | V_ok | V_cond _ -> coord_try_commit c
     end
 
   and coord_on_resolution c ~blocker ~aborted =
     if not c.decided then begin
-      Hashtbl.replace c.resolutions blocker aborted;
+      c.resolutions <- (blocker, aborted) :: List.remove_assoc blocker c.resolutions;
       if aborted then coord_try_commit c
     end
 
@@ -226,17 +214,16 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
 
   and server_send_vote server (r : Srec.t) v =
     Net.send net ~src:server.node ~dst:r.coord_node ~msg:(Msg.vote ~txn:r.txn_id ()) (fun () ->
-        coord_on_vote (cstate_for r.coord) ~partition:server.partition v)
+        coord_on_vote (cstate_for r.coord) r v)
 
   and server_drop server (r : Srec.t) =
     end_queue_wait server r;
     (match r.state with
     | Queued -> Tsq.remove server.queue ~ts:r.ts ~id:r.txn_id
     | Waiting -> Tsq.remove server.waiting ~ts:r.ts ~id:r.txn_id
-    | Prepared | Done -> ());
+    | Sent | Prepared | Done -> ());
     r.state <- Done;
     r.cond_on <- None;
-    Hashtbl.remove server.recs r.txn_id;
     Srec.remove server.table r
 
   and server_abort_txn server (r : Srec.t) ~late ~fail_key =
@@ -274,21 +261,22 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     if check_invariants then begin
       (* Timestamp-order invariant (§3.2): when a transaction prepares, no
          conflicting transaction with a smaller timestamp may still be
-         queued or waiting on this server. It scans [recs], not the per-key
-         table, so it checks the table's answers independently. *)
+         queued or waiting on this server. It scans the queue and the
+         waiters, not the per-key table, so it checks the table's answers
+         independently. *)
       let overlap a b = Array.exists (fun k -> Array.exists (( = ) k) b) a in
       let conflicts (q : Srec.t) =
         match r.txn.Txn.priority with
         | Txn.High -> overlap r.keys q.keys
         | Txn.Low -> overlap r.writes q.keys || overlap r.reads q.writes
       in
-      let bad state =
-        Hashtbl.fold
-          (fun _ (q : Srec.t) n ->
-            if q.state = state && q.ts < r.ts && conflicts q then n + 1 else n)
-          server.recs 0
+      let bad tsq state =
+        let n = ref 0 in
+        Tsq.iter tsq (fun ~ts:_ ~id:_ (q : Srec.t) ->
+            if q.state = state && q.ts < r.ts && conflicts q then incr n);
+        !n
       in
-      let bad_queue = bad Queued and bad_wait = bad Waiting in
+      let bad_queue = bad server.queue Queued and bad_wait = bad server.waiting Waiting in
       if bad_queue + bad_wait > 0 then
         Printf.ksprintf failwith
           "Natto invariant violated: txn %d (ts %d) prepared ahead of %d queued / %d waiting \
@@ -301,15 +289,14 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     server_serve_and_log server r S_normal ~vote:(fun () ->
         if r.state = Prepared then server_send_vote server r V_ok)
 
-  and server_cond_prepare server (r : Srec.t) ~blocker =
+  and server_cond_prepare server (r : Srec.t) ~(blocker : Srec.t) =
     end_queue_wait server r;
     stats.cond_prepares <- stats.cond_prepares + 1;
     mark ~tid:server.node ~txn:r.txn_id "txn-cond-prepare";
-    r.cond_on <- Some blocker;
-    let watchers = Option.value ~default:[] (Hashtbl.find_opt server.cond_watchers blocker) in
-    Hashtbl.replace server.cond_watchers blocker (r.txn_id :: watchers);
-    server_serve_and_log server r (S_cond blocker) ~vote:(fun () ->
-        if r.state <> Done then server_send_vote server r (V_cond blocker))
+    r.cond_on <- Some blocker.txn_id;
+    blocker.watchers <- r :: blocker.watchers;
+    server_serve_and_log server r (S_cond blocker.txn_id) ~vote:(fun () ->
+        if r.state <> Done then server_send_vote server r (V_cond blocker.txn_id))
 
   (* A prepare's two halves: serve the reads to the client, and log the
      prepare through the partition's Raft group, voting once it commits. *)
@@ -401,7 +388,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
               when b.state = Prepared && features.Features.conditional_prepare
                    && b.txn.Txn.priority = Txn.Low && b.ts < r.ts
                    && predicts_priority_abort server ~hp:r ~lp:b ->
-                server_cond_prepare server r ~blocker:b.txn_id
+                server_cond_prepare server r ~blocker:b
             | [ b ] when b.state = Prepared && features.Features.recsf ->
                 server_recsf_forward server r ~blocker:b
             | _ -> ())
@@ -417,64 +404,66 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
           server_prepare_normal server r
         end)
 
-  and server_notify_cond_watchers server ~blocker ~aborted =
-    match Hashtbl.find_opt server.cond_watchers blocker with
-    | None -> ()
-    | Some watchers ->
-        Hashtbl.remove server.cond_watchers blocker;
-        List.iter
-          (fun watcher_id ->
-            match Hashtbl.find_opt server.recs watcher_id with
-            | Some (w : Srec.t) when w.cond_on = Some blocker ->
-                if aborted then begin
-                  (* Condition satisfied: the conditional prepare becomes the
-                     real prepare. *)
-                  stats.cond_success <- stats.cond_success + 1;
-                  w.cond_on <- None;
-                  w.state <- Prepared;
-                  Tsq.remove server.waiting ~ts:w.ts ~id:w.txn_id
-                end
-                else begin
-                  (* Condition failed: discard the conditional prepare; the
-                     normal path (still Waiting) takes over. *)
-                  stats.cond_failure <- stats.cond_failure + 1;
-                  w.cond_on <- None
-                end;
-                Net.send net ~src:server.node ~dst:w.coord_node
-                  ~msg:(Msg.control ~txn:w.txn_id Msg.Cond_resolution)
-                  (fun () -> coord_on_resolution (cstate_for w.coord) ~blocker ~aborted)
-            | Some _ | None -> ())
-          watchers
+  (* [b]'s commit or abort resolves the conditions of its watchers; one
+     dropped since it prepared has [cond_on = None] and is skipped. *)
+  and server_notify_cond_watchers server (b : Srec.t) ~aborted =
+    let blocker = b.txn_id and watchers = b.watchers in
+    b.watchers <- [];
+    List.iter
+      (fun (w : Srec.t) ->
+        if w.cond_on = Some blocker then begin
+          if aborted then begin
+            (* Condition satisfied: the conditional prepare becomes the
+               real prepare. *)
+            stats.cond_success <- stats.cond_success + 1;
+            w.cond_on <- None;
+            w.state <- Prepared;
+            Tsq.remove server.waiting ~ts:w.ts ~id:w.txn_id
+          end
+          else begin
+            (* Condition failed: discard the conditional prepare; the
+               normal path (still Waiting) takes over. *)
+            stats.cond_failure <- stats.cond_failure + 1;
+            w.cond_on <- None
+          end;
+          Net.send net ~src:server.node ~dst:w.coord_node
+            ~msg:(Msg.control ~txn:w.txn_id Msg.Cond_resolution)
+            (fun () -> coord_on_resolution (cstate_for w.coord) ~blocker ~aborted)
+        end)
+      watchers
 
-  and server_on_commit server txn_id pairs =
-    match Hashtbl.find_opt server.recs txn_id with
-    | None -> ()
-    | Some r ->
-        let finish () =
-          Exec.apply cluster server.kv ~txn:txn_id pairs;
-          server_drop server r;
-          server_notify_cond_watchers server ~blocker:txn_id ~aborted:false;
-          server_rescan server;
-          server_drain server
-        in
-        (* LECSF: the commit is already fault-tolerant at the coordinator,
-           so the writes become visible now and replicate in the background.
-           Otherwise they become visible once replicated: write visibility,
-           not client latency, since the coordinator has already
-           acknowledged the client, so no attribution span. *)
-        let lecsf = features.Features.lecsf in
-        Raft.Group.replicate cluster.Cluster.groups.(server.partition) ~background:true
-          ~size:(Msg.write_record_bytes ~writes:(List.length pairs))
-          ~tag:txn_id
-          ~on_committed:(if lecsf then ignore else finish)
-          ();
-        if lecsf then finish ()
+  (* No live record here: it is done, or its read-and-prepare has not
+     arrived. *)
+  and gone (r : Srec.t) = r.state = Sent || r.state = Done
+
+  and server_on_commit server (r : Srec.t) pairs =
+    if not (gone r) then begin
+      let finish () =
+        Exec.apply cluster server.kv ~txn:r.txn_id pairs;
+        server_drop server r;
+        server_notify_cond_watchers server r ~aborted:false;
+        server_rescan server;
+        server_drain server
+      in
+      (* LECSF: the commit is already fault-tolerant at the coordinator,
+         so the writes become visible now and replicate in the background.
+         Otherwise they become visible once replicated: write visibility,
+         not client latency, since the coordinator has already
+         acknowledged the client, so no attribution span. *)
+      let lecsf = features.Features.lecsf in
+      Raft.Group.replicate cluster.Cluster.groups.(server.partition) ~background:true
+        ~size:(Msg.write_record_bytes ~writes:(List.length pairs))
+        ~tag:r.txn_id
+        ~on_committed:(if lecsf then ignore else finish)
+        ();
+      if lecsf then finish ()
+    end
 
   and server_on_abort server (r : Srec.t) =
     let txn_id = r.txn_id in
-    (* No live record: it is done, or its read-and-prepare is still in
-       flight (or lost), and marking it [Done] drops that on arrival. *)
-    if not (Hashtbl.mem server.recs txn_id) then r.state <- Done
+    (* A read-and-prepare still in flight (or lost) finds its record [Done]
+       and is dropped on arrival. *)
+    if gone r then r.state <- Done
     else begin
       let unserved = r.state = Queued || r.state = Waiting in
       server_drop server r;
@@ -498,7 +487,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
           ~msg:(Msg.abort_notice ~txn:txn_id ~salvaged:(Exec.count salvage) ())
           (fun () -> ignore (Exec.absorb r.txn ~attempt:txn_id Exec.no_claims salvage))
     end;
-    server_notify_cond_watchers server ~blocker:txn_id ~aborted:true;
+    server_notify_cond_watchers server r ~aborted:true;
     server_rescan server;
     server_drain server
 
@@ -534,9 +523,8 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         server.wakeup_at <- None
 
   and server_on_read_and_prepare server (r : Srec.t) =
-    if r.state = Done then ()
-    else begin
-      Hashtbl.replace server.recs r.txn_id r;
+    if r.state = Sent then begin
+      r.state <- Queued;
       Srec.add server.table r;
       let now = server_local_now server in
       let late = now > r.ts in
@@ -619,18 +607,6 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     let leaders = List.map (fun p -> servers.(p).node) participants in
     let ts, arrivals = Estimate.timestamps cluster features ~client ~leaders in
     let coordinator = Cluster.coordinator_for cluster ~client in
-    (* Per-partition partial-abort claims; empty with the cache off or
-       nothing validated. *)
-    let part_claims =
-      List.map (fun p -> (p, Exec.claims txn (plan.Exec.reads_of p))) participants
-    in
-    let claims_for p = Option.value ~default:Exec.no_claims (List.assoc_opt p part_claims) in
-    let slots : (int, slot) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun p ->
-        Hashtbl.replace slots p
-          { expected = Array.length (plan.Exec.reads_of p); src = None; got = Exec.no_reads })
-      participants;
     let finished = ref false in
     let finish ~committed =
       if not !finished then begin
@@ -645,8 +621,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         c_node = -1;
         parts = [];
         on_commit = (fun () -> finish ~committed:true);
-        votes = Hashtbl.create 8;
-        resolutions = Hashtbl.create 4;
+        resolutions = [];
         gen = 0;
         gen_sources = [];
         gen_pairs = [];
@@ -657,20 +632,20 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       }
     in
     let sent_gen = ref 0 in
-    let used : (int * source) list ref = ref [] in
+    let used : (Srec.t * source) list ref = ref [] in
     let must_resend = ref false in
-    let slot_complete s =
-      match s.src with
+    let complete (r : Srec.t) =
+      match r.src with
       | None -> false
       | Some (S_normal | S_cond _) -> true
-      | Some (S_recsf _) -> Exec.count s.got >= s.expected
+      | Some (S_recsf _) -> Exec.count r.got >= Array.length r.reads
     in
     let send_commit_request () =
       let gen = !sent_gen + 1 in
       sent_gen := gen;
       must_resend := false;
-      used := List.map (fun p -> (p, Option.get (Hashtbl.find slots p).src)) participants;
-      let per_partition = List.map (fun p -> (Hashtbl.find slots p).got) participants in
+      used := List.map (fun (_, (r : Srec.t)) -> (r, Option.get r.src)) c.parts;
+      let per_partition = List.map (fun (_, (r : Srec.t)) -> r.got) c.parts in
       let reads = Exec.assemble_reads txn per_partition in
       let pairs = Exec.write_pairs txn reads in
       let sources = !used in
@@ -679,12 +654,10 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         (fun () -> coord_on_commit_request (cstate_for c) ~gen ~sources ~pairs)
     in
     let maybe_send () =
-      if
-        (not !finished)
-        && List.for_all (fun p -> slot_complete (Hashtbl.find slots p)) participants
-      then if !sent_gen = 0 || !must_resend then send_commit_request ()
+      if (not !finished) && List.for_all (fun (_, r) -> complete r) c.parts then
+        if !sent_gen = 0 || !must_resend then send_commit_request ()
     in
-    let deliver_read_for p src served =
+    let deliver_read_for (r : Srec.t) src served =
       if !finished then
         (* The attempt is already dead (the abort notice beat this reply),
            but the entries are authoritative committed reads that crossed
@@ -694,32 +667,31 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
            Prepared there, i.e. "already served"). *)
         ignore (Exec.absorb txn ~attempt:txn_id Exec.no_claims served)
       else begin
-        let s = Hashtbl.find slots p in
-        (match (src, s.src) with
+        (match (src, r.src) with
         | S_normal, prev ->
-            (* Credit validated claims once per slot: the re-serve after a
-               failed condition honors the same claims again, so it credits
-               attempt -1, which is never live. *)
+            (* Credit validated claims once per partition: the re-serve
+               after a failed condition honors the same claims again, so it
+               credits attempt -1, which is never live. *)
             let attempt = if prev = None then txn_id else -1 in
-            s.src <- Some S_normal;
-            s.got <- Exec.absorb txn ~attempt (claims_for p) served;
-            (* A normal read arriving for a slot we used conditionally means
-               the condition failed: re-execute (§3.3.2). *)
-            (match (prev, List.assoc_opt p !used) with
+            r.src <- Some S_normal;
+            r.got <- Exec.absorb txn ~attempt r.claims served;
+            (* A normal read arriving for a partition we used conditionally
+               means the condition failed: re-execute (§3.3.2). *)
+            (match (prev, List.assq_opt r !used) with
             | Some (S_cond _), Some (S_cond _) when !sent_gen > 0 -> must_resend := true
             | _ -> ())
         | S_cond _, None ->
-            s.src <- Some src;
-            s.got <- Exec.absorb txn ~attempt:txn_id (claims_for p) served
+            r.src <- Some src;
+            r.got <- Exec.absorb txn ~attempt:txn_id r.claims served
         | S_recsf _, None ->
             (* RECSF serves its local slice in full (claims are not honored
                on that path), so nothing to merge; forwarded entries carry
                version -1 and never enter the cache. *)
-            s.src <- Some src;
-            s.got <- Exec.absorb txn ~attempt:txn_id Exec.no_claims served
+            r.src <- Some src;
+            r.got <- Exec.absorb txn ~attempt:txn_id Exec.no_claims served
         | S_recsf b, Some (S_recsf b') when b = b' ->
             (* Merge partial RECSF deliveries (local + forwarded). *)
-            s.got <- Exec.union s.got (Exec.absorb txn ~attempt:txn_id Exec.no_claims served)
+            r.got <- Exec.union r.got (Exec.absorb txn ~attempt:txn_id Exec.no_claims served)
         | _ -> ());
         maybe_send ()
       end
@@ -748,7 +720,10 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
           let keys =
             Array.of_list (List.sort_uniq compare (Array.to_list reads @ Array.to_list writes))
           in
-          ( p,
+          (* Partial-abort claims: empty with the cache off or nothing
+             validated. *)
+          let claims = Exec.claims txn reads in
+          let rec r : Srec.t =
             {
               txn;
               txn_id;
@@ -759,16 +734,22 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
               arrivals;
               coord = c;
               coord_node = coordinator;
-              claims = claims_for p;
-              deliver_read = deliver_read_for p;
+              claims;
+              deliver_read = (fun src served -> deliver_read_for r src served);
               deliver_abort;
-              state = Queued;
+              state = Sent;
               cond_on = None;
+              watchers = [];
               fwd_keys = [||];
               queued_at = None;
               waiting_from = None;
               wait_blame = None;
-            } ))
+              src = None;
+              got = Exec.no_reads;
+              vote = None;
+            }
+          in
+          (p, r))
         participants;
     List.iter
       (fun (p, (r : Srec.t)) ->

@@ -2,7 +2,7 @@ open Simcore
 open Txnkit
 
 type source = S_normal | S_cond of int | S_recsf of int
-type state = Queued | Waiting | Prepared | Done
+type state = Sent | Queued | Waiting | Prepared | Done
 type vote = V_ok | V_cond of int | V_abort
 
 type t = {
@@ -20,10 +20,14 @@ type t = {
   deliver_abort : int -> Exec.reads -> unit;
   mutable state : state;
   mutable cond_on : int option;
+  mutable watchers : t list;
   mutable fwd_keys : int array;
   mutable queued_at : Sim_time.t option;
   mutable waiting_from : Sim_time.t option;
   mutable wait_blame : (int * bool * int) option;
+  mutable src : source option;
+  mutable got : Exec.reads;
+  mutable vote : vote option;
 }
 
 and coord = {
@@ -32,10 +36,9 @@ and coord = {
   mutable c_node : int;
   mutable parts : (int * t) list;
   on_commit : unit -> unit;
-  votes : (int, vote) Hashtbl.t;
-  resolutions : (int, bool) Hashtbl.t;
+  mutable resolutions : (int * bool) list;
   mutable gen : int;
-  mutable gen_sources : (int * source) list;
+  mutable gen_sources : (t * source) list;
   mutable gen_pairs : (int * int) list;
   mutable gen_replicated : bool;
   mutable decided : bool;

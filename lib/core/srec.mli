@@ -4,8 +4,10 @@
 
     An attempt's state lives with the attempt: [submit] allocates one
     coordinator record and one record per participant, which point to each
-    other, and no table keyed by attempt id outlives them. They go when the
-    last in-flight message or live server entry that refers to them goes.
+    other. A server reaches a record only through the attempt's messages
+    and the records it conflicts with, never by attempt id; no table keyed
+    by attempt id exists. The records go when the last in-flight message
+    or live server entry that refers to them goes.
 
     Every conflict question is answered from the table, visiting only the
     records that share a key with the asking record. A question that asks
@@ -16,7 +18,13 @@
 type source = S_normal | S_cond of int | S_recsf of int
 (** How the client obtained a partition's read results. *)
 
-type state = Queued | Waiting | Prepared | Done
+type state =
+  | Sent  (** the read-and-prepare has not arrived; arrival makes it [Queued] *)
+  | Queued
+  | Waiting
+  | Prepared
+  | Done
+
 type vote = V_ok | V_cond of int | V_abort
 
 type t = {
@@ -40,10 +48,15 @@ type t = {
           partial-abort validated-prefix report, and the salvaged still-valid
           local reads piggybacked on the abort notice *)
   mutable state : state;
-      (** [Done] once dropped, or once a Release or abort decision found no
-          live record here: a read-and-prepare that finds its record [Done]
-          arrived after its attempt ended and is dropped *)
+      (** live while [Queued], [Waiting] or [Prepared]. [Done] once dropped,
+          or once a Release or abort decision found it [Sent]: a
+          read-and-prepare that finds its record [Done] arrived after its
+          attempt ended and is dropped *)
   mutable cond_on : int option;  (** conditionally prepared on this blocker *)
+  mutable watchers : t list;
+      (** the records conditionally prepared on this one, newest first;
+          read and cleared when this one's commit or abort reaches the
+          server *)
   mutable fwd_keys : int array;
       (** read keys served by RECSF forwarding (version -1, never cached
           client-side); a Release for a served record re-ships these from
@@ -58,6 +71,10 @@ type t = {
   mutable wait_blame : (int * bool * int) option;
       (** principal blocker at wait entry: (attempt id, is-high, contended
           key) — the smallest-(ts, id) prepared or earlier-waiting conflict *)
+  mutable src : source option;
+      (** client side: how this partition's reads arrived, [None] before *)
+  mutable got : Txnkit.Exec.reads;  (** client side: this partition's reads so far *)
+  mutable vote : vote option;  (** coordinator side: this partition's latest vote *)
 }
 
 (** Coordinator-side 2PC state of one attempt. *)
@@ -69,10 +86,12 @@ and coord = {
           failover the coordinator may move after submit *)
   mutable parts : (int * t) list;  (** partition -> the attempt's record there *)
   on_commit : unit -> unit;  (** the client's commit callback *)
-  votes : (int, vote) Hashtbl.t;  (** partition -> latest vote *)
-  resolutions : (int, bool) Hashtbl.t;  (** blocker id -> did it abort? *)
+  mutable resolutions : (int * bool) list;
+      (** blocker id -> did it abort? Keyed by blocker, not partition: one
+          resolution satisfies every partition prepared on that blocker *)
   mutable gen : int;
-  mutable gen_sources : (int * source) list;
+  mutable gen_sources : (t * source) list;
+      (** each record's read source in the latest commit request *)
   mutable gen_pairs : (int * int) list;
   mutable gen_replicated : bool;
   mutable decided : bool;

@@ -22,13 +22,13 @@ type txn_state = {
   mutable pinned : bool;
   ts : int;
   high : bool;
+  on_wound : key:int -> unit;
 }
 
 type t = {
   policy : policy;
   keys : (int, key_state) Hashtbl.t;
   txns : (int, txn_state) Hashtbl.t;
-  mutable abort_handler : key:int -> int -> unit;
   mutable next_seq : int;
   mutable wounds : int;  (** wound-wait aborts (older requester kills younger) *)
   mutable preempts : int;  (** priority preemptions (high requester kills low) *)
@@ -39,13 +39,10 @@ let create ~policy () =
     policy;
     keys = Hashtbl.create 1024;
     txns = Hashtbl.create 256;
-    abort_handler = (fun ~key:_ _ -> failwith "Locks: abort handler not set");
     next_seq = 0;
     wounds = 0;
     preempts = 0;
   }
-
-let set_abort_handler t f = t.abort_handler <- f
 
 let key_state t key =
   match Hashtbl.find_opt t.keys key with
@@ -55,11 +52,11 @@ let key_state t key =
       Hashtbl.replace t.keys key s;
       s
 
-let txn_state t ~txn ~ts ~high =
+let txn_state t ~txn ~ts ~high ~on_wound =
   match Hashtbl.find_opt t.txns txn with
   | Some s -> s
   | None ->
-      let s = { held = []; waits = []; wounded = false; pinned = false; ts; high } in
+      let s = { held = []; waits = []; wounded = false; pinned = false; ts; high; on_wound } in
       Hashtbl.replace t.txns txn s;
       s
 
@@ -146,7 +143,7 @@ let wound_counted t ~key victim =
   match Hashtbl.find_opt t.txns victim with
   | Some st when (not st.wounded) && not st.pinned ->
       st.wounded <- true;
-      t.abort_handler ~key victim;
+      st.on_wound ~key;
       true
   | _ -> false
 
@@ -205,8 +202,8 @@ let victims_of t ~ts ~high ~holders ~queue ~txn =
           holders
       else wound_wait_rule ()
 
-let acquire t ~txn ~ts ~high ~key ~exclusive ~on_granted =
-  let st = txn_state t ~txn ~ts ~high in
+let acquire t ~txn ~ts ~high ~key ~exclusive ~on_wound ~on_granted =
+  let st = txn_state t ~txn ~ts ~high ~on_wound in
   if st.wounded then ()
   else begin
     let ks = key_state t key in

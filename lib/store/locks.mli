@@ -17,18 +17,14 @@
     wounded or preempted (a participant cannot unilaterally abort a prepared
     transaction), so conflicting requesters wait instead.
 
-    The abort handler is invoked once per wounded transaction and must
-    (synchronously or later) call {!release_all} for it. *)
+    A wounded transaction's [on_wound] callback runs once, and must
+    (synchronously or later) lead to {!release_all} for it. *)
 
 type policy = Wound_wait | Preempt | Preempt_on_wait
 
 type t
 
 val create : policy:policy -> unit -> t
-
-val set_abort_handler : t -> (key:int -> int -> unit) -> unit
-(** [key] is the contended key whose acquisition triggered the wound — the
-    partial-abort layer reports it as the victim's first invalidated key. *)
 
 val acquire :
   t ->
@@ -37,11 +33,17 @@ val acquire :
   high:bool ->
   key:int ->
   exclusive:bool ->
+  on_wound:(key:int -> unit) ->
   on_granted:(unit -> unit) ->
   unit
 (** Requests one lock; [on_granted] fires when (and if) it is granted —
-    possibly synchronously. A wounded transaction's pending requests are
-    discarded, and its [on_granted] callbacks never fire afterwards.
+    possibly synchronously. The transaction's lock state keeps the
+    [on_wound] of its first request until {!release_all}; a wound calls it
+    with the contended key whose acquisition triggered the wound, which the
+    partial-abort layer reports as the victim's first invalidated key. A
+    wounded transaction's pending requests are discarded, its [on_granted]
+    callbacks never fire afterwards, and its later requests grant nothing
+    until {!release_all}.
     Re-acquiring a held key (including shared-to-exclusive upgrade when the
     transaction is the sole holder) is supported. *)
 

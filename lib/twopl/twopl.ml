@@ -14,13 +14,14 @@ let name_of = function
   | Preempt -> "2PL+2PC(P)"
   | Preempt_on_wait -> "2PL+2PC(POW)"
 
-type live_rec = {
+(* An attempt's record at one participant, made by [submit]; the server
+   reaches it only through the attempt's messages and its lock callbacks. *)
+type part = {
   txn : Txn.t;
   txn_id : int;  (** attempt id snapshot; [txn.id] moves on when the driver retries *)
-  deliver_abort : int -> unit;
-      (** argument: the conflicting key ([-1] unknown), feeding the
-          partial-abort validated-prefix report *)
   mutable gone : bool;
+      (** released or aborted here: a request that finds it set is dropped,
+          so a late read or Prepare never re-acquires locks *)
 }
 
 type server = {
@@ -28,8 +29,6 @@ type server = {
   mutable node : int;  (** the partition's leader; refreshed under failover *)
   locks : Store.Locks.t;
   kv : Store.Kv.t;
-  live : (int, live_rec) Hashtbl.t;
-  tombstones : (int, unit) Hashtbl.t;
 }
 
 let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t =
@@ -37,34 +36,30 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
   let engine = cluster.Cluster.engine in
   let trace = Net.trace net in
   let recorder = cluster.Cluster.recorder in
-  let abort_locally server ~key txn_id =
-    match Hashtbl.find_opt server.live txn_id with
-    | None -> ()
-    | Some r ->
-        r.gone <- true;
-        Hashtbl.remove server.live txn_id;
-        Hashtbl.replace server.tombstones txn_id ();
-        Store.Locks.release_all server.locks ~txn:txn_id;
-        (* Tell the aborted transaction's client, naming the contended key
-           so the retry can resume from the first invalidated read. *)
-        Net.send net ~src:server.node ~dst:r.txn.Txn.client
-          ~msg:(Msg.control ~txn:r.txn_id Msg.Abort_notice)
-          (fun () -> r.deliver_abort key)
+  let server_release server r =
+    r.gone <- true;
+    Store.Locks.release_all server.locks ~txn:r.txn_id
+  in
+  (* [deliver_abort] runs at the client with the conflicting key ([-1]
+     unknown), feeding the partial-abort validated-prefix report. *)
+  let abort_locally server ~key r ~deliver_abort =
+    if not r.gone then begin
+      server_release server r;
+      (* Tell the aborted transaction's client, naming the contended key
+         so the retry can resume from the first invalidated read. *)
+      Net.send net ~src:server.node ~dst:r.txn.Txn.client
+        ~msg:(Msg.control ~txn:r.txn_id Msg.Abort_notice)
+        (fun () -> deliver_abort key)
+    end
   in
   let servers =
     Array.init cluster.Cluster.n_partitions (fun p ->
-        let s =
-          {
-            partition = p;
-            node = Cluster.leader cluster p;
-            locks = Store.Locks.create ~policy:(policy_of variant) ();
-            kv = Store.Kv.create ();
-            live = Hashtbl.create 256;
-            tombstones = Hashtbl.create 256;
-          }
-        in
-        Store.Locks.set_abort_handler s.locks (fun ~key txn_id -> abort_locally s ~key txn_id);
-        s)
+        {
+          partition = p;
+          node = Cluster.leader cluster p;
+          locks = Store.Locks.create ~policy:(policy_of variant) ();
+          kv = Store.Kv.create ();
+        })
   in
   (* Per-partition lock-table instruments for the metrics registry. *)
   let metrics = cluster.Cluster.metrics in
@@ -86,7 +81,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
      waiting at another. Like production systems, waits carry a timeout; a
      transaction stuck past it aborts and retries with its original
      wound-wait timestamp. *)
-  let acquire_with_timeout server (r : live_rec) ~high ~key ~exclusive ~on_granted =
+  let acquire_with_timeout server r ~deliver_abort ~high ~key ~exclusive ~on_granted =
     let granted = ref false in
     (* Lock waits become retroactive "lock-wait" spans: the begin/end pair is
        emitted adjacently at grant time, so synchronous grants (now = t0) add
@@ -100,7 +95,9 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
       else None
     in
     Store.Locks.acquire server.locks ~txn:r.txn_id ~ts:r.txn.Txn.wound_ts ~high ~key
-      ~exclusive ~on_granted:(fun () ->
+      ~exclusive
+      ~on_wound:(fun ~key -> abort_locally server ~key r ~deliver_abort)
+      ~on_granted:(fun () ->
         granted := true;
         let now = Simcore.Engine.now engine in
         if now > t0 then begin
@@ -124,18 +121,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     if not !granted then
       ignore
         (Simcore.Engine.schedule_after engine (Simcore.Sim_time.seconds 1.0) (fun () ->
-             if (not !granted) && not r.gone then abort_locally server ~key r.txn_id))
-  in
-  let server_release server txn_id =
-    (* Tombstone unconditionally: attempt ids are never reused, and a late
-       Prepare for a finished transaction must not re-acquire locks. *)
-    Hashtbl.replace server.tombstones txn_id ();
-    (match Hashtbl.find_opt server.live txn_id with
-    | Some r ->
-        r.gone <- true;
-        Hashtbl.remove server.live txn_id
-    | None -> ());
-    Store.Locks.release_all server.locks ~txn:txn_id
+             if not !granted then abort_locally server ~key r ~deliver_abort))
   in
   let submit (txn : Txn.t) ~on_done =
     let txn_id = txn.Txn.id in
@@ -152,14 +138,15 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     let coordinator = Cluster.coordinator_for cluster ~client in
     let high = Txn.is_high txn in
     let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
+    let parts = List.map (fun p -> (p, { txn; txn_id; gone = false })) participants in
     let abort_attempt () =
       if not !finished then begin
         List.iter
-          (fun p ->
+          (fun (p, r) ->
             let server = servers.(p) in
             Net.send net ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
-              (fun () -> server_release server txn_id))
-          participants;
+              (fun () -> server_release server r))
+          parts;
         Net.send net ~src:client ~dst:coordinator
           ~msg:(Msg.control ~txn:txn_id Msg.Abort_notice)
           (fun () -> decided := true);
@@ -169,18 +156,6 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     let deliver_abort fail_key =
       Exec.absorb_abort txn ~attempt:txn_id ~fail_key Exec.no_reads;
       abort_attempt ()
-    in
-    (* The attempt's record at a server, created on its first request there;
-       [None] once the server has aborted or released it. *)
-    let live_rec server =
-      if Hashtbl.mem server.tombstones txn_id then None
-      else
-        match Hashtbl.find_opt server.live txn_id with
-        | Some _ as r -> r
-        | None ->
-            let r = { txn; txn_id; deliver_abort; gone = false } in
-            Hashtbl.replace server.live txn_id r;
-            Some r
     in
     (* ---- phase 3: coordinator decision ---- *)
     let coord_commit pairs =
@@ -196,7 +171,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
               ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
               (fun () -> finish ~committed:true);
             List.iter
-              (fun p ->
+              (fun (p, r) ->
                 let server = servers.(p) in
                 let local = Exec.pairs_on_partition cluster ~partition:p pairs in
                 Net.send net ~src:coordinator ~dst:server.node
@@ -212,15 +187,15 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
                       ~on_committed:(fun () -> ())
                       ();
                     Exec.apply cluster server.kv ~txn:txn_id local;
-                    server_release server txn_id))
-              participants)
+                    server_release server r))
+              parts)
           ()
       end
     in
     (* ---- phase 2: 2PC prepare driven by the coordinator ---- *)
     let start_prepare pairs =
       List.iter
-        (fun p ->
+        (fun (p, r) ->
           let server = servers.(p) in
           let local = Exec.pairs_on_partition cluster ~partition:p pairs in
           let write_keys = List.map fst local in
@@ -228,42 +203,41 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
             ~msg:
               (Msg.read_prepare ~txn:txn_id ~reads:0 ~writes:(List.length write_keys) ())
             (fun () ->
-              match live_rec server with
-              | None -> ()
-              | Some r ->
-                  let needed = List.length write_keys in
-                  let granted = ref 0 in
-                  let vote () =
-                    Store.Locks.pin server.locks ~txn:txn_id;
-                    Raft.Group.replicate cluster.Cluster.groups.(p)
-                      ~size:(Msg.prepare_record_bytes ~reads:0 ~writes:needed)
-                      ~tag:txn_id
-                      ~on_committed:(fun () ->
-                        Net.send net ~src:server.node ~dst:coordinator
-                          ~msg:(Msg.vote ~txn:txn_id ())
-                          (fun () ->
-                            if not !decided then begin
-                              incr ok_votes;
-                              if !ok_votes = n then coord_commit pairs
-                            end))
-                      ()
-                  in
-                  if needed = 0 then vote ()
-                  else
-                    List.iter
-                      (fun key ->
-                        acquire_with_timeout server r ~high ~key ~exclusive:true
-                          ~on_granted:(fun () ->
-                            if not r.gone then begin
-                              incr granted;
-                              if !granted = needed then vote ()
-                            end))
-                      write_keys))
-        participants
+              if not r.gone then begin
+                let needed = List.length write_keys in
+                let granted = ref 0 in
+                let vote () =
+                  Store.Locks.pin server.locks ~txn:txn_id;
+                  Raft.Group.replicate cluster.Cluster.groups.(p)
+                    ~size:(Msg.prepare_record_bytes ~reads:0 ~writes:needed)
+                    ~tag:txn_id
+                    ~on_committed:(fun () ->
+                      Net.send net ~src:server.node ~dst:coordinator
+                        ~msg:(Msg.vote ~txn:txn_id ())
+                        (fun () ->
+                          if not !decided then begin
+                            incr ok_votes;
+                            if !ok_votes = n then coord_commit pairs
+                          end))
+                    ()
+                in
+                if needed = 0 then vote ()
+                else
+                  List.iter
+                    (fun key ->
+                      acquire_with_timeout server r ~deliver_abort ~high ~key ~exclusive:true
+                        ~on_granted:(fun () ->
+                          if not r.gone then begin
+                            incr granted;
+                            if !granted = needed then vote ()
+                          end))
+                    write_keys
+              end))
+        parts
     in
     (* ---- phase 1: read locks and reads at participant leaders ---- *)
     let read_partitions =
-      List.filter (fun p -> Array.length (plan.Exec.reads_of p) > 0) participants
+      List.filter (fun (p, _) -> Array.length (plan.Exec.reads_of p) > 0) parts
     in
     let reads_pending = ref (List.length read_partitions) in
     let read_replies : Exec.reads list ref = ref [] in
@@ -281,7 +255,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     if read_partitions = [] then phase_one_done ()
     else
       List.iter
-        (fun p ->
+        (fun (p, r) ->
           let server = servers.(p) in
           let keys = plan.Exec.reads_of p in
           (* Partial-abort claims for this partition's keys: cached entries
@@ -294,44 +268,43 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
               (Msg.read_prepare ~txn:txn_id ~reads:(Array.length keys) ~writes:0
                  ~extra:(Exec.claim_bytes claims) ())
             (fun () ->
-              match live_rec server with
-              | None -> ()
-              | Some r ->
-                  let needed = Array.length keys in
-                  let granted = ref 0 in
-                  Array.iter
-                    (fun key ->
-                      acquire_with_timeout server r ~high ~key ~exclusive:false
-                        ~on_granted:(fun () ->
-                          if not r.gone then begin
-                            incr granted;
-                            if !granted = needed then begin
-                              let served =
-                                Exec.serve cluster server.kv ~txn:txn_id keys claims
-                              in
-                              (* Deliberately broken variant for checker tests:
-                                 give up the read locks as soon as the reads
-                                 are served, before the 2PC prepare — the
-                                 classic two-phase violation that admits lost
-                                 updates. *)
-                              (* At this point the transaction holds exactly
-                                 its read locks here, so releasing everything
-                                 releases just those. *)
-                              if early_read_release then
-                                Store.Locks.release_all server.locks ~txn:txn_id;
-                              Net.send net ~src:server.node ~dst:client
-                                ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
-                                (fun () ->
-                                  if not !finished then begin
-                                    read_replies :=
-                                      Exec.absorb txn ~attempt:txn_id claims served
-                                      :: !read_replies;
-                                    decr reads_pending;
-                                    if !reads_pending = 0 then phase_one_done ()
-                                  end)
-                            end
-                          end))
-                    keys))
+              if not r.gone then begin
+                let needed = Array.length keys in
+                let granted = ref 0 in
+                Array.iter
+                  (fun key ->
+                    acquire_with_timeout server r ~deliver_abort ~high ~key ~exclusive:false
+                      ~on_granted:(fun () ->
+                        if not r.gone then begin
+                          incr granted;
+                          if !granted = needed then begin
+                            let served =
+                              Exec.serve cluster server.kv ~txn:txn_id keys claims
+                            in
+                            (* Deliberately broken variant for checker tests:
+                               give up the read locks as soon as the reads
+                               are served, before the 2PC prepare — the
+                               classic two-phase violation that admits lost
+                               updates. *)
+                            (* At this point the transaction holds exactly
+                               its read locks here, so releasing everything
+                               releases just those. *)
+                            if early_read_release then
+                              Store.Locks.release_all server.locks ~txn:txn_id;
+                            Net.send net ~src:server.node ~dst:client
+                              ~msg:(Msg.read_reply ~txn:txn_id ~reads:(Exec.count served) ())
+                              (fun () ->
+                                if not !finished then begin
+                                  read_replies :=
+                                    Exec.absorb txn ~attempt:txn_id claims served
+                                    :: !read_replies;
+                                  decr reads_pending;
+                                  if !reads_pending = 0 then phase_one_done ()
+                                end)
+                          end
+                        end))
+                  keys
+              end))
         read_partitions
   in
   System.make ~name:(name_of variant) ~submit

@@ -137,31 +137,34 @@ let prop_occ_prepare_release_inverse =
 (* ------------------------------------------------------------------ *)
 (* Locks *)
 
+(* [on_wound txn] is the wound callback a request by [txn] passes: it notes
+   the victim and releases its locks. *)
 let make_locks ?(policy = Locks.Wound_wait) () =
   let locks = Locks.create ~policy () in
   let wounded = ref [] in
-  Locks.set_abort_handler locks (fun ~key:_ txn ->
-      wounded := txn :: !wounded;
-      Locks.release_all locks ~txn);
-  (locks, wounded)
+  let on_wound txn ~key:_ =
+    wounded := txn :: !wounded;
+    Locks.release_all locks ~txn
+  in
+  (locks, wounded, on_wound)
 
-let acquire locks ~txn ~ts ?(high = false) ~key ~exclusive granted =
-  Locks.acquire locks ~txn ~ts ~high ~key ~exclusive ~on_granted:(fun () ->
-      granted := txn :: !granted)
+let acquire locks ~on_wound ~txn ~ts ?(high = false) ~key ~exclusive granted =
+  Locks.acquire locks ~txn ~ts ~high ~key ~exclusive ~on_wound:(on_wound txn)
+    ~on_granted:(fun () -> granted := txn :: !granted)
 
 let test_locks_shared_compatible () =
-  let locks, _ = make_locks () in
+  let locks, _, on_wound = make_locks () in
   let granted = ref [] in
-  acquire locks ~txn:1 ~ts:1 ~key:5 ~exclusive:false granted;
-  acquire locks ~txn:2 ~ts:2 ~key:5 ~exclusive:false granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:5 ~exclusive:false granted;
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~key:5 ~exclusive:false granted;
   Alcotest.(check (list int)) "both shared" [ 2; 1 ] !granted
 
 let test_locks_exclusive_blocks () =
-  let locks, wounded = make_locks () in
+  let locks, wounded, on_wound = make_locks () in
   let granted = ref [] in
-  acquire locks ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
   (* Younger requester waits (wound-wait). *)
-  acquire locks ~txn:2 ~ts:2 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~key:5 ~exclusive:true granted;
   Alcotest.(check (list int)) "only older" [ 1 ] !granted;
   Alcotest.(check (list int)) "no wound" [] !wounded;
   Alcotest.(check bool) "waiting" true (Locks.is_waiting locks ~txn:2);
@@ -169,75 +172,75 @@ let test_locks_exclusive_blocks () =
   Alcotest.(check (list int)) "granted after release" [ 2; 1 ] !granted
 
 let test_locks_wound_wait () =
-  let locks, wounded = make_locks () in
+  let locks, wounded, on_wound = make_locks () in
   let granted = ref [] in
-  acquire locks ~txn:2 ~ts:2 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~key:5 ~exclusive:true granted;
   (* Older requester wounds the younger holder. *)
-  acquire locks ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
   Alcotest.(check (list int)) "younger wounded" [ 2 ] !wounded;
   Alcotest.(check (list int)) "older granted" [ 1; 2 ] !granted
 
 let test_locks_pin_prevents_wound () =
-  let locks, wounded = make_locks () in
+  let locks, wounded, on_wound = make_locks () in
   let granted = ref [] in
-  acquire locks ~txn:2 ~ts:2 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~key:5 ~exclusive:true granted;
   Locks.pin locks ~txn:2;
-  acquire locks ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
   Alcotest.(check (list int)) "pinned survives" [] !wounded;
   Alcotest.(check bool) "older waits" true (Locks.is_waiting locks ~txn:1)
 
 let test_locks_upgrade () =
-  let locks, _ = make_locks () in
+  let locks, _, on_wound = make_locks () in
   let granted = ref [] in
-  acquire locks ~txn:1 ~ts:1 ~key:5 ~exclusive:false granted;
-  acquire locks ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:5 ~exclusive:false granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
   Alcotest.(check (list int)) "sole holder upgrades" [ 1; 1 ] !granted;
   Alcotest.(check bool) "holds" true (Locks.holds locks ~txn:1 ~key:5)
 
 let test_locks_preempt_low_holder () =
-  let locks, wounded = make_locks ~policy:Locks.Preempt () in
+  let locks, wounded, on_wound = make_locks ~policy:Locks.Preempt () in
   let granted = ref [] in
   (* Low-priority, OLDER holder... *)
-  acquire locks ~txn:1 ~ts:1 ~high:false ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~high:false ~key:5 ~exclusive:true granted;
   (* ...still preempted by a younger high-priority requester under (P). *)
-  acquire locks ~txn:2 ~ts:2 ~high:true ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~high:true ~key:5 ~exclusive:true granted;
   Alcotest.(check (list int)) "low holder preempted" [ 1 ] !wounded;
   Alcotest.(check (list int)) "high granted" [ 2; 1 ] !granted
 
 let test_locks_preempt_low_waiters () =
-  let locks, wounded = make_locks ~policy:Locks.Preempt () in
+  let locks, wounded, on_wound = make_locks ~policy:Locks.Preempt () in
   let granted = ref [] in
-  acquire locks ~txn:1 ~ts:1 ~high:true ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~high:true ~key:5 ~exclusive:true granted;
   (* Low-priority waiter with a smaller timestamp than the next high... *)
-  acquire locks ~txn:2 ~ts:2 ~high:false ~key:5 ~exclusive:true granted;
-  acquire locks ~txn:3 ~ts:3 ~high:true ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~high:false ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:3 ~ts:3 ~high:true ~key:5 ~exclusive:true granted;
   (* (P) policy: the low waiter ahead of the high requester is aborted. *)
   Alcotest.(check (list int)) "low waiter preempted" [ 2 ] !wounded;
   Locks.release_all locks ~txn:1;
   Alcotest.(check (list int)) "high next" [ 3; 1 ] !granted
 
 let test_locks_pow_requires_waiting_holder () =
-  let locks, wounded = make_locks ~policy:Locks.Preempt_on_wait () in
+  let locks, wounded, on_wound = make_locks ~policy:Locks.Preempt_on_wait () in
   let granted = ref [] in
   (* Low holder of key 5 (older), not waiting on anything. *)
-  acquire locks ~txn:1 ~ts:1 ~high:false ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~high:false ~key:5 ~exclusive:true granted;
   (* POW: a younger high-priority requester must NOT preempt it. *)
-  acquire locks ~txn:2 ~ts:2 ~high:true ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~high:true ~key:5 ~exclusive:true granted;
   Alcotest.(check (list int)) "no wound while not waiting" [] !wounded;
   (* Now make the low holder wait on key 6 (held exclusively by txn 0 which is older). *)
-  acquire locks ~txn:0 ~ts:0 ~high:false ~key:6 ~exclusive:true granted;
-  acquire locks ~txn:1 ~ts:1 ~high:false ~key:6 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:0 ~ts:0 ~high:false ~key:6 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~high:false ~key:6 ~exclusive:true granted;
   Alcotest.(check bool) "low now waiting" true (Locks.is_waiting locks ~txn:1);
   (* A high-priority request against key 5 now preempts it. *)
-  acquire locks ~txn:3 ~ts:3 ~high:true ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:3 ~ts:3 ~high:true ~key:5 ~exclusive:true granted;
   Alcotest.(check (list int)) "wounded when waiting" [ 1 ] !wounded
 
 let test_locks_release_grants_waiters_in_order () =
-  let locks, _ = make_locks () in
+  let locks, _, on_wound = make_locks () in
   let granted = ref [] in
-  acquire locks ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
-  acquire locks ~txn:3 ~ts:3 ~key:5 ~exclusive:true granted;
-  acquire locks ~txn:2 ~ts:2 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:3 ~ts:3 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~key:5 ~exclusive:true granted;
   (* Queue is ordered by timestamp: txn 2 before txn 3. *)
   Alcotest.(check (list int)) "ts order" [ 2; 3 ] (Locks.waiters_on locks ~key:5);
   Locks.release_all locks ~txn:1;
@@ -249,27 +252,49 @@ let test_locks_release_grants_waiters_in_order () =
 
 let test_locks_no_deadlock_two_txns () =
   (* Classic 2-key deadlock shape: wound-wait must resolve it. *)
-  let locks, wounded = make_locks () in
+  let locks, wounded, on_wound = make_locks () in
   let granted = ref [] in
-  acquire locks ~txn:1 ~ts:1 ~key:1 ~exclusive:true granted;
-  acquire locks ~txn:2 ~ts:2 ~key:2 ~exclusive:true granted;
-  acquire locks ~txn:1 ~ts:1 ~key:2 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:1 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~key:2 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:2 ~exclusive:true granted;
   (* txn 1 (older) wounds txn 2 and takes key 2. *)
   Alcotest.(check (list int)) "wounded" [ 2 ] !wounded;
   Alcotest.(check bool) "t1 has both" true
     (Locks.holds locks ~txn:1 ~key:1 && Locks.holds locks ~txn:1 ~key:2)
 
+let test_locks_wound_callback_per_txn () =
+  (* Each transaction's own wound callback fires, once, with the contended
+     key. These callbacks release nothing, so the victims stay wounded. *)
+  let locks = Locks.create ~policy:Locks.Wound_wait () in
+  let calls = ref [] in
+  let on_wound txn ~key = calls := (txn, key) :: !calls in
+  let granted = ref [] in
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:3 ~ts:3 ~key:6 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:5 ~exclusive:true granted;
+  acquire locks ~on_wound ~txn:1 ~ts:1 ~key:6 ~exclusive:true granted;
+  (* An older requester finds txn 2 already wounded: no second call. *)
+  acquire locks ~on_wound ~txn:0 ~ts:0 ~key:5 ~exclusive:true granted;
+  Alcotest.(check (list (pair int int))) "own callback, contended key" [ (3, 6); (2, 5) ] !calls;
+  (* A wounded transaction's later request grants nothing, even on a free key. *)
+  acquire locks ~on_wound ~txn:2 ~ts:2 ~key:7 ~exclusive:false granted;
+  Alcotest.(check (list int)) "victim granted nothing more" [ 3; 2 ] !granted;
+  Locks.release_all locks ~txn:2;
+  Locks.release_all locks ~txn:3;
+  Alcotest.(check (list int)) "older requesters granted" [ 1; 0; 3; 2 ] !granted;
+  Alcotest.(check (list (pair int int))) "no further calls" [ (3, 6); (2, 5) ] !calls
+
 let prop_locks_drain_clean =
   QCheck.Test.make ~name:"lock table drains clean after release_all" ~count:300
     QCheck.(list (triple (int_bound 5) (int_bound 3) bool))
     (fun ops ->
-      let locks, _ = make_locks () in
+      let locks, _, on_wound = make_locks () in
       List.iteri
         (fun i (txn, key, exclusive) ->
           let txn = txn + 1 in
           if i mod 7 = 6 then Locks.release_all locks ~txn
           else
-            Locks.acquire locks ~txn ~ts:txn ~high:false ~key ~exclusive
+            Locks.acquire locks ~txn ~ts:txn ~high:false ~key ~exclusive ~on_wound:(on_wound txn)
               ~on_granted:(fun () -> ()))
         ops;
       List.iter (fun txn -> Locks.release_all locks ~txn) [ 1; 2; 3; 4; 5; 6 ];
@@ -280,6 +305,7 @@ let prop_locks_drain_clean =
       List.iter
         (fun key ->
           Locks.acquire locks ~txn:fresh ~ts:fresh ~high:false ~key ~exclusive:true
+            ~on_wound:(on_wound fresh)
             ~on_granted:(fun () -> incr granted))
         [ 0; 1; 2; 3 ];
       !granted = 4)
@@ -294,9 +320,10 @@ let prop_locks_exclusive_never_shared =
       let locks = Locks.create ~policy:Locks.Wound_wait () in
       let holds : (int * int * bool) list ref = ref [] in
       let ok = ref true in
-      Locks.set_abort_handler locks (fun ~key:_ txn ->
-          holds := List.filter (fun (t, _, _) -> t <> txn) !holds;
-          Locks.release_all locks ~txn);
+      let on_wound txn ~key:_ =
+        holds := List.filter (fun (t, _, _) -> t <> txn) !holds;
+        Locks.release_all locks ~txn
+      in
       let release txn = holds := List.filter (fun (t, _, _) -> t <> txn) !holds in
       let check key =
         let on_key = List.filter (fun (_, k, _) -> k = key) !holds in
@@ -319,7 +346,7 @@ let prop_locks_exclusive_never_shared =
             Locks.release_all locks ~txn
           end
           else begin
-            Locks.acquire locks ~txn ~ts:txn ~high:false ~key ~exclusive
+            Locks.acquire locks ~txn ~ts:txn ~high:false ~key ~exclusive ~on_wound:(on_wound txn)
               ~on_granted:(fun () ->
                 holds := (txn, key, exclusive) :: !holds;
                 check key);
@@ -354,10 +381,11 @@ let prop_locks_queue_invariants =
         in
         List.iter (Hashtbl.remove held) mine
       in
-      Locks.set_abort_handler locks (fun ~key:_ txn ->
-          Hashtbl.replace dead txn ();
-          forget txn;
-          Locks.release_all locks ~txn);
+      let on_wound txn ~key:_ =
+        Hashtbl.replace dead txn ();
+        forget txn;
+        Locks.release_all locks ~txn
+      in
       let high_of txn = txn mod 3 = 0 in
       let keys_used = List.sort_uniq compare (List.map (fun (_, _, k, _) -> k) ops) in
       let rank txn = if policy <> Locks.Wound_wait && high_of txn then 0 else 1 in
@@ -385,6 +413,7 @@ let prop_locks_queue_invariants =
             end
             else
               Locks.acquire locks ~txn ~ts:txn ~high:(high_of txn) ~key ~exclusive
+                ~on_wound:(on_wound txn)
                 ~on_granted:(fun () ->
                   let was = Hashtbl.find_opt held (txn, key) = Some true in
                   Hashtbl.replace held (txn, key) (exclusive || was));
@@ -400,6 +429,7 @@ let prop_locks_queue_invariants =
       List.iter
         (fun key ->
           Locks.acquire locks ~txn:fresh ~ts:fresh ~high:false ~key ~exclusive:true
+            ~on_wound:(on_wound fresh)
             ~on_granted:(fun () -> incr granted))
         keys_used;
       !ok
@@ -438,6 +468,8 @@ let () =
           Alcotest.test_case "grant order on release" `Quick
             test_locks_release_grants_waiters_in_order;
           Alcotest.test_case "no deadlock" `Quick test_locks_no_deadlock_two_txns;
+          Alcotest.test_case "per-transaction wound callback" `Quick
+            test_locks_wound_callback_per_txn;
           QCheck_alcotest.to_alcotest prop_locks_drain_clean;
           QCheck_alcotest.to_alcotest prop_locks_exclusive_never_shared;
           QCheck_alcotest.to_alcotest prop_locks_queue_invariants;
