@@ -63,14 +63,14 @@ let run_cells cells ~check ~histograms ~trace_file ~metrics_file ~trace_summary 
         List.map
           (fun o ->
             (match o.E.o_check with
-            | Some (_, report) when Check.Checker.ok report ->
+            | Some (report, _) when Check.Checker.ok report ->
                 Printf.printf "# check: %s seed %d ok (%d txns, %d edges)\n%!" name (seed o)
                   report.Check.Checker.checked_txns report.Check.Checker.edges
-            | Some (history, report) ->
+            | Some (report, rendered) ->
                 violations := !violations + List.length report.Check.Checker.violations;
                 Printf.printf "# check: %s seed %d FAILED\n# replay: %s\n%s%!" name (seed o)
                   (Harness.Spec.replay o.E.o_setup)
-                  (Check.Checker.render history report)
+                  rendered
             | None -> ());
             (* A failed verdict was reported above; the exit status counts it. *)
             try E.merge o with Check.Checker.Violation _ -> o.E.o_result)

@@ -349,9 +349,9 @@ let render ?trace h r =
 
 exception Violation of string
 
-let assert_ok ?trace ?(label = "history") h r =
+let assert_ok ?(label = "history") r rendered =
   if not (ok r) then
     raise
       (Violation
          (Printf.sprintf "%s: %d violation(s) in %d transactions\n%s" label
-            (List.length r.violations) r.checked_txns (render ?trace h r)))
+            (List.length r.violations) r.checked_txns rendered))

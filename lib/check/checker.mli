@@ -59,5 +59,6 @@ val render : ?trace:Trace.t -> History.t -> report -> string
 
 exception Violation of string
 
-val assert_ok : ?trace:Trace.t -> ?label:string -> History.t -> report -> unit
-(** Raise {!Violation} with the rendered counterexamples unless {!ok}. *)
+val assert_ok : ?label:string -> report -> string -> unit
+(** [assert_ok report rendered] raises {!Violation} unless {!ok}, with
+    [rendered], the report's counterexamples as {!render} gave them. *)

@@ -462,7 +462,7 @@ let check_figure =
         ~mode:(Once { check = true; metrics = false }))
     (fun _ ->
       rows table ~x_label:"schedule" ~x:fst (fun r ->
-          snd (Option.get (List.hd r.outs).Experiment.o_check)))
+          fst (Option.get (List.hd r.outs).Experiment.o_check)))
 
 (* ------------------------------------------------------------------ *)
 (* Attribution: where does commit latency go, per family? The Fig. 7(c)

@@ -63,6 +63,16 @@ let leader_slot t =
 
 let leader_id t = match leader_slot t with -1 -> None | i -> Some t.member_ids.(i)
 
+(* The floor is the smallest commit index over all members, a crashed one
+   included: every member holds, committed, the same entries up to it, and
+   a member that is down holds it back until it has caught up, so no
+   member ever needs an entry another has dropped. *)
+let compact t =
+  let floor = Array.fold_left (fun acc n -> Int.min acc (Node.commit_index n)) max_int t.nodes in
+  for i = 0 to Array.length t.nodes - 1 do
+    Node.compact t.nodes.(i) ~floor
+  done
+
 let replicate t ?(background = false) ~size ?(tag = 0) ~on_committed () =
   (* A tagged, non-background replication sits on some transaction's commit
      critical path; bracket it with a "replication" span so the latency
@@ -94,7 +104,9 @@ let replicate t ?(background = false) ~size ?(tag = 0) ~on_committed () =
           ignore
             (Simcore.Engine.schedule_after t.engine (Simcore.Sim_time.ms 200.) (fun () ->
                  attempt (tries + 1)))
-    | i -> ignore (Node.replicate t.nodes.(i) ~size ~tag ~on_committed)
+    | i ->
+        compact t;
+        ignore (Node.replicate t.nodes.(i) ~size ~tag ~on_committed)
   in
   attempt 0
 
@@ -117,6 +129,8 @@ let converged t =
   | [] -> true
   | first :: rest ->
       let reference = Node.log_entries first and commit = Node.commit_index first in
+      let base = Node.base first in
       List.for_all
-        (fun n -> Node.log_entries n = reference && Node.commit_index n = commit)
+        (fun n ->
+          Node.base n = base && Node.log_entries n = reference && Node.commit_index n = commit)
         rest

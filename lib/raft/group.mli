@@ -35,6 +35,12 @@ val replicate :
     (mid-election) the request is buffered and retried every 200 ms, like a
     client library would; it is dropped if no leader emerges within ~30 s.
 
+    Before it appends, every member compacts to the floor, the smallest
+    commit index over all members, crashed ones included (see
+    {!Node.compact}). A group with every member up so retains a bounded
+    number of entries; a member that is down holds the floor until it has
+    caught up.
+
     When the network's trace sink is recording and [tag] names a
     transaction, the call is bracketed by a ["replication"] lifecycle span
     feeding latency attribution — unless [~background:true] marks it as off
@@ -53,5 +59,5 @@ val crash : t -> int -> unit
 val restart : t -> int -> unit
 
 val converged : t -> bool
-(** True when all live members have identical logs and commit indices —
-    used by tests to check replication convergence. *)
+(** True when all live members have identical bases, retained logs and
+    commit indices — used by tests to check replication convergence. *)

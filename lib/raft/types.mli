@@ -30,8 +30,10 @@ type message =
           (** the sender's log array, shared rather than copied: the message
               carries [entries.(offset) .. entries.(offset + count - 1)].
               Senders never write below their log length and replace the
-              array when they truncate, so the slice cannot change in
-              flight. *)
+              array when they truncate or compact, so the slice cannot
+              change in flight. [offset] is a position in this array, not a
+              log index: a sender that has compacted stores index
+              [base + 1] at position 0. *)
       offset : int;
       count : int;
       payload_bytes : int;  (** [size] summed over the carried entries *)

@@ -279,7 +279,7 @@ let test_batched_run_checks () =
     (r.Workload.Driver.committed_low + r.Workload.Driver.committed_high > 0);
   (match o.Harness.Experiment.o_check with
   | None -> Alcotest.fail "checker did not run"
-  | Some (_, report) ->
+  | Some (report, _) ->
       Alcotest.(check bool) "serializable" true (Check.Checker.ok report);
       Alcotest.(check bool) "non-trivial history" true
         (report.Check.Checker.checked_txns > 0));

@@ -63,7 +63,7 @@ let test_g1c_write_cycle () =
   Alcotest.(check bool) "through ww edges" true
     (List.exists (function Check.Checker.Ww _ -> true | _ -> false) (cycle_kinds r));
   (* assert_ok must raise with the rendered counterexample *)
-  match Check.Checker.assert_ok ~label:"g1c" h r with
+  match Check.Checker.assert_ok ~label:"g1c" r (Check.Checker.render h r) with
   | () -> Alcotest.fail "assert_ok accepted a cyclic history"
   | exception Check.Checker.Violation msg ->
       Alcotest.(check bool) "rendered message names the cycle" true
@@ -569,7 +569,7 @@ let checked_clean ?faults spec () =
       (Harness.Experiment.with_seed 11
          { contended_setup with Harness.Experiment.system = spec; zipf = 0.95; faults })
   in
-  let _history, report = Option.get o.Harness.Experiment.o_check in
+  let report, _ = Option.get o.Harness.Experiment.o_check in
   Alcotest.(check bool) "transactions recorded" true (report.Check.Checker.checked_txns > 0);
   Alcotest.(check int) "no violations" 0 (List.length report.Check.Checker.violations)
 

@@ -652,7 +652,7 @@ let test_metrics_smoke () =
             { setup with Harness.Experiment.system = spec; zipf = 0.95 }
         in
         let name = Harness.Experiment.spec_name spec in
-        let _, report = Option.get o.Harness.Experiment.o_check in
+        let report, _ = Option.get o.Harness.Experiment.o_check in
         Alcotest.(check bool) (name ^ " checks clean") true (Check.Checker.ok report);
         (* The driver's window series add up to its own run totals. *)
         let metered = Option.get o.Harness.Experiment.o_metrics in

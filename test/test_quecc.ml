@@ -198,7 +198,7 @@ let check_failover setups =
     (fun setup ->
       let o = Harness.Experiment.run ~check:true setup in
       let r = o.Harness.Experiment.o_result in
-      let _history, report = Option.get o.Harness.Experiment.o_check in
+      let report, _ = Option.get o.Harness.Experiment.o_check in
       let seed = setup.Harness.Experiment.driver.Workload.Driver.seed in
       let name what = Printf.sprintf "seed %d: %s" seed what in
       Alcotest.(check bool) (name "history serializable") true (Check.Checker.ok report);
