@@ -255,14 +255,15 @@ let check_arg =
 
 let figure_arg =
   let names = Harness.Figures.names in
-  let choices = ("all", Harness.Figures.all_names) :: List.map (fun n -> (n, [ n ])) names in
+  let choices = ("all", names) :: List.map (fun n -> (n, [ n ])) names in
   opt
     Arg.(list (enum choices))
     [ "figure" ] ~docv:"NAMES"
     (Printf.sprintf
-       "Regenerate comma-separated figures instead, in order (any of: %s, or 'all' for every \
-        one but simthroughput), then write their data points to BENCH_results.json in the \
-        working directory. Figures fix their own run shape, so no run-shape flag applies."
+       "Regenerate comma-separated figures instead, in order (any of: %s, or 'all'), then \
+        write their data points to BENCH_results.json in the working directory. A run two \
+        figures share is simulated once. Figures fix their own run shape, so no run-shape \
+        flag applies."
        (String.concat ", " names))
 
 let main cells histograms trace_file metrics_file trace_summary jobs check figures =
@@ -275,8 +276,8 @@ let main cells histograms trace_file metrics_file trace_summary jobs check figur
       | Some [] -> Some "--figure must name a figure"
       | Some l when List.length (List.sort_uniq compare l) <> List.length l ->
           Some "--figure names a figure twice"
-      | Some _ when trace_file <> None || metrics_file <> None || histograms ->
-          Some "--trace, --metrics and --histograms do not apply to --figure"
+      | Some _ when trace_file <> None || metrics_file <> None || histograms || check ->
+          Some "--trace, --metrics, --histograms and --check do not apply to --figure"
       | Some _ when cells <> Harness.Spec.defaults ->
           Some "run-shape flags do not apply to --figure"
       | Some _ -> None
@@ -288,9 +289,8 @@ let main cells histograms trace_file metrics_file trace_summary jobs check figur
       match figures with
       | Some names ->
           let scale = Harness.Figures.scale_of_env () and t0 = Unix.gettimeofday () in
-          let ran = List.map (fun n -> Harness.Figures.(run scale (find n))) names in
-          if trace_summary then print_traffic (List.map snd ran);
-          let points = List.concat_map fst ran in
+          let points, ledger = Harness.Figures.run scale (List.map Harness.Figures.find names) in
+          if trace_summary then print_traffic [ ledger ];
           `Ok (if points <> [] then write_results ~scale ~t0 ~jobs points)
       | None -> (
           match run_cells cells ~check ~histograms ~trace_file ~metrics_file ~trace_summary with

@@ -120,61 +120,31 @@ let emit figure = function
           ])
 
 (* ------------------------------------------------------------------ *)
-(* Cells and the one grid runner *)
+(* Cells and their runs *)
 
 type mode =
   | Seeds of { metrics : bool }
       (** checked, one run per seed of the scale; [metrics] meters the first *)
   | Once of { check : bool; metrics : bool }  (** first seed only *)
   | Ramp of float list  (** checked first-seed run at each offered rate *)
-  | Timed of { jobs : int; seeds : int list }
-      (** unchecked seed batch over [jobs] domains, wall-clocked *)
 
 type 'x cell = { x : 'x; setup : Experiment.setup; mode : mode }
-type 'x ran = { cell : 'x cell; outs : Experiment.outcome list; wall_s : float }
+type 'x ran = { cell : 'x cell; outs : Experiment.outcome list }
 
 let driver_with f (s : Experiment.setup) = { s with Experiment.driver = f s.Experiment.driver }
 
-(* The setups a cell runs, in run order. *)
+(* The runs a cell makes, in run order, each as (setup, check, metrics). *)
 let runs scale c =
-  let seeded seeds setup = List.map (fun seed -> Experiment.with_seed seed setup) seeds in
+  let first = List.hd (seeds scale) in
+  let at ?(check = true) ?(metrics = false) seed setup =
+    (Experiment.with_seed seed setup, check, metrics)
+  in
   match c.mode with
-  | Seeds _ -> seeded (seeds scale) c.setup
-  | Once _ -> seeded [ List.hd (seeds scale) ] c.setup
+  | Seeds { metrics } ->
+      List.mapi (fun i seed -> at ~metrics:(metrics && i = 0) seed c.setup) (seeds scale)
+  | Once { check; metrics } -> [ at ~check ~metrics first c.setup ]
   | Ramp rates ->
-      List.concat_map
-        (fun rate_tps ->
-          seeded [ List.hd (seeds scale) ] (driver_with (fun d -> { d with rate_tps }) c.setup))
-        rates
-  | Timed { seeds; _ } -> seeded seeds c.setup
-
-let simulate scale c =
-  let t0 = Unix.gettimeofday () in
-  let outs =
-    match c.mode with
-    | Seeds { metrics } ->
-        List.mapi
-          (fun i s -> Experiment.run ~check:true ~metrics:(metrics && i = 0) s)
-          (runs scale c)
-    | Ramp _ -> List.map (Experiment.run ~check:true) (runs scale c)
-    | Once { check; metrics } -> List.map (Experiment.run ~check ~metrics) (runs scale c)
-    | Timed { jobs; _ } -> Pool.map_ordered ~jobs (fun s -> Experiment.run s) (runs scale c)
-  in
-  { cell = c; outs; wall_s = Unix.gettimeofday () -. t0 }
-
-(* Every cell is an independent batch of simulations, so cells are farmed
-   out to the Domain pool, each worker returning its runs' observations as
-   values. Timed cells run afterwards, one at a time on the calling domain,
-   so nothing competes with them for cores while the clock runs. Results
-   come back in cell order, which keeps the output byte-for-byte that of a
-   [--jobs 1] run. *)
-let grid scale cells =
-  let pooled =
-    Pool.map_ordered_auto
-      (fun c -> match c.mode with Timed _ -> None | _ -> Some (simulate scale c))
-      cells
-  in
-  List.map2 (fun c r -> match r with Some r -> r | None -> simulate scale c) cells pooled
+      List.map (fun rate_tps -> at first (driver_with (fun d -> { d with rate_tps }) c.setup)) rates
 
 let product xs systems ~setup ~mode =
   let cell x system = { x; setup = { (setup x) with Experiment.system }; mode } in
@@ -192,7 +162,7 @@ let rows ?(system = system_of) table ~x_label ~x v ran =
   List.map (fun r -> Row (table, { x_label; x = x r.cell.x; system = system r; v = v r })) ran
 
 (* ------------------------------------------------------------------ *)
-(* Figure specs *)
+(* Figure specs and the one runner *)
 
 type spec =
   | Spec : {
@@ -213,24 +183,113 @@ let spec ?title ?(first = "figure") ?accept ~name ~caption ~table ~cells lines =
   let title = Option.value title ~default:name in
   Spec { name; title; caption; first; table; cells; lines; accept }
 
-let run scale (Spec f) =
-  Printf.printf "\n# %s — %s\n" f.title f.caption;
-  (match List.filter_map (fun c -> c.header) f.table with
-  | [] -> ()
-  | headers -> print_endline (String.concat "," (f.first :: headers)));
-  let ran = grid scale (f.cells scale) in
-  let pts = List.concat_map (emit f.name) (f.lines scale ran) in
-  (* Merging after the rows are out: a checker violation raises with its
-     counterexample and replay line once the verdicts have been printed. *)
-  let merge o =
-    try ignore (Experiment.merge o)
-    with Check.Checker.Violation msg ->
-      raise (Check.Checker.Violation (msg ^ "\nreplay: " ^ Experiment.replay o.Experiment.o_setup))
+(* Merging after the rows are out: a checker violation raises with its
+   counterexample and replay line once the verdicts have been printed. *)
+let merge o =
+  try ignore (Experiment.merge o)
+  with Check.Checker.Violation msg ->
+    raise (Check.Checker.Violation (msg ^ "\nreplay: " ^ Experiment.replay o.Experiment.o_setup))
+
+(* A figure at a scale: its runs keyed by their natto_sim line, in run
+   order, and [show], which prints the heading, calls its argument for the
+   outcome of each line, then prints and merges the rows. *)
+let plan_figure scale (Spec f) =
+  let cells =
+    List.map
+      (fun c -> (c, List.map (fun ((s, _, _) as r) -> (Spec.to_string s, r)) (runs scale c)))
+      (f.cells scale)
   in
-  List.iter (fun r -> List.iter merge r.outs) ran;
-  Option.iter (fun accept -> accept pts) f.accept;
-  let traffic acc o = Netsim.Network.add_ledgers acc o.Experiment.o_ledger in
-  (pts, List.fold_left (fun acc r -> List.fold_left traffic acc r.outs) Netsim.Network.no_traffic ran)
+  let show simulate =
+    Printf.printf "\n# %s — %s\n" f.title f.caption;
+    (match List.filter_map (fun c -> c.header) f.table with
+    | [] -> ()
+    | headers -> print_endline (String.concat "," (f.first :: headers)));
+    let outcome = simulate () in
+    let outs l = List.map (fun (k, _) -> outcome k) l in
+    let ran = List.map (fun (cell, l) -> { cell; outs = outs l }) cells in
+    let pts = List.concat_map (emit f.name) (f.lines scale ran) in
+    List.iter (fun r -> List.iter merge r.outs) ran;
+    Option.iter (fun accept -> accept pts) f.accept;
+    pts
+  in
+  (List.concat_map snd cells, show)
+
+(* A planned line: its setup, the union of the observations its figures ask
+   for, the index of the last figure that reads it, and its outcome while
+   held. *)
+type planned = {
+  p_setup : Experiment.setup;
+  mutable p_check : bool;
+  mutable p_metrics : bool;
+  mutable p_last : int;
+  mutable p_out : Experiment.outcome option;
+}
+
+(* The union of the figures' runs, by line. *)
+let union figures =
+  let planned = Hashtbl.create 512 in
+  List.iteri
+    (fun i (runs, _) ->
+      List.iter
+        (fun (key, (p_setup, check, metrics)) ->
+          match Hashtbl.find_opt planned key with
+          | Some p ->
+              p.p_check <- p.p_check || check;
+              p.p_metrics <- p.p_metrics || metrics;
+              p.p_last <- i
+          | None ->
+              Hashtbl.add planned key
+                { p_setup; p_check = check; p_metrics = metrics; p_last = i; p_out = None })
+        runs)
+    figures;
+  planned
+
+let plan scale specs =
+  Hashtbl.fold (fun k _ acc -> k :: acc) (union (List.map (plan_figure scale) specs)) []
+  |> List.sort compare
+
+(* Each figure in turn simulates its lines that no earlier figure has, one
+   pool job per run. Jobs are independent simulations returning their
+   observations as values, and results come back in plan order, so output
+   is byte-for-byte that of a [--jobs 1] run. *)
+let run scale specs =
+  let figures = List.map (plan_figure scale) specs in
+  let planned = union figures and ledger = ref Netsim.Network.no_traffic in
+  let simulate runs () =
+    let fresh =
+      List.fold_left
+        (fun acc (k, _) ->
+          let p = Hashtbl.find planned k in
+          if Option.is_some p.p_out || List.memq p acc then acc else p :: acc)
+        [] runs
+      |> List.rev
+    in
+    Pool.map_ordered_auto
+      (fun p -> Experiment.run ~check:p.p_check ~metrics:p.p_metrics p.p_setup)
+      fresh
+    |> List.iter2
+         (fun p o ->
+           p.p_out <- Some o;
+           ledger := Netsim.Network.add_ledgers !ledger o.Experiment.o_ledger)
+         fresh;
+    fun k -> Option.get (Hashtbl.find planned k).p_out
+  in
+  let pts =
+    List.mapi
+      (fun i (runs, show) ->
+        let pts = show (simulate runs) in
+        (* Drop what no later figure reads and collect it now: left to its
+           own pacing, the GC took fig7ab..queccsweep to 3.5 GB, not 3.0. *)
+        List.iter
+          (fun (k, _) ->
+            let p = Hashtbl.find planned k in
+            if p.p_last = i then p.p_out <- None)
+          runs;
+        Gc.full_major ();
+        pts)
+      figures
+  in
+  (List.concat pts, !ledger)
 
 let field name p = List.assoc name p.pt_fields
 
@@ -672,65 +731,6 @@ let batchsweep =
           attributed)
 
 (* ------------------------------------------------------------------ *)
-(* simthroughput: raw simulator throughput (engine events per wall
-   second). Not part of [all]: the wall-clock fields are inherently
-   machine- and load-dependent, so the figure is opt-in to keep the default
-   BENCH_results.json byte-comparable across job counts. The [events]
-   field, by contrast, is deterministic per cell and doubles as a
-   regression lock: any change in event count means the simulation itself
-   changed. *)
-
-let simthroughput =
-  let table =
-    keys ()
-    @ [
-        int "events" fst;
-        num ~d:3 "wall_s" snd;
-        num ~d:0 "events_per_sec" (fun (events, wall) ->
-            if wall > 0. then float_of_int events /. wall else 0.);
-      ]
-  in
-  spec ~name:"simthroughput"
-    ~caption:"simulator events/sec (gated; wall-clock fields vary by machine)" ~table
-    ~cells:(fun scale ->
-      let driver = driver_config scale ~rate:100. in
-      let cell x_label n setup mode = { x = (x_label, n); setup; mode } in
-      (* Series 1: events/sec as the cluster grows (more partitions means
-         more replication groups, probe targets and messages per
-         transaction). *)
-      List.map
-        (fun n_partitions ->
-          cell "partitions" n_partitions
-            { Experiment.default_setup with Experiment.n_partitions; driver }
-            (Timed { jobs = 1; seeds = [ 1 ] }))
-        (match scale with Quick -> [ 5; 10; 15 ] | Full -> [ 5; 10; 20 ])
-      (* Series 2: events/sec as a fixed seed batch is farmed across
-         domains. The jobs knob may only change wall clock, never the
-         simulation. *)
-      @ List.map
-          (fun jobs ->
-            cell "jobs" jobs
-              { Experiment.default_setup with Experiment.driver }
-              (Timed { jobs; seeds = [ 1; 2; 3; 4 ] }))
-          [ 1; 2; 4 ])
-    ~accept:(fun pts ->
-      let events = List.map (field "events") in
-      if List.exists (fun e -> e <= 0.) (events pts) then
-        reject "simthroughput" "a run processed no events";
-      match List.sort_uniq compare (events (List.filter (fun p -> p.pt_x_label = "jobs") pts)) with
-      | [ _ ] -> ()
-      | _ -> reject "simthroughput" "event count varies with --jobs")
-    (fun _ ran ->
-      List.map
-        (fun r ->
-          let x_label, n = r.cell.x in
-          let events = List.fold_left (fun acc o -> acc + o.Experiment.o_events) 0 r.outs in
-          Row
-            ( table,
-              { x_label; x = string_of_int n; system = system_of r; v = (events, r.wall_s) } ))
-        ran)
-
-(* ------------------------------------------------------------------ *)
 (* Tail blame: the causal blame profiler's cross-family ranking. Every
    family runs under the metrics harness across the contention range and
    is scored on (a) priority-inversion µs, the high-blocked-by-low cell of
@@ -1067,14 +1067,10 @@ let specs =
       ~setup:(zipf_sweep 100.) ();
     tailblame;
     retrysweep;
-    simthroughput;
   ]
 
 let name_of (Spec f) = f.name
 let names = List.map name_of specs
 
-(* simthroughput's wall-clock fields vary by machine; it runs only when
-   asked for by name. *)
-let all_names = List.filter (fun n -> n <> "simthroughput") names
 let find name = List.find (fun s -> name_of s = name) specs
-let setups scale name = match find name with Spec f -> List.concat_map (runs scale) (f.cells scale)
+let setups scale name = List.map (fun (_, (s, _, _)) -> s) (fst (plan_figure scale (find name)))

@@ -1,14 +1,14 @@
 (** The paper's evaluation (§5) as data: one table of figure specs and one
-    grid runner.
+    runner.
 
     A spec names a figure, its caption, its cells and its columns, plus an
     optional headline check. A cell is an x value, a setup (the whole run)
-    and a run mode. The runner farms every cell of a figure out to the
-    {!Pool}, then prints a heading, a CSV header and one row per data point,
-    in the sequential cell order, so output is byte-for-byte independent of
-    the pool's job count. One declared column list per table yields the CSV
-    header, each CSV row, and the point {!run} returns for
-    [BENCH_results.json].
+    and a run mode; each of its runs is one natto_sim line. {!run}
+    simulates each line once on the {!Pool}, then prints a heading, a CSV
+    header and one row per data point, in the sequential cell order, so
+    output is byte-for-byte independent of the pool's job count. One
+    declared column list per table yields the CSV header, each CSV row,
+    and the point {!run} returns for [BENCH_results.json].
 
     Scale is controlled by {!scale}: [Quick] uses shortened runs and fewer
     repetitions (the simulator is deterministic, so percentiles stabilize
@@ -57,20 +57,22 @@ val sweep :
     [accept], if given, sees the figure's points after its rows are
     printed and raises to reject them. *)
 
-val run : scale -> spec -> point list * Netsim.Network.ledger
-(** Runs one figure: heading, header, rows, then the merge of every run in
-    cell order (a checker violation raises here, after the verdict rows,
-    with the failing run's replay line), then the figure's headline check,
-    which raises [Failure] if the headline does not hold. Returns the rows'
-    points, in print order, and the sum of every run's traffic ledger. *)
+val run : scale -> spec list -> point list * Netsim.Network.ledger
+(** Runs the figures in order. Each line is simulated once, checked if any
+    of the figures checks it and metered if any meters it, and kept until
+    the last figure that reads it has printed. Per figure: heading, header,
+    rows, then the merge of every run in cell order (a checker violation
+    raises here, after the verdict rows, with the failing run's replay
+    line), then the figure's headline check, which raises [Failure] if the
+    headline does not hold. Returns the rows' points, in print order, and
+    the sum of the traffic ledgers of the distinct runs. *)
+
+val plan : scale -> spec list -> string list
+(** The distinct natto_sim lines {!run} simulates for these figures, sorted,
+    without running any. *)
 
 val names : string list
 (** Every figure of the evaluation, by name, Table 1 first. *)
-
-val all_names : string list
-(** The figures [natto_sim --figure all] runs: every name but
-    [simthroughput], whose wall-clock fields vary by machine, so it runs
-    only when asked for by name. *)
 
 val find : string -> spec
 (** The spec of that name. Raises [Not_found] for an unknown name. *)

@@ -6,6 +6,10 @@
    - A small figure sweep run at --jobs 4 produces byte-identical CSV text
      and identical collected points to --jobs 1; run_outcomes over several
      seeds, merged and summarized, produces the identical summary.
+   - Two figures that share a run, run together, print and return what
+     each does alone, and simulate the shared run once.
+   - Event counts of a fixed Natto-RECSF line are locked, and equal at
+     any job count.
    - QCheck: under random push/cancel/pop/peek interleavings the event
      queue pops exactly what a naive model pops, and its O(1) live counter
      and its node count always agree with the model. *)
@@ -86,25 +90,27 @@ let capture_stdout f =
   Sys.remove tmp;
   (v, s)
 
-let small_sweep ?accept () =
-  Harness.Figures.sweep ?accept ~name:"testfig" ~caption:"two rates, two systems"
-    ~x_label:"rate_tps" ~show:string_of_float
-    ~setup:(fun _ rate ->
+let test_setup rate =
+  {
+    Harness.Experiment.default_setup with
+    Harness.Experiment.driver =
       {
-        Harness.Experiment.default_setup with
-        Harness.Experiment.driver =
-          {
-            Workload.Driver.default_config with
-            Workload.Driver.rate_tps = rate;
-            duration = Sim_time.seconds 2.;
-            warmup = Sim_time.seconds 0.5;
-            cooldown = Sim_time.seconds 0.5;
-          };
-      })
-    ~xs:[ 50.; 100. ]
-    ~systems:[ Harness.Experiment.Twopl Twopl.Plain; Harness.Experiment.Tapir ]
-    ()
-  |> Harness.Figures.run Harness.Figures.Quick
+        Workload.Driver.default_config with
+        Workload.Driver.rate_tps = rate;
+        duration = Sim_time.seconds 2.;
+        warmup = Sim_time.seconds 0.5;
+        cooldown = Sim_time.seconds 0.5;
+      };
+  }
+
+let test_sweep ?accept ?(name = "testfig") ?(xs = [ 50.; 100. ])
+    ?(systems = [ Harness.Experiment.Twopl Twopl.Plain; Harness.Experiment.Tapir ]) () =
+  Harness.Figures.sweep ?accept ~name ~caption:"two rates, two systems" ~x_label:"rate_tps"
+    ~show:string_of_float
+    ~setup:(fun _ rate -> test_setup rate)
+    ~xs ~systems ()
+
+let small_sweep ?accept () = Harness.Figures.(run Quick [ test_sweep ?accept () ])
 
 let with_jobs n f =
   Harness.Pool.set_jobs (Some n);
@@ -151,6 +157,55 @@ let test_failing_accept_raises_after_rows () =
   in
   Alcotest.(check bool) "each point keys its row" true
     (List.for_all2 (fun p row -> String.starts_with ~prefix:(key p ^ ",") row) points rows)
+
+(* Two figures that share a cell, run in one call: each prints and returns
+   what it does alone, at any job count, and the shared run is simulated,
+   and counted in the traffic ledger, once. *)
+let test_shared_runs () =
+  let open Harness.Figures in
+  let a = test_sweep () in
+  let b =
+    test_sweep ~name:"testfig2" ~xs:[ 100.; 150. ]
+      ~systems:Harness.Experiment.[ Tapir; Natto Natto.Features.recsf ]
+      ()
+  in
+  let alone f = with_jobs 1 (fun () -> capture_stdout (fun () -> run Quick [ f ])) in
+  let (points_a, ledger_a), csv_a = alone a and (points_b, ledger_b), csv_b = alone b in
+  Alcotest.(check int) "seven distinct runs" 7 (List.length (plan Quick [ a; b ]));
+  let shared =
+    Harness.Experiment.run
+      { (test_setup 100.) with Harness.Experiment.system = Harness.Experiment.Tapir }
+  in
+  let alone_sum = Netsim.Network.add_ledgers ledger_a ledger_b in
+  List.iter
+    (fun jobs ->
+      let (points, ledger), csv =
+        with_jobs jobs (fun () -> capture_stdout (fun () -> run Quick [ a; b ]))
+      in
+      let label = Printf.sprintf "jobs=%d: " jobs in
+      Alcotest.(check string) (label ^ "each figure's CSV as alone") (csv_a ^ csv_b) csv;
+      Alcotest.(check bool) (label ^ "each figure's points as alone") true
+        (points = points_a @ points_b);
+      let counted = Netsim.Network.add_ledgers ledger shared.Harness.Experiment.o_ledger in
+      Alcotest.(check bool) (label ^ "shared run counted once") true
+        Netsim.Network.(by_kind counted = by_kind alone_sum && by_link counted = by_link alone_sum))
+    [ 1; 4 ]
+
+(* Event-count locks: engine events of the default Natto-RECSF line at
+   100 txn/s. An engine change that adds or reorders events moves them; the
+   pool's job count may not. *)
+let test_event_counts () =
+  match Harness.Spec.of_string "-s natto-recsf -d 16 --drain 25 --seeds 1,2,3,4" with
+  | Error e -> Alcotest.fail e
+  | Ok setups ->
+      let events jobs =
+        Harness.Pool.map_ordered ~jobs (fun s -> Harness.Experiment.run s) setups
+        |> List.map (fun o -> o.Harness.Experiment.o_events)
+      in
+      let e1 = events 1 in
+      Alcotest.(check int) "seed 1" 424_384 (List.hd e1);
+      Alcotest.(check int) "seeds 1-4" 1_703_213 (List.fold_left ( + ) 0 e1);
+      Alcotest.(check (list int)) "--jobs 4 = --jobs 1" e1 (events 4)
 
 let test_run_repeated_jobs_identical () =
   let setup =
@@ -363,6 +418,8 @@ let () =
             test_run_repeated_jobs_identical;
           Alcotest.test_case "failing headline check raises after rows" `Quick
             test_failing_accept_raises_after_rows;
+          Alcotest.test_case "figures sharing runs" `Quick test_shared_runs;
+          Alcotest.test_case "event counts" `Quick test_event_counts;
         ] );
       ( "event_queue",
         [
