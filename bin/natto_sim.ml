@@ -26,7 +26,7 @@ let print_traffic ledgers =
    output is byte-for-byte that of --jobs 1. The first cell carries the
    --trace recording; observation is pure, so its results equal an
    untraced run's. *)
-let run_cells cells ~check ~histograms ~trace_file ~metrics_file ~trace_summary =
+let run_cells cells ~check ~trace_file ~metrics_file ~trace_summary =
   (* Open the trace output first so a bad path fails before any simulation
      runs, not after. *)
   let trace_out =
@@ -108,19 +108,6 @@ let run_cells cells ~check ~histograms ~trace_file ~metrics_file ~trace_summary 
             s.E.unfinished)
         first.E.faults)
     systems;
-  if histograms then begin
-    Printf.printf "\nLatency distributions (committed transactions, both priorities):\n";
-    List.iter
-      (fun system ->
-        let add h { E.o_result = r; _ } =
-          Workload.Driver.(Array.append r.high_latencies_ms r.low_latencies_ms)
-          |> Simstats.Histogram.of_array |> Simstats.Histogram.merge h
-        in
-        List.fold_left add (Simstats.Histogram.create ()) (outcomes_of system)
-        |> Simstats.Histogram.render
-        |> Printf.printf "%-15s %s\n%!" (E.spec_name system))
-      systems
-  end;
   (match (trace_out, outcomes) with
   | Some (file, oc), o :: _ ->
       (* The first (system, seed) cell's Chrome trace JSON goes to [file]. *)
@@ -224,7 +211,6 @@ open Cmdliner
 
 let opt conv names ?docv doc = Arg.value (Arg.opt (Arg.some conv) None (Arg.info names ~doc ?docv))
 let switch names doc = Arg.value (Arg.flag (Arg.info names ~doc))
-let histograms_arg = switch [ "histograms" ] "Also print latency distribution sketches."
 
 let trace_arg =
   opt Arg.string [ "trace" ] ~docv:"FILE"
@@ -234,8 +220,8 @@ let trace_arg =
 let metrics_arg =
   opt Arg.string [ "metrics" ] ~docv:"FILE"
     "Run every (system, seed) pair under the metrics registry and the latency \
-     attribution engine, writing per-window time series, latency histograms and \
-     per-priority attribution tables as JSON to $(docv). Pure observation: the CSV is \
+     attribution engine, writing per-window time series, per-priority latency \
+     percentiles and attribution tables as JSON to $(docv). Pure observation: the CSV is \
      byte-for-byte that of a run without this flag."
 
 let trace_summary_arg =
@@ -266,7 +252,7 @@ let figure_arg =
         flag applies."
        (String.concat ", " names))
 
-let main cells histograms trace_file metrics_file trace_summary jobs check figures =
+let main cells trace_file metrics_file trace_summary jobs check figures =
   let figures = Option.map List.concat figures in
   let error =
     if Option.fold ~none:false ~some:(fun n -> n < 1) jobs then Some "--jobs must be >= 1"
@@ -276,8 +262,8 @@ let main cells histograms trace_file metrics_file trace_summary jobs check figur
       | Some [] -> Some "--figure must name a figure"
       | Some l when List.length (List.sort_uniq compare l) <> List.length l ->
           Some "--figure names a figure twice"
-      | Some _ when trace_file <> None || metrics_file <> None || histograms || check ->
-          Some "--trace, --metrics, --histograms and --check do not apply to --figure"
+      | Some _ when trace_file <> None || metrics_file <> None || check ->
+          Some "--trace, --metrics and --check do not apply to --figure"
       | Some _ when cells <> Harness.Spec.defaults ->
           Some "run-shape flags do not apply to --figure"
       | Some _ -> None
@@ -293,7 +279,7 @@ let main cells histograms trace_file metrics_file trace_summary jobs check figur
           if trace_summary then print_traffic [ ledger ];
           `Ok (if points <> [] then write_results ~scale ~t0 ~jobs points)
       | None -> (
-          match run_cells cells ~check ~histograms ~trace_file ~metrics_file ~trace_summary with
+          match run_cells cells ~check ~trace_file ~metrics_file ~trace_summary with
           | 0 -> `Ok ()
           | n ->
               `Error
@@ -305,6 +291,6 @@ let () =
     (Cmd.info "natto_sim" ~doc:"Simulate Natto and its baselines on a geo-distributed deployment")
     Term.(
       ret
-        (const main $ Harness.Spec.term $ histograms_arg $ trace_arg $ metrics_arg
+        (const main $ Harness.Spec.term $ trace_arg $ metrics_arg
        $ trace_summary_arg $ jobs_arg $ check_arg $ figure_arg))
   |> Cmd.eval |> exit

@@ -298,30 +298,13 @@ let edge_explain a kind b =
         b.id
         (Format.asprintf "%a" Sim_time.pp b.start)
 
-let pp_trace_events ?trace fmt txns =
-  match trace with
-  | Some tr when Trace.enabled tr ->
-      List.iter
-        (fun t ->
-          match Trace.txn_events tr ~txn:t.id with
-          | [] -> ()
-          | evs ->
-              Format.fprintf fmt "  txn#%d lifecycle:" t.id;
-              List.iter
-                (fun (name, at) -> Format.fprintf fmt " %s@%a" name Sim_time.pp at)
-                evs;
-              Format.fprintf fmt "@.")
-        txns
-  | _ -> ()
-
-let pp_violation ?trace _h fmt v =
+let pp_violation fmt v =
   match v with
   | Dirty_read { reader; key; writer } ->
       Format.fprintf fmt
         "dirty read: txn#%d observed key %d written by txn#%d, which committed nothing@."
         reader.id key writer;
-      Format.fprintf fmt "  %a@." pp_txn reader;
-      pp_trace_events ?trace fmt [ reader ]
+      Format.fprintf fmt "  %a@." pp_txn reader
   | Conservation { key; expected; actual } ->
       Format.fprintf fmt
         "lost update: key %d saw %d committed read-modify-write increments but its final \
@@ -336,16 +319,9 @@ let pp_violation ?trace _h fmt v =
           Format.fprintf fmt "  txn#%d --%s--> txn#%d: %s@." a.id (kind_label k) b.id
             (edge_explain a k b))
         entries;
-      List.iter (fun (t, _) -> Format.fprintf fmt "  %a@." pp_txn t) entries;
-      pp_trace_events ?trace fmt (List.map fst entries)
+      List.iter (fun (t, _) -> Format.fprintf fmt "  %a@." pp_txn t) entries
 
-let render ?trace h r =
-  if ok r then ""
-  else
-    Format.asprintf "%a"
-      (fun fmt () ->
-        List.iter (fun v -> Format.fprintf fmt "%a" (pp_violation ?trace h) v) r.violations)
-      ()
+let render _h r = String.concat "" (List.map (Format.asprintf "%a" pp_violation) r.violations)
 
 exception Violation of string
 

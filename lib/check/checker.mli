@@ -54,8 +54,10 @@ val check : ?conservation:bool -> History.t -> report
 
 val ok : report -> bool
 
-val render : ?trace:Trace.t -> History.t -> report -> string
-(** All violations rendered, or [""] when the report is clean. *)
+val render : History.t -> report -> string
+(** All violations rendered, or [""] when the report is clean. Each
+    violation names its transactions, their reads and writes, and their
+    times. *)
 
 exception Violation of string
 

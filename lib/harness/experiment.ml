@@ -87,8 +87,6 @@ let run ?(check = false) ?trace:(traced = false) ?(metrics = false) setup =
     if check then begin
       let history = Check.Recorder.history cluster.Txnkit.Cluster.recorder in
       let report = Check.Checker.check ~conservation:gen.Workload.Gen.increment_rmw history in
-      (* Rendered without the trace: a failing verdict reads the same
-         whether or not the run was traced, as the rest of its output does. *)
       Some (report, Check.Checker.render history report)
     end
     else None

@@ -12,9 +12,8 @@ type outcome = {
   o_result : Workload.Driver.result;
   o_check : (Check.Checker.report * string) option;
       (** present iff the run was checked, not yet asserted: the verdict,
-          and its counterexamples as {!Check.Checker.render} gives them
-          without a trace, traced run or not, [""] when it passed. The
-          history itself is not kept. *)
+          and its counterexamples as {!Check.Checker.render} gives them,
+          [""] when it passed. The history itself is not kept. *)
   o_trace : Trace.t option;  (** the run's full trace iff it was traced *)
   o_metrics : Metrics.Report.run option;
       (** present iff the run was metered: the registry's sampled windows,

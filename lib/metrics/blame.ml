@@ -141,7 +141,8 @@ let analyze ~trace ~txns ~breakdowns () =
           [ ("p50", 0.50); ("p95", 0.95); ("p99", 0.99) ])
       [ true; false ]
   in
-  (* Message lines for all selected txns in one pass over the trace. *)
+  (* Message lines and each attempt's span lines for all selected txns in
+     one pass over the trace, both newest first. *)
   let attempt_owner : (int, int) Hashtbl.t = Hashtbl.create 32 in
   List.iteri
     (fun i (_, (tr : Registry.txn_rec), _) ->
@@ -151,6 +152,7 @@ let analyze ~trace ~txns ~breakdowns () =
         tr.Registry.attempts)
     selected;
   let msg_lines = Array.make (List.length selected) [] in
+  let attempt_spans : (int, int * string) Hashtbl.t = Hashtbl.create 32 in
   if Hashtbl.length attempt_owner > 0 then
     Trace.iter_events trace (function
       | Trace.Message { m_txn = Some txn; m_kind; m_enqueue; m_deliver; _ } -> (
@@ -160,17 +162,18 @@ let analyze ~trace ~txns ~breakdowns () =
               let line = Printf.sprintf "msg %s (wire %dus)" m_kind (Sim_time.to_us m_deliver - at) in
               msg_lines.(i) <- (at, line) :: msg_lines.(i)
           | None -> ())
+      | Trace.Span s when Hashtbl.mem attempt_owner s.s_txn ->
+          Hashtbl.add attempt_spans s.s_txn (Sim_time.to_us s.s_at, Trace.span_label s)
       | _ -> ());
   let exemplars =
     List.mapi
       (fun i (label, (tr : Registry.txn_rec), (bd : Attribution.txn_breakdown)) ->
         let born = Sim_time.to_us tr.Registry.born in
+        (* Attempt by attempt, each in push order. *)
         let span_lines =
           List.concat_map
             (fun (a : Registry.attempt_rec) ->
-              List.map
-                (fun (name, at) -> (Sim_time.to_us at, name))
-                (Trace.txn_events trace ~txn:a.Registry.a_txn))
+              List.rev (Hashtbl.find_all attempt_spans a.Registry.a_txn))
             tr.Registry.attempts
         in
         let lines =

@@ -15,7 +15,7 @@
       delta since the previous window.
 
     The registry keeps no counts of its own: every number it samples has
-    one owner elsewhere. Per-run latency histograms are built by
+    one owner elsewhere. Per-run latency percentiles are computed by
     [Metrics.Report] from the attribution breakdowns.
 
     A registry is created disabled; a disabled registry accepts

@@ -42,21 +42,22 @@ let write_json ~file metered =
             (List.map (fun (k, v) -> (k, Trace.json_float v)) w.Registry.samples);
           output_string oc "}}")
         windows;
-      (* Per-class latency sketches over the same committed, in-window
-         transactions the attribution table covers. *)
+      (* Per-class latency percentiles over the same committed, in-window
+         transactions the attribution table covers, computed as it does
+         ([Attribution.aggregate]), so the two sections agree exactly. *)
       output_string oc "],\n\"histograms\":[";
       List.iteri
         (fun hi (hname, high) ->
           if hi > 0 then output_string oc ",";
-          let h = Simstats.Histogram.create () in
-          List.iter
-            (fun b ->
-              if b.Attribution.t_high = high then
-                Simstats.Histogram.add h (Simcore.Sim_time.to_ms b.Attribution.t_e2e_us))
-            breakdowns;
-          let n = Simstats.Histogram.count h in
+          let e2e_ms =
+            List.filter (fun b -> b.Attribution.t_high = high) breakdowns
+            |> List.map (fun b -> float_of_int b.Attribution.t_e2e_us /. 1e3)
+            |> Array.of_list
+          in
+          let n = Array.length e2e_ms in
           let pct p =
-            if n = 0 then "null" else Trace.json_float (Simstats.Histogram.percentile h ~p)
+            if n = 0 then "null"
+            else Trace.json_float (Simstats.Percentile.percentile e2e_ms ~p)
           in
           Printf.fprintf oc "\n  {\"name\":\"%s\",\"count\":%d," hname n;
           fields oc [ ("p50_ms", pct 0.50); ("p95_ms", pct 0.95); ("p99_ms", pct 0.99) ];

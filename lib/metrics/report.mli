@@ -1,6 +1,7 @@
 (** The [--metrics] JSON document: per metered (system, seed) run, the
-    sampled windows, latency histograms, per-class attribution table,
-    wasted-work split and causal-blame profile. *)
+    sampled windows, per-class latency percentiles (the ["histograms"]
+    section, equal to the attribution table's), per-class attribution
+    table, wasted-work split and causal-blame profile. *)
 
 type run = {
   interval : Simcore.Sim_time.t;  (** the registry's window length *)

@@ -42,12 +42,9 @@ type t = {
   mutable on : bool;
   mutable events : event list;  (** reversed; reversed back on output *)
   mutable n_events : int;
-  mutable txn_index : (int, span list ref) Hashtbl.t option;
-      (** built on a {!txn_events} lookup: per-txn spans, most-recent-first
-          (same convention as [events]); a push drops it *)
 }
 
-let create () = { on = false; events = []; n_events = 0; txn_index = None }
+let create () = { on = false; events = []; n_events = 0 }
 let enable t = t.on <- true
 let enabled t = t.on
 
@@ -130,15 +127,9 @@ let write_event oc first = function
   | Span s -> write_span_event oc first s
   | Fault f -> write_fault_event oc first f
 
-let index_span idx (s : span) =
-  match Hashtbl.find_opt idx s.s_txn with
-  | Some r -> r := s :: !r
-  | None -> Hashtbl.replace idx s.s_txn (ref [ s ])
-
 let push t ev =
   t.n_events <- t.n_events + 1;
-  t.events <- ev :: t.events;
-  if Option.is_some t.txn_index then t.txn_index <- None
+  t.events <- ev :: t.events
 
 let message t ~kind ?txn ?priority ~src ~dst ~src_dc ~dst_dc ~bytes ~enqueue ~depart
     ~deliver () =
@@ -201,29 +192,6 @@ let span_label (s : span) =
     | Instant -> s.s_name
   in
   name ^ blame_suffix s.s_blame
-
-(* The checker (and the blame profiler's tail exemplars) look up transactions
-   one at a time, so a full O(events) scan per lookup was quadratic over a
-   counterexample cycle. Lookups come after the run, so the index is built
-   by a single pass over the buffer on the first lookup after a push. *)
-let txn_index t =
-  match t.txn_index with
-  | Some idx -> idx
-  | None ->
-      let idx = Hashtbl.create 256 in
-      (* [t.events] is most-recent-first; [index_span] conses, so walking
-         oldest-first keeps each per-txn list most-recent-first too. *)
-      List.iter (function Span s -> index_span idx s | _ -> ()) (List.rev t.events);
-      t.txn_index <- Some idx;
-      idx
-
-let txn_events t ~txn =
-  match Hashtbl.find_opt (txn_index t) txn with
-  | None -> []
-  | Some spans ->
-      (* most-recent-first, so a left fold that conses yields chronological
-         order. *)
-      List.fold_left (fun acc s -> (span_label s, s.s_at) :: acc) [] !spans
 
 let iter_events t f = List.iter f (List.rev t.events)
 

@@ -131,14 +131,11 @@ val total_messages : t -> int
 
 val event_count : t -> int
 
-val txn_events : t -> txn:int -> (string * Simcore.Sim_time.t) list
-(** One transaction's lifecycle events in chronological
-    order, span begins/ends tagged [":begin"]/[":end"] (wait ends additionally
-    carry their blame, e.g. ["lock-wait:end key=7 blocked-by=42(low)"]). Used
-    by the history checker to print what a transaction in a counterexample
-    cycle was doing and when, and by the blame profiler's tail exemplars.
-    Served from a per-txn index built on the first lookup after a push, so
-    repeated lookups are O(own events), not O(all events). *)
+val span_label : span -> string
+(** A lifecycle event as one line: span begins/ends tagged
+    [":begin"]/[":end"], wait ends followed by their blame (e.g.
+    ["lock-wait:end key=7 blocked-by=42(low) node=2"]), instants by their
+    bare name. The blame profiler's tail exemplars print these. *)
 
 (** {2 Output} *)
 

@@ -535,39 +535,25 @@ let test_blame_matrix () =
         in
         has rendered "inversion"))
 
-(* --- trace per-txn index ------------------------------------------------ *)
+(* --- span labels --------------------------------------------------------- *)
 
-(* [Trace.txn_events] is served from a lazily built per-txn index; it must
-   agree with a manual scan of the buffer both for events pushed before the
-   first lookup (index build) and after it (incremental maintenance). *)
-let test_trace_txn_index () =
+(* [Trace.span_label] is how the exemplar timelines name a lifecycle event:
+   begins and ends tagged, a wait's end followed by its blame, an instant
+   by its bare name. *)
+let test_span_label () =
   let trace = Trace.create () in
   Trace.enable trace;
-  for i = 1 to 50 do
-    span_pair trace ~txn:i ~name:"lock-wait" (1000 * i) ((1000 * i) + 500)
-      ~blame:{ Trace.bl_blocker = i + 1; bl_blocker_high = i mod 2 = 0; bl_key = i; bl_node = 2 }
-  done;
-  let expect i =
-    [
-      ("lock-wait:begin", Sim_time.us (1000 * i));
-      ( Printf.sprintf "lock-wait:end key=%d blocked-by=%d(%s) node=2" i (i + 1)
-          (if i mod 2 = 0 then "high" else "low"),
-        Sim_time.us ((1000 * i) + 500) );
-    ]
-  in
-  Alcotest.(check (list (pair string int)))
-    "first lookup (index build)" (expect 17)
-    (Trace.txn_events trace ~txn:17);
-  (* Events pushed after the index exists must still be visible. *)
+  span_pair trace ~txn:17 ~name:"lock-wait" 17_000 17_500
+    ~blame:{ Trace.bl_blocker = 18; bl_blocker_high = false; bl_key = 17; bl_node = 2 };
   Trace.instant trace ~txn:17 ~name:"commit" ~at:(Sim_time.us 99_000) ();
-  Alcotest.(check (list (pair string int)))
-    "post-index pushes are indexed"
-    (expect 17 @ [ ("commit", Sim_time.us 99_000) ])
-    (Trace.txn_events trace ~txn:17);
-  Alcotest.(check (list (pair string int))) "other txns unaffected" (expect 33)
-    (Trace.txn_events trace ~txn:33);
-  Alcotest.(check (list (pair string int))) "unknown txn is empty" []
-    (Trace.txn_events trace ~txn:999)
+  let labels = ref [] in
+  Trace.iter_events trace (function
+    | Trace.Span s -> labels := Trace.span_label s :: !labels
+    | _ -> ());
+  Alcotest.(check (list string))
+    "labels in push order"
+    [ "lock-wait:begin"; "lock-wait:end key=17 blocked-by=18(low) node=2"; "commit" ]
+    (List.rev !labels)
 
 (* --- aggregation ------------------------------------------------------- *)
 
@@ -708,23 +694,31 @@ let test_metrics_smoke () =
     List.filter (String.starts_with ~prefix:"{\"system\":") (String.split_on_char '\n' text)
   in
   Alcotest.(check int) "one run per system" 2 (List.length run_lines);
-  (* Each run's latency histograms cover exactly its attribution classes. *)
-  let hist_counts =
+  (* Each run's latency entries are its attribution classes' count and
+     percentiles, to the printed digit. *)
+  let latency_entries =
     List.filter_map
       (fun l ->
-        Scanf.sscanf_opt l "  {\"name\":\"latency.%[a-z]_ms\",\"count\":%d," (fun c n ->
-            (c, n)))
+        Scanf.sscanf_opt l
+          "  {\"name\":\"latency.%[a-z]_ms\",\"count\":%d,\"p50_ms\":%[^,],\"p95_ms\":%[^,],\"p99_ms\":%[^}]}"
+          (fun c n _ p95 p99 -> (c, (n, p95, p99))))
       (String.split_on_char '\n' text)
   in
-  let class_n bds c =
-    match List.assoc_opt c (Attribution.by_class bds) with Some a -> a.Attribution.n | None -> 0
+  let class_entry bds c =
+    match List.assoc_opt c (Attribution.by_class bds) with
+    | Some a ->
+        ( c,
+          ( a.Attribution.n,
+            Trace.json_float a.Attribution.e2e_p95_ms,
+            Trace.json_float a.Attribution.e2e_p99_ms ) )
+    | None -> (c, (0, "null", "null"))
   in
-  Alcotest.(check (list (pair string int)))
-    "histogram counts are the attribution n"
+  Alcotest.(check (list (pair string (triple int string string))))
+    "latency entries are the attribution n, p95 and p99"
     (List.concat_map
-       (fun (_, _, m) -> List.map (fun c -> (c, class_n m.Report.breakdowns c)) [ "high"; "low" ])
+       (fun (_, _, m) -> List.map (class_entry m.Report.breakdowns) [ "high"; "low" ])
        runs)
-    hist_counts;
+    latency_entries;
   List.iter
     (fun (name, _, _) ->
       Alcotest.(check bool) (name ^ " run") true
@@ -759,7 +753,7 @@ let () =
         [
           Alcotest.test_case "matrix, hot keys, blockers, exemplars" `Quick
             test_blame_matrix;
-          Alcotest.test_case "lazy per-txn trace index" `Quick test_trace_txn_index;
+          Alcotest.test_case "span labels" `Quick test_span_label;
         ] );
       ( "report",
         [ Alcotest.test_case "metrics smoke: sums, blame and JSON shape" `Quick test_metrics_smoke ]

@@ -193,36 +193,6 @@ let prop_percentile_bounds =
       and hi = List.fold_left Float.max neg_infinity xs in
       v >= lo && v <= hi)
 
-(* ------------------------------------------------------------------ *)
-(* Histogram *)
-
-let test_histogram_percentiles_close () =
-  let samples = Array.init 5000 (fun i -> 10.0 +. float_of_int (i mod 1000)) in
-  let h = Simstats.Histogram.of_array samples in
-  Alcotest.(check int) "count" 5000 (Simstats.Histogram.count h);
-  let exact = Simstats.Percentile.p95 samples in
-  let approx = Simstats.Histogram.percentile h ~p:0.95 in
-  (* Buckets are ~5% wide; the approximation must land within ~8%. *)
-  if Float.abs (approx -. exact) /. exact > 0.08 then
-    Alcotest.failf "histogram p95 %.1f vs exact %.1f" approx exact
-
-let test_histogram_render () =
-  let h = Simstats.Histogram.of_array [| 10.; 12.; 400.; 380.; 390.; 2000. |] in
-  let s = Simstats.Histogram.render h in
-  Alcotest.(check bool) "has range labels" true
-    (String.length s > 10 && String.contains s '[' && String.contains s ']')
-
-let test_histogram_merge () =
-  let a = Simstats.Histogram.of_array [| 10.; 20. |] in
-  let b = Simstats.Histogram.of_array [| 30. |] in
-  Alcotest.(check int) "merged count" 3 (Simstats.Histogram.count (Simstats.Histogram.merge a b))
-
-let test_histogram_underflow () =
-  let h = Simstats.Histogram.of_array [| 0.0; 0.5; 100.0 |] in
-  Alcotest.(check int) "count includes sub-ms" 3 (Simstats.Histogram.count h);
-  let p = Simstats.Histogram.percentile h ~p:0.33 in
-  if p > 1.0 then Alcotest.failf "sub-ms percentile misplaced: %f" p
-
 (* Golden locks on Zipf's draw sequences (both the single-sample path and
    the rejection loop inside [sample_distinct]): the key streams feed
    every workload generator, so a change here shifts every recorded
@@ -296,12 +266,5 @@ let () =
           Alcotest.test_case "unsorted input" `Quick test_percentile_unsorted_input;
           Alcotest.test_case "confidence interval" `Quick test_confidence_interval;
           QCheck_alcotest.to_alcotest prop_percentile_bounds;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "percentiles close to exact" `Quick test_histogram_percentiles_close;
-          Alcotest.test_case "render" `Quick test_histogram_render;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
-          Alcotest.test_case "underflow" `Quick test_histogram_underflow;
         ] );
     ]
