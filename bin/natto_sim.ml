@@ -148,11 +148,9 @@ let run_cells cells ~check ~trace_file ~metrics_file ~trace_summary =
           warn (Metrics.Blame.max_mismatch breakdowns)
             "blame charges deviate from lock+queue segments")
         metered;
-      let window =
-        match metered with (_, _, m) :: _ -> m.Metrics.Report.interval | [] -> 0
-      in
       Printf.printf "# metrics: wrote %s (%d runs, %.0f ms windows)\n%!" file
-        (List.length metered) (Simcore.Sim_time.to_ms window))
+        (List.length metered)
+        (Simcore.Sim_time.to_ms Metrics.Registry.interval))
     metrics_file;
   if trace_summary then print_traffic (List.map (fun o -> o.E.o_ledger) outcomes);
   !violations
@@ -173,36 +171,29 @@ let write_results ~scale ~t0 ~jobs points =
   let open Harness.Figures in
   let file = "BENCH_results.json" and wall_s = Unix.gettimeofday () -. t0 in
   let jobs = match jobs with Some n -> n | None -> Harness.Pool.jobs_for ~cells:max_int in
-  let str = Trace.json_escape in
-  (* The distinct keys of [ps] in first-seen order, each with its points. *)
-  let group key ps =
+  (* The distinct keys of [ps] in first-seen order, each with [f] of its points. *)
+  let group key f ps =
     List.fold_left (fun acc p -> if List.mem (key p) acc then acc else key p :: acc) [] ps
-    |> List.rev_map (fun k -> (k, List.filter (fun p -> key p = k) ps))
+    |> List.rev_map (fun k -> (k, f (List.filter (fun p -> key p = k) ps)))
   in
-  let join f xs = String.concat "," (List.map f xs) in
-  let field (k, v) = Printf.sprintf ",\"%s\":%s" (str k) (Trace.json_float v) in
   let point p =
-    Printf.sprintf "\n    {\"%s\":\"%s\"%s}" (str p.pt_x_label) (str p.pt_x)
-      (String.concat "" (List.map field p.pt_fields))
+    Trace.Obj
+      ((p.pt_x_label, Trace.Str p.pt_x) :: List.map (fun (k, v) -> (k, Trace.Float v)) p.pt_fields)
   in
-  let series (sys, ps) = Printf.sprintf "\n  \"%s\":[%s]" (str sys) (join point ps) in
-  let figure (fig, ps) =
-    Printf.sprintf "\n\"%s\":{%s}" (str fig) (join series (group (fun p -> p.pt_system) ps))
-  in
-  let figures = group (fun p -> p.pt_figure) points in
+  let series = group (fun p -> p.pt_system) (fun ps -> Trace.List (List.map point ps)) in
+  let figures = group (fun p -> p.pt_figure) (fun ps -> Trace.Obj (series ps)) points in
   (* busy / wall is the achieved parallel speedup: total time spent inside
      simulation jobs over the elapsed wall clock. At --jobs 1 it is ~1. *)
   let busy_s = Harness.Pool.busy_seconds () in
+  let meta =
+    Trace.
+      [ ("scale", Str (match scale with Quick -> "quick" | Full -> "full"));
+        ("seeds", List (List.map (fun s -> Int s) (seeds scale))); ("git_rev", Str (git_rev ()));
+        ("wall_time_s", Float wall_s); ("jobs", Int jobs); ("busy_time_s", Float busy_s);
+        ("speedup", Float (if wall_s > 0. then busy_s /. wall_s else 1.0)) ]
+  in
   let oc = open_out file in
-  Printf.fprintf oc
-    "{\"meta\":{\"scale\":\"%s\",\"seeds\":[%s],\"git_rev\":\"%s\",\"wall_time_s\":%.1f,\
-     \"jobs\":%d,\"busy_time_s\":%.1f,\"speedup\":%.2f},\n\"figures\":{%s}}\n"
-    (match scale with Quick -> "quick" | Full -> "full")
-    (join string_of_int (seeds scale))
-    (str (git_rev ()))
-    wall_s jobs busy_s
-    (if wall_s > 0. then busy_s /. wall_s else 1.0)
-    (join figure figures);
+  Trace.(output_json oc (Obj [ ("meta", Obj meta); ("figures", Obj figures) ]));
   close_out oc;
   Printf.printf "\n# wrote %s (%d figures, %d points)\n%!" file (List.length figures)
     (List.length points)

@@ -33,17 +33,24 @@ sys.exit(s)' "$tmp/rss" "$@"
 sim() { rss "$exe" "$@"; }
 # run ARGS...: natto_sim ARGS, stdout kept in $tmp/out for expect.
 run() { sim "$@" >"$tmp/out"; }
+# json_ok FILE: FILE parses as one JSON document.
+json_ok() { python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$1"; }
+# figure_data: the BENCH_results.json a figure run wrote, if any, must parse;
+# print all but its first line, whose meta holds wall times.
+figure_data() {
+  [ ! -e BENCH_results.json ] || { json_ok BENCH_results.json && tail -n +2 BENCH_results.json; }
+}
 # same_at_jobs ARGS...: run at --jobs 1 and --jobs 4; the outputs must be
-# byte-identical, and so must the figure data of the BENCH_results.json a
-# figure run writes (all but its first line, whose meta holds wall times).
-# The --jobs 1 output is kept for expect.
+# byte-identical, and so must their figure data. The --jobs 1 output is
+# kept for expect.
 same_at_jobs() {
   rm -f BENCH_results.json
   sim "$@" --jobs 1 >"$tmp/out"
-  [ ! -e BENCH_results.json ] || tail -n +2 BENCH_results.json >"$tmp/data1"
+  figure_data >"$tmp/data1"
   sim "$@" --jobs 4 >"$tmp/out4"
+  figure_data >"$tmp/data4"
   cmp "$tmp/out" "$tmp/out4"
-  [ ! -e BENCH_results.json ] || tail -n +2 BENCH_results.json | cmp - "$tmp/data1"
+  cmp "$tmp/data1" "$tmp/data4"
 }
 # expect PATTERN: some line of the last output matches (grep BRE).
 expect() {
@@ -97,6 +104,7 @@ gate "trace smoke run"
 # recorded events, must equal the network's own messages_sent.
 run -s natto-ts -d 2 --seeds 1 -r 50 --trace "$tmp/trace.json"
 grep -q '"traceEvents"' "$tmp/trace.json"
+json_ok "$tmp/trace.json"
 expect '^#   sum  *\([0-9][0-9]*\) (network total: \1)$'
 
 gate "input rejection"
@@ -173,12 +181,13 @@ expect '# wasted: QueCC-Prio client_aborts=0 speculation_aborts='
 gate "metrics determinism gate"
 # --metrics (here together with --check) must leave the CSV byte-for-byte
 # identical to an uninstrumented run ('#'-prefixed lines are commentary,
-# not CSV). The JSON it writes is checked by test_metrics.
+# not CSV). The JSON it writes must parse; test_metrics checks its contents.
 run -s 2pl,natto-recsf -d 4 --seeds 1 -r 80 -z 0.95
 grep -v '^#' "$tmp/out" >"$tmp/csv_off"
 run -s 2pl,natto-recsf -d 4 --seeds 1 -r 80 -z 0.95 --metrics "$tmp/metrics.json" --check
 grep -v '^#' "$tmp/out" >"$tmp/csv_on"
 cmp "$tmp/csv_off" "$tmp/csv_on"
+json_ok "$tmp/metrics.json"
 
 gate "tailblame figure gate"
 # The causal-blame figure must be byte-identical at any --jobs. The figure

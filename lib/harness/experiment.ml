@@ -97,13 +97,7 @@ let run ?(check = false) ?trace:(traced = false) ?(metrics = false) setup =
         let txns = Metrics.Registry.txn_records registry in
         let breakdowns = Metrics.Attribution.analyze ~trace ~txns in
         let blame = Metrics.Blame.analyze ~trace ~txns ~breakdowns () in
-        Some
-          {
-            Metrics.Report.interval = Metrics.Registry.interval;
-            windows = Metrics.Registry.windows registry;
-            breakdowns;
-            blame;
-          }
+        Some { Metrics.Report.windows = Metrics.Registry.windows registry; breakdowns; blame }
     | _ -> None
   in
   {

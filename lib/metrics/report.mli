@@ -4,7 +4,6 @@
     table, wasted-work split and causal-blame profile. *)
 
 type run = {
-  interval : Simcore.Sim_time.t;  (** the registry's window length *)
   windows : Registry.window list;  (** chronological *)
   breakdowns : Attribution.txn_breakdown list;
       (** one per committed transaction; segments sum exactly to its

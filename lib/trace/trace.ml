@@ -49,6 +49,61 @@ let enable t = t.on <- true
 let enabled t = t.on
 
 (* ------------------------------------------------------------------ *)
+(* JSON: the value type and printer behind every document the repository
+   writes, so its syntax (escaping, separators, line breaks) lives here. *)
+
+type json =
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of json list
+  | Seq of json Seq.t
+  | Obj of (string * json) list
+
+let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+
+(* Members are separated by [sep], ",\n" at the top level only; an object
+   element of a list starts a line, and a list holding any closes on one.
+   The buffer goes to [oc] between elements once past 64 KiB, so a [Seq]
+   list streams. *)
+let output_json oc v =
+  let b = Buffer.create 65536 in
+  let add = Buffer.add_string b in
+  let escape = function
+    | '"' -> add "\\\""
+    | '\\' -> add "\\\\"
+    | '\n' -> add "\\n"
+    | c when c < ' ' -> Printf.bprintf b "\\u%04x" (Char.code c)
+    | c -> Buffer.add_char b c
+  in
+  let str s = add "\""; String.iter escape s; add "\"" in
+  let rec value ?(sep = ",") = function
+    | Int i -> add (string_of_int i)
+    | Float f -> add (json_float f)
+    | Str s -> str s
+    | List l -> elements (List.to_seq l)
+    | Seq s -> elements s
+    | Obj members ->
+        add "{";
+        List.iteri (fun i (k, v) -> if i > 0 then add sep; str k; add ":"; value v) members;
+        add "}"
+  and elements s =
+    let element broke i v =
+      let obj = match v with Obj _ -> true | _ -> false in
+      if i > 0 then add ",";
+      if obj then add "\n";
+      value v;
+      if Buffer.length b >= 65536 then (Buffer.output_buffer oc b; Buffer.clear b);
+      broke || obj
+    in
+    add "[";
+    add (if Seq.fold_lefti element false s then "\n]" else "]")
+  in
+  value ~sep:",\n" v;
+  add "\n";
+  Buffer.output_buffer oc b
+
+(* ------------------------------------------------------------------ *)
 (* Chrome trace viewer (chrome://tracing, Perfetto) JSON.
 
    Message deliveries are complete ("X") events on pid 0, one thread per
@@ -57,75 +112,41 @@ let enabled t = t.on
    are async ("b"/"e"/"n") events on pid 1, keyed by transaction id. All
    timestamps are simulated microseconds. *)
 
-let json_escape s =
-  (* Kind and span names are controlled identifiers, but escape anyway so a
-     future caller cannot produce invalid JSON. *)
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let us t = Int (Sim_time.to_us t)
+let ints kvs = Obj (List.map (fun (k, v) -> (k, Int v)) kvs)
+let some k = function Some v -> [ (k, v) ] | None -> []
+let only cond members = if cond then members else []
 
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+(* A Chrome event: its name, category and phase, then [rest]. *)
+let event name cat ph rest = Obj (("name", Str name) :: ("cat", Str cat) :: ("ph", Str ph) :: rest)
 
-let write_msg_event oc first (m : message) =
-  if not !first then output_string oc ",\n";
-  first := false;
-  Printf.fprintf oc
-    "{\"name\":\"%s\",\"cat\":\"msg\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":0,\"tid\":%d,\"args\":{\"src\":%d,\"dst\":%d,\"src_dc\":%d,\"dst_dc\":%d,\"bytes\":%d,\"depart_us\":%d"
-    (json_escape m.m_kind) (Sim_time.to_us m.m_enqueue)
-    (Sim_time.to_us (Sim_time.sub m.m_deliver m.m_enqueue))
-    m.m_dst m.m_src m.m_dst m.m_src_dc m.m_dst_dc m.m_bytes (Sim_time.to_us m.m_depart);
-  (match m.m_dequeue with
-  | Some d -> Printf.fprintf oc ",\"cpu_done_us\":%d" (Sim_time.to_us d)
-  | None -> ());
-  (match m.m_txn with Some id -> Printf.fprintf oc ",\"txn\":%d" id | None -> ());
-  (match m.m_priority with Some p -> Printf.fprintf oc ",\"priority\":%d" p | None -> ());
-  output_string oc "}}"
-
-let write_span_event oc first (s : span) =
-  if not !first then output_string oc ",\n";
-  first := false;
-  let ph = match s.s_phase with Begin -> "b" | End -> "e" | Instant -> "n" in
-  Printf.fprintf oc
-    "{\"name\":\"%s\",\"cat\":\"txn\",\"ph\":\"%s\",\"id\":%d,\"ts\":%d,\"pid\":1,\"tid\":%d"
-    (json_escape s.s_name) ph s.s_txn (Sim_time.to_us s.s_at) s.s_tid;
-  (match s.s_blame with
-  | Some b ->
-      output_string oc ",\"args\":{";
-      let first_arg = ref true in
-      let field k v =
-        if not !first_arg then output_string oc ",";
-        first_arg := false;
-        Printf.fprintf oc "\"%s\":%s" k v
+let event_json = function
+  | Message m ->
+      event m.m_kind "msg" "X"
+        [ ("ts", us m.m_enqueue); ("dur", us (Sim_time.sub m.m_deliver m.m_enqueue));
+          ("pid", Int 0); ("tid", Int m.m_dst);
+          ( "args",
+            ints
+              ([ ("src", m.m_src); ("dst", m.m_dst); ("src_dc", m.m_src_dc); ("dst_dc", m.m_dst_dc);
+                 ("bytes", m.m_bytes); ("depart_us", Sim_time.to_us m.m_depart) ]
+              @ some "cpu_done_us" (Option.map Sim_time.to_us m.m_dequeue)
+              @ some "txn" m.m_txn @ some "priority" m.m_priority) ) ]
+  | Span s ->
+      let ph = match s.s_phase with Begin -> "b" | End -> "e" | Instant -> "n" in
+      let args b =
+        Obj
+          (only (b.bl_key >= 0) [ ("key", Int b.bl_key) ]
+          @ only (b.bl_blocker >= 0)
+              [ ("blocker", Int b.bl_blocker);
+                ("blocker_class", Str (if b.bl_blocker_high then "high" else "low")) ]
+          @ only (b.bl_node >= 0) [ ("node", Int b.bl_node) ])
       in
-      if b.bl_key >= 0 then field "key" (string_of_int b.bl_key);
-      if b.bl_blocker >= 0 then begin
-        field "blocker" (string_of_int b.bl_blocker);
-        field "blocker_class" (if b.bl_blocker_high then "\"high\"" else "\"low\"")
-      end;
-      if b.bl_node >= 0 then field "node" (string_of_int b.bl_node);
-      output_string oc "}"
-  | None -> ());
-  output_string oc "}"
-
-let write_fault_event oc first (f : fault) =
-  if not !first then output_string oc ",\n";
-  first := false;
-  Printf.fprintf oc
-    "{\"name\":\"%s\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%d,\"pid\":2,\"tid\":0}"
-    (json_escape f.f_name) (Sim_time.to_us f.f_at)
-
-let write_event oc first = function
-  | Message m -> write_msg_event oc first m
-  | Span s -> write_span_event oc first s
-  | Fault f -> write_fault_event oc first f
+      event s.s_name "txn" ph
+        ([ ("id", Int s.s_txn); ("ts", us s.s_at); ("pid", Int 1); ("tid", Int s.s_tid) ]
+        @ some "args" (Option.map args s.s_blame))
+  | Fault f ->
+      event f.f_name "fault" "i"
+        [ ("s", Str "g"); ("ts", us f.f_at); ("pid", Int 2); ("tid", Int 0) ]
 
 let push t ev =
   t.n_events <- t.n_events + 1;
@@ -211,30 +232,20 @@ let total_messages t =
 
 let event_count t = t.n_events
 
-let other_data t extra =
-  ("total_messages", string_of_int (total_messages t))
-  :: List.map (fun (k, n) -> ("messages." ^ k, string_of_int n)) (kind_counts t)
-  @ extra
-
-let write_other_data t ~extra oc =
-  let first = ref true in
-  List.iter
-    (fun (k, v) ->
-      if not !first then output_string oc ",";
-      first := false;
-      Printf.fprintf oc "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-    (other_data t extra)
-
 let write_chrome_trace t ?(extra = []) oc =
-  output_string oc "{\"displayTimeUnit\":\"ms\",\n\"otherData\":{";
-  write_other_data t ~extra oc;
-  output_string oc "},\n\"traceEvents\":[\n";
-  output_string oc
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"network\"}},\n";
-  output_string oc
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"transactions\"}},\n";
-  output_string oc
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{\"name\":\"faults\"}}";
-  let first = ref false in
-  iter_events t (write_event oc first);
-  output_string oc "\n]}\n"
+  let process pid name =
+    Obj
+      [ ("name", Str "process_name"); ("ph", Str "M"); ("pid", Int pid);
+        ("args", Obj [ ("name", Str name) ]) ]
+  in
+  let counts = List.map (fun (k, n) -> ("messages." ^ k, n)) (kind_counts t) in
+  let other_data =
+    List.map (fun (k, n) -> (k, string_of_int n)) (("total_messages", total_messages t) :: counts)
+  in
+  let processes = [ process 0 "network"; process 1 "transactions"; process 2 "faults" ] in
+  let events = Seq.map event_json (List.to_seq (List.rev t.events)) in
+  output_json oc
+    (Obj
+       [ ("displayTimeUnit", Str "ms");
+         ("otherData", Obj (List.map (fun (k, v) -> (k, Str v)) (other_data @ extra)));
+         ("traceEvents", Seq (Seq.append (List.to_seq processes) events)) ])

@@ -146,11 +146,21 @@ val write_chrome_trace : t -> ?extra:(string * string) list -> out_channel -> un
     instants on pid 2. [extra] adds entries to the top-level ["otherData"]
     object. *)
 
-(** {2 JSON helpers} shared by every JSON writer in the repository. *)
+(** {2 JSON} The value type and printer behind every JSON document the
+    repository writes: the Chrome trace, [--metrics], [BENCH_results.json]. *)
 
-val json_escape : string -> string
-(** The body of a JSON string literal for [s] (quotes, backslashes and
-    control characters escaped). *)
+type json =
+  | Int of int
+  | Float of float  (** printed by {!json_float} *)
+  | Str of string
+  | List of json list
+  | Seq of json Seq.t  (** a list produced while it prints *)
+  | Obj of (string * json) list  (** members in the order given *)
+
+val output_json : out_channel -> json -> unit
+(** No spaces; strings and keys escaped. Each top-level member after the
+    first starts a line, as does each object element of a list, which then
+    closes on its own line. Ends with a newline. *)
 
 val json_float : float -> string
 (** [%.6g], or [null] for NaN and infinities, which JSON cannot carry. *)

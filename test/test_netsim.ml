@@ -215,6 +215,42 @@ let test_chrome_trace_output () =
       "\"system\":\"test\"";
     ]
 
+(* The JSON printer on fixed values: escaping, non-finite floats, empty
+   containers, the line rule at depth, and a lazy list printing as the
+   equal list. *)
+let json_text v =
+  let file = Filename.temp_file "natto_json" ".json" in
+  Out_channel.with_open_bin file (fun oc -> Trace.output_json oc v);
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  text
+
+let test_json_printer () =
+  let check what want v = Alcotest.(check string) what want (json_text v) in
+  check "escapes" "\"q\\\"b\\\\n\\n\\u0001\"\n" (Trace.Str "q\"b\\n\n\001");
+  check "escaped keys" "{\"a\\\"b\":1}\n" (Trace.Obj [ ("a\"b", Trace.Int 1) ]);
+  check "non-finite floats" "[null,null,null,0.1,1e+06]\n"
+    (Trace.List (List.map (fun f -> Trace.Float f) [ nan; infinity; neg_infinity; 0.1; 1e6 ]));
+  check "empty containers" "{\"l\":[],\n\"o\":{},\n\"s\":[]}\n"
+    (Trace.Obj [ ("l", Trace.List []); ("o", Trace.Obj []); ("s", Trace.Seq Seq.empty) ]);
+  let nested =
+    Trace.Obj
+      [
+        ("a", Trace.Int 1);
+        ( "b",
+          Trace.Obj
+            [
+              ("c", Trace.List [ Trace.Int 2; Trace.Obj [ ("d", Trace.List [ Trace.Obj [] ]) ] ]);
+              ("e", Trace.Str "x");
+            ] );
+      ]
+  in
+  check "line rule" "{\"a\":1,\n\"b\":{\"c\":[2,\n{\"d\":[\n{}\n]}\n],\"e\":\"x\"}}\n" nested;
+  let items = [ Trace.Obj [ ("k", Trace.Int 1) ]; Trace.Str "s"; Trace.Obj [] ] in
+  Alcotest.(check string) "a Seq prints as the equal list"
+    (json_text (Trace.Obj [ ("x", Trace.List items) ]))
+    (json_text (Trace.Obj [ ("x", Trace.Seq (List.to_seq items)) ]))
+
 (* A disabled sink must not leak memory or time: no counts, no events,
    while the ledger still counts every message. *)
 let test_trace_disabled_is_free () =
@@ -283,6 +319,7 @@ let () =
           Alcotest.test_case "counts match network" `Quick test_ledger_counts_match_network;
           Alcotest.test_case "trace sees every message" `Quick test_trace_sees_every_message;
           Alcotest.test_case "chrome trace json" `Quick test_chrome_trace_output;
+          Alcotest.test_case "json printer" `Quick test_json_printer;
           Alcotest.test_case "disabled sink is free" `Quick test_trace_disabled_is_free;
           Alcotest.test_case "isolated send allocation" `Quick test_isolated_send_alloc;
           Alcotest.test_case "envelope sizes" `Quick test_envelope_sizes;
