@@ -32,15 +32,12 @@ type t = {
 }
 
 let inversion_us t = t.b_matrix.(0).(1)
+let take k l = List.filteri (fun i _ -> i < k) l
 
 (* Fraction of all blamed wait µs concentrated on the hottest [k] keys. *)
 let hot_key_share ?(k = 1) t =
   if t.b_wait_us <= 0 then 0.
   else
-    let rec take n = function
-      | x :: rest when n > 0 -> x :: take (n - 1) rest
-      | _ -> []
-    in
     let top = List.fold_left (fun acc (_, us) -> acc + us) 0 (take k t.b_hot_keys) in
     float_of_int top /. float_of_int t.b_wait_us
 
@@ -99,10 +96,6 @@ let analyze ~trace ~txns ~breakdowns () =
   let wait_us =
     Array.fold_left (fun acc row -> Array.fold_left ( + ) acc row) 0 matrix
   in
-  let take k l =
-    let rec go n = function x :: rest when n > 0 -> x :: go (n - 1) rest | _ -> [] in
-    go k l
-  in
   let hot_keys =
     Hashtbl.fold (fun k r acc -> (k, !r) :: acc) keys []
     |> List.sort (fun (k1, u1) (k2, u2) -> compare (-u1, k1) (-u2, k2))
@@ -141,45 +134,47 @@ let analyze ~trace ~txns ~breakdowns () =
           [ ("p50", 0.50); ("p95", 0.95); ("p99", 0.99) ])
       [ true; false ]
   in
-  (* Message lines and each attempt's span lines for all selected txns in
-     one pass over the trace, both newest first. *)
-  let attempt_owner : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iteri
-    (fun i (_, (tr : Registry.txn_rec), _) ->
+  (* Each selected attempt's span lines and message lines, both newest
+     first, in one pass over the trace. Picks that are one txn read the
+     same attempts. *)
+  let attempt_lines : (int, (int * string) list ref * (int * string) list ref) Hashtbl.t =
+    Hashtbl.create 32
+  in
+  List.iter
+    (fun (_, (tr : Registry.txn_rec), _) ->
       List.iter
-        (fun (a : Registry.attempt_rec) ->
-          Hashtbl.replace attempt_owner a.Registry.a_txn i)
-        tr.Registry.attempts)
+        (fun (a : Registry.attempt_rec) -> Hashtbl.replace attempt_lines a.a_txn (ref [], ref []))
+        tr.attempts)
     selected;
-  let msg_lines = Array.make (List.length selected) [] in
-  let attempt_spans : (int, int * string) Hashtbl.t = Hashtbl.create 32 in
-  if Hashtbl.length attempt_owner > 0 then
+  if Hashtbl.length attempt_lines > 0 then
     Trace.iter_events trace (function
       | Trace.Message { m_txn = Some txn; m_kind; m_enqueue; m_deliver; _ } -> (
-          match Hashtbl.find_opt attempt_owner txn with
-          | Some i ->
+          match Hashtbl.find_opt attempt_lines txn with
+          | Some (_, msgs) ->
               let at = Sim_time.to_us m_enqueue in
               let line = Printf.sprintf "msg %s (wire %dus)" m_kind (Sim_time.to_us m_deliver - at) in
-              msg_lines.(i) <- (at, line) :: msg_lines.(i)
+              msgs := (at, line) :: !msgs
           | None -> ())
-      | Trace.Span s when Hashtbl.mem attempt_owner s.s_txn ->
-          Hashtbl.add attempt_spans s.s_txn (Sim_time.to_us s.s_at, Trace.span_label s)
+      | Trace.Span s -> (
+          match Hashtbl.find_opt attempt_lines s.s_txn with
+          | Some (spans, _) -> spans := (Sim_time.to_us s.s_at, Trace.span_label s) :: !spans
+          | None -> ())
       | _ -> ());
   let exemplars =
-    List.mapi
-      (fun i (label, (tr : Registry.txn_rec), (bd : Attribution.txn_breakdown)) ->
+    List.map
+      (fun (label, (tr : Registry.txn_rec), (bd : Attribution.txn_breakdown)) ->
         let born = Sim_time.to_us tr.Registry.born in
         (* Attempt by attempt, each in push order. *)
-        let span_lines =
+        let of_attempts part =
           List.concat_map
             (fun (a : Registry.attempt_rec) ->
-              List.rev (Hashtbl.find_all attempt_spans a.Registry.a_txn))
-            tr.Registry.attempts
+              List.rev !(part (Hashtbl.find attempt_lines a.a_txn)))
+            tr.attempts
         in
         let lines =
           List.stable_sort
             (fun (t1, _) (t2, _) -> compare t1 t2)
-            (span_lines @ List.rev msg_lines.(i))
+            (of_attempts fst @ of_attempts snd)
           |> List.map (fun (at, name) -> Printf.sprintf "+%dus %s" (at - born) name)
         in
         let n_lines = List.length lines in
