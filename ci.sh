@@ -66,6 +66,7 @@ must_fail() {
 
 gate "dune build"
 dune build
+json_ok BENCH_trajectory.json # tools/trajectory.py's simulator-cost record: parsed, not gated
 
 gate "dune runtest"
 # Includes the --metrics JSON checks (test_metrics, "report").

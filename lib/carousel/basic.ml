@@ -20,7 +20,6 @@ type coord = {
 
 type client_attempt = {
   txn : Txn.t;
-  plan : Exec.plan;
   mutable pending : int;
   mutable failed : bool;
   mutable replies : Exec.reads list;
@@ -62,25 +61,25 @@ let make (cluster : Cluster.t) : System.t =
     let me = coord_node ~client:c.client in
     (* Distribute write data asynchronously ([try_commit] notifies the
        client). *)
-    List.iter
-      (fun p ->
+    Array.iter
+      (fun ({ partition = p; _ } : Txn.part) ->
         let server = servers.(p) in
         let local = Exec.pairs_on_partition cluster ~partition:p pairs in
         Net.send net ~src:me ~dst:server.node
           ~msg:(Msg.decision ~txn:txn_id ~writes:(List.length local) ())
           (fun () -> apply_commit server txn_id local))
-      (Cluster.participants cluster txn)
+      (Exec.plan_of cluster txn)
   in
   let decide_abort ~txn_id ~(txn : Txn.t) c =
     c.decided <- true;
     let me = coord_node ~client:c.client in
-    List.iter
-      (fun p ->
-        let server = servers.(p) in
+    Array.iter
+      (fun (part : Txn.part) ->
+        let server = servers.(part.partition) in
         Net.send net ~src:me ~dst:server.node
           ~msg:(Msg.decision ~txn:txn_id ~writes:0 ())
           (fun () -> abort_at_participant server txn_id))
-      (Cluster.participants cluster txn)
+      (Exec.plan_of cluster txn)
   in
   let try_commit ~txn_id ~txn ~notify_client c =
     if (not c.decided) && c.writes_replicated && c.ok_votes = c.n_participants then begin
@@ -93,8 +92,8 @@ let make (cluster : Cluster.t) : System.t =
   let submit (txn : Txn.t) ~on_done =
     let txn_id = txn.Txn.id in
     let plan = Exec.plan_of cluster txn in
-    let n = List.length plan.Exec.participants in
-    let attempt = { txn; plan; pending = n; failed = false; replies = [] } in
+    let n = Array.length plan in
+    let attempt = { txn; pending = n; failed = false; replies = [] } in
     let client = txn.Txn.client in
     let c =
       {
@@ -108,8 +107,7 @@ let make (cluster : Cluster.t) : System.t =
     in
     (* Re-resolve the partition leaders per attempt, so retries after a
        leader crash land on the newly elected node. *)
-    Failover.refresh_leaders cluster ~participants:plan.Exec.participants
-      ~set:(fun p node -> servers.(p).node <- node);
+    Failover.refresh_leaders cluster plan ~set:(fun p node -> servers.(p).node <- node);
     let coordinator = coord_node ~client in
     let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
     (* Client-side commit notification: the coordinator replies over the
@@ -147,12 +145,12 @@ let make (cluster : Cluster.t) : System.t =
          read-and-prepare goes out on the same connections: per-connection
          FIFO then guarantees the ghost prepare is gone when the retry
          lands. The coordinator is told too so its 2PC state resolves. *)
-      List.iter
-        (fun p ->
-          let server = servers.(p) in
+      Array.iter
+        (fun (part : Txn.part) ->
+          let server = servers.(part.partition) in
           Net.send net ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
             (fun () -> abort_at_participant server txn_id))
-        plan.Exec.participants;
+        plan;
       Net.send net ~src:client ~dst:coordinator
         ~msg:(Msg.control ~txn:txn_id Msg.Abort_notice)
         on_abort_notice;
@@ -174,10 +172,9 @@ let make (cluster : Cluster.t) : System.t =
       if attempt.pending = 0 then round_one_complete ()
     in
     (* Round 1: read-and-prepare at every participant leader. *)
-    List.iter
-      (fun p ->
+    Array.iter
+      (fun ({ partition = p; reads; writes; _ } : Txn.part) ->
         let server = servers.(p) in
-        let reads = plan.Exec.reads_of p and writes = plan.Exec.writes_of p in
         (* Partial-abort claims for this partition: validated-prefix keys ride
            on the request; version-confirmed ones are dropped from the reply. *)
         let claims = Exec.claims txn reads in
@@ -220,7 +217,7 @@ let make (cluster : Cluster.t) : System.t =
                     Net.send net ~src:server.node ~dst:coordinator ~msg:(Msg.vote ~txn:txn_id ())
                       (fun () -> on_vote ~ok:true))
                   ()))
-      plan.Exec.participants;
+      plan;
     (* Failover watchdog: with a dead leader (or coordinator) in the path
        this attempt would otherwise hang forever. Armed only under fault
        injection. *)

@@ -21,7 +21,6 @@ let make (cluster : Cluster.t) : System.t =
   let submit (txn : Txn.t) ~on_done =
     let txn_id = txn.Txn.id in
     let plan = Exec.plan_of cluster txn in
-    let participants = plan.Exec.participants in
     let client = txn.Txn.client in
     let failover = Cluster.failover_active cluster in
     let coordinator = Cluster.coordinator_for cluster ~client in
@@ -30,7 +29,8 @@ let make (cluster : Cluster.t) : System.t =
        attributed to whoever leads now, and dead replicas are excluded from
        the expected count (the fast path needs full membership anyway, so
        the attempt falls back to the slow path). *)
-    let current_leader = List.map (fun p -> (p, Cluster.leader_node cluster p)) participants in
+    let leader_of ({ partition = p; _ } : Txn.part) = (p, Cluster.leader_node cluster p) in
+    let current_leader = Array.to_list (Array.map leader_of plan) in
     let leader_replica p =
       let ln = List.assoc p current_leader in
       match Array.to_list replicas.(p) |> List.find_opt (fun r -> r.Fanout.node = ln) with
@@ -38,8 +38,8 @@ let make (cluster : Cluster.t) : System.t =
       | None -> replicas.(p).(0)
     in
     if failover then
-      List.iter
-        (fun p ->
+      Array.iter
+        (fun ({ partition = p; _ } : Txn.part) ->
           Array.iter
             (fun (r : Fanout.replica) ->
               if not (Fanout.live cluster r) then Hashtbl.replace down_seen r.node ()
@@ -49,18 +49,17 @@ let make (cluster : Cluster.t) : System.t =
                 if src.node <> r.node then Fanout.resync r ~src
               end)
             replicas.(p))
-        participants;
+        plan;
     let counted r = (not failover) || Fanout.live cluster r in
-    let full_membership =
-      List.fold_left (fun acc p -> acc + Array.length replicas.(p)) 0 participants
-    in
-    let pending = ref (Fanout.live_count cluster ~failover replicas participants) in
+    let members (part : Txn.part) = Array.length replicas.(part.partition) in
+    let full_membership = Array.fold_left (fun acc part -> acc + members part) 0 plan in
+    let pending = ref (Fanout.live_count cluster ~failover replicas plan) in
     let replies : reply list ref = ref [] in
     let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
     let release_everywhere () =
       (* Straight from the client, so a retry's read-and-prepare (sent on
          the same connections, after these) finds the prepares released. *)
-      Fanout.release cluster replicas ~src:client ~txn:txn_id participants
+      Fanout.release cluster replicas ~src:client ~txn:txn_id plan
     in
     let commit_via_coordinator ~pairs ~already_committed ~after_durable =
       (* [after_durable] fires at the coordinator once the decision can be
@@ -76,7 +75,7 @@ let make (cluster : Cluster.t) : System.t =
                 Net.send net ~src:coordinator ~dst:client
                   ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
                   (fun () -> finish ~committed:true);
-              Fanout.commit cluster replicas ~src:coordinator ~txn:txn_id ~pairs participants
+              Fanout.commit cluster replicas ~src:coordinator ~txn:txn_id ~pairs plan
             end
           in
           Raft.Group.replicate
@@ -104,9 +103,10 @@ let make (cluster : Cluster.t) : System.t =
          so the attempt cannot assemble a write set — fail it and let the
          retry target the new leader. *)
       let missing_leader =
-        List.exists
-          (fun p -> not (List.exists (fun r -> r.partition = p && r.from_leader) !replies))
-          participants
+        Array.exists
+          (fun (part : Txn.part) ->
+            not (List.exists (fun r -> r.partition = part.partition && r.from_leader) !replies))
+          plan
       in
       if leader_abort || missing_leader then begin
         release_everywhere ();
@@ -136,12 +136,10 @@ let make (cluster : Cluster.t) : System.t =
               (* Slow path: each participant leader replicates its prepare
                  record and votes to the coordinator. *)
               let votes = ref 0 in
-              let n = List.length participants in
-              List.iter
-                (fun p ->
+              let n = Array.length plan in
+              Array.iter
+                (fun ({ partition = p; reads = reads_p; writes = writes_p; _ } : Txn.part) ->
                   let leader = leader_replica p in
-                  let reads_p = plan.Exec.reads_of p
-                  and writes_p = plan.Exec.writes_of p in
                   Net.send net ~src:coordinator ~dst:leader.node
                     ~msg:(Msg.control ~txn:txn_id Msg.Control)
                     (fun () ->
@@ -157,7 +155,7 @@ let make (cluster : Cluster.t) : System.t =
                               incr votes;
                               if !votes = n then k ()))
                         ()))
-                participants)
+                plan)
       end
     in
     let on_reply r =
@@ -167,9 +165,8 @@ let make (cluster : Cluster.t) : System.t =
         if !pending = 0 then finish_round_one ()
       end
     in
-    List.iter
-      (fun p ->
-        let reads = plan.Exec.reads_of p and writes = plan.Exec.writes_of p in
+    Array.iter
+      (fun ({ partition = p; reads; writes; _ } : Txn.part) ->
         (* The same partial-abort claims go to every replica of the
            partition; each validates them against its own store, so a
            follower lagging on async write distribution simply serves the
@@ -224,7 +221,7 @@ let make (cluster : Cluster.t) : System.t =
                           in
                           on_reply { partition = p; from_leader; ok = true; values })))
           replicas.(p))
-      plan.Exec.participants;
+      plan;
     (* Failover watchdog: bound an attempt stalled on replies (or a 2PC
        round) that will never arrive because a node died mid-flight. *)
     Failover.arm_watchdog cluster ~finished ~on_timeout:(fun () ->

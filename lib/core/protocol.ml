@@ -94,8 +94,8 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
           partition = p;
           node = Cluster.leader cluster p;
           kv = Store.Kv.create ();
-          queue = Tsq.create ();
-          waiting = Tsq.create ();
+          queue = Tsq.create ~vacant:Srec.vacant;
+          waiting = Tsq.create ~vacant:Srec.vacant;
           table = Srec.table ();
           wakeup = None;
           wakeup_at = None;
@@ -304,7 +304,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
     let served = Exec.serve cluster server.kv ~txn:r.txn_id r.reads r.claims in
     Net.send net ~src:server.node ~dst:r.txn.Txn.client
       ~msg:(Msg.read_reply ~txn:r.txn_id ~reads:(Exec.count served) ())
-      (fun () -> r.deliver_read source served);
+      (fun () -> r.deliver_read r source served);
     Raft.Group.replicate cluster.Cluster.groups.(server.partition)
       ~size:(Msg.prepare_record_bytes ~reads:(Array.length r.reads) ~writes:(Array.length r.writes))
       ~tag:r.txn_id ~on_committed:vote ()
@@ -321,7 +321,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       let served = Exec.serve cluster server.kv ~txn:r.txn_id local_keys Exec.no_claims in
       Net.send net ~src:server.node ~dst:r.txn.Txn.client
         ~msg:(Msg.recsf_reply ~txn:r.txn_id ~reads:(Exec.count served) ())
-        (fun () -> r.deliver_read (S_recsf blocker_id) served)
+        (fun () -> r.deliver_read r (S_recsf blocker_id) served)
     end;
     if Array.length fwd_keys > 0 then begin
       let requester = r.txn.Txn.client in
@@ -329,7 +329,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         (* A speculative read of the blocker's not-yet-applied write: the
            observed writer is the blocker itself. *)
         Exec.record_forwarded cluster ~txn:r.txn_id ~writer:blocker_id values;
-        r.deliver_read (S_recsf blocker_id) values
+        r.deliver_read r (S_recsf blocker_id) values
       in
       Net.send net ~src:server.node ~dst:blocker.coord_node
         ~msg:(Msg.recsf_request ~txn:r.txn_id ~keys:(Array.length fwd_keys) ())
@@ -347,57 +347,59 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
 
   and server_process server (r : Srec.t) =
     match r.txn.Txn.priority with
-    | Txn.Low -> (
+    | Txn.Low ->
         (* Prepared records and earlier (smaller-timestamp) waiting
            high-priority transactions block a low-priority prepare: against
            later ones the timestamp order says we go first. *)
-        match Srec.occ_blockers server.table r with
-        | [] -> server_prepare_normal server r
-        | principal :: _ ->
-            mark ~tid:server.node ~txn:r.txn_id "txn-occ-abort";
-            (* First invalidated key under the OCC rule, reported against the
-               principal conflicter — the smallest-(ts, id) record in conflict
-               — rather than min-combined over every concurrent bystander.
-               Most bystanders will themselves abort and never invalidate
-               anything, so the principal's first shared key is the better
-               prediction of where the prefix breaks; a wrong one merely
-               costs a failed claim that revalidation serves fresh. *)
-            server_abort_txn server r ~late:false
-              ~fail_key:(first_shared_key r ~read_in:principal.writes ~write_in:principal.keys))
-    | Txn.High -> (
-        match Srec.wait_blockers server.table r with
-        | [] -> server_prepare_normal server r
-        | principal :: _ as blockers ->
-            (* Blame capture at wait entry: the principal blocker is the
-               smallest-(ts, id) conflicting record — prepared or waiting
-               ahead of us — and the contended key is the first footprint
-               key it overlaps on. Pure observation for the profiler. *)
-            if Trace.enabled trace && r.waiting_from = None then begin
-              r.waiting_from <- Some (Engine.now engine);
-              let shared k = Array.mem k principal.keys in
-              let key = Option.value ~default:(-1) (Array.find_opt shared r.keys) in
-              r.wait_blame <- Some (principal.txn_id, principal.txn.Txn.priority = Txn.High, key)
-            end;
-            r.state <- Waiting;
-            Tsq.add server.waiting ~ts:r.ts ~id:r.txn_id r;
-            (* A single prepared blocker opens the two fast paths: conditional
-               prepare, when it is low-priority and predicted to be
-               priority-aborted elsewhere, else RECSF's read forwarding. *)
-            match blockers with
-            | [ b ]
-              when b.state = Prepared && features.Features.conditional_prepare
-                   && b.txn.Txn.priority = Txn.Low && b.ts < r.ts
-                   && predicts_priority_abort server ~hp:r ~lp:b ->
-                server_cond_prepare server r ~blocker:b
-            | [ b ] when b.state = Prepared && features.Features.recsf ->
-                server_recsf_forward server r ~blocker:b
-            | _ -> ())
+        let principal = Srec.principal server.table r Occ_blockers in
+        if principal == r then server_prepare_normal server r
+        else begin
+          mark ~tid:server.node ~txn:r.txn_id "txn-occ-abort";
+          (* First invalidated key under the OCC rule, reported against the
+             principal conflicter — the smallest-(ts, id) record in conflict
+             — rather than min-combined over every concurrent bystander.
+             Most bystanders will themselves abort and never invalidate
+             anything, so the principal's first shared key is the better
+             prediction of where the prefix breaks; a wrong one merely
+             costs a failed claim that revalidation serves fresh. *)
+          server_abort_txn server r ~late:false
+            ~fail_key:(first_shared_key r ~read_in:principal.writes ~write_in:principal.keys)
+        end
+    | Txn.High ->
+        let principal = Srec.principal server.table r Wait_blockers in
+        if principal == r then server_prepare_normal server r
+        else begin
+          (* Blame capture at wait entry: the principal blocker is the
+             smallest-(ts, id) conflicting record — prepared or waiting
+             ahead of us — and the contended key is the first footprint
+             key it overlaps on. Pure observation for the profiler. *)
+          if Trace.enabled trace && r.waiting_from = None then begin
+            r.waiting_from <- Some (Engine.now engine);
+            let shared k = Array.mem k principal.keys in
+            let key = Option.value ~default:(-1) (Array.find_opt shared r.keys) in
+            r.wait_blame <- Some (principal.txn_id, principal.txn.Txn.priority = Txn.High, key)
+          end;
+          r.state <- Waiting;
+          Tsq.add server.waiting ~ts:r.ts ~id:r.txn_id r;
+          (* A single prepared blocker opens the two fast paths: conditional
+             prepare, when it is low-priority and predicted to be
+             priority-aborted elsewhere, else RECSF's read forwarding. *)
+          let single b = b.state = Prepared && Srec.sole server.table r Wait_blockers b in
+          match principal with
+          | b
+            when features.Features.conditional_prepare && b.txn.Txn.priority = Txn.Low
+                 && b.ts < r.ts && single b
+                 && predicts_priority_abort server ~hp:r ~lp:b ->
+              server_cond_prepare server r ~blocker:b
+          | b when features.Features.recsf && single b -> server_recsf_forward server r ~blocker:b
+          | _ -> ()
+        end
 
   and server_rescan server =
     (* Grant blocked high-priority transactions in timestamp order, in one
-       pass over a snapshot of the waiters. A grant makes the waiter a
-       prepared record, which still blocks every waiter it blocked before,
-       so a second pass would grant nothing. *)
+       pass over the waiters that removes only the one it visits. A grant
+       makes the waiter a prepared record, which still blocks every waiter
+       it blocked before, so a second pass would grant nothing. *)
     Tsq.iter server.waiting (fun ~ts ~id (r : Srec.t) ->
         if r.cond_on = None && Srec.grantable server.table r then begin
           Tsq.remove server.waiting ~ts ~id;
@@ -493,19 +495,17 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
 
   and server_drain server =
     let now = server_local_now server in
-    let rec loop () =
-      match Tsq.min server.queue with
-      | Some (ts, id, r) when ts <= now ->
-          Tsq.remove server.queue ~ts ~id;
-          server_process server r;
-          loop ()
-      | _ -> ()
-    in
-    loop ();
+    while Tsq.size server.queue > 0 && Tsq.head_ts server.queue <= now do
+      let r = Tsq.head server.queue in
+      Tsq.remove server.queue ~ts:r.ts ~id:r.txn_id;
+      server_process server r
+    done;
     (* Arm exactly one pending wakeup per server, for the queue head. *)
-    match Tsq.min server.queue with
-    | Some (ts, _, _) ->
-        if server.wakeup_at <> Some ts then begin
+    if Tsq.size server.queue > 0 then begin
+      let ts = Tsq.head_ts server.queue in
+      match server.wakeup_at with
+      | Some armed when armed = ts -> ()
+      | _ ->
           (match server.wakeup with Some h -> Engine.cancel engine h | None -> ());
           let at = Netsim.Clock.engine_time_of_local clock ~node:server.node ts in
           let at = Sim_time.max at (Sim_time.add (Engine.now engine) (Sim_time.us 1)) in
@@ -516,11 +516,12 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
                    server.wakeup <- None;
                    server.wakeup_at <- None;
                    server_drain server))
-        end
-    | None ->
-        (match server.wakeup with Some h -> Engine.cancel engine h | None -> ());
-        server.wakeup <- None;
-        server.wakeup_at <- None
+    end
+    else begin
+      (match server.wakeup with Some h -> Engine.cancel engine h | None -> ());
+      server.wakeup <- None;
+      server.wakeup_at <- None
+    end
 
   and server_on_read_and_prepare server (r : Srec.t) =
     if r.state = Sent then begin
@@ -544,24 +545,24 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
               if skip then stats.pa_skipped_completion <- stats.pa_skipped_completion + 1
               else server_priority_abort server victim ~against:r.keys)
             (Srec.victims server.table r)
-      | Txn.Low when pa_on -> (
+      | Txn.Low when pa_on ->
           (* A low-priority transaction may not slot in ahead of a queued
              conflicting high-priority transaction. The earliest one names
              the keys that invalidated us. *)
-          match Srec.hp_after server.table r with
-          | [] -> ()
-          | hp :: _ ->
-              let skip =
-                features.Features.pa_completion_estimate
-                && Estimate.completion_estimate cluster ~server_node:server.node
-                     ~coord_node:r.coord_node ~ts:r.ts
-                   < hp.ts
-              in
-              if skip then stats.pa_skipped_completion <- stats.pa_skipped_completion + 1
-              else begin
-                aborted_self := true;
-                server_priority_abort server r ~against:hp.keys
-              end)
+          let hp = Srec.principal server.table r Hp_after in
+          if hp != r then begin
+            let skip =
+              features.Features.pa_completion_estimate
+              && Estimate.completion_estimate cluster ~server_node:server.node
+                   ~coord_node:r.coord_node ~ts:r.ts
+                 < hp.ts
+            in
+            if skip then stats.pa_skipped_completion <- stats.pa_skipped_completion + 1
+            else begin
+              aborted_self := true;
+              server_priority_abort server r ~against:hp.keys
+            end
+          end
       | Txn.High | Txn.Low -> ());
       if not !aborted_self then begin
         (* Late-arrival timestamp-order checks (§3.2). A prepared
@@ -596,15 +597,15 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
   let submit (txn : Txn.t) ~on_done =
     let txn_id = txn.Txn.id in
     let plan = Exec.plan_of cluster txn in
-    let participants = plan.Exec.participants in
     let client = txn.Txn.client in
     (* Under fault injection each attempt re-resolves the partition leaders,
        so a retry after a leader crash lands on the newly elected node. The
        per-partition server state survives the move (it is replicated via
        Raft in the real system). *)
-    Failover.refresh_leaders cluster ~participants ~set:(fun p node ->
-        servers.(p).node <- node);
-    let leaders = List.map (fun p -> servers.(p).node) participants in
+    Failover.refresh_leaders cluster plan ~set:(fun p node -> servers.(p).node <- node);
+    let leaders =
+      Array.fold_right (fun (part : Txn.part) ls -> servers.(part.partition).node :: ls) plan []
+    in
     let ts, arrivals = Estimate.timestamps cluster features ~client ~leaders in
     let coordinator = Cluster.coordinator_for cluster ~client in
     let finished = ref false in
@@ -614,23 +615,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
         on_done ~committed
       end
     in
-    let c : Srec.coord =
-      {
-        c_txn_id = txn_id;
-        c_client = client;
-        c_node = -1;
-        parts = [];
-        on_commit = (fun () -> finish ~committed:true);
-        resolutions = [];
-        gen = 0;
-        gen_sources = [];
-        gen_pairs = [];
-        gen_replicated = false;
-        decided = false;
-        committed = false;
-        recsf_waiters = [];
-      }
-    in
+    let c = Srec.coord ~txn_id ~client ~on_commit:(fun () -> finish ~committed:true) in
     let sent_gen = ref 0 in
     let used : (Srec.t * source) list ref = ref [] in
     let must_resend = ref false in
@@ -714,43 +699,16 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
       end
     in
     c.parts <-
-      List.map
-        (fun p ->
-          let reads = plan.Exec.reads_of p and writes = plan.Exec.writes_of p in
-          let keys =
-            Array.of_list (List.sort_uniq compare (Array.to_list reads @ Array.to_list writes))
-          in
+      Array.fold_right
+        (fun (part : Txn.part) parts ->
           (* Partial-abort claims: empty with the cache off or nothing
              validated. *)
-          let claims = Exec.claims txn reads in
-          let rec r : Srec.t =
-            {
-              txn;
-              txn_id;
-              ts;
-              reads;
-              writes;
-              keys;
-              arrivals;
-              coord = c;
-              coord_node = coordinator;
-              claims;
-              deliver_read = (fun src served -> deliver_read_for r src served);
-              deliver_abort;
-              state = Sent;
-              cond_on = None;
-              watchers = [];
-              fwd_keys = [||];
-              queued_at = None;
-              waiting_from = None;
-              wait_blame = None;
-              src = None;
-              got = Exec.no_reads;
-              vote = None;
-            }
-          in
-          (p, r))
-        participants;
+          let claims = Exec.claims txn part.reads in
+          ( part.partition,
+            Srec.make ~txn ~ts ~part ~arrivals ~coord:c ~coord_node:coordinator ~claims
+              ~deliver_read:deliver_read_for ~deliver_abort )
+          :: parts)
+        plan [];
     List.iter
       (fun (p, (r : Srec.t)) ->
         let server = servers.(p) in
@@ -759,7 +717,7 @@ let make_with_stats ?(check_invariants = false) (cluster : Cluster.t) ~(features
             (Msg.read_prepare ~txn:txn_id
                ~priority:(match txn.Txn.priority with Txn.High -> 1 | Txn.Low -> 0)
                ~extra:
-                 ((Msg.arrival_estimate_bytes * List.length participants)
+                 ((Msg.arrival_estimate_bytes * Array.length plan)
                  + Exec.claim_bytes r.claims)
                ~reads:(Array.length r.reads) ~writes:(Array.length r.writes) ())
           (fun () -> server_on_read_and_prepare server r))

@@ -16,7 +16,7 @@ type t = {
   coord : coord;
   coord_node : int;
   claims : Exec.claims;
-  deliver_read : source -> Exec.reads -> unit;
+  deliver_read : t -> source -> Exec.reads -> unit;
   deliver_abort : int -> Exec.reads -> unit;
   mutable state : state;
   mutable cond_on : int option;
@@ -46,77 +46,117 @@ and coord = {
   mutable recsf_waiters : (int * int array * (Exec.reads -> unit)) list;
 }
 
+let coord ~txn_id ~client ~on_commit =
+  { c_txn_id = txn_id; c_client = client; c_node = -1; parts = []; on_commit; resolutions = [];
+    gen = 0; gen_sources = []; gen_pairs = []; gen_replicated = false; decided = false;
+    committed = false; recsf_waiters = [] }
+
+let make ~txn ~ts ~(part : Txn.part) ~arrivals ~coord ~coord_node ~claims ~deliver_read
+    ~deliver_abort =
+  { txn; txn_id = coord.c_txn_id; ts; reads = part.reads; writes = part.writes; keys = part.keys;
+    arrivals; coord; coord_node; claims; deliver_read; deliver_abort; state = Sent;
+    cond_on = None; watchers = []; fwd_keys = [||]; queued_at = None; waiting_from = None;
+    wait_blame = None; src = None; got = Exec.no_reads; vote = None }
+
+let vacant =
+  make ~ts:0 ~arrivals:[] ~coord_node:(-1) ~claims:Exec.no_claims
+    ~txn:(Txn.make ~id:(-1) ~client:(-1) ~priority:Txn.Low ~read_set:[] ~write_set:[]
+            ~born:Sim_time.zero ~wound_ts:0 ())
+    ~part:{ Txn.partition = -1; reads = [||]; writes = [||]; keys = [||] }
+    ~coord:(coord ~txn_id:(-1) ~client:(-1) ~on_commit:ignore)
+    ~deliver_read:(fun _ _ _ -> ()) ~deliver_abort:(fun _ _ -> ())
+
 let prepared r = r.state = Prepared || r.cond_on <> None
-let high r = r.txn.Txn.priority = Txn.High
 
-type table = (int, t list) Hashtbl.t
+(* Each key's bucket is a timestamp queue of its live records, so a
+   waiter's blockers, mostly older than it, come first and the grant test
+   reads a record or two per key. A bucket goes when it empties. *)
+module Keys = Hashtbl.Make (Int)
 
-let table () = Hashtbl.create 256
-let bucket table k = match Hashtbl.find table k with rs -> rs | exception Not_found -> []
+type table = t Tsq.t Keys.t
 
-(* Each bucket lists its records oldest first: a waiter's blockers are
-   mostly older than the records queued behind it, so the grant test,
-   which stops at the first blocker, reads a record or two per key. *)
-let add table r = Array.iter (fun k -> Hashtbl.replace table k (bucket table k @ [ r ])) r.keys
+let table () = Keys.create 256
+let no_bucket = Tsq.create ~vacant
+let bucket table k = match Keys.find table k with b -> b | exception Not_found -> no_bucket
 
-(* Copies only the records before [r], which being older are few. *)
-let rec without r = function [] -> [] | o :: os -> if o == r then os else o :: without r os
+let add table r =
+  Array.iter
+    (fun k ->
+      let b = match Keys.find table k with b -> b | exception Not_found -> Tsq.create ~vacant in
+      if Tsq.size b = 0 then Keys.replace table k b;
+      Tsq.add b ~ts:r.ts ~id:r.txn_id r)
+    r.keys
 
 let remove table r =
   Array.iter
     (fun k ->
-      match without r (bucket table k) with
-      | [] -> Hashtbl.remove table k
-      | rs -> Hashtbl.replace table k rs)
+      let b = bucket table k in
+      Tsq.remove b ~ts:r.ts ~id:r.txn_id;
+      if Tsq.size b = 0 then Keys.remove table k)
     r.keys
 
 let order a b = match Int.compare a.ts b.ts with 0 -> Int.compare a.txn_id b.txn_id | c -> c
 
+(* What a question asks of a conflicting record [o], as data: no closure. *)
+type test = Blocks | Victim | Behind_high | Prepared_behind | Ahead | Prepared_or_ahead
+
+let passes test r o =
+  match test with
+  | Blocks -> prepared o || (o.state = Waiting && o.ts < r.ts)
+  | Victim -> o.state = Queued && o.ts < r.ts && o.txn.Txn.priority = Txn.Low
+  | Behind_high -> o.state = Queued && o.ts > r.ts && o.txn.Txn.priority = Txn.High
+  | Prepared_behind -> prepared o && o.ts > r.ts
+  | Ahead -> o.ts < r.ts
+  | Prepared_or_ahead -> prepared o || o.ts < r.ts
+
 let rec writes_key ws k i = i < Array.length ws && (ws.(i) = k || writes_key ws k (i + 1))
 
-(* Whether [f] holds for some record of [os] other than [r] that conflicts
-   with [r] on its key [k]. A key [r] only reads ([~writers]) conflicts
-   only with a record that writes it. Plain recursion, allocating nothing
-   per key or record: this runs for every arrival and every waiter. *)
+(* Whether [o], in the bucket of [r]'s key [k] and neither [r] nor
+   [except], conflicts with [r] there and passes [test]. A key [r] only
+   reads ([~writers]) conflicts only with a record that writes it. *)
+let hit o r ~except ~writers k test =
+  o != r && o != except && ((not writers) || writes_key o.writes k 0) && passes test r o
 
-let rec bucket_exists os r ~writers k f =
-  match os with
-  | [] -> false
-  | o :: os ->
-      (o != r && ((not writers) || writes_key o.writes k 0) && f o)
-      || bucket_exists os r ~writers k f
+(* From position [j] of bucket [b], that of [r]'s key [ks.(i)], on: under
+   [~first] the first hit, else the smallest-(ts, id) one if it beats
+   [best] ([r] for none), a bucket's first hit being its smallest. Plain
+   recursion, allocating nothing: this runs for every arrival and waiter. *)
+let rec scan table ks i b j r ~writers ~except test ~first best =
+  if j < Tsq.size b then
+    let o = Tsq.get b j in
+    if best != r && order o best >= 0 then
+      scan table ks i no_bucket 0 r ~writers ~except test ~first best
+    else if not (hit o r ~except ~writers ks.(i) test) then
+      scan table ks i b (j + 1) r ~writers ~except test ~first best
+    else if first then o
+    else scan table ks i no_bucket 0 r ~writers ~except test ~first o
+  else if i + 1 < Array.length ks then
+    scan table ks (i + 1) (bucket table ks.(i + 1)) 0 r ~writers ~except test ~first best
+  else best
 
-let rec keys_exist table ks i r ~writers f =
-  i < Array.length ks
-  && (bucket_exists (bucket table ks.(i)) r ~writers ks.(i) f
-     || keys_exist table ks (i + 1) r ~writers f)
+(* Under [~occ] a conflict is [r]'s writes against the other's footprint
+   or its reads against the other's writes; otherwise any shared key. *)
+let find table r ~occ ~except test ~first =
+  if not occ then scan table r.keys (-1) no_bucket 0 r ~writers:false ~except test ~first r
+  else
+    let best = scan table r.reads (-1) no_bucket 0 r ~writers:true ~except test ~first r in
+    if first && best != r then best
+    else scan table r.writes (-1) no_bucket 0 r ~writers:false ~except test ~first best
 
-(* Whether [f] holds for some record other than [r] that conflicts with
-   [r], trying each once per shared key and stopping at the first. Under
-   [~occ] a conflict is [r]'s writes against their footprint or its reads
-   against their writes; otherwise any shared key. *)
-let exists table r ~occ f =
-  if occ then
-    keys_exist table r.reads 0 r ~writers:true f || keys_exist table r.writes 0 r ~writers:false f
-  else keys_exist table r.keys 0 r ~writers:false f
+type question = Occ_blockers | Wait_blockers | Hp_after
 
-(* The records other than [r] that conflict with [r] and satisfy [keep],
-   each once, in (ts, id) order. *)
-let conflicting table r ~occ keep =
-  let acc = ref [] in
-  ignore (exists table r ~occ (fun o -> if keep o then acc := o :: !acc; false));
-  List.sort_uniq order !acc
-
-let blocks r o = prepared o || (o.state = Waiting && o.ts < r.ts)
-let occ_blockers table r = conflicting table r ~occ:true (blocks r)
-let wait_blockers table r = conflicting table r ~occ:false (blocks r)
+let occ_rule = function Occ_blockers -> true | Wait_blockers | Hp_after -> false
+let test_of = function Occ_blockers | Wait_blockers -> Blocks | Hp_after -> Behind_high
+let principal table r q = find table r ~occ:(occ_rule q) ~except:r (test_of q) ~first:false
+let exists table r ~except ~occ test = find table r ~occ ~except test ~first:true != r
+let sole table r q p = not (exists table r ~except:p ~occ:(occ_rule q) (test_of q))
 
 let victims table r =
-  conflicting table r ~occ:false (fun o -> o.state = Queued && o.ts < r.ts && not (high o))
+  let acc = ref [] in
+  let visit k o = if hit o r ~except:r ~writers:false k Victim then acc := o :: !acc in
+  Array.iter (fun k -> Tsq.iter (bucket table k) (fun ~ts:_ ~id:_ -> visit k)) r.keys;
+  List.sort_uniq order !acc
 
-let hp_after table r =
-  conflicting table r ~occ:false (fun o -> o.state = Queued && o.ts > r.ts && high o)
-
-let ordering_violation table r = exists table r ~occ:true (fun o -> prepared o && o.ts > r.ts)
-let ahead_conflict table r = exists table r ~occ:false (fun o -> o.ts < r.ts)
-let grantable table r = not (exists table r ~occ:false (fun o -> prepared o || o.ts < r.ts))
+let ordering_violation table r = exists table r ~except:r ~occ:true Prepared_behind
+let ahead_conflict table r = exists table r ~except:r ~occ:false Ahead
+let grantable table r = not (exists table r ~except:r ~occ:false Prepared_or_ahead)

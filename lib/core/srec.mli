@@ -10,10 +10,10 @@
     or live server entry that refers to them goes.
 
     Every conflict question is answered from the table, visiting only the
-    records that share a key with the asking record. A question that asks
-    for records gets each match once, in (timestamp, id) order, so the
-    principal conflicter is the head of the list; a yes-or-no question
-    stops at the first match. *)
+    records that share a key with the asking record. A question about
+    blockers is answered by its principal conflicter, the smallest
+    (timestamp, id) match, and whether it is the only one; a yes-or-no
+    question stops at the first match. *)
 
 type source = S_normal | S_cond of int | S_recsf of int
 (** How the client obtained a partition's read results. *)
@@ -41,8 +41,9 @@ type t = {
       (** partial-abort claims for this partition, the client's own value;
           honored on the normal and conditional serve paths, ignored by
           RECSF forwarding *)
-  deliver_read : source -> Txnkit.Exec.reads -> unit;
-      (** runs at the requesting client on message delivery *)
+  deliver_read : t -> source -> Txnkit.Exec.reads -> unit;
+      (** runs at the requesting client on message delivery, given this
+          record; one closure serves all of an attempt's records *)
   deliver_abort : int -> Txnkit.Exec.reads -> unit;
       (** arguments: the first conflicting key ([-1] unknown), feeding the
           partial-abort validated-prefix report, and the salvaged still-valid
@@ -100,6 +101,19 @@ and coord = {
       (** requester client node, keys, requester-side delivery *)
 }
 
+val coord : txn_id:int -> client:int -> on_commit:(unit -> unit) -> coord
+(** A fresh coordinator record: undecided, no partition yet. *)
+
+val make :
+  txn:Txnkit.Txn.t -> ts:int -> part:Txnkit.Txn.part -> arrivals:(int * int) list -> coord:coord ->
+  coord_node:int -> claims:Txnkit.Exec.claims ->
+  deliver_read:(t -> source -> Txnkit.Exec.reads -> unit) ->
+  deliver_abort:(int -> Txnkit.Exec.reads -> unit) -> t
+(** The attempt's [Sent] record on one participant, under [coord]'s attempt id. *)
+
+val vacant : t
+(** A record of no attempt: the filler of the queues' and table's unused slots. *)
+
 (** {2 The per-key table} *)
 
 type table
@@ -117,23 +131,28 @@ val remove : table -> t -> unit
     [Queued] state: every such record other than [r] sits in the
     timestamp queue when these are asked. "Prepared" is prepared or
     conditionally prepared; a conditionally prepared record is still
-    [Waiting], so it counts as both. *)
+    [Waiting], so it counts as both. No question allocates but
+    [victims]. *)
 
-val occ_blockers : table -> t -> t list
-(** Low-priority prepare (§3.2): prepared records, and waiting records
-    ahead of [r], in OCC conflict with it ([r]'s writes against their
-    footprint, its reads against their writes). *)
+type question =
+  | Occ_blockers
+      (** Low-priority prepare (§3.2): prepared records, and waiting records ahead of [r],
+          in OCC conflict with it ([r]'s writes against their footprint, its reads against
+          their writes). *)
+  | Wait_blockers
+      (** High-priority prepare: prepared records, and waiting records ahead of [r],
+          sharing a key with it. *)
+  | Hp_after  (** Queued high-priority records behind [r] sharing a key with it. *)
 
-val wait_blockers : table -> t -> t list
-(** High-priority prepare: prepared records, and waiting records ahead of
-    [r], sharing a key with it. *)
+val principal : table -> t -> question -> t
+(** The smallest-(ts, id) record answering the question for [r]; [r] when none does. *)
+
+val sole : table -> t -> question -> t -> bool
+(** [sole table r q p]: no record but [p] answers [q] for [r]. *)
 
 val victims : table -> t -> t list
 (** Priority abort (§3.3.1): queued low-priority records ahead of [r]
-    sharing a key with it. *)
-
-val hp_after : table -> t -> t list
-(** Queued high-priority records behind [r] sharing a key with it. *)
+    sharing a key with it, each once, in (ts, id) order. *)
 
 val ordering_violation : table -> t -> bool
 (** Some prepared record behind [r] is in OCC conflict with it. *)

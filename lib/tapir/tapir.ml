@@ -36,12 +36,11 @@ let make (cluster : Cluster.t) : System.t =
   let submit (txn : Txn.t) ~on_done =
     let txn_id = txn.Txn.id in
     let plan = Exec.plan_of cluster txn in
-    let participants = plan.Exec.participants in
     let client = txn.Txn.client in
     let failover = Cluster.failover_active cluster in
     if failover then
-      List.iter
-        (fun p ->
+      Array.iter
+        (fun ({ partition = p; _ } : Txn.part) ->
           Array.iter
             (fun (r : Fanout.replica) ->
               if not (live r) then Hashtbl.replace tainted r.node ()
@@ -55,11 +54,11 @@ let make (cluster : Cluster.t) : System.t =
                     Fanout.resync r ~src
                 | None -> ())
             replicas.(p))
-        participants;
+        plan;
     let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
-    let release () = Fanout.release cluster replicas ~src:client ~txn:txn_id participants in
+    let release () = Fanout.release cluster replicas ~src:client ~txn:txn_id plan in
     (* ---- round 1: read from the nearest replica of each partition ---- *)
-    let reads_pending = ref (List.length participants) in
+    let reads_pending = ref (Array.length plan) in
     let read_results : (int * Exec.reads) list ref = ref [] in
     let round_two () =
       let per_partition = List.map snd !read_results in
@@ -68,9 +67,9 @@ let make (cluster : Cluster.t) : System.t =
       (* ---- round 2: timestamped prepare at every replica ---- *)
       let counted r = (not failover) || live r in
       let votes : (int * bool) list ref = ref [] in
-      let pending = ref (Fanout.live_count cluster ~failover replicas participants) in
+      let pending = ref (Fanout.live_count cluster ~failover replicas plan) in
       let commit_everywhere () =
-        Fanout.commit cluster replicas ~src:client ~txn:txn_id ~pairs participants
+        Fanout.commit cluster replicas ~src:client ~txn:txn_id ~pairs plan
       in
       let decide () =
         let partition_votes p = List.filter_map (fun (p', ok) -> if p' = p then Some ok else None) !votes in
@@ -78,15 +77,15 @@ let make (cluster : Cluster.t) : System.t =
            a down replica always demotes the attempt to the slow path.
            Majority is counted against full membership too — a vote a dead
            replica never cast is not a yes. *)
-        let unanimous p =
+        let unanimous ({ partition = p; _ } : Txn.part) =
           let vs = partition_votes p in
           List.length vs = Array.length replicas.(p) && List.for_all Fun.id vs
         in
-        let majority_ok p =
+        let majority_ok ({ partition = p; _ } : Txn.part) =
           let vs = partition_votes p in
           2 * List.length (List.filter Fun.id vs) > Array.length replicas.(p)
         in
-        if List.for_all unanimous participants then begin
+        if Array.for_all unanimous plan then begin
           (* Fast path: consensus on prepare at every replica. *)
           Check.Recorder.write_set recorder ~txn:txn_id ~pairs;
           finish ~committed:true;
@@ -95,14 +94,13 @@ let make (cluster : Cluster.t) : System.t =
         else begin
           (* Slow path: adopt the majority result per partition and persist
              the decision at the replicas (one extra round to a majority). *)
-          let ok = List.for_all majority_ok participants in
-          let acks_needed =
-            List.fold_left (fun acc p -> acc + ((Array.length replicas.(p) / 2) + 1)) 0 participants
-          in
+          let ok = Array.for_all majority_ok plan in
+          let quorum (part : Txn.part) = (Array.length replicas.(part.partition) / 2) + 1 in
+          let acks_needed = Array.fold_left (fun acc part -> acc + quorum part) 0 plan in
           let acks = ref 0 in
           let finalized = ref false in
-          List.iter
-            (fun p ->
+          Array.iter
+            (fun (part : Txn.part) ->
               Array.iter
                 (fun (r : Fanout.replica) ->
                   Net.send net ~src:client ~dst:r.node ~msg:(Msg.control ~txn:txn_id Msg.Control)
@@ -124,13 +122,12 @@ let make (cluster : Cluster.t) : System.t =
                               finish ~committed:false
                             end
                           end)))
-                replicas.(p))
-            participants
+                replicas.(part.partition))
+            plan
         end
       in
-      List.iter
-        (fun p ->
-          let reads_p = plan.Exec.reads_of p and writes_p = plan.Exec.writes_of p in
+      Array.iter
+        (fun ({ partition = p; reads = reads_p; writes = writes_p; _ } : Txn.part) ->
           let reads = List.assoc p !read_results in
           Array.iter
             (fun (r : Fanout.replica) ->
@@ -164,12 +161,11 @@ let make (cluster : Cluster.t) : System.t =
                           if !pending = 0 then decide ()
                         end)))
             replicas.(p))
-        participants
+        plan
     in
-    List.iter
-      (fun p ->
+    Array.iter
+      (fun ({ partition = p; reads = keys; _ } : Txn.part) ->
         let r = nearest_replica ~failover ~client p in
-        let keys = plan.Exec.reads_of p in
         (* Partial-abort claims: keys from the validated prefix ride on the
            request as (key, value, version) and, when the replica confirms
            the version still matches, are dropped from the reply payload. *)
@@ -189,7 +185,7 @@ let make (cluster : Cluster.t) : System.t =
                   decr reads_pending;
                   if !reads_pending = 0 then round_two ()
                 end)))
-      participants;
+      plan;
     (* Failover watchdog: a replica that died mid-round leaves reads or
        votes outstanding forever; bound the attempt and let the driver
        retry against the live set. *)

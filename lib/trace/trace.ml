@@ -40,11 +40,11 @@ type event = Message of message | Span of span | Fault of fault
 
 type t = {
   mutable on : bool;
-  mutable events : event list;  (** reversed; reversed back on output *)
+  mutable events : event array;  (** in push order, at [0, n_events) *)
   mutable n_events : int;
 }
 
-let create () = { on = false; events = []; n_events = 0 }
+let create () = { on = false; events = [||]; n_events = 0 }
 let enable t = t.on <- true
 let enabled t = t.on
 
@@ -149,8 +149,10 @@ let event_json = function
         [ ("s", Str "g"); ("ts", us f.f_at); ("pid", Int 2); ("tid", Int 0) ]
 
 let push t ev =
-  t.n_events <- t.n_events + 1;
-  t.events <- ev :: t.events
+  let n = t.n_events in
+  if n = Array.length t.events then t.events <- Array.append t.events (Array.make (max 1024 n) ev);
+  t.events.(n) <- ev;
+  t.n_events <- n + 1
 
 let message t ~kind ?txn ?priority ~src ~dst ~src_dc ~dst_dc ~bytes ~enqueue ~depart
     ~deliver () =
@@ -214,21 +216,18 @@ let span_label (s : span) =
   in
   name ^ blame_suffix s.s_blame
 
-let iter_events t f = List.iter f (List.rev t.events)
+let iter_events t f = Array.iteri (fun i ev -> if i < t.n_events then f ev) t.events
 
 let kind_counts t =
   let counts = Hashtbl.create 32 in
-  List.iter
-    (function
-      | Message m ->
-          Hashtbl.replace counts m.m_kind
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts m.m_kind))
-      | Span _ | Fault _ -> ())
-    t.events;
+  iter_events t (function
+    | Message m ->
+        Hashtbl.replace counts m.m_kind
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts m.m_kind))
+    | Span _ | Fault _ -> ());
   Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] |> List.sort compare
 
-let total_messages t =
-  List.fold_left (fun n -> function Message _ -> n + 1 | Span _ | Fault _ -> n) 0 t.events
+let total_messages t = List.fold_left (fun n (_, k) -> n + k) 0 (kind_counts t)
 
 let event_count t = t.n_events
 
@@ -243,7 +242,7 @@ let write_chrome_trace t ?(extra = []) oc =
     List.map (fun (k, n) -> (k, string_of_int n)) (("total_messages", total_messages t) :: counts)
   in
   let processes = [ process 0 "network"; process 1 "transactions"; process 2 "faults" ] in
-  let events = Seq.map event_json (List.to_seq (List.rev t.events)) in
+  let events = Seq.map event_json (Seq.take t.n_events (Array.to_seq t.events)) in
   output_json oc
     (Obj
        [ ("displayTimeUnit", Str "ms");

@@ -126,23 +126,25 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
   let submit (txn : Txn.t) ~on_done =
     let txn_id = txn.Txn.id in
     let plan = Exec.plan_of cluster txn in
-    let participants = plan.Exec.participants in
-    let n = List.length participants in
+    let n = Array.length plan in
     let client = txn.Txn.client in
     (* The coordinator's 2PC state. *)
     let decided = ref false and ok_votes = ref 0 in
     (* Re-resolve the partition leaders per attempt, so retries after a
        leader crash land on the newly elected node. *)
-    Failover.refresh_leaders cluster ~participants ~set:(fun p node ->
-        servers.(p).node <- node);
+    Failover.refresh_leaders cluster plan ~set:(fun p node -> servers.(p).node <- node);
     let coordinator = Cluster.coordinator_for cluster ~client in
     let high = Txn.is_high txn in
     let finished, finish = Exec.finisher cluster ~client ~txn:txn_id ~on_done in
-    let parts = List.map (fun p -> (p, { txn; txn_id; gone = false })) participants in
+    let parts =
+      Array.fold_right
+        (fun (part : Txn.part) parts -> (part, { txn; txn_id; gone = false }) :: parts)
+        plan []
+    in
     let abort_attempt () =
       if not !finished then begin
         List.iter
-          (fun (p, r) ->
+          (fun (({ partition = p; _ } : Txn.part), r) ->
             let server = servers.(p) in
             Net.send net ~src:client ~dst:server.node ~msg:(Msg.control ~txn:txn_id Msg.Release)
               (fun () -> server_release server r))
@@ -171,7 +173,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
               ~msg:(Msg.control ~txn:txn_id Msg.Commit_notify)
               (fun () -> finish ~committed:true);
             List.iter
-              (fun (p, r) ->
+              (fun (({ partition = p; _ } : Txn.part), r) ->
                 let server = servers.(p) in
                 let local = Exec.pairs_on_partition cluster ~partition:p pairs in
                 Net.send net ~src:coordinator ~dst:server.node
@@ -195,7 +197,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     (* ---- phase 2: 2PC prepare driven by the coordinator ---- *)
     let start_prepare pairs =
       List.iter
-        (fun (p, r) ->
+        (fun (({ partition = p; _ } : Txn.part), r) ->
           let server = servers.(p) in
           let local = Exec.pairs_on_partition cluster ~partition:p pairs in
           let write_keys = List.map fst local in
@@ -237,7 +239,7 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     in
     (* ---- phase 1: read locks and reads at participant leaders ---- *)
     let read_partitions =
-      List.filter (fun (p, _) -> Array.length (plan.Exec.reads_of p) > 0) parts
+      List.filter (fun ((part : Txn.part), _) -> Array.length part.reads > 0) parts
     in
     let reads_pending = ref (List.length read_partitions) in
     let read_replies : Exec.reads list ref = ref [] in
@@ -255,9 +257,8 @@ let make ?(early_read_release = false) (cluster : Cluster.t) ~variant : System.t
     if read_partitions = [] then phase_one_done ()
     else
       List.iter
-        (fun (p, r) ->
+        (fun (({ partition = p; reads = keys; _ } : Txn.part), r) ->
           let server = servers.(p) in
-          let keys = plan.Exec.reads_of p in
           (* Partial-abort claims for this partition's keys: cached entries
              the client believes are still current. They ride on the request
              and, when the server confirms the version, drop the key from the

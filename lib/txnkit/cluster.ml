@@ -266,14 +266,6 @@ let leader_node t p =
             | Some id -> id
             | None -> members.(0)))
 
-let participants t (txn : Txn.t) =
-  Array.to_list (Txn.all_keys txn)
-  |> List.map (partition_of_key t)
-  |> List.sort_uniq compare
-
-let keys_on_partition t ~partition keys =
-  Array.of_list (List.filter (fun k -> partition_of_key t k = partition) (Array.to_list keys))
-
 let coordinator_for t ~client = leader_node t t.coordinator_partition.(dc_of t client)
 
 let coordinator_group t ~client = t.groups.(t.coordinator_partition.(dc_of t client))

@@ -83,12 +83,6 @@ val leader_node : t -> int -> int
 
 val dc_of : t -> int -> int
 
-val participants : t -> Txn.t -> int list
-(** Sorted partitions touched by a transaction's read or write set. *)
-
-val keys_on_partition : t -> partition:int -> int array -> int array
-(** Restriction of a key array to one partition. *)
-
 val coordinator_for : t -> client:int -> int
 (** The coordinator node for a client: the current leader of a partition
     co-located in the client's DC (falling back to the nearest leader).

@@ -1,41 +1,42 @@
+(* The keys of ascending [keys] that live on partition [p]. *)
+let slice cluster keys p =
+  let on k = Cluster.partition_of_key cluster k = p in
+  let a = Array.make (Array.fold_left (fun n k -> if on k then n + 1 else n) 0 keys) 0 in
+  ignore (Array.fold_left (fun j k -> if on k then (a.(j) <- k; j + 1) else j) 0 keys : int);
+  a
 
-
-type plan = {
-  participants : int list;
-  reads_of : int -> int array;
-  writes_of : int -> int array;
-}
+(* The sorted union of two ascending, duplicate-free arrays. *)
+let union a b =
+  if Array.length a = 0 then b
+  else if Array.length b = 0 then a
+  else begin
+    let u = Array.append a b and n = ref 0 in
+    Array.sort Int.compare u;
+    Array.iter (fun k -> if !n = 0 || k <> u.(!n - 1) then (u.(!n) <- k; incr n)) u;
+    Array.sub u 0 !n
+  end
 
 let plan_of cluster (txn : Txn.t) =
-  (* The key sets are fixed for the transaction's lifetime and the record is
-     reused across retries, so the partition slicing is memoized on it —
-     attempt 2+ pays zero re-splitting cost. *)
-  let pc =
-    match txn.Txn.plan_cache with
-    | Some pc -> pc
-    | None ->
-        let participants = Cluster.participants cluster txn in
-        let slice keys =
-          List.map
-            (fun p -> (p, Cluster.keys_on_partition cluster ~partition:p keys))
-            participants
-        in
-        let pc =
-          {
-            Txn.pc_participants = participants;
-            pc_reads = slice txn.Txn.read_set;
-            pc_writes = slice txn.Txn.write_set;
-          }
-        in
-        txn.Txn.plan_cache <- Some pc;
-        pc
-  in
-  let find slices p = match List.assoc_opt p slices with Some a -> a | None -> [||] in
-  {
-    participants = pc.Txn.pc_participants;
-    reads_of = (fun p -> find pc.Txn.pc_reads p);
-    writes_of = (fun p -> find pc.Txn.pc_writes p);
-  }
+  match txn.Txn.plan with
+  | Some plan -> plan
+  | None ->
+      let part p =
+        let reads = slice cluster txn.Txn.read_set p
+        and writes = slice cluster txn.Txn.write_set p in
+        { Txn.partition = p; reads; writes; keys = union reads writes }
+      in
+      let parts = Array.init cluster.Cluster.n_partitions part and n = ref 0 in
+      (* Keep the participants, in place and in order. *)
+      Array.iter
+        (fun (part : Txn.part) ->
+          if Array.length part.keys > 0 then begin
+            parts.(!n) <- part;
+            incr n
+          end)
+        parts;
+      let plan = Array.sub parts 0 !n in
+      txn.Txn.plan <- Some plan;
+      plan
 
 (* ---- reads ---- *)
 

@@ -8,13 +8,9 @@
     protocol live here alone: a family says {e what} to serve, absorb,
     salvage or apply, and this module knows {e how}. *)
 
-type plan = {
-  participants : int list;  (** partitions, sorted *)
-  reads_of : int -> int array;  (** partition -> read keys there *)
-  writes_of : int -> int array;
-}
-
-val plan_of : Cluster.t -> Txn.t -> plan
+val plan_of : Cluster.t -> Txn.t -> Txn.plan
+(** The transaction's plan, computed on the first call and stored on it;
+    every later call, a retry's too, returns the same array. *)
 
 (** {2 Reads} *)
 

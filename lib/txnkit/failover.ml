@@ -3,9 +3,11 @@
    election timeout so retries land after a new leader exists. *)
 let attempt_timeout = Simcore.Sim_time.seconds 2.5
 
-let refresh_leaders cluster ~participants ~set =
+let refresh_leaders cluster (plan : Txn.plan) ~set =
   if Cluster.failover_active cluster then
-    List.iter (fun p -> set p (Cluster.leader_node cluster p)) participants
+    Array.iter
+      (fun (part : Txn.part) -> set part.partition (Cluster.leader_node cluster part.partition))
+      plan
 
 let arm_watchdog cluster ~finished ~on_timeout =
   if Cluster.failover_active cluster then

@@ -12,8 +12,7 @@ val attempt_timeout : Simcore.Sim_time.t
     tolerate hanging, and above the Raft election timeout so a retry lands
     after a new leader exists. *)
 
-val refresh_leaders :
-  Cluster.t -> participants:int list -> set:(int -> int -> unit) -> unit
+val refresh_leaders : Cluster.t -> Txn.plan -> set:(int -> int -> unit) -> unit
 (** Under failover, call [set partition leader_node] for each participant
     with the current leader per {!Cluster.leader_node}; no-op otherwise. *)
 

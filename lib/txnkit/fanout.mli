@@ -14,16 +14,16 @@ val create : Cluster.t -> replica array array
 
 val live : Cluster.t -> replica -> bool
 
-val live_count : Cluster.t -> failover:bool -> replica array array -> int list -> int
+val live_count : Cluster.t -> failover:bool -> replica array array -> Txn.plan -> int
 (** Replicas of the participants that a round waits for: all of them, or
     under failover the live ones. *)
 
-val release : Cluster.t -> replica array array -> src:int -> txn:int -> int list -> unit
+val release : Cluster.t -> replica array array -> src:int -> txn:int -> Txn.plan -> unit
 (** Sends Release from [src] to every replica of the participants; each
     drops [txn]'s prepare. *)
 
 val commit :
-  Cluster.t -> replica array array -> src:int -> txn:int -> pairs:(int * int) list -> int list ->
+  Cluster.t -> replica array array -> src:int -> txn:int -> pairs:(int * int) list -> Txn.plan ->
   unit
 (** Sends the commit decision from [src] to every replica of the
     participants; each applies its partition's share of [pairs], then drops

@@ -10,11 +10,8 @@ type pa_state = {
   have : bool array;
 }
 
-type plan_cache = {
-  pc_participants : int list;
-  pc_reads : (int * int array) list;
-  pc_writes : (int * int array) list;
-}
+type part = { partition : int; reads : int array; writes : int array; keys : int array }
+type plan = part array
 
 type t = {
   mutable id : int;
@@ -26,7 +23,7 @@ type t = {
   born : Simcore.Sim_time.t;
   wound_ts : int;
   mutable pa : pa_state option;
-  mutable plan_cache : plan_cache option;
+  mutable plan : plan option;
 }
 
 let normalize keys = List.sort_uniq compare keys |> Array.of_list
@@ -48,7 +45,7 @@ let make ~id ~client ~priority ~read_set ~write_set ?compute ~born ~wound_ts () 
   let compute =
     match compute with Some f -> f | None -> default_compute ~read_set ~write_set
   in
-  { id; client; priority; read_set; write_set; compute; born; wound_ts; pa = None; plan_cache = None }
+  { id; client; priority; read_set; write_set; compute; born; wound_ts; pa = None; plan = None }
 
 (* ---- partial-abort prefix cache (ROADMAP item 3) ---- *)
 
@@ -128,9 +125,3 @@ let pa_prepare_retry t ~next_attempt =
 let is_high t = t.priority = High
 let n_keys t = Array.length t.read_set + Array.length t.write_set
 
-let all_keys t =
-  Array.to_list t.read_set @ Array.to_list t.write_set |> List.sort_uniq compare |> Array.of_list
-
-let footprints_intersect a b =
-  let kb = all_keys b in
-  Array.exists (fun k -> Array.exists (fun k' -> k = k') kb) (all_keys a)

@@ -32,14 +32,18 @@ type pa_state = {
     against the live store version, so a stale entry is always repaired by a
     fresh serve — over-claiming is safe, the cache is purely an optimization. *)
 
-type plan_cache = {
-  pc_participants : int list;
-  pc_reads : (int * int array) list;  (** partition -> read keys there *)
-  pc_writes : (int * int array) list;
+type part = {
+  partition : int;
+  reads : int array;  (** read keys on this partition, ascending *)
+  writes : int array;  (** write keys on this partition, ascending *)
+  keys : int array;  (** the sorted union of [reads] and [writes] *)
 }
-(** Memoized partition plan: key sets are fixed for the transaction's
-    lifetime, so retries reuse the slices instead of re-splitting per
-    attempt. Populated lazily by [Exec.plan_of]. *)
+(** One participant's slice of the key sets. *)
+
+type plan = part array
+(** The participants in ascending partition order. The key sets are fixed
+    for the transaction's lifetime, so the plan is computed once, on first
+    use, by [Exec.plan_of], and every retry reads the same one. *)
 
 type t = {
   mutable id : int;
@@ -57,7 +61,7 @@ type t = {
   wound_ts : int;  (** stable wound-wait timestamp, preserved across retries *)
   mutable pa : pa_state option;
       (** [Some] iff the driver enabled partial aborts for this transaction *)
-  mutable plan_cache : plan_cache option;
+  mutable plan : plan option;
 }
 
 val make :
@@ -110,9 +114,3 @@ val pa_prepare_retry : t -> next_attempt:int -> int
 
 val is_high : t -> bool
 val n_keys : t -> int
-
-val all_keys : t -> int array
-(** Union of read and write sets (sorted, unique). *)
-
-val footprints_intersect : t -> t -> bool
-(** Any-overlap conflict test on union footprints (Natto's rule). *)

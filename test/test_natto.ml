@@ -29,38 +29,88 @@ let run_with ?check_invariants ~features ~seed ?(config = contended_config) () =
 (* Tsq *)
 
 let test_tsq_order () =
-  let q = Natto.Tsq.create () in
+  let q = Natto.Tsq.create ~vacant:"" in
   Natto.Tsq.add q ~ts:30 ~id:1 "c";
   Natto.Tsq.add q ~ts:10 ~id:9 "a";
   Natto.Tsq.add q ~ts:10 ~id:2 "a2";
-  (match Natto.Tsq.min q with
-  | Some (10, 2, "a2") -> ()
-  | _ -> Alcotest.fail "min should be (10,2)");
+  Alcotest.(check (pair int string))
+    "head (10,2)" (10, "a2")
+    (Natto.Tsq.head_ts q, Natto.Tsq.head q);
   Natto.Tsq.remove q ~ts:10 ~id:2;
-  (match Natto.Tsq.min q with
-  | Some (10, 9, "a") -> ()
-  | _ -> Alcotest.fail "min should be (10,9)");
+  Alcotest.(check (pair int string))
+    "head (10,9)" (10, "a")
+    (Natto.Tsq.head_ts q, Natto.Tsq.head q);
   Alcotest.(check int) "size" 2 (Natto.Tsq.size q);
   let visited = ref [] in
   Natto.Tsq.iter q (fun ~ts ~id:_ _ -> visited := ts :: !visited);
   Alcotest.(check (list int)) "iter order" [ 10; 30 ] (List.rev !visited)
 
+(* Pops the whole queue through its head, checking each (ts, id). *)
+let drain_pairs q =
+  let rec go acc =
+    if Natto.Tsq.size q = 0 then List.rev acc
+    else begin
+      let ((ts, id) as head) = Natto.Tsq.head q in
+      if ts <> Natto.Tsq.head_ts q then Alcotest.fail "head_ts disagrees with head";
+      Natto.Tsq.remove q ~ts ~id;
+      go (head :: acc)
+    end
+  in
+  go []
+
 let prop_tsq_model =
   QCheck.Test.make ~name:"tsq pops in (ts,id) order" ~count:300
     QCheck.(list (pair (int_bound 50) (int_bound 1000)))
     (fun pairs ->
-      (* Deduplicate (ts,id) pairs — the queue is a map. *)
+      (* Deduplicate (ts,id) pairs: a record is queued once. *)
       let pairs = List.sort_uniq compare pairs in
-      let q = Natto.Tsq.create () in
+      let q = Natto.Tsq.create ~vacant:(-1, -1) in
       List.iter (fun (ts, id) -> Natto.Tsq.add q ~ts ~id (ts, id)) pairs;
-      let rec drain acc =
-        match Natto.Tsq.min q with
-        | None -> List.rev acc
-        | Some (ts, id, _) ->
+      drain_pairs q = pairs)
+
+(* Removals from anywhere in the ring, interleaved with adds, against a
+   sorted list; the walk may remove the record it visits. *)
+let prop_tsq_interleaved =
+  QCheck.Test.make ~name:"tsq adds and removes anywhere" ~count:300
+    QCheck.(list (pair bool (pair (int_bound 30) (int_bound 60))))
+    (fun ops ->
+      let q = Natto.Tsq.create ~vacant:(-1, -1) in
+      let model = ref [] in
+      List.iter
+        (fun (add, ((ts, id) as key)) ->
+          if add && not (List.mem key !model) then begin
+            Natto.Tsq.add q ~ts ~id key;
+            model := List.sort compare (key :: !model)
+          end
+          else if not add then begin
             Natto.Tsq.remove q ~ts ~id;
-            drain ((ts, id) :: acc)
-      in
-      drain [] = pairs)
+            model := List.filter (( <> ) key) !model
+          end)
+        ops;
+      let walked = ref [] in
+      Natto.Tsq.iter q (fun ~ts ~id v ->
+          walked := v :: !walked;
+          if id mod 2 = 0 then Natto.Tsq.remove q ~ts ~id);
+      List.rev !walked = !model
+      && drain_pairs q = List.filter (fun (_, id) -> id mod 2 <> 0) !model)
+
+(* Once grown, the queue's add, head and remove allocate nothing. *)
+let test_tsq_no_alloc () =
+  let q = Natto.Tsq.create ~vacant:(-1) in
+  (* 64 records and the 65th a cycle adds: the ring grows to 128 here. *)
+  for i = 0 to 64 do
+    Natto.Tsq.add q ~ts:(i * 7 mod 50) ~id:i i
+  done;
+  Natto.Tsq.remove q ~ts:(Natto.Tsq.head_ts q) ~id:(Natto.Tsq.head q);
+  let before = Gc.minor_words () in
+  for i = 65 to 10_064 do
+    Natto.Tsq.add q ~ts:(i * 7 mod 50) ~id:i i;
+    let head = Natto.Tsq.head q in
+    Natto.Tsq.remove q ~ts:(Natto.Tsq.head_ts q) ~id:head
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k cycles" 0. words;
+  Alcotest.(check int) "size" 64 (Natto.Tsq.size q)
 
 (* ------------------------------------------------------------------ *)
 (* The per-key table against the old scans (test/ref_natto.ml) *)
@@ -70,51 +120,23 @@ type spec = { s_ts : int; s_high : bool; s_reads : int list; s_writes : int list
    3 prepared. *)
 
 let record ~id { s_ts; s_high; s_reads; s_writes; _ } : Natto.Srec.t =
-  let coord : Natto.Srec.coord =
-    {
-      c_txn_id = id;
-      c_client = 0;
-      c_node = 0;
-      parts = [];
-      on_commit = ignore;
-      resolutions = [];
-      gen = 0;
-      gen_sources = [];
-      gen_pairs = [];
-      gen_replicated = false;
-      decided = false;
-      committed = false;
-      recsf_waiters = [];
-    }
-  in
+  let open Natto.Srec in
   let txn =
     Txn.make ~id ~client:0
       ~priority:(if s_high then Txn.High else Txn.Low)
       ~read_set:s_reads ~write_set:s_writes ~born:Simcore.Sim_time.zero ~wound_ts:0 ()
   in
   {
+    vacant with
     txn;
     txn_id = id;
     ts = s_ts;
     reads = txn.Txn.read_set;
     writes = txn.Txn.write_set;
     keys = Array.of_list (List.sort_uniq compare (s_reads @ s_writes));
-    arrivals = [];
-    coord;
+    coord = { vacant.coord with c_txn_id = id; c_client = 0; c_node = 0 };
     coord_node = 0;
-    claims = Exec.no_claims;
-    deliver_read = (fun _ _ -> ());
-    deliver_abort = (fun _ _ -> ());
-    state = Natto.Srec.Queued;
-    cond_on = None;
-    watchers = [];
-    fwd_keys = [||];
-    queued_at = None;
-    waiting_from = None;
-    wait_blame = None;
-    src = None;
-    got = Exec.no_reads;
-    vote = None;
+    state = Queued;
   }
 
 (* One server state, held both in the old structures (the reference's)
@@ -125,13 +147,13 @@ let server_state specs probe =
   let open Natto in
   let s =
     {
-      Ref_natto.queue = Tsq.create ();
+      Ref_natto.queue = Tsq.create ~vacant:Srec.vacant;
       waiting = [];
       occ = Store.Occ.create ();
       recs = Hashtbl.create 16;
     }
   in
-  let table = Srec.table () and waiters = Tsq.create () in
+  let table = Srec.table () and waiters = Tsq.create ~vacant:Srec.vacant in
   let see (r : Srec.t) =
     Hashtbl.replace s.Ref_natto.recs r.txn_id r;
     Srec.add table r
@@ -187,10 +209,15 @@ let prop_table_matches_reference =
       let module S = Natto.Srec in
       let s, table, _, r = server_state specs (Some probe) in
       let r = Option.get r in
-      let head = function [] -> None | (o : S.t) :: _ -> Some o.txn_id in
-      let occ = S.occ_blockers table r and wait = S.wait_blockers table r in
-      let single = match wait with [ b ] when b.state = S.Prepared -> Some b.txn_id | _ -> None in
-      let hp = match S.hp_after table r with [] -> None | o :: _ -> Some (o.ts, o.txn_id) in
+      let answer q = match S.principal table r q with p when p == r -> None | p -> Some p in
+      let id = Option.map (fun (o : S.t) -> o.txn_id) in
+      let occ = answer S.Occ_blockers and wait = answer S.Wait_blockers in
+      let single =
+        match wait with
+        | Some b when b.state = S.Prepared && S.sole table r S.Wait_blockers b -> Some b.txn_id
+        | _ -> None
+      in
+      let hp = Option.map (fun (o : S.t) -> (o.ts, o.txn_id)) (answer S.Hp_after) in
       (* The rescan mutates its state, so each side gets a fresh copy. *)
       let rescan =
         let _, table, waiters, _ = server_state specs None in
@@ -204,8 +231,8 @@ let prop_table_matches_reference =
         List.rev !granted
       in
       let ref_s, _, _, _ = server_state specs None in
-      Ref_natto.occ_abort s r = (occ <> [], head occ)
-      && Ref_natto.wait_entry s r = (wait <> [], head wait, single)
+      Ref_natto.occ_abort s r = (occ <> None, id occ)
+      && Ref_natto.wait_entry s r = (wait <> None, id wait, single)
       && Ref_natto.victims s r = List.map (fun (o : S.t) -> o.txn_id) (S.victims table r)
       && Ref_natto.hp_after s r = hp
       && Ref_natto.ordering_violation s r = S.ordering_violation table r
@@ -301,17 +328,25 @@ let test_recsf_fires () =
   Alcotest.(check bool) "reads forwarded" true (stats.Natto.Protocol.recsf_forwards > 0);
   Alcotest.(check int) "all resolved" 0 r.Workload.Driver.unfinished
 
-let test_late_aborts_under_variance () =
+let late_aborts_under_variance ~high_fraction =
   let cluster =
     Cluster.build ~with_raft:true ~with_proxies:true
       ~net_config:{ Netsim.Network.default_config with Netsim.Network.cv_override = Some 0.3 }
       ~seed:31 ()
   in
   let system, stats = Natto.Protocol.make_with_stats cluster ~features:Natto.Features.ts in
-  let r = Workload.Driver.run cluster system ~gen:(contended_gen ()) contended_config in
+  let config = { contended_config with Workload.Driver.high_fraction } in
+  let r = Workload.Driver.run cluster system ~gen:(contended_gen ()) config in
   Alcotest.(check bool) "late arrivals cause aborts" true (stats.Natto.Protocol.late_aborts > 0);
   Alcotest.(check int) "still live" 0 r.Workload.Driver.unfinished;
   Alcotest.(check bool) "still commits" true (r.Workload.Driver.committed_low > 100)
+
+let test_late_aborts_under_variance () =
+  late_aborts_under_variance ~high_fraction:contended_config.Workload.Driver.high_fraction
+
+(* With every transaction low-priority, only the prepared-behind check
+   (§3.2's ordering violation) can abort a late arrival. *)
+let test_late_aborts_low_only () = late_aborts_under_variance ~high_fraction:0.
 
 let test_timestamp_order_invariant () =
   (* Run every variant under contention with the protocol's internal
@@ -446,6 +481,8 @@ let () =
         [
           Alcotest.test_case "order" `Quick test_tsq_order;
           QCheck_alcotest.to_alcotest prop_tsq_model;
+          QCheck_alcotest.to_alcotest prop_tsq_interleaved;
+          Alcotest.test_case "grown queue allocates nothing" `Quick test_tsq_no_alloc;
         ] );
       ("table", [ QCheck_alcotest.to_alcotest prop_table_matches_reference ]);
       ( "features",
@@ -465,6 +502,8 @@ let () =
           Alcotest.test_case "conditional prepare fires" `Slow test_cp_fires_and_resolves;
           Alcotest.test_case "recsf fires" `Slow test_recsf_fires;
           Alcotest.test_case "late aborts under variance" `Slow test_late_aborts_under_variance;
+          Alcotest.test_case "late aborts with low priority only" `Slow
+            test_late_aborts_low_only;
           Alcotest.test_case "timestamp-order invariant holds" `Slow
             test_timestamp_order_invariant;
           Alcotest.test_case "timestamp-order invariant under failover" `Slow

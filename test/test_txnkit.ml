@@ -13,7 +13,6 @@ let test_txn_normalizes () =
   in
   Alcotest.(check (array int)) "reads sorted unique" [| 1; 2; 3 |] txn.Txn.read_set;
   Alcotest.(check (array int)) "writes" [| 2 |] txn.Txn.write_set;
-  Alcotest.(check (array int)) "all keys" [| 1; 2; 3 |] (Txn.all_keys txn);
   Alcotest.(check int) "n_keys" 4 (Txn.n_keys txn)
 
 let test_txn_default_compute () =
@@ -24,7 +23,13 @@ let test_txn_default_compute () =
   (* write of key 2 = read value of key 2 + 1; key 9 was not read -> 0+1. *)
   Alcotest.(check (array int)) "increments" [| 8; 1 |] (txn.Txn.compute [| 3; 7 |])
 
+(* Natto's any-overlap conflict rule, read off the plans' key unions. *)
 let test_txn_conflict () =
+  let c = Cluster.build ~seed:1 ~with_raft:false ~with_proxies:false () in
+  let footprint txn =
+    Array.concat (List.map (fun (part : Txn.part) -> part.keys) (Array.to_list (Exec.plan_of c txn)))
+  in
+  let intersect a b = Array.exists (fun k -> Array.mem k (footprint b)) (footprint a) in
   let t1 =
     Txn.make ~id:1 ~client:0 ~priority:Txn.Low ~read_set:[ 1 ] ~write_set:[ 2 ] ~born:0
       ~wound_ts:1 ()
@@ -37,8 +42,8 @@ let test_txn_conflict () =
     Txn.make ~id:3 ~client:0 ~priority:Txn.Low ~read_set:[ 5 ] ~write_set:[ 6 ] ~born:0
       ~wound_ts:3 ()
   in
-  Alcotest.(check bool) "overlap" true (Txn.footprints_intersect t1 t2);
-  Alcotest.(check bool) "disjoint" false (Txn.footprints_intersect t1 t3)
+  Alcotest.(check bool) "overlap" true (intersect t1 t2);
+  Alcotest.(check bool) "disjoint" false (intersect t1 t3)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster *)
@@ -112,10 +117,47 @@ let test_participants () =
       ~write_set:[ 10 ] ~born:0 ~wound_ts:1 ()
   in
   (* keys 0,5,10 -> partition 0; 7 -> partition 2. *)
-  Alcotest.(check (list int)) "participants" [ 0; 2 ] (Cluster.participants c txn);
-  Alcotest.(check (array int)) "keys on p0"
-    [| 0; 5 |]
-    (Cluster.keys_on_partition c ~partition:0 txn.Txn.read_set)
+  let plan = Exec.plan_of c txn in
+  Alcotest.(check (list int)) "participants" [ 0; 2 ]
+    (List.map (fun (part : Txn.part) -> part.partition) (Array.to_list plan));
+  Alcotest.(check (array int)) "reads on p0" [| 0; 5 |] plan.(0).reads;
+  Alcotest.(check (array int)) "writes on p0" [| 10 |] plan.(0).writes;
+  Alcotest.(check (array int)) "keys on p0" [| 0; 5; 10 |] plan.(0).keys;
+  Alcotest.(check (array int)) "keys on p2" [| 7 |] plan.(1).keys
+
+(* The plan against a direct computation, over random key sets: each
+   participant holds its slice of the read and write sets and their sorted
+   union, participants ascend, and a retry reads the same plan. *)
+let test_plan_slices () =
+  let c = Cluster.build ~seed:1 ~with_raft:false ~with_proxies:false () in
+  let rng = Random.State.make [| 7 |] in
+  let keys () = List.init (Random.State.int rng 6) (fun _ -> Random.State.int rng 40) in
+  for id = 1 to 300 do
+    let txn =
+      Txn.make ~id ~client:c.Cluster.clients.(0) ~priority:Txn.Low ~read_set:(keys ())
+        ~write_set:(keys ()) ~born:0 ~wound_ts:id ()
+    in
+    let plan = Exec.plan_of c txn in
+    let on p keys = List.filter (fun k -> Cluster.partition_of_key c k = p) (Array.to_list keys) in
+    let touched =
+      List.sort_uniq compare
+        (List.map (Cluster.partition_of_key c)
+           (Array.to_list txn.Txn.read_set @ Array.to_list txn.Txn.write_set))
+    in
+    Alcotest.(check (list int)) "participants ascend" touched
+      (List.map (fun (part : Txn.part) -> part.partition) (Array.to_list plan));
+    Array.iter
+      (fun (part : Txn.part) ->
+        let p = part.partition in
+        Alcotest.(check (list int)) "reads" (on p txn.Txn.read_set) (Array.to_list part.reads);
+        Alcotest.(check (list int)) "writes" (on p txn.Txn.write_set) (Array.to_list part.writes);
+        Alcotest.(check (list int)) "sorted union"
+          (List.sort_uniq compare (on p txn.Txn.read_set @ on p txn.Txn.write_set))
+          (Array.to_list part.keys))
+      plan;
+    txn.Txn.id <- id + 1000;
+    Alcotest.(check bool) "a retry reads the same plan" true (Exec.plan_of c txn == plan)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Exec *)
@@ -230,6 +272,7 @@ let () =
           Alcotest.test_case "coordinator co-located" `Quick test_cluster_coordinator_local;
           Alcotest.test_case "partition of key" `Quick test_cluster_partition_of_key;
           Alcotest.test_case "participants" `Quick test_participants;
+          Alcotest.test_case "plan slices" `Quick test_plan_slices;
           Alcotest.test_case "cache_for indexes clients" `Quick test_cluster_cache_for;
         ] );
       ( "exec",
